@@ -88,9 +88,9 @@ func Clone(v Value) (Value, int64) {
 // the plain JS objects Browsix sends. These accessors tolerate the int /
 // int64 normalization Clone performs.
 
-// GetInt reads an integer field from a message.
-func GetInt(m map[string]Value, key string) int64 {
-	switch x := m[key].(type) {
+// Int reads an integer value; anything else reads as 0.
+func Int(v Value) int64 {
+	switch x := v.(type) {
 	case int64:
 		return x
 	case int:
@@ -101,6 +101,9 @@ func GetInt(m map[string]Value, key string) int64 {
 		return 0
 	}
 }
+
+// GetInt reads an integer field from a message.
+func GetInt(m map[string]Value, key string) int64 { return Int(m[key]) }
 
 // GetString reads a string field from a message.
 func GetString(m map[string]Value, key string) string {

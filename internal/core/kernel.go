@@ -81,9 +81,6 @@ type Kernel struct {
 	// and every pre-existing virtual clock. A fleet shares one sealed
 	// registry; a single instance owns a private one.
 	Snapshots *snapshot.Registry
-	// DisableSnapshots ignores Snapshots without unwiring it — the
-	// ablation flag the differential tests flip.
-	DisableSnapshots bool
 
 	// stubURLs caches the per-executable bootstrap Blob URL clone boots
 	// start their workers from: a thin loader stub standing in for the
@@ -268,7 +265,7 @@ func (k *Kernel) Spawn(parent *Task, spec SpawnSpec, cb func(int, abi.Errno)) {
 		// copy-on-write clone boot; otherwise an unsealed registry asks
 		// the new process to capture one after its first boot completes.
 		var img *snapshot.Image
-		if k.Snapshots != nil && !k.DisableSnapshots && spec.Fork == nil {
+		if k.Snapshots != nil && spec.Fork == nil {
 			img = k.Snapshots.Lookup(path)
 		}
 
@@ -359,7 +356,7 @@ func (k *Kernel) Spawn(parent *Task, spec SpawnSpec, cb func(int, abi.Errno)) {
 			init["snapimage"] = img
 			k.CloneBoots.Add(1)
 			k.Snapshots.Stats().CloneBoots.Add(1)
-		case k.Snapshots != nil && !k.DisableSnapshots && !k.Snapshots.Sealed() && spec.Fork == nil:
+		case k.Snapshots != nil && !k.Snapshots.Sealed() && spec.Fork == nil:
 			// First boot of this runtime: ask it to call back with
 			// "snapcap" once init and transport negotiation finish.
 			t.script = script

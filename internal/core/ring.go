@@ -52,9 +52,8 @@ func (k *Kernel) registerRing(t *Task, reqOff, reqLen, repOff, repLen int64) abi
 	if t.heap == nil {
 		return abi.EINVAL
 	}
-	hlen := int64(t.heap.Len())
 	ok := func(off, n int64) bool {
-		return off >= 0 && n >= abi.MinRingSize && off+n <= hlen
+		return n >= abi.MinRingSize && t.heapRange(off, n, 1) == abi.OK
 	}
 	if !ok(reqOff, reqLen) || !ok(repOff, repLen) {
 		return abi.EINVAL
@@ -146,11 +145,7 @@ func batchableCall(c pendingCall) bool {
 	case abi.SYS_stat, abi.SYS_lstat, abi.SYS_access, abi.SYS_readlink:
 		return true
 	case abi.SYS_open:
-		var flags int64
-		if len(c.args) > 2 {
-			flags = c.args[2]
-		}
-		return flags&(abi.O_ACCMODE|abi.O_CREAT|abi.O_TRUNC|abi.O_APPEND) == abi.O_RDONLY
+		return word(c.args, 2)&(abi.O_ACCMODE|abi.O_CREAT|abi.O_TRUNC|abi.O_APPEND) == abi.O_RDONLY
 	}
 	return false
 }
@@ -158,7 +153,7 @@ func batchableCall(c pendingCall) bool {
 // dispatchBatch executes a batch of call frames. Runs of two or more
 // consecutive fs metadata calls resolve through FS.MetaBatch — one pass
 // against the dentry cache for the whole run — and everything else goes
-// through the transport-independent dispatchCall. The scalar transport
+// frame by frame through the heap codec (heapCall). The scalar transport
 // enters here with batch size 1 (dispatchSync), and the async transport
 // reaches the same FS.StatBatch/MetaBatch entry point through
 // FS.Stat/Lstat/Access (batches of one), so all three transports execute
@@ -196,86 +191,64 @@ func (k *Kernel) dispatchBatch(t *Task, calls []pendingCall, done func(seq uint3
 				continue
 			}
 		}
-		c := calls[i]
-		k.dispatchCall(t, c.trap, c.args, func(ret int64, err abi.Errno) {
-			done(c.seq, ret, err)
-		})
+		k.heapCall(t, calls[i], done)
 		i++
 	}
 }
 
+// metaKinds maps the batchable traps to their fs batch request kinds.
+var metaKinds = map[int]fs.MetaKind{
+	abi.SYS_stat: fs.MetaStat, abi.SYS_lstat: fs.MetaLstat, abi.SYS_access: fs.MetaAccess,
+	abi.SYS_readlink: fs.MetaReadlink, abi.SYS_open: fs.MetaOpen,
+}
+
 // dispatchMetaRun decodes a run of stat/lstat/access/readlink/open
-// frames and resolves them with a single FS.MetaBatch call — one dentry
-// cache pass for the whole run — then completes each frame exactly as
-// dispatchCall would have.
+// frames through the heap codec and resolves them with a single
+// FS.MetaBatch call — one dentry cache pass for the whole run — then
+// encodes each frame's result exactly as heapCall would have. A frame
+// that fails to decode completes at once and leaves the batch.
 func (k *Kernel) dispatchMetaRun(t *Task, run []pendingCall, done func(uint32, int64, abi.Errno)) {
-	arg := func(c pendingCall, i int) int64 {
-		if i < len(c.args) {
-			return c.args[i]
-		}
-		return 0
+	type metaCall struct {
+		c   pendingCall
+		out heapOut
 	}
-	reqs := make([]fs.MetaReq, len(run))
-	for i, c := range run {
-		path := t.abs(t.heapStr(arg(c, 0), arg(c, 1)))
-		switch c.trap {
-		case abi.SYS_stat:
-			reqs[i] = fs.MetaReq{Kind: fs.MetaStat, Path: path}
-		case abi.SYS_lstat:
-			reqs[i] = fs.MetaReq{Kind: fs.MetaLstat, Path: path}
-		case abi.SYS_access:
-			reqs[i] = fs.MetaReq{Kind: fs.MetaAccess, Path: path}
-		case abi.SYS_readlink:
-			reqs[i] = fs.MetaReq{Kind: fs.MetaReadlink, Path: path}
-		case abi.SYS_open:
-			reqs[i] = fs.MetaReq{Kind: fs.MetaOpen, Path: path,
-				Flags: int(arg(c, 2)), Mode: uint32(arg(c, 3))}
+	calls := make([]metaCall, 0, len(run))
+	reqs := make([]fs.MetaReq, 0, len(run))
+	for _, c := range run {
+		a, out, err := t.heapArgs(&abi.Syscalls[c.trap], c.args)
+		if err != abi.OK {
+			done(c.seq, -1, err)
+			continue
 		}
+		req := fs.MetaReq{Kind: metaKinds[c.trap], Path: t.abs(a.Str[0])}
+		if c.trap == abi.SYS_open {
+			req.Flags, req.Mode = int(a.Int[0]), uint32(a.Int[1])
+		}
+		calls = append(calls, metaCall{c, out})
+		reqs = append(reqs, req)
 	}
-	k.FSBatchedCalls.Add(int64(len(run)))
+	k.FSBatchedCalls.Add(int64(len(reqs)))
 	k.FS.MetaBatch(reqs, func(res []fs.MetaRes) {
-		for i, c := range run {
+		for i, m := range calls {
 			r := res[i]
-			switch c.trap {
-			case abi.SYS_stat, abi.SYS_lstat:
-				if r.Err == abi.OK {
-					var buf [abi.StatSize]byte
-					abi.PackStat(buf[:], r.St)
-					t.heapWrite(arg(c, 2), buf[:])
-				}
-				done(c.seq, 0, r.Err)
-			case abi.SYS_access:
-				done(c.seq, 0, r.Err)
+			out := abi.Result{Err: r.Err, Stat: r.St}
+			switch m.c.trap {
 			case abi.SYS_readlink:
-				if r.Err != abi.OK {
-					done(c.seq, -1, r.Err)
-					break
-				}
-				bufLen := arg(c, 3)
-				if bufLen < 0 {
-					done(c.seq, -1, abi.EINVAL)
-					break
-				}
-				b := []byte(r.Target)
-				if int64(len(b)) > bufLen {
-					b = b[:bufLen]
-				}
-				t.heapWrite(arg(c, 2), b)
-				done(c.seq, int64(len(b)), abi.OK)
+				out.Ret, out.Str = int64(len(r.Target)), r.Target
 			case abi.SYS_open:
-				if r.Err != abi.OK {
-					done(c.seq, -1, r.Err)
-					break
+				out.Ret = -1
+				if r.Err == abi.OK {
+					// A nil handle is a directory: same split as doOpen.
+					flags, path := reqs[i].Flags, reqs[i].Path
+					var f File = &dirFile{fs: k.FS, path: path}
+					if r.Handle != nil {
+						f = newFSFile(r.Handle, flags)
+					}
+					out.Ret = int64(t.installFd(NewDesc(f, flags, path)))
 				}
-				flags := int(arg(c, 2))
-				path := reqs[i].Path
-				if r.Handle == nil {
-					// Directory: same split as doOpen.
-					done(c.seq, int64(t.installFd(NewDesc(&dirFile{fs: k.FS, path: path}, flags, path))), abi.OK)
-					break
-				}
-				done(c.seq, int64(t.installFd(NewDesc(newFSFile(r.Handle, flags), flags, path))), abi.OK)
 			}
+			ret, err := t.heapResult(abi.Syscalls[m.c.trap].Ret, m.out, nil, out)
+			done(m.c.seq, ret, err)
 		}
 	})
 }

@@ -77,7 +77,7 @@ func (k *Kernel) releaseTaskSnapshot(t *Task) {
 // doSnapcap handles the "snapcap" registration call: freeze the calling
 // task's post-boot state as its executable's snapshot image.
 func (k *Kernel) doSnapcap(t *Task, ringOK, poolOK bool, scratchTop int64, reply func(...browser.Value)) {
-	if k.Snapshots == nil || k.DisableSnapshots || k.Snapshots.Sealed() || t.script == nil {
+	if k.Snapshots == nil || k.Snapshots.Sealed() || t.script == nil {
 		reply(int64(-1), errv(abi.ENOSYS))
 		return
 	}
@@ -106,22 +106,19 @@ func (k *Kernel) doSnapcap(t *Task, ringOK, poolOK bool, scratchTop int64, reply
 // land in one round trip, because the restored heap bytes already hold
 // the layout the image's capture negotiated. Reply layout:
 // [ret, errno, ringAccepted, poolAccepted, poolSAB?].
-func (k *Kernel) doRestore(t *Task, a []browser.Value, argInt func(int) int64, reply func(...browser.Value)) {
-	sab, _ := a[0].(*browser.SAB)
-	if sab == nil || t.snapImage == nil {
+func (k *Kernel) doRestore(t *Task, a []browser.Value, reply func(...browser.Value)) {
+	arg := func(i int) int64 { return browser.Int(argAt(a, i)) }
+	if t.snapImage == nil || t.setPersonality(argAt(a, 0), arg(1), arg(2)) != abi.OK {
 		reply(int64(-1), errv(abi.EINVAL))
 		return
 	}
-	t.heap = sab
-	t.retOff = int(argInt(1))
-	t.waitOff = int(argInt(2))
 	ringAccepted := int64(0)
-	if argInt(3) != 0 {
-		if err := k.registerRing(t, argInt(4), argInt(5), argInt(6), argInt(7)); err == abi.OK {
+	if arg(3) != 0 {
+		if err := k.registerRing(t, arg(4), arg(5), arg(6), arg(7)); err == abi.OK {
 			ringAccepted = 1
 		}
 	}
-	if argInt(8) != 0 && !k.DisableZeroCopy && t.ring != nil {
+	if arg(8) != 0 && !k.DisableZeroCopy && t.ring != nil {
 		t.pool = true
 		reply(int64(0), errv(abi.OK), ringAccepted, int64(1), k.pagePoolSAB())
 		return

@@ -6,11 +6,11 @@ import (
 	"repro/internal/fs"
 )
 
-// This file is the kernel's system-call dispatcher: the asynchronous path
-// (postMessage with cloned arguments, continuation-style replies) and the
-// synchronous path (integer arguments; bulk data moved directly between
-// the kernel and the process's SharedArrayBuffer heap; completion via
-// Atomics.notify) — §3.2 of the paper.
+// This file is the kernel's system-call entry point and its asynchronous
+// codec (§3.2 of the paper): postMessage with cloned arguments, decoded
+// into the typed arguments of the shared op table (ops.go), with
+// continuation-style [ret, errno, extra...] replies. The synchronous
+// transport's codec is in synccall.go.
 
 // onWorkerMessage handles every message a process sends the kernel.
 func (k *Kernel) onWorkerMessage(t *Task, w *browser.Worker, v browser.Value) {
@@ -25,19 +25,9 @@ func (k *Kernel) onWorkerMessage(t *Task, w *browser.Worker, v browser.Value) {
 	case "syscall":
 		k.AsyncSyscalls.Add(1)
 		k.Sys.Sim.Charge(k.CPU.SyscallNs)
-		id := browser.GetInt(m, "id")
 		name := browser.GetString(m, "name")
 		k.SyscallCount[name]++
-		k.dispatchAsync(t, name, browser.GetArray(m, "args"), func(ret ...browser.Value) {
-			if t.worker != w || w.Terminated() {
-				return
-			}
-			w.PostMessage(map[string]browser.Value{
-				"type": "reply",
-				"id":   id,
-				"ret":  ret,
-			})
-		})
+		k.asyncCall(t, w, browser.GetInt(m, "id"), name, browser.GetArray(m, "args"))
 	case "sync":
 		k.SyncSyscalls.Add(1)
 		k.Sys.Sim.Charge(k.CPU.SyscallNs)
@@ -46,14 +36,7 @@ func (k *Kernel) onWorkerMessage(t *Task, w *browser.Worker, v browser.Value) {
 		args := browser.GetArray(m, "args")
 		ia := make([]int64, len(args))
 		for i := range args {
-			switch x := args[i].(type) {
-			case int64:
-				ia[i] = x
-			case int:
-				ia[i] = int64(x)
-			case float64:
-				ia[i] = int64(x)
-			}
+			ia[i] = browser.Int(args[i])
 		}
 		k.dispatchSync(t, trap, ia)
 	case "ringbell":
@@ -145,459 +128,268 @@ func (k *Kernel) doChdir(t *Task, p string, cb func(abi.Errno)) {
 	})
 }
 
-// sockFd fetches a descriptor that must be a socket.
-func (t *Task) sockFd(fd int) (*Socket, abi.Errno) {
-	d, err := t.lookFd(fd)
-	if err != abi.OK {
-		return nil, err
-	}
-	s, ok := d.file.(*Socket)
-	if !ok {
-		return nil, abi.ENOTSOCK
-	}
-	return s, abi.OK
-}
-
 // ---------------------------------------------------------------------------
-// Asynchronous dispatch.
+// Asynchronous codec.
 // ---------------------------------------------------------------------------
 
 func errv(err abi.Errno) int64 { return int64(err) }
 
-// dispatchAsync decodes cloned-argument system calls and encodes replies
-// as [ret, errno, extra...] arrays.
-func (k *Kernel) dispatchAsync(t *Task, name string, a []browser.Value, reply func(...browser.Value)) {
-	argStr := func(i int) string {
-		if i < len(a) {
-			s, _ := a[i].(string)
-			return s
-		}
-		return ""
+// postReply delivers an asynchronous call's reply, unless the calling
+// image is gone.
+func (k *Kernel) postReply(t *Task, w *browser.Worker, id int64, ret []browser.Value) {
+	if t.worker != w || w.Terminated() {
+		return
 	}
-	argInt := func(i int) int64 {
-		if i < len(a) {
-			switch x := a[i].(type) {
-			case int64:
-				return x
-			case int:
-				return int64(x)
-			case float64:
-				return int64(x)
+	w.PostMessage(map[string]browser.Value{"type": "reply", "id": id, "ret": ret})
+}
+
+// asyncCall decodes a cloned-argument call, runs the trap's op, and
+// replies with its result encoded as [ret, errno, extra...].
+func (k *Kernel) asyncCall(t *Task, w *browser.Worker, id int64, name string, args []browser.Value) {
+	trap := abi.SyscallTrap(name)
+	if op := sysOps[trap]; op != nil {
+		row := &abi.Syscalls[trap]
+		a, err := t.asyncArgs(row, args)
+		if err != abi.OK {
+			k.postReply(t, w, id, []browser.Value{int64(-1), errv(err)})
+			return
+		}
+		shape := row.Ret
+		op(k, t, a, func(r abi.Result) { k.postReply(t, w, id, asyncResult(shape, r)) })
+		return
+	}
+	if local := asyncLocal[name]; local != nil {
+		local(k, t, args, func(ret ...browser.Value) { k.postReply(t, w, id, ret) })
+		return
+	}
+	k.postReply(t, w, id, []browser.Value{int64(-1), errv(abi.ENOSYS)})
+}
+
+// valueInts reads a cloned integer array, skipping non-integers.
+func valueInts(v browser.Value) []int {
+	var out []int
+	arr, _ := v.([]browser.Value)
+	for _, e := range arr {
+		switch x := e.(type) {
+		case int64:
+			out = append(out, int(x))
+		case int:
+			out = append(out, x)
+		case float64:
+			out = append(out, int(x))
+		}
+	}
+	return out
+}
+
+// asyncArgs decodes a cloned argument list into typed arguments, in row
+// order; an ArgFd is looked up where it stands.
+func (t *Task) asyncArgs(row *abi.Syscall, v []browser.Value) (a callArgs, err abi.Errno) {
+	i, ni, ns, nl := 0, 0, 0, 0
+	for _, shape := range row.Args {
+		switch shape {
+		case abi.ArgOutBuf:
+			a.Cap = -1
+			continue
+		case abi.ArgOutRec:
+			continue
+		}
+		var x browser.Value
+		if i < len(v) {
+			x = v[i]
+		}
+		i++
+		switch shape {
+		case abi.ArgInt, abi.ArgOpt:
+			a.Int[ni] = browser.Int(x)
+			ni++
+		case abi.ArgFd:
+			a.Int[ni] = browser.Int(x)
+			ni++
+			if a.d, err = t.lookFd(int(a.Int[ni-1])); err != abi.OK {
+				return a, err
 			}
-		}
-		return 0
-	}
-	argBytes := func(i int) []byte {
-		if i < len(a) {
-			b, _ := a[i].([]byte)
-			return b
-		}
-		return nil
-	}
-	argStrs := func(i int) []string {
-		if i < len(a) {
-			if arr, ok := a[i].([]browser.Value); ok {
-				return browser.Strings(arr)
+		case abi.ArgStr:
+			a.Str[ns], _ = x.(string)
+			ns++
+		case abi.ArgStrs:
+			if arr, ok := x.([]browser.Value); ok {
+				a.Strs[nl] = browser.Strings(arr)
 			}
-		}
-		return nil
-	}
-	argInts := func(i int) []int {
-		var out []int
-		if i < len(a) {
-			if arr, ok := a[i].([]browser.Value); ok {
-				for _, v := range arr {
-					switch x := v.(type) {
-					case int64:
-						out = append(out, int(x))
-					case int:
-						out = append(out, x)
-					case float64:
-						out = append(out, int(x))
-					}
+			nl++
+		case abi.ArgBytes:
+			a.Bytes, _ = x.([]byte)
+		case abi.ArgInts:
+			a.Ints = valueInts(x)
+		case abi.ArgBufs:
+			arr, _ := x.([]browser.Value)
+			for _, e := range arr {
+				if b, ok := e.([]byte); ok && len(b) > 0 {
+					a.Bufs = append(a.Bufs, b)
 				}
 			}
+		case abi.ArgLens:
+			a.Lens = valueInts(x)
+			if len(a.Lens) > 1024 {
+				return a, abi.EINVAL
+			}
+			for _, n := range a.Lens {
+				if n < 0 {
+					return a, abi.EINVAL
+				}
+			}
+		case abi.ArgPollfds:
+			// A flat [fd0, events0, fd1, events1, ...] array.
+			raw := valueInts(x)
+			if len(raw)%2 != 0 || len(raw)/2 > 4096 {
+				return a, abi.EINVAL
+			}
+			a.Pollfds = make([]abi.Pollfd, len(raw)/2)
+			for j := range a.Pollfds {
+				a.Pollfds[j] = abi.Pollfd{Fd: int32(raw[2*j]), Events: uint32(raw[2*j+1])}
+			}
+		case abi.ArgOut:
+			a.Cap = browser.Int(x)
 		}
-		return out
 	}
+	return a, abi.OK
+}
 
-	switch name {
-	case "personality":
-		// Sync-syscall registration (§3.2): heap + return-value offset
-		// + wake offset.
-		sab, _ := a[0].(*browser.SAB)
-		if sab == nil {
-			reply(int64(-1), errv(abi.EINVAL))
-			return
+// asyncResult encodes a completed call as its reply array.
+func asyncResult(shape abi.Ret, r abi.Result) []browser.Value {
+	switch shape {
+	case abi.RetBytes:
+		return []browser.Value{r.Ret, errv(r.Err), r.Data}
+	case abi.RetSegs:
+		if r.Err != abi.OK {
+			return []browser.Value{int64(-1), errv(r.Err)}
 		}
-		t.heap = sab
-		t.retOff = int(argInt(1))
-		t.waitOff = int(argInt(2))
-		reply(int64(0), errv(abi.OK))
+		arr := make([]browser.Value, len(r.Segs))
+		for i, s := range r.Segs {
+			arr[i] = s
+		}
+		return []browser.Value{r.Ret, errv(r.Err), arr}
+	case abi.RetStat:
+		return []browser.Value{r.Ret, errv(r.Err), abi.StatToMap(r.Stat)}
+	case abi.RetStr:
+		return []browser.Value{r.Ret, errv(r.Err), r.Str}
+	case abi.RetDirents:
+		arr := make([]browser.Value, len(r.Ents))
+		for i, e := range r.Ents {
+			arr[i] = abi.DirentToMap(e)
+		}
+		return []browser.Value{r.Ret, errv(r.Err), arr}
+	case abi.RetPair:
+		return []browser.Value{r.Ret, errv(r.Err), r.Aux[0], r.Aux[1]}
+	case abi.RetStatus:
+		return []browser.Value{r.Ret, errv(r.Err), r.Aux[0]}
+	case abi.RetPollfds:
+		rev := make([]browser.Value, len(r.Pollfds))
+		for i := range r.Pollfds {
+			rev[i] = int64(r.Pollfds[i].Revents)
+		}
+		return []browser.Value{r.Ret, errv(r.Err), rev}
+	}
+	return []browser.Value{r.Ret, errv(r.Err)}
+}
 
-	case "ring":
+// asyncLocalOp is a call only the asynchronous transport carries: the
+// registrations that set up the other transports, and fork.
+type asyncLocalOp func(k *Kernel, t *Task, a []browser.Value, reply func(...browser.Value))
+
+// asyncLocal is filled by init: fork reaches the spawn path, which
+// reaches the codec that indexes this table.
+var asyncLocal map[string]asyncLocalOp
+
+func init() {
+	asyncLocal = map[string]asyncLocalOp{
+		// Sync-syscall registration (§3.2): heap + return-value offset +
+		// wake offset.
+		"personality": func(k *Kernel, t *Task, a []browser.Value, reply func(...browser.Value)) {
+			if err := t.setPersonality(argAt(a, 0), browser.Int(argAt(a, 1)), browser.Int(argAt(a, 2))); err != abi.OK {
+				reply(int64(-1), errv(err))
+				return
+			}
+			reply(int64(0), errv(abi.OK))
+		},
 		// Ring-transport negotiation (after personality): request and
 		// reply ring regions inside the registered heap.
-		err := k.registerRing(t, argInt(0), argInt(1), argInt(2), argInt(3))
-		if err != abi.OK {
-			reply(int64(-1), errv(err))
-			return
-		}
-		reply(int64(0), errv(abi.OK))
-
-	case "pagepool":
+		"ring": func(k *Kernel, t *Task, a []browser.Value, reply func(...browser.Value)) {
+			if err := k.registerRing(t, browser.Int(argAt(a, 0)), browser.Int(argAt(a, 1)), browser.Int(argAt(a, 2)), browser.Int(argAt(a, 3))); err != abi.OK {
+				reply(int64(-1), errv(err))
+				return
+			}
+			reply(int64(0), errv(abi.OK))
+		},
 		// Page-pool negotiation (after the ring): the kernel shares its
 		// page-cache arena as a SharedArrayBuffer, and the process may
 		// issue readg calls answered with page grants against it.
 		// Refusal leaves the process on the copy path.
-		if k.DisableZeroCopy || t.heap == nil || t.ring == nil {
-			reply(int64(-1), errv(abi.ENOSYS))
-			return
-		}
-		t.pool = true
-		reply(int64(0), errv(abi.OK), k.pagePoolSAB())
-
-	case "snapcap":
+		"pagepool": func(k *Kernel, t *Task, a []browser.Value, reply func(...browser.Value)) {
+			if k.DisableZeroCopy || t.heap == nil || t.ring == nil {
+				reply(int64(-1), errv(abi.ENOSYS))
+				return
+			}
+			t.pool = true
+			reply(int64(0), errv(abi.OK), k.pagePoolSAB())
+		},
 		// Post-boot snapshot capture (internal/snapshot): the process
 		// reports its negotiated transport state and the kernel freezes
 		// its heap and fd/env/cwd template as the runtime's image.
-		k.doSnapcap(t, argInt(0) != 0, argInt(1) != 0, argInt(2), reply)
-
-	case "restore":
+		"snapcap": func(k *Kernel, t *Task, a []browser.Value, reply func(...browser.Value)) {
+			k.doSnapcap(t, browser.Int(argAt(a, 0)) != 0, browser.Int(argAt(a, 1)) != 0, browser.Int(argAt(a, 2)), reply)
+		},
 		// Clone-boot restore: one combined registration replacing the
 		// personality + ring + pagepool negotiation round trips.
-		k.doRestore(t, a, argInt, reply)
-
-	case "open":
-		k.doOpen(t, argStr(0), int(argInt(1)), uint32(argInt(2)), func(fd int, err abi.Errno) {
-			reply(int64(fd), errv(err))
-		})
-	case "close":
-		t.closeFd(int(argInt(0)), func(err abi.Errno) { reply(int64(0), errv(err)) })
-	case "read":
-		d, err := t.lookFd(int(argInt(0)))
-		if err != abi.OK {
-			reply(int64(-1), errv(err))
-			return
-		}
-		d.file.Read(d, int(argInt(1)), func(data []byte, err abi.Errno) {
-			reply(int64(len(data)), errv(err), data)
-		})
-	case "write":
-		d, err := t.lookFd(int(argInt(0)))
-		if err != abi.OK {
-			reply(int64(-1), errv(err))
-			return
-		}
-		// The cloned message's buffer is uniquely ours, so ownership can
-		// transfer to the file (zero-copy into pipes).
-		writeMoved(d, argBytes(1), func(n int, err abi.Errno) {
-			reply(int64(n), errv(err))
-		})
-	case "readv":
-		d, err := t.lookFd(int(argInt(0)))
-		if err != abi.OK {
-			reply(int64(-1), errv(err))
-			return
-		}
-		lens := argInts(1)
-		if len(lens) > 1024 {
-			reply(int64(-1), errv(abi.EINVAL))
-			return
-		}
-		total := 0
-		for _, n := range lens {
-			if n < 0 {
-				reply(int64(-1), errv(abi.EINVAL))
-				return
-			}
-			total += n
-		}
-		readGather(d, total, func(segs [][]byte, rerr abi.Errno) {
-			if rerr != abi.OK {
-				reply(int64(-1), errv(rerr))
-				return
-			}
-			arr := make([]browser.Value, len(segs))
-			var n int64
-			for i, s := range segs {
-				arr[i] = s
-				n += int64(len(s))
-			}
-			reply(n, errv(abi.OK), arr)
-		})
-	case "writev":
-		d, err := t.lookFd(int(argInt(0)))
-		if err != abi.OK {
-			reply(int64(-1), errv(err))
-			return
-		}
-		var bufs [][]byte
-		if 1 < len(a) {
-			if arr, ok := a[1].([]browser.Value); ok {
-				for _, v := range arr {
-					if b, ok := v.([]byte); ok && len(b) > 0 {
-						bufs = append(bufs, b)
-					}
-				}
-			}
-		}
-		writevBufs(d, bufs, func(n int64, werr abi.Errno) {
-			reply(n, errv(werr))
-		})
-	case "pread":
-		d, err := t.lookFd(int(argInt(0)))
-		if err != abi.OK {
-			reply(int64(-1), errv(err))
-			return
-		}
-		d.file.Pread(argInt(2), int(argInt(1)), func(data []byte, err abi.Errno) {
-			reply(int64(len(data)), errv(err), data)
-		})
-	case "pwrite":
-		d, err := t.lookFd(int(argInt(0)))
-		if err != abi.OK {
-			reply(int64(-1), errv(err))
-			return
-		}
-		d.file.Pwrite(argInt(2), argBytes(1), func(n int, err abi.Errno) {
-			reply(int64(n), errv(err))
-		})
-	case "llseek":
-		d, err := t.lookFd(int(argInt(0)))
-		if err != abi.OK {
-			reply(int64(-1), errv(err))
-			return
-		}
-		d.file.Seek(d, argInt(1), int(argInt(2)), func(off int64, err abi.Errno) {
-			reply(off, errv(err))
-		})
-	case "ftruncate":
-		d, err := t.lookFd(int(argInt(0)))
-		if err != abi.OK {
-			reply(int64(-1), errv(err))
-			return
-		}
-		d.file.Truncate(argInt(1), func(err abi.Errno) { reply(int64(0), errv(err)) })
-	case "fsync":
-		d, err := t.lookFd(int(argInt(0)))
-		if err != abi.OK {
-			reply(int64(-1), errv(err))
-			return
-		}
-		syncFile(d.file, func(err abi.Errno) { reply(int64(0), errv(err)) })
-	case "fstat":
-		d, err := t.lookFd(int(argInt(0)))
-		if err != abi.OK {
-			reply(int64(-1), errv(err))
-			return
-		}
-		d.file.Stat(func(st abi.Stat, err abi.Errno) {
-			reply(int64(0), errv(err), statValue(st))
-		})
-	case "stat":
-		k.FS.Stat(t.abs(argStr(0)), func(st abi.Stat, err abi.Errno) {
-			reply(int64(0), errv(err), statValue(st))
-		})
-	case "lstat":
-		k.FS.Lstat(t.abs(argStr(0)), func(st abi.Stat, err abi.Errno) {
-			reply(int64(0), errv(err), statValue(st))
-		})
-	case "access":
-		k.FS.Access(t.abs(argStr(0)), int(argInt(1)), func(err abi.Errno) {
-			reply(int64(0), errv(err))
-		})
-	case "readlink":
-		k.FS.Readlink(t.abs(argStr(0)), func(target string, err abi.Errno) {
-			reply(int64(len(target)), errv(err), target)
-		})
-	case "utimes":
-		k.FS.Utimes(t.abs(argStr(0)), argInt(1), argInt(2), func(err abi.Errno) {
-			reply(int64(0), errv(err))
-		})
-	case "unlink":
-		k.FS.Unlink(t.abs(argStr(0)), func(err abi.Errno) { reply(int64(0), errv(err)) })
-	case "rmdir":
-		k.FS.Rmdir(t.abs(argStr(0)), func(err abi.Errno) { reply(int64(0), errv(err)) })
-	case "mkdir":
-		k.FS.Mkdir(t.abs(argStr(0)), uint32(argInt(1)), func(err abi.Errno) {
-			reply(int64(0), errv(err))
-		})
-	case "rename":
-		k.FS.Rename(t.abs(argStr(0)), t.abs(argStr(1)), func(err abi.Errno) {
-			reply(int64(0), errv(err))
-		})
-	case "symlink":
-		k.FS.Symlink(argStr(0), t.abs(argStr(1)), func(err abi.Errno) {
-			reply(int64(0), errv(err))
-		})
-	case "getdents", "readdir":
-		d, err := t.lookFd(int(argInt(0)))
-		if err != abi.OK {
-			reply(int64(-1), errv(err))
-			return
-		}
-		d.file.Getdents(d, func(ents []abi.Dirent, err abi.Errno) {
-			arr := make([]browser.Value, len(ents))
-			for i, e := range ents {
-				m := abi.DirentToMap(e)
-				vm := make(map[string]browser.Value, len(m))
-				for kk, vv := range m {
-					vm[kk] = vv
-				}
-				arr[i] = vm
-			}
-			reply(int64(len(ents)), errv(err), arr)
-		})
-	case "dup2":
-		err := k.doDup2(t, int(argInt(0)), int(argInt(1)))
-		reply(argInt(1), errv(err))
-	case "pipe2":
-		rfd, wfd := k.doPipe2(t)
-		reply(int64(0), errv(abi.OK), int64(rfd), int64(wfd))
-	case "spawn":
-		k.doSpawn(t, argStr(0), argStrs(1), argStrs(2), argInts(3), func(pid int, err abi.Errno) {
-			reply(int64(pid), errv(err))
-		})
-	case "fork":
-		img := &ForkImage{Mem: argBytes(0), Label: argStr(1)}
-		k.doFork(t, img, func(pid int, err abi.Errno) {
-			reply(int64(pid), errv(err))
-		})
-	case "exec":
-		k.doExec(t, argStr(0), argStrs(1), argStrs(2), func(err abi.Errno) {
-			// Only failures produce a reply; on success the old image
-			// is gone.
-			reply(int64(-1), errv(err))
-		})
-	case "wait4":
-		k.doWait4(t, int(argInt(0)), int(argInt(1)), func(pid, status int, err abi.Errno) {
-			reply(int64(pid), errv(err), int64(status))
-		})
-	case "exit":
-		k.doExit(t, int(argInt(0)))
-	case "kill":
-		reply(int64(0), errv(k.doKill(int(argInt(0)), int(argInt(1)))))
-	case "signal":
-		reply(int64(0), errv(k.doSignalAction(t, int(argInt(0)), int(argInt(1)))))
-	case "getpid":
-		reply(int64(t.Pid), errv(abi.OK))
-	case "getppid":
-		reply(int64(t.ParentPid), errv(abi.OK))
-	case "getcwd":
-		reply(int64(len(t.cwd)), errv(abi.OK), t.cwd)
-	case "chdir":
-		k.doChdir(t, argStr(0), func(err abi.Errno) { reply(int64(0), errv(err)) })
-
-	case "socket":
-		fd := t.installFd(NewDesc(k.NewSocket(), abi.O_RDWR, "socket:"))
-		reply(int64(fd), errv(abi.OK))
-	case "bind":
-		s, err := t.sockFd(int(argInt(0)))
-		if err != abi.OK {
-			reply(int64(-1), errv(err))
-			return
-		}
-		reply(int64(0), errv(k.BindSocket(s, int(argInt(1)))))
-	case "listen":
-		s, err := t.sockFd(int(argInt(0)))
-		if err != abi.OK {
-			reply(int64(-1), errv(err))
-			return
-		}
-		reply(int64(0), errv(k.ListenSocket(s, int(argInt(1)))))
-	case "accept":
-		// Optional second arg carries accept4-style flags: O_NONBLOCK
-		// makes this accept non-blocking and marks the new connection.
-		d, err := t.lookFd(int(argInt(0)))
-		if err != abi.OK {
-			reply(int64(-1), errv(err))
-			return
-		}
-		s, ok := d.file.(*Socket)
-		if !ok {
-			reply(int64(-1), errv(abi.ENOTSOCK))
-			return
-		}
-		connFlags := abi.O_RDWR | int(argInt(1))&abi.O_NONBLOCK
-		nonblock := d.flags&abi.O_NONBLOCK != 0 || int(argInt(1))&abi.O_NONBLOCK != 0
-		k.AcceptSocket(s, nonblock, func(conn *Socket, err abi.Errno) {
-			if err != abi.OK {
-				reply(int64(-1), errv(err))
-				return
-			}
-			fd := t.installFd(NewDesc(conn, connFlags, "socket:conn"))
-			reply(int64(fd), errv(abi.OK))
-		})
-	case "connect":
-		s, err := t.sockFd(int(argInt(0)))
-		if err != abi.OK {
-			reply(int64(-1), errv(err))
-			return
-		}
-		k.ConnectSocket(s, int(argInt(1)), func(err abi.Errno) {
-			reply(int64(0), errv(err))
-		})
-	case "getsockname":
-		s, err := t.sockFd(int(argInt(0)))
-		if err != abi.OK {
-			reply(int64(-1), errv(err))
-			return
-		}
-		reply(int64(s.port), errv(abi.OK))
-	case "poll":
-		// Args: flat [fd0, events0, fd1, events1, ...] array + timeout
-		// ns. Reply extra: flat [revents0, revents1, ...] array.
-		raw := argInts(0)
-		if len(raw)%2 != 0 || len(raw)/2 > 4096 {
-			reply(int64(-1), errv(abi.EINVAL))
-			return
-		}
-		fds := make([]abi.Pollfd, len(raw)/2)
-		for i := range fds {
-			fds[i] = abi.Pollfd{Fd: int32(raw[2*i]), Events: uint32(raw[2*i+1])}
-		}
-		k.doPoll(t, fds, argInt(1), func(n int, err abi.Errno) {
-			rev := make([]browser.Value, len(fds))
-			for i := range fds {
-				rev[i] = int64(fds[i].Revents)
-			}
-			reply(int64(n), errv(err), rev)
-		})
-	case "setfl":
-		d, err := t.lookFd(int(argInt(0)))
-		if err != abi.OK {
-			reply(int64(-1), errv(err))
-			return
-		}
-		d.flags = d.flags&^abi.O_NONBLOCK | int(argInt(1))&abi.O_NONBLOCK
-		reply(int64(0), errv(abi.OK))
-
-	default:
-		reply(int64(-1), errv(abi.ENOSYS))
+		"restore": func(k *Kernel, t *Task, a []browser.Value, reply func(...browser.Value)) {
+			k.doRestore(t, a, reply)
+		},
+		"fork": func(k *Kernel, t *Task, a []browser.Value, reply func(...browser.Value)) {
+			mem, _ := argAt(a, 0).([]byte)
+			label, _ := argAt(a, 1).(string)
+			k.doFork(t, &ForkImage{Mem: mem, Label: label}, func(pid int, err abi.Errno) {
+				reply(int64(pid), errv(err))
+			})
+		},
 	}
 }
 
-// SyscallTable returns the implemented system calls grouped by class —
-// the contents of Figure 3 plus the extensions this reproduction adds
-// (marked by the caller as needed).
+// argAt returns cloned argument i, or nil past the end.
+func argAt(a []browser.Value, i int) browser.Value {
+	if i < len(a) {
+		return a[i]
+	}
+	return nil
+}
+
+// setPersonality registers a task's heap and its wake and return-value
+// cells, which must lie inside the heap.
+func (t *Task) setPersonality(v browser.Value, retOff, waitOff int64) abi.Errno {
+	sab, _ := v.(*browser.SAB)
+	if sab == nil {
+		return abi.EINVAL
+	}
+	hlen := int64(sab.Len())
+	if retOff < 0 || retOff > hlen-12 || waitOff < 0 || waitOff > hlen-4 {
+		return abi.EINVAL
+	}
+	t.heap, t.retOff, t.waitOff = sab, int(retOff), int(waitOff)
+	return abi.OK
+}
+
+// SyscallTable returns the implemented system calls grouped by Figure 3
+// class, derived from the syscall table's class column, with the
+// paper's readdir alias listed next to getdents.
 func SyscallTable() map[string][]string {
-	return map[string][]string{
-		"Process Management": {"fork", "spawn", "exec", "pipe2", "wait4", "exit", "kill", "signal"},
-		"Process Metadata":   {"chdir", "getcwd", "getpid", "getppid"},
-		"Sockets":            {"socket", "bind", "getsockname", "listen", "accept", "connect", "poll", "setfl"},
-		"Directory IO":       {"readdir", "getdents", "rmdir", "mkdir"},
-		"File IO":            {"open", "close", "read", "write", "readv", "writev", "unlink", "llseek", "pread", "pwrite", "dup2", "ftruncate", "fsync", "rename", "symlink"},
-		"File Metadata":      {"access", "fstat", "lstat", "stat", "readlink", "utimes"},
+	out := map[string][]string{}
+	for trap, row := range abi.Syscalls {
+		if row.Class == "" {
+			continue
+		}
+		if trap == abi.SYS_getdents {
+			out[row.Class] = append(out[row.Class], abi.ReaddirAlias)
+		}
+		out[row.Class] = append(out[row.Class], row.Name)
 	}
-}
-
-// statValue converts a Stat into a message object.
-func statValue(st abi.Stat) map[string]browser.Value {
-	m := abi.StatToMap(st)
-	vm := make(map[string]browser.Value, len(m))
-	for k, v := range m {
-		vm[k] = v
-	}
-	return vm
+	return out
 }

@@ -49,8 +49,12 @@ func (k *Kernel) doWgalloc(t *Task, n int, grantPtr int64, done func(int64, abi.
 		done(-1, abi.ENOSYS)
 		return
 	}
-	if n <= 0 || n > maxWgallocSlots || grantPtr < 0 {
+	if n <= 0 || n > maxWgallocSlots {
 		done(-1, abi.EINVAL)
+		return
+	}
+	if err := t.heapRange(grantPtr, int64(abi.GrantAreaSize(n)), 1); err != abi.OK {
+		done(-1, err)
 		return
 	}
 	if room := maxStagedPerTask - len(t.wstaged); n > room {
@@ -170,23 +174,14 @@ func (k *Kernel) doWriteg(t *Task, fd int, refs []fs.SlotRef, done func(int64, a
 func (k *Kernel) dispatchReadgRun(t *Task, run []pendingCall, done func(uint32, int64, abi.Errno)) {
 	fallback := func() {
 		for _, c := range run {
-			c := c
-			k.dispatchCall(t, c.trap, c.args, func(ret int64, err abi.Errno) {
-				done(c.seq, ret, err)
-			})
+			k.heapCall(t, c, done)
 		}
 	}
 	if !(t.pool && t.ring != nil && !k.DisableZeroCopy) {
 		fallback()
 		return
 	}
-	arg := func(c pendingCall, i int) int64 {
-		if i < len(c.args) {
-			return c.args[i]
-		}
-		return 0
-	}
-	d, err := t.lookFd(int(arg(run[0], 0)))
+	d, err := t.lookFd(int(word(run[0].args, 0)))
 	if err != abi.OK {
 		fallback()
 		return
@@ -207,11 +202,11 @@ func (k *Kernel) dispatchReadgRun(t *Task, run []pendingCall, done func(uint32, 
 	mgs := make([]int, len(run))
 	var totalWant, maxGrants int
 	for i, c := range run {
-		bufLen, mg, want := int(arg(c, 2)), int(arg(c, 4)), int(arg(c, 5))
+		bufLen, mg, want := int(word(c.args, 2)), int(word(c.args, 4)), int(word(c.args, 5))
 		if want <= 0 {
 			want = bufLen
 		}
-		if bufLen < 0 || want <= 0 || mg <= 0 || mg > 4096 {
+		if bufLen < 0 || want <= 0 || mg <= 0 || mg > 4096 || t.readgRanges(c.args) != abi.OK {
 			fallback()
 			return
 		}
@@ -272,7 +267,7 @@ func (k *Kernel) dispatchReadgRun(t *Task, run []pendingCall, done func(uint32, 
 		k.GrantedBytes.Add(granted)
 		buf := make([]byte, abi.GrantAreaSize(len(grants)))
 		abi.PackGrantReply(buf, abi.GrantMapped, grants)
-		t.heapWrite(arg(c, 3), buf)
+		t.heapWrite(word(c.args, 3), buf)
 		done(c.seq, granted, abi.OK)
 	}
 	// Every frame's area full with refs left over (possible only with

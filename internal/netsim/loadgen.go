@@ -345,20 +345,29 @@ func (c *lgClient) ensureReading() {
 	loop()
 }
 
+// drainResponses completes every whole response in the buffer, then
+// compacts the buffer once. A response's Body aliases the buffer, so
+// compacting before its completion would show OnResponse the next
+// pipelined response's bytes.
 func (c *lgClient) drainResponses(eof bool) {
+	conn, off := c.conn, 0
 	for c.recv < c.sent {
-		resp, rest, err := httpx.ParseBufferedResponse(c.buf, eof)
+		resp, rest, err := httpx.ParseBufferedResponse(c.buf[off:], eof)
 		if err == abi.EAGAIN {
-			return
+			break
 		}
 		if err != abi.OK {
 			c.connBroken()
 			return
 		}
-		n := copy(c.buf, rest)
-		c.buf = c.buf[:n]
+		off = len(c.buf) - len(rest)
 		c.complete(resp)
+		if c.conn != conn {
+			return // the completion tore the connection and its buffer down
+		}
 	}
+	n := copy(c.buf, c.buf[off:])
+	c.buf = c.buf[:n]
 }
 
 func (c *lgClient) complete(resp *httpx.Response) {

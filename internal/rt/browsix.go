@@ -328,33 +328,24 @@ func (r *workerRT) maxScratchPayload() int64 {
 }
 
 // ---------------------------------------------------------------------------
-// posix.Proc implementation. Every method follows the runtime's
-// transport; reply decoding mirrors the kernel's encodings.
+// posix.Proc implementation. Each method fills typed arguments and calls
+// r.call, whose codec follows the runtime's transport (codec.go). The
+// only transport-specific paths left here are the sync codec's own:
+// zero-copy leases and write staging, ring-batched writev/stat/accept,
+// and degrading requests larger than the scratch region.
 // ---------------------------------------------------------------------------
 
-func vi(ret []browser.Value, i int) int64 {
-	if i < len(ret) {
-		switch x := ret[i].(type) {
-		case int64:
-			return x
-		case int:
-			return int64(x)
-		case float64:
-			return int64(x)
-		}
+func ints(v ...int) [3]int64 {
+	var out [3]int64
+	for i, x := range v {
+		out[i] = int64(x)
 	}
-	return 0
+	return out
 }
-
-func verr(ret []browser.Value) abi.Errno { return abi.Errno(vi(ret, 1)) }
 
 func (r *workerRT) Getpid() int { return r.pid }
 func (r *workerRT) Getppid() int {
-	if r.sync {
-		ret, _ := r.syncCall(abi.SYS_getppid)
-		return int(ret)
-	}
-	return int(vi(r.asyncCall("getppid"), 0))
+	return int(r.call(abi.SYS_getppid, &abi.Args{}).Ret)
 }
 func (r *workerRT) Args() []string    { return r.args }
 func (r *workerRT) Environ() []string { return r.env }
@@ -364,93 +355,51 @@ func (r *workerRT) Getenv(key string) string {
 func (r *workerRT) Setenv(key, value string) { r.env = posix.SetEnv(r.env, key, value) }
 
 func (r *workerRT) Open(path string, flags int, mode uint32) (int, abi.Errno) {
-	if r.sync {
-		p, n := r.putStr(path)
-		ret, err := r.syncCall(abi.SYS_open, p, n, int64(flags), int64(mode))
-		return int(ret), err
-	}
-	ret := r.asyncCall("open", path, int64(flags), int64(mode))
-	return int(vi(ret, 0)), verr(ret)
+	res := r.call(abi.SYS_open, &abi.Args{Str: [2]string{path}, Int: ints(flags, int(mode))})
+	return int(res.Ret), res.Err
 }
 
 func (r *workerRT) Close(fd int) abi.Errno {
-	if r.sync {
-		// Close returns the descriptor's page leases and write-staging
-		// slots; the reclaim frames share close's doorbell.
-		r.dropFdLeases(fd)
-		r.dropFdWriteStage(fd)
-		_, err := r.syncCallLeased(abi.SYS_close, int64(fd))
-		return err
-	}
-	return verr(r.asyncCall("close", int64(fd)))
+	// Close returns the descriptor's page leases and write-staging
+	// slots; the reclaim frames share close's doorbell.
+	r.dropFdLeases(fd)
+	r.dropFdWriteStage(fd)
+	return r.callLeased(abi.SYS_close, &abi.Args{Int: ints(fd)}).Err
 }
 
 func (r *workerRT) Read(fd int, n int) ([]byte, abi.Errno) {
-	if r.sync {
-		if r.poolOK {
-			// Zero-copy path: the grant reply is not bounded by the
-			// scratch region — only the copy fallback's staging buffer
-			// is, degrading oversized cold reads to short reads.
-			bufLen := n
-			if max := r.maxScratchPayload(); int64(bufLen) > max {
-				bufLen = int(max)
-			}
-			return r.readLeased(fd, n, bufLen)
-		}
-		// A request larger than the scratch region degrades to a short
-		// read rather than overflowing the staging area.
-		if max := r.maxScratchPayload(); int64(n) > max {
-			n = int(max)
-		}
-		ptr := r.alloc(int64(n))
-		ret, err := r.syncCall(abi.SYS_read, int64(fd), ptr, int64(n))
-		if err != abi.OK {
-			return nil, err
-		}
-		out := make([]byte, ret)
-		copy(out, r.heap.Bytes()[ptr:ptr+ret])
-		return out, abi.OK
+	if r.poolOK {
+		// Zero-copy path: the grant reply is not bounded by the scratch
+		// region — only the copy fallback's staging buffer is, degrading
+		// oversized cold reads to short reads.
+		return r.readLeased(fd, n, int(min(int64(n), r.maxScratchPayload())))
 	}
-	ret := r.asyncCall("read", int64(fd), int64(n))
-	if err := verr(ret); err != abi.OK {
-		return nil, err
-	}
-	if len(ret) > 2 {
-		b, _ := ret[2].([]byte)
-		return b, abi.OK
-	}
-	return nil, abi.OK
+	res := r.call(abi.SYS_read, &abi.Args{Int: ints(fd), Cap: int64(n)})
+	return res.Data, res.Err
 }
 
 func (r *workerRT) Write(fd int, b []byte) (int, abi.Errno) {
-	if r.sync {
-		if r.wgOK && len(b) > 0 {
-			// Zero-copy path: stage the payload into leased arena slots
-			// and submit references — no bytes cross through scratch.
-			if n, err, ok := r.writeStaged(fd, b); ok {
-				return n, err
-			}
+	if r.wgOK && len(b) > 0 {
+		// Zero-copy path: stage the payload into leased arena slots and
+		// submit references — no bytes cross through scratch.
+		if n, err, ok := r.writeStaged(fd, b); ok {
+			return n, err
 		}
-		return r.writePlain(fd, b)
 	}
-	ret := r.asyncCall("write", int64(fd), b)
-	return int(vi(ret, 0)), verr(ret)
+	return r.writePlain(fd, b)
 }
 
-// writePlain is the classic sync write: payload staged through the
-// scratch region, one kernel copy out of the heap.
+// writePlain is the classic write: on the sync transport the payload is
+// staged through the scratch region, one kernel copy out of the heap.
 func (r *workerRT) writePlain(fd int, b []byte) (int, abi.Errno) {
 	// Buffers larger than the scratch region go out in pieces.
-	if max := r.maxScratchPayload(); int64(len(b)) > max {
+	if max := r.maxScratchPayload(); r.sync && int64(len(b)) > max {
 		if max <= 0 {
 			return 0, abi.ENOMEM
 		}
 		total := 0
 		for len(b) > 0 {
-			n := len(b)
-			if int64(n) > max {
-				n = int(max)
-			}
+			n := int(min(int64(len(b)), max))
 			m, err := r.writePlain(fd, b[:n])
 			total += m
 			if err != abi.OK {
@@ -468,9 +417,8 @@ func (r *workerRT) writePlain(fd int, b []byte) (int, abi.Errno) {
 		}
 		return total, abi.OK
 	}
-	ptr, n := r.putBytes(b)
-	ret, err := r.syncCall(abi.SYS_write, int64(fd), ptr, n)
-	return int(ret), err
+	res := r.call(abi.SYS_write, &abi.Args{Int: ints(fd), Bytes: b})
+	return int(res.Ret), res.Err
 }
 
 // Readv reads up to the sum of lens bytes in a single kernel crossing,
@@ -486,44 +434,18 @@ func (r *workerRT) Readv(fd int, lens []int) ([][]byte, abi.Errno) {
 	if total == 0 {
 		return nil, abi.OK
 	}
-	if !r.sync {
-		lv := make([]browser.Value, len(lens))
-		for i, n := range lens {
-			lv[i] = int64(n)
-		}
-		ret := r.asyncCall("readv", int64(fd), lv)
-		if err := verr(ret); err != abi.OK {
-			return nil, err
-		}
-		var out [][]byte
-		if len(ret) > 2 {
-			if arr, ok := ret[2].([]browser.Value); ok {
-				for _, v := range arr {
-					if b, ok := v.([]byte); ok && len(b) > 0 {
-						out = append(out, b)
-					}
-				}
-			}
-		}
-		return out, abi.OK
-	}
 	if r.poolOK {
 		// Zero-copy path: one readg covers the whole vector; the result
 		// comes back as a single segment (POSIX-legal — callers scatter
 		// the stream themselves), assembled from the pool mapping on a
 		// warm hit with no kernel payload copy.
-		bufLen := total
-		if max := r.maxScratchPayload(); int64(bufLen) > max {
-			bufLen = int(max)
-		}
-		b, err := r.readLeased(fd, total, bufLen)
+		b, err := r.readLeased(fd, total, int(min(int64(total), r.maxScratchPayload())))
 		if err != abi.OK || len(b) == 0 {
 			return nil, err
 		}
 		return [][]byte{b}, abi.OK
 	}
-	need := int64(total) + int64(len(lens)+1)*(abi.IovecSize+8)
-	if !r.scratchFits(need) {
+	if r.sync && !r.scratchFits(int64(total)+int64(len(lens)+1)*(abi.IovecSize+8)) {
 		// Payload larger than the scratch region: degrade to one scalar
 		// read (still POSIX-legal readv behaviour — a short result).
 		b, err := r.Read(fd, total)
@@ -532,64 +454,28 @@ func (r *workerRT) Readv(fd int, lens []int) ([][]byte, abi.Errno) {
 		}
 		return [][]byte{b}, abi.OK
 	}
-	iovs := make([]abi.Iovec, len(lens))
-	for i, n := range lens {
-		iovs[i] = abi.Iovec{Ptr: r.alloc(int64(n)), Len: int64(n)}
-	}
-	ivp := r.alloc(int64(len(iovs) * abi.IovecSize))
-	abi.PackIovecs(r.heap.Bytes()[ivp:], iovs)
-	r.heap.MarkDirty(int(ivp), len(iovs)*abi.IovecSize)
-	ret, err := r.syncCall(abi.SYS_readv, int64(fd), ivp, int64(len(iovs)))
-	if err != abi.OK {
-		return nil, err
-	}
-	n := ret
-	var out [][]byte
-	hb := r.heap.Bytes()
-	for _, iov := range iovs {
-		if n <= 0 {
-			break
-		}
-		take := iov.Len
-		if take > n {
-			take = n
-		}
-		buf := make([]byte, take)
-		copy(buf, hb[iov.Ptr:iov.Ptr+take])
-		out = append(out, buf)
-		n -= take
-	}
-	return out, abi.OK
+	res := r.call(abi.SYS_readv, &abi.Args{Int: ints(fd), Lens: lens})
+	return res.Segs, res.Err
 }
 
 // Writev writes every buffer in order through a single kernel crossing
 // (one writev trap, or one ring doorbell fanning out per-buffer frames).
 func (r *workerRT) Writev(fd int, bufs [][]byte) (int64, abi.Errno) {
 	nonEmpty := make([][]byte, 0, len(bufs))
+	need := int64(0)
 	for _, b := range bufs {
 		if len(b) > 0 {
 			nonEmpty = append(nonEmpty, b)
+			need += int64(len(b)) + 8
 		}
 	}
 	if len(nonEmpty) == 0 {
 		return 0, abi.OK
 	}
-	if !r.sync {
-		arr := make([]browser.Value, len(nonEmpty))
-		for i, b := range nonEmpty {
-			arr[i] = b
-		}
-		ret := r.asyncCall("writev", int64(fd), arr)
-		return vi(ret, 0), verr(ret)
-	}
 	if r.ringOK {
 		return r.ringWritev(fd, nonEmpty)
 	}
-	need := int64(len(nonEmpty)+1) * (abi.IovecSize + 8)
-	for _, b := range nonEmpty {
-		need += int64(len(b)) + 8
-	}
-	if !r.scratchFits(need) {
+	if r.sync && !r.scratchFits(need+int64(len(nonEmpty)+1)*(abi.IovecSize+8)) {
 		var total int64
 		for _, b := range nonEmpty {
 			n, err := r.Write(fd, b)
@@ -603,128 +489,60 @@ func (r *workerRT) Writev(fd int, bufs [][]byte) (int64, abi.Errno) {
 		}
 		return total, abi.OK
 	}
-	iovs := make([]abi.Iovec, len(nonEmpty))
-	for i, b := range nonEmpty {
-		ptr, n := r.putBytes(b)
-		iovs[i] = abi.Iovec{Ptr: ptr, Len: n}
-	}
-	ivp := r.alloc(int64(len(iovs) * abi.IovecSize))
-	abi.PackIovecs(r.heap.Bytes()[ivp:], iovs)
-	r.heap.MarkDirty(int(ivp), len(iovs)*abi.IovecSize)
-	ret, err := r.syncCall(abi.SYS_writev, int64(fd), ivp, int64(len(iovs)))
-	if err != abi.OK {
-		return -1, err
-	}
-	return ret, abi.OK
+	res := r.call(abi.SYS_writev, &abi.Args{Int: ints(fd), Bufs: nonEmpty})
+	return res.Ret, res.Err
 }
 
 func (r *workerRT) Pread(fd int, n int, off int64) ([]byte, abi.Errno) {
-	if r.sync {
-		ptr := r.alloc(int64(n))
-		ret, err := r.syncCall(abi.SYS_pread, int64(fd), ptr, int64(n), off)
-		if err != abi.OK {
-			return nil, err
-		}
-		out := make([]byte, ret)
-		copy(out, r.heap.Bytes()[ptr:ptr+ret])
-		return out, abi.OK
-	}
-	ret := r.asyncCall("pread", int64(fd), int64(n), off)
-	if err := verr(ret); err != abi.OK {
-		return nil, err
-	}
-	if len(ret) > 2 {
-		b, _ := ret[2].([]byte)
-		return b, abi.OK
-	}
-	return nil, abi.OK
+	res := r.call(abi.SYS_pread, &abi.Args{Int: [3]int64{int64(fd), off}, Cap: int64(n)})
+	return res.Data, res.Err
 }
 
 func (r *workerRT) Pwrite(fd int, b []byte, off int64) (int, abi.Errno) {
-	if r.sync {
-		ptr, n := r.putBytes(b)
-		ret, err := r.syncCall(abi.SYS_pwrite, int64(fd), ptr, n, off)
-		return int(ret), err
-	}
-	ret := r.asyncCall("pwrite", int64(fd), b, off)
-	return int(vi(ret, 0)), verr(ret)
+	res := r.call(abi.SYS_pwrite, &abi.Args{Int: [3]int64{int64(fd), off}, Bytes: b})
+	return int(res.Ret), res.Err
 }
 
 func (r *workerRT) Seek(fd int, off int64, whence int) (int64, abi.Errno) {
-	if r.sync {
-		// Seeking away returns the descriptor's page leases (they were
-		// retained for the sequential window the seek abandons); the
-		// reclaim frames share the seek's doorbell.
-		r.dropFdLeases(fd)
-		return r.syncCallLeased(abi.SYS_llseek, int64(fd), off, int64(whence))
-	}
-	ret := r.asyncCall("llseek", int64(fd), off, int64(whence))
-	return vi(ret, 0), verr(ret)
+	// Seeking away returns the descriptor's page leases (they were
+	// retained for the sequential window the seek abandons); the reclaim
+	// frames share the seek's doorbell.
+	r.dropFdLeases(fd)
+	res := r.callLeased(abi.SYS_llseek, &abi.Args{Int: [3]int64{int64(fd), off, int64(whence)}})
+	return res.Ret, res.Err
 }
 
 func (r *workerRT) Ftruncate(fd int, size int64) abi.Errno {
-	if r.sync {
-		_, err := r.syncCall(abi.SYS_ftruncate, int64(fd), size)
-		return err
-	}
-	return verr(r.asyncCall("ftruncate", int64(fd), size))
+	return r.call(abi.SYS_ftruncate, &abi.Args{Int: [3]int64{int64(fd), size}}).Err
 }
 
 func (r *workerRT) Fsync(fd int) abi.Errno {
-	if r.sync {
-		_, err := r.syncCall(abi.SYS_fsync, int64(fd))
-		return err
-	}
-	return verr(r.asyncCall("fsync", int64(fd)))
+	return r.call(abi.SYS_fsync, &abi.Args{Int: ints(fd)}).Err
 }
 
 func (r *workerRT) Dup2(oldfd, newfd int) abi.Errno {
-	if r.sync {
-		// newfd is implicitly closed: its held leases and staging
-		// slots go back.
-		if oldfd != newfd {
-			r.dropFdLeases(newfd)
-			r.dropFdWriteStage(newfd)
-		}
-		_, err := r.syncCallLeased(abi.SYS_dup2, int64(oldfd), int64(newfd))
-		return err
+	// newfd is implicitly closed: its held leases and staging slots go
+	// back.
+	if oldfd != newfd {
+		r.dropFdLeases(newfd)
+		r.dropFdWriteStage(newfd)
 	}
-	return verr(r.asyncCall("dup2", int64(oldfd), int64(newfd)))
-}
-
-func (r *workerRT) statCall(name string, trap int, path string) (abi.Stat, abi.Errno) {
-	if r.sync {
-		p, n := r.putStr(path)
-		sp := r.alloc(abi.StatSize)
-		_, err := r.syncCall(trap, p, n, sp)
-		if err != abi.OK {
-			return abi.Stat{}, err
-		}
-		return abi.UnpackStat(r.heap.Bytes()[sp : sp+abi.StatSize]), abi.OK
-	}
-	ret := r.asyncCall(name, path)
-	if err := verr(ret); err != abi.OK {
-		return abi.Stat{}, err
-	}
-	if len(ret) > 2 {
-		if m, ok := ret[2].(map[string]browser.Value); ok {
-			return abi.StatFromMap(m), abi.OK
-		}
-	}
-	return abi.Stat{}, abi.EIO
+	return r.callLeased(abi.SYS_dup2, &abi.Args{Int: ints(oldfd, newfd)}).Err
 }
 
 func (r *workerRT) Stat(path string) (abi.Stat, abi.Errno) {
-	return r.statCall("stat", abi.SYS_stat, path)
+	res := r.call(abi.SYS_stat, &abi.Args{Str: [2]string{path}})
+	return res.Stat, res.Err
 }
 func (r *workerRT) Lstat(path string) (abi.Stat, abi.Errno) {
-	return r.statCall("lstat", abi.SYS_lstat, path)
+	res := r.call(abi.SYS_lstat, &abi.Args{Str: [2]string{path}})
+	return res.Stat, res.Err
 }
 
 // StatBatchAmortized implements posix.StatBatchAmortizer: only the ring
 // transport turns a StatBatch into one doorbell; scalar and async pay
 // one round trip per path, so probe loops should early-exit there.
-func (r *workerRT) StatBatchAmortized() bool { return r.sync && r.ringOK }
+func (r *workerRT) StatBatchAmortized() bool { return r.ringOK }
 
 // StatBatch fans a stat storm out as ring call frames sharing one
 // doorbell: the kernel drains them as a single batch, resolves the run
@@ -734,52 +552,49 @@ func (r *workerRT) StatBatchAmortized() bool { return r.sync && r.ringOK }
 func (r *workerRT) StatBatch(paths []string, lstat bool) ([]abi.Stat, []abi.Errno) {
 	sts := make([]abi.Stat, len(paths))
 	errs := make([]abi.Errno, len(paths))
-	one := func(p string) (abi.Stat, abi.Errno) {
-		if lstat {
-			return r.Lstat(p)
-		}
-		return r.Stat(p)
-	}
 	trap := abi.SYS_stat
 	if lstat {
 		trap = abi.SYS_lstat
 	}
-	if !r.sync || !r.ringOK {
+	one := func(p string) (abi.Stat, abi.Errno) {
+		res := r.call(trap, &abi.Args{Str: [2]string{p}})
+		return res.Stat, res.Err
+	}
+	if !r.ringOK {
 		for i, p := range paths {
 			sts[i], errs[i] = one(p)
 		}
 		return sts, errs
 	}
+	row := &abi.Syscalls[trap]
 	i := 0
 	for i < len(paths) {
 		// Stage what fits in the scratch region, one sub-batch per
 		// doorbell.
-		var reqs []ringReq
-		var bufs []int64
+		var stages []staged
 		j := i
 		for ; j < len(paths); j++ {
 			if !r.scratchFits(int64(len(paths[j])) + abi.StatSize + 32) {
 				break
 			}
-			p, n := r.putStr(paths[j])
-			sp := r.alloc(abi.StatSize)
-			reqs = append(reqs, ringReq{trap: trap, args: []int64{p, n, sp}})
-			bufs = append(bufs, sp)
+			stages = append(stages, staged{})
+			r.stage(row, &abi.Args{Str: [2]string{paths[j]}}, &stages[len(stages)-1])
 		}
-		if len(reqs) == 0 {
+		if len(stages) == 0 {
 			// Scratch exhausted by a pathological name: degrade to the
 			// scalar call for this one and continue batching after.
 			sts[i], errs[i] = one(paths[i])
 			i++
 			continue
 		}
-		_, rerrs := r.ringCalls(reqs)
-		hb := r.heap.Bytes()
+		reqs := make([]ringReq, len(stages))
+		for k := range stages {
+			reqs[k] = ringReq{trap: trap, args: stages[k].words[:stages[k].n]}
+		}
+		rets, rerrs := r.ringCalls(reqs)
 		for k := range reqs {
-			errs[i+k] = rerrs[k]
-			if rerrs[k] == abi.OK {
-				sts[i+k] = abi.UnpackStat(hb[bufs[k] : bufs[k]+abi.StatSize])
-			}
+			res := r.unstage(row, nil, &stages[k], rets[k], rerrs[k])
+			sts[i+k], errs[i+k] = res.Stat, res.Err
 		}
 		i = j
 	}
@@ -787,193 +602,66 @@ func (r *workerRT) StatBatch(paths []string, lstat bool) ([]abi.Stat, []abi.Errn
 }
 
 func (r *workerRT) Fstat(fd int) (abi.Stat, abi.Errno) {
-	if r.sync {
-		sp := r.alloc(abi.StatSize)
-		_, err := r.syncCall(abi.SYS_fstat, int64(fd), sp)
-		if err != abi.OK {
-			return abi.Stat{}, err
-		}
-		return abi.UnpackStat(r.heap.Bytes()[sp : sp+abi.StatSize]), abi.OK
-	}
-	ret := r.asyncCall("fstat", int64(fd))
-	if err := verr(ret); err != abi.OK {
-		return abi.Stat{}, err
-	}
-	if len(ret) > 2 {
-		if m, ok := ret[2].(map[string]browser.Value); ok {
-			return abi.StatFromMap(m), abi.OK
-		}
-	}
-	return abi.Stat{}, abi.EIO
+	res := r.call(abi.SYS_fstat, &abi.Args{Int: ints(fd)})
+	return res.Stat, res.Err
 }
 
 func (r *workerRT) Access(path string, mode int) abi.Errno {
-	if r.sync {
-		p, n := r.putStr(path)
-		_, err := r.syncCall(abi.SYS_access, p, n, int64(mode))
-		return err
-	}
-	return verr(r.asyncCall("access", path, int64(mode)))
+	return r.call(abi.SYS_access, &abi.Args{Str: [2]string{path}, Int: ints(mode)}).Err
 }
 
 func (r *workerRT) Readlink(path string) (string, abi.Errno) {
-	if r.sync {
-		p, n := r.putStr(path)
-		bp := r.alloc(4096)
-		ret, err := r.syncCall(abi.SYS_readlink, p, n, bp, 4096)
-		if err != abi.OK {
-			return "", err
-		}
-		return string(r.heap.Bytes()[bp : bp+ret]), abi.OK
-	}
-	ret := r.asyncCall("readlink", path)
-	if err := verr(ret); err != abi.OK {
-		return "", err
-	}
-	s, _ := ret[2].(string)
-	return s, abi.OK
+	res := r.call(abi.SYS_readlink, &abi.Args{Str: [2]string{path}, Cap: 4096})
+	return res.Str, res.Err
 }
 
 func (r *workerRT) Utimes(path string, atime, mtime int64) abi.Errno {
-	if r.sync {
-		p, n := r.putStr(path)
-		_, err := r.syncCall(abi.SYS_utimes, p, n, atime, mtime)
-		return err
-	}
-	return verr(r.asyncCall("utimes", path, atime, mtime))
-}
-
-func (r *workerRT) pathCall(name string, trap int, path string, extra ...int64) abi.Errno {
-	if r.sync {
-		p, n := r.putStr(path)
-		args := append([]int64{p, n}, extra...)
-		_, err := r.syncCall(trap, args...)
-		return err
-	}
-	vargs := []browser.Value{path}
-	for _, e := range extra {
-		vargs = append(vargs, e)
-	}
-	return verr(r.asyncCall(name, vargs...))
+	return r.call(abi.SYS_utimes, &abi.Args{Str: [2]string{path}, Int: [3]int64{atime, mtime}}).Err
 }
 
 func (r *workerRT) Mkdir(path string, mode uint32) abi.Errno {
-	return r.pathCall("mkdir", abi.SYS_mkdir, path, int64(mode))
+	return r.call(abi.SYS_mkdir, &abi.Args{Str: [2]string{path}, Int: ints(int(mode))}).Err
 }
-func (r *workerRT) Rmdir(path string) abi.Errno  { return r.pathCall("rmdir", abi.SYS_rmdir, path) }
-func (r *workerRT) Unlink(path string) abi.Errno { return r.pathCall("unlink", abi.SYS_unlink, path) }
+func (r *workerRT) Rmdir(path string) abi.Errno {
+	return r.call(abi.SYS_rmdir, &abi.Args{Str: [2]string{path}}).Err
+}
+func (r *workerRT) Unlink(path string) abi.Errno {
+	return r.call(abi.SYS_unlink, &abi.Args{Str: [2]string{path}}).Err
+}
 
 func (r *workerRT) Rename(oldp, newp string) abi.Errno {
-	if r.sync {
-		op, on := r.putStr(oldp)
-		np, nn := r.putStr(newp)
-		_, err := r.syncCall(abi.SYS_rename, op, on, np, nn)
-		return err
-	}
-	return verr(r.asyncCall("rename", oldp, newp))
+	return r.call(abi.SYS_rename, &abi.Args{Str: [2]string{oldp, newp}}).Err
 }
 
 func (r *workerRT) Symlink(target, link string) abi.Errno {
-	if r.sync {
-		tp, tn := r.putStr(target)
-		lp, ln := r.putStr(link)
-		_, err := r.syncCall(abi.SYS_symlink, tp, tn, lp, ln)
-		return err
-	}
-	return verr(r.asyncCall("symlink", target, link))
+	return r.call(abi.SYS_symlink, &abi.Args{Str: [2]string{target, link}}).Err
 }
 
 func (r *workerRT) Getdents(fd int) ([]abi.Dirent, abi.Errno) {
-	if r.sync {
-		const bufLen = 64 * 1024
-		bp := r.alloc(bufLen)
-		ret, err := r.syncCall(abi.SYS_getdents, int64(fd), bp, bufLen)
-		if err != abi.OK {
-			return nil, err
-		}
-		return abi.UnpackDirents(r.heap.Bytes()[bp : bp+ret]), abi.OK
-	}
-	ret := r.asyncCall("getdents", int64(fd))
-	if err := verr(ret); err != abi.OK {
-		return nil, err
-	}
-	var out []abi.Dirent
-	if len(ret) > 2 {
-		if arr, ok := ret[2].([]browser.Value); ok {
-			for _, v := range arr {
-				if m, ok := v.(map[string]browser.Value); ok {
-					out = append(out, abi.DirentFromMap(m))
-				}
-			}
-		}
-	}
-	return out, abi.OK
+	res := r.call(abi.SYS_getdents, &abi.Args{Int: ints(fd), Cap: 64 * 1024})
+	return res.Ents, res.Err
 }
 
 func (r *workerRT) Chdir(path string) abi.Errno {
-	return r.pathCall("chdir", abi.SYS_chdir, path)
+	return r.call(abi.SYS_chdir, &abi.Args{Str: [2]string{path}}).Err
 }
 
 func (r *workerRT) Getcwd() (string, abi.Errno) {
-	if r.sync {
-		bp := r.alloc(4096)
-		ret, err := r.syncCall(abi.SYS_getcwd, bp, 4096)
-		if err != abi.OK {
-			return "", err
-		}
-		return string(r.heap.Bytes()[bp : bp+ret]), abi.OK
-	}
-	ret := r.asyncCall("getcwd")
-	if err := verr(ret); err != abi.OK {
-		return "", err
-	}
-	s, _ := ret[2].(string)
-	return s, abi.OK
+	res := r.call(abi.SYS_getcwd, &abi.Args{Cap: 4096})
+	return res.Str, res.Err
 }
 
 func (r *workerRT) Pipe() (int, int, abi.Errno) {
-	if r.sync {
-		fp := r.alloc(8)
-		_, err := r.syncCall(abi.SYS_pipe2, fp)
-		if err != abi.OK {
-			return -1, -1, err
-		}
-		b := r.heap.Bytes()
-		rfd := int(int32(uint32(b[fp]) | uint32(b[fp+1])<<8 | uint32(b[fp+2])<<16 | uint32(b[fp+3])<<24))
-		wfd := int(int32(uint32(b[fp+4]) | uint32(b[fp+5])<<8 | uint32(b[fp+6])<<16 | uint32(b[fp+7])<<24))
-		return rfd, wfd, abi.OK
+	res := r.call(abi.SYS_pipe2, &abi.Args{})
+	if res.Err != abi.OK {
+		return -1, -1, res.Err
 	}
-	ret := r.asyncCall("pipe2", int64(0))
-	if err := verr(ret); err != abi.OK {
-		return -1, -1, err
-	}
-	return int(vi(ret, 2)), int(vi(ret, 3)), abi.OK
+	return int(res.Aux[0]), int(res.Aux[1]), abi.OK
 }
 
 func (r *workerRT) Spawn(path string, argv, env []string, files []int) (int, abi.Errno) {
-	if r.sync {
-		pp, pn := r.putStr(path)
-		ap, an := r.putStr(posix.JoinNul(argv))
-		ep, en := r.putStr(posix.JoinNul(env))
-		fdsBuf := make([]byte, 4*len(files))
-		for i, fd := range files {
-			v := uint32(int32(fd))
-			fdsBuf[i*4] = byte(v)
-			fdsBuf[i*4+1] = byte(v >> 8)
-			fdsBuf[i*4+2] = byte(v >> 16)
-			fdsBuf[i*4+3] = byte(v >> 24)
-		}
-		fp, _ := r.putBytes(fdsBuf)
-		ret, err := r.syncCall(abi.SYS_spawn, pp, pn, ap, an, ep, en, fp, int64(len(files)))
-		return int(ret), err
-	}
-	fv := make([]browser.Value, len(files))
-	for i, f := range files {
-		fv[i] = int64(f)
-	}
-	ret := r.asyncCall("spawn", path,
-		browser.StringArray(argv), browser.StringArray(env), fv)
-	return int(vi(ret, 0)), verr(ret)
+	res := r.call(abi.SYS_spawn, &abi.Args{Str: [2]string{path}, Strs: [2][]string{argv, env}, Ints: files})
+	return int(res.Ret), res.Err
 }
 
 func (r *workerRT) Fork(label string, mem []byte) (int, abi.Errno) {
@@ -987,33 +675,15 @@ func (r *workerRT) Fork(label string, mem []byte) (int, abi.Errno) {
 }
 
 func (r *workerRT) Exec(path string, argv, env []string) abi.Errno {
-	if r.sync {
-		pp, pn := r.putStr(path)
-		ap, an := r.putStr(posix.JoinNul(argv))
-		ep, en := r.putStr(posix.JoinNul(env))
-		_, err := r.syncCall(abi.SYS_exec, pp, pn, ap, an, ep, en)
-		return err
-	}
-	ret := r.asyncCall("exec", path, browser.StringArray(argv), browser.StringArray(env))
-	return verr(ret)
+	return r.call(abi.SYS_exec, &abi.Args{Str: [2]string{path}, Strs: [2][]string{argv, env}}).Err
 }
 
 func (r *workerRT) Wait4(pid int, options int) (int, int, abi.Errno) {
-	if r.sync {
-		sp := r.alloc(4)
-		ret, err := r.syncCall(abi.SYS_wait4, int64(pid), sp, int64(options))
-		if err != abi.OK {
-			return 0, 0, err
-		}
-		b := r.heap.Bytes()
-		status := int(int32(uint32(b[sp]) | uint32(b[sp+1])<<8 | uint32(b[sp+2])<<16 | uint32(b[sp+3])<<24))
-		return int(ret), status, abi.OK
+	res := r.call(abi.SYS_wait4, &abi.Args{Int: ints(pid, options)})
+	if res.Err != abi.OK {
+		return 0, 0, res.Err
 	}
-	ret := r.asyncCall("wait4", int64(pid), int64(options))
-	if err := verr(ret); err != abi.OK {
-		return 0, 0, err
-	}
-	return int(vi(ret, 0)), int(vi(ret, 2)), abi.OK
+	return int(res.Ret), int(res.Aux[0]), abi.OK
 }
 
 func (r *workerRT) Exit(code int) {
@@ -1021,24 +691,15 @@ func (r *workerRT) Exit(code int) {
 }
 
 func (r *workerRT) Kill(pid, sig int) abi.Errno {
-	if r.sync {
-		_, err := r.syncCall(abi.SYS_kill, int64(pid), int64(sig))
-		return err
-	}
-	return verr(r.asyncCall("kill", int64(pid), int64(sig)))
+	return r.call(abi.SYS_kill, &abi.Args{Int: ints(pid, sig)}).Err
 }
 
 func (r *workerRT) Signal(sig int, handler func(int)) abi.Errno {
-	action := int64(1)
+	action := 1
 	if handler == nil {
 		action = 0
 	}
-	var err abi.Errno
-	if r.sync {
-		_, err = r.syncCall(abi.SYS_signal, int64(sig), action)
-	} else {
-		err = verr(r.asyncCall("signal", int64(sig), action))
-	}
+	err := r.call(abi.SYS_signal, &abi.Args{Int: ints(sig, action)}).Err
 	if err == abi.OK {
 		if handler == nil {
 			delete(r.handlers, sig)
@@ -1050,48 +711,28 @@ func (r *workerRT) Signal(sig int, handler func(int)) abi.Errno {
 }
 
 func (r *workerRT) Socket() (int, abi.Errno) {
-	if r.sync {
-		ret, err := r.syncCall(abi.SYS_socket)
-		return int(ret), err
-	}
-	ret := r.asyncCall("socket")
-	return int(vi(ret, 0)), verr(ret)
-}
-
-func (r *workerRT) fdPortCall(name string, trap int, fd, val int) abi.Errno {
-	if r.sync {
-		_, err := r.syncCall(trap, int64(fd), int64(val))
-		return err
-	}
-	return verr(r.asyncCall(name, int64(fd), int64(val)))
+	res := r.call(abi.SYS_socket, &abi.Args{})
+	return int(res.Ret), res.Err
 }
 
 func (r *workerRT) Bind(fd, port int) abi.Errno {
-	return r.fdPortCall("bind", abi.SYS_bind, fd, port)
+	return r.call(abi.SYS_bind, &abi.Args{Int: ints(fd, port)}).Err
 }
 func (r *workerRT) Listen(fd, backlog int) abi.Errno {
-	return r.fdPortCall("listen", abi.SYS_listen, fd, backlog)
+	return r.call(abi.SYS_listen, &abi.Args{Int: ints(fd, backlog)}).Err
 }
 func (r *workerRT) Connect(fd, port int) abi.Errno {
-	return r.fdPortCall("connect", abi.SYS_connect, fd, port)
+	return r.call(abi.SYS_connect, &abi.Args{Int: ints(fd, port)}).Err
 }
 
 func (r *workerRT) Accept(fd int) (int, abi.Errno) {
-	if r.sync {
-		ret, err := r.syncCall(abi.SYS_accept, int64(fd))
-		return int(ret), err
-	}
-	ret := r.asyncCall("accept", int64(fd))
-	return int(vi(ret, 0)), verr(ret)
+	res := r.call(abi.SYS_accept, &abi.Args{Int: ints(fd)})
+	return int(res.Ret), res.Err
 }
 
 func (r *workerRT) Getsockname(fd int) (int, abi.Errno) {
-	if r.sync {
-		ret, err := r.syncCall(abi.SYS_getsockname, int64(fd))
-		return int(ret), err
-	}
-	ret := r.asyncCall("getsockname", int64(fd))
-	return int(vi(ret, 0)), verr(ret)
+	res := r.call(abi.SYS_getsockname, &abi.Args{Int: ints(fd)})
+	return int(res.Ret), res.Err
 }
 
 // AcceptBatch drains the listener backlog as non-blocking accepts. On
@@ -1104,91 +745,50 @@ func (r *workerRT) AcceptBatch(fd, max int) ([]int, abi.Errno) {
 	if max <= 0 {
 		return nil, abi.OK
 	}
-	if r.sync && r.ringOK {
+	a := abi.Args{Int: ints(fd, abi.O_NONBLOCK)}
+	var rets []int64
+	var errs []abi.Errno
+	if r.ringOK {
 		reqs := make([]ringReq, max)
 		for i := range reqs {
-			reqs[i] = ringReq{trap: abi.SYS_accept, args: []int64{int64(fd), int64(abi.O_NONBLOCK)}}
+			reqs[i] = ringReq{trap: abi.SYS_accept, args: a.Int[:2]}
 		}
-		rets, errs := r.ringCalls(reqs)
-		var fds []int
-		for i := range rets {
-			if errs[i] != abi.OK {
-				if errs[i] == abi.EAGAIN || len(fds) > 0 {
-					break
-				}
-				return nil, errs[i]
-			}
-			fds = append(fds, int(rets[i]))
-		}
-		return fds, abi.OK
+		rets, errs = r.ringCalls(reqs)
 	}
 	var fds []int
-	for len(fds) < max {
-		var ret int64
-		var err abi.Errno
-		if r.sync {
-			ret, err = r.syncCall(abi.SYS_accept, int64(fd), int64(abi.O_NONBLOCK))
-		} else {
-			rv := r.asyncCall("accept", int64(fd), int64(abi.O_NONBLOCK))
-			ret, err = vi(rv, 0), verr(rv)
-		}
-		if err != abi.OK {
-			if err == abi.EAGAIN || len(fds) > 0 {
+	for i := 0; len(fds) < max; i++ {
+		var res abi.Result
+		if r.ringOK {
+			if i == len(rets) {
 				break
 			}
-			return nil, err
+			res = abi.Result{Ret: rets[i], Err: errs[i]}
+		} else {
+			res = r.call(abi.SYS_accept, &a)
 		}
-		fds = append(fds, int(ret))
+		if res.Err != abi.OK {
+			if res.Err == abi.EAGAIN || len(fds) > 0 {
+				break
+			}
+			return nil, res.Err
+		}
+		fds = append(fds, int(res.Ret))
 	}
 	return fds, abi.OK
 }
 
-// Poll stages the pollfd array in scratch (sync) or as a flat
-// [fd, events, ...] argument list (async); revents travel back through
-// the shared heap or the reply array and are written into fds in place.
+// Poll passes the pollfd set as typed records; revents come back
+// through the shared heap or the reply array, written into fds in place.
 func (r *workerRT) Poll(fds []abi.Pollfd, timeoutNs int64) (int, abi.Errno) {
 	if len(fds) == 0 {
 		return 0, abi.EINVAL
 	}
-	if r.sync {
-		buf := make([]byte, len(fds)*abi.PollfdSize)
-		abi.PackPollfds(buf, fds)
-		ptr, blen := r.putBytes(buf)
-		ret, err := r.syncCall(abi.SYS_poll, ptr, int64(len(fds)), timeoutNs)
-		if err != abi.OK {
-			return int(ret), err
-		}
-		got := abi.UnpackPollfds(r.heap.Bytes()[ptr:ptr+blen], len(fds))
-		for i := range fds {
-			fds[i].Revents = got[i].Revents
-		}
-		return int(ret), abi.OK
-	}
-	raw := make([]browser.Value, 0, len(fds)*2)
-	for _, f := range fds {
-		raw = append(raw, int64(f.Fd), int64(f.Events))
-	}
-	ret := r.asyncCall("poll", raw, timeoutNs)
-	if err := verr(ret); err != abi.OK {
-		return int(vi(ret, 0)), err
-	}
-	if len(ret) > 2 {
-		if arr, ok := ret[2].([]browser.Value); ok {
-			for i := range fds {
-				fds[i].Revents = 0
-				if i < len(arr) {
-					if v, ok := arr[i].(int64); ok {
-						fds[i].Revents = uint32(v)
-					}
-				}
-			}
-		}
-	}
-	return int(vi(ret, 0)), abi.OK
+	res := r.call(abi.SYS_poll, &abi.Args{Pollfds: fds, Int: [3]int64{timeoutNs}})
+	return int(res.Ret), res.Err
 }
 
 func (r *workerRT) Setfl(fd, flags int) abi.Errno {
-	return r.fdPortCall("setfl", abi.SYS_setfl, fd, flags)
+	return r.call(abi.SYS_setfl, &abi.Args{Int: ints(fd, flags)}).Err
 }
 
 func (r *workerRT) CPU(ns int64) {

@@ -152,14 +152,8 @@ func (r *workerRT) readLeased(fd, want, bufLen int) ([]byte, abi.Errno) {
 		if avail := r.scratchTop - base - 16; avail > 0 && int64(scalarBuf) > avail {
 			scalarBuf = int(avail)
 		}
-		ptr := r.alloc(int64(scalarBuf))
-		ret, err := r.syncCall(abi.SYS_read, int64(fd), ptr, int64(scalarBuf))
-		if err != abi.OK {
-			return nil, err
-		}
-		out := make([]byte, ret)
-		copy(out, r.heap.Bytes()[ptr:ptr+ret])
-		return out, abi.OK
+		res := r.call(abi.SYS_read, &abi.Args{Int: ints(fd), Cap: int64(scalarBuf)})
+		return res.Data, res.Err
 	}
 	reqs := r.stageUnleases(nil)
 	bufPtr := r.alloc(int64(bufLen))
@@ -175,20 +169,25 @@ func (r *workerRT) readLeased(fd, want, bufLen int) ([]byte, abi.Errno) {
 	if total <= 0 {
 		return nil, abi.OK
 	}
+	return r.readgPayload(make([]byte, 0, total), bufPtr, grantPtr, areaLen, total, func(g abi.PageGrant) {
+		r.holdLease(fd, g)
+	}), abi.OK
+}
+
+// readgPayload appends a completed readg frame's n bytes to dst: a
+// copied reply is drained from the staging buffer; a mapped one is read
+// through the arena mapping — the bytes never crossed the kernel
+// boundary — and each grant is handed to keep.
+func (r *workerRT) readgPayload(dst []byte, bufPtr, grantPtr, areaLen, n int64, keep func(abi.PageGrant)) []byte {
 	hb := r.heap.Bytes()
 	kind, grants := abi.UnpackGrantReply(hb[grantPtr : grantPtr+areaLen])
 	if kind != abi.GrantMapped {
-		out := make([]byte, total)
-		copy(out, hb[bufPtr:bufPtr+total])
-		return out, abi.OK
+		return append(dst, hb[bufPtr:bufPtr+n]...)
 	}
-	// Mapped reply: satisfy the guest buffer from the arena mapping —
-	// the bytes never crossed the kernel boundary.
 	pool := r.pool.Bytes()
-	out := make([]byte, 0, total)
 	for _, g := range grants {
-		out = append(out, pool[g.Off:g.Off+int64(g.Len)]...)
-		r.holdLease(fd, g)
+		dst = append(dst, pool[g.Off:g.Off+int64(g.Len)]...)
+		keep(g)
 	}
-	return out, abi.OK
+	return dst
 }

@@ -26,11 +26,8 @@ func b2i(v bool) int64 {
 // boot of a runtime, after transport negotiation and before main() — the
 // moment every later process of this runtime would reach identically.
 func (r *workerRT) captureSnapshot() {
-	var ringOK, poolOK, top int64
-	if r.sync {
-		ringOK, poolOK, top = b2i(r.ringOK), b2i(r.poolOK), r.scratchTop
-	}
-	r.asyncCall("snapcap", ringOK, poolOK, top)
+	// An async runtime reports zeros: no ring, no pool, no scratch.
+	r.asyncCall("snapcap", b2i(r.ringOK), b2i(r.poolOK), r.scratchTop)
 }
 
 // restoreFromImage boots this worker as a copy-on-write clone of img.

@@ -269,7 +269,7 @@ func (r *workerRT) ReadBatch(fd, chunk, frames int) ([]byte, abi.Errno) {
 	if chunk <= 0 || frames <= 0 {
 		return nil, abi.EINVAL
 	}
-	if !(r.sync && r.ringOK && r.poolOK) {
+	if !r.poolOK {
 		var out []byte
 		for i := 0; i < frames; i++ {
 			b, err := r.Read(fd, chunk)
@@ -320,8 +320,6 @@ func (r *workerRT) ReadBatch(fd, chunk, frames int) ([]byte, abi.Errno) {
 		}
 		rets, errs := r.ringCalls(reqs)
 		left -= len(areas)
-		hb := r.heap.Bytes()
-		pool := r.pool.Bytes()
 		for i, fa := range areas {
 			ret, err := rets[base+i], errs[base+i]
 			if err != abi.OK {
@@ -330,18 +328,11 @@ func (r *workerRT) ReadBatch(fd, chunk, frames int) ([]byte, abi.Errno) {
 			if ret <= 0 {
 				return out, abi.OK
 			}
-			kind, grants := abi.UnpackGrantReply(hb[fa.grantPtr : fa.grantPtr+areaLen])
-			if kind != abi.GrantMapped {
-				out = append(out, hb[fa.bufPtr:fa.bufPtr+ret]...)
-				continue
-			}
-			// Mapped reply: drain the grants from the arena mapping and
-			// queue them straight for return — a batch reader has no
-			// sequential re-read window to hold them open for.
-			for _, g := range grants {
-				out = append(out, pool[g.Off:g.Off+int64(g.Len)]...)
+			// A batch reader has no sequential re-read window to hold
+			// mapped grants open for: queue them straight for return.
+			out = r.readgPayload(out, fa.bufPtr, fa.grantPtr, areaLen, ret, func(g abi.PageGrant) {
 				r.pendingUnlease = append(r.pendingUnlease, g.Slot)
-			}
+			})
 		}
 	}
 	return out, abi.OK
