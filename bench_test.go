@@ -19,10 +19,8 @@ import (
 	"repro/internal/abi"
 	"repro/internal/browser"
 	"repro/internal/core"
-	"repro/internal/coreutils"
 	"repro/internal/expt"
 	"repro/internal/meme"
-	"repro/internal/rt"
 	"repro/internal/sched"
 )
 
@@ -321,36 +319,12 @@ func BenchmarkPipeVectored(b *testing.B) {
 // b.SetBytes additionally reports harness wall-clock MB/s.
 func BenchmarkRingTransport(b *testing.B) {
 	const payload = 1 << 20
-	stage := func(sync bool, disableRing bool) *browsix.Instance {
-		in := browsix.Boot(browsix.Config{})
-		browsix.InstallBase(in)
-		in.Kernel.DisableRing = disableRing
-		if sync {
-			image := map[string][]byte{}
-			for _, name := range coreutils.Names() {
-				rt.InstallExecutable(image, "/usr/bin/"+name, name, rt.WasmKind)
-			}
-			for p, data := range image {
-				in.WriteFile(p, data)
-			}
-		}
-		in.WriteFile("/big.bin", make([]byte, payload))
-		return in
-	}
-	for _, cfg := range []struct {
-		name    string
-		sync    bool
-		disable bool
-	}{
-		{"ring", true, false},
-		{"sync-scalar", true, true},
-		{"async", false, false},
-	} {
-		cfg := cfg
-		b.Run(cfg.name, func(b *testing.B) {
+	for _, v := range variants([]transport{ring, scalar, async}) {
+		b.Run(v.String(), func(b *testing.B) {
 			b.SetBytes(payload)
 			reportVirtual(b, func() int64 {
-				in := stage(cfg.sync, cfg.disable)
+				in := v.boot(browsix.Config{})
+				in.WriteFile("/big.bin", make([]byte, payload))
 				res := in.RunCommand("cat /big.bin | wc -c")
 				if res.Code != 0 {
 					b.Fatalf("pipeline failed: %s", res.Stderr)
@@ -386,7 +360,7 @@ func BenchmarkMemeCompose(b *testing.B) {
 func BenchmarkMemeServerLoad(b *testing.B) {
 	var rps int64
 	for i := 0; i < b.N; i++ {
-		in := bootMemeLoad(b, true, false)
+		in := bootMemeLoad(b, ring)
 		in.StartMemeServerArgs()
 		s := healthSwarm(1000, 3, true)
 		s.OpenLoop = true

@@ -73,15 +73,11 @@ type Config struct {
 	MaxSteps uint64
 	// PagePool, when non-nil, attaches this instance's page cache to a
 	// shared arena — the fleet's one cross-shard structure — instead of
-	// a private pool. Each instance draws slots from its own quota, so
-	// its cache behaviour (and therefore its virtual clock) stays
-	// bit-identical to a private-pool boot.
+	// a private pool. Each instance draws slots from its own quota of
+	// fs.DefaultPoolSlots, the private pool's capacity, so its cache
+	// behaviour (and therefore its virtual clock) stays bit-identical to
+	// a private-pool boot.
 	PagePool *fs.PagePool
-	// PagePoolQuota is the instance's slot quota in the shared arena.
-	// <= 0 selects fs.DefaultPoolSlots, the private pool's capacity —
-	// the value that keeps a shared-arena boot indistinguishable from a
-	// serial one.
-	PagePoolQuota int
 	// EnableSnapshots turns on the checkpoint/fork subsystem
 	// (internal/snapshot) with a private registry: the first boot of
 	// each runtime captures a post-boot image, and every later spawn of
@@ -91,19 +87,21 @@ type Config struct {
 	// instances share one pre-warmed, sealed registry whose image pages
 	// live in the shared arena. Implies EnableSnapshots.
 	Snapshots *snapshot.Registry
-	// SnapshotQuota is the arena slot quota for captured image pages
-	// (<= 0 selects DefaultSnapshotSlots). Used only when this Boot is
-	// the one that attaches the registry's store.
-	SnapshotQuota int
-	// DisableDedup turns off the content-addressed page-sharing tier
-	// for this instance (the dedup-off ablation). Dedup changes only
-	// where immutable pages physically live — never their bytes or the
-	// virtual clock — so this exists for differentials and experiments.
-	DisableDedup bool
+	// Features turns optional kernel and file-system mechanisms off; the
+	// zero value runs them all. See Features.
+	Features Features
 }
 
-// DefaultSnapshotSlots is the default image-store quota: room for a few
-// sync-runtime heap images (a 1 MiB heap is 256 slots).
+// Features selects which transport and data-path mechanisms an instance
+// runs — the ring, fs batching, zero-copy reads and writes, the VFS
+// caches, write-back and page dedup. The zero value is production: every
+// mechanism on. Each field turns one off for differentials and
+// ablations; none changes a program's output.
+type Features = core.Features
+
+// DefaultSnapshotSlots is the image-store quota for captured snapshot
+// pages: room for a few sync-runtime heap images (a 1 MiB heap is 256
+// slots).
 const DefaultSnapshotSlots = 2048
 
 // Instance is one booted browser + Browsix kernel.
@@ -135,14 +133,7 @@ func Boot(cfg Config) *Instance {
 	clock := func() int64 { return sim.Now() }
 	fsys := fs.NewFileSystem(fs.NewMemFS(clock), clock)
 	if cfg.PagePool != nil {
-		quota := cfg.PagePoolQuota
-		if quota <= 0 {
-			quota = fs.DefaultPoolSlots
-		}
-		fsys.SetPagePool(cfg.PagePool, quota)
-	}
-	if cfg.DisableDedup {
-		fsys.SetDedup(false)
+		fsys.SetPagePool(cfg.PagePool, fs.DefaultPoolSlots)
 	}
 	// Age-based background write-back: dirty extents older than the
 	// default age flush on a main-thread virtual timer, so quiet
@@ -152,18 +143,15 @@ func Boot(cfg Config) *Instance {
 	})
 	fsys.SetFlushAge(DefaultFlushAge)
 	k := core.NewKernel(sys, fsys, rt.Loader(sys))
+	k.SetFeatures(cfg.Features)
 	if cfg.Snapshots != nil || cfg.EnableSnapshots {
 		reg := cfg.Snapshots
 		if reg == nil {
 			reg = snapshot.NewRegistry()
 		}
-		quota := cfg.SnapshotQuota
-		if quota <= 0 {
-			quota = DefaultSnapshotSlots
-		}
 		// First store wins inside the registry: a fleet's shared
 		// registry keeps the arena store its pre-warm instance attached.
-		reg.SetStore(fsys.ImageStore(quota))
+		reg.SetStore(fsys.ImageStore(DefaultSnapshotSlots))
 		k.Snapshots = reg
 	}
 	return &Instance{

@@ -101,13 +101,8 @@ func TestDedupDifferential(t *testing.T) {
 		outs  []string
 		clock int64
 	}
-	run := func(name string, sync, disableRing, disableDedup bool) result {
-		in := browsix.Boot(browsix.Config{DisableDedup: disableDedup})
-		browsix.InstallBase(in)
-		in.Kernel.DisableRing = disableRing
-		if sync {
-			installWasmCoreutils(t, in)
-		}
+	run := func(v variant) result {
+		name, in := v.String(), v.boot(browsix.Config{})
 		mountShare(t, in, archive)
 		rfs, zerr := fs.NewZipFS(repArchive)
 		if zerr != nil {
@@ -128,57 +123,48 @@ func TestDedupDifferential(t *testing.T) {
 		if pins := in.VFS.CacheStats().PinnedPages; pins != 0 {
 			t.Fatalf("%s: %d pages still pinned after commands", name, pins)
 		}
-		if cs := in.VFS.CacheStats(); disableDedup && cs.DedupStores != 0 {
+		if cs := in.VFS.CacheStats(); v.ft.NoDedup && cs.DedupStores != 0 {
 			t.Fatalf("%s: dedup disabled but %d pages entered the shared tier", name, cs.DedupStores)
-		} else if !disableDedup && cs.DedupStores == 0 {
+		} else if !v.ft.NoDedup && cs.DedupStores == 0 {
 			t.Fatalf("%s: dedup enabled but no pages entered the shared tier", name)
 		}
 		r.clock = in.Now()
 		return r
 	}
 
-	transports := []struct {
-		name              string
-		sync, disableRing bool
-	}{
-		{"async", false, false},
-		{"sync-scalar", true, true},
-		{"sync-ring", true, false},
-	}
-	var ref result
-	for ti, tr := range transports {
-		on := run(tr.name+"/dedup", tr.sync, tr.disableRing, false)
-		off := run(tr.name+"/nodedup", tr.sync, tr.disableRing, true)
-		for i, cmd := range cmds {
-			if on.outs[i] != off.outs[i] {
-				t.Errorf("%s: %q output diverged with dedup off\non:  %q\noff: %q",
-					tr.name, cmd, on.outs[i], off.outs[i])
-			}
-		}
-		if on.clock != off.clock {
-			t.Errorf("%s: virtual clock %dns with dedup, %dns without — sharing leaked into time",
-				tr.name, on.clock, off.clock)
-		}
-		// And across transports the payload output agrees too.
-		if ti == 0 {
-			ref = on
-		} else {
+	// Per transport the dedup-on run comes first: the dedup-off run must
+	// match its output and its clock, and dedup-on must match async's.
+	on := map[transport]result{}
+	for _, v := range variants(transports, browsix.Features{NoDedup: true}) {
+		r := run(v)
+		if !v.ft.NoDedup {
+			on[v.tr] = r
 			for i, cmd := range cmds {
-				if on.outs[i] != ref.outs[i] {
-					t.Errorf("%q: %s output %q != %s output %q",
-						cmd, tr.name, on.outs[i], transports[0].name, ref.outs[i])
+				if r.outs[i] != on[async].outs[i] {
+					t.Errorf("%q: %s output %q != async output %q", cmd, v, r.outs[i], on[async].outs[i])
 				}
 			}
+			continue
+		}
+		for i, cmd := range cmds {
+			if on[v.tr].outs[i] != r.outs[i] {
+				t.Errorf("%s: %q output diverged with dedup off\non:  %q\noff: %q",
+					v.tr, cmd, on[v.tr].outs[i], r.outs[i])
+			}
+		}
+		if on[v.tr].clock != r.clock {
+			t.Errorf("%s: virtual clock %dns with dedup, %dns without — sharing leaked into time",
+				v.tr, on[v.tr].clock, r.clock)
 		}
 	}
 }
 
 // tenantTreeLoad is the resident-fleet workload: every tenant mounts the
 // shared base image and reads all of it.
-func tenantTreeLoad(t testing.TB, archive []byte, tenants int, disable bool) browsix.TenantLoad {
+func tenantTreeLoad(t testing.TB, archive []byte, tenants int, ft browsix.Features) browsix.TenantLoad {
 	return browsix.TenantLoad{
-		Tenants:      tenants,
-		DisableDedup: disable,
+		Tenants: tenants,
+		Config:  browsix.Config{Features: ft},
 		Setup: func(i int, in *browsix.Instance) {
 			mountShare(t, in, archive)
 		},
@@ -203,7 +189,7 @@ func TestTenantDedupGuard(t *testing.T) {
 	archive := dedupTreeZip(t, dedupTreeFiles, dedupTreeFileSize)
 	const tenants = 16
 	fl := &browsix.Fleet{Workers: 4}
-	on := fl.RunTenants(tenantTreeLoad(t, archive, tenants, false))
+	on := fl.RunTenants(tenantTreeLoad(t, archive, tenants, browsix.Features{}))
 
 	if on.Tenants != tenants || on.LogicalPages == 0 {
 		t.Fatalf("harness sampled nothing: %+v", on)
@@ -228,7 +214,7 @@ func TestTenantDedupGuard(t *testing.T) {
 		t.Errorf("leases leaked: %d granted, %d returned", on.LeaseGrants, on.LeaseReturns)
 	}
 
-	off := (&browsix.Fleet{Workers: 4}).RunTenants(tenantTreeLoad(t, archive, tenants, true))
+	off := (&browsix.Fleet{Workers: 4}).RunTenants(tenantTreeLoad(t, archive, tenants, browsix.Features{NoDedup: true}))
 	// Logical behaviour is untouched by the tier: same resident pages,
 	// same virtual time, to the bit.
 	if on.LogicalPages != off.LogicalPages {
@@ -298,7 +284,7 @@ func BenchmarkTenantDedup(b *testing.B) {
 	archive := dedupTreeZip(b, dedupTreeFiles, dedupTreeFileSize)
 	for i := 0; i < b.N; i++ {
 		fl := &browsix.Fleet{}
-		st := fl.RunTenants(tenantTreeLoad(b, archive, 64, false))
+		st := fl.RunTenants(tenantTreeLoad(b, archive, 64, browsix.Features{}))
 		if st.PinnedSlots != 0 || st.LeaseGrants != st.LeaseReturns {
 			b.Fatalf("dirty teardown: %+v", st)
 		}

@@ -38,8 +38,8 @@ import (
 type Job struct {
 	// Name labels the job in results (it need not be unique).
 	Name string
-	// Config boots the job's Instance. PagePool and PagePoolQuota are
-	// overwritten by the fleet; everything else is the job's own.
+	// Config boots the job's Instance. PagePool is overwritten by the
+	// fleet; everything else is the job's own.
 	Config Config
 	// Setup stages the instance (InstallBase, case-study staging, ...).
 	// Optional; runs before the workload.
@@ -126,15 +126,12 @@ type FleetStats struct {
 // cores. The zero value is ready to use: GOMAXPROCS workers, a shared
 // arena sized workers x the private-pool quota.
 type Fleet struct {
-	// Workers bounds host parallelism; <= 0 means GOMAXPROCS(0).
+	// Workers bounds host parallelism; <= 0 means GOMAXPROCS(0). The
+	// shared arena holds Workers x fs.DefaultPoolSlots, so no shard's
+	// allocation ever waits on a neighbour, and each instance's quota is
+	// the private pool's capacity, which keeps it bit-identical to a
+	// serial private-pool run.
 	Workers int
-	// QuotaSlots is each instance's page-pool quota; <= 0 means
-	// fs.DefaultPoolSlots (the private pool's capacity), which keeps
-	// every instance bit-identical to a serial private-pool run.
-	QuotaSlots int
-	// PoolSlots sizes the shared arena; <= 0 means Workers*QuotaSlots,
-	// enough that no shard's allocation ever waits on a neighbour.
-	PoolSlots int
 	// OnBoot, when non-nil, is called on the worker goroutine right
 	// after each job's Instance boots (before Setup) — the observation
 	// hook live stats pollers and the counters-under-fleet tests use.
@@ -158,11 +155,8 @@ type SnapshotWarmup struct {
 	// jobs use, e.g. InstallBase).
 	Setup func(*Instance)
 	// Cmds run once each on the scratch instance; every runtime they
-	// boot captures an image.
+	// boot captures an image (DefaultSnapshotSlots of arena quota).
 	Cmds []string
-	// Quota is the arena slot quota for captured image pages (<= 0:
-	// DefaultSnapshotSlots).
-	Quota int
 }
 
 // Run executes jobs on the worker pool and returns per-job results
@@ -176,18 +170,11 @@ func (fl *Fleet) Run(jobs []Job) ([]JobResult, FleetStats) {
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
-	quota := fl.QuotaSlots
-	if quota <= 0 {
-		quota = fs.DefaultPoolSlots
-	}
-	slots := fl.PoolSlots
-	if slots <= 0 {
-		slots = workers * quota
-	}
+	slots := workers * fs.DefaultPoolSlots
 	pool := fs.NewPagePool(slots)
 	var reg *snapshot.Registry
 	if fl.SnapshotWarmup != nil {
-		reg = fl.prewarmSnapshots(pool, quota)
+		reg = fl.prewarmSnapshots(pool)
 	}
 
 	results := make([]JobResult, len(jobs))
@@ -200,7 +187,7 @@ func (fl *Fleet) Run(jobs []Job) ([]JobResult, FleetStats) {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				results[i] = fl.runJob(i, &jobs[i], pool, quota, reg, &agg)
+				results[i] = fl.runJob(i, &jobs[i], pool, reg, &agg)
 			}
 		}()
 	}
@@ -215,7 +202,7 @@ func (fl *Fleet) Run(jobs []Job) ([]JobResult, FleetStats) {
 		Jobs:       len(jobs),
 		Workers:    workers,
 		PoolSlots:  slots,
-		QuotaSlots: quota,
+		QuotaSlots: fs.DefaultPoolSlots,
 		WallNs:     wall.Nanoseconds(),
 		VirtualNs:  agg.virtualNs.Load(),
 
@@ -285,15 +272,11 @@ type fleetAgg struct {
 // prewarmSnapshots runs the fleet's snapshot warmup on the calling
 // goroutine (serially, before any worker starts) and returns the sealed
 // registry every job will share.
-func (fl *Fleet) prewarmSnapshots(pool *fs.PagePool, quota int) *snapshot.Registry {
+func (fl *Fleet) prewarmSnapshots(pool *fs.PagePool) *snapshot.Registry {
 	w := fl.SnapshotWarmup
 	reg := snapshot.NewRegistry()
-	sq := w.Quota
-	if sq <= 0 {
-		sq = DefaultSnapshotSlots
-	}
-	reg.SetStore(pool.ImageStore(sq))
-	in := Boot(Config{PagePool: pool, PagePoolQuota: quota, Snapshots: reg})
+	reg.SetStore(pool.ImageStore(DefaultSnapshotSlots))
+	in := Boot(Config{PagePool: pool, Snapshots: reg})
 	if w.Setup != nil {
 		w.Setup(in)
 	}
@@ -325,9 +308,6 @@ type TenantLoad struct {
 	Setup func(i int, in *Instance)
 	// Workload drives tenant i once; the tenant then idles resident.
 	Workload func(i int, in *Instance)
-	// DisableDedup turns the content-addressed tier off for every
-	// tenant — the before/after ablation of EXPERIMENTS.md.
-	DisableDedup bool
 }
 
 // TenantStats is the resident-fleet report card.
@@ -386,18 +366,11 @@ func (fl *Fleet) RunTenants(load TenantLoad) TenantStats {
 	if workers > n {
 		workers = n
 	}
-	quota := fl.QuotaSlots
-	if quota <= 0 {
-		quota = fs.DefaultPoolSlots
-	}
-	slots := fl.PoolSlots
-	if slots <= 0 {
-		slots = workers * quota
-	}
+	slots := workers * fs.DefaultPoolSlots
 	pool := fs.NewPagePool(slots)
 	var reg *snapshot.Registry
 	if fl.SnapshotWarmup != nil {
-		reg = fl.prewarmSnapshots(pool, quota)
+		reg = fl.prewarmSnapshots(pool)
 	}
 
 	instances := make([]*Instance, n)
@@ -410,14 +383,10 @@ func (fl *Fleet) RunTenants(load TenantLoad) TenantStats {
 			for i := w; i < n; i += workers {
 				cfg := load.Config
 				cfg.PagePool = pool
-				cfg.PagePoolQuota = quota
 				if cfg.Snapshots == nil {
 					cfg.Snapshots = reg
 				}
 				in := Boot(cfg)
-				if load.DisableDedup {
-					in.VFS.SetDedup(false)
-				}
 				if load.Setup != nil {
 					load.Setup(i, in)
 				}
@@ -436,7 +405,7 @@ func (fl *Fleet) RunTenants(load TenantLoad) TenantStats {
 		Tenants:    n,
 		Workers:    workers,
 		PoolSlots:  slots,
-		QuotaSlots: quota,
+		QuotaSlots: fs.DefaultPoolSlots,
 		WallNs:     wall.Nanoseconds(),
 	}
 	perTenant := make([]int64, n)
@@ -504,7 +473,7 @@ func jainIndex(xs []int64) (float64, int64, int64) {
 // runJob boots, stages, and drives one job on the calling worker
 // goroutine. The Instance lives entirely on this goroutine; the shared
 // arena is the only structure it touches concurrently with other shards.
-func (fl *Fleet) runJob(i int, job *Job, pool *fs.PagePool, quota int, reg *snapshot.Registry, agg *fleetAgg) (res JobResult) {
+func (fl *Fleet) runJob(i int, job *Job, pool *fs.PagePool, reg *snapshot.Registry, agg *fleetAgg) (res JobResult) {
 	res.Index, res.Name = i, job.Name
 	var in *Instance
 	defer func() {
@@ -541,7 +510,6 @@ func (fl *Fleet) runJob(i int, job *Job, pool *fs.PagePool, quota int, reg *snap
 
 	cfg := job.Config
 	cfg.PagePool = pool
-	cfg.PagePoolQuota = quota
 	if cfg.Snapshots == nil {
 		cfg.Snapshots = reg
 	}

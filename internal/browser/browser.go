@@ -191,6 +191,14 @@ func (s *System) CreateObjectURL(data []byte) string {
 	return url
 }
 
+// RevokeObjectURL releases the bytes behind a blob: URL, like
+// URL.revokeObjectURL. Workers already started from it keep running. It
+// charges no virtual time.
+func (s *System) RevokeObjectURL(url string) { delete(s.blobs, url) }
+
+// LiveBlobs reports how many blob: URLs still hold their bytes.
+func (s *System) LiveBlobs() int { return len(s.blobs) }
+
 // BlobData returns the bytes behind a blob: URL.
 func (s *System) BlobData(url string) ([]byte, bool) {
 	b, ok := s.blobs[url]

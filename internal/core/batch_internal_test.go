@@ -142,7 +142,7 @@ func TestBatchedDispatchMatchesFrameByFrame(t *testing.T) {
 	}
 	run := func(disable bool) result {
 		w := newRingWorld(t)
-		w.k.DisableFSBatch = disable
+		w.k.SetFeatures(Features{NoFSBatch: disable})
 		const n = 32
 		paths := make([]string, n)
 		for i := range paths {
@@ -237,15 +237,15 @@ func TestBatchMixedRunSplits(t *testing.T) {
 func BenchmarkBatchedStatStorm(b *testing.B) {
 	const n = 256
 	for _, cfg := range []struct {
-		name    string
-		disable bool
+		name string
+		ft   Features
 	}{
-		{"batched", false},
-		{"frame-by-frame", true},
+		{"batched", Features{}},
+		{"frame-by-frame", Features{NoFSBatch: true}},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			w := newRingWorld(b)
-			w.k.DisableFSBatch = cfg.disable
+			w.k.SetFeatures(cfg.ft)
 			paths := make([]string, n)
 			for i := range paths {
 				paths[i] = fmt.Sprintf("/bench/f%03d", i)

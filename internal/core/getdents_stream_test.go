@@ -71,24 +71,15 @@ func init() {
 // three transports: identical results, chunked delivery.
 func TestGetdentsStreamsLargeDirectories(t *testing.T) {
 	want := "entries=300 chunks=3 rewind=300\n"
-	for _, c := range []struct {
-		name        string
-		kind        rt.Kind
-		disableRing bool
-	}{
-		{"async-node", rt.NodeKind, false},
-		{"sync-scalar", rt.EmSyncKind, true},
-		{"sync-ring", rt.EmSyncKind, false},
-	} {
-		w := boot(t)
-		w.k.DisableRing = c.disableRing
-		w.install(t, "/usr/bin/t-bigdir", "t-bigdir", c.kind)
+	for _, v := range variants(transports) {
+		w := v.boot(t)
+		w.install(t, "/usr/bin/t-bigdir", "t-bigdir", v.tr.kind())
 		code, out, errOut := w.run(t, "/usr/bin/t-bigdir")
 		if code != 0 {
-			t.Fatalf("%s: exited %d (stderr %q)", c.name, code, errOut)
+			t.Fatalf("%s: exited %d (stderr %q)", v, code, errOut)
 		}
 		if out != want {
-			t.Errorf("%s: %q, want %q", c.name, out, want)
+			t.Errorf("%s: %q, want %q", v, out, want)
 		}
 	}
 }

@@ -51,28 +51,8 @@ type Kernel struct {
 	tasks   map[int]*Task
 	nextPid int
 
-	// DisableRing refuses ring-transport registration, forcing sync
-	// processes onto the scalar wake-cell path (differential testing and
-	// browsers without the fast path).
-	DisableRing bool
-
-	// DisableFSBatch turns off fs-level batching of drained ring frames:
-	// stat runs dispatch frame by frame (the ablation baseline of
-	// BenchmarkBatchedStatStorm). Results are byte-identical either way;
-	// only the number of cache passes changes.
-	DisableFSBatch bool
-
-	// DisableZeroCopy refuses page-pool registration and answers every
-	// readg with the copy path — the ablation baseline of
-	// BenchmarkZeroCopyRead, and the differential tests' way of pinning
-	// the grant and copy paths against each other.
-	DisableZeroCopy bool
-
-	// DisableZeroCopyWrite refuses wgalloc (write-grant allocation) and
-	// answers every writeg with the copy fallback, while leaving the
-	// read-side grant path alone — the ablation baseline of
-	// BenchmarkZeroCopyWrite and one axis of the write differentials.
-	DisableZeroCopyWrite bool
+	// feat selects the optional mechanisms (SetFeatures).
+	feat Features
 
 	// Snapshots is the checkpoint/fork registry (internal/snapshot).
 	// When set, the first cold boot of each runtime captures a post-boot
@@ -147,6 +127,35 @@ type Kernel struct {
 	// kernel, and processes booted as copy-on-write clones.
 	SnapshotCaptures atomic.Int64
 	CloneBoots       atomic.Int64
+}
+
+// Features selects which transport and data-path mechanisms run. The
+// zero value is production: every mechanism on. Each field turns one off
+// for the differential tests and ablations; none changes what a program
+// sees, only how many crossings happen and where bytes live.
+type Features struct {
+	// NoRing refuses ring-transport registration, so sync processes use
+	// the scalar wake-cell path (one wake per call).
+	NoRing bool
+	// NoFSBatch dispatches drained ring frames one by one instead of
+	// handing stat and read runs to the file system as batches.
+	NoFSBatch bool
+	// NoZeroCopy refuses page-pool registration and answers every readg
+	// on the copy path.
+	NoZeroCopy bool
+	// NoZeroCopyWrite refuses wgalloc and answers every writeg on the
+	// copy fallback, leaving read-side grants alone.
+	NoZeroCopyWrite bool
+	// NoCaches, NoWriteBack and NoDedup are the file system's switches
+	// (fs.Features).
+	NoCaches, NoWriteBack, NoDedup bool
+}
+
+// SetFeatures selects the mechanisms the kernel and its file system run.
+// Set them before processes start: a registered ring or page pool stays.
+func (k *Kernel) SetFeatures(ft Features) {
+	k.feat = ft
+	k.FS.SetFeatures(fs.Features{NoCaches: ft.NoCaches, NoWriteBack: ft.NoWriteBack, NoDedup: ft.NoDedup})
 }
 
 // NewKernel boots a kernel over the given browser system and file system.
@@ -311,17 +320,18 @@ func (k *Kernel) Spawn(parent *Task, spec SpawnSpec, cb func(int, abi.Errno)) {
 		}
 
 		// Browsix generates a Blob URL for the executable's bytes so
-		// Workers can be built from file-system contents (§3.3). Clone
-		// boots start from the cached bootstrap stub instead — the
+		// Workers can be built from file-system contents (§3.3), and
+		// revokes it once NewWorker has read the script. Clone boots start from the cached bootstrap stub instead — the
 		// expensive artifact was already parsed once, and the restored
 		// image replaces re-running it.
-		var url string
+		var w *browser.Worker
 		if img != nil {
-			url = k.stubURL(path)
+			w = k.Sys.NewWorker(k.Sys.Main, k.stubURL(path), main)
 		} else {
-			url = k.Sys.CreateObjectURL(script)
+			url := k.Sys.CreateObjectURL(script)
+			w = k.Sys.NewWorker(k.Sys.Main, url, main)
+			k.Sys.RevokeObjectURL(url)
 		}
-		w := k.Sys.NewWorker(k.Sys.Main, url, main)
 		t.worker = w
 		w.OnMessage = func(v browser.Value) { k.onWorkerMessage(t, w, v) }
 
@@ -787,18 +797,6 @@ func SplitCmdline(cmdline string) []string {
 // Deprecated: use StartProcess (or the public browsix.Instance.Start),
 // which carries env, cwd, and stdin and reports spawn errors precisely.
 func (k *Kernel) System(cmdline string, onExit func(pid, code int), onStdout, onStderr func([]byte)) {
-	k.system(cmdline, false, onExit, onStdout, onStderr)
-}
-
-// SystemInteractive is System with standard input kept open; the returned
-// Console writes to it. It backs the terminal case study (§5.1.2).
-//
-// Deprecated: use StartProcess with KeepStdin.
-func (k *Kernel) SystemInteractive(cmdline string, onExit func(pid, code int), onStdout, onStderr func([]byte)) *Console {
-	return k.system(cmdline, true, onExit, onStdout, onStderr)
-}
-
-func (k *Kernel) system(cmdline string, keepStdin bool, onExit func(pid, code int), onStdout, onStderr func([]byte)) *Console {
 	drop := func(cb func([]byte)) func([]byte) {
 		if cb == nil {
 			return nil
@@ -810,9 +808,8 @@ func (k *Kernel) system(cmdline string, keepStdin bool, onExit func(pid, code in
 			}
 		}
 	}
-	return k.StartProcess(ProcSpec{
-		Argv:      SplitCmdline(cmdline),
-		KeepStdin: keepStdin,
+	k.StartProcess(ProcSpec{
+		Argv: SplitCmdline(cmdline),
 		OnStart: func(pid int, err abi.Errno) {
 			if err != abi.OK {
 				onExit(0, 127) // legacy contract: launch failure looks like exit 127

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -292,6 +293,85 @@ func boot(t testing.TB) *world {
 	return w
 }
 
+// transport is how a test program's calls reach the kernel: the Node
+// runtime's async messages, or the em-sync runtime's shared heap — one
+// wake per call (scalar) or batched on the ring.
+type transport int
+
+const (
+	async transport = iota
+	scalar
+	ring
+)
+
+// transports lists every transport in the order differentials compare
+// them: the first is the reference.
+var transports = []transport{async, scalar, ring}
+
+func (tr transport) String() string { return [...]string{"async", "scalar", "ring"}[tr] }
+
+// kind is the runtime a program is installed as to travel tr.
+func (tr transport) kind() rt.Kind {
+	if tr == async {
+		return rt.NodeKind
+	}
+	return rt.EmSyncKind
+}
+
+// variant is one configuration of a differential: a transport and the
+// mechanisms switched off.
+type variant struct {
+	tr transport
+	ft core.Features
+}
+
+// variants enumerates trs × every subset of axes, each axis a Features
+// value with the switches it turns off. Per transport the all-on variant
+// comes first. A new Features field becomes an axis by naming it here.
+func variants(trs []transport, axes ...core.Features) []variant {
+	var vs []variant
+	for _, tr := range trs {
+		for set := 0; set < 1<<len(axes); set++ {
+			v := variant{tr: tr}
+			ft := reflect.ValueOf(&v.ft).Elem()
+			for i, ax := range axes {
+				if set>>i&1 == 0 {
+					continue
+				}
+				off := reflect.ValueOf(ax)
+				for f := 0; f < off.NumField(); f++ {
+					if off.Field(f).Bool() {
+						ft.Field(f).SetBool(true)
+					}
+				}
+			}
+			vs = append(vs, v)
+		}
+	}
+	return vs
+}
+
+// String names v by its transport and the switches it turns off.
+func (v variant) String() string {
+	name, ft := v.tr.String(), reflect.ValueOf(v.ft)
+	for f := 0; f < ft.NumField(); f++ {
+		if ft.Field(f).Bool() {
+			name += "/" + ft.Type().Field(f).Name
+		}
+	}
+	return name
+}
+
+// boot boots a world running v's features; the scalar transport's
+// kernel refuses the ring.
+func (v variant) boot(t testing.TB) *world {
+	w := boot(t)
+	ft := v.ft
+	ft.NoRing = v.tr == scalar
+	w.k.SetFeatures(ft)
+	return w
+}
+
 func (w *world) mkdirAll(t testing.TB, p string) {
 	t.Helper()
 	w.fs.MkdirAll(p, 0o755, func(err abi.Errno) {
@@ -395,6 +475,23 @@ func TestFileOps2BothTransports(t *testing.T) {
 	code, out, errOut = w2.run(t, "/usr/bin/t-fileops2-sync")
 	if code != 0 || out != "fileops2 ok\n" {
 		t.Fatalf("sync: code=%d out=%q err=%q", code, out, errOut)
+	}
+}
+
+// TestSpawnRevokesBlobURLs: each cold spawn's executable Blob URL is
+// revoked once its worker starts, so the blob store stays flat however
+// many processes run.
+func TestSpawnRevokesBlobURLs(t *testing.T) {
+	w := boot(t)
+	w.run(t, "/usr/bin/t-echo warm")
+	base := w.sys.LiveBlobs()
+	for i := 0; i < 5; i++ {
+		if code, out, _ := w.run(t, "/usr/bin/t-spawner"); code != 0 {
+			t.Fatalf("t-spawner exited %d (%q)", code, out)
+		}
+	}
+	if got := w.sys.LiveBlobs(); got != base {
+		t.Fatalf("blob store grew from %d to %d URLs over 10 spawns", base, got)
 	}
 }
 

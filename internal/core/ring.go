@@ -19,7 +19,7 @@ import (
 // Calls whose completion is deferred (a read against an empty pipe) reply
 // out of order; frames carry sequence numbers so the process can match
 // them. The scalar sync transport remains as the fallback for kernels or
-// processes that don't negotiate the ring (Kernel.DisableRing).
+// processes that don't negotiate the ring (Features.NoRing).
 
 // taskRing is the per-task transport state.
 type taskRing struct {
@@ -46,7 +46,7 @@ type ringReply struct {
 // registerRing validates and installs a task's ring regions (the "ring"
 // registration call). Both regions must lie inside the registered heap.
 func (k *Kernel) registerRing(t *Task, reqOff, reqLen, repOff, repLen int64) abi.Errno {
-	if k.DisableRing {
+	if k.feat.NoRing {
 		return abi.ENOSYS
 	}
 	if t.heap == nil {
@@ -161,7 +161,7 @@ func batchableCall(c pendingCall) bool {
 func (k *Kernel) dispatchBatch(t *Task, calls []pendingCall, done func(seq uint32, ret int64, err abi.Errno)) {
 	i := 0
 	for i < len(calls) {
-		if !k.DisableFSBatch && batchableCall(calls[i]) {
+		if !k.feat.NoFSBatch && batchableCall(calls[i]) {
 			j := i + 1
 			for j < len(calls) && batchableCall(calls[j]) {
 				j++
@@ -172,7 +172,7 @@ func (k *Kernel) dispatchBatch(t *Task, calls []pendingCall, done func(seq uint3
 				continue
 			}
 		}
-		if !k.DisableFSBatch && calls[i].trap == abi.SYS_readg {
+		if !k.feat.NoFSBatch && calls[i].trap == abi.SYS_readg {
 			// A drained doorbell carrying a run of grant-reads against
 			// one descriptor resolves with a single vectored cache pass
 			// (dispatchReadgRun) — data-plane batching past metadata.

@@ -90,13 +90,12 @@ func init() {
 // scratch region must complete (in pieces) on both sync paths instead of
 // overflowing the staging area.
 func TestOversizedSyncWriteChunks(t *testing.T) {
-	for _, disable := range []bool{false, true} {
-		w := boot(t)
-		w.k.DisableRing = disable
-		w.install(t, "/usr/bin/t-bigwrite", "t-bigwrite", rt.EmSyncKind)
+	for _, v := range variants([]transport{ring, scalar}) {
+		w := v.boot(t)
+		w.install(t, "/usr/bin/t-bigwrite", "t-bigwrite", v.tr.kind())
 		code, out, errOut := w.run(t, "/usr/bin/t-bigwrite")
 		if code != 0 || out != "big=1572864\n" {
-			t.Fatalf("disableRing=%v: exit=%d out=%q err=%q", disable, code, out, errOut)
+			t.Fatalf("%s: exit=%d out=%q err=%q", v, code, out, errOut)
 		}
 	}
 }
@@ -105,44 +104,37 @@ func TestOversizedSyncWriteChunks(t *testing.T) {
 // sync path, the ring transport, and the async transport produce
 // byte-identical results for the same program.
 func TestVectoredTransportsAgree(t *testing.T) {
-	type cfg struct {
-		name    string
-		kind    rt.Kind
-		disable bool
-	}
-	cases := []cfg{
-		{"async-node", rt.NodeKind, false},
-		{"sync-scalar", rt.EmSyncKind, true},
-		{"sync-ring", rt.EmSyncKind, false},
-		{"wasm-ring", rt.WasmKind, false},
-	}
 	outputs := map[string]string{}
-	for _, c := range cases {
-		w := boot(t)
-		w.k.DisableRing = c.disable
-		w.install(t, "/usr/bin/t-vec", "t-vectored", c.kind)
+	run := func(v variant, kind rt.Kind) *world {
+		w := v.boot(t)
+		w.install(t, "/usr/bin/t-vec", "t-vectored", kind)
 		code, out, errOut := w.run(t, "/usr/bin/t-vec")
 		if code != 0 {
-			t.Fatalf("%s: t-vectored exited %d (stderr %q)", c.name, code, errOut)
+			t.Fatalf("%s/%s: t-vectored exited %d (stderr %q)", v, kind, code, errOut)
 		}
-		outputs[c.name] = out
-		switch c.name {
-		case "sync-ring":
+		outputs[v.String()+"/"+string(kind)] = out
+		return w
+	}
+	for _, v := range variants(transports) {
+		w := run(v, v.tr.kind())
+		switch v.tr {
+		case ring:
 			if w.k.RingSyscalls.Load() == 0 {
-				t.Errorf("%s: ring transport negotiated but unused", c.name)
+				t.Errorf("%s: ring transport negotiated but unused", v)
 			}
 			if w.k.RingBatchedCalls.Load() == 0 {
-				t.Errorf("%s: writev fan-out produced no batched dispatches", c.name)
+				t.Errorf("%s: writev fan-out produced no batched dispatches", v)
 			}
-		case "sync-scalar":
+		case scalar:
 			if w.k.RingSyscalls.Load() != 0 {
-				t.Errorf("%s: DisableRing kernel still saw ring calls", c.name)
+				t.Errorf("%s: NoRing kernel still saw ring calls", v)
 			}
 			if w.k.SyncSyscalls.Load() == 0 {
-				t.Errorf("%s: scalar fallback made no sync calls", c.name)
+				t.Errorf("%s: scalar fallback made no sync calls", v)
 			}
 		}
 	}
+	run(variant{tr: ring}, rt.WasmKind) // the wasm runtime rides the ring too
 	want := "file n=16 data=alpha-beta-gamma\npipe data=ring-pipe\n"
 	for name, out := range outputs {
 		if out != want {
@@ -154,9 +146,8 @@ func TestVectoredTransportsAgree(t *testing.T) {
 // TestRingFallsBackWhenRefused checks an existing sync program keeps
 // working — on the scalar path — against a kernel that refuses rings.
 func TestRingFallsBackWhenRefused(t *testing.T) {
-	w := boot(t)
-	w.k.DisableRing = true
-	w.install(t, "/usr/bin/t-fsops-sync", "t-fsops", rt.EmSyncKind)
+	w := variant{tr: scalar}.boot(t)
+	w.install(t, "/usr/bin/t-fsops-sync", "t-fsops", scalar.kind())
 	code, out, _ := w.run(t, "/usr/bin/t-fsops-sync")
 	if code != 0 {
 		t.Fatalf("exit=%d out=%q", code, out)

@@ -118,7 +118,7 @@ func (k *Kernel) doRestore(t *Task, a []browser.Value, reply func(...browser.Val
 			ringAccepted = 1
 		}
 	}
-	if arg(8) != 0 && !k.DisableZeroCopy && t.ring != nil {
+	if arg(8) != 0 && !k.feat.NoZeroCopy && t.ring != nil {
 		t.pool = true
 		reply(int64(0), errv(abi.OK), ringAccepted, int64(1), k.pagePoolSAB())
 		return

@@ -351,7 +351,7 @@ var heapLocal = [abi.SYS_max]heapLocalOp{
 // sysReadg is read-with-grant: the zero-copy read path's single kernel
 // entry. A warm page-cache hit on the ring transport answers with pinned
 // page leases; everything else — cold pages, pipes, the scalar
-// transport, DisableZeroCopy — falls through to the copy path, producing
+// transport, Features.NoZeroCopy — falls through to the copy path, producing
 // byte-identical results with one payload copy.
 //
 // Words: fd, bufPtr, bufLen (the caller's staging buffer — the copy
@@ -380,7 +380,7 @@ func (k *Kernel) sysReadg(t *Task, w []int64, done func(int64, abi.Errno)) {
 		return
 	}
 	resolve := func() {
-		if t.pool && t.ring != nil && !k.DisableZeroCopy {
+		if t.pool && t.ring != nil && !k.feat.NoZeroCopy {
 			if rf, ok := d.file.(refReader); ok {
 				if refs, ok := rf.ReadRef(d, want, maxGrants); ok {
 					k.LeaseGrants.Add(int64(len(refs)))

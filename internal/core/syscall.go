@@ -326,7 +326,7 @@ func init() {
 		// issue readg calls answered with page grants against it.
 		// Refusal leaves the process on the copy path.
 		"pagepool": func(k *Kernel, t *Task, a []browser.Value, reply func(...browser.Value)) {
-			if k.DisableZeroCopy || t.heap == nil || t.ring == nil {
+			if k.feat.NoZeroCopy || t.heap == nil || t.ring == nil {
 				reply(int64(-1), errv(abi.ENOSYS))
 				return
 			}

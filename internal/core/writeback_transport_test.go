@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/abi"
+	"repro/internal/core"
 	"repro/internal/posix"
-	"repro/internal/rt"
 )
 
 // t-writeback is the crash-consistency-style differential program: a
@@ -81,49 +81,29 @@ func init() {
 // on and off: all six outputs must be byte-identical, and the
 // write-back runs must actually coalesce (buffered writes >> flushes).
 func TestWriteBackIdenticalAcrossTransports(t *testing.T) {
-	type cfg struct {
-		name        string
-		kind        rt.Kind
-		disableRing bool
-	}
-	cases := []cfg{
-		{"async-node", rt.NodeKind, false},
-		{"sync-scalar", rt.EmSyncKind, true},
-		{"sync-ring", rt.EmSyncKind, false},
-	}
 	outputs := map[string]string{}
-	for _, c := range cases {
-		for _, writeBack := range []bool{true, false} {
-			name := c.name
-			if writeBack {
-				name += "+wb"
-			} else {
-				name += "-wb"
+	for _, v := range variants(transports, core.Features{NoWriteBack: true}) {
+		w := v.boot(t)
+		w.install(t, "/usr/bin/t-writeback", "t-writeback", v.tr.kind())
+		before := w.fs.CacheStats()
+		code, out, errOut := w.run(t, "/usr/bin/t-writeback")
+		if code != 0 {
+			t.Fatalf("%s: exited %d (stderr %q)", v, code, errOut)
+		}
+		outputs[v.String()] = out
+		stats := w.fs.CacheStats()
+		buffered := stats.BufferedWrites - before.BufferedWrites
+		flushed := stats.FlushWrites - before.FlushWrites
+		if !v.ft.NoWriteBack {
+			if buffered < 200 {
+				t.Errorf("%s: only %d writes buffered", v, buffered)
 			}
-			w := boot(t)
-			w.k.DisableRing = c.disableRing
-			w.install(t, "/usr/bin/t-writeback", "t-writeback", c.kind)
-			w.fs.SetWriteBack(writeBack)
-			before := w.fs.CacheStats()
-			code, out, errOut := w.run(t, "/usr/bin/t-writeback")
-			if code != 0 {
-				t.Fatalf("%s: exited %d (stderr %q)", name, code, errOut)
+			if flushed >= buffered/10 {
+				t.Errorf("%s: %d flush writes for %d buffered — no coalescing",
+					v, flushed, buffered)
 			}
-			outputs[name] = out
-			stats := w.fs.CacheStats()
-			buffered := stats.BufferedWrites - before.BufferedWrites
-			flushed := stats.FlushWrites - before.FlushWrites
-			if writeBack {
-				if buffered < 200 {
-					t.Errorf("%s: only %d writes buffered", name, buffered)
-				}
-				if flushed >= buffered/10 {
-					t.Errorf("%s: %d flush writes for %d buffered — no coalescing",
-						name, flushed, buffered)
-				}
-			} else if buffered != 0 {
-				t.Errorf("%s: write-back off but %d writes buffered", name, buffered)
-			}
+		} else if buffered != 0 {
+			t.Errorf("%s: write-back off but %d writes buffered", v, buffered)
 		}
 	}
 	var want string
@@ -156,24 +136,15 @@ func init() {
 
 func TestFsyncAcrossTransports(t *testing.T) {
 	want := "pipe fsync=0\nbadfd fsync=9\n"
-	for _, c := range []struct {
-		name        string
-		kind        rt.Kind
-		disableRing bool
-	}{
-		{"async-node", rt.NodeKind, false},
-		{"sync-scalar", rt.EmSyncKind, true},
-		{"sync-ring", rt.EmSyncKind, false},
-	} {
-		w := boot(t)
-		w.k.DisableRing = c.disableRing
-		w.install(t, "/usr/bin/t-fsync-edge", "t-fsync-edge", c.kind)
+	for _, v := range variants(transports) {
+		w := v.boot(t)
+		w.install(t, "/usr/bin/t-fsync-edge", "t-fsync-edge", v.tr.kind())
 		code, out, errOut := w.run(t, "/usr/bin/t-fsync-edge")
 		if code != 0 {
-			t.Fatalf("%s: exited %d (stderr %q)", c.name, code, errOut)
+			t.Fatalf("%s: exited %d (stderr %q)", v, code, errOut)
 		}
 		if out != want {
-			t.Errorf("%s: %q, want %q", c.name, out, want)
+			t.Errorf("%s: %q, want %q", v, out, want)
 		}
 	}
 }

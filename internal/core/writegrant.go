@@ -14,7 +14,7 @@ import (
 // The kernel never touches the payload: an fs-backed descriptor adopts
 // the referenced bytes in place as dirty write-back extents, and a pipe
 // buffers them as slot-backed segments the reader can drain by grant.
-// Everything else — write-back off, scalar transport, DisableZeroCopy*,
+// Everything else — write-back off, scalar transport, Features.NoZeroCopy*,
 // a refusing handle — falls back to one kernel copy out of the arena,
 // byte-identical with the classic write path.
 //
@@ -36,7 +36,7 @@ const (
 // writeGrantOK reports whether the task negotiated the mappings the
 // zero-copy write path rides on.
 func (k *Kernel) writeGrantOK(t *Task) bool {
-	return t.pool && t.ring != nil && !k.DisableZeroCopy && !k.DisableZeroCopyWrite
+	return t.pool && t.ring != nil && !k.feat.NoZeroCopy && !k.feat.NoZeroCopyWrite
 }
 
 // doWgalloc services the write-grant allocation doorbell: lease up to n
@@ -177,7 +177,7 @@ func (k *Kernel) dispatchReadgRun(t *Task, run []pendingCall, done func(uint32, 
 			k.heapCall(t, c, done)
 		}
 	}
-	if !(t.pool && t.ring != nil && !k.DisableZeroCopy) {
+	if !(t.pool && t.ring != nil && !k.feat.NoZeroCopy) {
 		fallback()
 		return
 	}

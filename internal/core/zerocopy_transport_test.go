@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/abi"
+	"repro/internal/core"
 	"repro/internal/fs"
 	"repro/internal/posix"
 	"repro/internal/rt"
@@ -183,12 +184,12 @@ func TestZeroCopyWarmReadZeroCopiedBytes(t *testing.T) {
 	}
 }
 
-// zcBenchRun executes t-zcbench in a fresh world and reports the bytes
+// zcBenchRun executes t-zcbench in a fresh world running ft and reports the bytes
 // read warm and the virtual time the whole run took.
-func zcBenchRun(t testing.TB, disableZeroCopy bool, passes int) (bytes int64, elapsed int64) {
+func zcBenchRun(t testing.TB, ft core.Features, passes int) (bytes int64, elapsed int64) {
 	sizeBytes := int64(4<<20 + 100)
 	w := boot(t)
-	w.k.DisableZeroCopy = disableZeroCopy
+	w.k.SetFeatures(ft)
 	mountRO(t, w, map[string][]byte{"/big.bin": zcPattern(2, int(sizeBytes))})
 	w.install(t, "/usr/bin/t-zcbench", "t-zcbench", rt.EmSyncKind)
 	t0 := w.sim.Now()
@@ -204,8 +205,8 @@ func zcBenchRun(t testing.TB, disableZeroCopy bool, passes int) (bytes int64, el
 // time) than the same reads through the copy path.
 func TestZeroCopyWarmReadThroughput(t *testing.T) {
 	const passes = 100
-	_, grantNs := zcBenchRun(t, false, passes)
-	_, copyNs := zcBenchRun(t, true, passes)
+	_, grantNs := zcBenchRun(t, core.Features{}, passes)
+	_, copyNs := zcBenchRun(t, core.Features{NoZeroCopy: true}, passes)
 	if copyNs < 2*grantNs {
 		t.Fatalf("warm-read speedup %.2fx (grant %d ns, copy %d ns), want >= 2x",
 			float64(copyNs)/float64(grantNs), grantNs, copyNs)
@@ -358,39 +359,26 @@ func TestLeaseRevocationAcrossTransports(t *testing.T) {
 		"/k": zcPattern(6, 64*1024),
 	}
 	outputs := map[string]string{}
-	for _, c := range []struct {
-		name        string
-		kind        rt.Kind
-		disableRing bool
-	}{
-		{"async-node", rt.NodeKind, false},
-		{"sync-scalar", rt.EmSyncKind, true},
-		{"sync-ring", rt.EmSyncKind, false},
-	} {
-		for _, writeBack := range []bool{true, false} {
-			name := fmt.Sprintf("%s wb=%v", c.name, writeBack)
-			w := boot(t)
-			w.k.DisableRing = c.disableRing
-			mountOverlay(t, w, files)
-			w.fs.SetWriteBack(writeBack)
-			w.install(t, "/usr/bin/t-lease", "t-lease", c.kind)
-			code, out, errOut := w.run(t, "/usr/bin/t-lease")
-			if code != 0 {
-				t.Fatalf("%s: exited %d (stdout %q stderr %q)", name, code, out, errOut)
+	for _, v := range variants(transports, core.Features{NoWriteBack: true}) {
+		w := v.boot(t)
+		mountOverlay(t, w, files)
+		w.install(t, "/usr/bin/t-lease", "t-lease", v.tr.kind())
+		code, out, errOut := w.run(t, "/usr/bin/t-lease")
+		if code != 0 {
+			t.Fatalf("%s: exited %d (stdout %q stderr %q)", v, code, out, errOut)
+		}
+		outputs[v.String()] = out
+		if v.tr == ring {
+			if w.k.LeaseGrants.Load() == 0 {
+				t.Errorf("%s: no leases taken — revocation races untested", v)
 			}
-			outputs[name] = out
-			if c.name == "sync-ring" {
-				if w.k.LeaseGrants.Load() == 0 {
-					t.Errorf("%s: no leases taken — revocation races untested", name)
-				}
-				if w.k.LeaseGrants.Load() != w.k.LeaseReturns.Load() {
-					t.Errorf("%s: leases leaked (%d granted, %d returned)",
-						name, w.k.LeaseGrants.Load(), w.k.LeaseReturns.Load())
-				}
+			if w.k.LeaseGrants.Load() != w.k.LeaseReturns.Load() {
+				t.Errorf("%s: leases leaked (%d granted, %d returned)",
+					v, w.k.LeaseGrants.Load(), w.k.LeaseReturns.Load())
 			}
-			if pins := w.fs.CacheStats().PinnedPages; pins != 0 {
-				t.Errorf("%s: %d pages still pinned", name, pins)
-			}
+		}
+		if pins := w.fs.CacheStats().PinnedPages; pins != 0 {
+			t.Errorf("%s: %d pages still pinned", v, pins)
 		}
 	}
 	var want string
@@ -410,16 +398,16 @@ func TestLeaseRevocationAcrossTransports(t *testing.T) {
 // zero-copy refactor.
 func BenchmarkZeroCopyRead(b *testing.B) {
 	for _, cfg := range []struct {
-		name    string
-		disable bool
+		name string
+		ft   core.Features
 	}{
-		{"grant", false},
-		{"copy", true},
+		{"grant", core.Features{}},
+		{"copy", core.Features{NoZeroCopy: true}},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			var bytes, elapsed int64
 			for i := 0; i < b.N; i++ {
-				bt, el := zcBenchRun(b, cfg.disable, 32)
+				bt, el := zcBenchRun(b, cfg.ft, 32)
 				bytes += bt
 				elapsed += el
 			}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/abi"
+	"repro/internal/core"
 	"repro/internal/posix"
 	"repro/internal/rt"
 )
@@ -274,7 +275,6 @@ func init() {
 // storm reaches the backend as ONE vectored write.
 func TestZeroCopyWarmWriteZeroCopiedBytes(t *testing.T) {
 	w := boot(t)
-	w.fs.SetWriteBack(true)
 	w.mkdirAll(t, "/data")
 	w.install(t, "/usr/bin/t-zcwseq", "t-zcwseq", rt.EmSyncKind)
 
@@ -324,7 +324,6 @@ func TestZeroCopyWarmWriteZeroCopiedBytes(t *testing.T) {
 func TestZeroCopyPipelineBothDirectionsZeroCopied(t *testing.T) {
 	content := zcPattern(7, 256*1024)
 	w := boot(t)
-	w.fs.SetWriteBack(true)
 	mountRO(t, w, map[string][]byte{"/pipe.bin": content})
 	for _, prog := range []string{"t-zcpipe", "t-zccat", "t-zcwcv"} {
 		w.install(t, "/usr/bin/"+prog, prog, rt.EmSyncKind)
@@ -368,44 +367,26 @@ func TestZeroCopyPipelineBothDirectionsZeroCopied(t *testing.T) {
 // ledger exactly.
 func TestZeroCopyWriteDifferential(t *testing.T) {
 	outputs := map[string]string{}
-	for _, c := range []struct {
-		name        string
-		kind        rt.Kind
-		disableRing bool
-	}{
-		{"async-node", rt.NodeKind, false},
-		{"sync-scalar", rt.EmSyncKind, true},
-		{"sync-ring", rt.EmSyncKind, false},
-	} {
-		for _, disableZCW := range []bool{false, true} {
-			for _, writeBack := range []bool{true, false} {
-				name := fmt.Sprintf("%s zcw=%v wb=%v", c.name, !disableZCW, writeBack)
-				w := boot(t)
-				w.k.DisableRing = c.disableRing
-				w.k.DisableZeroCopyWrite = disableZCW
-				w.fs.SetWriteBack(writeBack)
-				w.mkdirAll(t, "/data")
-				w.install(t, "/usr/bin/t-zcwmix", "t-zcwmix", c.kind)
-				code, out, errOut := w.run(t, "/usr/bin/t-zcwmix")
-				if code != 0 {
-					t.Fatalf("%s: exited %d (stdout %q stderr %q)", name, code, out, errOut)
-				}
-				outputs[name] = out
-				if c.name == "sync-ring" && !disableZCW && writeBack {
-					if w.k.WriteGrantedBytes.Load() == 0 {
-						t.Errorf("%s: no bytes adopted by reference — write-grant path unused", name)
-					}
-				}
-				if g, r := w.k.LeaseGrants.Load(), w.k.LeaseReturns.Load(); g != r {
-					t.Errorf("%s: leases leaked (%d granted, %d returned)", name, g, r)
-				}
-				if w.fs.WriteStagedSlots() != 0 {
-					t.Errorf("%s: %d staging slots leaked", name, w.fs.WriteStagedSlots())
-				}
-				if pins := w.fs.CacheStats().PinnedPages; pins != 0 {
-					t.Errorf("%s: %d pages still pinned", name, pins)
-				}
-			}
+	for _, v := range variants(transports, core.Features{NoZeroCopyWrite: true}, core.Features{NoWriteBack: true}) {
+		w := v.boot(t)
+		w.mkdirAll(t, "/data")
+		w.install(t, "/usr/bin/t-zcwmix", "t-zcwmix", v.tr.kind())
+		code, out, errOut := w.run(t, "/usr/bin/t-zcwmix")
+		if code != 0 {
+			t.Fatalf("%s: exited %d (stdout %q stderr %q)", v, code, out, errOut)
+		}
+		outputs[v.String()] = out
+		if v == (variant{tr: ring}) && w.k.WriteGrantedBytes.Load() == 0 {
+			t.Errorf("%s: no bytes adopted by reference — write-grant path unused", v)
+		}
+		if g, r := w.k.LeaseGrants.Load(), w.k.LeaseReturns.Load(); g != r {
+			t.Errorf("%s: leases leaked (%d granted, %d returned)", v, g, r)
+		}
+		if w.fs.WriteStagedSlots() != 0 {
+			t.Errorf("%s: %d staging slots leaked", v, w.fs.WriteStagedSlots())
+		}
+		if pins := w.fs.CacheStats().PinnedPages; pins != 0 {
+			t.Errorf("%s: %d pages still pinned", v, pins)
 		}
 	}
 	var want string
@@ -426,7 +407,6 @@ func TestZeroCopyWriteDifferential(t *testing.T) {
 func TestZeroCopyWriteDeterministicClock(t *testing.T) {
 	elapsed := func() int64 {
 		w := boot(t)
-		w.fs.SetWriteBack(true)
 		w.mkdirAll(t, "/data")
 		w.install(t, "/usr/bin/t-zcwmix", "t-zcwmix", rt.EmSyncKind)
 		t0 := w.sim.Now()
@@ -478,10 +458,9 @@ func TestBatchedGrantReadSingleNotify(t *testing.T) {
 
 // zcwBenchRun writes passes x size bytes sequentially in a fresh world
 // and reports the virtual time the run took.
-func zcwBenchRun(t testing.TB, disableZCW bool, chunks, chunkLen int) int64 {
+func zcwBenchRun(t testing.TB, ft core.Features, chunks, chunkLen int) int64 {
 	w := boot(t)
-	w.k.DisableZeroCopyWrite = disableZCW
-	w.fs.SetWriteBack(true)
+	w.k.SetFeatures(ft)
 	w.mkdirAll(t, "/data")
 	w.install(t, "/usr/bin/t-zcwseq", "t-zcwseq", rt.EmSyncKind)
 	t0 := w.sim.Now()
@@ -502,17 +481,17 @@ func zcwBenchRun(t testing.TB, disableZCW bool, chunks, chunkLen int) int64 {
 func BenchmarkZeroCopyWrite(b *testing.B) {
 	const chunks, chunkLen = 10, 786432
 	for _, cfg := range []struct {
-		name    string
-		disable bool
+		name string
+		ft   core.Features
 	}{
-		{"grant", false},
-		{"copy", true},
+		{"grant", core.Features{}},
+		{"copy", core.Features{NoZeroCopyWrite: true}},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			var bytes, elapsed int64
 			for i := 0; i < b.N; i++ {
-				base := zcwBenchRun(b, cfg.disable, 0, chunkLen)
-				elapsed += zcwBenchRun(b, cfg.disable, chunks, chunkLen) - base
+				base := zcwBenchRun(b, cfg.ft, 0, chunkLen)
+				elapsed += zcwBenchRun(b, cfg.ft, chunks, chunkLen) - base
 				bytes += chunks * chunkLen
 			}
 			if elapsed > 0 {

@@ -462,7 +462,7 @@ func TestCachingOffMatchesOn(t *testing.T) {
 	}
 	on := newFS()
 	off := newFS()
-	off.SetCaching(false)
+	off.SetFeatures(Features{NoCaches: true})
 	a, b := script(on), script(off)
 	if len(a) != len(b) {
 		t.Fatalf("log lengths differ: %v vs %v", a, b)

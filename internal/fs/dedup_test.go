@@ -301,7 +301,7 @@ func TestDedupEvictionPrefersPrivateUnderArenaPressure(t *testing.T) {
 	}
 	fA := newDedupFS(t, pool, 0, files)
 	fB := newDedupFS(t, pool, 0, files)
-	fB.SetDedup(false)
+	fB.SetFeatures(Features{NoDedup: true})
 
 	// Tenant A: f0, f1 land in the shared tier (budget 2), f2 overflows
 	// the budget into a private slot. Tenant B pins one more private
@@ -345,7 +345,7 @@ func TestDedupOffMatchesPrivatePath(t *testing.T) {
 	files := map[string]string{"/tree/x": content}
 	f1 := newDedupFS(t, pool, 0, files)
 	f2 := newDedupFS(t, pool, 0, files)
-	f2.SetDedup(false)
+	f2.SetFeatures(Features{NoDedup: true})
 
 	mustRead(t, f1, "/ro/tree/x")
 	if got := mustRead(t, f2, "/ro/tree/x"); got != content {

@@ -95,12 +95,11 @@ type FileSystem struct {
 
 	dc             *dcache
 	pc             *pageCache
-	cachesOn       bool
+	feat           Features
 	readaheadPages int
 
-	// writeBack selects the write-back data path (writeback.go);
-	// dirtyBudget bounds the buffered bytes before a forced flush.
-	writeBack   bool
+	// dirtyBudget bounds the bytes the write-back data path
+	// (writeback.go) buffers before a forced flush.
 	dirtyBudget int64
 
 	// Age-based background flusher (writeback.go): dirty extents older
@@ -119,33 +118,46 @@ func NewFileSystem(root Backend, now func() int64) *FileSystem {
 		now:            now,
 		dc:             newDcache(),
 		pc:             newPageCache(),
-		cachesOn:       true,
 		readaheadPages: DefaultReadaheadPages,
-		writeBack:      true,
 		dirtyBudget:    maxDirtyBytes,
 	}
 	f.mounts = []mount{{prefix: "/", backend: root}}
 	return f
 }
 
-// SetCaching enables or disables the dentry and page caches (the
-// cache-off configuration of the differential tests and ablations).
-// Toggling flushes everything.
-func (f *FileSystem) SetCaching(on bool) {
-	f.cachesOn = on
-	f.FlushCaches()
+// Features selects which of the VFS's optional mechanisms run. The zero
+// value is production: every mechanism on. Each field turns one off for
+// the differential tests and ablations; none changes the bytes a reader
+// sees, only how many backend calls happen and where pages live.
+type Features struct {
+	// NoCaches turns off the dentry and page caches (and with the page
+	// cache, write-back, which buffers there).
+	NoCaches bool
+	// NoWriteBack selects write-through: every write reaches its backend
+	// before it returns.
+	NoWriteBack bool
+	// NoDedup turns off the content-addressed sharing tier: every cached
+	// page takes a private slot. Pages already resident keep their class.
+	NoDedup bool
+}
+
+// SetFeatures selects the mechanisms that run (caching and write-back
+// are on after NewFileSystem). Toggling the caches flushes everything;
+// turning write-back off flushes what it buffered.
+func (f *FileSystem) SetFeatures(ft Features) {
+	old := f.feat
+	f.feat = ft
+	f.pc.dedupOff = ft.NoDedup
+	if ft.NoCaches != old.NoCaches {
+		f.FlushCaches()
+	} else if ft.NoWriteBack && !old.NoWriteBack {
+		f.flushAllDirtyNow()
+	}
 }
 
 // SetReadahead sets the sequential readahead window in pages (0 disables
 // readahead; the page cache itself stays on).
 func (f *FileSystem) SetReadahead(pages int) { f.readaheadPages = pages }
-
-// SetDedup enables or disables the content-addressed sharing tier for
-// pages this FileSystem caches (the dedup-off configuration of the
-// differential tests and ablations). Dedup is on by default; it changes
-// where immutable pages physically live, never their bytes or the
-// virtual clock. No flush: already-resident pages keep their class.
-func (f *FileSystem) SetDedup(on bool) { f.pc.dedupOff = !on }
 
 // FlushCaches drops every cached dentry and page (cold-cache runs).
 // Buffered write-back state is flushed to the backends first — dropping
@@ -450,7 +462,7 @@ func (f *FileSystem) MetaBatch(reqs []MetaReq, cb func([]MetaRes)) {
 	// batchSt holds the batch pass's walk result for MetaOpen elements:
 	// the open continuation reuses it instead of re-statting.
 	batchSt := make(map[int]abi.Stat)
-	if f.cachesOn && len(reqs) > 1 {
+	if !f.feat.NoCaches && len(reqs) > 1 {
 		f.dc.statBatches.Add(1)
 		paths := make([]string, len(reqs))
 		opts := make([]walkOpts, len(reqs))
@@ -620,7 +632,7 @@ func (f *FileSystem) openResolved(e walkEnt, p string, flags int, mode uint32, w
 			cb(nil, abi.ENOTDIR)
 			return
 		}
-		if e.st.IsRegular() && !wantsWrite && f.cachesOn && cacheableBackend(e.backend) {
+		if e.st.IsRegular() && !wantsWrite && !f.feat.NoCaches && cacheableBackend(e.backend) {
 			b, rel := e.backend, e.rel
 			ph := &pagedHandle{
 				fs:    f,
@@ -683,7 +695,7 @@ func (f *FileSystem) openAt(e walkEnt, flags int, mode uint32, mutates bool, cb 
 			cb(nil, err)
 			return
 		}
-		if mutates && f.writeBack && f.cachesOn && writeBackableBackend(e.backend) {
+		if mutates && !f.feat.NoWriteBack && !f.feat.NoCaches && writeBackableBackend(e.backend) {
 			// The generation is captured after the invalidation above,
 			// so the fresh handle is current.
 			cb(&writebackHandle{fs: f, path: e.path, gen: f.pc.gen(e.path), inner: h}, abi.OK)
@@ -711,7 +723,7 @@ func (f *FileSystem) Readdir(p string, cb func([]abi.Dirent, abi.Errno)) {
 			return
 		}
 		dir := e.path
-		if f.cachesOn {
+		if !f.feat.NoCaches {
 			if ents, ok := f.dc.getDir(dir); ok {
 				// Hand out a copy: callers may hold the slice across
 				// later invalidations.
@@ -751,7 +763,7 @@ func (f *FileSystem) Readdir(p string, cb func([]abi.Dirent, abi.Errno)) {
 				}
 			}
 			sort.Slice(ents, func(i, j int) bool { return ents[i].Name < ents[j].Name })
-			if f.cachesOn {
+			if !f.feat.NoCaches {
 				f.dc.putDir(dir, append([]abi.Dirent(nil), ents...))
 			}
 			cb(ents, abi.OK)

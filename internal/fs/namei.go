@@ -110,7 +110,7 @@ func (f *FileSystem) walk(p string, o walkOpts, cb func(walkEnt)) {
 	// validation cannot see ("/a/../b" stops resolving once /a is
 	// removed, even though /b lives on). Contains over-matches names
 	// like "a..b" — that only skips an optimization.
-	cacheable := f.cachesOn && !strings.Contains(p, "..")
+	cacheable := !f.feat.NoCaches && !strings.Contains(p, "..")
 	if cacheable {
 		if e, ok := f.dc.getWalk(p, o); ok {
 			d, present := f.dc.entries[e.path]
@@ -210,7 +210,7 @@ func (f *FileSystem) walk1(parts []string, o walkOpts, depth int, cb func(walkEn
 // become synthetic directories, so mounts are reachable (and listable)
 // even when the parent backend has no such directory.
 func (f *FileSystem) lookupEnt(p string, cb func(*dentry)) {
-	if f.cachesOn {
+	if !f.feat.NoCaches {
 		if d, ok := f.dc.get(p); ok {
 			cb(d)
 			return
@@ -233,7 +233,7 @@ func (f *FileSystem) lookupEnt(p string, cb func(*dentry)) {
 			cb(&dentry{err: err})
 			return
 		}
-		if f.cachesOn {
+		if !f.feat.NoCaches {
 			f.dc.put(p, d)
 		}
 		cb(d)

@@ -116,7 +116,7 @@ func TestReaddirCacheInvalidation(t *testing.T) {
 // to the backend (the differential cache-off configuration).
 func TestReaddirCacheOffBypasses(t *testing.T) {
 	f, counted := newCountedFS(t, "x")
-	f.SetCaching(false)
+	f.SetFeatures(Features{NoCaches: true})
 	readdirNames(t, f, "/mnt/a/b")
 	readdirNames(t, f, "/mnt/a/b")
 	if counted.readdirs < 2 {

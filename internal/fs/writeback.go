@@ -218,16 +218,6 @@ func pageChunks(data []byte) [][]byte {
 // FileSystem-level flush machinery.
 // ---------------------------------------------------------------------------
 
-// SetWriteBack enables or disables the write-back data path (the
-// write-through configuration of the differential tests and ablations).
-// Turning it off flushes everything buffered.
-func (f *FileSystem) SetWriteBack(on bool) {
-	if !on {
-		f.flushAllDirtyNow()
-	}
-	f.writeBack = on
-}
-
 // SetDirtyBudget bounds the bytes the write-back cache may buffer before
 // forcing a flush of everything (deterministic overflow behaviour).
 func (f *FileSystem) SetDirtyBudget(n int64) {
@@ -511,7 +501,7 @@ func (h *writebackHandle) current() bool { return h.fs.pc.gen(h.path) == h.gen }
 
 // buffered reports whether this handle may use the dirty buffers.
 func (h *writebackHandle) buffered() bool {
-	return h.fs.writeBack && h.fs.cachesOn && h.current()
+	return !h.fs.feat.NoWriteBack && !h.fs.feat.NoCaches && h.current()
 }
 
 func (h *writebackHandle) buffer(off int64, data []byte) {

@@ -65,7 +65,7 @@ func TestWriteBackCoalescesBackendWrites(t *testing.T) {
 	run := func(writeBack bool) (backendWrites int64, content string) {
 		mem := NewMemFS(now)
 		f := NewFileSystem(mem, func() int64 { return clock })
-		f.SetWriteBack(writeBack)
+		f.SetFeatures(Features{NoWriteBack: !writeBack})
 		h := openWB(t, f, "/job.log", abi.O_WRONLY|abi.O_CREAT)
 		off := int64(0)
 		for i := 0; i < writes; i++ {
@@ -98,7 +98,7 @@ func TestWriteBackGuardStrictlyFewer(t *testing.T) {
 	run := func(writeBack bool) int64 {
 		mem := NewMemFS(now)
 		f := NewFileSystem(mem, func() int64 { return clock })
-		f.SetWriteBack(writeBack)
+		f.SetFeatures(Features{NoWriteBack: !writeBack})
 		h := openWB(t, f, "/f", abi.O_WRONLY|abi.O_CREAT)
 		pwrite(t, h, 0, "aa")
 		pwrite(t, h, 2, "bb")
@@ -281,7 +281,7 @@ func TestWriteBackSparseHole(t *testing.T) {
 	run := func(writeBack bool) (first []byte, size int64) {
 		mem := NewMemFS(now)
 		f := NewFileSystem(mem, func() int64 { return clock })
-		f.SetWriteBack(writeBack)
+		f.SetFeatures(Features{NoWriteBack: !writeBack})
 		h := openWB(t, f, "/sparse", abi.O_RDWR|abi.O_CREAT)
 		pwrite(t, h, 8192, "tail")
 		h.Pread(0, 4096, func(b []byte, err abi.Errno) {
@@ -412,7 +412,7 @@ func BenchmarkWriteBack(b *testing.B) {
 		b.Run(cfg.name, func(b *testing.B) {
 			mem := NewMemFS(now)
 			f := NewFileSystem(mem, func() int64 { return clock })
-			f.SetWriteBack(cfg.wb)
+			f.SetFeatures(Features{NoWriteBack: !cfg.wb})
 			b.SetBytes(int64(writes * len(line)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -444,7 +444,7 @@ func TestWriteBackDifferentialOnOff(t *testing.T) {
 	run := func(writeBack bool) string {
 		mem := NewMemFS(now)
 		f := NewFileSystem(mem, func() int64 { return clock })
-		f.SetWriteBack(writeBack)
+		f.SetFeatures(Features{NoWriteBack: !writeBack})
 		h := openWB(t, f, "/w", abi.O_WRONLY|abi.O_CREAT)
 		off := int64(0)
 		for i := 0; i < 40; i++ {

@@ -33,8 +33,6 @@ func stageInto(f *FileSystem, slot int, off int, payload []byte) SlotRef {
 func TestAllocWriteSlotsLeaseAndAdopt(t *testing.T) {
 	mem := NewMemFS(now)
 	f := NewFileSystem(mem, func() int64 { return clock })
-	f.SetWriteBack(true)
-
 	slots := f.AllocWriteSlots(2)
 	if len(slots) != 2 {
 		t.Fatalf("AllocWriteSlots(2) = %d slots", len(slots))
@@ -99,8 +97,6 @@ func TestAllocWriteSlotsLeaseAndAdopt(t *testing.T) {
 func TestStagedAppendStormSingleFlushWrite(t *testing.T) {
 	mem := NewMemFS(now)
 	f := NewFileSystem(mem, func() int64 { return clock })
-	f.SetWriteBack(true)
-
 	slots := f.AllocWriteSlots(1)
 	if len(slots) != 1 {
 		t.Fatalf("no staging slot")
@@ -143,7 +139,6 @@ func TestUnleaseOrderIndependence(t *testing.T) {
 	for _, guestFirst := range []bool{true, false} {
 		mem := NewMemFS(now)
 		f := NewFileSystem(mem, func() int64 { return clock })
-		f.SetWriteBack(true)
 		slots := f.AllocWriteSlots(1)
 		payload := bytes.Repeat([]byte("Z"), 128)
 		ref := stageInto(f, slots[0], 0, payload)

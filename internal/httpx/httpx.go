@@ -263,7 +263,7 @@ func (rd *reader) readBody(hdr map[string]string, isResponse bool) ([]byte, abi.
 				return nil, err
 			}
 			n, perr := strconv.ParseInt(strings.TrimSpace(line), 16, 64)
-			if perr != nil {
+			if perr != nil || n < 0 {
 				return nil, abi.EINVAL
 			}
 			if n == 0 {

@@ -148,3 +148,28 @@ func TestStatusTextDefaults(t *testing.T) {
 		t.Fatalf("unknown status line: %q", raw[:32])
 	}
 }
+
+// FuzzParseBuffered offers arbitrary bytes to both buffered parsers: no
+// input may panic, and a parsed message's remainder must be the input's
+// unconsumed tail.
+func FuzzParseBuffered(f *testing.F) {
+	f.Add([]byte("GET /healthz HTTP/1.1\r\nHost: x\r\n\r\nGET / HTTP/1.1\r\n\r\n"))
+	f.Add([]byte("POST /api/meme HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello"))
+	f.Add([]byte("POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n"))
+	// A negative chunk size used to slice out of range.
+	f.Add([]byte("POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n-1\r\nx\r\n0\r\n\r\n"))
+	f.Add([]byte("HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"))
+	f.Add([]byte("HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n-1\r\n"))
+	f.Add([]byte("HTTP/1.1 200 OK\r\n\r\nclose-delimited"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		suffix := func(rest []byte) bool { return strings.HasSuffix(string(data), string(rest)) }
+		if _, rest, err := ParseBufferedRequest(data); err == abi.OK && !suffix(rest) {
+			t.Fatalf("request remainder %q is not a suffix of the input", rest)
+		}
+		for _, eof := range []bool{false, true} {
+			if _, rest, err := ParseBufferedResponse(data, eof); err == abi.OK && !suffix(rest) {
+				t.Fatalf("response (eof=%v) remainder %q is not a suffix of the input", eof, rest)
+			}
+		}
+	})
+}

@@ -25,7 +25,7 @@ import (
 const maxHeldLeases = 16
 
 // negotiatePagePool maps the kernel's page-cache arena. Refusal (an old
-// kernel, or Kernel.DisableZeroCopy) leaves the runtime on the copy
+// kernel, or Features.NoZeroCopy) leaves the runtime on the copy
 // path.
 func (r *workerRT) negotiatePagePool() {
 	if !r.ringOK {
@@ -42,7 +42,7 @@ func (r *workerRT) negotiatePagePool() {
 	r.pool = sab
 	r.poolOK = true
 	// The write direction rides the same mapping; the first wgalloc
-	// ENOSYS (an old kernel, or DisableZeroCopyWrite) turns it back off.
+	// ENOSYS (an old kernel, or Features.NoZeroCopyWrite) turns it back off.
 	r.wgOK = true
 }
 

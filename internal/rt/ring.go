@@ -15,7 +15,7 @@ import (
 // share a doorbell and usually a single kernel dispatch.
 
 // negotiateRing carves the ring regions and offers them to the kernel.
-// Refusal (an old kernel, or Kernel.DisableRing) leaves the runtime on
+// Refusal (an old kernel, or Features.NoRing) leaves the runtime on
 // the scalar wake-cell path.
 func (r *workerRT) negotiateRing() {
 	if int64(r.heap.Len()) < int64(scratchBase+4*ringRegionSize) {

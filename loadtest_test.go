@@ -25,16 +25,15 @@ import (
 // swarm drives the meme server through kernel-level connections, and the
 // serial one-request-per-connection server is the ablation baseline.
 
-// bootMeme boots an instance with the meme server staged. sync restages
-// the server as a wasm executable so its syscalls travel the synchronous
-// transport (scalar when disableRing, ring otherwise).
-func bootMemeLoad(t testing.TB, sync, disableRing bool) *browsix.Instance {
+// bootMemeLoad boots an instance with the meme server staged. A sync
+// transport restages the server as a wasm executable so its syscalls
+// travel the synchronous path.
+func bootMemeLoad(t testing.TB, tr transport) *browsix.Instance {
 	t.Helper()
-	in := browsix.Boot(browsix.Config{})
+	in := browsix.Boot(browsix.Config{Features: variant{tr: tr}.features()})
 	browsix.InstallBase(in)
 	browsix.InstallMeme(in, 40_000_000)
-	in.Kernel.DisableRing = disableRing
-	if sync {
+	if tr != async {
 		image := map[string][]byte{}
 		rt.InstallExecutable(image, "/usr/bin/meme-server", "meme-server", rt.WasmKind)
 		for p, b := range image {
@@ -68,7 +67,7 @@ func healthSwarm(clients, perClient int, keepAlive bool) *netsim.Swarm {
 // Connection-close baseline.
 func TestMemeServerLoadGuard(t *testing.T) {
 	run := func(serial bool, s *netsim.Swarm) netsim.LoadReport {
-		in := bootMemeLoad(t, true, false)
+		in := bootMemeLoad(t, ring)
 		var args []string
 		if serial {
 			args = append(args, "-serial")
@@ -154,8 +153,8 @@ func TestSwarmDeterminismAcrossTransports(t *testing.T) {
 		rep      netsim.LoadReport
 		outcomes [][]string
 	}
-	run := func(sync, disableRing bool) result {
-		in := bootMemeLoad(t, sync, disableRing)
+	run := func(tr transport) result {
+		in := bootMemeLoad(t, tr)
 		in.StartMemeServerArgs()
 		outcomes := make([][]string, 8)
 		for i := range outcomes {
@@ -165,34 +164,24 @@ func TestSwarmDeterminismAcrossTransports(t *testing.T) {
 		rep := browsix.RunSwarm(in, s, meme.Port)
 		return result{rep, outcomes}
 	}
-	transports := []struct {
-		name        string
-		sync        bool
-		disableRing bool
-	}{
-		{"async", false, false},
-		{"sync-scalar", true, true},
-		{"sync-ring", true, false},
-	}
 	var ref result
-	for ti, tr := range transports {
-		a := run(tr.sync, tr.disableRing)
-		b := run(tr.sync, tr.disableRing)
+	for _, v := range variants(transports) {
+		a, b := run(v.tr), run(v.tr)
 		if a.rep != b.rep {
-			t.Errorf("%s: repeated runs diverged\nrun1: %+v\nrun2: %+v", tr.name, a.rep, b.rep)
+			t.Errorf("%s: repeated runs diverged\nrun1: %+v\nrun2: %+v", v, a.rep, b.rep)
 		}
 		if a.rep.Requests != 24 || a.rep.Errors != 0 {
-			t.Errorf("%s: %+v", tr.name, a.rep)
+			t.Errorf("%s: %+v", v, a.rep)
 		}
-		if ti == 0 {
+		if v.tr == async {
 			ref = a
 			continue
 		}
 		for c := range a.outcomes {
 			for s := range a.outcomes[c] {
 				if a.outcomes[c][s] != ref.outcomes[c][s] {
-					t.Errorf("%s client %d seq %d: %s != %s (%s)",
-						tr.name, c, s, a.outcomes[c][s], ref.outcomes[c][s], transports[0].name)
+					t.Errorf("%s client %d seq %d: %s != %s (async)",
+						v, c, s, a.outcomes[c][s], ref.outcomes[c][s])
 				}
 			}
 		}
@@ -352,13 +341,12 @@ func init() {
 
 // runSockEdge runs the probe under one transport and returns its stdout
 // plus the dial outcomes observed on the kernel (client) side.
-func runSockEdge(t *testing.T, sync, disableRing bool) (string, []abi.Errno) {
+func runSockEdge(t *testing.T, tr transport) (string, []abi.Errno) {
 	t.Helper()
-	in := browsix.Boot(browsix.Config{})
+	in := browsix.Boot(browsix.Config{Features: variant{tr: tr}.features()})
 	browsix.InstallBase(in)
-	in.Kernel.DisableRing = disableRing
 	kind := rt.GopherJSKind
-	if sync {
+	if tr != async {
 		kind = rt.WasmKind
 	}
 	image := map[string][]byte{}
@@ -418,27 +406,70 @@ func TestSocketEdgesAcrossTransports(t *testing.T) {
 			"write1=%d err=0\nwrite1-full=0 err=%d\n",
 		abi.EAGAIN, abi.POLLIN, "alpha", "beta", abi.EAGAIN, core.PipeCap, abi.EAGAIN)
 	wantDials := []abi.Errno{abi.OK, abi.OK, abi.ECONNREFUSED, abi.ECONNREFUSED}
-	for _, tr := range []struct {
-		name        string
-		sync        bool
-		disableRing bool
-	}{
-		{"async", false, false},
-		{"sync-scalar", true, true},
-		{"sync-ring", true, false},
-	} {
-		out, dials := runSockEdge(t, tr.sync, tr.disableRing)
+	for _, v := range variants(transports) {
+		out, dials := runSockEdge(t, v.tr)
 		if out != want {
-			t.Errorf("%s stdout:\n%s\nwant:\n%s", tr.name, out, want)
+			t.Errorf("%s stdout:\n%s\nwant:\n%s", v, out, want)
 		}
 		if len(dials) != len(wantDials) {
-			t.Errorf("%s: dial outcomes %v", tr.name, dials)
+			t.Errorf("%s: dial outcomes %v", v, dials)
 			continue
 		}
 		for i, e := range dials {
 			if e != wantDials[i] {
-				t.Errorf("%s: dial %d: %v, want %v", tr.name, i, e, wantDials[i])
+				t.Errorf("%s: dial %d: %v, want %v", v, i, e, wantDials[i])
 			}
 		}
+	}
+}
+
+// TestChunkedNegativeSizeRejected: a chunked request whose chunk-size
+// line is -1 gets a 400 and a closed connection — it must not panic the
+// host — and the meme server keeps serving new connections.
+func TestChunkedNegativeSizeRejected(t *testing.T) {
+	in := bootMemeLoad(t, async)
+	in.StartMemeServerArgs()
+	exchange := func(raw string) *httpx.Response {
+		var got []byte
+		var resp *httpx.Response
+		done := false
+		in.Main(func() {
+			in.Kernel.Connect(meme.Port, func(c *core.KernelConn, err abi.Errno) {
+				if err != abi.OK {
+					t.Errorf("dial: %v", err)
+					done = true
+					return
+				}
+				c.Write([]byte(raw), func(int, abi.Errno) {})
+				var read func()
+				read = func() {
+					c.Read(4096, func(b []byte, err abi.Errno) {
+						got = append(got, b...)
+						if r, _, perr := httpx.ParseBufferedResponse(got, false); perr == abi.OK {
+							resp = r
+						}
+						if resp != nil || err != abi.OK || len(b) == 0 {
+							c.Close()
+							done = true
+							return
+						}
+						read()
+					})
+				}
+				read()
+			})
+		})
+		if !in.RunUntil(func() bool { return done }) {
+			t.Fatalf("exchange %q never finished; read %q", raw, got)
+		}
+		return resp
+	}
+	bad := exchange("POST /api/meme HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n-1\r\nx\r\n0\r\n\r\n")
+	if bad == nil || bad.Status != 400 {
+		t.Fatalf("negative chunk size: response %+v, want 400", bad)
+	}
+	ok := exchange("GET /healthz HTTP/1.1\r\n\r\n")
+	if ok == nil || ok.Status != 200 || string(ok.Body) != "ok" {
+		t.Fatalf("server stopped serving after the bad request: %+v", ok)
 	}
 }

@@ -17,17 +17,6 @@ import (
 // stdin cases double as the acceptance differential: byte-identical
 // output across the scalar and ring synchronous transports.
 
-// bootTransport boots an instance whose coreutils run on the synchronous
-// (wasm) runtime, with the ring transport on or off.
-func bootTransport(t *testing.T, disableRing bool) *browsix.Instance {
-	t.Helper()
-	in := browsix.Boot(browsix.Config{})
-	browsix.InstallBase(in)
-	in.Kernel.DisableRing = disableRing
-	installWasmCoreutils(t, in)
-	return in
-}
-
 func TestStartEnvDirPlumbing(t *testing.T) {
 	in := bootBase(t)
 	p, err := in.Start(browsix.Spec{
@@ -246,12 +235,10 @@ func TestInteractiveCatAcrossTransports(t *testing.T) {
 	}
 
 	want := strings.Join(feed, "")
-	async := run("async", bootBase(t))
-	scalar := run("scalar", bootTransport(t, true))
-	ring := run("ring", bootTransport(t, false))
-	if async != want || scalar != want || ring != want {
-		t.Fatalf("interactive cat diverged:\nasync  %q\nscalar %q\nring   %q\nwant   %q",
-			async, scalar, ring, want)
+	for _, v := range variants(transports) {
+		if got := run(v.String(), v.boot(browsix.Config{})); got != want {
+			t.Fatalf("interactive cat diverged on %s:\ngot  %q\nwant %q", v, got, want)
+		}
 	}
 }
 
@@ -289,16 +276,18 @@ func TestShellPipelineHostStdinAcrossTransports(t *testing.T) {
 		}
 		return string(out) + "|" + string(sorted)
 	}
-	async := run("async", bootBase(t))
-	scalar := run("scalar", bootTransport(t, true))
-	ring := run("ring", bootTransport(t, false))
-	if async != scalar || scalar != ring {
-		t.Fatalf("pipeline over host stdin diverged:\nasync  %q\nscalar %q\nring   %q",
-			async, scalar, ring)
+	var ref string
+	for _, v := range variants(transports) {
+		got := run(v.String(), v.boot(browsix.Config{}))
+		if v.tr == async {
+			ref = got
+		} else if got != ref {
+			t.Fatalf("pipeline over host stdin diverged:\nasync %q\n%-5s %q", ref, v, got)
+		}
 	}
-	count, _, _ := strings.Cut(async, "|")
+	count, _, _ := strings.Cut(ref, "|")
 	if strings.TrimSpace(count) != "4" {
-		t.Fatalf("unexpected pipeline output %q", async)
+		t.Fatalf("unexpected pipeline output %q", ref)
 	}
 }
 
@@ -306,7 +295,7 @@ func TestShellPipelineHostStdinAcrossTransports(t *testing.T) {
 // Wait return *ErrDeadlock (carrying the blocked contexts) instead of
 // panicking — and the process stays usable: feeding stdin unblocks it.
 func TestWaitReturnsTypedDeadlock(t *testing.T) {
-	in := bootTransport(t, false) // sync runtime: the guest futex-blocks
+	in := variant{tr: ring}.boot(browsix.Config{}) // sync runtime: the guest futex-blocks
 	p, err := in.Start(browsix.Spec{
 		Argv:        []string{"cat"},
 		Interactive: true,
@@ -332,7 +321,7 @@ func TestWaitReturnsTypedDeadlock(t *testing.T) {
 // TestStreamReadReportsDeadlock: reading a stream that can never produce
 // surfaces the same typed error.
 func TestStreamReadReportsDeadlock(t *testing.T) {
-	in := bootTransport(t, false)
+	in := variant{tr: ring}.boot(browsix.Config{})
 	p, err := in.Start(browsix.Spec{Argv: []string{"cat"}, Interactive: true})
 	if err != nil {
 		t.Fatalf("start: %v", err)

@@ -13,19 +13,10 @@ import (
 // a guest blocked mid-pipe-write, and an already-exited pid, across both
 // synchronous transports (scalar wake-cell and ring).
 
-// transports enumerates the sync-transport configurations under test.
-var transports = []struct {
-	name        string
-	disableRing bool
-}{
-	{"scalar", true},
-	{"ring", false},
-}
-
 func TestSignalSleepingGuest(t *testing.T) {
-	for _, tr := range transports {
-		t.Run(tr.name, func(t *testing.T) {
-			in := bootTransport(t, tr.disableRing)
+	for _, v := range variants([]transport{scalar, ring}) {
+		t.Run(v.String(), func(t *testing.T) {
+			in := v.boot(browsix.Config{})
 			p, err := in.Start(browsix.Spec{Argv: []string{"sleep", "5"}})
 			if err != nil {
 				t.Fatalf("start: %v", err)
@@ -49,9 +40,9 @@ func TestSignalSleepingGuest(t *testing.T) {
 }
 
 func TestSignalMidPipeWriteGuest(t *testing.T) {
-	for _, tr := range transports {
-		t.Run(tr.name, func(t *testing.T) {
-			in := bootTransport(t, tr.disableRing)
+	for _, v := range variants([]transport{scalar, ring}) {
+		t.Run(v.String(), func(t *testing.T) {
+			in := v.boot(browsix.Config{})
 			// Stage a payload much larger than the 64 KiB pipe buffer, so
 			// cat blocks in a write syscall once sleep (which never
 			// reads) lets the pipe fill.
@@ -104,9 +95,9 @@ func TestSignalMidPipeWriteGuest(t *testing.T) {
 }
 
 func TestSignalExitedPidESRCH(t *testing.T) {
-	for _, tr := range transports {
-		t.Run(tr.name, func(t *testing.T) {
-			in := bootTransport(t, tr.disableRing)
+	for _, v := range variants([]transport{scalar, ring}) {
+		t.Run(v.String(), func(t *testing.T) {
+			in := v.boot(browsix.Config{})
 			p, err := in.Start(browsix.Spec{Argv: []string{"true"}})
 			if err != nil {
 				t.Fatalf("start: %v", err)

@@ -40,13 +40,8 @@ func TestSnapshotDifferential(t *testing.T) {
 		clones   int64
 		captures int64
 	}
-	run := func(name string, sync, disableRing, snaps bool) result {
-		in := browsix.Boot(browsix.Config{EnableSnapshots: snaps})
-		browsix.InstallBase(in)
-		in.Kernel.DisableRing = disableRing
-		if sync {
-			installWasmCoreutils(t, in)
-		}
+	run := func(name string, v variant, snaps bool) result {
+		in := v.boot(browsix.Config{EnableSnapshots: snaps})
 		in.WriteFile("/data/fruit.txt", []byte("banana\napple\ncherry\napple pie\n"))
 		in.WriteFile("/big.bin", payload)
 		var r result
@@ -67,40 +62,32 @@ func TestSnapshotDifferential(t *testing.T) {
 		return r
 	}
 
-	variants := []struct {
-		name              string
-		sync, disableRing bool
-	}{
-		{"async", false, false},
-		{"sync-scalar", true, true},
-		{"sync-ring", true, false},
-	}
-	for _, v := range variants {
-		off := run(v.name+"/off", v.sync, v.disableRing, false)
-		on := run(v.name+"/on", v.sync, v.disableRing, true)
-		on2 := run(v.name+"/on2", v.sync, v.disableRing, true)
+	for _, v := range variants(transports) {
+		off := run(v.String()+"/off", v, false)
+		on := run(v.String()+"/on", v, true)
+		on2 := run(v.String()+"/on2", v, true)
 		for i, o := range off.outs {
 			if o != on.outs[i] {
 				t.Errorf("%s: %q diverged with snapshots on:\noff: %q\non:  %q",
-					v.name, snapCmds[i%len(snapCmds)], o, on.outs[i])
+					v, snapCmds[i%len(snapCmds)], o, on.outs[i])
 			}
 		}
 		if on.captures == 0 {
-			t.Errorf("%s: no snapshot captured", v.name)
+			t.Errorf("%s: no snapshot captured", v)
 		}
 		if on.clones == 0 {
-			t.Errorf("%s: second pass booted no clones", v.name)
+			t.Errorf("%s: second pass booted no clones", v)
 		}
 		if off.clones != 0 || off.captures != 0 {
 			t.Errorf("%s: snapshots-off instance touched the subsystem (%d clones, %d captures)",
-				v.name, off.clones, off.captures)
+				v, off.clones, off.captures)
 		}
 		// Determinism: identical snapshot-on runs land on one clock.
 		if on.clock != on2.clock {
-			t.Errorf("%s: snapshot-on clock not deterministic: %d vs %d", v.name, on.clock, on2.clock)
+			t.Errorf("%s: snapshot-on clock not deterministic: %d vs %d", v, on.clock, on2.clock)
 		}
 		// Every clone returned its COW pins: images are back to base.
-		if err := run0balance(v.name, v.sync, v.disableRing, t); err != nil {
+		if err := run0balance(v); err != nil {
 			t.Error(err)
 		}
 	}
@@ -108,21 +95,16 @@ func TestSnapshotDifferential(t *testing.T) {
 
 // run0balance reruns a snapshot-on workload and checks pin balance after
 // every process exited.
-func run0balance(name string, sync, disableRing bool, t *testing.T) error {
-	in := browsix.Boot(browsix.Config{EnableSnapshots: true})
-	browsix.InstallBase(in)
-	in.Kernel.DisableRing = disableRing
-	if sync {
-		installWasmCoreutils(t, in)
-	}
+func run0balance(v variant) error {
+	in := v.boot(browsix.Config{EnableSnapshots: true})
 	in.WriteFile("/big.bin", snapPayload())
 	for pass := 0; pass < 2; pass++ {
 		if res := in.RunCommand("wc -c /big.bin"); res.Code != 0 {
-			return fmt.Errorf("%s balance run exited %d", name, res.Code)
+			return fmt.Errorf("%s balance run exited %d", v, res.Code)
 		}
 	}
 	if err := in.Snapshots().VerifyBalanced(); err != nil {
-		return fmt.Errorf("%s: %v", name, err)
+		return fmt.Errorf("%s: %v", v, err)
 	}
 	return nil
 }
@@ -232,9 +214,7 @@ func TestFleetSharedSnapshotNoBleed(t *testing.T) {
 // TestCheckpointLiveDump checkpoints a running sync-runtime guest:
 // iterative pre-copy with a short final stop-copy, dumped as diagnostics.
 func TestCheckpointLiveDump(t *testing.T) {
-	in := browsix.Boot(browsix.Config{EnableSnapshots: true})
-	browsix.InstallBase(in)
-	installWasmCoreutils(t, in)
+	in := variant{tr: ring}.boot(browsix.Config{EnableSnapshots: true})
 	in.WriteFile("/big.bin", snapPayload())
 	var outBuf bytes.Buffer
 	p, err := in.Start(browsix.Spec{

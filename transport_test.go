@@ -1,36 +1,100 @@
 package browsix_test
 
 import (
+	"reflect"
 	"testing"
 
 	browsix "repro"
 	"repro/internal/abi"
-	"repro/internal/coreutils"
-	"repro/internal/rt"
 )
 
-// Differential proof for the shell case studies: the asynchronous
-// transport, the scalar synchronous transport, and the ring transport run
-// the same pipelines to byte-identical results — and for each transport,
-// the VFS caches (dentry + page cache behind the namei walker) change
-// nothing observable: cache-on and cache-off runs are byte-identical too.
-// The sync instances stage the coreutils on a synchronous runtime (wasm)
-// so every utility syscall travels the path under test.
+// transport is how a test program's syscalls reach the kernel: the
+// async postMessage codec of the Node runtimes, or the wasm runtime's
+// synchronous heap codec — one wake per call (scalar) or batched on the
+// ring.
+type transport int
 
-// installWasmCoreutils restages /usr/bin with sync-runtime builds.
-func installWasmCoreutils(t *testing.T, in *browsix.Instance) {
-	t.Helper()
-	image := map[string][]byte{}
-	for _, name := range coreutils.Names() {
-		rt.InstallExecutable(image, "/usr/bin/"+name, name, rt.WasmKind)
-	}
-	for p, data := range image {
-		if err := in.WriteFile(p, data); err != abi.OK {
-			t.Fatalf("staging %s: %v", p, err)
-		}
-	}
+const (
+	async transport = iota
+	scalar
+	ring
+)
+
+// transports lists every transport in the order differentials compare
+// them: the first is the reference.
+var transports = []transport{async, scalar, ring}
+
+func (tr transport) String() string { return [...]string{"async", "scalar", "ring"}[tr] }
+
+// variant is one configuration of a differential: a transport and the
+// mechanisms switched off.
+type variant struct {
+	tr transport
+	ft browsix.Features
 }
 
+// variants enumerates trs × every subset of axes, each axis a Features
+// value with the switches it turns off. Per transport the all-on variant
+// comes first. A new Features field becomes an axis by naming it here.
+func variants(trs []transport, axes ...browsix.Features) []variant {
+	var vs []variant
+	for _, tr := range trs {
+		for set := 0; set < 1<<len(axes); set++ {
+			v := variant{tr: tr}
+			ft := reflect.ValueOf(&v.ft).Elem()
+			for i, ax := range axes {
+				if set>>i&1 == 0 {
+					continue
+				}
+				off := reflect.ValueOf(ax)
+				for f := 0; f < off.NumField(); f++ {
+					if off.Field(f).Bool() {
+						ft.Field(f).SetBool(true)
+					}
+				}
+			}
+			vs = append(vs, v)
+		}
+	}
+	return vs
+}
+
+// String names v by its transport and the switches it turns off.
+func (v variant) String() string {
+	name, ft := v.tr.String(), reflect.ValueOf(v.ft)
+	for f := 0; f < ft.NumField(); f++ {
+		if ft.Field(f).Bool() {
+			name += "/" + ft.Type().Field(f).Name
+		}
+	}
+	return name
+}
+
+// features is v's Features with the scalar transport's ring refusal.
+func (v variant) features() browsix.Features {
+	ft := v.ft
+	ft.NoRing = v.tr == scalar
+	return ft
+}
+
+// boot boots cfg with v's features and the base image; on a sync
+// transport the coreutils are restaged on the wasm runtime so every
+// utility syscall travels the path under test.
+func (v variant) boot(cfg browsix.Config) *browsix.Instance {
+	cfg.Features = v.features()
+	in := browsix.Boot(cfg)
+	browsix.InstallBase(in)
+	if v.tr != async {
+		browsix.InstallWasmCoreutils(in)
+	}
+	return in
+}
+
+// Differential proof for the shell case studies: the three transports
+// run the same pipelines to byte-identical results — and for each
+// transport, the VFS caches (dentry + page cache behind the namei
+// walker) change nothing observable: cache-on and cache-off runs are
+// byte-identical too.
 func TestShellCaseStudiesIdenticalAcrossTransports(t *testing.T) {
 	payload := make([]byte, 256*1024)
 	for i := range payload {
@@ -56,14 +120,8 @@ func TestShellCaseStudiesIdenticalAcrossTransports(t *testing.T) {
 		out     string
 		ring    int64
 	}
-	run := func(name string, sync, disableRing, caches bool) result {
-		in := browsix.Boot(browsix.Config{})
-		browsix.InstallBase(in)
-		in.Kernel.DisableRing = disableRing
-		in.VFS.SetCaching(caches)
-		if sync {
-			installWasmCoreutils(t, in)
-		}
+	run := func(v variant) result {
+		name, in := v.String(), v.boot(browsix.Config{})
 		in.WriteFile("/data/fruit.txt", []byte("banana\napple\ncherry\napple pie\n"))
 		in.WriteFile("/big.bin", payload)
 		var r result
@@ -87,60 +145,42 @@ func TestShellCaseStudiesIdenticalAcrossTransports(t *testing.T) {
 		return r
 	}
 
-	async := run("async", false, false, true)
-	scalar := run("sync-scalar", true, true, true)
-	ring := run("sync-ring", true, false, true)
-
-	if scalar.ring != 0 {
-		t.Errorf("scalar instance used the ring (%d calls)", scalar.ring)
-	}
-	if ring.ring == 0 {
-		t.Error("ring instance never used the ring transport")
-	}
-	for i, cmd := range cmds {
-		if async.stdouts[i] != scalar.stdouts[i] {
-			t.Errorf("%q: async %q != sync-scalar %q", cmd, async.stdouts[i], scalar.stdouts[i])
+	// Each transport's cache-on run must match async's, and its
+	// cache-off run must match its cache-on run (which comes first).
+	warm := map[transport]result{}
+	for _, v := range variants(transports, browsix.Features{NoCaches: true}) {
+		got, ref, refName := run(v), warm[async], "async"
+		switch {
+		case v.ft.NoCaches:
+			ref, refName = warm[v.tr], "cache-on"
+		case v.tr == async:
+			warm[async] = got
+			continue
+		default:
+			warm[v.tr] = got
 		}
-		if scalar.stdouts[i] != ring.stdouts[i] {
-			t.Errorf("%q: sync-scalar %q != sync-ring %q", cmd, scalar.stdouts[i], ring.stdouts[i])
-		}
-	}
-	if async.apples != scalar.apples || scalar.apples != ring.apples {
-		t.Errorf("apples.txt diverged: %q / %q / %q", async.apples, scalar.apples, ring.apples)
-	}
-	if async.out != scalar.out || scalar.out != ring.out {
-		t.Errorf("out.txt diverged: %q / %q / %q", async.out, scalar.out, ring.out)
-	}
-	if async.apples != "apple\napple pie\n" {
-		t.Errorf("apples.txt content %q", async.apples)
-	}
-	if got := async.stdouts[7]; got != "fruit.txt\n" {
-		t.Errorf("readlink output %q", got)
-	}
-	if got := async.stdouts[8]; got != "banana\napple\ncherry\napple pie\n" {
-		t.Errorf("cat-through-symlink output %q", got)
-	}
-
-	// Cache-off runs for every transport: the VFS caches must be purely
-	// an optimization — bytes identical everywhere.
-	for _, cold := range []struct {
-		name        string
-		sync        bool
-		disableRing bool
-		warm        result
-	}{
-		{"async-nocache", false, false, async},
-		{"sync-scalar-nocache", true, true, scalar},
-		{"sync-ring-nocache", true, false, ring},
-	} {
-		got := run(cold.name, cold.sync, cold.disableRing, false)
 		for i, cmd := range cmds {
-			if got.stdouts[i] != cold.warm.stdouts[i] {
-				t.Errorf("%s %q: cache-off %q != cache-on %q", cold.name, cmd, got.stdouts[i], cold.warm.stdouts[i])
+			if got.stdouts[i] != ref.stdouts[i] {
+				t.Errorf("%s %q: %q != %s %q", v, cmd, got.stdouts[i], refName, ref.stdouts[i])
 			}
 		}
-		if got.apples != cold.warm.apples || got.out != cold.warm.out {
-			t.Errorf("%s: file contents diverged between cache modes", cold.name)
+		if got.apples != ref.apples || got.out != ref.out {
+			t.Errorf("%s: apples.txt/out.txt %q/%q != %s %q/%q", v, got.apples, got.out, refName, ref.apples, ref.out)
 		}
+	}
+	if warm[scalar].ring != 0 {
+		t.Errorf("scalar instance used the ring (%d calls)", warm[scalar].ring)
+	}
+	if warm[ring].ring == 0 {
+		t.Error("ring instance never used the ring transport")
+	}
+	if got := warm[async].apples; got != "apple\napple pie\n" {
+		t.Errorf("apples.txt content %q", got)
+	}
+	if got := warm[async].stdouts[7]; got != "fruit.txt\n" {
+		t.Errorf("readlink output %q", got)
+	}
+	if got := warm[async].stdouts[8]; got != "banana\napple\ncherry\napple pie\n" {
+		t.Errorf("cat-through-symlink output %q", got)
 	}
 }
