@@ -41,6 +41,7 @@
 package browsix
 
 import (
+	"sort"
 	"strings"
 
 	"repro/internal/abi"
@@ -351,29 +352,26 @@ func posixDir(p string) string {
 // InstallBase stages the standard image: the Node-runtime coreutils of
 // §5.1.2 in /usr/bin, the dash shell (Emterpreter runtime, as compiled in
 // the paper) at /bin/sh and /bin/dash, plus the usual directory skeleton.
+//
+// Staged executables are shared, read-only bytes: every Instance in the
+// host process aliases one artifact per program and runtime, and a file
+// is copied only before its first in-place write.
 func InstallBase(in *Instance) {
 	for _, d := range []string{"bin", "usr/bin", "tmp", "etc", "home"} {
 		if err := in.FS().MkdirAll(d, 0o755); err != nil {
 			panic("browsix: install /" + d + ": " + err.Error())
 		}
 	}
-	image := map[string][]byte{}
-	for _, name := range coreutils.Names() {
-		rt.InstallExecutable(image, "/usr/bin/"+name, name, rt.NodeKind)
+	image := map[string][]byte{
+		// dash is a C program: Emterpreter + async syscalls (it forks).
+		"/bin/sh":   rt.Artifact("sh", rt.EmAsyncKind),
+		"/bin/dash": rt.Artifact("dash", rt.EmAsyncKind),
+		"/etc/motd": []byte("Browsix (Go reproduction) — Unix in your browser\n"),
 	}
-	rt.InstallExecutable(image, "/usr/bin/test", "test", rt.NodeKind)
-	rt.InstallExecutable(image, "/usr/bin/[", "[", rt.NodeKind)
-	rt.InstallExecutable(image, "/usr/bin/exec", "exec", rt.NodeKind)
-	// dash is a C program: Emterpreter + async syscalls (it forks).
-	rt.InstallExecutable(image, "/bin/sh", "sh", rt.EmAsyncKind)
-	rt.InstallExecutable(image, "/bin/dash", "dash", rt.EmAsyncKind)
-	image["/etc/motd"] = []byte("Browsix (Go reproduction) — Unix in your browser\n")
-	fsv := in.FS()
-	for p, data := range image {
-		if err := fsv.WriteFile(strings.TrimPrefix(p, "/"), data, 0o755); err != nil {
-			panic("browsix: staging " + p + " failed: " + err.Error())
-		}
+	for _, name := range append(coreutils.Names(), "test", "[", "exec") {
+		image["/usr/bin/"+name] = rt.Artifact(name, rt.NodeKind)
 	}
+	stageImage(in, image, 0o755)
 	_ = shell.Main // ensure the shell package is linked (programs register via init)
 }
 
@@ -384,11 +382,60 @@ func InstallBase(in *Instance) {
 func InstallWasmCoreutils(in *Instance) {
 	image := map[string][]byte{}
 	for _, name := range coreutils.Names() {
-		rt.InstallExecutable(image, "/usr/bin/"+name, name, rt.WasmKind)
+		image["/usr/bin/"+name] = rt.Artifact(name, rt.WasmKind)
 	}
-	for p, data := range image {
-		if err := in.WriteFile(p, data); err != abi.OK {
-			panic("browsix: restaging " + p + " failed: " + err.Error())
+	stageImage(in, image, 0o644)
+}
+
+// stageImage writes image (absolute path -> bytes) into in's file system
+// by reference (fs.FileSystem.WriteFileShared): the caller never mutates
+// the bytes. Paths are staged in sorted order, so inode numbers are the
+// same on every boot; each distinct parent directory is created once;
+// and the whole batch runs in one drive. A file that already exists
+// keeps its mode; mode applies to new files.
+func stageImage(in *Instance, image map[string][]byte, mode uint32) {
+	paths := make([]string, 0, len(image))
+	for p := range image {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
+	made := map[string]bool{}
+	var failed string
+	var ferr Errno
+	ok := in.drive(func(done func()) {
+		var step func(i int)
+		step = func(i int) {
+			if i == len(paths) {
+				done()
+				return
+			}
+			p := paths[i]
+			check := func(err Errno, next func()) {
+				if err != abi.OK {
+					failed, ferr = p, err
+					done()
+					return
+				}
+				next()
+			}
+			write := func() {
+				in.VFS.WriteFileShared(p, image[p], mode, func(err Errno) {
+					check(err, func() { step(i + 1) })
+				})
+			}
+			if dir := posixDir(p); !made[dir] {
+				made[dir] = true
+				in.VFS.MkdirAll(dir, 0o755, func(err Errno) { check(err, write) })
+				return
+			}
+			write()
 		}
+		step(0)
+	})
+	if !ok {
+		panic("browsix: staging deadlocked")
+	}
+	if failed != "" {
+		panic("browsix: staging " + failed + " failed: " + ferr.Error())
 	}
 }

@@ -59,24 +59,24 @@ func InstallTexProject(in *Instance, cfg tex.TreeConfig, mode TexMode, docTex, d
 		panic("browsix: tex index: " + err.Error())
 	}
 	overlay := fs.NewOverlayFS(fs.NewMemFS(clock), httpfs)
-	mustMkdirAll(in, "/usr/local")
+	if err := in.FS().MkdirAll("usr/local", 0o755); err != nil {
+		panic("browsix: mkdir /usr/local: " + err.Error())
+	}
 	in.VFS.Mount(tex.TexRoot, overlay)
 
 	texKind := rt.EmSyncKind
 	if mode == TexAsync {
 		texKind = rt.EmAsyncKind
 	}
-	image := map[string][]byte{}
-	rt.InstallExecutable(image, "/usr/bin/pdflatex", "pdflatex", texKind)
-	rt.InstallExecutable(image, "/usr/bin/bibtex", "bibtex", texKind)
-	// make forks, so it is always the Emterpreter build (§2.2).
-	rt.InstallExecutable(image, "/usr/bin/make", "make", rt.EmAsyncKind)
-	stage(in, image)
-
-	mustMkdirAll(in, "/proj")
-	mustWrite(in, "/proj/main.tex", []byte(docTex))
-	mustWrite(in, "/proj/main.bib", []byte(docBib))
-	mustWrite(in, "/proj/Makefile", []byte(tex.ProjectMakefile()))
+	stageImage(in, map[string][]byte{
+		"/usr/bin/pdflatex": rt.Artifact("pdflatex", texKind),
+		"/usr/bin/bibtex":   rt.Artifact("bibtex", texKind),
+		// make forks, so it is always the Emterpreter build (§2.2).
+		"/usr/bin/make":  rt.Artifact("make", rt.EmAsyncKind),
+		"/proj/main.tex": []byte(docTex),
+		"/proj/main.bib": []byte(docBib),
+		"/proj/Makefile": []byte(tex.ProjectMakefile()),
+	}, 0o644)
 	return httpfs
 }
 
@@ -105,13 +105,9 @@ const MemeHostName = "meme.example.com"
 // (native) twin on the simulated network. rttNs is the round trip to the
 // remote server (the paper compares a same-machine server and EC2).
 func InstallMeme(in *Instance, rttNs int64) {
-	for p, data := range meme.StageFiles() {
-		mustMkdirAll(in, parentDir(p))
-		mustWrite(in, p, data)
-	}
-	image := map[string][]byte{}
-	rt.InstallExecutable(image, "/usr/bin/meme-server", "meme-server", rt.GopherJSKind)
-	stage(in, image)
+	image := meme.StageFiles()
+	image["/usr/bin/meme-server"] = rt.Artifact("meme-server", rt.GopherJSKind)
+	stageImage(in, image, 0o644)
 	in.Net.AddHost(meme.NewRemoteHost(MemeHostName, rttNs, 18))
 }
 
@@ -203,38 +199,3 @@ func (t *Terminal) Exited() bool { return t.proc.Exited() }
 
 // Code returns the shell's exit code once exited.
 func (t *Terminal) Code() int { return t.proc.ExitCode() }
-
-// ---------------------------------------------------------------------------
-// staging helpers
-// ---------------------------------------------------------------------------
-
-func mustMkdirAll(in *Instance, p string) {
-	name := strings.TrimPrefix(p, "/")
-	if name == "" {
-		return // "/" always exists
-	}
-	if err := in.FS().MkdirAll(name, 0o755); err != nil {
-		panic("browsix: mkdir " + p + ": " + err.Error())
-	}
-}
-
-func mustWrite(in *Instance, p string, data []byte) {
-	if err := in.FS().WriteFile(strings.TrimPrefix(p, "/"), data, 0o644); err != nil {
-		panic("browsix: write " + p + ": " + err.Error())
-	}
-}
-
-func stage(in *Instance, image map[string][]byte) {
-	for p, data := range image {
-		mustMkdirAll(in, parentDir(p))
-		mustWrite(in, p, data)
-	}
-}
-
-func parentDir(p string) string {
-	i := strings.LastIndexByte(p, '/')
-	if i <= 0 {
-		return "/"
-	}
-	return p[:i]
-}

@@ -113,10 +113,8 @@ func init() {
 // (§3.3) — sync transport, faster than asm.js.
 func TestWasmExecutable(t *testing.T) {
 	in := bootBase(t)
-	image := map[string][]byte{}
-	rt.InstallExecutable(image, "/usr/bin/wasm-fsops", "x-fsops", rt.WasmKind)
-	for p, b := range image {
-		in.WriteFile(p, b)
+	if err := in.FS().WriteFile("usr/bin/wasm-fsops", rt.Artifact("x-fsops", rt.WasmKind), 0o644); err != nil {
+		t.Fatal(err)
 	}
 	res := in.RunCommand("/usr/bin/wasm-fsops")
 	if res.Code != 0 {
@@ -135,10 +133,8 @@ func TestWasmExecutable(t *testing.T) {
 func TestWasmFasterThanAsmJS(t *testing.T) {
 	run := func(kind rt.Kind) int64 {
 		in := bootBase(t)
-		image := map[string][]byte{}
-		rt.InstallExecutable(image, "/usr/bin/prog", "x-fsops", kind)
-		for p, b := range image {
-			in.WriteFile(p, b)
+		if err := in.FS().WriteFile("usr/bin/prog", rt.Artifact("x-fsops", kind), 0o644); err != nil {
+			t.Fatal(err)
 		}
 		res := in.RunCommand("/usr/bin/prog")
 		if res.Code != 0 {
@@ -158,10 +154,8 @@ func TestWasmFasterThanAsmJS(t *testing.T) {
 // and SIGKILL must still tear it down (worker.terminate()).
 func TestKillSyncBlockedProcess(t *testing.T) {
 	in := bootBase(t)
-	image := map[string][]byte{}
-	rt.InstallExecutable(image, "/usr/bin/sync-server", "x-server", rt.EmSyncKind)
-	for p, b := range image {
-		in.WriteFile(p, b)
+	if err := in.FS().WriteFile("usr/bin/sync-server", rt.Artifact("x-server", rt.EmSyncKind), 0o644); err != nil {
+		t.Fatal(err)
 	}
 	code := -1
 	done := false

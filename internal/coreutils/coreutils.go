@@ -6,8 +6,8 @@
 // modifications" — ours run under every runtime kind, which is exactly
 // what the Figure 9 benchmarks exploit.
 //
-// Each utility registers itself in the posix program registry; the image
-// builder (internal/rt.InstallExecutable) stages them into /usr/bin.
+// Each utility registers itself in the posix program registry; rt.Artifact
+// builds their executables and InstallBase stages them into /usr/bin.
 package coreutils
 
 import (

@@ -282,10 +282,8 @@ func MeasureSyscalls() SyscallBench {
 func browsixProbe(kind rt.Kind) int64 {
 	in := browsix.Boot(browsix.Config{})
 	browsix.InstallBase(in)
-	image := map[string][]byte{}
-	rt.InstallExecutable(image, "/usr/bin/syscall-probe", "syscall-probe", kind)
-	for p, b := range image {
-		in.WriteFile(p, b)
+	if err := in.FS().WriteFile("usr/bin/syscall-probe", rt.Artifact("syscall-probe", kind), 0o644); err != nil {
+		panic("expt: staging the syscall probe: " + err.Error())
 	}
 	res := in.RunCommand("/usr/bin/syscall-probe")
 	return perCall(res.Stdout, res.Code)

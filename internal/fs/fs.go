@@ -989,11 +989,31 @@ func (f *FileSystem) ReadFile(p string, cb func([]byte, abi.Errno)) {
 	})
 }
 
-// WriteFile creates/truncates a file with the given contents.
+// WriteFile creates/truncates a file with the given contents. The bytes
+// are copied; the caller may reuse data.
 func (f *FileSystem) WriteFile(p string, data []byte, mode uint32, cb func(abi.Errno)) {
+	f.writeFile(p, data, mode, false, cb)
+}
+
+// WriteFileShared is WriteFile for bytes shared by many files, such as one
+// executable staged into every Instance. It opens p exactly as WriteFile
+// does (walk, write-back barrier, O_TRUNC, cache invalidation); then a
+// backend that can alias data adopts it as the file's contents, copying
+// only before the file's first in-place write. Other backends copy it.
+// The caller promises never to mutate data.
+func (f *FileSystem) WriteFileShared(p string, data []byte, mode uint32, cb func(abi.Errno)) {
+	f.writeFile(p, data, mode, true, cb)
+}
+
+func (f *FileSystem) writeFile(p string, data []byte, mode uint32, shared bool, cb func(abi.Errno)) {
 	f.Open(p, abi.O_WRONLY|abi.O_CREAT|abi.O_TRUNC, mode, func(h FileHandle, err abi.Errno) {
 		if err != abi.OK {
 			cb(err)
+			return
+		}
+		if shared && adoptShared(h, data) {
+			h.Close(func(abi.Errno) {})
+			cb(abi.OK)
 			return
 		}
 		h.Pwrite(0, data, func(n int, err abi.Errno) {
@@ -1001,6 +1021,36 @@ func (f *FileSystem) WriteFile(p string, data []byte, mode uint32, cb func(abi.E
 			cb(err)
 		})
 	})
+}
+
+// sharedAdopter is a backend handle that can take caller-owned bytes as
+// the whole contents of its (just truncated) file without copying them.
+type sharedAdopter interface {
+	adoptShared(data []byte)
+}
+
+// adoptShared hands data to the backend handle under h, a fresh
+// write-capable handle from openAt, and drops the path's cached state as
+// a write through h would. It reports false when the backend must copy.
+func adoptShared(h FileHandle, data []byte) bool {
+	var inner FileHandle
+	var f *FileSystem
+	var p string
+	switch w := h.(type) {
+	case *writebackHandle:
+		inner, f, p = w.inner, w.fs, w.path
+	case *invalHandle:
+		inner, f, p = w.FileHandle, w.fs, w.path
+	default:
+		return false
+	}
+	a, ok := inner.(sharedAdopter)
+	if !ok {
+		return false
+	}
+	a.adoptShared(data)
+	f.invalidatePath(p)
+	return true
 }
 
 // ---------------------------------------------------------------------------

@@ -35,6 +35,9 @@ type memNode struct {
 	atime    int64
 	ctime    int64
 	ino      uint64
+	// shared marks data as aliasing bytes adopted by WriteFileShared,
+	// which the node must copy before writing in place.
+	shared bool
 }
 
 func (m *MemFS) nextIno() uint64 { m.lastIno++; return m.lastIno }
@@ -153,7 +156,7 @@ func (m *MemFS) Open(p string, flags int, mode uint32, cb func(FileHandle, abi.E
 			return
 		}
 		if flags&abi.O_TRUNC != 0 {
-			n.data = nil
+			n.data, n.shared = nil, false
 			n.mtime = m.now()
 		}
 	}
@@ -358,6 +361,28 @@ func (h *memHandle) Pread(off int64, n int, cb func([]byte, abi.Errno)) {
 	cb(out, abi.OK)
 }
 
+// writable returns n's bytes ready for an in-place write ending at end:
+// grown into a fresh slice when the write extends the file, or copied
+// first while they still alias shared bytes (copy-on-write).
+func (n *memNode) writable(end int64) []byte {
+	if end > int64(len(n.data)) {
+		grown := make([]byte, end)
+		copy(grown, n.data)
+		n.data, n.shared = grown, false
+	} else if n.shared {
+		n.data, n.shared = append([]byte(nil), n.data...), false
+	}
+	return n.data
+}
+
+// adoptShared implements sharedAdopter: data becomes the file's contents
+// by reference, copied only before the first in-place write.
+func (h *memHandle) adoptShared(data []byte) {
+	h.fs.WriteOps++
+	h.n.data, h.n.shared = data[:len(data):len(data)], true
+	h.n.mtime = h.fs.now()
+}
+
 // Pwrite implements FileHandle.
 func (h *memHandle) Pwrite(off int64, data []byte, cb func(int, abi.Errno)) {
 	h.fs.WriteOps++
@@ -370,12 +395,7 @@ func (h *memHandle) Pwrite(off int64, data []byte, cb func(int, abi.Errno)) {
 		return
 	}
 	end := off + int64(len(data))
-	if end > int64(len(h.n.data)) {
-		grown := make([]byte, end)
-		copy(grown, h.n.data)
-		h.n.data = grown
-	}
-	copy(h.n.data[off:end], data)
+	copy(h.n.writable(end)[off:end], data)
 	h.n.mtime = h.fs.now()
 	cb(len(data), abi.OK)
 }
@@ -402,15 +422,10 @@ func (h *memHandle) Pwritev(off int64, bufs [][]byte, cb func(int, abi.Errno)) {
 	for _, b := range bufs {
 		total += int64(len(b))
 	}
-	end := off + total
-	if end > int64(len(h.n.data)) {
-		grown := make([]byte, end)
-		copy(grown, h.n.data)
-		h.n.data = grown
-	}
+	buf := h.n.writable(off + total)
 	pos := off
 	for _, b := range bufs {
-		copy(h.n.data[pos:], b)
+		copy(buf[pos:], b)
 		pos += int64(len(b))
 	}
 	h.n.mtime = h.fs.now()
@@ -427,11 +442,11 @@ func (h *memHandle) Truncate(size int64, cb func(abi.Errno)) {
 		return
 	}
 	if size <= int64(len(h.n.data)) {
-		h.n.data = h.n.data[:size]
+		h.n.data = h.n.data[:size] // a shared alias stays shared
 	} else {
 		grown := make([]byte, size)
 		copy(grown, h.n.data)
-		h.n.data = grown
+		h.n.data, h.n.shared = grown, false
 	}
 	h.n.mtime = h.fs.now()
 	cb(abi.OK)

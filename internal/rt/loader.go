@@ -1,6 +1,8 @@
 package rt
 
 import (
+	"sync"
+
 	"repro/internal/abi"
 	"repro/internal/browser"
 	"repro/internal/core"
@@ -29,8 +31,27 @@ func Loader(sys *browser.System) core.Loader {
 	}
 }
 
-// InstallExecutable stages a program's executable into a filesystem image
-// map (path -> bytes) with a modelled artifact size for its runtime.
-func InstallExecutable(image map[string][]byte, path, progName string, kind Kind) {
-	image[path] = posix.Executable(progName, string(kind), ArtifactSize(kind))
+// artifactKey names one compiled artifact: a program built for a runtime.
+type artifactKey struct {
+	prog string
+	kind Kind
+}
+
+// artifacts holds every artifact built so far in this host process. Fleet
+// workers stage in parallel, so the cache is concurrency-safe; entries are
+// never evicted (there is one per registered program and runtime).
+var artifacts sync.Map // artifactKey -> []byte
+
+// Artifact returns the executable file for progName compiled for kind,
+// padded to the runtime's modelled ArtifactSize. It is built once per host
+// process and shared by every caller: the bytes are immutable, so callers
+// must never write to them (stage them with fs.FileSystem.WriteFileShared,
+// or copy them first).
+func Artifact(progName string, kind Kind) []byte {
+	key := artifactKey{progName, kind}
+	if b, ok := artifacts.Load(key); ok {
+		return b.([]byte)
+	}
+	b, _ := artifacts.LoadOrStore(key, posix.Executable(progName, string(kind), ArtifactSize(kind)))
+	return b.([]byte)
 }

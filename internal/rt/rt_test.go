@@ -101,15 +101,22 @@ func TestLoaderAcceptsRegistered(t *testing.T) {
 	}
 }
 
-func TestInstallExecutableSizes(t *testing.T) {
-	image := map[string][]byte{}
-	InstallExecutable(image, "/usr/bin/x", "rt-test-prog", NodeKind)
-	if len(image["/usr/bin/x"]) != ArtifactSize(NodeKind) {
-		t.Fatalf("staged size %d != artifact size %d", len(image["/usr/bin/x"]), ArtifactSize(NodeKind))
+func TestArtifactSizes(t *testing.T) {
+	b := Artifact("rt-test-prog", NodeKind)
+	if len(b) != ArtifactSize(NodeKind) {
+		t.Fatalf("artifact size %d != modelled size %d", len(b), ArtifactSize(NodeKind))
 	}
-	name, kind, ok := posix.ParseExecutable(image["/usr/bin/x"])
+	name, kind, ok := posix.ParseExecutable(b)
 	if !ok || name != "rt-test-prog" || kind != string(NodeKind) {
 		t.Fatalf("parsed %q %q %v", name, kind, ok)
+	}
+	// One artifact per (program, runtime) per process: a second call
+	// returns the same backing bytes, a different runtime does not.
+	if again := Artifact("rt-test-prog", NodeKind); &again[0] != &b[0] {
+		t.Fatal("Artifact rebuilt a cached artifact")
+	}
+	if w := Artifact("rt-test-prog", WasmKind); len(w) != ArtifactSize(WasmKind) || &w[0] == &b[0] {
+		t.Fatal("Artifact shared bytes across runtimes")
 	}
 }
 

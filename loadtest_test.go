@@ -34,12 +34,8 @@ func bootMemeLoad(t testing.TB, tr transport) *browsix.Instance {
 	browsix.InstallBase(in)
 	browsix.InstallMeme(in, 40_000_000)
 	if tr != async {
-		image := map[string][]byte{}
-		rt.InstallExecutable(image, "/usr/bin/meme-server", "meme-server", rt.WasmKind)
-		for p, b := range image {
-			if err := in.WriteFile(p, b); err != abi.OK {
-				t.Fatalf("staging %s: %v", p, err)
-			}
+		if err := in.FS().WriteFile("usr/bin/meme-server", rt.Artifact("meme-server", rt.WasmKind), 0o644); err != nil {
+			t.Fatalf("staging meme-server: %v", err)
 		}
 	}
 	return in
@@ -195,11 +191,7 @@ func TestSwarmDeterminismAcrossTransports(t *testing.T) {
 func memeImageZip(t testing.TB) []byte {
 	t.Helper()
 	files := meme.StageFiles()
-	image := map[string][]byte{}
-	rt.InstallExecutable(image, "/usr/bin/meme-server", "meme-server", rt.GopherJSKind)
-	for p, b := range image {
-		files[p] = b
-	}
+	files["/usr/bin/meme-server"] = rt.Artifact("meme-server", rt.GopherJSKind)
 	paths := make([]string, 0, len(files))
 	for p := range files {
 		paths = append(paths, p)
@@ -349,12 +341,8 @@ func runSockEdge(t *testing.T, tr transport) (string, []abi.Errno) {
 	if tr != async {
 		kind = rt.WasmKind
 	}
-	image := map[string][]byte{}
-	rt.InstallExecutable(image, "/usr/bin/sockedge", "x-sockedge", kind)
-	for p, b := range image {
-		if err := in.WriteFile(p, b); err != abi.OK {
-			t.Fatalf("staging %s: %v", p, err)
-		}
+	if err := in.FS().WriteFile("usr/bin/sockedge", rt.Artifact("x-sockedge", kind), 0o644); err != nil {
+		t.Fatalf("staging sockedge: %v", err)
 	}
 	var dialErrs []abi.Errno
 	in.OnListen(sockEdgePort, func(int) {
