@@ -215,8 +215,8 @@ func BenchmarkAblation_PipeThroughput(b *testing.B) {
 	reportVirtual(b, func() int64 {
 		in := browsix.Boot(browsix.Config{})
 		browsix.InstallBase(in)
-		in.WriteFile("/big.bin", make([]byte, 1<<20))
-		res := in.RunCommand("cat /big.bin | wc -c")
+		put(b, in, "/big.bin", make([]byte, 1<<20))
+		res := runCmd(b, in, "cat /big.bin | wc -c")
 		if res.Code != 0 {
 			b.Fatalf("pipeline failed: %s", res.Stderr)
 		}
@@ -231,7 +231,7 @@ func BenchmarkAblation_SpawnLatency(b *testing.B) {
 	reportVirtual(b, func() int64 {
 		in := browsix.Boot(browsix.Config{})
 		browsix.InstallBase(in)
-		return in.RunCommand("true").Elapsed
+		return runCmd(b, in, "true").Elapsed
 	})
 }
 
@@ -245,19 +245,19 @@ func BenchmarkAblation_SpawnLatency(b *testing.B) {
 // forkSpawnElapsed measures the second spawn of a Node-runtime utility:
 // a cold boot when snapshots are off, a clone boot when on (the first
 // spawn captured the image). Cache state is identical either way.
-func forkSpawnElapsed(snaps bool) int64 {
+func forkSpawnElapsed(b *testing.B, snaps bool) int64 {
 	in := browsix.Boot(browsix.Config{EnableSnapshots: snaps})
 	browsix.InstallBase(in)
-	in.RunCommand("echo warm")
-	return in.RunCommand("echo measured").Elapsed
+	runCmd(b, in, "echo warm")
+	return runCmd(b, in, "echo measured").Elapsed
 }
 
 func BenchmarkForkSpawn(b *testing.B) {
-	reportVirtual(b, func() int64 { return forkSpawnElapsed(true) })
+	reportVirtual(b, func() int64 { return forkSpawnElapsed(b, true) })
 }
 
 func BenchmarkColdSpawn(b *testing.B) {
-	reportVirtual(b, func() int64 { return forkSpawnElapsed(false) })
+	reportVirtual(b, func() int64 { return forkSpawnElapsed(b, false) })
 }
 
 // ---------------------------------------------------------------------------
@@ -324,8 +324,8 @@ func BenchmarkRingTransport(b *testing.B) {
 			b.SetBytes(payload)
 			reportVirtual(b, func() int64 {
 				in := v.boot(browsix.Config{})
-				in.WriteFile("/big.bin", make([]byte, payload))
-				res := in.RunCommand("cat /big.bin | wc -c")
+				put(b, in, "/big.bin", make([]byte, payload))
+				res := runCmd(b, in, "cat /big.bin | wc -c")
 				if res.Code != 0 {
 					b.Fatalf("pipeline failed: %s", res.Stderr)
 				}

@@ -35,9 +35,6 @@
 // CPS kernel underneath. Time inside the instance is virtual and fully
 // deterministic; see EXPERIMENTS.md for how it is calibrated to the
 // paper's measurements.
-//
-// The pre-redesign helpers (RunCommand, System, Instance.WriteFile, ...)
-// remain as thin deprecated shims over Start and FS().
 package browsix
 
 import (
@@ -240,102 +237,8 @@ func (in *Instance) CheckpointLive(pid int) (*snapshot.Dump, Errno) {
 }
 
 // ---------------------------------------------------------------------------
-// Deprecated process helpers, re-layered over Start (see process.go).
+// Image staging.
 // ---------------------------------------------------------------------------
-
-// System invokes a command line with streaming stdout/stderr callbacks and
-// an exit callback — the API of Figure 4. It must run on the main thread;
-// call it inside Main() or use Start/RunCommand for the synchronous forms.
-//
-// Deprecated: use Start, which carries env, cwd, and stdin.
-func (in *Instance) System(cmdline string, onExit func(pid, code int), onStdout, onStderr func([]byte)) {
-	in.Kernel.System(cmdline, onExit, onStdout, onStderr)
-}
-
-// CommandResult is RunCommand's outcome.
-type CommandResult struct {
-	Pid     int
-	Code    int
-	Stdout  []byte
-	Stderr  []byte
-	Elapsed int64 // virtual ns from submission to exit
-}
-
-// RunCommand runs a command line to completion, driving the simulation.
-// Launch failures surface as exit code 127, like system(3).
-//
-// Deprecated: use Start(Spec) and Process.Wait, which report launch
-// errors and deadlocks as errors instead of panicking. This shim keeps
-// the historical panic-on-deadlock behaviour.
-func (in *Instance) RunCommand(cmdline string) CommandResult {
-	var res CommandResult
-	start := in.Browser.Main.Now()
-	p, err := in.Start(Spec{Argv: core.SplitCmdline(cmdline)})
-	if err != nil {
-		if dl, ok := err.(*ErrDeadlock); ok {
-			panic("browsix: RunCommand(" + cmdline + ") deadlocked; blocked ctxs: " + dl.ctxList())
-		}
-		res.Code = 127
-		res.Elapsed = in.Browser.Main.Now() - start
-		return res
-	}
-	code, werr := p.Wait()
-	if dl, ok := werr.(*ErrDeadlock); ok {
-		panic("browsix: RunCommand(" + cmdline + ") deadlocked; blocked ctxs: " + dl.ctxList())
-	}
-	res.Pid, res.Code = p.Pid, code
-	res.Stdout = p.stdout.take()
-	res.Stderr = p.stderr.take()
-	res.Elapsed = in.Browser.Main.Now() - start
-	return res
-}
-
-// ---------------------------------------------------------------------------
-// Deprecated file-system conveniences, re-layered over the FS() facade.
-// ---------------------------------------------------------------------------
-
-// WriteFile stages a file, creating parent directories.
-//
-// Deprecated: use FS().WriteFile (or MkdirAll + WriteFile) for io/fs
-// semantics and error values.
-func (in *Instance) WriteFile(path string, data []byte) Errno {
-	var out Errno = -1
-	in.drive(func(done func()) {
-		in.VFS.MkdirAll(posixDir(path), 0o755, func(err Errno) {
-			if err != abi.OK {
-				out = err
-				done()
-				return
-			}
-			in.VFS.WriteFile(path, data, 0o644, func(err Errno) { out = err; done() })
-		})
-	})
-	return out
-}
-
-// ReadFile slurps a file (driving any lazy network fetch it needs).
-//
-// Deprecated: use FS().ReadFile.
-func (in *Instance) ReadFile(path string) ([]byte, Errno) {
-	var data []byte
-	var out Errno = -1
-	in.drive(func(done func()) {
-		in.VFS.ReadFile(path, func(b []byte, err Errno) { data, out = b, err; done() })
-	})
-	return data, out
-}
-
-// Stat stats a path.
-//
-// Deprecated: use FS().Stat.
-func (in *Instance) Stat(path string) (abi.Stat, Errno) {
-	var st abi.Stat
-	var out Errno = -1
-	in.drive(func(done func()) {
-		in.VFS.Stat(path, func(s abi.Stat, err Errno) { st, out = s, err; done() })
-	})
-	return st, out
-}
 
 func posixDir(p string) string {
 	i := strings.LastIndexByte(p, '/')
@@ -344,10 +247,6 @@ func posixDir(p string) string {
 	}
 	return p[:i]
 }
-
-// ---------------------------------------------------------------------------
-// Image staging.
-// ---------------------------------------------------------------------------
 
 // InstallBase stages the standard image: the Node-runtime coreutils of
 // §5.1.2 in /usr/bin, the dash shell (Emterpreter runtime, as compiled in

@@ -1,8 +1,11 @@
 package browsix_test
 
 import (
+	"bytes"
 	"crypto/sha1"
+	"errors"
 	"fmt"
+	"path"
 	"strings"
 	"testing"
 
@@ -18,18 +21,61 @@ func bootBase(t testing.TB) *browsix.Instance {
 	return in
 }
 
+// cmdResult is one command line run to completion by runCmd.
+type cmdResult struct {
+	Code    int
+	Stdout  []byte
+	Stderr  []byte
+	Elapsed int64 // virtual ns on the main thread's clock, submission to exit
+}
+
+// runCmd runs a command line to completion through Start and Wait. A
+// launch error reads as exit 127, as system(3) reports it; a deadlock
+// fails the test with the blocked contexts and reads as exit -1. It
+// reports with t.Errorf, so fleet workers may call it.
+func runCmd(t testing.TB, in *browsix.Instance, cmdline string) cmdResult {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	start := in.Browser.Main.Now()
+	p, err := in.Start(browsix.Spec{Argv: browsix.SplitCmdline(cmdline), Stdout: &stdout, Stderr: &stderr})
+	code := 127
+	if err == nil {
+		code, err = p.Wait()
+	}
+	var dl *browsix.ErrDeadlock
+	if errors.As(err, &dl) {
+		t.Errorf("%q: %v", cmdline, dl)
+		code = -1
+	}
+	return cmdResult{Code: code, Stdout: stdout.Bytes(), Stderr: stderr.Bytes(), Elapsed: in.Browser.Main.Now() - start}
+}
+
 func runOK(t *testing.T, in *browsix.Instance, cmd string) string {
 	t.Helper()
-	res := in.RunCommand(cmd)
+	res := runCmd(t, in, cmd)
 	if res.Code != 0 {
 		t.Fatalf("%q exited %d\nstdout: %s\nstderr: %s", cmd, res.Code, res.Stdout, res.Stderr)
 	}
 	return string(res.Stdout)
 }
 
+// put stages data at the absolute path p through FS(), creating its
+// parent directories. Like runCmd it reports with t.Errorf.
+func put(t testing.TB, in *browsix.Instance, p string, data []byte) {
+	t.Helper()
+	name := strings.TrimPrefix(p, "/")
+	err := in.FS().MkdirAll(path.Dir(name), 0o755)
+	if err == nil {
+		err = in.FS().WriteFile(name, data, 0o644)
+	}
+	if err != nil {
+		t.Errorf("put %s: %v", p, err)
+	}
+}
+
 func TestQuickstartCat(t *testing.T) {
 	in := bootBase(t)
-	in.WriteFile("/greeting.txt", []byte("hello from browsix\n"))
+	put(t, in, "/greeting.txt", []byte("hello from browsix\n"))
 	if got := runOK(t, in, "cat /greeting.txt"); got != "hello from browsix\n" {
 		t.Fatalf("cat output %q", got)
 	}
@@ -37,21 +83,21 @@ func TestQuickstartCat(t *testing.T) {
 
 func TestShellPipeline(t *testing.T) {
 	in := bootBase(t)
-	in.WriteFile("/data.txt", []byte("apple\nbanana\napple pie\ncherry\n"))
+	put(t, in, "/data.txt", []byte("apple\nbanana\napple pie\ncherry\n"))
 	// The paper's example: cat file.txt | grep apple > apples.txt
 	out := runOK(t, in, "cat /data.txt | grep apple > /apples.txt")
 	if out != "" {
 		t.Fatalf("unexpected stdout %q", out)
 	}
-	data, err := in.ReadFile("/apples.txt")
-	if err != abi.OK || string(data) != "apple\napple pie\n" {
+	data, err := in.FS().ReadFile("apples.txt")
+	if err != nil || string(data) != "apple\napple pie\n" {
 		t.Fatalf("apples.txt = %q (%v)", data, err)
 	}
 }
 
 func TestThreeStagePipeline(t *testing.T) {
 	in := bootBase(t)
-	in.WriteFile("/nums.txt", []byte("3\n1\n2\n1\n"))
+	put(t, in, "/nums.txt", []byte("3\n1\n2\n1\n"))
 	got := runOK(t, in, "cat /nums.txt | sort -n -u | head -n 2")
 	if got != "1\n2\n" {
 		t.Fatalf("pipeline output %q", got)
@@ -61,13 +107,13 @@ func TestThreeStagePipeline(t *testing.T) {
 func TestRedirections(t *testing.T) {
 	in := bootBase(t)
 	runOK(t, in, "echo one > /f.txt; echo two >> /f.txt")
-	data, _ := in.ReadFile("/f.txt")
+	data, _ := in.FS().ReadFile("f.txt")
 	if string(data) != "one\ntwo\n" {
 		t.Fatalf("f.txt = %q", data)
 	}
 	// stderr redirection and 2>&1.
 	runOK(t, in, "cat /missing 2> /err.txt; true")
-	errData, _ := in.ReadFile("/err.txt")
+	errData, _ := in.FS().ReadFile("err.txt")
 	if !strings.Contains(string(errData), "ENOENT") {
 		t.Fatalf("err.txt = %q", errData)
 	}
@@ -76,7 +122,7 @@ func TestRedirections(t *testing.T) {
 		t.Fatalf("2>&1 merge failed: %q", out)
 	}
 	// Input redirection.
-	in.WriteFile("/in.txt", []byte("redirected\n"))
+	put(t, in, "/in.txt", []byte("redirected\n"))
 	if got := runOK(t, in, "cat < /in.txt"); got != "redirected\n" {
 		t.Fatalf("< redirection: %q", got)
 	}
@@ -90,11 +136,11 @@ func TestAndOrLists(t *testing.T) {
 	if got := runOK(t, in, "false && echo yes || echo no"); got != "no\n" {
 		t.Fatalf("||: %q", got)
 	}
-	res := in.RunCommand("false; true")
+	res := runCmd(t, in, "false; true")
 	if res.Code != 0 {
 		t.Fatalf("list status: %d", res.Code)
 	}
-	res = in.RunCommand("true; false")
+	res = runCmd(t, in, "true; false")
 	if res.Code != 1 {
 		t.Fatalf("list status: %d", res.Code)
 	}
@@ -132,9 +178,9 @@ func TestCommandSubstitution(t *testing.T) {
 
 func TestGlobbing(t *testing.T) {
 	in := bootBase(t)
-	in.WriteFile("/proj/a.tex", []byte("a"))
-	in.WriteFile("/proj/b.tex", []byte("b"))
-	in.WriteFile("/proj/c.bib", []byte("c"))
+	put(t, in, "/proj/a.tex", []byte("a"))
+	put(t, in, "/proj/b.tex", []byte("b"))
+	put(t, in, "/proj/c.bib", []byte("c"))
 	got := runOK(t, in, "echo /proj/*.tex")
 	if got != "/proj/a.tex /proj/b.tex\n" {
 		t.Fatalf("glob: %q", got)
@@ -165,7 +211,7 @@ fi`
 	if got != "have-tmp\n" {
 		t.Fatalf("if/elif: %q", got)
 	}
-	in.WriteFile("/exists.txt", []byte("x"))
+	put(t, in, "/exists.txt", []byte("x"))
 	got = runOK(t, in, script)
 	if got != "have-file\n" {
 		t.Fatalf("if after create: %q", got)
@@ -184,7 +230,7 @@ func TestWhileAndForLoops(t *testing.T) {
 		t.Fatalf("for loop: %q", got)
 	}
 	// while driven by test on files.
-	in.WriteFile("/flag", []byte("x"))
+	put(t, in, "/flag", []byte("x"))
 	got = runOK(t, in, `while [ -f /flag ]; do echo looped; rm /flag; done`)
 	if got != "looped\n" {
 		t.Fatalf("while loop: %q", got)
@@ -216,8 +262,8 @@ func TestSubshell(t *testing.T) {
 
 func TestBackgroundJobsAndWait(t *testing.T) {
 	in := bootBase(t)
-	in.WriteFile("/w1", []byte("first\n"))
-	in.WriteFile("/w2", []byte("second\n"))
+	put(t, in, "/w1", []byte("first\n"))
+	put(t, in, "/w2", []byte("second\n"))
 	got := runOK(t, in, "cat /w1 & cat /w2 & wait")
 	if !strings.Contains(got, "first") || !strings.Contains(got, "second") {
 		t.Fatalf("background jobs: %q", got)
@@ -232,8 +278,8 @@ NAME=$1
 echo "hi $NAME from script $0"
 exit 5
 `
-	in.WriteFile("/usr/bin/greet.sh", []byte(script))
-	res := in.RunCommand("/usr/bin/greet.sh world")
+	put(t, in, "/usr/bin/greet.sh", []byte(script))
+	res := runCmd(t, in, "/usr/bin/greet.sh world")
 	if res.Code != 5 {
 		t.Fatalf("script exit=%d stderr=%s", res.Code, res.Stderr)
 	}
@@ -244,7 +290,7 @@ exit 5
 
 func TestPositionalParamsAndShift(t *testing.T) {
 	in := bootBase(t)
-	in.WriteFile("/args.sh", []byte("#!/bin/sh\necho $# $1 $2\nshift\necho $# $1\n"))
+	put(t, in, "/args.sh", []byte("#!/bin/sh\necho $# $1 $2\nshift\necho $# $1\n"))
 	got := runOK(t, in, "/args.sh a b c")
 	if got != "3 a b\n2 b\n" {
 		t.Fatalf("params: %q", got)
@@ -262,7 +308,7 @@ func TestXargs(t *testing.T) {
 func TestSha1sumMatchesCrypto(t *testing.T) {
 	in := bootBase(t)
 	payload := []byte("browsix reproduction payload\n")
-	in.WriteFile("/payload.bin", payload)
+	put(t, in, "/payload.bin", payload)
 	got := runOK(t, in, "sha1sum /payload.bin")
 	want := fmt.Sprintf("%x  /payload.bin\n", sha1.Sum(payload))
 	if got != want {
@@ -272,7 +318,7 @@ func TestSha1sumMatchesCrypto(t *testing.T) {
 
 func TestWcCounts(t *testing.T) {
 	in := bootBase(t)
-	in.WriteFile("/text", []byte("one two\nthree\n"))
+	put(t, in, "/text", []byte("one two\nthree\n"))
 	got := runOK(t, in, "wc -lwc /text")
 	f := strings.Fields(got)
 	if len(f) < 4 || f[0] != "2" || f[1] != "3" || f[2] != "14" {
@@ -293,16 +339,16 @@ func TestLsAndMkdirUtilities(t *testing.T) {
 		t.Fatalf("ls -l: %q", got)
 	}
 	runOK(t, in, "rm -r /deep")
-	if _, err := in.Stat("/deep"); err != abi.ENOENT {
+	if _, err := in.FS().Stat("deep"); !errors.Is(err, abi.ENOENT) {
 		t.Fatal("rm -r left debris")
 	}
 }
 
 func TestCpAndTee(t *testing.T) {
 	in := bootBase(t)
-	in.WriteFile("/src.txt", []byte("copy me\n"))
+	put(t, in, "/src.txt", []byte("copy me\n"))
 	runOK(t, in, "cp /src.txt /dst.txt")
-	data, _ := in.ReadFile("/dst.txt")
+	data, _ := in.FS().ReadFile("dst.txt")
 	if string(data) != "copy me\n" {
 		t.Fatalf("cp: %q", data)
 	}
@@ -310,8 +356,8 @@ func TestCpAndTee(t *testing.T) {
 	if got != "teed\n" {
 		t.Fatalf("tee stdout: %q", got)
 	}
-	d1, _ := in.ReadFile("/tee1")
-	d2, _ := in.ReadFile("/tee2")
+	d1, _ := in.FS().ReadFile("tee1")
+	d2, _ := in.FS().ReadFile("tee2")
 	if string(d1) != "teed\n" || string(d2) != "teed\n" {
 		t.Fatalf("tee files: %q %q", d1, d2)
 	}
@@ -319,14 +365,14 @@ func TestCpAndTee(t *testing.T) {
 
 func TestGrepModes(t *testing.T) {
 	in := bootBase(t)
-	in.WriteFile("/g.txt", []byte("alpha\nbeta\ngamma\nalpha beta\n"))
+	put(t, in, "/g.txt", []byte("alpha\nbeta\ngamma\nalpha beta\n"))
 	if got := runOK(t, in, "grep -n alpha /g.txt"); got != "1:alpha\n4:alpha beta\n" {
 		t.Fatalf("grep -n: %q", got)
 	}
 	if got := runOK(t, in, "grep -v alpha /g.txt"); got != "beta\ngamma\n" {
 		t.Fatalf("grep -v: %q", got)
 	}
-	res := in.RunCommand("grep nomatch /g.txt")
+	res := runCmd(t, in, "grep nomatch /g.txt")
 	if res.Code != 1 {
 		t.Fatalf("grep no-match exit=%d", res.Code)
 	}
@@ -344,7 +390,7 @@ func TestHeadTailSeq(t *testing.T) {
 
 func TestExitBuiltinStopsScript(t *testing.T) {
 	in := bootBase(t)
-	res := in.RunCommand("echo before; exit 9; echo after")
+	res := runCmd(t, in, "echo before; exit 9; echo after")
 	if res.Code != 9 || string(res.Stdout) != "before\n" {
 		t.Fatalf("exit: code=%d out=%q", res.Code, res.Stdout)
 	}
@@ -360,7 +406,7 @@ func TestShellExecBuiltin(t *testing.T) {
 
 func TestSourceBuiltin(t *testing.T) {
 	in := bootBase(t)
-	in.WriteFile("/lib.sh", []byte("GREETING=sourced\n"))
+	put(t, in, "/lib.sh", []byte("GREETING=sourced\n"))
 	got := runOK(t, in, ". /lib.sh; echo $GREETING")
 	if got != "sourced\n" {
 		t.Fatalf("source: %q", got)
@@ -384,7 +430,7 @@ func TestTestBuiltinExpressions(t *testing.T) {
 		{"[ -d /tmp ]", 0},
 	}
 	for _, c := range cases {
-		res := in.RunCommand(c.expr)
+		res := runCmd(t, in, c.expr)
 		if res.Code != c.want {
 			t.Errorf("%s -> %d, want %d", c.expr, res.Code, c.want)
 		}
@@ -408,8 +454,8 @@ func TestDeterminism(t *testing.T) {
 	// virtual timings — the property every experiment relies on.
 	run := func() (string, int64) {
 		in := bootBase(t)
-		in.WriteFile("/d.txt", []byte("b\na\nc\n"))
-		res := in.RunCommand("cat /d.txt | sort | tee /sorted.txt | wc -l")
+		put(t, in, "/d.txt", []byte("b\na\nc\n"))
+		res := runCmd(t, in, "cat /d.txt | sort | tee /sorted.txt | wc -l")
 		return string(res.Stdout), res.Elapsed
 	}
 	out1, t1 := run()

@@ -41,8 +41,8 @@ func TestLatexEditorEndToEnd(t *testing.T) {
 	if !strings.Contains(log, "bibtex main") {
 		t.Fatalf("bibtex did not run:\n%s", log)
 	}
-	pdf, err := in.ReadFile("/proj/main.pdf")
-	if err != abi.OK || !strings.HasPrefix(string(pdf), "%PDF-1.5") {
+	pdf, err := in.FS().ReadFile("proj/main.pdf")
+	if err != nil || !strings.HasPrefix(string(pdf), "%PDF-1.5") {
 		t.Fatalf("main.pdf: err=%v head=%q", err, head(pdf))
 	}
 	// The bibliography made it into the final PDF.
@@ -50,8 +50,8 @@ func TestLatexEditorEndToEnd(t *testing.T) {
 		t.Fatal("resolved citation missing from PDF")
 	}
 	// .aux/.bbl/.log artifacts exist.
-	for _, f := range []string{"/proj/main.aux", "/proj/main.bbl", "/proj/main.log", "/proj/main.blg"} {
-		if _, err := in.Stat(f); err != abi.OK {
+	for _, f := range []string{"proj/main.aux", "proj/main.bbl", "proj/main.log", "proj/main.blg"} {
+		if _, err := in.FS().Stat(f); err != nil {
 			t.Errorf("%s missing (%v)", f, err)
 		}
 	}
@@ -77,8 +77,8 @@ func TestLatexEditorEndToEnd(t *testing.T) {
 	}
 
 	// Editing the source triggers an incremental rebuild.
-	data, _ := in.ReadFile("/proj/main.tex")
-	in.WriteFile("/proj/main.tex", append(data, []byte("\nNew paragraph.\n")...))
+	data, _ := in.FS().ReadFile("proj/main.tex")
+	put(t, in, "/proj/main.tex", append(data, []byte("\nNew paragraph.\n")...))
 	code3, log3 := in.BuildPDF()
 	if code3 != 0 || !strings.Contains(log3, "pdflatex main.tex") {
 		t.Fatalf("incremental build: code=%d log=%s", code3, log3)
@@ -110,7 +110,7 @@ func TestLatexMissingPackageFails(t *testing.T) {
 	browsix.InstallBase(in)
 	docTex := "\\documentclass{article}\n\\usepackage{does-not-exist}\nBody.\n"
 	browsix.InstallTexProject(in, tex.SmallTree(), browsix.TexSync, docTex, "")
-	res := in.RunCommand("/bin/sh -c 'cd /proj && pdflatex main.tex'")
+	res := runCmd(t, in, "/bin/sh -c 'cd /proj && pdflatex main.tex'")
 	if res.Code == 0 {
 		t.Fatal("pdflatex succeeded despite missing package")
 	}
@@ -127,14 +127,12 @@ func TestLatexCancelViaSIGKILL(t *testing.T) {
 	docTex, docBib := tex.SampleDocument()
 	browsix.InstallTexProject(in, tex.SmallTree(), browsix.TexSync, docTex, docBib)
 
-	code := -1
-	done := false
-	var makePid int
-	in.Main(func() {
-		in.Kernel.System("/bin/sh -c 'cd /proj && make'",
-			func(pid, c int) { code = c; done = true }, nil, nil)
-	})
+	p, err := in.Start(browsix.Spec{Argv: []string{"/bin/sh", "-c", "cd /proj && make"}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Let the build get going, then kill the make process group leader.
+	var makePid int
 	in.RunUntil(func() bool {
 		for _, task := range in.Kernel.Tasks() {
 			if strings.Contains(task.Path, "make") {
@@ -142,16 +140,16 @@ func TestLatexCancelViaSIGKILL(t *testing.T) {
 				return true
 			}
 		}
-		return done
+		return p.Exited()
 	})
 	if makePid == 0 {
 		t.Fatal("make never started")
 	}
 	in.Main(func() { in.Kill(makePid, abi.SIGKILL) })
-	if !in.RunUntil(func() bool { return done }) {
+	if !in.RunUntil(p.Exited) {
 		t.Fatal("build did not terminate after SIGKILL")
 	}
-	if code == 0 {
+	if p.ExitCode() == 0 {
 		t.Fatal("cancelled build reported success")
 	}
 }
@@ -264,7 +262,7 @@ func TestMemeListFasterInBrowsixThanRemote(t *testing.T) {
 
 func TestTerminalSession(t *testing.T) {
 	in := bootBase(t)
-	in.WriteFile("/home/notes.txt", []byte("apple\nbanana\napple pie\n"))
+	put(t, in, "/home/notes.txt", []byte("apple\nbanana\napple pie\n"))
 	term := in.NewTerminal()
 
 	if got := term.Exec("echo hello terminal"); got != "hello terminal\n" {

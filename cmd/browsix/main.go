@@ -17,6 +17,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	browsix "repro"
@@ -60,31 +61,8 @@ func main() {
 
 	exit := 0
 	run := func(line string) {
-		// Process-handle API: host stdout/stderr are live sinks, so
-		// output streams as the guest produces it.
-		start := inst.Now()
-		p, err := inst.Start(browsix.Spec{
-			Argv:   browsix.SplitCmdline(line),
-			Stdout: os.Stdout,
-			Stderr: os.Stderr,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "browsix: %v\n", err)
-			exit = 127
-			return
-		}
-		code, werr := p.Wait()
-		elapsed := float64(inst.Now()-start) / 1e6
-		if werr != nil {
-			fmt.Fprintf(os.Stderr, "browsix: %v\n", werr)
-			exit = 1
-			return
-		}
-		if code != 0 {
-			fmt.Fprintf(os.Stderr, "[exit %d, %.2f virtual ms]\n", code, elapsed)
+		if code := runLine(inst, line, os.Stdout, os.Stderr); code != 0 {
 			exit = code
-		} else {
-			fmt.Fprintf(os.Stderr, "[ok, %.2f virtual ms]\n", elapsed)
 		}
 	}
 
@@ -113,4 +91,33 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mounts: %v\n", inst.VFS.Mounts())
 	}
 	os.Exit(exit)
+}
+
+// runLine runs one command line with stdout and stderr as live sinks, so
+// output streams as the guest produces it, then writes a status footer
+// with the elapsed virtual time to stderr. It returns the exit code: 127
+// when the program cannot be launched, 1 when the simulation deadlocks.
+func runLine(inst *browsix.Instance, line string, stdout, stderr io.Writer) int {
+	start := inst.Now()
+	p, err := inst.Start(browsix.Spec{
+		Argv:   browsix.SplitCmdline(line),
+		Stdout: stdout,
+		Stderr: stderr,
+	})
+	if err != nil {
+		fmt.Fprintf(stderr, "browsix: %v\n", err)
+		return 127
+	}
+	code, werr := p.Wait()
+	elapsed := float64(inst.Now()-start) / 1e6
+	if werr != nil {
+		fmt.Fprintf(stderr, "browsix: %v\n", werr)
+		return 1
+	}
+	if code != 0 {
+		fmt.Fprintf(stderr, "[exit %d, %.2f virtual ms]\n", code, elapsed)
+	} else {
+		fmt.Fprintf(stderr, "[ok, %.2f virtual ms]\n", elapsed)
+	}
+	return code
 }

@@ -1,37 +1,42 @@
 package main
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
 	browsix "repro"
 )
 
-// Smoke test for the CLI's core path: boot → InstallBase → RunCommand,
-// exactly what run() does per input line, so `go test` exercises the
-// binary's round trip without spawning a process.
+// TestCLIRoundTrip drives runLine, the function the CLI runs per input
+// line, so `go test` exercises the binary's round trip without spawning a
+// process.
 func TestCLIRoundTrip(t *testing.T) {
 	inst := browsix.Boot(browsix.Config{})
 	browsix.InstallBase(inst)
 
-	res := inst.RunCommand("echo hi | wc -c")
-	if res.Code != 0 {
-		t.Fatalf("pipeline exited %d: %s", res.Code, res.Stderr)
+	var stdout, stderr bytes.Buffer
+	if code := runLine(inst, "echo hi | wc -c", &stdout, &stderr); code != 0 {
+		t.Fatalf("pipeline exited %d: %s", code, stderr.String())
 	}
-	if got := strings.TrimSpace(string(res.Stdout)); got != "3" {
+	if got := strings.TrimSpace(stdout.String()); got != "3" {
 		t.Fatalf("wc -c printed %q, want 3", got)
 	}
-	if res.Elapsed <= 0 {
-		t.Fatal("no virtual time elapsed")
+	if footer := stderr.String(); !strings.HasPrefix(footer, "[ok, ") || !strings.HasSuffix(footer, " virtual ms]\n") {
+		t.Fatalf("footer %q, want [ok, … virtual ms]", footer)
 	}
 
 	// A failing command reports its exit code without wedging the
 	// instance.
-	if res := inst.RunCommand("false"); res.Code != 1 {
-		t.Fatalf("false exited %d, want 1", res.Code)
+	if code := runLine(inst, "false", &stdout, &stderr); code != 1 {
+		t.Fatalf("false exited %d, want 1", code)
 	}
-	if res := inst.RunCommand("cat /etc/motd"); res.Code != 0 ||
-		!strings.Contains(string(res.Stdout), "Browsix") {
-		t.Fatalf("motd: code=%d stdout=%q", res.Code, res.Stdout)
+	if code := runLine(inst, "/no/such/prog", &stdout, &stderr); code != 127 {
+		t.Fatalf("missing program exited %d, want 127", code)
+	}
+	stdout.Reset()
+	if code := runLine(inst, "cat /etc/motd", &stdout, &stderr); code != 0 ||
+		!strings.Contains(stdout.String(), "Browsix") {
+		t.Fatalf("motd: code=%d stdout=%q", code, stdout.String())
 	}
 }

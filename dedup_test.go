@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	browsix "repro"
-	"repro/internal/abi"
 	"repro/internal/fs"
 )
 
@@ -61,7 +60,7 @@ func mountShare(t testing.TB, in *browsix.Instance, archive []byte) {
 }
 
 func dedupTreePath(i int) string {
-	return fmt.Sprintf("/share/tree/f%03d.dat", i%dedupTreeFiles)
+	return fmt.Sprintf("share/tree/f%03d.dat", i%dedupTreeFiles)
 }
 
 // TestDedupDifferential is the on/off ablation across all three syscall
@@ -111,7 +110,7 @@ func TestDedupDifferential(t *testing.T) {
 		in.VFS.Mount("/rep", rfs)
 		var r result
 		for _, cmd := range cmds {
-			res := in.RunCommand(cmd)
+			res := runCmd(t, in, cmd)
 			if res.Code != 0 {
 				t.Fatalf("%s: %q exited %d: %s", name, cmd, res.Code, res.Stderr)
 			}
@@ -170,8 +169,8 @@ func tenantTreeLoad(t testing.TB, archive []byte, tenants int, ft browsix.Featur
 		},
 		Workload: func(i int, in *browsix.Instance) {
 			for f := 0; f < dedupTreeFiles; f++ {
-				data, err := in.ReadFile(dedupTreePath(f))
-				if err != abi.OK || len(data) != dedupTreeFileSize {
+				data, err := in.FS().ReadFile(dedupTreePath(f))
+				if err != nil || len(data) != dedupTreeFileSize {
 					t.Errorf("tenant %d: read %s: err=%v len=%d", i, dedupTreePath(f), err, len(data))
 					return
 				}
@@ -253,7 +252,7 @@ func TestTenantDedupWithSnapshotWarmup(t *testing.T) {
 			mountShare(t, in, archive)
 		},
 		Workload: func(i int, in *browsix.Instance) {
-			res := in.RunCommand("cat /share/tree/f001.dat /share/tree/f003.dat | wc -c")
+			res := runCmd(t, in, "cat /share/tree/f001.dat /share/tree/f003.dat | wc -c")
 			if res.Code != 0 {
 				t.Errorf("tenant %d: wc exited %d: %s", i, res.Code, res.Stderr)
 			}

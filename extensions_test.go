@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/abi"
 	"repro/internal/browser"
 	"repro/internal/sched"
 )
@@ -49,14 +48,14 @@ func TestWorkerPriorityControl(t *testing.T) {
 // virtual time, not wall time, is what passes.
 func TestSleepUtilityAdvancesVirtualTime(t *testing.T) {
 	in := bootBase(t)
-	res := in.RunCommand("sleep 0.5")
+	res := runCmd(t, in, "sleep 0.5")
 	if res.Code != 0 {
 		t.Fatalf("sleep failed: %s", res.Stderr)
 	}
 	if res.Elapsed < 500_000_000 {
 		t.Fatalf("sleep 0.5 took %dms virtual", res.Elapsed/1e6)
 	}
-	res = in.RunCommand("sleep nonsense")
+	res = runCmd(t, in, "sleep nonsense")
 	if res.Code == 0 {
 		t.Fatal("bad interval accepted")
 	}
@@ -69,7 +68,7 @@ func TestOrphanReaping(t *testing.T) {
 	in := bootBase(t)
 	// The subshell backgrounds a sleep and exits immediately; the sleep
 	// outlives its parent.
-	res := in.RunCommand("(sleep 0.2 &) ; echo parent-gone")
+	res := runCmd(t, in, "(sleep 0.2 &) ; echo parent-gone")
 	if res.Code != 0 || !strings.Contains(string(res.Stdout), "parent-gone") {
 		t.Fatalf("res=%d %q", res.Code, res.Stdout)
 	}
@@ -89,7 +88,7 @@ func TestOrphanReaping(t *testing.T) {
 // zombie reaping hold up.
 func TestNoTaskLeaksAcrossWorkloads(t *testing.T) {
 	in := bootBase(t)
-	in.WriteFile("/x", []byte("1\n2\n3\n"))
+	put(t, in, "/x", []byte("1\n2\n3\n"))
 	cmds := []string{
 		"cat /x | sort -r | head -n 1",
 		"for i in a b c; do echo $i; done | wc -l",
@@ -98,7 +97,7 @@ func TestNoTaskLeaksAcrossWorkloads(t *testing.T) {
 		"(cd /tmp && pwd)",
 	}
 	for _, c := range cmds {
-		if res := in.RunCommand(c); res.Code != 0 {
+		if res := runCmd(t, in, c); res.Code != 0 {
 			t.Fatalf("%q: %d %s", c, res.Code, res.Stderr)
 		}
 	}
@@ -117,15 +116,14 @@ func TestDescriptorSharingSemantics(t *testing.T) {
 	in := bootBase(t)
 	// Both writers inherit the same descriptor; output interleaves
 	// instead of overwriting.
-	res := in.RunCommand("/bin/sh -c 'echo first; echo second' > /dev-null-sub 2>&1; cat /dev-null-sub")
-	_ = res
+	runCmd(t, in, "/bin/sh -c 'echo first; echo second' > /dev-null-sub 2>&1; cat /dev-null-sub")
 	out := runOK(t, in, "/bin/sh -c '{ echo a; echo b; } 2>/dev/null; true' 2>/dev/null; echo tail")
 	_ = out
 	// The load-bearing assertion: two echos through one redirected fd
 	// append rather than clobber.
 	runOK(t, in, "(echo one; echo two) > /shared-out")
-	data, err := in.ReadFile("/shared-out")
-	if err != abi.OK || string(data) != "one\ntwo\n" {
+	data, err := in.FS().ReadFile("shared-out")
+	if err != nil || string(data) != "one\ntwo\n" {
 		t.Fatalf("shared offset: %q (%v)", data, err)
 	}
 }

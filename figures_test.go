@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	browsix "repro"
 	"repro/internal/abi"
 	"repro/internal/core"
 	"repro/internal/expt"
@@ -116,7 +117,7 @@ func TestWasmExecutable(t *testing.T) {
 	if err := in.FS().WriteFile("usr/bin/wasm-fsops", rt.Artifact("x-fsops", rt.WasmKind), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	res := in.RunCommand("/usr/bin/wasm-fsops")
+	res := runCmd(t, in, "/usr/bin/wasm-fsops")
 	if res.Code != 0 {
 		t.Fatalf("wasm program exited %d: %s", res.Code, res.Stderr)
 	}
@@ -136,7 +137,7 @@ func TestWasmFasterThanAsmJS(t *testing.T) {
 		if err := in.FS().WriteFile("usr/bin/prog", rt.Artifact("x-fsops", kind), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		res := in.RunCommand("/usr/bin/prog")
+		res := runCmd(t, in, "/usr/bin/prog")
 		if res.Code != 0 {
 			t.Fatalf("%s exited %d", kind, res.Code)
 		}
@@ -157,31 +158,24 @@ func TestKillSyncBlockedProcess(t *testing.T) {
 	if err := in.FS().WriteFile("usr/bin/sync-server", rt.Artifact("x-server", rt.EmSyncKind), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	code := -1
-	done := false
-	in.Main(func() {
-		in.Kernel.System("/usr/bin/sync-server", func(pid, c int) { code = c; done = true }, nil, nil)
-	})
 	listening := false
 	in.OnListen(8080, func(int) { listening = true })
+	p, err := in.Start(browsix.Spec{Argv: []string{"/usr/bin/sync-server"}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !in.RunUntil(func() bool { return listening }) {
 		t.Fatal("sync server never listened")
 	}
-	var pid int
-	for _, task := range in.Kernel.Tasks() {
-		if strings.Contains(task.Path, "sync-server") {
-			pid = task.Pid
-		}
-	}
 	in.Main(func() {
-		if err := in.Kill(pid, abi.SIGKILL); err != abi.OK {
+		if err := in.Kill(p.Pid, abi.SIGKILL); err != abi.OK {
 			t.Errorf("kill: %v", err)
 		}
 	})
-	if !in.RunUntil(func() bool { return done }) {
+	if !in.RunUntil(p.Exited) {
 		t.Fatalf("sync-blocked process survived SIGKILL\n%s", in.Sim.Dump())
 	}
-	if code != 128+abi.SIGKILL {
+	if code := p.ExitCode(); code != 128+abi.SIGKILL {
 		t.Fatalf("exit code %d", code)
 	}
 }
@@ -201,6 +195,25 @@ func TestExperimentHarnessSmoke(t *testing.T) {
 	ratio := float64(sc.AsyncNs) / float64(sc.NativeNs)
 	if ratio < 100 || ratio > 10000 {
 		t.Fatalf("async/native ratio %.0fx outside the paper's claim", ratio)
+	}
+}
+
+// TestCalibrationPinned pins the calibration table exactly: the Figure 9
+// rows and the per-call syscall costs are deterministic virtual ns, so
+// any change to them is a cost-model change.
+func TestCalibrationPinned(t *testing.T) {
+	fig9 := []expt.Fig9Row{
+		{Command: "sha1sum /usr/bin/node", NativeNs: 2_755_431, NodeNs: 67_564_055, BrowsixNs: 196_078_756},
+		{Command: "ls /usr/bin", NativeNs: 571_600, NodeNs: 40_839_000, BrowsixNs: 104_039_620},
+	}
+	for i, got := range expt.Fig9All() {
+		if got != fig9[i] {
+			t.Errorf("figure 9 row moved:\n got  %+v\n want %+v", got, fig9[i])
+		}
+	}
+	want := expt.SyscallBench{NativeNs: 408, AsyncNs: 389_018, SyncNs: 215_811, AsyncEmterpNs: 715_418}
+	if got := expt.MeasureSyscalls(); got != want {
+		t.Errorf("per-call syscall costs moved:\n got  %+v\n want %+v", got, want)
 	}
 }
 

@@ -271,7 +271,9 @@ type fleetAgg struct {
 
 // prewarmSnapshots runs the fleet's snapshot warmup on the calling
 // goroutine (serially, before any worker starts) and returns the sealed
-// registry every job will share.
+// registry every job will share. A warm-up command that fails to launch,
+// deadlocks or exits non-zero panics here: its images would be missing,
+// and every job would silently run cold.
 func (fl *Fleet) prewarmSnapshots(pool *fs.PagePool) *snapshot.Registry {
 	w := fl.SnapshotWarmup
 	reg := snapshot.NewRegistry()
@@ -281,7 +283,17 @@ func (fl *Fleet) prewarmSnapshots(pool *fs.PagePool) *snapshot.Registry {
 		w.Setup(in)
 	}
 	for _, c := range w.Cmds {
-		in.RunCommand(c)
+		p, err := in.Start(Spec{Argv: SplitCmdline(c)})
+		code := 0
+		if err == nil {
+			code, err = p.Wait()
+		}
+		if err != nil {
+			panic(fmt.Sprintf("browsix: snapshot warm-up %q: %v", c, err))
+		}
+		if code != 0 {
+			panic(fmt.Sprintf("browsix: snapshot warm-up %q exited %d; stderr: %s", c, code, p.stderr.take()))
+		}
 	}
 	in.VFS.FlushCaches()
 	reg.Seal()

@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	browsix "repro"
@@ -305,5 +307,54 @@ func BenchmarkFleet(b *testing.B) {
 			}
 		}
 		b.ReportMetric(stats.SessionsPerSec, "sessions/sec")
+	}
+}
+
+// TestFleetWarmupFailurePanics: a snapshot warm-up command that cannot
+// launch or exits non-zero panics on the caller's goroutine before any
+// job or tenant is set up, naming the command, the failure and its
+// stderr. Ignoring it would seal a registry without images and run every
+// job cold.
+func TestFleetWarmupFailurePanics(t *testing.T) {
+	for _, c := range []struct{ cmd, want string }{
+		{"/no/such/prog", "start /no/such/prog: ENOENT"},
+		{"false", "exited 1"},
+		{"cat /missing", "exited 1; stderr: cat: /missing: ENOENT"},
+	} {
+		var setups atomic.Int32
+		fl := &browsix.Fleet{Workers: 1, SnapshotWarmup: &browsix.SnapshotWarmup{
+			Setup: browsix.InstallBase,
+			Cmds:  []string{c.cmd},
+		}}
+		for _, r := range []struct {
+			name string
+			run  func()
+		}{
+			{"Run", func() {
+				fl.Run([]browsix.Job{{
+					Setup: func(*browsix.Instance) { setups.Add(1) },
+					Spec:  browsix.Spec{Argv: []string{"true"}},
+				}})
+			}},
+			{"RunTenants", func() {
+				fl.RunTenants(browsix.TenantLoad{
+					Tenants:  1,
+					Setup:    func(int, *browsix.Instance) { setups.Add(1) },
+					Workload: func(int, *browsix.Instance) {},
+				})
+			}},
+		} {
+			msg := func() (msg string) {
+				defer func() { msg = fmt.Sprint(recover()) }()
+				r.run()
+				return
+			}()
+			if !strings.Contains(msg, fmt.Sprintf("%q", c.cmd)) || !strings.Contains(msg, c.want) {
+				t.Errorf("%s with warm-up %q: panic %q, want the command and %q", r.name, c.cmd, msg, c.want)
+			}
+		}
+		if n := setups.Load(); n != 0 {
+			t.Errorf("warm-up %q: %d jobs or tenants set up after the warm-up failed", c.cmd, n)
+		}
 	}
 }

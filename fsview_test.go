@@ -166,7 +166,7 @@ func TestFSFacadeWriteExtensions(t *testing.T) {
 		t.Fatalf("WriteFile: %v", err)
 	}
 	// The guest sees facade writes.
-	res := in.RunCommand("cat /proj/a/b/f.txt")
+	res := runCmd(t, in, "cat /proj/a/b/f.txt")
 	if res.Code != 0 || string(res.Stdout) != "one\n" {
 		t.Fatalf("guest read: %d %q", res.Code, res.Stdout)
 	}

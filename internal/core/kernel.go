@@ -256,7 +256,7 @@ const maxShebangDepth = 4
 
 // Spawn constructs a new process from an executable on the file system
 // (§3.3). parent may be nil for kernel-initiated processes
-// (kernel.System). cb receives the child pid.
+// (StartProcess). cb receives the child pid.
 func (k *Kernel) Spawn(parent *Task, spec SpawnSpec, cb func(int, abi.Errno)) {
 	k.resolveExecutable(spec.Path, spec.Args, spec.Cwd, 0, func(path string, argv []string, script []byte, err abi.Errno) {
 		if err != abi.OK {
@@ -788,37 +788,6 @@ func SplitCmdline(cmdline string) []string {
 		return []string{"/bin/sh", "-c", cmdline}
 	}
 	return strings.Fields(cmdline)
-}
-
-// System launches a command line as a Browsix process with streaming
-// stdout/stderr callbacks — the API in Figure 4, now a thin wrapper over
-// StartProcess.
-//
-// Deprecated: use StartProcess (or the public browsix.Instance.Start),
-// which carries env, cwd, and stdin and reports spawn errors precisely.
-func (k *Kernel) System(cmdline string, onExit func(pid, code int), onStdout, onStderr func([]byte)) {
-	drop := func(cb func([]byte)) func([]byte) {
-		if cb == nil {
-			return nil
-		}
-		// Legacy callbacks never saw the empty EOF marker.
-		return func(b []byte) {
-			if len(b) > 0 {
-				cb(b)
-			}
-		}
-	}
-	k.StartProcess(ProcSpec{
-		Argv: SplitCmdline(cmdline),
-		OnStart: func(pid int, err abi.Errno) {
-			if err != abi.OK {
-				onExit(0, 127) // legacy contract: launch failure looks like exit 127
-			}
-		},
-		OnExit:   onExit,
-		OnStdout: drop(onStdout),
-		OnStderr: drop(onStderr),
-	})
 }
 
 // lookPath resolves a bare command name against the environment's PATH

@@ -393,21 +393,29 @@ func (w *world) install(t testing.TB, path, prog string, kind rt.Kind) {
 	})
 }
 
-// run launches a command line via kernel.System and drives the simulation
-// until it exits, returning exit code and captured output.
+// run launches a command line via StartProcess and drives the simulation
+// until it exits, returning exit code and captured output. A launch
+// failure reads as exit 127, as system(3) reports it.
 func (w *world) run(t testing.TB, cmdline string) (int, string, string) {
 	t.Helper()
 	var stdout, stderr []byte
 	code := -1
 	done := false
 	w.sim.Post(w.sys.Main.Sched(), w.sys.Main.Now(), func() {
-		w.k.System(cmdline,
-			func(pid, c int) { code = c; done = true },
-			func(b []byte) { stdout = append(stdout, b...) },
-			func(b []byte) { stderr = append(stderr, b...) })
+		w.k.StartProcess(core.ProcSpec{
+			Argv: core.SplitCmdline(cmdline),
+			OnStart: func(pid int, err abi.Errno) {
+				if err != abi.OK {
+					code, done = 127, true
+				}
+			},
+			OnExit:   func(pid, c int) { code = c; done = true },
+			OnStdout: func(b []byte) { stdout = append(stdout, b...) },
+			OnStderr: func(b []byte) { stderr = append(stderr, b...) },
+		})
 	})
 	if !w.sim.RunUntil(func() bool { return done }) {
-		t.Fatalf("System(%q) never exited; blocked ctxs: %v\n%s", cmdline, w.sim.BlockedCtxs(), w.sim.Dump())
+		t.Fatalf("run(%q) never exited; blocked ctxs: %v\n%s", cmdline, w.sim.BlockedCtxs(), w.sim.Dump())
 	}
 	// Let output pumps drain.
 	w.sim.Run()
@@ -530,10 +538,11 @@ func TestSignalHandlerAndKill(t *testing.T) {
 	var pid int
 	done := false
 	w.sim.Post(w.sys.Main.Sched(), 0, func() {
-		w.k.System("/usr/bin/t-sigwait",
-			func(p, c int) { code = c; done = true },
-			func(b []byte) { stdout = append(stdout, b...) },
-			nil)
+		w.k.StartProcess(core.ProcSpec{
+			Argv:     []string{"/usr/bin/t-sigwait"},
+			OnExit:   func(p, c int) { code = c; done = true },
+			OnStdout: func(b []byte) { stdout = append(stdout, b...) },
+		})
 	})
 	w.sim.RunUntil(func() bool { return strings.Contains(string(stdout), "ready\n") })
 	// Find the process and signal it, as the LaTeX editor's cancel
@@ -565,9 +574,11 @@ func TestSIGKILLUncatchable(t *testing.T) {
 	code := -1
 	done := false
 	w.sim.Post(w.sys.Main.Sched(), 0, func() {
-		w.k.System("/usr/bin/t-sigwait",
-			func(p, c int) { code = c; done = true },
-			func(b []byte) { stdout = append(stdout, b...) }, nil)
+		w.k.StartProcess(core.ProcSpec{
+			Argv:     []string{"/usr/bin/t-sigwait"},
+			OnExit:   func(p, c int) { code = c; done = true },
+			OnStdout: func(b []byte) { stdout = append(stdout, b...) },
+		})
 	})
 	w.sim.RunUntil(func() bool { return strings.Contains(string(stdout), "ready\n") })
 	var pid int
@@ -597,14 +608,20 @@ func TestSocketsClientServer(t *testing.T) {
 	notified := false
 	w.sim.Post(w.sys.Main.Sched(), 0, func() {
 		w.k.OnPortListen(8080, func(port int) { notified = true })
-		w.k.System("/usr/bin/t-server", func(p, c int) { serverCode = c }, nil, nil)
+		w.k.StartProcess(core.ProcSpec{
+			Argv:   []string{"/usr/bin/t-server"},
+			OnExit: func(p, c int) { serverCode = c },
+		})
 	})
 	// Start the client only after the socket notification fires —
 	// exactly the pattern §4.1 describes.
 	w.sim.RunUntil(func() bool { return notified })
 	w.sim.Post(w.sys.Main.Sched(), w.sys.Main.Now(), func() {
-		w.k.System("/usr/bin/t-client", func(p, c int) { clientCode = c },
-			func(b []byte) { clientOut = append(clientOut, b...) }, nil)
+		w.k.StartProcess(core.ProcSpec{
+			Argv:     []string{"/usr/bin/t-client"},
+			OnExit:   func(p, c int) { clientCode = c },
+			OnStdout: func(b []byte) { clientOut = append(clientOut, b...) },
+		})
 	})
 	if !w.sim.RunUntil(func() bool { return serverCode >= 0 && clientCode >= 0 }) {
 		t.Fatalf("client/server did not finish\n%s", w.sim.Dump())
@@ -683,7 +700,7 @@ func TestSyscallCountsTracked(t *testing.T) {
 func TestKernelSystemMetacharsUseShell(t *testing.T) {
 	w := boot(t)
 	// No /bin/sh installed in this world yet: the command must fail
-	// with 127 because System routes metachar command lines to the shell.
+	// with 127 because run routes metachar command lines to the shell.
 	code, _, _ := w.run(t, "/usr/bin/t-echo a | /usr/bin/t-cat")
 	if code != 127 {
 		t.Fatalf("code=%d, want 127 (no /bin/sh staged)", code)
@@ -694,8 +711,10 @@ func TestTaskDiagnostics(t *testing.T) {
 	w := boot(t)
 	var stdout []byte
 	w.sim.Post(w.sys.Main.Sched(), 0, func() {
-		w.k.System("/usr/bin/t-sigwait", func(p, c int) {},
-			func(b []byte) { stdout = append(stdout, b...) }, nil)
+		w.k.StartProcess(core.ProcSpec{
+			Argv:     []string{"/usr/bin/t-sigwait"},
+			OnStdout: func(b []byte) { stdout = append(stdout, b...) },
+		})
 	})
 	w.sim.RunUntil(func() bool { return strings.Contains(string(stdout), "ready") })
 	tasks := w.k.Tasks()

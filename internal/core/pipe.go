@@ -465,7 +465,7 @@ func (p *Pipe) writeNB(data []byte) (int, abi.Errno) {
 // Buffered returns the bytes currently queued (diagnostics).
 func (p *Pipe) Buffered() int { return p.size }
 
-// Read is the exported read for kernel-side consumers (System's output
+// Read is the exported read for kernel-side consumers (StartProcess's output
 // pumps, the web app's XHR path, tests).
 func (p *Pipe) Read(n int, cb func([]byte, abi.Errno)) { p.read(n, cb) }
 

@@ -5,6 +5,7 @@
 package expt
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 
@@ -62,7 +63,9 @@ func stageFig9Browsix() *browsix.Instance {
 	for i := range body {
 		body[i] = byte(i * 31)
 	}
-	in.WriteFile("/usr/bin/node", body)
+	if err := in.FS().WriteFile("usr/bin/node", body, 0o644); err != nil {
+		panic("expt: staging /usr/bin/node: " + err.Error())
+	}
 	return in
 }
 
@@ -80,13 +83,25 @@ func Fig9(argv ...string) Fig9Row {
 	resJ := rt.RunHost(simJ, stageFig9Host(simJ), rt.NodeHostKind, argv, nil, "/")
 	row.NodeNs = resJ.Elapsed
 
-	in := stageFig9Browsix()
-	res := in.RunCommand(strings.Join(argv, " "))
-	if res.Code != 0 {
-		panic(fmt.Sprintf("expt: fig9 %v exited %d: %s", argv, res.Code, res.Stderr))
-	}
-	row.BrowsixNs = res.Elapsed
+	_, row.BrowsixNs = run(stageFig9Browsix(), row.Command)
 	return row
+}
+
+// run runs cmdline on in to completion and returns its standard output
+// and the virtual ns from submission to exit on the main thread's clock.
+// A launch error, a deadlock or a non-zero exit panics.
+func run(in *browsix.Instance, cmdline string) ([]byte, int64) {
+	var stdout, stderr bytes.Buffer
+	start := in.Browser.Main.Now()
+	p, err := in.Start(browsix.Spec{Argv: browsix.SplitCmdline(cmdline), Stdout: &stdout, Stderr: &stderr})
+	code := 0
+	if err == nil {
+		code, err = p.Wait()
+	}
+	if err != nil || code != 0 {
+		panic(fmt.Sprintf("expt: %s: exit %d (%v): %s", cmdline, code, err, stderr.Bytes()))
+	}
+	return stdout.Bytes(), in.Browser.Main.Now() - start
 }
 
 // Fig9All runs the table's two rows (sha1sum on /usr/bin/node, ls on
@@ -285,8 +300,8 @@ func browsixProbe(kind rt.Kind) int64 {
 	if err := in.FS().WriteFile("usr/bin/syscall-probe", rt.Artifact("syscall-probe", kind), 0o644); err != nil {
 		panic("expt: staging the syscall probe: " + err.Error())
 	}
-	res := in.RunCommand("/usr/bin/syscall-probe")
-	return perCall(res.Stdout, res.Code)
+	out, _ := run(in, "/usr/bin/syscall-probe")
+	return perCall(out, 0)
 }
 
 // perCall extracts the loop-only duration the probe prints on stdout and

@@ -308,7 +308,7 @@ func (s *stream) Read(b []byte) (int, error) {
 	return n, nil
 }
 
-// take drains the buffered bytes (the RunCommand shim's accessor).
+// take drains the buffered bytes.
 func (s *stream) take() []byte {
 	out := s.buf
 	s.buf = nil

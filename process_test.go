@@ -335,26 +335,3 @@ func TestStreamReadReportsDeadlock(t *testing.T) {
 	p.CloseStdin()
 	p.Wait()
 }
-
-// TestRunCommandShimMatchesStart: the deprecated shim and the new API
-// agree byte for byte.
-func TestRunCommandShimMatchesStart(t *testing.T) {
-	mk := func() *browsix.Instance {
-		in := bootBase(t)
-		in.WriteFile("/x.txt", []byte("one\ntwo\n"))
-		return in
-	}
-	cmd := "cat /x.txt | wc -l"
-	in1 := mk()
-	res := in1.RunCommand(cmd)
-	in2 := mk()
-	p, err := in2.Start(browsix.Spec{Argv: browsix.SplitCmdline(cmd)})
-	if err != nil {
-		t.Fatalf("start: %v", err)
-	}
-	out, _ := io.ReadAll(p.Stdout())
-	code, _ := p.Wait()
-	if res.Code != code || string(res.Stdout) != string(out) {
-		t.Fatalf("shim (%d, %q) != Start (%d, %q)", res.Code, res.Stdout, code, out)
-	}
-}

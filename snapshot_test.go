@@ -42,14 +42,14 @@ func TestSnapshotDifferential(t *testing.T) {
 	}
 	run := func(name string, v variant, snaps bool) result {
 		in := v.boot(browsix.Config{EnableSnapshots: snaps})
-		in.WriteFile("/data/fruit.txt", []byte("banana\napple\ncherry\napple pie\n"))
-		in.WriteFile("/big.bin", payload)
+		put(t, in, "/data/fruit.txt", []byte("banana\napple\ncherry\napple pie\n"))
+		put(t, in, "/big.bin", payload)
 		var r result
 		// Two passes: the first pass's boots capture images, the second
 		// pass's boots must clone them — and nothing may differ.
 		for pass := 0; pass < 2; pass++ {
 			for _, cmd := range snapCmds {
-				res := in.RunCommand(cmd)
+				res := runCmd(t, in, cmd)
 				if res.Code != 0 {
 					t.Fatalf("%s pass %d: %q exited %d: %s", name, pass, cmd, res.Code, res.Stderr)
 				}
@@ -87,7 +87,7 @@ func TestSnapshotDifferential(t *testing.T) {
 			t.Errorf("%s: snapshot-on clock not deterministic: %d vs %d", v, on.clock, on2.clock)
 		}
 		// Every clone returned its COW pins: images are back to base.
-		if err := run0balance(v); err != nil {
+		if err := run0balance(t, v); err != nil {
 			t.Error(err)
 		}
 	}
@@ -95,11 +95,11 @@ func TestSnapshotDifferential(t *testing.T) {
 
 // run0balance reruns a snapshot-on workload and checks pin balance after
 // every process exited.
-func run0balance(v variant) error {
+func run0balance(t *testing.T, v variant) error {
 	in := v.boot(browsix.Config{EnableSnapshots: true})
-	in.WriteFile("/big.bin", snapPayload())
+	put(t, in, "/big.bin", snapPayload())
 	for pass := 0; pass < 2; pass++ {
-		if res := in.RunCommand("wc -c /big.bin"); res.Code != 0 {
+		if res := runCmd(t, in, "wc -c /big.bin"); res.Code != 0 {
 			return fmt.Errorf("%s balance run exited %d", v, res.Code)
 		}
 	}
@@ -122,8 +122,8 @@ func TestForkSpawnRatioGuard(t *testing.T) {
 		// First run warms caches (and captures when snapshots are on);
 		// the second run measures a cold boot vs a clone boot on equal
 		// cache state.
-		in.RunCommand("echo warm")
-		res := in.RunCommand("echo measured")
+		runCmd(t, in, "echo warm")
+		res := runCmd(t, in, "echo measured")
 		if res.Code != 0 || string(res.Stdout) != "measured\n" {
 			t.Fatalf("echo (snaps=%v) exited %d with %q", snaps, res.Code, res.Stdout)
 		}
@@ -160,7 +160,7 @@ func TestFleetSharedSnapshotNoBleed(t *testing.T) {
 			data := bytes.Repeat([]byte{byte('a' + i)}, 1000+100*i)
 			out[i] = browsix.Job{
 				Name:  fmt.Sprintf("job%d", i),
-				Setup: func(in *browsix.Instance) { stageWasmFleet(in); in.WriteFile("/in.bin", data) },
+				Setup: func(in *browsix.Instance) { stageWasmFleet(in); put(t, in, "/in.bin", data) },
 				Spec:  browsix.Spec{Argv: []string{"/usr/bin/wc", "-c", "/in.bin"}},
 			}
 		}
@@ -215,7 +215,7 @@ func TestFleetSharedSnapshotNoBleed(t *testing.T) {
 // iterative pre-copy with a short final stop-copy, dumped as diagnostics.
 func TestCheckpointLiveDump(t *testing.T) {
 	in := variant{tr: ring}.boot(browsix.Config{EnableSnapshots: true})
-	in.WriteFile("/big.bin", snapPayload())
+	put(t, in, "/big.bin", snapPayload())
 	var outBuf bytes.Buffer
 	p, err := in.Start(browsix.Spec{
 		Argv:   []string{"/usr/bin/sha1sum", "/big.bin"},

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	browsix "repro"
-	"repro/internal/abi"
 )
 
 // transport is how a test program's syscalls reach the kernel: the
@@ -122,22 +121,22 @@ func TestShellCaseStudiesIdenticalAcrossTransports(t *testing.T) {
 	}
 	run := func(v variant) result {
 		name, in := v.String(), v.boot(browsix.Config{})
-		in.WriteFile("/data/fruit.txt", []byte("banana\napple\ncherry\napple pie\n"))
-		in.WriteFile("/big.bin", payload)
+		put(t, in, "/data/fruit.txt", []byte("banana\napple\ncherry\napple pie\n"))
+		put(t, in, "/big.bin", payload)
 		var r result
 		for _, cmd := range cmds {
-			res := in.RunCommand(cmd)
+			res := runCmd(t, in, cmd)
 			if res.Code != 0 {
 				t.Fatalf("%s: %q exited %d: %s", name, cmd, res.Code, res.Stderr)
 			}
 			r.stdouts = append(r.stdouts, string(res.Stdout))
 		}
-		apples, err := in.ReadFile("/data/apples.txt")
-		if err != abi.OK {
+		apples, err := in.FS().ReadFile("data/apples.txt")
+		if err != nil {
 			t.Fatalf("%s: apples.txt: %v", name, err)
 		}
-		out, err := in.ReadFile("/out.txt")
-		if err != abi.OK {
+		out, err := in.FS().ReadFile("out.txt")
+		if err != nil {
 			t.Fatalf("%s: out.txt: %v", name, err)
 		}
 		r.apples, r.out = string(apples), string(out)
