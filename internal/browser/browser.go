@@ -179,12 +179,12 @@ func (w *Worker) Terminated() bool { return w.terminated }
 // CreateObjectURL stores data and returns a blob: URL for it, like
 // URL.createObjectURL(new Blob([data])). Browsix uses this to start
 // workers from executables that live only in its file system (§3.3).
+// The store keeps data by reference, not a copy: like a JS Blob, the
+// bytes are immutable, and the caller must never mutate them afterwards.
 func (s *System) CreateObjectURL(data []byte) string {
 	s.blobSeq++
 	url := fmt.Sprintf("blob:browsix/%d", s.blobSeq)
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	s.blobs[url] = cp
+	s.blobs[url] = data
 	if s.Sim.Cur() != nil {
 		s.Sim.Charge(s.Profile.BlobURLCreate)
 	}
@@ -198,12 +198,6 @@ func (s *System) RevokeObjectURL(url string) { delete(s.blobs, url) }
 
 // LiveBlobs reports how many blob: URLs still hold their bytes.
 func (s *System) LiveBlobs() int { return len(s.blobs) }
-
-// BlobData returns the bytes behind a blob: URL.
-func (s *System) BlobData(url string) ([]byte, bool) {
-	b, ok := s.blobs[url]
-	return b, ok
-}
 
 // ---------------------------------------------------------------------------
 // SharedArrayBuffer + Atomics (ECMAScript Shared Memory spec, [4] in the

@@ -269,12 +269,17 @@ func TestBlobURLs(t *testing.T) {
 	if u1 == u2 {
 		t.Fatal("blob URLs must be unique")
 	}
-	b, ok := s.BlobData(u1)
-	if !ok || string(b) != "abc" {
-		t.Fatalf("BlobData = %q %v", b, ok)
+	if got := s.LiveBlobs(); got != 2 {
+		t.Fatalf("LiveBlobs = %d, want 2", got)
 	}
-	if _, ok := s.BlobData("blob:nope"); ok {
-		t.Fatal("unknown URL resolved")
+	s.RevokeObjectURL(u1)
+	if got := s.LiveBlobs(); got != 1 {
+		t.Fatalf("LiveBlobs after revoke = %d, want 1", got)
+	}
+	s.RevokeObjectURL(u1) // revoking twice is a no-op, as in a browser
+	s.RevokeObjectURL(u2)
+	if got := s.LiveBlobs(); got != 0 {
+		t.Fatalf("LiveBlobs after revoking both = %d, want 0", got)
 	}
 }
 

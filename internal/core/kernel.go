@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -369,7 +370,7 @@ func (k *Kernel) Spawn(parent *Task, spec SpawnSpec, cb func(int, abi.Errno)) {
 		case k.Snapshots != nil && !k.Snapshots.Sealed() && spec.Fork == nil:
 			// First boot of this runtime: ask it to call back with
 			// "snapcap" once init and transport negotiation finish.
-			t.script = script
+			t.snapcap = true
 			init["snapcap"] = int64(1)
 		}
 		w.PostMessage(init)
@@ -379,6 +380,9 @@ func (k *Kernel) Spawn(parent *Task, spec SpawnSpec, cb func(int, abi.Errno)) {
 
 // resolveExecutable reads the executable at path, following shebang lines
 // ("#!interp [arg]") by prepending the interpreter to argv, as execve does.
+// The bytes come by reference (FileSystem.ReadFileShared) and reach the
+// loader and the Blob store uncopied; nothing on the spawn path writes
+// them.
 func (k *Kernel) resolveExecutable(path string, argv []string, cwd string, depth int, cb func(string, []string, []byte, abi.Errno)) {
 	if depth > maxShebangDepth {
 		cb("", nil, nil, abi.ELOOP)
@@ -388,17 +392,17 @@ func (k *Kernel) resolveExecutable(path string, argv []string, cwd string, depth
 	if !strings.HasPrefix(abspath, "/") {
 		abspath = fs.Clean(cwd + "/" + path)
 	}
-	k.FS.ReadFile(abspath, func(script []byte, err abi.Errno) {
+	k.FS.ReadFileShared(abspath, func(script []byte, err abi.Errno) {
 		if err != abi.OK {
 			cb("", nil, nil, err)
 			return
 		}
 		if len(script) > 2 && script[0] == '#' && script[1] == '!' {
-			nl := strings.IndexByte(string(script), '\n')
-			if nl < 0 {
-				nl = len(script)
+			line := script[2:]
+			if nl := bytes.IndexByte(line, '\n'); nl >= 0 {
+				line = line[:nl]
 			}
-			fields := strings.Fields(string(script[2:nl]))
+			fields := strings.Fields(string(line))
 			if len(fields) == 0 {
 				cb("", nil, nil, abi.ENOEXEC)
 				return

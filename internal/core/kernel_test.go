@@ -681,6 +681,35 @@ func TestShebangExecution(t *testing.T) {
 	}
 }
 
+// startErr launches argv and returns the errno StartProcess reports to
+// OnStart.
+func (w *world) startErr(t testing.TB, argv ...string) abi.Errno {
+	t.Helper()
+	var got abi.Errno = -1
+	w.sim.Post(w.sys.Main.Sched(), w.sys.Main.Now(), func() {
+		w.k.StartProcess(core.ProcSpec{Argv: argv, OnStart: func(_ int, err abi.Errno) { got = err }})
+	})
+	if !w.sim.RunUntil(func() bool { return got != -1 }) {
+		t.Fatalf("start %q never reported", argv)
+	}
+	w.sim.Run()
+	return got
+}
+
+// TestShebangErrors: a "#!" line naming no interpreter is ENOEXEC, and a
+// shebang chain deeper than the kernel follows is ELOOP, as in execve.
+func TestShebangErrors(t *testing.T) {
+	w := boot(t)
+	w.fs.WriteFile("/usr/bin/blank", []byte("#! \t \nexit 0\n"), 0o755, func(abi.Errno) {})
+	w.fs.WriteFile("/usr/bin/loop", []byte("#!/usr/bin/loop\n"), 0o755, func(abi.Errno) {})
+	if got := w.startErr(t, "/usr/bin/blank"); got != abi.ENOEXEC {
+		t.Errorf("blank shebang: %v, want ENOEXEC", got)
+	}
+	if got := w.startErr(t, "/usr/bin/loop"); got != abi.ELOOP {
+		t.Errorf("self-referencing shebang: %v, want ELOOP", got)
+	}
+}
+
 func TestSpawnENOENT(t *testing.T) {
 	w := boot(t)
 	code, _, _ := w.run(t, "/usr/bin/no-such-binary")

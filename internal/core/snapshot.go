@@ -71,18 +71,18 @@ func (k *Kernel) releaseTaskSnapshot(t *Task) {
 	}
 	t.snapTracker = nil
 	t.snapImage = nil
-	t.script = nil
+	t.snapcap = false
 }
 
 // doSnapcap handles the "snapcap" registration call: freeze the calling
 // task's post-boot state as its executable's snapshot image.
 func (k *Kernel) doSnapcap(t *Task, ringOK, poolOK bool, scratchTop int64, reply func(...browser.Value)) {
-	if k.Snapshots == nil || k.Snapshots.Sealed() || t.script == nil {
+	if k.Snapshots == nil || k.Snapshots.Sealed() || !t.snapcap {
 		reply(int64(-1), errv(abi.ENOSYS))
 		return
 	}
-	img := snapshot.NewImage(t.Path, t.script)
-	t.script = nil
+	img := snapshot.NewImage(t.Path)
+	t.snapcap = false
 	img.Env = append([]string(nil), t.Env...)
 	img.Cwd = t.cwd
 	img.Fds = k.fdInfos(t)

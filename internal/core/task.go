@@ -73,12 +73,12 @@ type Task struct {
 
 	startTime int64
 
-	// Snapshot lifecycle (internal/snapshot). script holds the
-	// executable's bytes on a first boot that was asked to capture
-	// ("snapcap" pending); snapImage/snapTracker are set on clone boots:
-	// the immutable image this task shares pages with and the per-page
-	// COW/soft-dirty bitmap whose remaining pins exit reclaim returns.
-	script      []byte
+	// Snapshot lifecycle (internal/snapshot). snapcap marks a first
+	// boot that was asked to capture ("snapcap" pending); snapImage/
+	// snapTracker are set on clone boots: the immutable image this task
+	// shares pages with and the per-page COW/soft-dirty bitmap whose
+	// remaining pins exit reclaim returns.
+	snapcap     bool
 	snapImage   *snapshot.Image
 	snapTracker *snapshot.Tracker
 }

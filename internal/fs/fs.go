@@ -969,22 +969,40 @@ func (f *FileSystem) Access(p string, amode int, cb func(abi.Errno)) {
 }
 
 // ReadFile slurps a whole file (convenience for the kernel and web app).
+// The bytes are a fresh copy; the caller may keep or modify them.
 func (f *FileSystem) ReadFile(p string, cb func([]byte, abi.Errno)) {
+	f.readFile(p, false, cb)
+}
+
+// ReadFileShared is ReadFile for a reader that never mutates the bytes,
+// such as the kernel reading an executable to spawn it. It opens p exactly
+// as ReadFile does (walk, write-back barriers, Stat); then a backend that
+// can alias its file hands out the contents by reference, copying before
+// the file's next in-place write so the returned bytes never change.
+// Other backends copy. The caller promises never to mutate the result.
+func (f *FileSystem) ReadFileShared(p string, cb func([]byte, abi.Errno)) {
+	f.readFile(p, true, cb)
+}
+
+func (f *FileSystem) readFile(p string, shared bool, cb func([]byte, abi.Errno)) {
 	f.Open(p, abi.O_RDONLY, 0, func(h FileHandle, err abi.Errno) {
 		if err != abi.OK {
 			cb(nil, err)
 			return
 		}
 		h.Stat(func(st abi.Stat, err abi.Errno) {
-			if err != abi.OK {
-				h.Close(func(abi.Errno) {})
-				cb(nil, err)
-				return
-			}
-			h.Pread(0, int(st.Size), func(data []byte, err abi.Errno) {
+			done := func(data []byte, err abi.Errno) {
 				h.Close(func(abi.Errno) {})
 				cb(data, err)
-			})
+			}
+			if err != abi.OK {
+				done(nil, err)
+				return
+			}
+			if shared && readShared(h, done) {
+				return
+			}
+			h.Pread(0, int(st.Size), done)
 		})
 	})
 }
@@ -1050,6 +1068,35 @@ func adoptShared(h FileHandle, data []byte) bool {
 	}
 	a.adoptShared(data)
 	f.invalidatePath(p)
+	return true
+}
+
+// sharedReader is a backend handle that can hand out its file's whole
+// contents by reference, copying them before its own next in-place write.
+type sharedReader interface {
+	readShared() ([]byte, abi.Errno)
+}
+
+// readShared reads h's whole file by reference, after the same write-back
+// barrier a Pread through h runs. It reports false, calling nothing, when
+// the backend under h must copy.
+func readShared(h FileHandle, cb func([]byte, abi.Errno)) bool {
+	w, ok := h.(*invalHandle)
+	if !ok {
+		return false
+	}
+	r, ok := w.FileHandle.(sharedReader)
+	if !ok {
+		return false
+	}
+	if w.fs.pc.dirty[w.path] == nil {
+		cb(r.readShared())
+		return true
+	}
+	w.fs.flushPath(w.path, func(err abi.Errno) {
+		w.fs.recordFlushErr(w.path, err)
+		cb(r.readShared())
+	})
 	return true
 }
 

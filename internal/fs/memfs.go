@@ -35,8 +35,9 @@ type memNode struct {
 	atime    int64
 	ctime    int64
 	ino      uint64
-	// shared marks data as aliasing bytes adopted by WriteFileShared,
-	// which the node must copy before writing in place.
+	// shared marks data as aliasing bytes adopted by WriteFileShared or
+	// handed out by ReadFileShared, which the node must copy before
+	// writing in place.
 	shared bool
 }
 
@@ -359,6 +360,16 @@ func (h *memHandle) Pread(off int64, n int, cb func([]byte, abi.Errno)) {
 	out := make([]byte, end-off)
 	copy(out, data[off:end])
 	cb(out, abi.OK)
+}
+
+// readShared implements sharedReader: the file's bytes, capacity-limited
+// and marked shared so the node copies them before writing in place.
+func (h *memHandle) readShared() ([]byte, abi.Errno) {
+	if h.n.isDir() {
+		return nil, abi.EISDIR
+	}
+	h.n.shared = true
+	return h.n.data[:len(h.n.data):len(h.n.data)], abi.OK
 }
 
 // writable returns n's bytes ready for an in-place write ending at end:

@@ -46,7 +46,9 @@ var artifacts sync.Map // artifactKey -> []byte
 // padded to the runtime's modelled ArtifactSize. It is built once per host
 // process and shared by every caller: the bytes are immutable, so callers
 // must never write to them (stage them with fs.FileSystem.WriteFileShared,
-// or copy them first).
+// or copy them first). Spawn keeps them shared too: the kernel reads the
+// staged file with fs.FileSystem.ReadFileShared, and the Blob it starts
+// the Worker from holds the same bytes by reference.
 func Artifact(progName string, kind Kind) []byte {
 	key := artifactKey{progName, kind}
 	if b, ok := artifacts.Load(key); ok {

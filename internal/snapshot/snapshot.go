@@ -45,12 +45,12 @@ type FdInfo struct {
 // change after Register.
 type Image struct {
 	// Path is the resolved executable path — the registry key, so every
-	// process spawned from the same binary clones the same image.
+	// process spawned from the same binary clones the same image. The
+	// image holds no executable bytes: each kernel re-derives the
+	// runtime program and kind from its own file system through its own
+	// loader, so an image captured by one fleet instance boots clones in
+	// every other.
 	Path string
-	// Script is the executable's bytes: each kernel re-derives the
-	// runtime program and kind through its own loader, so an image
-	// captured by one fleet instance boots clones in every other.
-	Script []byte
 	// Env, Cwd, Fds are the captured process template (diagnostics and
 	// the dump path; clones take their spawn-time values as usual).
 	Env []string
@@ -73,10 +73,8 @@ type Image struct {
 }
 
 // NewImage starts an image for the executable at path.
-func NewImage(path string, script []byte) *Image {
-	sc := make([]byte, len(script))
-	copy(sc, script)
-	return &Image{Path: path, Script: sc}
+func NewImage(path string) *Image {
+	return &Image{Path: path}
 }
 
 // SetHeap captures heap into image pages. With a non-nil store the pages

@@ -2,6 +2,7 @@ package browsix_test
 
 import (
 	"bytes"
+	"errors"
 	"runtime"
 	"testing"
 
@@ -134,5 +135,50 @@ func TestStagingSharesArtifacts(t *testing.T) {
 	t.Logf("staging allocated %d bytes", got)
 	if got >= 1<<20 {
 		t.Fatalf("staging allocated %d bytes, want < 1 MiB", got)
+	}
+}
+
+// TestSpawnSharesExecutable is the spawn allocation guard: the kernel
+// reads an executable by reference (FileSystem.ReadFileShared) and the
+// Blob store keeps it uncopied, so a spawn allocates far less than the
+// artifact it starts. An in-place write to the executable afterwards
+// still lands in the Instance's private copy only: the cached artifact
+// stays byte-identical, and the next spawn sees the written bytes.
+func TestSpawnSharesExecutable(t *testing.T) {
+	const spawns = 20
+	in := bootBase(t)
+	spawnTrue := func() {
+		t.Helper()
+		p, err := in.Start(browsix.Spec{Argv: []string{"/usr/bin/true"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code, err := p.Wait(); err != nil || code != 0 {
+			t.Fatalf("true: code %d, err %v", code, err)
+		}
+	}
+	spawnTrue() // warm-up
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < spawns; i++ {
+		spawnTrue()
+	}
+	runtime.ReadMemStats(&m1)
+	per := (m1.TotalAlloc - m0.TotalAlloc) / spawns
+	t.Logf("one spawn of true allocated %d bytes", per)
+	if limit := uint64(rt.ArtifactSize(rt.NodeKind) / 4); per >= limit {
+		t.Fatalf("one spawn of true allocated %d bytes, want < %d (a quarter of its artifact)", per, limit)
+	}
+
+	runOK(t, in, "/usr/bin/cat /etc/motd") // cat's bytes are now handed out by reference
+	if err := overwriteInPlace(in, "/usr/bin/cat", []byte("XXXXXXXX")); err != abi.OK {
+		t.Fatal(err)
+	}
+	fresh := posix.Executable("cat", string(rt.NodeKind), rt.ArtifactSize(rt.NodeKind))
+	if !bytes.Equal(rt.Artifact("cat", rt.NodeKind), fresh) {
+		t.Fatal("an in-place write reached the cached cat artifact")
+	}
+	if _, err := in.Start(browsix.Spec{Argv: []string{"/usr/bin/cat"}}); !errors.Is(err, abi.ENOEXEC) {
+		t.Fatalf("spawning the overwritten cat: %v, want ENOEXEC", err)
 	}
 }
