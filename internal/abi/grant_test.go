@@ -2,9 +2,8 @@ package abi
 
 import "testing"
 
-// Wire-format round trips for the zero-copy grant records: the read
-// direction's PageGrant replies and the write direction's WriteRef
-// submissions and wgalloc slot lists.
+// Wire-format round trips for the zero-copy grant records: PageGrant
+// replies and the slot lists of lease-reclaim frames.
 
 func TestGrantReplyPackRoundTrip(t *testing.T) {
 	grants := []PageGrant{
@@ -25,30 +24,6 @@ func TestGrantReplyPackRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWriteRefPackRoundTrip(t *testing.T) {
-	refs := []WriteRef{
-		{Slot: 0, Off: 0, Len: GrantPageSize},
-		{Slot: 31, Off: 4000, Len: 1},
-		{Slot: 4095, Off: GrantPageSize - 1, Len: 1},
-	}
-	buf := make([]byte, WriteRefSize*len(refs))
-	PackWriteRefs(buf, refs)
-	got := UnpackWriteRefs(buf, len(refs))
-	if len(got) != len(refs) {
-		t.Fatalf("unpack = %d refs, want %d", len(got), len(refs))
-	}
-	for i, r := range refs {
-		if got[i] != r {
-			t.Fatalf("ref %d: got %+v, want %+v", i, got[i], r)
-		}
-	}
-	// A short buffer yields only the refs that fully fit — a hostile
-	// count can never read past the staged bytes.
-	if short := UnpackWriteRefs(buf[:2*WriteRefSize+5], 3); len(short) != 2 {
-		t.Fatalf("short unpack = %d refs, want 2", len(short))
-	}
-}
-
 func TestSlotListPackRoundTrip(t *testing.T) {
 	slots := []uint32{0, 1, 4095, 17}
 	buf := make([]byte, 4*len(slots))
@@ -60,14 +35,6 @@ func TestSlotListPackRoundTrip(t *testing.T) {
 	for i := range slots {
 		if got[i] != slots[i] {
 			t.Fatalf("slot %d: got %d, want %d", i, got[i], slots[i])
-		}
-	}
-}
-
-func TestWgallocSyscallNamed(t *testing.T) {
-	for _, trap := range []int{SYS_wgalloc, SYS_writeg, SYS_readg, SYS_unlease} {
-		if SyscallName(trap) == "" {
-			t.Fatalf("trap %d has no name", trap)
 		}
 	}
 }

@@ -191,8 +191,6 @@ var Syscalls = [SYS_max]Syscall{
 	SYS_fsync:       {"fsync", ClassFileIO, Both, []Arg{ArgFd}, RetNone},
 	SYS_readg:       {"readg", "", HeapOnly, nil, RetNone},
 	SYS_unlease:     {"unlease", "", HeapOnly, nil, RetNone},
-	SYS_wgalloc:     {"wgalloc", "", HeapOnly, nil, RetNone},
-	SYS_writeg:      {"writeg", "", HeapOnly, nil, RetNone},
 	SYS_poll:        {"poll", ClassSockets, Both, []Arg{ArgPollfds, ArgInt}, RetPollfds},
 	SYS_setfl:       {"setfl", ClassSockets, Both, []Arg{ArgFd, ArgInt}, RetNone},
 }

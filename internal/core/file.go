@@ -140,29 +140,6 @@ func (f *fsFile) Write(d *Desc, data []byte, cb func(int, abi.Errno)) {
 	}, func(err abi.Errno) { cb(0, err) })
 }
 
-// WriteSlots is the zero-copy write entry: adopt staged arena slots as
-// dirty state at the descriptor's write position. When the handle cannot
-// adopt (write-back off, write-through backend) fallback runs instead
-// and no completion is delivered — the caller re-submits through the
-// copy path. Positioning errors (an O_APPEND stat failure) complete
-// through cb like any write.
-func (f *fsFile) WriteSlots(d *Desc, refs []fs.SlotRef, cb func(int, abi.Errno), fallback func()) {
-	sw, ok := f.h.(fs.SlotWriter)
-	if !ok {
-		fallback()
-		return
-	}
-	f.writePos(d, func(off int64) {
-		n, ok := sw.PwriteSlots(off, refs)
-		if !ok {
-			fallback()
-			return
-		}
-		d.off += int64(n)
-		cb(n, abi.OK)
-	}, func(err abi.Errno) { cb(0, err) })
-}
-
 func (f *fsFile) Pread(off int64, n int, cb func([]byte, abi.Errno)) { f.h.Pread(off, n, cb) }
 func (f *fsFile) Pwrite(off int64, data []byte, cb func(int, abi.Errno)) {
 	f.h.Pwrite(off, data, cb)

@@ -123,8 +123,6 @@ func badPointerFrames(hlen int64) []badFrame {
 	add(abi.SYS_readg, []int64{hcFd, hcOut, 64, hcRec, 1, 64}, 1, "buf")
 	add(abi.SYS_readg, []int64{hcFd, hcOut, 64, hcRec, 1, 64}, 3, "grants")
 	add(abi.SYS_unlease, []int64{hcInts, 1}, 0, "slots")
-	add(abi.SYS_wgalloc, []int64{1, hcRec}, 1, "grants")
-	add(abi.SYS_writeg, []int64{hcFd, hcInts, 1}, 1, "refs")
 	return out
 }
 
@@ -140,8 +138,8 @@ func worldState(t testing.TB, w *ringWorld) string {
 		})
 		w.fsys.ReadFile("/f", func(b []byte, err abi.Errno) { body = b })
 	})
-	return fmt.Sprintf("fds=%d leases=%d staged=%d cwd=%s ls=%v /f=%q",
-		len(w.task.files), len(w.task.leases), len(w.task.wstaged), w.task.cwd, ls, body)
+	return fmt.Sprintf("fds=%d leases=%d cwd=%s ls=%v /f=%q",
+		len(w.task.files), len(w.task.leases), w.task.cwd, ls, body)
 }
 
 // TestHeapCodecBadPointerEFAULT: on both the scalar and the ring path,

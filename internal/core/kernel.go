@@ -115,12 +115,11 @@ type Kernel struct {
 	GrantedBytes    atomic.Int64
 	LeaseGrants     atomic.Int64
 	LeaseReturns    atomic.Int64
-	// Zero-copy write-path statistics, mirroring the read side.
 	// WriteCopiedBytes counts payload bytes the kernel copied out of
-	// guest heaps (or staged slots, on the writeg fallback) accepting
-	// writes; WriteGrantedBytes counts bytes adopted in place from
-	// staged slots. BatchedGrantReads counts readg frames beyond the
-	// first in each same-fd run answered by one vectored cache pass.
+	// guest heaps accepting writes. WriteGrantedBytes is always zero:
+	// every write takes the copy path; the counter stays because the
+	// benchmark reports it. BatchedGrantReads counts readg frames beyond
+	// the first in each same-fd run answered by one vectored cache pass.
 	WriteCopiedBytes  atomic.Int64
 	WriteGrantedBytes atomic.Int64
 	BatchedGrantReads atomic.Int64
@@ -144,9 +143,6 @@ type Features struct {
 	// NoZeroCopy refuses page-pool registration and answers every readg
 	// on the copy path.
 	NoZeroCopy bool
-	// NoZeroCopyWrite refuses wgalloc and answers every writeg on the
-	// copy fallback, leaving read-side grants alone.
-	NoZeroCopyWrite bool
 	// NoCaches, NoWriteBack and NoDedup are the file system's switches
 	// (fs.Features).
 	NoCaches, NoWriteBack, NoDedup bool
@@ -194,7 +190,6 @@ func (k *Kernel) pagePoolSAB() *browser.SAB {
 // kernel-side reclaim when an image exits (or execs away) without
 // unleasing. Ordered by slot for determinism.
 func (k *Kernel) releaseTaskLeases(t *Task) {
-	t.wstaged = nil
 	if len(t.leases) == 0 {
 		return
 	}

@@ -381,6 +381,24 @@ func (w *world) mkdirAll(t testing.TB, p string) {
 	})
 }
 
+// readFile reads p through the VFS from the host side, as a fresh
+// reader would see it; memfs completes inline.
+func (w *world) readFile(t testing.TB, p string) []byte {
+	t.Helper()
+	var out []byte
+	done := false
+	w.fs.ReadFile(p, func(b []byte, err abi.Errno) {
+		if err != abi.OK {
+			t.Fatalf("read %s: %v", p, err)
+		}
+		out, done = b, true
+	})
+	if !done {
+		t.Fatalf("read %s did not complete inline", p)
+	}
+	return out
+}
+
 func (w *world) install(t testing.TB, path, prog string, kind rt.Kind) {
 	t.Helper()
 	// Small artifact size keeps unit-test sims fast; benchmarks use

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/abi"
-	"repro/internal/fs"
 )
 
 // PipeCap is the pipe buffer capacity, matching the traditional 64 KiB.
@@ -27,8 +26,8 @@ const PipeCap = 64 * 1024
 // destination heap) instead of at every pipe crossing.
 type Pipe struct {
 	id           int
-	segs         []pipeSeg // owned buffers, FIFO
-	size         int       // total buffered bytes across segs
+	segs         [][]byte // owned buffers, FIFO
+	size         int      // total buffered bytes across segs
 	readWaiters  []pipeRead
 	writeWaiters []*pipeWrite
 	readClosed   bool
@@ -52,57 +51,18 @@ func (p *Pipe) stateChanged() {
 	}
 }
 
-// pipeSeg is one buffered segment. Plain segments (slot < 0) own their
-// bytes outright. Slot-backed segments alias the shared page-pool arena
-// — adopted from a zero-copy writeg submission — and carry the owner
-// record that returns the pipe's pin when the last piece of the adopted
-// reference leaves. Slot-backed bytes leave the pipe either as page
-// grants (ReadRef, zero-copy) or as fresh copies (takeBytes/takeSegs):
-// handing out the arena alias itself would let a consumer keep reading
-// a slot after its pins drop and the pool recycles it.
-type pipeSeg struct {
-	data  []byte
-	slot  int   // backing pool slot for adopted segments, else -1
-	off   int64 // arena byte offset of data[0] (slot-backed only)
-	owner *segOwner
-}
-
-// segOwner tracks one adopted writeg reference across pipe splits:
-// pieces counts the live pieces carved from it (buffered or still held
-// by a parked writer); when the last piece leaves the pipe, release
-// returns the pipe's adopter pin. lease takes one extra lease-accounted
-// pin — used when a piece leaves as a read grant, so the reader's later
-// unlease stays balanced against pages granted.
-type segOwner struct {
-	pieces  int
-	lease   func()
-	release func()
-}
-
-// done retires one piece; safe on nil (plain segments).
-func (o *segOwner) done() {
-	if o == nil {
-		return
-	}
-	if o.pieces--; o.pieces == 0 {
-		o.release()
-	}
-}
-
-// pipeRead is a parked reader: exactly one of cb (scalar), spliceCB
-// (vectored, owned-segment), or notify (grant-capable readg, see
-// readNotify) is set.
+// pipeRead is a parked reader: exactly one of cb (scalar) or spliceCB
+// (vectored, owned-segment) is set.
 type pipeRead struct {
 	n        int
 	cb       func([]byte, abi.Errno)
 	spliceCB func([][]byte, abi.Errno)
-	notify   func()
 }
 
 // pipeWrite is a parked writer. segs holds the bytes still to transfer;
 // owned writers hand their buffers over without copying.
 type pipeWrite struct {
-	segs  []pipeSeg
+	segs  [][]byte
 	done  int
 	owned bool
 	cb    func(int, abi.Errno)
@@ -117,11 +77,10 @@ func NewPipe() *Pipe {
 	return &Pipe{id: int(pipeSeq.Add(1))}
 }
 
-// takeBytes removes and returns min(n, size) bytes as one slice. When a
-// plain head segment alone satisfies the request the slice is handed
-// over without copying (the pipe owns plain segments outright, so
-// ownership transfers to the reader); reads spanning segments — and any
-// slot-backed bytes, which the reader must not alias — gather into a
+// takeBytes removes and returns min(n, size) bytes as one slice. When
+// the head segment alone satisfies the request the slice is handed over
+// without copying (the pipe owns its segments outright, so ownership
+// transfers to the reader); reads spanning segments gather into a
 // fresh buffer.
 func (p *Pipe) takeBytes(n int) []byte {
 	if n > p.size {
@@ -130,33 +89,27 @@ func (p *Pipe) takeBytes(n int) []byte {
 	if n == 0 {
 		return nil
 	}
-	if s := &p.segs[0]; s.owner == nil && len(s.data) >= n {
+	if s := p.segs[0]; len(s) >= n {
 		// Full slice expression: the handed-out slice's capacity stops
 		// at n, so a reader growing it can never reach bytes the pipe
-		// still buffers in s.data[n:].
-		out := s.data[:n:n]
-		if len(s.data) == n {
+		// still buffers in s[n:].
+		if len(s) == n {
 			p.segs = p.segs[1:]
 		} else {
-			s.data = s.data[n:]
+			p.segs[0] = s[n:]
 		}
 		p.size -= n
-		return out
+		return s[:n:n]
 	}
 	out := make([]byte, 0, n)
 	for n > 0 {
-		s := &p.segs[0]
-		take := len(s.data)
-		if take > n {
-			take = n
-		}
-		out = append(out, s.data[:take]...)
-		if take == len(s.data) {
-			s.owner.done()
+		s := p.segs[0]
+		take := min(len(s), n)
+		out = append(out, s[:take]...)
+		if take == len(s) {
 			p.segs = p.segs[1:]
 		} else {
-			s.data = s.data[take:]
-			s.off += int64(take)
+			p.segs[0] = s[take:]
 		}
 		p.size -= take
 		n -= take
@@ -165,11 +118,9 @@ func (p *Pipe) takeBytes(n int) []byte {
 }
 
 // takeSegs removes up to max bytes as whole owned segments, splitting
-// only the final segment — plain segments move without copying, with
-// split pieces capacity-capped so the reader's slice can never grow
-// into bytes the pipe still buffers. Slot-backed segments leave as
-// fresh copies: their arena bytes may be recycled once the pipe's pin
-// drops, and the caller keeps the result indefinitely.
+// only the final segment — segments move without copying, with split
+// pieces capacity-capped so the reader's slice can never grow into
+// bytes the pipe still buffers.
 func (p *Pipe) takeSegs(max int) [][]byte {
 	if max > p.size {
 		max = p.size
@@ -177,25 +128,15 @@ func (p *Pipe) takeSegs(max int) [][]byte {
 	var out [][]byte
 	n := max
 	for n > 0 {
-		s := &p.segs[0]
-		if len(s.data) <= n {
-			b := s.data
-			if s.owner != nil {
-				b = append([]byte(nil), b...)
-				s.owner.done()
-			}
-			out = append(out, b)
+		s := p.segs[0]
+		if len(s) <= n {
+			out = append(out, s)
 			p.segs = p.segs[1:]
-			p.size -= len(b)
-			n -= len(b)
+			p.size -= len(s)
+			n -= len(s)
 		} else {
-			b := s.data[:n:n]
-			if s.owner != nil {
-				b = append([]byte(nil), s.data[:n]...)
-			}
-			out = append(out, b)
-			s.data = s.data[n:]
-			s.off += int64(n)
+			out = append(out, s[:n:n])
+			p.segs[0] = s[n:]
 			p.size -= n
 			n = 0
 		}
@@ -217,21 +158,6 @@ func (p *Pipe) read(n int, cb func([]byte, abi.Errno)) {
 	out := p.takeBytes(n)
 	p.pumpWriter()
 	cb(out, abi.OK)
-}
-
-// readNotify runs fn as soon as the pipe has data or EOF — immediately
-// when either holds, otherwise parked in FIFO order with ordinary
-// readers. A readg against an empty pipe parks here instead of falling
-// to the copy path up front: when fn fires, the caller re-attempts the
-// grant answer (ReadRef) against the now-buffered head and only then
-// falls back to a copying read — both complete inline at that point, so
-// blocking never forfeits the zero-copy path.
-func (p *Pipe) readNotify(fn func()) {
-	if p.size > 0 || p.writeClosed {
-		fn()
-		return
-	}
-	p.readWaiters = append(p.readWaiters, pipeRead{notify: fn})
 }
 
 // splice delivers up to max buffered bytes as owned segments without
@@ -266,36 +192,19 @@ func (p *Pipe) writeOwned(bufs [][]byte, cb func(int, abi.Errno)) {
 }
 
 func (p *Pipe) enqueueWrite(bufs [][]byte, owned bool, cb func(int, abi.Errno)) {
-	segs := make([]pipeSeg, 0, len(bufs))
-	for _, b := range bufs {
-		if len(b) > 0 {
-			segs = append(segs, pipeSeg{data: b, slot: -1})
-		}
-	}
-	p.enqueueSegs(segs, owned, cb)
-}
-
-// writeSlotSegs transfers adopted (arena-aliased) segments into the
-// pipe: the zero-copy writeg entry. Each segment's owner record arrives
-// armed by the kernel with the pin-management closures; backpressure
-// and EPIPE semantics match writeOwned.
-func (p *Pipe) writeSlotSegs(segs []pipeSeg, cb func(int, abi.Errno)) {
-	p.enqueueSegs(segs, true, cb)
-}
-
-func (p *Pipe) enqueueSegs(segs []pipeSeg, owned bool, cb func(int, abi.Errno)) {
 	if p.readClosed || p.writeClosed {
 		// readClosed: classic EPIPE. writeClosed: the write side already
 		// delivered EOF (CloseWrite); accepting more data would smuggle
 		// bytes past the EOF the reader was promised — only kernel-held
-		// ends (a Console whose stdin was closed) can reach this. Either
-		// way adopted segments never enter the pipe, so their pieces
-		// retire here.
-		for i := range segs {
-			segs[i].owner.done()
-		}
+		// ends (a Console whose stdin was closed) can reach this.
 		cb(0, abi.EPIPE)
 		return
+	}
+	segs := make([][]byte, 0, len(bufs))
+	for _, b := range bufs {
+		if len(b) > 0 {
+			segs = append(segs, b)
+		}
 	}
 	// Writers queue FIFO, so several outstanding writes (the ring
 	// transport batches them) complete in order as space frees up.
@@ -318,45 +227,27 @@ func (p *Pipe) pumpWriter() {
 		w := p.writeWaiters[0]
 		if p.readClosed {
 			p.writeWaiters = p.writeWaiters[1:]
-			for i := range w.segs {
-				w.segs[i].owner.done()
-			}
 			w.cb(w.done, abi.EPIPE)
 			continue
 		}
 		space := PipeCap - p.size
 		for space > 0 && len(w.segs) > 0 {
-			s := &w.segs[0]
-			take := len(s.data)
-			if take > space {
-				take = space
-			}
+			s := w.segs[0]
+			take := min(len(s), space)
 			if w.owned {
 				// Capacity-capped so a reader who later receives this
 				// piece whole can't grow it into the unsent remainder.
-				p.segs = append(p.segs, pipeSeg{
-					data: s.data[:take:take], slot: s.slot, off: s.off, owner: s.owner,
-				})
-				if take < len(s.data) {
-					// The reference now lives as two pieces: the buffered
-					// prefix and the writer-held remainder.
-					if s.owner != nil {
-						s.owner.pieces++
-					}
-				}
+				p.segs = append(p.segs, s[:take:take])
 			} else {
-				cp := make([]byte, take)
-				copy(cp, s.data[:take])
-				p.segs = append(p.segs, pipeSeg{data: cp, slot: -1})
+				p.segs = append(p.segs, append([]byte(nil), s[:take]...))
 			}
 			p.size += take
 			w.done += take
 			space -= take
-			if take == len(s.data) {
+			if take == len(s) {
 				w.segs = w.segs[1:]
 			} else {
-				s.data = s.data[take:]
-				s.off += int64(take)
+				w.segs[0] = s[take:]
 			}
 		}
 		if len(w.segs) > 0 {
@@ -379,9 +270,7 @@ func (p *Pipe) pumpReaders() {
 				ws := p.readWaiters
 				p.readWaiters = nil
 				for _, r := range ws {
-					if r.notify != nil {
-						r.notify() // sees EOF inline
-					} else if r.spliceCB != nil {
+					if r.spliceCB != nil {
 						r.spliceCB(nil, abi.OK)
 					} else {
 						r.cb(nil, abi.OK)
@@ -392,11 +281,7 @@ func (p *Pipe) pumpReaders() {
 		}
 		r := p.readWaiters[0]
 		p.readWaiters = p.readWaiters[1:]
-		if r.notify != nil {
-			// The callee consumes (grant or copy) inline; the loop re-checks
-			// size at the top for the next waiter.
-			r.notify()
-		} else if r.spliceCB != nil {
+		if r.spliceCB != nil {
 			out := p.takeSegs(r.n)
 			p.pumpWriter()
 			r.spliceCB(out, abi.OK)
@@ -420,17 +305,11 @@ func (p *Pipe) closeWrite() {
 // with EPIPE (the kernel also raises SIGPIPE, as Unix does).
 func (p *Pipe) closeRead() {
 	p.readClosed = true
-	for i := range p.segs {
-		p.segs[i].owner.done()
-	}
 	p.segs = nil
 	p.size = 0
 	ws := p.writeWaiters
 	p.writeWaiters = nil
 	for _, w := range ws {
-		for i := range w.segs {
-			w.segs[i].owner.done()
-		}
 		w.cb(w.done, abi.EPIPE)
 	}
 	p.stateChanged()
@@ -449,13 +328,8 @@ func (p *Pipe) writeNB(data []byte) (int, abi.Errno) {
 	if space <= 0 || len(p.writeWaiters) > 0 {
 		return 0, abi.EAGAIN
 	}
-	take := len(data)
-	if take > space {
-		take = space
-	}
-	cp := make([]byte, take)
-	copy(cp, data[:take])
-	p.segs = append(p.segs, pipeSeg{data: cp, slot: -1})
+	take := min(len(data), space)
+	p.segs = append(p.segs, append([]byte(nil), data[:take]...))
 	p.size += take
 	p.pumpReaders()
 	p.stateChanged()
@@ -540,63 +414,6 @@ func (e *pipeEnd) Writev(d *Desc, bufs [][]byte, cb func(int, abi.Errno)) {
 		}
 		cb(n, err)
 	})
-}
-
-// WriteSlotSegs is the zero-copy writeg entry for a pipe write end:
-// fully-formed arena-aliased segments (owner records armed by the
-// kernel) enter the buffer by reference.
-func (e *pipeEnd) WriteSlotSegs(segs []pipeSeg, cb func(int, abi.Errno)) {
-	if e.reader {
-		for i := range segs {
-			segs[i].owner.done()
-		}
-		cb(0, abi.EBADF)
-		return
-	}
-	e.p.writeSlotSegs(segs, func(n int, err abi.Errno) {
-		if err == abi.EPIPE && e.sigPipe != nil {
-			e.sigPipe()
-		}
-		cb(n, err)
-	})
-}
-
-// ReadRef answers a readg against the pipe: consecutive slot-backed
-// head segments leave as page grants — adopted writeg bytes cross the
-// pipe without a copy. Any other head (plain heap segment, empty pipe,
-// EOF) refuses, and the caller's fallback — splice plus one copy into
-// the reader's heap — keeps the blocking and EOF semantics. Granted
-// pieces are consumed: each takes a fresh lease-accounted pin for the
-// reader before the pipe's own piece retires.
-func (e *pipeEnd) ReadRef(d *Desc, n, max int) ([]fs.PageRef, bool) {
-	if !e.reader || e.p.size == 0 || len(e.p.segs) == 0 || e.p.segs[0].owner == nil {
-		return nil, false
-	}
-	p := e.p
-	var refs []fs.PageRef
-	for n > 0 && len(p.segs) > 0 && len(refs) < max {
-		s := &p.segs[0]
-		if s.owner == nil {
-			break
-		}
-		take := len(s.data)
-		if take > n {
-			take = n
-		}
-		s.owner.lease()
-		refs = append(refs, fs.PageRef{Slot: s.slot, Off: s.off, Len: take})
-		if take == len(s.data) {
-			s.owner.done()
-			p.segs = p.segs[1:]
-		} else {
-			s.data = s.data[take:]
-			s.off += int64(take)
-		}
-		p.size -= take
-		n -= take
-	}
-	p.pumpWriter()
-	return refs, true
 }
 
 // Splice moves up to max buffered bytes out as owned segments (the

@@ -1,9 +1,11 @@
 package core_test
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/abi"
+	"repro/internal/core"
 	"repro/internal/posix"
 	"repro/internal/rt"
 )
@@ -60,14 +62,20 @@ func init() {
 	}})
 }
 
+// bigPattern is t-bigwrite's payload: 1.5 MiB of byte(i*7).
+func bigPattern() []byte {
+	big := make([]byte, (1<<20)+(1<<19))
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	return big
+}
+
 func init() {
 	// Writes a buffer larger than the em-sync scratch region (1 MiB heap
 	// minus rings): the runtime must chunk it, not overflow.
 	posix.Register(&posix.Program{Name: "t-bigwrite", Main: func(p posix.Proc) int {
-		big := make([]byte, (1<<20)+(1<<19))
-		for i := range big {
-			big[i] = byte(i * 7)
-		}
+		big := bigPattern()
 		fd, err := p.Open("/big.out", abi.O_WRONLY|abi.O_CREAT|abi.O_TRUNC, 0o644)
 		if err != abi.OK {
 			return 1
@@ -87,15 +95,20 @@ func init() {
 }
 
 // TestOversizedSyncWriteChunks: a write larger than the shared heap's
-// scratch region must complete (in pieces) on both sync paths instead of
-// overflowing the staging area.
+// scratch region must complete (in pieces) on both sync paths, with
+// write-back on and off, instead of overflowing the staging area — and
+// the chunks must land in order, byte for byte.
 func TestOversizedSyncWriteChunks(t *testing.T) {
-	for _, v := range variants([]transport{ring, scalar}) {
+	want := bigPattern()
+	for _, v := range variants([]transport{ring, scalar}, core.Features{NoWriteBack: true}) {
 		w := v.boot(t)
 		w.install(t, "/usr/bin/t-bigwrite", "t-bigwrite", v.tr.kind())
 		code, out, errOut := w.run(t, "/usr/bin/t-bigwrite")
 		if code != 0 || out != "big=1572864\n" {
 			t.Fatalf("%s: exit=%d out=%q err=%q", v, code, out, errOut)
+		}
+		if got := w.readFile(t, "/big.out"); !bytes.Equal(got, want) {
+			t.Fatalf("%s: /big.out differs from the written pattern (%d vs %d bytes)", v, len(got), len(want))
 		}
 	}
 }

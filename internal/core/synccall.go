@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/abi"
-	"repro/internal/fs"
 )
 
 // The heap codec: the synchronous system-call transport (§3.2).
@@ -340,12 +339,6 @@ type heapLocalOp func(k *Kernel, t *Task, w []int64, done func(int64, abi.Errno)
 var heapLocal = [abi.SYS_max]heapLocalOp{
 	abi.SYS_readg:   (*Kernel).sysReadg,
 	abi.SYS_unlease: (*Kernel).sysUnlease,
-	abi.SYS_wgalloc: func(k *Kernel, t *Task, w []int64, done func(int64, abi.Errno)) {
-		// Write-grant allocation: lease empty staging slots for the
-		// zero-copy write path. Words: count, grantPtr.
-		k.doWgalloc(t, int(word(w, 0)), word(w, 1), done)
-	},
-	abi.SYS_writeg: (*Kernel).sysWriteg,
 }
 
 // sysReadg is read-with-grant: the zero-copy read path's single kernel
@@ -379,61 +372,48 @@ func (k *Kernel) sysReadg(t *Task, w []int64, done func(int64, abi.Errno)) {
 		done(-1, err)
 		return
 	}
-	resolve := func() {
-		if t.pool && t.ring != nil && !k.feat.NoZeroCopy {
-			if rf, ok := d.file.(refReader); ok {
-				if refs, ok := rf.ReadRef(d, want, maxGrants); ok {
-					k.LeaseGrants.Add(int64(len(refs)))
-					grants := make([]abi.PageGrant, len(refs))
-					var granted int64
-					for i, r := range refs {
-						if t.leases == nil {
-							t.leases = map[int]int{}
-						}
-						t.leases[r.Slot]++
-						grants[i] = abi.PageGrant{
-							Slot: uint32(r.Slot), Len: uint32(r.Len),
-							Off: r.Off, Gen: r.Gen,
-						}
-						granted += int64(r.Len)
+	if t.pool && t.ring != nil && !k.feat.NoZeroCopy {
+		if rf, ok := d.file.(refReader); ok {
+			if refs, ok := rf.ReadRef(d, want, maxGrants); ok {
+				k.LeaseGrants.Add(int64(len(refs)))
+				grants := make([]abi.PageGrant, len(refs))
+				var granted int64
+				for i, r := range refs {
+					if t.leases == nil {
+						t.leases = map[int]int{}
 					}
-					k.GrantedBytes.Add(granted)
-					buf := make([]byte, abi.GrantAreaSize(len(grants)))
-					abi.PackGrantReply(buf, abi.GrantMapped, grants)
-					t.heapWrite(grantPtr, buf)
-					done(granted, abi.OK)
-					return
+					t.leases[r.Slot]++
+					grants[i] = abi.PageGrant{
+						Slot: uint32(r.Slot), Len: uint32(r.Len),
+						Off: r.Off, Gen: r.Gen,
+					}
+					granted += int64(r.Len)
 				}
-			}
-		}
-		readGather(d, bufLen, func(segs [][]byte, rerr abi.Errno) {
-			if rerr != abi.OK {
-				done(-1, rerr)
+				k.GrantedBytes.Add(granted)
+				buf := make([]byte, abi.GrantAreaSize(len(grants)))
+				abi.PackGrantReply(buf, abi.GrantMapped, grants)
+				t.heapWrite(grantPtr, buf)
+				done(granted, abi.OK)
 				return
 			}
-			var hdr [abi.GrantHdrSize]byte
-			abi.PackGrantReply(hdr[:], abi.GrantCopied, nil)
-			t.heapWrite(grantPtr, hdr[:])
-			var total int64
-			for _, s := range segs {
-				t.heapWrite(bufPtr+total, s)
-				total += int64(len(s))
-			}
-			k.ReadCopiedBytes.Add(total)
-			done(total, abi.OK)
-		})
+		}
 	}
-	// A readg against an empty pipe parks a grant-capable notify instead
-	// of resolving now: ReadRef refuses an empty pipe, and falling
-	// straight to readGather would park a copying splice — every byte of
-	// a lockstep pipeline (the reader usually blocks first) would then
-	// cross by copy. Parking the *resolution* keeps the grant attempt
-	// first once data arrives.
-	if pe, ok := d.file.(*pipeEnd); ok && pe.reader {
-		pe.p.readNotify(resolve)
-		return
-	}
-	resolve()
+	readGather(d, bufLen, func(segs [][]byte, rerr abi.Errno) {
+		if rerr != abi.OK {
+			done(-1, rerr)
+			return
+		}
+		var hdr [abi.GrantHdrSize]byte
+		abi.PackGrantReply(hdr[:], abi.GrantCopied, nil)
+		t.heapWrite(grantPtr, hdr[:])
+		var total int64
+		for _, s := range segs {
+			t.heapWrite(bufPtr+total, s)
+			total += int64(len(s))
+		}
+		k.ReadCopiedBytes.Add(total)
+		done(total, abi.OK)
+	})
 }
 
 // readgRanges checks a readg frame's staging buffer and grant area.
@@ -469,36 +449,11 @@ func (k *Kernel) sysUnlease(t *Task, w []int64, done func(int64, abi.Errno)) {
 		if t.leases[slot] == 0 {
 			delete(t.leases, slot)
 		}
-		// A write-staging lease retires on its first return: the fs side
-		// releases staging ownership then too, so later writeg
-		// references to the slot must already be refused.
-		delete(t.wstaged, slot)
 		k.FS.UnleasePage(slot)
 		k.LeaseReturns.Add(1)
 		freed++
 	}
 	done(freed, abi.OK)
-}
-
-// sysWriteg is write-by-reference: the payload is already staged in
-// leased slots; only the 12-byte references cross the heap. Words: fd,
-// refPtr, refCnt.
-func (k *Kernel) sysWriteg(t *Task, w []int64, done func(int64, abi.Errno)) {
-	ptr, cnt := word(w, 1), word(w, 2)
-	if cnt <= 0 || cnt > 1024 {
-		done(-1, abi.EINVAL)
-		return
-	}
-	if err := t.heapRange(ptr, cnt, abi.WriteRefSize); err != abi.OK {
-		done(-1, err)
-		return
-	}
-	wrefs := abi.UnpackWriteRefs(t.heapBytes(ptr, cnt*abi.WriteRefSize), int(cnt))
-	refs := make([]fs.SlotRef, len(wrefs))
-	for i, r := range wrefs {
-		refs[i] = fs.SlotRef{Slot: int(r.Slot), Off: int(r.Off), Len: int(r.Len)}
-	}
-	k.doWriteg(t, int(word(w, 0)), refs, done)
 }
 
 // splitNul splits a NUL-separated packed string list.

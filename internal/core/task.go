@@ -62,12 +62,6 @@ type Task struct {
 	pool   bool
 	leases map[int]int
 
-	// wstaged marks the task's outstanding write-staging leases (slots
-	// handed out by wgalloc and not yet unleased). They live in leases
-	// too — exit reclaim is shared — but the separate set enforces the
-	// per-task staging cap and lets unlease keep the count honest.
-	wstaged map[int]bool
-
 	// onExit callbacks registered by the kernel API (kernel.system).
 	onExit []func(status int)
 

@@ -33,7 +33,9 @@ type vectoredReader interface {
 // refReader is implemented by files whose storage can answer a read
 // with pinned page-cache references instead of payload bytes (fs-backed
 // files over the shared page pool) — the zero-copy read path. A refusal
-// must leave the descriptor offset untouched.
+// must leave the descriptor offset untouched, and a short answer means
+// end of file: the batched readg dispatch answers the frames past it as
+// EOF.
 type refReader interface {
 	ReadRef(d *Desc, n, max int) ([]fs.PageRef, bool)
 }

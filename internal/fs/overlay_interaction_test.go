@@ -244,7 +244,7 @@ func TestHTTPFSFetchFailureIsEIO(t *testing.T) {
 
 // --- zipfs error paths -----------------------------------------------------
 
-func buildZip(t *testing.T, files map[string]string) []byte {
+func buildZip(t testing.TB, files map[string]string) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	zw := zip.NewWriter(&buf)

@@ -82,12 +82,6 @@ type pageCache struct {
 	// Only this cache's Instance thread touches it.
 	useClock int64
 
-	// wstaged marks slots leased out *empty* for write staging
-	// (AllocWriteSlots): they hold guest payload, live outside the
-	// files map (never evicted, never granted to readers), and are
-	// detached from staging ownership when the guest lease returns.
-	wstaged map[int]bool
-
 	// dedupOff disables the content-addressed sharing tier for pages
 	// this cache stores (ablations and differentials): every page goes
 	// to a private slot, exactly the pre-dedup allocator. Pages already
@@ -118,7 +112,6 @@ func newPageCache() *pageCache {
 		gens:      map[string]uint64{},
 		dirty:     map[string]*dirtyFile{},
 		flushErrs: map[string]flushErr{},
-		wstaged:   map[int]bool{},
 		pool:      pool,
 		att:       pool.attach(0),
 	}

@@ -36,33 +36,22 @@ import (
 // maxDirtyBytes is the default dirty budget (see SetDirtyBudget).
 const maxDirtyBytes = 8 << 20
 
-// dirtyExtent is one coalesced run of buffered bytes. An extent adopted
-// from the zero-copy write path aliases the page-pool arena instead of
-// holding its own copy: arenaEnd > 0 records the arena offset one past
-// its last byte (aliased slices are always cap-clamped, so any append
-// through data reallocates to the heap rather than clobbering the
-// neighbouring slot).
+// dirtyExtent is one coalesced run of buffered bytes.
 type dirtyExtent struct {
-	off      int64
-	data     []byte
-	arenaEnd int // 0 = heap-backed copy
+	off  int64
+	data []byte
 }
 
 func (e dirtyExtent) end() int64 { return e.off + int64(len(e.data)) }
 
 // dirtyFile is the buffered, not-yet-flushed state of one path.
-// Extents are ascending and disjoint; only slot adoption may leave two
-// file-adjacent extents side by side (a staged run crossing a slot
-// boundary) — the flusher coalesces those into one vectored write.
+// Extents are ascending, disjoint and never adjacent (insert merges
+// adjacency), so each lands as its own vectored write.
 type dirtyFile struct {
 	extents []dirtyExtent
 	bytes   int64
 	mtime   int64 // virtual time of the last buffered write
 	born    int64 // virtual time of the first buffered write this epoch
-	// slots pins adopted arena slots (one pin per adoption) until the
-	// flusher lands their bytes; see writegrant.go for the ownership
-	// protocol with the guest's own lease.
-	slots []int
 	// flush lands one extent on the backend, bound to the most recent
 	// writer's (open) backend handle. Rebinding on every buffered write
 	// keeps the closure valid: close flushes before the handle dies.
@@ -80,11 +69,7 @@ func (df *dirtyFile) insert(off int64, data []byte) int64 {
 	// Fast path: the pdflatex pattern — appending right after the last
 	// extent — grows it in place.
 	if n := len(e); n > 0 && off == e[n-1].end() {
-		// Appending to an arena-aliased extent reallocates (cap-clamped
-		// alias), leaving a heap-backed copy; its slot stays pinned in
-		// df.slots until the flush, which is harmless.
 		e[n-1].data = append(e[n-1].data, data...)
-		e[n-1].arenaEnd = 0
 		return int64(len(data))
 	}
 	end := off + int64(len(data))
@@ -113,37 +98,6 @@ func (df *dirtyFile) insert(off int64, data []byte) int64 {
 	merged := dirtyExtent{off: newOff, data: buf}
 	df.extents = append(e[:lo:lo], append([]dirtyExtent{merged}, e[hi:]...)...)
 	return int64(len(buf)) - oldBytes
-}
-
-// insertOwned adopts data — a cap-clamped slice aliasing the pool arena,
-// ending at arena offset arenaEnd — as dirty state without copying. Only
-// the clean shapes qualify: growing the last extent when both the file
-// offset and the arena offset continue exactly where it stopped (the
-// append-storm shape: the extent re-slices over the wider arena run), or
-// a brand-new extent overlapping nothing. Anything else returns false
-// and the caller merges through the copying insert.
-func (df *dirtyFile) insertOwned(off int64, data []byte, arenaEnd int, arena []byte) bool {
-	if len(data) == 0 {
-		return false
-	}
-	e := df.extents
-	if n := len(e); n > 0 && off == e[n-1].end() &&
-		e[n-1].arenaEnd > 0 && e[n-1].arenaEnd == arenaEnd-len(data) {
-		base := e[n-1].arenaEnd - len(e[n-1].data)
-		e[n-1].data = arena[base:arenaEnd:arenaEnd]
-		e[n-1].arenaEnd = arenaEnd
-		return true
-	}
-	end := off + int64(len(data))
-	// idx is the first extent starting at or past end; with extents
-	// ascending and disjoint, only e[idx-1] can overlap [off, end).
-	idx := sort.Search(len(e), func(i int) bool { return e[i].off >= end })
-	if idx > 0 && e[idx-1].end() > off {
-		return false
-	}
-	ne := dirtyExtent{off: off, data: data, arenaEnd: arenaEnd}
-	df.extents = append(e[:idx:idx], append([]dirtyExtent{ne}, e[idx:]...)...)
-	return true
 }
 
 // overlay patches base (the backend's view of [off, off+len(base))) with
@@ -308,45 +262,19 @@ func (f *FileSystem) flushPath(p string, cb func(abi.Errno)) {
 	// dentry). Drop the dentry around the writes so post-flush stats
 	// re-consult the backend.
 	f.dc.drop(p)
-	// Coalesce file-adjacent extents into one vectored write each: the
-	// copying insert merges adjacency away, but slot adoption leaves a
-	// staged run crossing a slot boundary as back-to-back extents, and
-	// they must still land as a single backend call.
-	type flushRun struct {
-		off  int64
-		n    int
-		bufs [][]byte
-	}
-	var runs []flushRun
-	for _, ext := range df.extents {
-		if len(runs) > 0 && runs[len(runs)-1].off+int64(runs[len(runs)-1].n) == ext.off {
-			r := &runs[len(runs)-1]
-			r.bufs = append(r.bufs, pageChunks(ext.data)...)
-			r.n += len(ext.data)
-			continue
-		}
-		runs = append(runs, flushRun{off: ext.off, n: len(ext.data), bufs: pageChunks(ext.data)})
-	}
 	var step func(i int, firstErr abi.Errno)
 	step = func(i int, firstErr abi.Errno) {
-		if i >= len(runs) {
-			// The adopted bytes are on the backend (or lost to a
-			// reported error): return the adopters' pins. Slots whose
-			// guest lease already came back free here.
-			for _, s := range df.slots {
-				f.pc.pool.unpin(s)
-			}
-			df.slots = nil
+		if i >= len(df.extents) {
 			f.dc.drop(p)
 			cb(firstErr)
 			return
 		}
-		run := runs[i]
+		ext := df.extents[i]
 		f.pc.flushWrites.Add(1)
-		df.flush(run.off, run.bufs, func(n int, err abi.Errno) {
+		df.flush(ext.off, pageChunks(ext.data), func(n int, err abi.Errno) {
 			if firstErr == abi.OK && err != abi.OK {
 				firstErr = err
-			} else if firstErr == abi.OK && n < run.n {
+			} else if firstErr == abi.OK && n < len(ext.data) {
 				firstErr = abi.EIO
 			}
 			step(i+1, firstErr)
@@ -529,57 +457,6 @@ func (h *writebackHandle) buffer(off int64, data []byte) {
 		h.fs.flushAllDirtyNow()
 	}
 	h.fs.armFlushTimer()
-}
-
-// PwriteSlots implements SlotWriter: adopt staged arena bytes as dirty
-// extents in place — the zero-copy write path's landing zone. The clean
-// sequential shapes alias the arena (pinning each adopted slot until the
-// flush); overlapping or out-of-order refs merge through the copying
-// insert, which is a kernel-internal move, not a crossing. Refusal
-// (write-back off, stale handle) sends the caller down the copy path.
-func (h *writebackHandle) PwriteSlots(off int64, refs []SlotRef) (int, bool) {
-	if off < 0 || !h.buffered() {
-		return 0, false
-	}
-	pc := h.fs.pc
-	df := pc.dirty[h.path]
-	if df == nil {
-		df = &dirtyFile{born: h.fs.now()}
-		pc.dirty[h.path] = df
-	}
-	df.flush = func(o int64, bufs [][]byte, cb func(int, abi.Errno)) {
-		h.inner.Pwritev(o, bufs, cb)
-	}
-	arena := pc.pool.arena
-	total := 0
-	var delta int64
-	for _, r := range refs {
-		data := h.fs.SlotBytes(r)
-		arenaEnd := r.Slot*PageSize + r.Off + r.Len
-		if df.insertOwned(off+int64(total), data, arenaEnd, arena) {
-			pc.pool.pin(r.Slot)
-			df.slots = append(df.slots, r.Slot)
-			delta += int64(r.Len)
-		} else {
-			delta += df.insert(off+int64(total), data)
-		}
-		total += r.Len
-	}
-	df.bytes += delta
-	pc.dirtyBytes.Add(delta)
-	df.mtime = h.fs.now()
-	pc.bufferedWrites.Add(1)
-	// Content changed: clean pages and cached attributes go, the
-	// generation stays (reclaim-before-coalesce: dropped leased pages
-	// freeze for their holders).
-	pc.dropPages(h.path)
-	h.fs.dc.drop(h.path)
-	if pc.dirtyBytes.Load() > h.fs.dirtyBudget {
-		pc.overflowFlushes.Add(1)
-		h.fs.flushAllDirtyNow()
-	}
-	h.fs.armFlushTimer()
-	return total, true
 }
 
 // Pwrite implements FileHandle: absorb into the dirty extents, or write

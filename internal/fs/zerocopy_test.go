@@ -13,6 +13,17 @@ import (
 // pin/freeze lease discipline of the page pool, and the adaptive
 // readahead window.
 
+// TestGrantGranuleLockstep is the runtime companion of the compile-time
+// assert in pagepool.go: the fs page granule and the ABI grant granule
+// must be the same constant, since page grants name slot-relative byte
+// ranges across the kernel boundary in page units.
+func TestGrantGranuleLockstep(t *testing.T) {
+	if PageSize != abi.GrantPageSize {
+		t.Fatalf("fs.PageSize = %d, abi.GrantPageSize = %d — granules drifted",
+			PageSize, abi.GrantPageSize)
+	}
+}
+
 func openPaged(t *testing.T, f *FileSystem, p string) *pagedHandle {
 	t.Helper()
 	var out *pagedHandle

@@ -17,6 +17,7 @@ type ZipFS struct {
 	files map[string]*zip.File
 	dirs  map[string]map[string]bool
 	cache map[string][]byte
+	size  uint64 // archive bytes: no member's compressed data exceeds it
 }
 
 // NewZipFS indexes a zip archive held in memory.
@@ -29,6 +30,7 @@ func NewZipFS(archive []byte) (*ZipFS, error) {
 		files: map[string]*zip.File{},
 		dirs:  map[string]map[string]bool{"/": {}},
 		cache: map[string][]byte{},
+		size:  uint64(len(archive)),
 	}
 	for _, f := range zr.File {
 		p := Clean("/" + f.Name)
@@ -78,6 +80,29 @@ func (z *ZipFS) Stat(p string, cb func(abi.Stat, abi.Errno)) {
 // Lstat implements Backend.
 func (z *ZipFS) Lstat(p string, cb func(abi.Stat, abi.Errno)) { z.Stat(p, cb) }
 
+// maxDeflateRatio bounds DEFLATE's expansion: a 258-byte match costs at
+// least two bits, so no stream decompresses to more than 1032 times its
+// size.
+const maxDeflateRatio = 1032
+
+// plausibleSize reports whether f's compressed bytes can produce the
+// uncompressed size its header declares. Both sizes come from the
+// archive, so a corrupt or hostile member may claim any size; checking
+// before contents allocates the declared size keeps such a member an
+// EIO instead of a host panic or an out-of-memory.
+func (z *ZipFS) plausibleSize(f *zip.File) bool {
+	if f.CompressedSize64 > z.size {
+		return false
+	}
+	switch f.Method {
+	case zip.Store:
+		return f.UncompressedSize64 == f.CompressedSize64
+	case zip.Deflate:
+		return f.UncompressedSize64/maxDeflateRatio <= f.CompressedSize64
+	}
+	return true // f.Open refuses a method it cannot decompress
+}
+
 func (z *ZipFS) contents(p string) ([]byte, abi.Errno) {
 	if b, ok := z.cache[p]; ok {
 		return b, abi.OK
@@ -85,6 +110,9 @@ func (z *ZipFS) contents(p string) ([]byte, abi.Errno) {
 	f, ok := z.files[p]
 	if !ok {
 		return nil, abi.ENOENT
+	}
+	if !z.plausibleSize(f) {
+		return nil, abi.EIO
 	}
 	rc, err := f.Open()
 	if err != nil {

@@ -56,11 +56,6 @@ type workerRT struct {
 	pool           *browser.SAB
 	heldLeases     map[int][]abi.PageGrant
 	pendingUnlease []uint32
-	// Zero-copy write path (rides the same pool mapping): per-descriptor
-	// staging slots leased from the kernel with wgalloc; wgOK drops to
-	// false for good on the first ENOSYS (writegrant.go).
-	wgOK   bool
-	wstage map[int]*writeStage
 	// ringOutstanding counts pushed frames whose replies have not yet
 	// been popped (bounds batches to the reply ring's capacity);
 	// inflight counts parked sync/ring calls so only the outermost
@@ -94,7 +89,6 @@ func bootWorker(sys *browser.System, w *browser.Worker, prog *posix.Program, kin
 		pending:    map[int64]*sched.G{},
 		handlers:   map[int]func(int){},
 		heldLeases: map[int][]abi.PageGrant{},
-		wstage:     map[int]*writeStage{},
 		sync:       kind == EmSyncKind || kind == WasmKind,
 	}
 	w.Ctx.OnMessage = r.onMessage
@@ -331,7 +325,7 @@ func (r *workerRT) maxScratchPayload() int64 {
 // posix.Proc implementation. Each method fills typed arguments and calls
 // r.call, whose codec follows the runtime's transport (codec.go). The
 // only transport-specific paths left here are the sync codec's own:
-// zero-copy leases and write staging, ring-batched writev/stat/accept,
+// zero-copy read leases, ring-batched writev/stat/accept,
 // and degrading requests larger than the scratch region.
 // ---------------------------------------------------------------------------
 
@@ -360,10 +354,9 @@ func (r *workerRT) Open(path string, flags int, mode uint32) (int, abi.Errno) {
 }
 
 func (r *workerRT) Close(fd int) abi.Errno {
-	// Close returns the descriptor's page leases and write-staging
-	// slots; the reclaim frames share close's doorbell.
+	// Close returns the descriptor's page leases; the reclaim frames
+	// share close's doorbell.
 	r.dropFdLeases(fd)
-	r.dropFdWriteStage(fd)
 	return r.callLeased(abi.SYS_close, &abi.Args{Int: ints(fd)}).Err
 }
 
@@ -378,20 +371,9 @@ func (r *workerRT) Read(fd int, n int) ([]byte, abi.Errno) {
 	return res.Data, res.Err
 }
 
-func (r *workerRT) Write(fd int, b []byte) (int, abi.Errno) {
-	if r.wgOK && len(b) > 0 {
-		// Zero-copy path: stage the payload into leased arena slots and
-		// submit references — no bytes cross through scratch.
-		if n, err, ok := r.writeStaged(fd, b); ok {
-			return n, err
-		}
-	}
-	return r.writePlain(fd, b)
-}
-
-// writePlain is the classic write: on the sync transport the payload is
+// Write is the classic write: on the sync transport the payload is
 // staged through the scratch region, one kernel copy out of the heap.
-func (r *workerRT) writePlain(fd int, b []byte) (int, abi.Errno) {
+func (r *workerRT) Write(fd int, b []byte) (int, abi.Errno) {
 	// Buffers larger than the scratch region go out in pieces.
 	if max := r.maxScratchPayload(); r.sync && int64(len(b)) > max {
 		if max <= 0 {
@@ -400,7 +382,7 @@ func (r *workerRT) writePlain(fd int, b []byte) (int, abi.Errno) {
 		total := 0
 		for len(b) > 0 {
 			n := int(min(int64(len(b)), max))
-			m, err := r.writePlain(fd, b[:n])
+			m, err := r.Write(fd, b[:n])
 			total += m
 			if err != abi.OK {
 				// Short-write semantics: earlier chunks that landed make
@@ -521,11 +503,9 @@ func (r *workerRT) Fsync(fd int) abi.Errno {
 }
 
 func (r *workerRT) Dup2(oldfd, newfd int) abi.Errno {
-	// newfd is implicitly closed: its held leases and staging slots go
-	// back.
+	// newfd is implicitly closed: its held leases go back.
 	if oldfd != newfd {
 		r.dropFdLeases(newfd)
-		r.dropFdWriteStage(newfd)
 	}
 	return r.callLeased(abi.SYS_dup2, &abi.Args{Int: ints(oldfd, newfd)}).Err
 }

@@ -19,6 +19,12 @@ import (
 // lease-reclaim (unlease) frames that ride the next doorbell — a
 // sequential reader's grants are returned inside the batches it was
 // already sending.
+//
+// Writes have no mapped counterpart: every write goes out through the
+// copy path (one kernel copy out of the heap), as in the paper's sync
+// transport. ReadBatch pushes a run of same-fd readg frames into one
+// doorbell; the kernel answers the run with a single vectored cache
+// pass and one wake (core.dispatchReadgRun).
 
 // maxHeldLeases bounds the grants retained per descriptor; the oldest
 // is returned first when exceeded.
@@ -41,9 +47,6 @@ func (r *workerRT) negotiatePagePool() {
 	}
 	r.pool = sab
 	r.poolOK = true
-	// The write direction rides the same mapping; the first wgalloc
-	// ENOSYS (an old kernel, or Features.NoZeroCopyWrite) turns it back off.
-	r.wgOK = true
 }
 
 // holdLease retains one granted lease for fd, evicting the oldest
@@ -190,4 +193,82 @@ func (r *workerRT) readgPayload(dst []byte, bufPtr, grantPtr, areaLen, n int64, 
 		keep(g)
 	}
 	return dst
+}
+
+// ReadBatch reads up to frames*chunk bytes from fd by pushing `frames`
+// grant-read frames into as few doorbells as the scratch region allows
+// (usually one) — the kernel answers each same-fd run with one vectored
+// cache pass and one wake. Stops early at end of file. Falls back to
+// sequential reads off the fast path.
+func (r *workerRT) ReadBatch(fd, chunk, frames int) ([]byte, abi.Errno) {
+	if chunk <= 0 || frames <= 0 {
+		return nil, abi.EINVAL
+	}
+	if !r.poolOK {
+		var out []byte
+		for i := 0; i < frames; i++ {
+			b, err := r.Read(fd, chunk)
+			if err != abi.OK {
+				return out, err
+			}
+			if len(b) == 0 {
+				break
+			}
+			out = append(out, b...)
+		}
+		return out, abi.OK
+	}
+	mg := abi.MaxGrantsFor(chunk)
+	if mg > maxGrantsPerRead {
+		mg = maxGrantsPerRead
+	}
+	areaLen := int64(abi.GrantAreaSize(mg))
+	perFrame := int64(chunk) + areaLen + 32
+	var out []byte
+	left := frames
+	for left > 0 {
+		if !r.scratchFits(perFrame + r.unleaseStageBytes() + 64) {
+			// Scratch held by an interleaved batch: finish sequentially.
+			b, err := r.Read(fd, chunk)
+			if err != abi.OK {
+				return out, err
+			}
+			if len(b) == 0 {
+				return out, abi.OK
+			}
+			out = append(out, b...)
+			left--
+			continue
+		}
+		// Pack as many frames as the scratch region can stage buffers
+		// and grant areas for; they form one same-fd readg run.
+		reqs := r.stageUnleases(nil)
+		base := len(reqs)
+		type frameArea struct{ bufPtr, grantPtr int64 }
+		var areas []frameArea
+		for len(areas) < left && r.scratchFits(perFrame+64) {
+			bufPtr := r.alloc(int64(chunk))
+			grantPtr := r.alloc(areaLen)
+			reqs = append(reqs, ringReq{trap: abi.SYS_readg,
+				args: []int64{int64(fd), bufPtr, int64(chunk), grantPtr, int64(mg), int64(chunk)}})
+			areas = append(areas, frameArea{bufPtr, grantPtr})
+		}
+		rets, errs := r.ringCalls(reqs)
+		left -= len(areas)
+		for i, fa := range areas {
+			ret, err := rets[base+i], errs[base+i]
+			if err != abi.OK {
+				return out, err
+			}
+			if ret <= 0 {
+				return out, abi.OK
+			}
+			// A batch reader has no sequential re-read window to hold
+			// mapped grants open for: queue them straight for return.
+			out = r.readgPayload(out, fa.bufPtr, fa.grantPtr, areaLen, ret, func(g abi.PageGrant) {
+				r.pendingUnlease = append(r.pendingUnlease, g.Slot)
+			})
+		}
+	}
+	return out, abi.OK
 }

@@ -144,8 +144,8 @@ type ringRep struct {
 
 // ringWritev fans a writev out into per-buffer write frames sharing one
 // doorbell — several completed system calls per kernel dispatch (reply
-// batching). Buffers too large for the scratch region fall back to plain
-// writes.
+// batching). A buffer too large for the scratch region goes through
+// Write, which sends it in scratch-sized pieces.
 func (r *workerRT) ringWritev(fd int, bufs [][]byte) (int64, abi.Errno) {
 	var total int64
 	i := 0

@@ -90,7 +90,6 @@ func (r *workerRT) restoreFromImage(img *snapshot.Image, tracker *snapshot.Track
 		if sab, ok := ret[4].(*browser.SAB); ok && sab != nil {
 			r.pool = sab
 			r.poolOK = true
-			r.wgOK = true
 		}
 	}
 }
