@@ -86,11 +86,17 @@ func TestDirentPackTruncation(t *testing.T) {
 	}
 }
 
+// replyRoundTrip clones a successful reply to trap carrying res.
+func replyRoundTrip(trap int, res Result) Result {
+	c, _ := (&ReplyFrame{ID: 1, Trap: trap, Res: res}).CloneValue()
+	return c.(*ReplyFrame).Res
+}
+
 func TestStatMapRoundTrip(t *testing.T) {
 	st := Stat{Mode: S_IFDIR | 0o755, Size: 4096, Mtime: 11, Atime: 22, Ctime: 33, Nlink: 2, Ino: 5}
-	got := StatFromMap(StatToMap(st))
+	got := replyRoundTrip(SYS_stat, Result{Stat: st}).Stat
 	if got != st {
-		t.Fatalf("map roundtrip: %+v != %+v", got, st)
+		t.Fatalf("stat object roundtrip: %+v != %+v", got, st)
 	}
 	if !st.IsDir() || st.IsRegular() || st.IsSymlink() {
 		t.Fatal("mode predicates wrong")
@@ -99,8 +105,8 @@ func TestStatMapRoundTrip(t *testing.T) {
 
 func TestDirentMapRoundTrip(t *testing.T) {
 	d := Dirent{Name: "f.txt", Type: DT_REG, Ino: 77}
-	if got := DirentFromMap(DirentToMap(d)); got != d {
-		t.Fatalf("dirent map roundtrip: %+v", got)
+	if got := replyRoundTrip(SYS_getdents, Result{Ret: 1, Ents: []Dirent{d}}).Ents; len(got) != 1 || got[0] != d {
+		t.Fatalf("dirent object roundtrip: %+v", got)
 	}
 }
 

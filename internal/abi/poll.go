@@ -28,6 +28,9 @@ type Pollfd struct {
 // PollfdSize is the packed size of one Pollfd record.
 const PollfdSize = 12
 
+// PollfdMax is the most records one poll call takes; more fail with EINVAL.
+const PollfdMax = 4096
+
 // PackPollfds writes fds into b, returning bytes written. b must hold
 // len(fds)*PollfdSize bytes.
 func PackPollfds(b []byte, fds []Pollfd) int {

@@ -23,6 +23,10 @@ type Iovec struct {
 // IovecSize is the packed size of one Iovec.
 const IovecSize = 16
 
+// IovMax is the most scatter/gather elements one readv or writev takes
+// (Linux's IOV_MAX); a longer list fails with EINVAL on every transport.
+const IovMax = 1024
+
 // PackIovecs writes iovs into b, returning bytes written. b must hold
 // len(iovs)*IovecSize bytes.
 func PackIovecs(b []byte, iovs []Iovec) int {

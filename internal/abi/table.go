@@ -4,18 +4,20 @@ import "fmt"
 
 // This file is the system-call table both transports share: one row per
 // trap naming the call, its Figure 3 class, and the shapes of its
-// arguments and result. The kernel and the runtimes each hold one codec
-// per transport that converts between a row's shapes and the typed Args
-// and Result below, so a call's semantics are written once (the kernel's
-// op for the trap) whichever transport carries it.
+// arguments and result. The asynchronous transport carries the typed
+// Args and Result below in self-cloning frames (CallFrame, ReplyFrame);
+// the kernel and the runtimes each hold a heap codec that converts
+// between a row's shapes and the same types, so a call's semantics are
+// written once (the kernel's op for the trap) whichever transport
+// carries it.
 //
 // Adding a system call takes one row here plus one op in the kernel's op
 // table (internal/core/ops.go) and one posix.Proc method that fills Args
 // and calls the runtime's codec. A codec changes only when the call
 // needs an argument or result shape no row used before.
 
-// Arg is the shape of one system-call argument: what the asynchronous
-// transport clones into the message, and the integer words the
+// Arg is the shape of one system-call argument: the JS value the
+// asynchronous transport's frame models, and the integer words the
 // synchronous (heap) transport passes instead, pointers addressing the
 // caller's SharedArrayBuffer heap.
 //
@@ -195,29 +197,221 @@ var Syscalls = [SYS_max]Syscall{
 	SYS_setfl:       {"setfl", ClassSockets, Both, []Arg{ArgFd, ArgInt}, RetNone},
 }
 
-// ReaddirAlias is the paper's Figure 3 name for getdents; the
-// asynchronous transport accepts it too.
+// ReaddirAlias is the paper's Figure 3 name for getdents.
 const ReaddirAlias = "readdir"
 
-var trapByName = func() map[string]int {
-	m := map[string]int{ReaddirAlias: SYS_getdents}
-	for trap, row := range Syscalls {
-		if row.Name != "" {
-			m[row.Name] = trap
-		}
-	}
-	return m
-}()
-
-// SyscallTrap maps an asynchronous call name to its trap number, or 0
-// when no row has that name.
-func SyscallTrap(name string) int { return trapByName[name] }
-
-// SyscallName maps a trap number to its name, the same name used on the
-// asynchronous transport.
+// SyscallName maps a trap number to its name, the name the kernel counts
+// its calls under.
 func SyscallName(n int) string {
 	if n > 0 && n < SYS_max && Syscalls[n].Name != "" {
 		return Syscalls[n].Name
 	}
 	return fmt.Sprintf("sys(%d)", n)
+}
+
+// The asynchronous transport's messages. Each frame is the typed form of
+// the JS object a Browsix runtime or kernel posts, and clones itself: its
+// CloneValue returns a deep copy of what that object would carry and the
+// bytes browser.Clone charges for the object, so the virtual cost of a
+// call is that of the structured clone the paper measures (§3.2).
+
+// CallFrame is one table-driven call, modelling {type: "syscall", id,
+// name, args: [...]} with the arguments its row names, in row order.
+type CallFrame struct {
+	ID   int64
+	Trap int
+	Args Args
+}
+
+// ReplyFrame answers a CallFrame, modelling {type: "reply", id, ret:
+// [ret, errno, extra...]} with the extra values row Trap's Ret names. A
+// call refused before its op ran (a bad trap or argument) is answered
+// with Trap 0: [ret, errno] only.
+type ReplyFrame struct {
+	ID   int64
+	Trap int
+	Res  Result
+}
+
+// SyncFrame is the scalar heap transport's trap, modelling {type:
+// "sync", trap, args: [words...]}.
+type SyncFrame struct {
+	Trap  int
+	Words []int64
+}
+
+// RingBell is the ring transport's doorbell, modelling {type:
+// "ringbell"}; the calls wait in the request ring.
+type RingBell struct{}
+
+// Clone sizes, by browser.Clone's rules: a number is 8 bytes, a string
+// or buffer its length, an array element 8 more, and an object property
+// 8 more plus its key's length.
+const (
+	numSize = 8
+	// statObj is {mode, size, mtime, atime, ctime, nlink, ino}.
+	statObj = int64(7*(numSize+8) + len("modesizemtimeatimectimenlinkino"))
+	// direntObj is {name, type, ino} less the name's bytes.
+	direntObj = int64(3*8 + len("nametypeino") + 2*numSize)
+)
+
+func prop(key string, val int64) int64 { return int64(len(key)) + 8 + val }
+
+var noRow Syscall
+
+// rowOf is trap's row, or an empty one for a number outside the table.
+func rowOf(trap int) *Syscall {
+	if trap > 0 && trap < SYS_max {
+		return &Syscalls[trap]
+	}
+	return &noRow
+}
+
+// CloneValue copies the arguments f's row sends (an ArgOpt only when
+// non-zero, Pollfds without revents) and sizes the object.
+func (f *CallFrame) CloneValue() (any, int64) {
+	row := rowOf(f.Trap)
+	c := &CallFrame{ID: f.ID, Trap: f.Trap}
+	a, ca := &f.Args, &c.Args
+	var n int64 // the args array
+	ni, ns, nl := 0, 0, 0
+	for _, shape := range row.Args {
+		switch shape {
+		case ArgInt, ArgFd, ArgOpt:
+			if shape != ArgOpt || a.Int[ni] != 0 {
+				ca.Int[ni] = a.Int[ni]
+				n += numSize + 8
+			}
+			ni++
+		case ArgZero:
+			n += numSize + 8
+		case ArgOut:
+			ca.Cap = a.Cap
+			n += numSize + 8
+		case ArgStr:
+			ca.Str[ns] = a.Str[ns]
+			n += int64(len(a.Str[ns])) + 8
+			ns++
+		case ArgStrs:
+			ca.Strs[nl] = append(make([]string, 0, len(a.Strs[nl])), a.Strs[nl]...)
+			for _, s := range a.Strs[nl] {
+				n += int64(len(s)) + 8
+			}
+			n += 8
+			nl++
+		case ArgBytes:
+			ca.Bytes = append(make([]byte, 0, len(a.Bytes)), a.Bytes...)
+			n += int64(len(a.Bytes)) + 8
+		case ArgInts:
+			ca.Ints = append([]int(nil), a.Ints...)
+			n += int64(len(a.Ints))*(numSize+8) + 8
+		case ArgLens:
+			ca.Lens = append([]int(nil), a.Lens...)
+			n += int64(len(a.Lens))*(numSize+8) + 8
+		case ArgBufs:
+			var m int64
+			ca.Bufs, m = cloneBufs(a.Bufs, false)
+			n += m + 8
+		case ArgPollfds:
+			ca.Pollfds = make([]Pollfd, len(a.Pollfds))
+			for i, p := range a.Pollfds {
+				ca.Pollfds[i] = Pollfd{Fd: p.Fd, Events: p.Events}
+			}
+			n += int64(len(a.Pollfds))*2*(numSize+8) + 8
+		}
+	}
+	return c, prop("type", int64(len("syscall"))) + prop("id", numSize) + prop("name", int64(len(row.Name))) + prop("args", n)
+}
+
+// CloneValue copies ret, errno and, on success, the result field row
+// Trap's Ret names (readv's segments without empty ones), and sizes the
+// object. A failed readv replies [-1, errno].
+func (f *ReplyFrame) CloneValue() (any, int64) {
+	r := &f.Res
+	c := &ReplyFrame{ID: f.ID, Trap: f.Trap, Res: Result{Ret: r.Ret, Err: r.Err}}
+	ok := r.Err == OK
+	n := int64(2 * (numSize + 8)) // the ret array
+	switch rowOf(f.Trap).Ret {
+	case RetBytes:
+		if ok {
+			c.Res.Data = append(make([]byte, 0, len(r.Data)), r.Data...)
+		}
+		n += int64(len(r.Data)) + 8
+	case RetSegs:
+		if !ok {
+			c.Res.Ret = -1
+			break
+		}
+		var m int64
+		c.Res.Segs, m = cloneBufs(r.Segs, true)
+		n += m + 8
+	case RetStat:
+		if ok {
+			c.Res.Stat = r.Stat
+		}
+		n += statObj + 8
+	case RetStr:
+		if ok {
+			c.Res.Str = r.Str
+		}
+		n += int64(len(r.Str)) + 8
+	case RetDirents:
+		if ok {
+			c.Res.Ents = append([]Dirent(nil), r.Ents...)
+		}
+		for _, e := range r.Ents {
+			n += int64(len(e.Name)) + direntObj + 8
+		}
+		n += 8
+	case RetPair:
+		if ok {
+			c.Res.Aux = r.Aux
+		}
+		n += 2 * (numSize + 8)
+	case RetStatus:
+		if ok {
+			c.Res.Aux[0] = r.Aux[0]
+		}
+		n += numSize + 8
+	case RetPollfds:
+		if ok {
+			c.Res.Pollfds = append([]Pollfd(nil), r.Pollfds...)
+		}
+		n += int64(len(r.Pollfds))*(numSize+8) + 8
+	}
+	return c, prop("type", int64(len("reply"))) + prop("id", numSize) + prop("ret", n)
+}
+
+// CloneValue copies the words and sizes the object.
+func (f *SyncFrame) CloneValue() (any, int64) {
+	c := &SyncFrame{Trap: f.Trap, Words: append([]int64(nil), f.Words...)}
+	return c, prop("type", int64(len("sync"))) + prop("trap", numSize) + prop("args", int64(len(f.Words))*(numSize+8))
+}
+
+// CloneValue sizes the doorbell.
+func (RingBell) CloneValue() (any, int64) { return RingBell{}, prop("type", int64(len("ringbell"))) }
+
+// cloneBufs deep-copies bufs into one backing array, each copy
+// capacity-limited to its own bytes, and sizes the array of all of them.
+// dropEmpty leaves the empty ones out of the copy.
+func cloneBufs(bufs [][]byte, dropEmpty bool) ([][]byte, int64) {
+	total := 0
+	for _, b := range bufs {
+		total += len(b)
+	}
+	size := int64(total + 8*len(bufs))
+	if len(bufs) == 0 || dropEmpty && total == 0 {
+		return nil, size
+	}
+	flat := make([]byte, total)
+	out := make([][]byte, 0, len(bufs))
+	off := 0
+	for _, b := range bufs {
+		if len(b) > 0 || !dropEmpty {
+			end := off + copy(flat[off:], b)
+			out = append(out, flat[off:end:end])
+			off = end
+		}
+	}
+	return out, size
 }

@@ -5,7 +5,7 @@ import "encoding/binary"
 // This file defines the wire encodings shared by the kernel and the
 // language runtimes — the equivalent of the C struct layouts Browsix's
 // Emscripten integration had to pad to match the kernel's expectations
-// (§4.3), and the object shapes used on the asynchronous message path.
+// (§4.3). The asynchronous message path's frames are in table.go.
 
 // StatSize is the packed size of a Stat record in a process heap.
 const StatSize = 64
@@ -86,66 +86,4 @@ func UnpackDirents(buf []byte) []Dirent {
 		n += rec
 	}
 	return out
-}
-
-// StatToMap converts a Stat to the object shape used on the asynchronous
-// message path.
-func StatToMap(st Stat) map[string]any {
-	return map[string]any{
-		"mode":  int64(st.Mode),
-		"size":  st.Size,
-		"mtime": st.Mtime,
-		"atime": st.Atime,
-		"ctime": st.Ctime,
-		"nlink": int64(st.Nlink),
-		"ino":   int64(st.Ino),
-	}
-}
-
-// StatFromMap is the inverse of StatToMap.
-func StatFromMap(m map[string]any) Stat {
-	geti := func(k string) int64 {
-		switch v := m[k].(type) {
-		case int64:
-			return v
-		case int:
-			return int64(v)
-		case float64:
-			return int64(v)
-		}
-		return 0
-	}
-	return Stat{
-		Mode:  uint32(geti("mode")),
-		Size:  geti("size"),
-		Mtime: geti("mtime"),
-		Atime: geti("atime"),
-		Ctime: geti("ctime"),
-		Nlink: int(geti("nlink")),
-		Ino:   uint64(geti("ino")),
-	}
-}
-
-// DirentToMap converts a Dirent for the asynchronous message path.
-func DirentToMap(d Dirent) map[string]any {
-	return map[string]any{"name": d.Name, "type": int64(d.Type), "ino": int64(d.Ino)}
-}
-
-// DirentFromMap is the inverse of DirentToMap.
-func DirentFromMap(m map[string]any) Dirent {
-	name, _ := m["name"].(string)
-	var typ, ino int64
-	switch v := m["type"].(type) {
-	case int64:
-		typ = v
-	case int:
-		typ = int64(v)
-	}
-	switch v := m["ino"].(type) {
-	case int64:
-		ino = v
-	case int:
-		ino = int64(v)
-	}
-	return Dirent{Name: name, Type: int(typ), Ino: uint64(ino)}
 }

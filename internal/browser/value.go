@@ -17,7 +17,7 @@ import "fmt"
 // types are:
 //
 //	nil, bool, int64, float64, string, []byte, []Value,
-//	map[string]Value, and *SAB (shared, never copied).
+//	map[string]Value, *SAB (shared, never copied), and SelfCloner.
 //
 // Messages between contexts are deep-copied (structured clone), except for
 // SharedArrayBuffers which are shared by reference — exactly the browser's
@@ -32,6 +32,13 @@ type Value = any
 // init messages this way.
 type Shared interface {
 	SharedBrowserValue()
+}
+
+// SelfCloner is a typed message standing for a plain JS object, such as
+// a system-call frame: CloneValue returns its deep copy and the bytes
+// Clone would charge for the object it stands for.
+type SelfCloner interface {
+	CloneValue() (Value, int64)
 }
 
 // Clone deep-copies a Value with structured-clone semantics and returns the
@@ -75,6 +82,8 @@ func Clone(v Value) (Value, int64) {
 			n += b + int64(len(k)) + 8
 		}
 		return out, n
+	case SelfCloner:
+		return x.CloneValue()
 	case *SAB:
 		return x, 0 // shared, not cloned
 	case Shared:

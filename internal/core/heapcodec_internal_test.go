@@ -193,6 +193,7 @@ func TestHeapCodecBadPointerEFAULT(t *testing.T) {
 // either served by the shared op table or codec-local to exactly one
 // codec; every name the runtimes send decodes.
 func TestSyscallTableComplete(t *testing.T) {
+	trapOf := map[string]int{}
 	for trap := 1; trap < abi.SYS_max; trap++ {
 		row := &abi.Syscalls[trap]
 		if row.Name == "" {
@@ -200,9 +201,10 @@ func TestSyscallTableComplete(t *testing.T) {
 			continue
 		}
 		shared, heap, async := sysOps[trap] != nil, heapLocal[trap] != nil, asyncLocal[row.Name] != nil
-		if abi.SyscallTrap(row.Name) != trap {
-			t.Errorf("%s: name decodes to trap %d, want %d", row.Name, abi.SyscallTrap(row.Name), trap)
+		if other, dup := trapOf[row.Name]; dup {
+			t.Errorf("%s names traps %d and %d", row.Name, other, trap)
 		}
+		trapOf[row.Name] = trap
 		switch row.Transport {
 		case abi.Both:
 			if !shared || heap || async {
@@ -219,14 +221,14 @@ func TestSyscallTableComplete(t *testing.T) {
 		}
 	}
 	for name := range asyncLocal {
-		if trap := abi.SyscallTrap(name); trap != 0 && abi.Syscalls[trap].Transport != abi.AsyncOnly {
+		if trap, ok := trapOf[name]; ok && abi.Syscalls[trap].Transport != abi.AsyncOnly {
 			t.Errorf("async-local %s shadows a shared row", name)
 		}
 	}
-	// The names internal/rt sends outside the table's rows: transport
-	// registrations, snapshots, fork, and the paper's readdir alias.
-	for _, name := range []string{"personality", "ring", "pagepool", "snapcap", "restore", "fork", abi.ReaddirAlias} {
-		if sysOps[abi.SyscallTrap(name)] == nil && asyncLocal[name] == nil {
+	// The calls internal/rt sends by name, outside the table's frames:
+	// transport registrations, snapshots and fork.
+	for _, name := range []string{"personality", "ring", "pagepool", "snapcap", "restore", "fork"} {
+		if asyncLocal[name] == nil {
 			t.Errorf("runtime call %q does not decode", name)
 		}
 	}

@@ -156,6 +156,56 @@ func TestVectoredTransportsAgree(t *testing.T) {
 	}
 }
 
+// A program that passes readv and writev one element more than IOV_MAX,
+// then exactly IOV_MAX, against a regular file.
+func init() {
+	posix.Register(&posix.Program{Name: "t-iovmax", Main: func(p posix.Proc) int {
+		fd, err := p.Open("/iov.txt", abi.O_RDWR|abi.O_CREAT|abi.O_TRUNC, 0o644)
+		if err != abi.OK {
+			return 1
+		}
+		for _, n := range []int{abi.IovMax + 1, abi.IovMax} {
+			bufs := make([][]byte, n)
+			for i := range bufs {
+				bufs[i] = []byte{'a' + byte(i%26)}
+			}
+			wrote, err := p.Writev(fd, bufs)
+			posix.Fprintf(p, abi.Stdout, "writev %d: %d %v\n", n, wrote, err)
+		}
+		for _, n := range []int{abi.IovMax + 1, abi.IovMax} {
+			if _, err := p.Seek(fd, 0, abi.SEEK_SET); err != abi.OK {
+				return 2
+			}
+			lens := make([]int, n)
+			for i := range lens {
+				lens[i] = 1
+			}
+			segs, err := p.Readv(fd, lens)
+			var got []byte
+			for _, s := range segs {
+				got = append(got, s...)
+			}
+			posix.Fprintf(p, abi.Stdout, "readv %d: %d bytes %v\n", n, len(got), err)
+		}
+		return 0
+	}})
+}
+
+// TestIovMaxAgreesAcrossTransports checks a vector one longer than
+// IOV_MAX fails with EINVAL, and one of exactly IOV_MAX succeeds, on
+// every transport with zero-copy reads on and off.
+func TestIovMaxAgreesAcrossTransports(t *testing.T) {
+	want := "writev 1025: -1 EINVAL\nwritev 1024: 1024 success\nreadv 1025: 0 bytes EINVAL\nreadv 1024: 1024 bytes success\n"
+	for _, v := range variants(transports, core.Features{NoZeroCopy: true}) {
+		w := v.boot(t)
+		w.install(t, "/usr/bin/t-iovmax", "t-iovmax", v.tr.kind())
+		code, out, errOut := w.run(t, "/usr/bin/t-iovmax")
+		if code != 0 || out != want {
+			t.Errorf("%s: exit %d, output %q (stderr %q), want %q", v, code, out, errOut, want)
+		}
+	}
+}
+
 // TestRingFallsBackWhenRefused checks an existing sync program keeps
 // working — on the scalar path — against a kernel that refuses rings.
 func TestRingFallsBackWhenRefused(t *testing.T) {

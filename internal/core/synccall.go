@@ -163,12 +163,12 @@ func heapExtent(shape abi.Arg, ret abi.Ret, w []int64, i int) (ptr, n, elem int6
 	case abi.ArgInts:
 		return ptr, n, 4, abi.OK
 	case abi.ArgBufs, abi.ArgLens:
-		if n <= 0 || n > 1024 {
+		if n <= 0 || n > abi.IovMax {
 			return 0, 0, 0, abi.EINVAL
 		}
 		return ptr, n, abi.IovecSize, abi.OK
 	case abi.ArgPollfds:
-		if n < 0 || n > 4096 {
+		if n < 0 || n > abi.PollfdMax {
 			return 0, 0, 0, abi.EINVAL
 		}
 		return ptr, n, abi.PollfdSize, abi.OK

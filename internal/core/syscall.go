@@ -1,15 +1,17 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/abi"
 	"repro/internal/browser"
 	"repro/internal/fs"
 )
 
 // This file is the kernel's system-call entry point and its asynchronous
-// codec (§3.2 of the paper): postMessage with cloned arguments, decoded
-// into the typed arguments of the shared op table (ops.go), with
-// continuation-style [ret, errno, extra...] replies. The synchronous
+// codec (§3.2 of the paper): table-driven calls arrive as typed
+// abi.CallFrames, whose arguments are checked and handed to the shared op
+// table (ops.go), and are answered with abi.ReplyFrames. The synchronous
 // transport's codec is in synccall.go.
 
 // onWorkerMessage handles every message a process sends the kernel.
@@ -17,34 +19,41 @@ func (k *Kernel) onWorkerMessage(t *Task, w *browser.Worker, v browser.Value) {
 	if t.state == taskZombie || t.worker != w {
 		return // stale message from a replaced or exited image
 	}
-	m, ok := v.(map[string]browser.Value)
-	if !ok {
-		return
-	}
-	switch browser.GetString(m, "type") {
-	case "syscall":
+	switch f := v.(type) {
+	case *abi.CallFrame:
 		k.AsyncSyscalls.Add(1)
 		k.Sys.Sim.Charge(k.CPU.SyscallNs)
-		name := browser.GetString(m, "name")
-		k.SyscallCount[name]++
-		k.asyncCall(t, w, browser.GetInt(m, "id"), name, browser.GetArray(m, "args"))
-	case "sync":
+		k.SyscallCount[abi.SyscallName(f.Trap)]++
+		k.frameCall(t, w, f)
+	case *abi.SyncFrame:
 		k.SyncSyscalls.Add(1)
 		k.Sys.Sim.Charge(k.CPU.SyscallNs)
-		trap := int(browser.GetInt(m, "trap"))
-		k.SyscallCount[abi.SyscallName(trap)]++
-		args := browser.GetArray(m, "args")
-		ia := make([]int64, len(args))
-		for i := range args {
-			ia[i] = browser.Int(args[i])
-		}
-		k.dispatchSync(t, trap, ia)
-	case "ringbell":
-		// Ring-transport doorbell: any number of call frames may be
-		// queued behind this one message. Per-call kernel CPU is charged
-		// inside the drain; the doorbell itself already paid the
-		// postMessage cost.
+		k.SyscallCount[abi.SyscallName(f.Trap)]++
+		k.dispatchSync(t, f.Trap, f.Words)
+	case abi.RingBell:
+		// Any number of call frames may be queued behind this one
+		// message. Per-call kernel CPU is charged inside the drain; the
+		// doorbell itself already paid the postMessage cost.
 		k.drainRing(t)
+	case map[string]browser.Value:
+		// The once-per-process calls outside the table still travel as
+		// plain objects.
+		if browser.GetString(f, "type") != "syscall" {
+			return
+		}
+		k.AsyncSyscalls.Add(1)
+		k.Sys.Sim.Charge(k.CPU.SyscallNs)
+		name := browser.GetString(f, "name")
+		k.SyscallCount[name]++
+		id := browser.GetInt(f, "id")
+		reply := func(ret ...browser.Value) {
+			k.postReply(t, w, map[string]browser.Value{"type": "reply", "id": id, "ret": ret})
+		}
+		if local := asyncLocal[name]; local != nil {
+			local(k, t, browser.GetArray(f, "args"), reply)
+			return
+		}
+		reply(int64(-1), errv(abi.ENOSYS))
 	}
 }
 
@@ -136,161 +145,71 @@ func errv(err abi.Errno) int64 { return int64(err) }
 
 // postReply delivers an asynchronous call's reply, unless the calling
 // image is gone.
-func (k *Kernel) postReply(t *Task, w *browser.Worker, id int64, ret []browser.Value) {
+func (k *Kernel) postReply(t *Task, w *browser.Worker, reply browser.Value) {
 	if t.worker != w || w.Terminated() {
 		return
 	}
-	w.PostMessage(map[string]browser.Value{"type": "reply", "id": id, "ret": ret})
+	w.PostMessage(reply)
 }
 
-// asyncCall decodes a cloned-argument call, runs the trap's op, and
-// replies with its result encoded as [ret, errno, extra...].
-func (k *Kernel) asyncCall(t *Task, w *browser.Worker, id int64, name string, args []browser.Value) {
-	trap := abi.SyscallTrap(name)
-	if op := sysOps[trap]; op != nil {
-		row := &abi.Syscalls[trap]
-		a, err := t.asyncArgs(row, args)
-		if err != abi.OK {
-			k.postReply(t, w, id, []browser.Value{int64(-1), errv(err)})
-			return
-		}
-		shape := row.Ret
-		op(k, t, a, func(r abi.Result) { k.postReply(t, w, id, asyncResult(shape, r)) })
+// frameCall checks a call frame's arguments, runs the trap's op, and
+// replies with its result. A trap outside the table, carried by one
+// transport only, or without an op gets ENOSYS.
+func (k *Kernel) frameCall(t *Task, w *browser.Worker, f *abi.CallFrame) {
+	id, trap := f.ID, f.Trap
+	var op sysOp
+	if trap > 0 && trap < abi.SYS_max && abi.Syscalls[trap].Transport == abi.Both {
+		op = sysOps[trap]
+	}
+	if op == nil {
+		k.postReply(t, w, &abi.ReplyFrame{ID: id, Res: res(-1, abi.ENOSYS)})
 		return
 	}
-	if local := asyncLocal[name]; local != nil {
-		local(k, t, args, func(ret ...browser.Value) { k.postReply(t, w, id, ret) })
+	a, err := t.frameArgs(&abi.Syscalls[trap], &f.Args)
+	if err != abi.OK {
+		k.postReply(t, w, &abi.ReplyFrame{ID: id, Res: res(-1, err)})
 		return
 	}
-	k.postReply(t, w, id, []browser.Value{int64(-1), errv(abi.ENOSYS)})
+	op(k, t, a, func(r abi.Result) { k.postReply(t, w, &abi.ReplyFrame{ID: id, Trap: trap, Res: r}) })
 }
 
-// valueInts reads a cloned integer array, skipping non-integers.
-func valueInts(v browser.Value) []int {
-	var out []int
-	arr, _ := v.([]browser.Value)
-	for _, e := range arr {
-		switch x := e.(type) {
-		case int64:
-			out = append(out, int(x))
-		case int:
-			out = append(out, x)
-		case float64:
-			out = append(out, int(x))
-		}
-	}
-	return out
-}
-
-// asyncArgs decodes a cloned argument list into typed arguments, in row
-// order; an ArgFd is looked up where it stands.
-func (t *Task) asyncArgs(row *abi.Syscall, v []browser.Value) (a callArgs, err abi.Errno) {
-	i, ni, ns, nl := 0, 0, 0, 0
+// frameArgs checks a frame's arguments in row order: an ArgFd is looked
+// up where it stands, result capacities and list lengths are bounded as
+// the heap codec bounds them, and empty write buffers are dropped.
+func (t *Task) frameArgs(row *abi.Syscall, fa *abi.Args) (a callArgs, err abi.Errno) {
+	a.Args = *fa
+	ni := 0
 	for _, shape := range row.Args {
 		switch shape {
-		case abi.ArgOutBuf:
-			a.Cap = -1
-			continue
-		case abi.ArgOutRec:
-			continue
-		}
-		var x browser.Value
-		if i < len(v) {
-			x = v[i]
-		}
-		i++
-		switch shape {
 		case abi.ArgInt, abi.ArgOpt:
-			a.Int[ni] = browser.Int(x)
 			ni++
 		case abi.ArgFd:
-			a.Int[ni] = browser.Int(x)
-			ni++
-			if a.d, err = t.lookFd(int(a.Int[ni-1])); err != abi.OK {
+			if a.d, err = t.lookFd(int(a.Int[ni])); err != abi.OK {
 				return a, err
 			}
-		case abi.ArgStr:
-			a.Str[ns], _ = x.(string)
-			ns++
-		case abi.ArgStrs:
-			if arr, ok := x.([]browser.Value); ok {
-				a.Strs[nl] = browser.Strings(arr)
-			}
-			nl++
-		case abi.ArgBytes:
-			a.Bytes, _ = x.([]byte)
-		case abi.ArgInts:
-			a.Ints = valueInts(x)
-		case abi.ArgBufs:
-			arr, _ := x.([]browser.Value)
-			for _, e := range arr {
-				if b, ok := e.([]byte); ok && len(b) > 0 {
-					a.Bufs = append(a.Bufs, b)
-				}
-			}
-		case abi.ArgLens:
-			a.Lens = valueInts(x)
-			if len(a.Lens) > 1024 {
+			ni++
+		case abi.ArgOut:
+			if a.Cap < 0 {
 				return a, abi.EINVAL
 			}
-			for _, n := range a.Lens {
-				if n < 0 {
-					return a, abi.EINVAL
-				}
+		case abi.ArgOutBuf:
+			a.Cap = -1
+		case abi.ArgBufs:
+			if len(a.Bufs) > abi.IovMax {
+				return a, abi.EINVAL
+			}
+			a.Bufs = slices.DeleteFunc(a.Bufs, func(b []byte) bool { return len(b) == 0 })
+		case abi.ArgLens:
+			if len(a.Lens) > abi.IovMax || slices.ContainsFunc(a.Lens, func(n int) bool { return n < 0 }) {
+				return a, abi.EINVAL
 			}
 		case abi.ArgPollfds:
-			// A flat [fd0, events0, fd1, events1, ...] array.
-			raw := valueInts(x)
-			if len(raw)%2 != 0 || len(raw)/2 > 4096 {
+			if len(a.Pollfds) > abi.PollfdMax {
 				return a, abi.EINVAL
 			}
-			a.Pollfds = make([]abi.Pollfd, len(raw)/2)
-			for j := range a.Pollfds {
-				a.Pollfds[j] = abi.Pollfd{Fd: int32(raw[2*j]), Events: uint32(raw[2*j+1])}
-			}
-		case abi.ArgOut:
-			a.Cap = browser.Int(x)
 		}
 	}
 	return a, abi.OK
-}
-
-// asyncResult encodes a completed call as its reply array.
-func asyncResult(shape abi.Ret, r abi.Result) []browser.Value {
-	switch shape {
-	case abi.RetBytes:
-		return []browser.Value{r.Ret, errv(r.Err), r.Data}
-	case abi.RetSegs:
-		if r.Err != abi.OK {
-			return []browser.Value{int64(-1), errv(r.Err)}
-		}
-		arr := make([]browser.Value, len(r.Segs))
-		for i, s := range r.Segs {
-			arr[i] = s
-		}
-		return []browser.Value{r.Ret, errv(r.Err), arr}
-	case abi.RetStat:
-		return []browser.Value{r.Ret, errv(r.Err), abi.StatToMap(r.Stat)}
-	case abi.RetStr:
-		return []browser.Value{r.Ret, errv(r.Err), r.Str}
-	case abi.RetDirents:
-		arr := make([]browser.Value, len(r.Ents))
-		for i, e := range r.Ents {
-			arr[i] = abi.DirentToMap(e)
-		}
-		return []browser.Value{r.Ret, errv(r.Err), arr}
-	case abi.RetPair:
-		return []browser.Value{r.Ret, errv(r.Err), r.Aux[0], r.Aux[1]}
-	case abi.RetStatus:
-		return []browser.Value{r.Ret, errv(r.Err), r.Aux[0]}
-	case abi.RetPollfds:
-		rev := make([]browser.Value, len(r.Pollfds))
-		for i := range r.Pollfds {
-			rev[i] = int64(r.Pollfds[i].Revents)
-		}
-		return []browser.Value{r.Ret, errv(r.Err), rev}
-	}
-	return []browser.Value{r.Ret, errv(r.Err)}
 }
 
 // asyncLocalOp is a call only the asynchronous transport carries: the

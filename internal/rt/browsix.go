@@ -95,6 +95,10 @@ func bootWorker(sys *browser.System, w *browser.Worker, prog *posix.Program, kin
 }
 
 func (r *workerRT) onMessage(v browser.Value) {
+	if f, ok := v.(*abi.ReplyFrame); ok {
+		r.resume(f.ID, f)
+		return
+	}
 	m, ok := v.(map[string]browser.Value)
 	if !ok {
 		return
@@ -153,13 +157,7 @@ func (r *workerRT) onMessage(v browser.Value) {
 		})
 		r.sim.ResumeG(g, nil)
 	case "reply":
-		id := browser.GetInt(m, "id")
-		g := r.pending[id]
-		if g == nil {
-			return
-		}
-		delete(r.pending, id)
-		r.sim.ResumeG(g, browser.GetArray(m, "ret"))
+		r.resume(browser.GetInt(m, "id"), browser.GetArray(m, "ret"))
 	case "signal":
 		sig := int(browser.GetInt(m, "sig"))
 		h := r.handlers[sig]
@@ -196,12 +194,7 @@ func (r *workerRT) recoverExit() {
 // sendExit issues the explicit exit system call every runtime must make
 // (§3.3) — no reply is expected; the kernel tears the worker down.
 func (r *workerRT) sendExit(code int) {
-	r.w.PostToParent(map[string]browser.Value{
-		"type": "syscall",
-		"id":   int64(-1),
-		"name": "exit",
-		"args": []browser.Value{int64(code)},
-	})
+	r.w.PostToParent(&abi.CallFrame{ID: -1, Trap: abi.SYS_exit, Args: abi.Args{Int: [3]int64{int64(code)}}})
 }
 
 // ---------------------------------------------------------------------------
@@ -210,19 +203,16 @@ func (r *workerRT) sendExit(code int) {
 // Emterpreter the runtime also pays stack unwind/rewind.
 // ---------------------------------------------------------------------------
 
-func (r *workerRT) asyncCall(name string, args ...browser.Value) []browser.Value {
+// roundTrip posts the message msg builds for a fresh call id and parks
+// the calling coroutine until the reply resumes it with its payload.
+func (r *workerRT) roundTrip(msg func(id int64) browser.Value) browser.Value {
 	r.sim.Charge(r.cost.SyscallCPUNs)
 	if r.cost.UnwindNs > 0 {
 		r.sim.Charge(r.cost.UnwindNs)
 	}
 	id := r.nextID
 	r.nextID++
-	r.w.PostToParent(map[string]browser.Value{
-		"type": "syscall",
-		"id":   id,
-		"name": name,
-		"args": args,
-	})
+	r.w.PostToParent(msg(id))
 	g := r.sim.CurG()
 	if g == nil {
 		panic("rt: syscall outside program coroutine")
@@ -232,8 +222,28 @@ func (r *workerRT) asyncCall(name string, args ...browser.Value) []browser.Value
 	if r.cost.RewindNs > 0 {
 		r.sim.Charge(r.cost.RewindNs)
 	}
-	ret, _ := v.([]browser.Value)
-	return ret
+	return v
+}
+
+// resume wakes the coroutine parked on call id with its reply.
+func (r *workerRT) resume(id int64, v browser.Value) {
+	if g := r.pending[id]; g != nil {
+		delete(r.pending, id)
+		r.sim.ResumeG(g, v)
+	}
+}
+
+// asyncCall issues one of the calls outside the table (the transport
+// registrations and fork) as a plain object, returning the reply's
+// [ret, errno, extra...] array and its errno.
+func (r *workerRT) asyncCall(name string, args ...browser.Value) ([]browser.Value, abi.Errno) {
+	ret, _ := r.roundTrip(func(id int64) browser.Value {
+		return map[string]browser.Value{"type": "syscall", "id": id, "name": name, "args": args}
+	}).([]browser.Value)
+	if len(ret) < 2 {
+		return ret, abi.EIO
+	}
+	return ret, abi.Errno(browser.Int(ret[1]))
 }
 
 // ---------------------------------------------------------------------------
@@ -247,16 +257,8 @@ func (r *workerRT) syncCall(trap int, args ...int64) (int64, abi.Errno) {
 		return rets[0], errs[0]
 	}
 	r.sim.Charge(r.cost.SyscallCPUNs)
-	vargs := make([]browser.Value, len(args))
-	for i, a := range args {
-		vargs[i] = a
-	}
 	r.heap.Store32(syncWaitOff, 0)
-	r.w.PostToParent(map[string]browser.Value{
-		"type": "sync",
-		"trap": int64(trap),
-		"args": vargs,
-	})
+	r.w.PostToParent(&abi.SyncFrame{Trap: trap, Words: args})
 	r.inflight++
 	r.sys.FutexWait(r.w.Ctx, r.heap, syncWaitOff, 0, -1)
 	r.inflight--
@@ -406,6 +408,9 @@ func (r *workerRT) Write(fd int, b []byte) (int, abi.Errno) {
 // Readv reads up to the sum of lens bytes in a single kernel crossing,
 // with one blocking point: it returns whatever is immediately available.
 func (r *workerRT) Readv(fd int, lens []int) ([][]byte, abi.Errno) {
+	if len(lens) > abi.IovMax {
+		return nil, abi.EINVAL
+	}
 	total := 0
 	for _, n := range lens {
 		if n < 0 {
@@ -443,6 +448,9 @@ func (r *workerRT) Readv(fd int, lens []int) ([][]byte, abi.Errno) {
 // Writev writes every buffer in order through a single kernel crossing
 // (one writev trap, or one ring doorbell fanning out per-buffer frames).
 func (r *workerRT) Writev(fd int, bufs [][]byte) (int64, abi.Errno) {
+	if len(bufs) > abi.IovMax {
+		return -1, abi.EINVAL
+	}
 	nonEmpty := make([][]byte, 0, len(bufs))
 	need := int64(0)
 	for _, b := range bufs {
@@ -650,8 +658,11 @@ func (r *workerRT) Fork(label string, mem []byte) (int, abi.Errno) {
 		// Emterpreter runtime can serialize its state.
 		return -1, abi.ENOSYS
 	}
-	ret := r.asyncCall("fork", mem, label)
-	return int(vi(ret, 0)), verr(ret)
+	ret, err := r.asyncCall("fork", mem, label)
+	if err != abi.OK {
+		return -1, err
+	}
+	return int(browser.Int(ret[0])), abi.OK
 }
 
 func (r *workerRT) Exec(path string, argv, env []string) abi.Errno {

@@ -10,9 +10,9 @@ import (
 
 // The runtime's two syscall codecs. A posix.Proc method fills typed
 // abi.Args once and calls r.call; the row of abi.Syscalls for the trap
-// says how each argument and the result travel. The async codec clones
-// the arguments into a postMessage and decodes the reply's extra
-// values; the sync codec stages the arguments in the heap's scratch
+// says how each argument and the result travel. The async codec posts
+// the arguments as an abi.CallFrame and returns the abi.ReplyFrame's
+// result; the sync codec stages the arguments in the heap's scratch
 // region, issues the trap (scalar wake cell or ring frame), and reads
 // the results back out of the heap — the inverse of the kernel's codecs.
 
@@ -26,7 +26,19 @@ func (r *workerRT) callLeased(trap int, a *abi.Args) abi.Result { return r.callO
 func (r *workerRT) callOn(trap int, a *abi.Args, leased bool) abi.Result {
 	row := &abi.Syscalls[trap]
 	if !r.sync {
-		return asyncResult(row, a, r.asyncCall(row.Name, asyncArgs(row, a)...))
+		f, ok := r.roundTrip(func(id int64) browser.Value { return &abi.CallFrame{ID: id, Trap: trap, Args: *a} }).(*abi.ReplyFrame)
+		if !ok {
+			return abi.Result{Ret: -1, Err: abi.EIO}
+		}
+		if row.Ret == abi.RetPollfds && f.Res.Err == abi.OK {
+			for i := range a.Pollfds {
+				a.Pollfds[i].Revents = 0
+				if i < len(f.Res.Pollfds) {
+					a.Pollfds[i].Revents = f.Res.Pollfds[i].Revents
+				}
+			}
+		}
+		return f.Res
 	}
 	var s staged
 	r.stage(row, a, &s)
@@ -40,133 +52,7 @@ func (r *workerRT) callOn(trap int, a *abi.Args, leased bool) abi.Result {
 	return r.unstage(row, a, &s, ret, err)
 }
 
-// asyncArgs encodes typed arguments as a cloned argument list.
-func asyncArgs(row *abi.Syscall, a *abi.Args) []browser.Value {
-	n := 0
-	for _, shape := range row.Args {
-		if shape != abi.ArgOutBuf && shape != abi.ArgOutRec {
-			n++
-		}
-	}
-	vals := make([]browser.Value, 0, n)
-	ni, ns, nl := 0, 0, 0
-	for _, shape := range row.Args {
-		switch shape {
-		case abi.ArgInt, abi.ArgFd:
-			vals = append(vals, a.Int[ni])
-			ni++
-		case abi.ArgOpt:
-			if a.Int[ni] != 0 {
-				vals = append(vals, a.Int[ni])
-			}
-			ni++
-		case abi.ArgZero:
-			vals = append(vals, int64(0))
-		case abi.ArgStr:
-			vals = append(vals, a.Str[ns])
-			ns++
-		case abi.ArgStrs:
-			vals = append(vals, browser.StringArray(a.Strs[nl]))
-			nl++
-		case abi.ArgBytes:
-			vals = append(vals, a.Bytes)
-		case abi.ArgInts, abi.ArgLens:
-			list := a.Ints
-			if shape == abi.ArgLens {
-				list = a.Lens
-			}
-			arr := make([]browser.Value, len(list))
-			for i, v := range list {
-				arr[i] = int64(v)
-			}
-			vals = append(vals, arr)
-		case abi.ArgBufs:
-			arr := make([]browser.Value, len(a.Bufs))
-			for i, b := range a.Bufs {
-				arr[i] = b
-			}
-			vals = append(vals, arr)
-		case abi.ArgPollfds:
-			raw := make([]browser.Value, 0, len(a.Pollfds)*2)
-			for _, f := range a.Pollfds {
-				raw = append(raw, int64(f.Fd), int64(f.Events))
-			}
-			vals = append(vals, raw)
-		case abi.ArgOut:
-			vals = append(vals, a.Cap)
-		}
-	}
-	return vals
-}
-
 var le = binary.LittleEndian
-
-// vi reads reply value i as an integer.
-func vi(ret []browser.Value, i int) int64 {
-	if i < len(ret) {
-		return browser.Int(ret[i])
-	}
-	return 0
-}
-
-func verr(ret []browser.Value) abi.Errno { return abi.Errno(vi(ret, 1)) }
-
-// asyncResult decodes a [ret, errno, extra...] reply.
-func asyncResult(row *abi.Syscall, a *abi.Args, ret []browser.Value) abi.Result {
-	res := abi.Result{Ret: vi(ret, 0), Err: verr(ret)}
-	if res.Err != abi.OK {
-		return res
-	}
-	var extra browser.Value
-	if len(ret) > 2 {
-		extra = ret[2]
-	}
-	switch row.Ret {
-	case abi.RetBytes:
-		res.Data, _ = extra.([]byte)
-	case abi.RetSegs:
-		arr, _ := extra.([]browser.Value)
-		for _, v := range arr {
-			if b, ok := v.([]byte); ok && len(b) > 0 {
-				res.Segs = append(res.Segs, b)
-			}
-		}
-	case abi.RetStat:
-		m, ok := extra.(map[string]browser.Value)
-		if !ok {
-			res.Err = abi.EIO
-			break
-		}
-		res.Stat = abi.StatFromMap(m)
-	case abi.RetStr:
-		res.Str, _ = extra.(string)
-	case abi.RetDirents:
-		arr, _ := extra.([]browser.Value)
-		for _, v := range arr {
-			if m, ok := v.(map[string]browser.Value); ok {
-				res.Ents = append(res.Ents, abi.DirentFromMap(m))
-			}
-		}
-	case abi.RetPair:
-		res.Aux = [2]int64{vi(ret, 2), vi(ret, 3)}
-	case abi.RetStatus:
-		res.Aux[0] = vi(ret, 2)
-	case abi.RetPollfds:
-		arr, ok := extra.([]browser.Value)
-		if !ok {
-			break
-		}
-		for i := range a.Pollfds {
-			a.Pollfds[i].Revents = 0
-			if i < len(arr) {
-				if v, ok := arr[i].(int64); ok {
-					a.Pollfds[i].Revents = uint32(v)
-				}
-			}
-		}
-	}
-	return res
-}
 
 // staged is one call's heap staging: the trap's argument words and
 // where its results land.

@@ -37,8 +37,8 @@ func (r *workerRT) negotiatePagePool() {
 	if !r.ringOK {
 		return
 	}
-	ret := r.asyncCall("pagepool")
-	if verr(ret) != abi.OK || len(ret) < 3 {
+	ret, err := r.asyncCall("pagepool")
+	if err != abi.OK || len(ret) < 3 {
 		return
 	}
 	sab, ok := ret[2].(*browser.SAB)

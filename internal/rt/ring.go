@@ -2,7 +2,6 @@ package rt
 
 import (
 	"repro/internal/abi"
-	"repro/internal/browser"
 )
 
 // Process side of the shared-memory ring-buffer syscall transport (the
@@ -28,8 +27,7 @@ func (r *workerRT) negotiateRing() {
 	r.repRing = abi.NewRing(b[repOff : repOff+ringRegionSize])
 	r.reqRing.Reset()
 	r.repRing.Reset()
-	ret := r.asyncCall("ring", reqOff, int64(ringRegionSize), repOff, int64(ringRegionSize))
-	if verr(ret) != abi.OK {
+	if _, err := r.asyncCall("ring", reqOff, int64(ringRegionSize), repOff, int64(ringRegionSize)); err != abi.OK {
 		return
 	}
 	r.ringOK = true
@@ -75,12 +73,12 @@ func (r *workerRT) ringCalls(reqs []ringReq) ([]int64, []abi.Errno) {
 			// sub-batch — the saving over per-call postMessages.
 			r.sim.Charge(r.cost.SyscallCPUNs)
 			r.heap.Store32(syncWaitOff, 0)
-			r.w.PostToParent(map[string]browser.Value{"type": "ringbell"})
+			r.w.PostToParent(abi.RingBell{})
 		} else if remaining == 0 && i < len(reqs) {
 			// Rings congested entirely by an interleaved batch: nudge
 			// the kernel so draining frees space, then wait.
 			r.heap.Store32(syncWaitOff, 0)
-			r.w.PostToParent(map[string]browser.Value{"type": "ringbell"})
+			r.w.PostToParent(abi.RingBell{})
 		}
 		remaining -= r.popReplies(idx, rets, errs)
 		if i >= len(reqs) && remaining == 0 {

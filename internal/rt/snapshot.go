@@ -70,10 +70,10 @@ func (r *workerRT) restoreFromImage(img *snapshot.Image, tracker *snapshot.Track
 	// One combined registration replaces the three-negotiation boot
 	// sequence: personality (heap + offsets), ring regions, and the
 	// page-pool mapping, accepted or refused per the kernel's flags.
-	ret := r.asyncCall("restore", r.heap, int64(syncRetOff), int64(syncWaitOff),
+	ret, err := r.asyncCall("restore", r.heap, int64(syncRetOff), int64(syncWaitOff),
 		b2i(wantRing), reqOff, int64(ringRegionSize), repOff, int64(ringRegionSize),
 		b2i(img.PoolOK))
-	if verr(ret) != abi.OK {
+	if err != abi.OK {
 		// Restore refused: fall back to the cold negotiation sequence
 		// (the heap bytes are a superset of a fresh boot's, so this is
 		// safe — just slower).
@@ -82,7 +82,7 @@ func (r *workerRT) restoreFromImage(img *snapshot.Image, tracker *snapshot.Track
 		r.negotiatePagePool()
 		return
 	}
-	if wantRing && vi(ret, 2) != 0 {
+	if wantRing && len(ret) > 2 && browser.Int(ret[2]) != 0 {
 		r.ringOK = true
 		r.scratchTop = reqOff
 	}
