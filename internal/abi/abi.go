@@ -249,6 +249,10 @@ type Dirent struct {
 // buffer.
 const DirentChunk = 128
 
+// FdMax bounds descriptor numbers, as RLIMIT_NOFILE does on Linux: dup2
+// to a newfd outside [0, FdMax) fails with EBADF.
+const FdMax = 65536
+
 // DirentTypeFromMode maps a stat mode to a dirent type.
 func DirentTypeFromMode(mode uint32) int {
 	switch mode & S_IFMT {

@@ -34,7 +34,6 @@ func newRingWorld(t testing.TB) *ringWorld {
 		k:       k,
 		Pid:     1,
 		cwd:     "/",
-		files:   map[int]*Desc{},
 		heap:    browser.NewSAB(ringWorldHeap),
 		retOff:  8,
 		waitOff: 0,

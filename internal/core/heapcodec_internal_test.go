@@ -139,7 +139,7 @@ func worldState(t testing.TB, w *ringWorld) string {
 		w.fsys.ReadFile("/f", func(b []byte, err abi.Errno) { body = b })
 	})
 	return fmt.Sprintf("fds=%d leases=%d cwd=%s ls=%v /f=%q",
-		len(w.task.files), len(w.task.leases), w.task.cwd, ls, body)
+		len(w.task.Fds()), len(w.task.leases), w.task.cwd, ls, body)
 }
 
 // TestHeapCodecBadPointerEFAULT: on both the scalar and the ring path,

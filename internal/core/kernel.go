@@ -298,7 +298,7 @@ func (k *Kernel) Spawn(parent *Task, spec SpawnSpec, cb func(int, abi.Errno)) {
 				Args:       argv,
 				Env:        spec.Env,
 				cwd:        fs.Clean(spec.Cwd),
-				files:      map[int]*Desc{},
+				files:      make([]*Desc, 0, len(spec.Files)),
 				children:   map[int]*Task{},
 				sigActions: map[int]sigAction{},
 				startTime:  k.Sys.Sim.Now(),
@@ -311,7 +311,7 @@ func (k *Kernel) Spawn(parent *Task, spec SpawnSpec, cb func(int, abi.Errno)) {
 			}
 			for fd, d := range spec.Files {
 				d.Ref()
-				t.files[fd] = d
+				t.setFd(fd, d)
 			}
 		}
 
@@ -451,7 +451,9 @@ func (k *Kernel) doSpawn(t *Task, path string, argv, env []string, files []int, 
 func (k *Kernel) doFork(t *Task, img *ForkImage, cb func(int, abi.Errno)) {
 	inherit := map[int]*Desc{}
 	for fd, d := range t.files {
-		inherit[fd] = d
+		if d != nil {
+			inherit[fd] = d
+		}
 	}
 	k.Spawn(t, SpawnSpec{
 		Path:  t.Path,
@@ -487,8 +489,11 @@ func (k *Kernel) finishTask(t *Task, status int) {
 	k.releaseTaskLeases(t)
 	k.releaseTaskSnapshot(t)
 	k.dropPollWaiters(t)
-	for fd := range t.files {
-		t.closeFd(fd, func(abi.Errno) {})
+	// Close in ascending fd order, so state hooks fire deterministically.
+	for fd, d := range t.files {
+		if d != nil {
+			t.closeFd(fd, func(abi.Errno) {})
+		}
 	}
 	if t.worker != nil {
 		t.worker.Terminate()

@@ -105,6 +105,9 @@ func (k *Kernel) doPipe2(t *Task) (int, int) {
 }
 
 func (k *Kernel) doDup2(t *Task, oldfd, newfd int) abi.Errno {
+	if newfd < 0 || newfd >= abi.FdMax {
+		return abi.EBADF
+	}
 	d, err := t.lookFd(oldfd)
 	if err != abi.OK {
 		return err
@@ -112,11 +115,9 @@ func (k *Kernel) doDup2(t *Task, oldfd, newfd int) abi.Errno {
 	if oldfd == newfd {
 		return abi.OK
 	}
-	if _, exists := t.files[newfd]; exists {
-		t.closeFd(newfd, func(abi.Errno) {})
-	}
+	t.closeFd(newfd, func(abi.Errno) {}) // EBADF when newfd is free
 	d.Ref()
-	t.files[newfd] = d
+	t.setFd(newfd, d)
 	return abi.OK
 }
 

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"repro/internal/abi"
 	"repro/internal/browser"
 	"repro/internal/snapshot"
@@ -35,8 +33,8 @@ type Task struct {
 	Env  []string
 	cwd  string
 
-	files  map[int]*Desc
-	status int // exit status (valid once zombie)
+	files  []*Desc // indexed by fd; nil marks a free slot
+	status int     // exit status (valid once zombie)
 
 	children map[int]*Task
 	waiters  []waitReq
@@ -114,53 +112,65 @@ func (t *Task) HasHeap() bool { return t.heap != nil }
 
 // allocFd returns the lowest unused descriptor number, as Unix does.
 func (t *Task) allocFd() int {
-	for fd := 0; ; fd++ {
-		if _, used := t.files[fd]; !used {
+	for fd, d := range t.files {
+		if d == nil {
 			return fd
 		}
 	}
+	return len(t.files)
 }
 
 // installFd places a descriptor entry at the lowest free slot.
 func (t *Task) installFd(d *Desc) int {
 	fd := t.allocFd()
-	t.files[fd] = d
+	t.setFd(fd, d)
 	return fd
+}
+
+// setFd places d at fd (0 <= fd < abi.FdMax), growing the table as
+// needed.
+func (t *Task) setFd(fd int, d *Desc) {
+	if fd >= len(t.files) {
+		t.files = append(t.files, make([]*Desc, fd+1-len(t.files))...)
+	}
+	t.files[fd] = d
 }
 
 // lookFd resolves a descriptor number.
 func (t *Task) lookFd(fd int) (*Desc, abi.Errno) {
-	d, ok := t.files[int(fd)]
-	if !ok {
-		return nil, abi.EBADF
+	if uint(fd) < uint(len(t.files)) {
+		if d := t.files[fd]; d != nil {
+			return d, abi.OK
+		}
 	}
-	return d, abi.OK
+	return nil, abi.EBADF
 }
 
 // closeFd removes and unreferences a descriptor.
 func (t *Task) closeFd(fd int, cb func(abi.Errno)) {
-	d, ok := t.files[fd]
-	if !ok {
-		cb(abi.EBADF)
+	d, err := t.lookFd(fd)
+	if err != abi.OK {
+		cb(err)
 		return
 	}
-	delete(t.files, fd)
+	t.files[fd] = nil
 	d.Unref(cb)
 }
 
 // Fds lists open descriptor numbers in order (diagnostics).
 func (t *Task) Fds() []int {
-	out := make([]int, 0, len(t.files))
-	for fd := range t.files {
-		out = append(out, fd)
+	var out []int
+	for fd, d := range t.files {
+		if d != nil {
+			out = append(out, fd)
+		}
 	}
-	sort.Ints(out)
 	return out
 }
 
 // FdPath returns the diagnostic path of an open descriptor.
 func (t *Task) FdPath(fd int) string {
-	if d, ok := t.files[fd]; ok {
+	if d, err := t.lookFd(fd); err == abi.OK {
 		return d.path
 	}
 	return ""

@@ -14,10 +14,11 @@ func TestVectoredRejectsOutOfRangeIovecs(t *testing.T) {
 	sim := sched.New()
 	sys := browser.NewSystem(sim, browser.Chrome())
 	k := NewKernel(sys, nil, nil)
-	task := &Task{k: k, heap: browser.NewSAB(4096), files: map[int]*Desc{}}
 	r, w := NewPipePair()
-	task.files[0] = NewDesc(r, abi.O_RDONLY, "r")
-	task.files[1] = NewDesc(w, abi.O_WRONLY, "w")
+	task := &Task{k: k, heap: browser.NewSAB(4096), files: []*Desc{
+		NewDesc(r, abi.O_RDONLY, "r"),
+		NewDesc(w, abi.O_WRONLY, "w"),
+	}}
 
 	bad := [][]abi.Iovec{
 		{{Ptr: 4090, Len: 100}},                  // runs past the heap

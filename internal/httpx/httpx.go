@@ -9,7 +9,9 @@ package httpx
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -447,7 +449,8 @@ type srvConn struct {
 // stops reading, the connection parks on POLLOUT and the server stops
 // reading new requests from it (backpressure) without stalling anyone
 // else. Service order is deterministic: the poll set is listener-first
-// then ascending connection fd, every pass.
+// then ascending connection fd, every pass, built by one walk over the
+// connections kept in fd order.
 //
 // Serve returns when the listener descriptor dies (POLLNVAL — e.g. a
 // signal handler closed it) or on setup failure.
@@ -465,29 +468,19 @@ func Serve(p posix.Proc, port int, handler Handler) abi.Errno {
 	if err := p.Setfl(lfd, abi.O_NONBLOCK); err != abi.OK {
 		return err
 	}
-	conns := map[int]*srvConn{}
+	var conns []*srvConn // live connections, ascending fd
+	var fresh []*srvConn // accepted this pass; joins conns after service
 	var fds []abi.Pollfd
-	var order []int
-	drop := func(c *srvConn) {
-		p.Close(c.fd)
-		delete(conns, c.fd)
-	}
 	for {
-		fds = fds[:0]
-		order = order[:0]
-		for fd := range conns {
-			order = append(order, fd)
-		}
-		sort.Ints(order)
-		fds = append(fds, abi.Pollfd{Fd: int32(lfd), Events: abi.POLLIN})
-		for _, fd := range order {
+		fds = append(fds[:0], abi.Pollfd{Fd: int32(lfd), Events: abi.POLLIN})
+		for _, c := range conns {
 			ev := uint32(abi.POLLIN)
-			if len(conns[fd].out) > 0 {
+			if len(c.out) > 0 {
 				// Backpressure: a queued response means we wait for
 				// writability and read no further requests.
 				ev = abi.POLLOUT
 			}
-			fds = append(fds, abi.Pollfd{Fd: int32(fd), Events: ev})
+			fds = append(fds, abi.Pollfd{Fd: int32(c.fd), Events: ev})
 		}
 		if _, err := p.Poll(fds, -1); err != abi.OK {
 			return err
@@ -495,55 +488,61 @@ func Serve(p posix.Proc, port int, handler Handler) abi.Errno {
 		if fds[0].Revents&abi.POLLNVAL != 0 {
 			return abi.OK
 		}
+		fresh = fresh[:0]
 		if fds[0].Revents&abi.POLLIN != 0 {
 			for {
 				batch, aerr := p.AcceptBatch(lfd, acceptChunk)
 				for _, cfd := range batch {
-					conns[cfd] = &srvConn{fd: cfd}
+					fresh = append(fresh, &srvConn{fd: cfd})
 				}
 				if aerr != abi.OK || len(batch) < acceptChunk {
 					break
 				}
 			}
 		}
-		for i, fd := range order {
-			c := conns[fd]
-			re := fds[i+1].Revents
-			if re == 0 {
-				continue
-			}
-			if re&abi.POLLNVAL != 0 {
-				delete(conns, fd)
-				continue
-			}
-			if len(c.out) > 0 {
-				if re&(abi.POLLOUT|abi.POLLERR|abi.POLLHUP) == 0 {
-					continue
-				}
-				if !srvFlush(p, c) {
-					drop(c)
-					continue
-				}
-				if len(c.out) == 0 && (c.closing || c.eof) {
-					drop(c)
-				}
-				continue
-			}
-			if re&abi.POLLERR != 0 && re&abi.POLLIN == 0 {
-				drop(c)
-				continue
-			}
-			if re&(abi.POLLIN|abi.POLLHUP) != 0 {
-				if !srvRead(p, c, handler) || !srvFlush(p, c) {
-					drop(c)
-					continue
-				}
-				if len(c.out) == 0 && (c.closing || c.eof) {
-					drop(c)
-				}
+		live := conns[:0]
+		for i, c := range conns {
+			if srvService(p, c, fds[i+1].Revents, handler) {
+				live = append(live, c)
 			}
 		}
+		clear(conns[len(live):])
+		conns = live
+		// A fresh connection may reuse the fd of one this pass dropped
+		// (POLLNVAL), so it joins only after the service loop.
+		for _, c := range fresh {
+			i, _ := slices.BinarySearchFunc(conns, c.fd, func(c *srvConn, fd int) int { return cmp.Compare(c.fd, fd) })
+			conns = slices.Insert(conns, i, c)
+		}
 	}
+}
+
+// srvService handles one connection's poll result. It returns false
+// once the connection is gone: closed here, or reported POLLNVAL (the
+// descriptor is no longer this server's, so it is forgotten unclosed).
+func srvService(p posix.Proc, c *srvConn, revents uint32, handler Handler) (keep bool) {
+	switch {
+	case revents == 0:
+		return true
+	case revents&abi.POLLNVAL != 0:
+		return false
+	case len(c.out) > 0:
+		if revents&(abi.POLLOUT|abi.POLLERR|abi.POLLHUP) == 0 {
+			return true
+		}
+		keep = srvFlush(p, c)
+	case revents&abi.POLLERR != 0 && revents&abi.POLLIN == 0:
+		keep = false
+	case revents&(abi.POLLIN|abi.POLLHUP) != 0:
+		keep = srvRead(p, c, handler) && srvFlush(p, c)
+	default:
+		return true
+	}
+	if !keep || len(c.out) == 0 && (c.closing || c.eof) {
+		p.Close(c.fd)
+		return false
+	}
+	return true
 }
 
 // srvRead drains the connection's readable bytes and services every
