@@ -73,8 +73,7 @@ func dedupTreePath(i int) string {
 func TestDedupDifferential(t *testing.T) {
 	archive := dedupTreeZip(t, 12, dedupTreeFileSize)
 	// repArchive holds a file of IDENTICAL pages: within one descriptor
-	// the kernel grants the same shared slot repeatedly, the case that
-	// once perturbed guest-side lease bookkeeping (and the clock).
+	// the kernel reads the same shared slot repeatedly.
 	var repBuf bytes.Buffer
 	zw := zip.NewWriter(&repBuf)
 	w, err := zw.Create("rep.dat")
@@ -115,9 +114,6 @@ func TestDedupDifferential(t *testing.T) {
 				t.Fatalf("%s: %q exited %d: %s", name, cmd, res.Code, res.Stderr)
 			}
 			r.outs = append(r.outs, string(res.Stdout)+"\x00"+string(res.Stderr))
-		}
-		if g, ret := in.Kernel.LeaseGrants.Load(), in.Kernel.LeaseReturns.Load(); g != ret {
-			t.Fatalf("%s: leases leaked: %d granted, %d returned", name, g, ret)
 		}
 		if pins := in.VFS.CacheStats().PinnedPages; pins != 0 {
 			t.Fatalf("%s: %d pages still pinned after commands", name, pins)
@@ -209,9 +205,6 @@ func TestTenantDedupGuard(t *testing.T) {
 	if on.SnapshotLeak != nil {
 		t.Errorf("snapshot ledger: %v", on.SnapshotLeak)
 	}
-	if on.LeaseGrants != on.LeaseReturns {
-		t.Errorf("leases leaked: %d granted, %d returned", on.LeaseGrants, on.LeaseReturns)
-	}
 
 	off := (&browsix.Fleet{Workers: 4}).RunTenants(tenantTreeLoad(t, archive, tenants, browsix.Features{NoDedup: true}))
 	// Logical behaviour is untouched by the tier: same resident pages,
@@ -263,9 +256,6 @@ func TestTenantDedupWithSnapshotWarmup(t *testing.T) {
 	if st.SnapshotLeak != nil {
 		t.Errorf("snapshot ledger after teardown: %v", st.SnapshotLeak)
 	}
-	if st.LeaseGrants != st.LeaseReturns {
-		t.Errorf("leases leaked: %d granted, %d returned", st.LeaseGrants, st.LeaseReturns)
-	}
 	if st.DedupFactor < 2 {
 		t.Errorf("dedup factor %.2f with 4 tenants on one tree, want >= 2", st.DedupFactor)
 	}
@@ -284,7 +274,7 @@ func BenchmarkTenantDedup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		fl := &browsix.Fleet{}
 		st := fl.RunTenants(tenantTreeLoad(b, archive, 64, browsix.Features{}))
-		if st.PinnedSlots != 0 || st.LeaseGrants != st.LeaseReturns {
+		if st.PinnedSlots != 0 {
 			b.Fatalf("dirty teardown: %+v", st)
 		}
 		b.ReportMetric(st.PagesPerTenant, "pages/tenant")

@@ -90,9 +90,6 @@ type FleetStats struct {
 	AsyncSyscalls int64
 	SyncSyscalls  int64
 	RingNotifies  int64
-	GrantedBytes  int64
-	LeaseGrants   int64
-	LeaseReturns  int64
 	// StagedSlotsLeaked is always zero: writes never lease pool slots.
 	// It stays because the benchmark's fleet check reads it.
 	StagedSlotsLeaked int64
@@ -206,9 +203,6 @@ func (fl *Fleet) Run(jobs []Job) ([]JobResult, FleetStats) {
 		AsyncSyscalls: agg.async.Load(),
 		SyncSyscalls:  agg.sync.Load(),
 		RingNotifies:  agg.ringNotifies.Load(),
-		GrantedBytes:  agg.grantedBytes.Load(),
-		LeaseGrants:   agg.leaseGrants.Load(),
-		LeaseReturns:  agg.leaseReturns.Load(),
 
 		SnapshotCaptures: agg.snapCaptures.Load(),
 		CloneBoots:       agg.cloneBoots.Load(),
@@ -251,9 +245,6 @@ type fleetAgg struct {
 	async        atomic.Int64
 	sync         atomic.Int64
 	ringNotifies atomic.Int64
-	grantedBytes atomic.Int64
-	leaseGrants  atomic.Int64
-	leaseReturns atomic.Int64
 	snapCaptures atomic.Int64
 	cloneBoots   atomic.Int64
 	cachedPages  atomic.Int64
@@ -344,9 +335,7 @@ type TenantStats struct {
 	MaxTenantPages int64
 
 	// Teardown checks (after every tenant's caches flush).
-	LeaseGrants  int64
-	LeaseReturns int64
-	PinnedSlots  int   // should be 0: no leaked leases
+	PinnedSlots  int   // should be 0 without a warmup registry
 	SnapshotLeak error // COW pin ledger when a warmup registry was used
 }
 
@@ -354,8 +343,7 @@ type TenantStats struct {
 // fleet's workers (tenant i runs on worker i%workers; each worker boots
 // and drives its tenants serially, so per-tenant behaviour is
 // deterministic), samples fleet-wide statistics while all tenants are
-// resident, then tears everything down and verifies the lease and pin
-// ledgers. SnapshotWarmup, if set, pre-warms and seals a registry
+// resident, then tears everything down and verifies the pin ledgers. SnapshotWarmup, if set, pre-warms and seals a registry
 // exactly as Run does — snapshot heap pages land in the same
 // content-addressed index as fs pages.
 func (fl *Fleet) RunTenants(load TenantLoad) TenantStats {
@@ -419,8 +407,6 @@ func (fl *Fleet) RunTenants(load TenantLoad) TenantStats {
 		st.LogicalPages += cs.CachedPages
 		st.PrivatePages += cs.CachedPages - cs.DedupPages
 		st.VirtualNs += in.Now()
-		st.LeaseGrants += in.Kernel.LeaseGrants.Load()
-		st.LeaseReturns += in.Kernel.LeaseReturns.Load()
 	}
 	entries, refs, hits := pool.DedupStats()
 	st.SharedSlots, st.SharedRefs, st.DedupHits = entries, refs, hits
@@ -442,7 +428,7 @@ func (fl *Fleet) RunTenants(load TenantLoad) TenantStats {
 	if reg != nil {
 		st.SnapshotLeak = reg.VerifyBalanced()
 	}
-	// With no warmup registry this must be 0 (no leaked leases). A live
+	// With no warmup registry this must be 0 (no leaked pins). A live
 	// registry legitimately holds one base pin per image page — its
 	// balance is what SnapshotLeak audits.
 	st.PinnedSlots = pool.PinnedSlots()
@@ -495,17 +481,14 @@ func (fl *Fleet) runJob(i int, job *Job, pool *fs.PagePool, reg *snapshot.Regist
 		agg.dedupHits.Add(cs.DedupHits)
 		agg.dedupStores.Add(cs.DedupStores)
 		// Drop this shard's cached pages so its arena slots return for
-		// the next tenant. Slots still leased by a live process stay
-		// frozen (bytes intact) until the lease returns — jobs that
-		// start servers should stop them before returning.
+		// the next tenant. Slots a live clone still pins stay frozen
+		// (bytes intact) until the pin returns — jobs that start servers
+		// should stop them before returning.
 		in.VFS.FlushCaches()
 		agg.virtualNs.Add(res.VirtualNs)
 		agg.async.Add(in.Kernel.AsyncSyscalls.Load())
 		agg.sync.Add(in.Kernel.SyncSyscalls.Load())
 		agg.ringNotifies.Add(in.Kernel.RingNotifies.Load())
-		agg.grantedBytes.Add(in.Kernel.GrantedBytes.Load())
-		agg.leaseGrants.Add(in.Kernel.LeaseGrants.Load())
-		agg.leaseReturns.Add(in.Kernel.LeaseReturns.Load())
 		agg.snapCaptures.Add(in.Kernel.SnapshotCaptures.Load())
 		agg.cloneBoots.Add(in.Kernel.CloneBoots.Load())
 	}()

@@ -327,12 +327,6 @@ const (
 	SYS_readv
 	SYS_writev
 	SYS_fsync
-	// SYS_readg is read-with-grant: like read, but a warm page-cache hit
-	// is answered with pinned page leases (grant.go) instead of a payload
-	// copy; everything else falls back to the copy path in the same call.
-	SYS_readg
-	// SYS_unlease returns page leases taken by earlier readg grants.
-	SYS_unlease
 	// SYS_poll is readiness multiplexing over an array of Pollfd records
 	// staged in the caller's heap (poll.go): the kernel fills revents and
 	// returns the ready count, parking the caller until something is

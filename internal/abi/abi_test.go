@@ -121,7 +121,7 @@ func TestErrnoStrings(t *testing.T) {
 
 func TestSyscallNames(t *testing.T) {
 	if SyscallName(SYS_open) != "open" || SyscallName(SYS_getdents) != "getdents" ||
-		SyscallName(SYS_readg) != "readg" || SyscallName(SYS_unlease) != "unlease" {
+		SyscallName(SYS_poll) != "poll" || SyscallName(SYS_setfl) != "setfl" {
 		t.Fatal("syscall names")
 	}
 	if SyscallName(-1) == "" || SyscallName(10_000) == "" {

@@ -91,7 +91,6 @@ type Transport uint8
 const (
 	Both      Transport = iota // one kernel op serves both transports
 	AsyncOnly                  // only the asynchronous transport (fork)
-	HeapOnly                   // only the heap transport (grants and leases)
 )
 
 // Figure 3's system-call classes.
@@ -134,7 +133,10 @@ type Args struct {
 
 // Result is one call's typed result: ret and errno, plus the field the
 // row's Ret names. Pair and Status travel in Aux; Pollfds alias the
-// call's Args.Pollfds with revents filled in.
+// call's Args.Pollfds with revents filled in. A RetBytes payload is Data,
+// or, for a read gathered from cache pages, Segs with Data nil: the
+// segments may be views that stay valid only until the op's completion
+// returns, so each codec copies them before then.
 type Result struct {
 	Ret     int64
 	Err     Errno
@@ -191,8 +193,6 @@ var Syscalls = [SYS_max]Syscall{
 	SYS_readv:       {"readv", ClassFileIO, Both, []Arg{ArgFd, ArgLens}, RetSegs},
 	SYS_writev:      {"writev", ClassFileIO, Both, []Arg{ArgFd, ArgBufs}, RetNone},
 	SYS_fsync:       {"fsync", ClassFileIO, Both, []Arg{ArgFd}, RetNone},
-	SYS_readg:       {"readg", "", HeapOnly, nil, RetNone},
-	SYS_unlease:     {"unlease", "", HeapOnly, nil, RetNone},
 	SYS_poll:        {"poll", ClassSockets, Both, []Arg{ArgPollfds, ArgInt}, RetPollfds},
 	SYS_setfl:       {"setfl", ClassSockets, Both, []Arg{ArgFd, ArgInt}, RetNone},
 }
@@ -324,8 +324,9 @@ func (f *CallFrame) CloneValue() (any, int64) {
 }
 
 // CloneValue copies ret, errno and, on success, the result field row
-// Trap's Ret names (readv's segments without empty ones), and sizes the
-// object. A failed readv replies [-1, errno].
+// Trap's Ret names (readv's segments without empty ones, read's segments
+// as one buffer), and sizes the object. A failed readv replies [-1,
+// errno].
 func (f *ReplyFrame) CloneValue() (any, int64) {
 	r := &f.Res
 	c := &ReplyFrame{ID: f.ID, Trap: f.Trap, Res: Result{Ret: r.Ret, Err: r.Err}}
@@ -333,10 +334,25 @@ func (f *ReplyFrame) CloneValue() (any, int64) {
 	n := int64(2 * (numSize + 8)) // the ret array
 	switch rowOf(f.Trap).Ret {
 	case RetBytes:
-		if ok {
-			c.Res.Data = append(make([]byte, 0, len(r.Data)), r.Data...)
+		// A gathered read's segments, which may be views the sender
+		// reuses once this returns, travel as the one buffer a read
+		// replies with.
+		segs := r.Segs
+		if r.Data != nil {
+			segs = nil
 		}
-		n += int64(len(r.Data)) + 8
+		size := len(r.Data)
+		for _, s := range segs {
+			size += len(s)
+		}
+		if ok {
+			data := append(make([]byte, 0, size), r.Data...)
+			for _, s := range segs {
+				data = append(data, s...)
+			}
+			c.Res.Data = data
+		}
+		n += int64(size) + 8
 	case RetSegs:
 		if !ok {
 			c.Res.Ret = -1

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -87,6 +88,9 @@ func refRet(shape abi.Ret, r abi.Result) []browser.Value {
 	head := []browser.Value{r.Ret, int64(r.Err)}
 	switch shape {
 	case abi.RetBytes:
+		if r.Data == nil && r.Segs != nil {
+			return append(head, bytes.Join(r.Segs, nil)) // a gathered read
+		}
 		return append(head, r.Data)
 	case abi.RetSegs:
 		if r.Err != abi.OK {
@@ -183,6 +187,7 @@ func TestAsyncFrameCloneBytes(t *testing.T) {
 		"ok":         func() abi.Result { return fullResult(abi.OK) },
 		"ok-nil":     func() abi.Result { return abi.Result{} },
 		"ok-empty":   func() abi.Result { return emptyResult(abi.OK) },
+		"ok-segs":    func() abi.Result { return abi.Result{Ret: 5, Segs: fullResult(abi.OK).Segs} },
 		"err":        func() abi.Result { return abi.Result{Ret: -1, Err: abi.EBADF} },
 		"err-filled": func() abi.Result { return fullResult(abi.ENOENT) },
 		"err-empty":  func() abi.Result { return emptyResult(abi.EAGAIN) },
@@ -335,8 +340,6 @@ func TestAsyncFrameHostile(t *testing.T) {
 		{"trap -1", abi.CallFrame{Trap: -1}, abi.ENOSYS},
 		{"trap 0", abi.CallFrame{Trap: 0}, abi.ENOSYS},
 		{"trap SYS_max", abi.CallFrame{Trap: abi.SYS_max}, abi.ENOSYS},
-		{"readg (heap only)", abi.CallFrame{Trap: abi.SYS_readg}, abi.ENOSYS},
-		{"unlease (heap only)", abi.CallFrame{Trap: abi.SYS_unlease}, abi.ENOSYS},
 		{"fork (async only, not a frame)", abi.CallFrame{Trap: abi.SYS_fork}, abi.ENOSYS},
 		{"readv 1025 lens", abi.CallFrame{Trap: abi.SYS_readv, Args: abi.Args{Int: [3]int64{hcFd}, Lens: make([]int, abi.IovMax+1)}}, abi.EINVAL},
 		{"readv negative len", abi.CallFrame{Trap: abi.SYS_readv, Args: abi.Args{Int: [3]int64{hcFd}, Lens: neg}}, abi.EINVAL},
@@ -459,7 +462,7 @@ func FuzzAsyncFrame(f *testing.F) {
 	f.Add([]byte{abi.SYS_readv, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 1})
 	f.Add([]byte{abi.SYS_poll, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 255})
 	f.Add([]byte{abi.SYS_writev, 3, 0, 0, 0, 0, 0, 0, 0, 0, 2, 1, 2})
-	f.Add([]byte{0xff, abi.SYS_max, 0, abi.SYS_readg, abi.SYS_fork})
+	f.Add([]byte{0xff, abi.SYS_max, 0, abi.SYS_fork})
 	f.Add([]byte{abi.SYS_spawn, 0, 0, 0, 0, 0, 3, 3, 0, 2, 5, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		frames := fuzzCallFrames(data)

@@ -82,8 +82,7 @@ func (w *ringWorld) drain(t testing.TB) {
 
 // TestStatStormSingleNotify is the acceptance guard for the batched
 // drain: a doorbell carrying N stat frames produces exactly ONE process
-// notify, every frame resolves through the fs batch entry point, and
-// every reply lands with the right per-path result.
+// notify, and every reply lands with the right per-path result.
 func TestStatStormSingleNotify(t *testing.T) {
 	w := newRingWorld(t)
 	const n = 100
@@ -102,9 +101,6 @@ func TestStatStormSingleNotify(t *testing.T) {
 	w.drain(t)
 	if got := w.k.RingNotifies.Load() - notifiesBefore; got != 1 {
 		t.Fatalf("drained %d stat frames with %d notifies, want exactly 1", n, got)
-	}
-	if w.k.FSBatchedCalls.Load() != n {
-		t.Fatalf("FSBatchedCalls = %d, want %d (whole storm through the batch entry)", w.k.FSBatchedCalls.Load(), n)
 	}
 
 	// Every reply present, in the reply ring, with correct stat payloads.
@@ -129,62 +125,8 @@ func TestStatStormSingleNotify(t *testing.T) {
 	}
 }
 
-// TestBatchedDispatchMatchesFrameByFrame proves the ablation flag
-// changes nothing observable: same replies, same stat payloads, still
-// one notify (reply batching predates fs batching) — only the fs-level
-// batch counter differs.
-func TestBatchedDispatchMatchesFrameByFrame(t *testing.T) {
-	type result struct {
-		notifies int64
-		batched  int64
-		replies  map[uint32]abi.Stat
-	}
-	run := func(disable bool) result {
-		w := newRingWorld(t)
-		w.k.SetFeatures(Features{NoFSBatch: disable})
-		const n = 32
-		paths := make([]string, n)
-		for i := range paths {
-			paths[i] = fmt.Sprintf("/x%02d", i)
-			w.fsys.WriteFile(paths[i], make([]byte, 100+i), 0o644, func(abi.Errno) {})
-		}
-		statPtrs := w.stageStatFrames(t, paths)
-		w.drain(t)
-		heap := w.task.heap.Bytes()
-		res := result{notifies: w.k.RingNotifies.Load(), batched: w.k.FSBatchedCalls.Load(), replies: map[uint32]abi.Stat{}}
-		for {
-			seq, _, errno, ok := w.task.ring.rep.PopReply()
-			if !ok {
-				break
-			}
-			if errno != abi.OK {
-				t.Fatalf("frame %d: %v", seq, errno)
-			}
-			st := abi.UnpackStat(heap[statPtrs[seq] : statPtrs[seq]+abi.StatSize])
-			st.Ino = 0 // the global inode counter differs across worlds
-			res.replies[seq] = st
-		}
-		return res
-	}
-	batched, scalar := run(false), run(true)
-	if batched.notifies != 1 || scalar.notifies != 1 {
-		t.Fatalf("notifies: batched=%d scalar=%d, want 1 and 1", batched.notifies, scalar.notifies)
-	}
-	if batched.batched == 0 || scalar.batched != 0 {
-		t.Fatalf("FSBatchedCalls: batched=%d scalar=%d", batched.batched, scalar.batched)
-	}
-	if len(batched.replies) != len(scalar.replies) {
-		t.Fatalf("reply counts differ: %d vs %d", len(batched.replies), len(scalar.replies))
-	}
-	for seq, st := range batched.replies {
-		if scalar.replies[seq] != st {
-			t.Fatalf("frame %d differs: batched %+v scalar %+v", seq, st, scalar.replies[seq])
-		}
-	}
-}
-
-// TestBatchMixedRunSplits: non-metadata frames interleaved in a drain
-// split the stat runs but everything still completes with one notify.
+// TestBatchMixedRunSplits: non-metadata frames interleaved with stat
+// frames in a drain still complete with one notify.
 func TestBatchMixedRunSplits(t *testing.T) {
 	w := newRingWorld(t)
 	w.fsys.WriteFile("/a", []byte("aa"), 0o644, func(abi.Errno) {})
@@ -226,53 +168,5 @@ func TestBatchMixedRunSplits(t *testing.T) {
 	}
 	if b := abi.UnpackStat(heap[sp2 : sp2+abi.StatSize]); b.Size != 3 {
 		t.Fatalf("/b size %d", b.Size)
-	}
-}
-
-// BenchmarkBatchedStatStorm drains a doorbell of stat frames — the
-// `ls -l`/make probe storm — batched (one dentry-cache pass per drain)
-// vs frame-by-frame (one pass per frame). Reported metrics: notifies
-// per storm and fs cache passes per storm.
-func BenchmarkBatchedStatStorm(b *testing.B) {
-	const n = 256
-	for _, cfg := range []struct {
-		name string
-		ft   Features
-	}{
-		{"batched", Features{}},
-		{"frame-by-frame", Features{NoFSBatch: true}},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			w := newRingWorld(b)
-			w.k.SetFeatures(cfg.ft)
-			paths := make([]string, n)
-			for i := range paths {
-				paths[i] = fmt.Sprintf("/bench/f%03d", i)
-			}
-			var merr abi.Errno = -1
-			w.fsys.MkdirAll("/bench", 0o755, func(err abi.Errno) { merr = err })
-			if merr != abi.OK {
-				b.Fatalf("mkdir: %v", merr)
-			}
-			for _, p := range paths {
-				w.fsys.WriteFile(p, []byte("x"), 0o644, func(abi.Errno) {})
-			}
-			notifies0 := w.k.RingNotifies.Load()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				w.stageStatFrames(b, paths)
-				w.drain(b)
-				for {
-					if _, _, _, ok := w.task.ring.rep.PopReply(); !ok {
-						break
-					}
-				}
-			}
-			b.StopTimer()
-			stats := w.fsys.CacheStats()
-			b.ReportMetric(float64(w.k.RingNotifies.Load()-notifies0)/float64(b.N), "notifies/storm")
-			b.ReportMetric(float64(stats.StatBatches)/float64(b.N), "batchpasses/storm")
-			b.ReportMetric(float64(n), "frames/storm")
-		})
 	}
 }

@@ -2,18 +2,17 @@ package core_test
 
 import (
 	"fmt"
-	"strconv"
 	"testing"
 
 	"repro/internal/abi"
 	"repro/internal/core"
 	"repro/internal/fs"
 	"repro/internal/posix"
-	"repro/internal/rt"
 )
 
-// Zero-copy read path: copied-bytes guard, throughput guard + benchmark,
-// and the lease-revocation differential across transports.
+// Page-cache coherence across transports: reads of cached pages that
+// race unlink, truncate, rename and write-back flushes, and warm reads
+// whose bytes must be copied before the cached pages are recycled.
 
 // zcPattern fills n bytes deterministically, seeded by tag.
 func zcPattern(tag byte, n int) []byte {
@@ -41,7 +40,7 @@ func mountRO(t testing.TB, w *world, files map[string][]byte) {
 }
 
 // mountOverlay stages files on the lower layer of an overlay at /ov —
-// page-cacheable AND mutable, which is what the revocation races need.
+// page-cacheable AND mutable, which is what the coherence races need.
 func mountOverlay(t testing.TB, w *world, files map[string][]byte) {
 	clock := func() int64 { return w.sim.Now() }
 	lower := fs.NewMemFS(clock)
@@ -106,116 +105,11 @@ func init() {
 		posix.Fprintf(p, abi.Stdout, "read=%d hash=%d\n", total, sum)
 		return 0
 	}})
-
-	// t-zcbench: one cold pass, then N warm whole-file reads (one big
-	// read request per pass — one crossing on the grant path).
-	posix.Register(&posix.Program{Name: "t-zcbench", Main: func(p posix.Proc) int {
-		path := p.Args()[1]
-		passes, _ := strconv.Atoi(p.Args()[2])
-		st, err := p.Stat(path)
-		if err != abi.OK {
-			return 1
-		}
-		size := int(st.Size)
-		fd, err := p.Open(path, abi.O_RDONLY, 0)
-		if err != abi.OK {
-			return 2
-		}
-		var sum, total int
-		for i := 0; i <= passes; i++ { // pass 0 is the cold warm-up
-			if _, err := p.Seek(fd, 0, abi.SEEK_SET); err != abi.OK {
-				return 3
-			}
-			b, rerr := readN(p, fd, size)
-			if rerr != abi.OK || len(b) != size {
-				return 4
-			}
-			if i > 0 {
-				sum = zcHash(sum, b)
-				total += len(b)
-			}
-		}
-		p.Close(fd)
-		posix.Fprintf(p, abi.Stdout, "bench read=%d hash=%d\n", total, sum)
-		return 0
-	}})
 }
 
-// TestZeroCopyWarmReadZeroCopiedBytes is the acceptance guard: a warm
-// cached read via the ring transport performs ZERO per-byte kernel
-// copies — the whole file is served as page grants — and every lease is
-// back by process exit.
-func TestZeroCopyWarmReadZeroCopiedBytes(t *testing.T) {
-	w := boot(t)
-	content := zcPattern(1, 1<<20+100)
-	mountRO(t, w, map[string][]byte{"/big.bin": content})
-	w.install(t, "/usr/bin/t-zcread", "t-zcread", rt.EmSyncKind)
-
-	code, cold, _ := w.run(t, "/usr/bin/t-zcread /ro/big.bin")
-	if code != 0 {
-		t.Fatalf("cold run exited %d", code)
-	}
-	if w.k.ReadCopiedBytes.Load() == 0 {
-		t.Fatalf("cold run copied no bytes — miss path broken?")
-	}
-	copied, grants := w.k.ReadCopiedBytes.Load(), w.k.LeaseGrants.Load()
-
-	code, warm, _ := w.run(t, "/usr/bin/t-zcread /ro/big.bin")
-	if code != 0 {
-		t.Fatalf("warm run exited %d", code)
-	}
-	if warm != cold {
-		t.Fatalf("warm output %q differs from cold %q", warm, cold)
-	}
-	if d := w.k.ReadCopiedBytes.Load() - copied; d != 0 {
-		t.Fatalf("warm cached read copied %d payload bytes, want 0 (grant path)", d)
-	}
-	if w.k.LeaseGrants.Load() == grants {
-		t.Fatalf("warm run took no page leases — grant path unused")
-	}
-	if w.k.GrantedBytes.Load() < int64(len(content)) {
-		t.Fatalf("GrantedBytes = %d, want >= %d", w.k.GrantedBytes.Load(), len(content))
-	}
-	if w.k.LeaseGrants.Load() != w.k.LeaseReturns.Load() {
-		t.Fatalf("leases leaked: %d granted, %d returned", w.k.LeaseGrants.Load(), w.k.LeaseReturns.Load())
-	}
-	if pins := w.fs.CacheStats().PinnedPages; pins != 0 {
-		t.Fatalf("%d pool pages still pinned after exit", pins)
-	}
-}
-
-// zcBenchRun executes t-zcbench in a fresh world running ft and reports the bytes
-// read warm and the virtual time the whole run took.
-func zcBenchRun(t testing.TB, ft core.Features, passes int) (bytes int64, elapsed int64) {
-	sizeBytes := int64(4<<20 + 100)
-	w := boot(t)
-	w.k.SetFeatures(ft)
-	mountRO(t, w, map[string][]byte{"/big.bin": zcPattern(2, int(sizeBytes))})
-	w.install(t, "/usr/bin/t-zcbench", "t-zcbench", rt.EmSyncKind)
-	t0 := w.sim.Now()
-	code, out, errOut := w.run(t, fmt.Sprintf("/usr/bin/t-zcbench /ro/big.bin %d", passes))
-	if code != 0 {
-		t.Fatalf("t-zcbench exited %d (%q %q)", code, out, errOut)
-	}
-	return sizeBytes * int64(passes), w.sim.Now() - t0
-}
-
-// TestZeroCopyWarmReadThroughput pins the acceptance bar: warm whole-
-// file reads through the grant path are at least 2x faster (virtual
-// time) than the same reads through the copy path.
-func TestZeroCopyWarmReadThroughput(t *testing.T) {
-	const passes = 100
-	_, grantNs := zcBenchRun(t, core.Features{}, passes)
-	_, copyNs := zcBenchRun(t, core.Features{NoZeroCopy: true}, passes)
-	if copyNs < 2*grantNs {
-		t.Fatalf("warm-read speedup %.2fx (grant %d ns, copy %d ns), want >= 2x",
-			float64(copyNs)/float64(grantNs), grantNs, copyNs)
-	}
-}
-
-// t-lease exercises every revocation race with leases outstanding:
-// stale-fd bypass after unlink, truncate and rename under a lease, and a
-// write-back flush overlapping leased pages. Output must be identical on
+// t-lease exercises every coherence race with warm cached pages: stale-fd
+// bypass after unlink, truncate and rename of a file being read, and a
+// write-back flush overlapping cached pages. Output must be identical on
 // every transport and write-back configuration.
 func init() {
 	posix.Register(&posix.Program{Name: "t-lease", Main: func(p posix.Proc) int {
@@ -223,8 +117,8 @@ func init() {
 			posix.Fprintf(p, abi.Stdout, "%s n=%d hash=%d err=%d\n", tag, len(b), zcHash(0, b), int(err))
 		}
 		// warmOpen opens path read-only and pre-reads n bytes so the
-		// pages are resident: the reads that follow are served as page
-		// grants on the ring transport — the leases the races need.
+		// pages are resident: the reads that follow are warm cache hits,
+		// which the races need.
 		warmOpen := func(path string, n int) (int, abi.Errno) {
 			fd, err := p.Open(path, abi.O_RDONLY, 0)
 			if err != abi.OK {
@@ -239,7 +133,7 @@ func init() {
 			return fd, abi.OK
 		}
 
-		// 1. unlink while leases are outstanding: the stale fd keeps
+		// 1. unlink while the file is being read: the stale fd keeps
 		// reading the OLD file through its own backend handle.
 		fdA, err := warmOpen("/ov/f", 48*1024)
 		if err != abi.OK {
@@ -263,8 +157,7 @@ func init() {
 		b1, err := readN(p, fdB, 64*1024)
 		report("unlink.fresh", b1, err)
 		p.Close(fdB)
-		// Seek the stale fd home (returns its leases) and re-read: still
-		// the old file.
+		// Seek the stale fd home and re-read: still the old file.
 		if _, err := p.Seek(fdA, 0, abi.SEEK_SET); err != abi.OK {
 			return 5
 		}
@@ -272,7 +165,7 @@ func init() {
 		report("unlink.reseek", a3, err)
 		p.Close(fdA)
 
-		// 2. truncate while a lease is outstanding.
+		// 2. truncate while the file is being read.
 		fdC, err := warmOpen("/ov/g", 16*1024)
 		if err != abi.OK {
 			return 6
@@ -298,7 +191,7 @@ func init() {
 		report("trunc.fresh", c3, err)
 		p.Close(fdC2)
 
-		// 3. rename while a lease is outstanding.
+		// 3. rename while the file is being read.
 		fdD, err := warmOpen("/ov/h", 16*1024)
 		if err != abi.OK {
 			return 10
@@ -314,10 +207,9 @@ func init() {
 		st, serr := p.Stat("/ov/h2")
 		posix.Fprintf(p, abi.Stdout, "rename.dst size=%d err=%d\n", st.Size, int(serr))
 
-		// 4. write-back flush overlapping leased pages: take leases,
-		// then write+fsync through another fd (dirty extents force the
-		// leased pages to detach-and-freeze before coalescing), then
-		// read the file fresh.
+		// 4. write-back flush overlapping cached pages: warm the pages,
+		// then write+fsync through another fd (dirty extents drop the
+		// cached pages before coalescing), then read the file fresh.
 		fdE, err := warmOpen("/ov/k", 32*1024)
 		if err != abi.OK {
 			return 12
@@ -335,7 +227,7 @@ func init() {
 			return 15
 		}
 		p.Close(fdF)
-		p.Close(fdE) // returns the leases taken before the overlap
+		p.Close(fdE)
 		fdE2, err := p.Open("/ov/k", abi.O_RDONLY, 0)
 		if err != abi.OK {
 			return 16
@@ -347,11 +239,10 @@ func init() {
 	}})
 }
 
-// TestLeaseRevocationAcrossTransports runs t-lease on the async, scalar
+// TestCacheCoherenceAcrossTransports runs t-lease on the async, scalar
 // and ring transports, each with write-back on and off: all six outputs
-// must be byte-identical, the ring configurations must actually have
-// taken leases, and no lease may survive the process.
-func TestLeaseRevocationAcrossTransports(t *testing.T) {
+// must be byte-identical, and no page may stay pinned after the process.
+func TestCacheCoherenceAcrossTransports(t *testing.T) {
 	files := map[string][]byte{
 		"/f": zcPattern(3, 64*1024),
 		"/g": zcPattern(4, 48*1024),
@@ -368,15 +259,6 @@ func TestLeaseRevocationAcrossTransports(t *testing.T) {
 			t.Fatalf("%s: exited %d (stdout %q stderr %q)", v, code, out, errOut)
 		}
 		outputs[v.String()] = out
-		if v.tr == ring {
-			if w.k.LeaseGrants.Load() == 0 {
-				t.Errorf("%s: no leases taken — revocation races untested", v)
-			}
-			if w.k.LeaseGrants.Load() != w.k.LeaseReturns.Load() {
-				t.Errorf("%s: leases leaked (%d granted, %d returned)",
-					v, w.k.LeaseGrants.Load(), w.k.LeaseReturns.Load())
-			}
-		}
 		if pins := w.fs.CacheStats().PinnedPages; pins != 0 {
 			t.Errorf("%s: %d pages still pinned", v, pins)
 		}
@@ -393,27 +275,92 @@ func TestLeaseRevocationAcrossTransports(t *testing.T) {
 	}
 }
 
-// BenchmarkZeroCopyRead reports warm-read throughput (virtual MB/s) of
-// the grant path against the copy path — the headline number of the
-// zero-copy refactor.
-func BenchmarkZeroCopyRead(b *testing.B) {
-	for _, cfg := range []struct {
-		name string
-		ft   core.Features
-	}{
-		{"grant", core.Features{}},
-		{"copy", core.Features{NoZeroCopy: true}},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			var bytes, elapsed int64
-			for i := 0; i < b.N; i++ {
-				bt, el := zcBenchRun(b, cfg.ft, 32)
-				bytes += bt
-				elapsed += el
-			}
-			if elapsed > 0 {
-				b.ReportMetric(float64(bytes)/(float64(elapsed)/1e9)/1e6, "virtMB/s")
-			}
-		})
+// t-warmcopy reads /ov/a warm with read and with readv, keeping the
+// returned buffers as they are. It then rewrites and truncates /ov/a,
+// which drops its cached pages, and reads /ro/big, whose pages refill
+// the freed arena slots. A buffer that still aliased a cached page would
+// now hold other bytes.
+func init() {
+	posix.Register(&posix.Program{Name: "t-warmcopy", Main: func(p posix.Proc) int {
+		st, err := p.Stat("/ov/a")
+		if err != abi.OK {
+			return 1
+		}
+		size := int(st.Size)
+		fd, err := p.Open("/ov/a", abi.O_RDONLY, 0)
+		if err != abi.OK {
+			return 2
+		}
+		if b, err := readN(p, fd, size); err != abi.OK || len(b) != size {
+			return 3 // the cold pass caches every page
+		}
+		if _, err := p.Seek(fd, 0, abi.SEEK_SET); err != abi.OK {
+			return 4
+		}
+		first, err := p.Read(fd, size)
+		if err != abi.OK || len(first) != size {
+			return 5
+		}
+		if _, err := p.Seek(fd, 0, abi.SEEK_SET); err != abi.OK {
+			return 6
+		}
+		segs, err := p.Readv(fd, []int{size / 2, size - size/2})
+		if err != abi.OK {
+			return 7
+		}
+		p.Close(fd)
+
+		if err := posix.WriteFile(p, "/ov/a", zcPattern(42, size), 0o644); err != abi.OK {
+			return 8
+		}
+		wfd, err := p.Open("/ov/a", abi.O_WRONLY, 0)
+		if err != abi.OK || p.Ftruncate(wfd, 100) != abi.OK {
+			return 9
+		}
+		p.Close(wfd)
+		bfd, err := p.Open("/ro/big", abi.O_RDONLY, 0)
+		if err != abi.OK {
+			return 10
+		}
+		if _, err := readN(p, bfd, 1<<20); err != abi.OK {
+			return 11
+		}
+		p.Close(bfd)
+
+		sum, n := 0, 0
+		for _, s := range segs {
+			sum = zcHash(sum, s)
+			n += len(s)
+		}
+		posix.Fprintf(p, abi.Stdout, "read n=%d hash=%d\nreadv n=%d hash=%d\n",
+			len(first), zcHash(0, first), n, sum)
+		return 0
+	}})
+}
+
+// TestWarmReadCopiesBeforeReturn: on every transport, the buffers a warm
+// read returned keep the file's original bytes after its cached pages are
+// dropped and their arena slots refilled — no codec keeps a view of a
+// cached page past the read.
+func TestWarmReadCopiesBeforeReturn(t *testing.T) {
+	orig := zcPattern(7, 48*1024+100)
+	h := zcHash(0, orig)
+	want := fmt.Sprintf("read n=%d hash=%d\nreadv n=%d hash=%d\n", len(orig), h, len(orig), h)
+	for _, v := range variants(transports) {
+		w := v.boot(t)
+		mountOverlay(t, w, map[string][]byte{"/a": orig})
+		mountRO(t, w, map[string][]byte{"/big": zcPattern(8, 512*1024)})
+		w.install(t, "/usr/bin/t-warmcopy", "t-warmcopy", v.tr.kind())
+		hits := w.fs.CacheStats().PageHits
+		code, out, errOut := w.run(t, "/usr/bin/t-warmcopy")
+		if code != 0 || out != want {
+			t.Errorf("%s: exit %d, output %q (stderr %q), want %q", v, code, out, errOut, want)
+		}
+		if w.fs.CacheStats().PageHits == hits {
+			t.Errorf("%s: no warm page-cache hits", v)
+		}
+		if pins := w.fs.CacheStats().PinnedPages; pins != 0 {
+			t.Errorf("%s: %d pages still pinned", v, pins)
+		}
 	}
 }

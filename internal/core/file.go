@@ -145,29 +145,10 @@ func (f *fsFile) Pwrite(off int64, data []byte, cb func(int, abi.Errno)) {
 	f.h.Pwrite(off, data, cb)
 }
 
-// ReadRef implements refReader: answer the read with pinned page-cache
-// references when the storage layer has every byte resident — the
-// zero-copy path. The descriptor offset advances over the granted bytes
-// exactly as Read would; a refusal leaves it untouched so the caller's
-// copy-path fallback reads the same range.
-func (f *fsFile) ReadRef(d *Desc, n, max int) ([]fs.PageRef, bool) {
-	rr, ok := f.h.(fs.RefReader)
-	if !ok {
-		return nil, false
-	}
-	refs, ok := rr.PreadRef(d.off, n, max)
-	if !ok {
-		return nil, false
-	}
-	for _, r := range refs {
-		d.off += int64(r.Len)
-	}
-	return refs, true
-}
-
 // Readv implements vectoredReader: the gather happens in the storage
 // layer (page cache or backend) and comes back as segments, which the
-// kernel scatters straight into the process heap — no coalescing buffer.
+// kernel copies straight into the process heap or reply — no coalescing
+// buffer.
 func (f *fsFile) Readv(d *Desc, total int, cb func([][]byte, abi.Errno)) {
 	f.h.Preadv(d.off, []int{total}, func(segs [][]byte, err abi.Errno) {
 		if err == abi.OK {

@@ -17,7 +17,7 @@ const (
 	hcPoll  = 3072  // one Pollfd for hcFd
 	hcInts  = 4096  // one int32
 	hcOut   = 8192  // 64-byte result buffer
-	hcRec   = 16384 // result record / grant area
+	hcRec   = 16384 // result record
 	hcFd    = 3     // an open descriptor on /f
 )
 
@@ -31,12 +31,11 @@ func (w *ringWorld) run(t testing.TB, fn func()) {
 	}
 }
 
-// newCodecWorld is a ringWorld with /f ("hello") open as hcFd, a page
-// pool negotiated, and the argument layout above staged in its heap.
+// newCodecWorld is a ringWorld with /f ("hello") open as hcFd and the
+// argument layout above staged in its heap.
 func newCodecWorld(t testing.TB) *ringWorld {
 	w := newRingWorld(t)
 	w.k.Loader = func([]byte) (func(*browser.Worker), abi.Errno) { return nil, abi.ENOEXEC }
-	w.task.pool = true
 	w.task.sigActions, w.task.children = map[int]sigAction{}, map[int]*Task{}
 	w.fsys.WriteFile("/f", []byte("hello"), 0o644, func(abi.Errno) {})
 	w.run(t, func() {
@@ -119,10 +118,6 @@ func badPointerFrames(hlen int64) []badFrame {
 			}
 		}
 	}
-	// Codec-local heap calls.
-	add(abi.SYS_readg, []int64{hcFd, hcOut, 64, hcRec, 1, 64}, 1, "buf")
-	add(abi.SYS_readg, []int64{hcFd, hcOut, 64, hcRec, 1, 64}, 3, "grants")
-	add(abi.SYS_unlease, []int64{hcInts, 1}, 0, "slots")
 	return out
 }
 
@@ -138,8 +133,8 @@ func worldState(t testing.TB, w *ringWorld) string {
 		})
 		w.fsys.ReadFile("/f", func(b []byte, err abi.Errno) { body = b })
 	})
-	return fmt.Sprintf("fds=%d leases=%d cwd=%s ls=%v /f=%q",
-		len(w.task.Fds()), len(w.task.leases), w.task.cwd, ls, body)
+	return fmt.Sprintf("fds=%d cwd=%s ls=%v /f=%q",
+		len(w.task.Fds()), w.task.cwd, ls, body)
 }
 
 // TestHeapCodecBadPointerEFAULT: on both the scalar and the ring path,
@@ -190,8 +185,8 @@ func TestHeapCodecBadPointerEFAULT(t *testing.T) {
 }
 
 // TestSyscallTableComplete: every trap below SYS_max has a row, and is
-// either served by the shared op table or codec-local to exactly one
-// codec; every name the runtimes send decodes.
+// either served by the shared op table or local to the async codec;
+// every name the runtimes send decodes.
 func TestSyscallTableComplete(t *testing.T) {
 	trapOf := map[string]int{}
 	for trap := 1; trap < abi.SYS_max; trap++ {
@@ -200,23 +195,19 @@ func TestSyscallTableComplete(t *testing.T) {
 			t.Errorf("trap %d has no row", trap)
 			continue
 		}
-		shared, heap, async := sysOps[trap] != nil, heapLocal[trap] != nil, asyncLocal[row.Name] != nil
+		shared, async := sysOps[trap] != nil, asyncLocal[row.Name] != nil
 		if other, dup := trapOf[row.Name]; dup {
 			t.Errorf("%s names traps %d and %d", row.Name, other, trap)
 		}
 		trapOf[row.Name] = trap
 		switch row.Transport {
 		case abi.Both:
-			if !shared || heap || async {
-				t.Errorf("%s: shared=%v heap-local=%v async-local=%v, want only the shared op", row.Name, shared, heap, async)
-			}
-		case abi.HeapOnly:
-			if shared || !heap || async || len(row.Args) != 0 {
-				t.Errorf("%s: shared=%v heap-local=%v async-local=%v, want only the heap codec", row.Name, shared, heap, async)
+			if !shared || async {
+				t.Errorf("%s: shared=%v async-local=%v, want only the shared op", row.Name, shared, async)
 			}
 		case abi.AsyncOnly:
-			if shared || heap || !async || len(row.Args) != 0 {
-				t.Errorf("%s: shared=%v heap-local=%v async-local=%v, want only the async codec", row.Name, shared, heap, async)
+			if shared || !async || len(row.Args) != 0 {
+				t.Errorf("%s: shared=%v async-local=%v, want only the async codec", row.Name, shared, async)
 			}
 		}
 	}
@@ -227,7 +218,7 @@ func TestSyscallTableComplete(t *testing.T) {
 	}
 	// The calls internal/rt sends by name, outside the table's frames:
 	// transport registrations, snapshots and fork.
-	for _, name := range []string{"personality", "ring", "pagepool", "snapcap", "restore", "fork"} {
+	for _, name := range []string{"personality", "ring", "snapcap", "restore", "fork"} {
 		if asyncLocal[name] == nil {
 			t.Errorf("runtime call %q does not decode", name)
 		}
@@ -306,14 +297,14 @@ func FuzzDrainRing(f *testing.F) {
 	// more raw bytes after a raw tag).
 	frame := func(trap, nargs int, tags ...byte) []byte { return append([]byte{byte(trap), byte(nargs)}, tags...) }
 	ptr, small, raw := func(off byte) byte { return off<<2 | 1 }, func(v byte) byte { return v << 2 }, byte(2)
-	const out, iov, pfd, grants = 32, 4, 6, 48 // arena slots, in 8-byte units
+	const out, iov, pfd = 32, 4, 6 // arena slots, in 8-byte units
 	f.Add(frame(abi.SYS_stat, 3, ptr(0), small(2), ptr(out)))
 	f.Add(append(frame(abi.SYS_open, 4, ptr(0), small(2), small(0), small(0)), frame(abi.SYS_read, 3, small(hcFd), ptr(out), small(32))...))
 	f.Add(frame(abi.SYS_readv, 3, small(hcFd), ptr(iov), small(1)))
 	f.Add(frame(abi.SYS_writev, 3, small(hcFd), ptr(iov), small(1)))
 	f.Add(frame(abi.SYS_poll, 3, ptr(pfd), small(1), small(0)))
 	f.Add(frame(abi.SYS_spawn, 8, ptr(0), small(2), ptr(0), small(2), ptr(0), small(0), ptr(0), small(1)))
-	f.Add(frame(abi.SYS_readg, 6, small(hcFd), ptr(out), small(32), ptr(grants), small(2), small(32)))
+	f.Add(frame(abi.SYS_pread, 4, small(hcFd), ptr(out), small(32), small(1)))
 	f.Add(frame(abi.SYS_getdents, 3, small(hcFd), ptr(out), small(63)))
 	// The ring SYS_open with a 1<<40 path pointer that used to panic.
 	f.Add(frame(abi.SYS_open, 4, raw, 0, 0, 1, 0, 0, 0, 0, 0, small(2), small(0), small(0)))

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"sort"
 	"strings"
 	"sync/atomic"
 
@@ -69,10 +68,6 @@ type Kernel struct {
 	// multi-hundred-KB script eval a cold boot pays.
 	stubURLs map[string]string
 
-	// poolSAB is the page-cache arena wrapped for sharing with workers,
-	// created on the first "pagepool" registration.
-	poolSAB *browser.SAB
-
 	ports         map[int]*Socket
 	portWatchers  map[int][]func(int)
 	nextEphemeral int
@@ -101,28 +96,21 @@ type Kernel struct {
 	RingSyscalls     atomic.Int64
 	RingBatchedCalls atomic.Int64
 	// RingNotifies counts process wakes on the ring transport — a drained
-	// doorbell of N calls costs exactly one. FSBatchedCalls counts frames
-	// resolved through the fs-level batch entry point (stat runs handed
-	// to FS.StatBatch as one batch).
-	RingNotifies   atomic.Int64
-	FSBatchedCalls atomic.Int64
-	// Zero-copy read-path statistics. ReadCopiedBytes counts payload
-	// bytes the kernel copied into guest heaps answering reads (the
-	// per-byte work the grant path eliminates); GrantedBytes counts
-	// bytes served by page grants instead; LeaseGrants/LeaseReturns
-	// count the leases themselves.
-	ReadCopiedBytes atomic.Int64
-	GrantedBytes    atomic.Int64
-	LeaseGrants     atomic.Int64
-	LeaseReturns    atomic.Int64
-	// WriteCopiedBytes counts payload bytes the kernel copied out of
-	// guest heaps accepting writes. WriteGrantedBytes is always zero:
-	// every write takes the copy path; the counter stays because the
-	// benchmark reports it. BatchedGrantReads counts readg frames beyond
-	// the first in each same-fd run answered by one vectored cache pass.
-	WriteCopiedBytes  atomic.Int64
+	// doorbell of N calls costs exactly one.
+	RingNotifies atomic.Int64
+	// ReadCopiedBytes counts payload bytes the kernel copied into guest
+	// heaps answering reads; WriteCopiedBytes counts those it copied out
+	// of guest heaps accepting writes. On the sync transports every read
+	// and write takes this one copy.
+	ReadCopiedBytes  atomic.Int64
+	WriteCopiedBytes atomic.Int64
+	// Always zero: the kernel has no fs-level batching, read grants or
+	// write grants. These stay only because the benchmark reports them.
+	FSBatchedCalls    atomic.Int64
+	GrantedBytes      atomic.Int64
 	WriteGrantedBytes atomic.Int64
-	BatchedGrantReads atomic.Int64
+	LeaseGrants       atomic.Int64
+	LeaseReturns      atomic.Int64
 	// Snapshot lifecycle statistics: images captured through this
 	// kernel, and processes booted as copy-on-write clones.
 	SnapshotCaptures atomic.Int64
@@ -137,19 +125,13 @@ type Features struct {
 	// NoRing refuses ring-transport registration, so sync processes use
 	// the scalar wake-cell path (one wake per call).
 	NoRing bool
-	// NoFSBatch dispatches drained ring frames one by one instead of
-	// handing stat and read runs to the file system as batches.
-	NoFSBatch bool
-	// NoZeroCopy refuses page-pool registration and answers every readg
-	// on the copy path.
-	NoZeroCopy bool
 	// NoCaches, NoWriteBack and NoDedup are the file system's switches
 	// (fs.Features).
 	NoCaches, NoWriteBack, NoDedup bool
 }
 
 // SetFeatures selects the mechanisms the kernel and its file system run.
-// Set them before processes start: a registered ring or page pool stays.
+// Set them before processes start: a registered ring stays.
 func (k *Kernel) SetFeatures(ft Features) {
 	k.feat = ft
 	k.FS.SetFeatures(fs.Features{NoCaches: ft.NoCaches, NoWriteBack: ft.NoWriteBack, NoDedup: ft.NoDedup})
@@ -174,38 +156,6 @@ func NewKernel(sys *browser.System, fsys *fs.FileSystem, loader Loader) *Kernel 
 
 // Task returns a live or zombie task by pid.
 func (k *Kernel) Task(pid int) *Task { return k.tasks[pid] }
-
-// pagePoolSAB wraps the file system's page-cache arena as a
-// SharedArrayBuffer, once; every pool-registering process maps the same
-// view — the "mmap the page cache into the shared heap" of the zero-copy
-// read path.
-func (k *Kernel) pagePoolSAB() *browser.SAB {
-	if k.poolSAB == nil {
-		k.poolSAB = browser.WrapSAB(k.FS.PagePoolBytes())
-	}
-	return k.poolSAB
-}
-
-// releaseTaskLeases returns every page lease a task still holds — the
-// kernel-side reclaim when an image exits (or execs away) without
-// unleasing. Ordered by slot for determinism.
-func (k *Kernel) releaseTaskLeases(t *Task) {
-	if len(t.leases) == 0 {
-		return
-	}
-	slots := make([]int, 0, len(t.leases))
-	for slot := range t.leases {
-		slots = append(slots, slot)
-	}
-	sort.Ints(slots)
-	for _, slot := range slots {
-		for n := t.leases[slot]; n > 0; n-- {
-			k.FS.UnleasePage(slot)
-			k.LeaseReturns.Add(1)
-		}
-	}
-	t.leases = nil
-}
 
 // Tasks returns all task pids, sorted (diagnostics, terminal `ps`).
 func (k *Kernel) Tasks() []*Task {
@@ -284,9 +234,7 @@ func (k *Kernel) Spawn(parent *Task, spec SpawnSpec, cb func(int, abi.Errno)) {
 				t.Env = spec.Env
 			}
 			t.heap, t.retOff, t.waitOff, t.ring = nil, 0, 0, nil
-			k.releaseTaskLeases(t)
 			k.releaseTaskSnapshot(t)
-			t.pool = false
 			t.sigActions = map[int]sigAction{}
 			old := t.worker
 			defer old.Terminate()
@@ -486,7 +434,6 @@ func (k *Kernel) finishTask(t *Task, status int) {
 	}
 	t.state = taskZombie
 	t.status = status
-	k.releaseTaskLeases(t)
 	k.releaseTaskSnapshot(t)
 	k.dropPollWaiters(t)
 	// Close in ascending fd order, so state hooks fire deterministically.

@@ -8,9 +8,9 @@ import (
 
 // TestMixedMetaRunSingleNotify: a doorbell carrying a PATH-probe-shaped
 // run — stat, plain read-only open, readlink, access, and a missing name
-// — resolves as ONE fs batch with ONE notify, and every frame completes
-// exactly as it would have frame-by-frame: the open installs a working
-// descriptor, the readlink fills its buffer, the missing name fails.
+// — completes with ONE notify, and every frame completes exactly as it
+// would have on its own: the open installs a working descriptor, the
+// readlink fills its buffer, the missing name fails.
 func TestMixedMetaRunSingleNotify(t *testing.T) {
 	w := newRingWorld(t)
 	w.fsys.WriteFile("/bin-probe", []byte("#!interp"), 0o755, func(abi.Errno) {})
@@ -48,13 +48,10 @@ func TestMixedMetaRunSingleNotify(t *testing.T) {
 	pe, ne := stage("/missing")
 	r.PushCall(4, abi.SYS_stat, []int64{pe, ne, alloc(abi.StatSize)})
 
-	notifies, batched := w.k.RingNotifies.Load(), w.k.FSBatchedCalls.Load()
+	notifies := w.k.RingNotifies.Load()
 	w.drain(t)
 	if got := w.k.RingNotifies.Load() - notifies; got != 1 {
 		t.Fatalf("mixed meta run produced %d notifies, want 1", got)
-	}
-	if got := w.k.FSBatchedCalls.Load() - batched; got != 5 {
-		t.Fatalf("FSBatchedCalls += %d, want 5 (whole run through MetaBatch)", got)
 	}
 
 	rets := map[uint32]int64{}
@@ -82,7 +79,7 @@ func TestMixedMetaRunSingleNotify(t *testing.T) {
 	if got := w.task.FdPath(fd); got != "/bin-probe" {
 		t.Fatalf("opened fd %d names %q", fd, got)
 	}
-	// The batched open's descriptor must actually read.
+	// The probe run's open descriptor must actually read.
 	d, derr := w.task.lookFd(fd)
 	if derr != abi.OK {
 		t.Fatalf("lookFd: %v", derr)
@@ -94,7 +91,7 @@ func TestMixedMetaRunSingleNotify(t *testing.T) {
 	})
 	w.sim.RunUntil(func() bool { return done })
 	if string(body) != "#!interp" {
-		t.Fatalf("batched open read %q", body)
+		t.Fatalf("probe-run open read %q", body)
 	}
 	if errs[2] != abi.OK || string(heap[lnBuf:lnBuf+rets[2]]) != "/bin-probe" {
 		t.Fatalf("readlink: err=%v target=%q", errs[2], heap[lnBuf:lnBuf+rets[2]])
@@ -107,20 +104,31 @@ func TestMixedMetaRunSingleNotify(t *testing.T) {
 	}
 }
 
-// TestMetaRunSkipsMutatingOpens: an O_CREAT open never joins a batch —
-// it splits the run and dispatches individually, preserving side-effect
-// order.
+// TestMetaRunSkipsMutatingOpens: a creating open inside a probe run
+// takes effect in frame order — the stat before it misses the new name,
+// the stat after it finds an empty file.
 func TestMetaRunSkipsMutatingOpens(t *testing.T) {
-	c := pendingCall{trap: abi.SYS_open, args: []int64{0, 0, abi.O_WRONLY | abi.O_CREAT, 0o644}}
-	if batchableCall(c) {
-		t.Fatalf("creating open classified batchable")
+	w := newRingWorld(t)
+	heap := w.task.heap.Bytes()
+	copy(heap[64:], "/new")
+	before, after := int64(128), int64(256)
+	r := w.task.ring.req
+	r.PushCall(0, abi.SYS_stat, []int64{64, 4, before})
+	r.PushCall(1, abi.SYS_open, []int64{64, 4, abi.O_WRONLY | abi.O_CREAT, 0o644})
+	r.PushCall(2, abi.SYS_stat, []int64{64, 4, after})
+	w.drain(t)
+	errs := map[uint32]abi.Errno{}
+	for {
+		seq, _, errno, ok := w.task.ring.rep.PopReply()
+		if !ok {
+			break
+		}
+		errs[seq] = errno
 	}
-	c = pendingCall{trap: abi.SYS_open, args: []int64{0, 0, abi.O_RDONLY, 0}}
-	if !batchableCall(c) {
-		t.Fatalf("plain read-only open not batchable")
+	if len(errs) != 3 || errs[0] != abi.ENOENT || errs[1] != abi.OK || errs[2] != abi.OK {
+		t.Fatalf("errnos %v, want ENOENT, OK, OK", errs)
 	}
-	c = pendingCall{trap: abi.SYS_open, args: []int64{0, 0, abi.O_RDONLY | abi.O_TRUNC, 0}}
-	if batchableCall(c) {
-		t.Fatalf("truncating open classified batchable")
+	if st := abi.UnpackStat(heap[after : after+abi.StatSize]); !st.IsRegular() || st.Size != 0 {
+		t.Fatalf("stat after the creating open: %+v", st)
 	}
 }

@@ -39,6 +39,21 @@ func bytesDone(done func(abi.Result)) func([]byte, abi.Errno) {
 	}
 }
 
+// segsDone adapts done to gathered-read continuations.
+func segsDone(done func(abi.Result)) func([][]byte, abi.Errno) {
+	return func(segs [][]byte, err abi.Errno) {
+		if err != abi.OK {
+			done(res(-1, err))
+			return
+		}
+		var n int64
+		for _, s := range segs {
+			n += int64(len(s))
+		}
+		done(abi.Result{Ret: n, Segs: segs})
+	}
+}
+
 // countDone adapts done to count-returning continuations.
 func countDone(done func(abi.Result)) func(int, abi.Errno) {
 	return func(n int, err abi.Errno) { done(res(int64(n), err)) }
@@ -65,6 +80,14 @@ func init() {
 			t.closeFd(int(a.Int[0]), errDone(done))
 		},
 		abi.SYS_read: func(k *Kernel, t *Task, a callArgs, done func(abi.Result)) {
+			// Files gather: a warm page-cache hit comes back as views of
+			// the cached pages, which the codec copies once into the
+			// heap or reply before done returns. Pipes and sockets read
+			// one buffer.
+			if vr, ok := a.d.file.(vectoredReader); ok {
+				vr.Readv(a.d, int(a.Cap), segsDone(done))
+				return
+			}
 			a.d.file.Read(a.d, int(a.Cap), bytesDone(done))
 		},
 		abi.SYS_write: func(k *Kernel, t *Task, a callArgs, done func(abi.Result)) {
@@ -81,17 +104,7 @@ func init() {
 				done(abi.Result{})
 				return
 			}
-			readGather(a.d, total, func(segs [][]byte, err abi.Errno) {
-				if err != abi.OK {
-					done(res(-1, err))
-					return
-				}
-				var n int64
-				for _, s := range segs {
-					n += int64(len(s))
-				}
-				done(abi.Result{Ret: n, Segs: segs})
-			})
+			readGather(a.d, total, segsDone(done))
 		},
 		abi.SYS_writev: func(k *Kernel, t *Task, a callArgs, done func(abi.Result)) {
 			writevBufs(a.d, a.Bufs, func(n int64, err abi.Errno) { done(res(n, err)) })

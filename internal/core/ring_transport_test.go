@@ -193,10 +193,10 @@ func init() {
 
 // TestIovMaxAgreesAcrossTransports checks a vector one longer than
 // IOV_MAX fails with EINVAL, and one of exactly IOV_MAX succeeds, on
-// every transport with zero-copy reads on and off.
+// every transport.
 func TestIovMaxAgreesAcrossTransports(t *testing.T) {
 	want := "writev 1025: -1 EINVAL\nwritev 1024: 1024 success\nreadv 1025: 0 bytes EINVAL\nreadv 1024: 1024 bytes success\n"
-	for _, v := range variants(transports, core.Features{NoZeroCopy: true}) {
+	for _, v := range variants(transports) {
 		w := v.boot(t)
 		w.install(t, "/usr/bin/t-iovmax", "t-iovmax", v.tr.kind())
 		code, out, errOut := w.run(t, "/usr/bin/t-iovmax")

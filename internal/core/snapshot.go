@@ -18,8 +18,8 @@ import (
 // Clone: a later Spawn of the same path skips the object-URL eval of the
 // full artifact (a tiny stub script boots the worker), ships the image
 // and a COW tracker by reference in the init message, and answers the
-// worker's single "restore" call in place of the three-round-trip
-// personality/ring/pagepool negotiation.
+// worker's single "restore" call in place of the two-round-trip
+// personality/ring negotiation.
 //
 // Checkpoint: CheckpointLive walks the same soft-dirty bitmap in
 // iterative pre-copy rounds — bounded work per main-thread event while
@@ -63,8 +63,7 @@ func (k *Kernel) fdInfos(t *Task) []snapshot.FdInfo {
 
 // releaseTaskSnapshot returns a task's snapshot references: every image
 // pin its tracker still holds (pages it exited without writing) comes
-// back to the shared arena. Runs on exit and on exec, next to the page
-// lease reclaim, and is idempotent.
+// back to the shared arena. Runs on exit and on exec, and is idempotent.
 func (k *Kernel) releaseTaskSnapshot(t *Task) {
 	if t.snapTracker != nil {
 		t.snapTracker.ReleaseShared()
@@ -76,7 +75,7 @@ func (k *Kernel) releaseTaskSnapshot(t *Task) {
 
 // doSnapcap handles the "snapcap" registration call: freeze the calling
 // task's post-boot state as its executable's snapshot image.
-func (k *Kernel) doSnapcap(t *Task, ringOK, poolOK bool, scratchTop int64, reply func(...browser.Value)) {
+func (k *Kernel) doSnapcap(t *Task, ringOK bool, scratchTop int64, reply func(...browser.Value)) {
 	if k.Snapshots == nil || k.Snapshots.Sealed() || !t.snapcap {
 		reply(int64(-1), errv(abi.ENOSYS))
 		return
@@ -89,7 +88,7 @@ func (k *Kernel) doSnapcap(t *Task, ringOK, poolOK bool, scratchTop int64, reply
 	if t.heap != nil {
 		// Freezing the heap is one kernel-side pass over it.
 		k.Sys.Sim.Charge(int64(float64(t.heap.Len()) * k.CPU.SyncByteNs))
-		img.RingOK, img.PoolOK, img.ScratchTop = ringOK, poolOK, scratchTop
+		img.RingOK, img.ScratchTop = ringOK, scratchTop
 		img.SetHeap(k.Snapshots.Store(), t.heap.Bytes())
 	}
 	if !k.Snapshots.Register(img) {
@@ -102,10 +101,9 @@ func (k *Kernel) doSnapcap(t *Task, ringOK, poolOK bool, scratchTop int64, reply
 }
 
 // doRestore handles a clone boot's combined "restore" registration:
-// personality (heap + offsets), ring regions, and the page-pool mapping
-// land in one round trip, because the restored heap bytes already hold
-// the layout the image's capture negotiated. Reply layout:
-// [ret, errno, ringAccepted, poolAccepted, poolSAB?].
+// personality (heap + offsets) and ring regions land in one round trip,
+// because the restored heap bytes already hold the layout the image's
+// capture negotiated. Reply layout: [ret, errno, ringAccepted].
 func (k *Kernel) doRestore(t *Task, a []browser.Value, reply func(...browser.Value)) {
 	arg := func(i int) int64 { return browser.Int(argAt(a, i)) }
 	if t.snapImage == nil || t.setPersonality(argAt(a, 0), arg(1), arg(2)) != abi.OK {
@@ -118,12 +116,7 @@ func (k *Kernel) doRestore(t *Task, a []browser.Value, reply func(...browser.Val
 			ringAccepted = 1
 		}
 	}
-	if arg(8) != 0 && !k.feat.NoZeroCopy && t.ring != nil {
-		t.pool = true
-		reply(int64(0), errv(abi.OK), ringAccepted, int64(1), k.pagePoolSAB())
-		return
-	}
-	reply(int64(0), errv(abi.OK), ringAccepted, int64(0))
+	reply(int64(0), errv(abi.OK), ringAccepted)
 }
 
 // CheckpointLive checkpoints a running guest with bounded pause: the

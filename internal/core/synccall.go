@@ -62,6 +62,24 @@ func (t *Task) heapWrite(ptr int64, data []byte) {
 	t.heap.MarkDirty(int(ptr), len(data))
 }
 
+// heapWritePayload copies a read's payload into a checked heap range at
+// ptr: Data, or a gathered read's Segs back to back (they may be views
+// of cache pages, so this is their one copy). One per-byte charge covers
+// the whole payload. Returns the bytes written.
+func (t *Task) heapWritePayload(ptr int64, r abi.Result) int64 {
+	if r.Data != nil || r.Segs == nil {
+		t.heapWrite(ptr, r.Data)
+		return int64(len(r.Data))
+	}
+	n := 0
+	for _, s := range r.Segs {
+		n += copy(t.heap.Bytes()[ptr+int64(n):], s)
+	}
+	t.k.Sys.Sim.Charge(int64(float64(n) * t.k.CPU.SyncByteNs))
+	t.heap.MarkDirty(int(ptr), n)
+	return int64(n)
+}
+
 // syncReply completes a synchronous call: results into the heap, then
 // wake the blocked worker thread.
 func (k *Kernel) syncReply(t *Task, ret int64, err abi.Errno) {
@@ -78,14 +96,14 @@ func (k *Kernel) syncReply(t *Task, ret int64, err abi.Errno) {
 var le = binary.LittleEndian
 
 // dispatchSync decodes and executes a synchronous system call, completing
-// it through the wake-cell reply protocol. It routes through the same
-// batch entry point as the ring transport — with batch size 1 — so the
-// scalar path can never diverge from a drained doorbell's behaviour.
+// it through the wake-cell reply protocol. It runs the frame through the
+// same heapCall the ring drain uses, so the scalar path can never diverge
+// from a drained doorbell's behaviour.
 func (k *Kernel) dispatchSync(t *Task, trap int, a []int64) {
 	if t.heap == nil {
 		return // no personality registered; nothing to wake
 	}
-	k.dispatchBatch(t, []pendingCall{{trap: trap, args: a}}, func(_ uint32, ret int64, err abi.Errno) {
+	k.heapCall(t, pendingCall{trap: trap, args: a}, func(_ uint32, ret int64, err abi.Errno) {
 		k.syncReply(t, ret, err)
 	})
 }
@@ -106,16 +124,11 @@ type heapOut struct {
 
 // heapCall runs one heap-addressed call frame: decode the frame into
 // typed arguments, run the trap's op, and encode its result into the
-// caller's heap. Calls only the heap carries run their own codec-local
-// op on the raw words. done receives the frame's completion.
+// caller's heap. done receives the frame's completion.
 func (k *Kernel) heapCall(t *Task, c pendingCall, done func(seq uint32, ret int64, err abi.Errno)) {
 	seq := c.seq
 	if c.trap <= 0 || c.trap >= abi.SYS_max {
 		done(seq, -1, abi.ENOSYS)
-		return
-	}
-	if local := heapLocal[c.trap]; local != nil {
-		local(k, t, c.args, func(ret int64, err abi.Errno) { done(seq, ret, err) })
 		return
 	}
 	row := &abi.Syscalls[c.trap]
@@ -264,8 +277,7 @@ func (t *Task) heapResult(shape abi.Ret, out heapOut, d *Desc, r abi.Result) (in
 	switch shape {
 	case abi.RetBytes:
 		if r.Err == abi.OK {
-			t.heapWrite(out.ptr, r.Data)
-			k.ReadCopiedBytes.Add(int64(len(r.Data)))
+			k.ReadCopiedBytes.Add(t.heapWritePayload(out.ptr, r))
 		}
 	case abi.RetSegs:
 		if r.Err != abi.OK {
@@ -330,130 +342,6 @@ func (t *Task) heapResult(shape abi.Ret, out heapOut, d *Desc, r abi.Result) (in
 		}
 	}
 	return r.Ret, r.Err
-}
-
-// heapLocalOp is a call only the heap transport carries, run on the
-// frame's raw words.
-type heapLocalOp func(k *Kernel, t *Task, w []int64, done func(int64, abi.Errno))
-
-var heapLocal = [abi.SYS_max]heapLocalOp{
-	abi.SYS_readg:   (*Kernel).sysReadg,
-	abi.SYS_unlease: (*Kernel).sysUnlease,
-}
-
-// sysReadg is read-with-grant: the zero-copy read path's single kernel
-// entry. A warm page-cache hit on the ring transport answers with pinned
-// page leases; everything else — cold pages, pipes, the scalar
-// transport, Features.NoZeroCopy — falls through to the copy path, producing
-// byte-identical results with one payload copy.
-//
-// Words: fd, bufPtr, bufLen (the caller's staging buffer — the copy
-// fallback's cap), grantPtr, maxGrants, wantN (the full request). wantN
-// may far exceed bufLen: grants are not bounded by the caller's staging
-// region, so a warm multi-megabyte read is one crossing where the copy
-// path must loop — the structural win of the mapping. A cold oversized
-// read degrades to a short (bufLen) result, which POSIX read permits.
-func (k *Kernel) sysReadg(t *Task, w []int64, done func(int64, abi.Errno)) {
-	d, err := t.lookFd(int(word(w, 0)))
-	if err != abi.OK {
-		done(-1, err)
-		return
-	}
-	bufPtr, bufLen, grantPtr, maxGrants := word(w, 1), int(word(w, 2)), word(w, 3), int(word(w, 4))
-	want := int(word(w, 5))
-	if want <= 0 {
-		want = bufLen
-	}
-	if bufLen < 0 || want < 0 || maxGrants < 0 || maxGrants > 4096 {
-		done(-1, abi.EINVAL)
-		return
-	}
-	if err := t.readgRanges(w); err != abi.OK {
-		done(-1, err)
-		return
-	}
-	if t.pool && t.ring != nil && !k.feat.NoZeroCopy {
-		if rf, ok := d.file.(refReader); ok {
-			if refs, ok := rf.ReadRef(d, want, maxGrants); ok {
-				k.LeaseGrants.Add(int64(len(refs)))
-				grants := make([]abi.PageGrant, len(refs))
-				var granted int64
-				for i, r := range refs {
-					if t.leases == nil {
-						t.leases = map[int]int{}
-					}
-					t.leases[r.Slot]++
-					grants[i] = abi.PageGrant{
-						Slot: uint32(r.Slot), Len: uint32(r.Len),
-						Off: r.Off, Gen: r.Gen,
-					}
-					granted += int64(r.Len)
-				}
-				k.GrantedBytes.Add(granted)
-				buf := make([]byte, abi.GrantAreaSize(len(grants)))
-				abi.PackGrantReply(buf, abi.GrantMapped, grants)
-				t.heapWrite(grantPtr, buf)
-				done(granted, abi.OK)
-				return
-			}
-		}
-	}
-	readGather(d, bufLen, func(segs [][]byte, rerr abi.Errno) {
-		if rerr != abi.OK {
-			done(-1, rerr)
-			return
-		}
-		var hdr [abi.GrantHdrSize]byte
-		abi.PackGrantReply(hdr[:], abi.GrantCopied, nil)
-		t.heapWrite(grantPtr, hdr[:])
-		var total int64
-		for _, s := range segs {
-			t.heapWrite(bufPtr+total, s)
-			total += int64(len(s))
-		}
-		k.ReadCopiedBytes.Add(total)
-		done(total, abi.OK)
-	})
-}
-
-// readgRanges checks a readg frame's staging buffer and grant area.
-func (t *Task) readgRanges(w []int64) abi.Errno {
-	if err := t.heapRange(word(w, 1), word(w, 2), 1); err != abi.OK {
-		return err
-	}
-	return t.heapRange(word(w, 3), int64(abi.GrantAreaSize(int(word(w, 4)))), 1)
-}
-
-// sysUnlease is lease reclaim: return page leases taken by earlier readg
-// grants. ret counts the leases actually returned; unknown slots are
-// ignored (a lease can also have been reclaimed by exit). Words: ptr,
-// count of uint32 slots.
-func (k *Kernel) sysUnlease(t *Task, w []int64, done func(int64, abi.Errno)) {
-	ptr, cnt := word(w, 0), word(w, 1)
-	if cnt < 0 || cnt > 4096 {
-		done(-1, abi.EINVAL)
-		return
-	}
-	if err := t.heapRange(ptr, cnt, 4); err != abi.OK {
-		done(-1, err)
-		return
-	}
-	slots := abi.UnpackSlots(t.heapBytes(ptr, cnt*4), int(cnt))
-	var freed int64
-	for _, s := range slots {
-		slot := int(s)
-		if t.leases[slot] == 0 {
-			continue
-		}
-		t.leases[slot]--
-		if t.leases[slot] == 0 {
-			delete(t.leases, slot)
-		}
-		k.FS.UnleasePage(slot)
-		k.LeaseReturns.Add(1)
-		freed++
-	}
-	done(freed, abi.OK)
 }
 
 // splitNul splits a NUL-separated packed string list.

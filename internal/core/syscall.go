@@ -241,26 +241,14 @@ func init() {
 			}
 			reply(int64(0), errv(abi.OK))
 		},
-		// Page-pool negotiation (after the ring): the kernel shares its
-		// page-cache arena as a SharedArrayBuffer, and the process may
-		// issue readg calls answered with page grants against it.
-		// Refusal leaves the process on the copy path.
-		"pagepool": func(k *Kernel, t *Task, a []browser.Value, reply func(...browser.Value)) {
-			if k.feat.NoZeroCopy || t.heap == nil || t.ring == nil {
-				reply(int64(-1), errv(abi.ENOSYS))
-				return
-			}
-			t.pool = true
-			reply(int64(0), errv(abi.OK), k.pagePoolSAB())
-		},
 		// Post-boot snapshot capture (internal/snapshot): the process
 		// reports its negotiated transport state and the kernel freezes
 		// its heap and fd/env/cwd template as the runtime's image.
 		"snapcap": func(k *Kernel, t *Task, a []browser.Value, reply func(...browser.Value)) {
-			k.doSnapcap(t, browser.Int(argAt(a, 0)) != 0, browser.Int(argAt(a, 1)) != 0, browser.Int(argAt(a, 2)), reply)
+			k.doSnapcap(t, browser.Int(argAt(a, 0)) != 0, browser.Int(argAt(a, 1)), reply)
 		},
 		// Clone-boot restore: one combined registration replacing the
-		// personality + ring + pagepool negotiation round trips.
+		// personality + ring negotiation round trips.
 		"restore": func(k *Kernel, t *Task, a []browser.Value, reply func(...browser.Value)) {
 			k.doRestore(t, a, reply)
 		},

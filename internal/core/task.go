@@ -53,13 +53,6 @@ type Task struct {
 	// process negotiates it with the "ring" registration call).
 	ring *taskRing
 
-	// pool is set once the process has mapped the kernel's page-cache
-	// arena (the "pagepool" registration call); leases tracks its
-	// outstanding page leases (pool slot -> grant count), so exit and
-	// exec can reclaim what the image never returned.
-	pool   bool
-	leases map[int]int
-
 	// onExit callbacks registered by the kernel API (kernel.system).
 	onExit []func(status int)
 

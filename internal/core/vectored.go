@@ -1,9 +1,6 @@
 package core
 
-import (
-	"repro/internal/abi"
-	"repro/internal/fs"
-)
+import "repro/internal/abi"
 
 // Vectored, zero-copy I/O (the data-plane half of the ring-transport
 // redesign). Kernel objects may implement either optional interface to
@@ -25,19 +22,11 @@ type splicer interface {
 
 // vectoredReader is implemented by files whose storage can gather
 // directly into segments (fs-backed files via FileHandle.Preadv), so a
-// readv needs no kernel-side coalescing buffer.
+// read needs no kernel-side coalescing buffer. The segments may be views
+// of cache pages, valid only until cb returns: the codecs copy them into
+// the heap or the reply frame inside cb.
 type vectoredReader interface {
 	Readv(d *Desc, total int, cb func([][]byte, abi.Errno))
-}
-
-// refReader is implemented by files whose storage can answer a read
-// with pinned page-cache references instead of payload bytes (fs-backed
-// files over the shared page pool) — the zero-copy read path. A refusal
-// must leave the descriptor offset untouched, and a short answer means
-// end of file: the batched readg dispatch answers the frames past it as
-// EOF.
-type refReader interface {
-	ReadRef(d *Desc, n, max int) ([]fs.PageRef, bool)
 }
 
 // writeMoved writes one kernel-owned buffer to a file, transferring

@@ -419,7 +419,7 @@ func lsMain(p posix.Proc) int {
 		if long {
 			// ls -l stats each entry, like the real utility — as one
 			// batched stat storm (a single doorbell on the ring
-			// transport, one dentry-cache pass in the kernel).
+			// transport).
 			paths := make([]string, len(names))
 			for i, name := range names {
 				paths[i] = strings.TrimSuffix(target, "/") + "/" + name

@@ -94,9 +94,6 @@ type dcache struct {
 	hits, misses, negHits atomic.Int64
 	walkHits              atomic.Int64
 	dirHits, dirMisses    atomic.Int64
-	// Batch-lookup counters: lookups resolved through getWalkBatch's
-	// single pass, and the number of multi-element batches.
-	batchedLookups, statBatches atomic.Int64
 	// entryCount shadows len(entries) so CacheStats never reads the map
 	// itself off the owning thread.
 	entryCount atomic.Int64
@@ -238,41 +235,8 @@ func (c *dcache) put(p string, d *dentry) {
 	c.entries[p] = d
 }
 
-// getWalkBatch resolves a batch of whole-walk keys against the cache in
-// one pass — the batch lookup path a drained stat storm (a ring doorbell
-// carrying N stat frames for `ls`/`make` probing many names) resolves
-// through. One traversal of the two tiers serves the whole batch: in a
-// threaded implementation this is one lock acquisition per batch instead
-// of one per name. Each hit is validated against its endpoint dentry
-// exactly like walk()'s single-key fast path, so the batch can never
-// return a result a mutation has staled.
-func (c *dcache) getWalkBatch(paths []string, opts []walkOpts) ([]walkEnt, []bool) {
-	ents := make([]walkEnt, len(paths))
-	ok := make([]bool, len(paths))
-	for i, p := range paths {
-		if p == "" {
-			continue // caller marked the lookup uncacheable
-		}
-		e, present := c.getWalk(p, opts[i])
-		if !present {
-			continue
-		}
-		d, dok := c.entries[e.path]
-		if !validWalkHit(d, dok, opts[i]) {
-			continue
-		}
-		c.walkHits.Add(1)
-		c.batchedLookups.Add(1)
-		e.st = d.st
-		ents[i], ok[i] = e, true
-	}
-	return ents, ok
-}
-
 // validWalkHit reports whether a cached whole-walk result may be served:
 // its endpoint dentry must be live and compatible with the walk options.
-// Shared by walk()'s single-key fast path and getWalkBatch so the two
-// tiers can never diverge on staleness rules.
 func validWalkHit(d *dentry, present bool, o walkOpts) bool {
 	return present && d.err == abi.OK &&
 		!(o.follow && d.st.IsSymlink()) &&

@@ -190,7 +190,7 @@ func TestDedupSharedSlotFreezesUnderLease(t *testing.T) {
 	if canon := pp.dedupPublish(slot, h); canon != slot {
 		t.Fatalf("publish: %d", canon)
 	}
-	pp.pin(slot) // an outstanding grant lease
+	pp.pin(slot) // an outstanding clone pin
 	pp.dedupDeref(a, slot)
 	if !pp.isFrozen(slot) {
 		t.Fatal("last deref under lease did not freeze the slot")
@@ -361,5 +361,69 @@ func TestDedupOffMatchesPrivatePath(t *testing.T) {
 	}
 	if _, refs, _ := pool.DedupStats(); refs != 2 {
 		t.Fatalf("pool refs = %d, want 2 (only the dedup-on tenant)", refs)
+	}
+}
+
+// TestLeaseFreezesDroppedPages: a file page that a snapshot image shares
+// (one deduped slot) and a clone still pins keeps its bytes after the
+// cache drops it and the image is freed. The slot is never recycled
+// meanwhile, and it thaws onto the free stack when the clone's pin
+// returns.
+func TestLeaseFreezesDroppedPages(t *testing.T) {
+	pool := NewPagePool(64)
+	content := pageContent(3, PageSize)
+	f := newDedupFS(t, pool, 0, map[string]string{"/tree/seg": content})
+	mustRead(t, f, "/ro/tree/seg")
+	slot := f.pc.files["/ro/tree/seg"].pages[0].slot
+	store := pool.ImageStore(0)
+	if s, ok := store.Put([]byte(content)); !ok || s != slot {
+		t.Fatalf("image page: slot=%d ok=%v, want the file's slot %d", s, ok, slot)
+	}
+	store.Pin(slot) // a clone still shares the page
+
+	f.invalidatePath("/ro/tree/seg")
+	store.Free(slot) // the image's last reference, the clone pin still out
+	if !pool.pp.isFrozen(slot) {
+		t.Fatalf("dropped pinned slot %d not frozen", slot)
+	}
+	if pool.pp.isFree(slot) {
+		t.Fatalf("pinned slot %d recycled", slot)
+	}
+	// Churn the cache: stores must fill other slots, never this one.
+	for i := 0; i < 32; i++ {
+		f.pc.store(fmt.Sprintf("/churn%d", i), 0, bytes.Repeat([]byte{byte(i)}, PageSize), false)
+	}
+	if !bytes.Equal(store.Data(slot), []byte(content)) {
+		t.Fatalf("frozen slot bytes changed under an outstanding pin")
+	}
+
+	if !store.Unpin(slot) {
+		t.Fatalf("unpin failed")
+	}
+	if pool.pp.isFrozen(slot) || pool.pp.pinCount(slot) != 0 || !pool.pp.isFree(slot) {
+		t.Fatalf("slot %d not returned to the free stack after the last pin", slot)
+	}
+}
+
+// TestStoreNeverRewritesLeasedSlot: re-caching a page (same path, same
+// index) fills a fresh slot when a snapshot clone pins the old one —
+// pinned bytes are immutable.
+func TestStoreNeverRewritesLeasedSlot(t *testing.T) {
+	content := patterned(PageSize)
+	f, _ := newCountedFS(t, content)
+	h := openPaged(t, f, "/mnt/a/b/file.txt")
+	warmRead(t, h, 0, len(content))
+	old := f.pc.files["/mnt/a/b/file.txt"].pages[0].slot
+	store := f.ImageStore(0)
+	store.Pin(old)
+	f.pc.store("/mnt/a/b/file.txt", 0, bytes.Repeat([]byte{0xEE}, PageSize), false)
+	if pg := f.pc.files["/mnt/a/b/file.txt"].pages[0]; pg.slot == old {
+		t.Fatalf("store reused pinned slot %d in place", old)
+	}
+	if !bytes.Equal(store.Data(old), []byte(content)) {
+		t.Fatalf("pinned bytes rewritten by store")
+	}
+	if !store.Unpin(old) || f.CacheStats().PinnedPages != 0 {
+		t.Fatalf("pin did not return")
 	}
 }

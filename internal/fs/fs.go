@@ -49,7 +49,9 @@ type FileHandle interface {
 	// Preadv reads up to sum(lens) bytes at off, returning the data as
 	// one or more segments. Segment boundaries need not match lens —
 	// callers scatter the stream themselves — but the total never
-	// exceeds sum(lens). A nil result at EOF is not an error.
+	// exceeds sum(lens). A nil result at EOF is not an error. The
+	// segments may be views of cache pages, valid only until cb
+	// returns: a caller that keeps the bytes copies them inside cb.
 	Preadv(off int64, lens []int, cb func([][]byte, abi.Errno))
 	// Pwritev writes the buffers back to back starting at off, without
 	// requiring the caller to coalesce them, returning bytes written.
@@ -192,10 +194,7 @@ type CacheStats struct {
 	AgedFlushes     int64 // background flushes triggered by extent age
 	DirtyBytes      int64 // bytes currently buffered
 
-	// Zero-copy lease counters (pagepool.go).
-	GrantedPages  int64 // pages granted out as leases
-	ReturnedPages int64 // leases returned
-	PinnedPages   int   // pool slots currently pinned by leases
+	PinnedPages int // pool slots currently pinned (snapshot clone pins)
 
 	// Content-addressed dedup counters (the cross-tenant sharing tier).
 	CachedPages int64 // resident cached pages (logical, shared + private)
@@ -203,10 +202,6 @@ type CacheStats struct {
 	SharedBytes int64 // bytes of those shared references
 	DedupHits   int64 // dedup index hits since boot
 	DedupStores int64 // dedup-eligible page stores since boot
-
-	// Batched-lookup counters (dcache batch path).
-	BatchedLookups int64 // lookups resolved through StatBatch batches
-	StatBatches    int64 // multi-element StatBatch calls
 }
 
 // CacheStats returns a snapshot of the cache counters. Every field is
@@ -235,18 +230,13 @@ func (f *FileSystem) CacheStats() CacheStats {
 		AgedFlushes:     f.pc.agedFlushes.Load(),
 		DirtyBytes:      f.pc.dirtyBytes.Load(),
 
-		GrantedPages:  f.pc.grantedPages.Load(),
-		ReturnedPages: f.pc.returnedPages.Load(),
-		PinnedPages:   int(f.pc.pool.pinned.Load()),
+		PinnedPages: int(f.pc.pool.pinned.Load()),
 
 		CachedPages: f.pc.cachedPages.Load(),
 		DedupPages:  f.pc.dedupPages.Load(),
 		SharedBytes: f.pc.sharedBytes.Load(),
 		DedupHits:   f.pc.dedupHits.Load(),
 		DedupStores: f.pc.dedupStores.Load(),
-
-		BatchedLookups: f.dc.batchedLookups.Load(),
-		StatBatches:    f.dc.statBatches.Load(),
 	}
 }
 
@@ -370,211 +360,24 @@ func (f *FileSystem) invalidateTree(p, parent string) {
 // walker; results and attributes come from the caches when warm.
 // ---------------------------------------------------------------------------
 
-// StatReq is one element of a StatBatch: a path lookup, optionally with
-// lstat (no-trailing-symlink) semantics.
-type StatReq struct {
-	Path  string
-	Lstat bool
-}
-
-// StatBatch resolves a batch of path-metadata lookups. It is the single
-// entry point every transport's stat/lstat/access dispatch routes
-// through: the ring transport hands a whole drained doorbell of stat
-// frames here at once, the scalar and async transports arrive with
-// batch size 1 — so all three stay byte-identical by construction.
-// It is the pure-metadata form of MetaBatch below.
-func (f *FileSystem) StatBatch(reqs []StatReq, cb func([]abi.Stat, []abi.Errno)) {
-	if len(reqs) == 1 {
-		// Batch of one — the scalar/async common case: a direct walk,
-		// no batch bookkeeping allocations on the hottest metadata path.
-		r := reqs[0]
-		f.walk(r.Path, walkOpts{follow: !r.Lstat}, func(e walkEnt) {
-			if e.err != abi.OK {
-				cb([]abi.Stat{{}}, []abi.Errno{e.err})
-				return
-			}
-			st := e.st
-			f.patchDirtyStat(e.path, &st)
-			cb([]abi.Stat{st}, []abi.Errno{abi.OK})
-		})
-		return
-	}
-	mreqs := make([]MetaReq, len(reqs))
-	for i, r := range reqs {
-		mreqs[i] = MetaReq{Kind: MetaStat, Path: r.Path}
-		if r.Lstat {
-			mreqs[i].Kind = MetaLstat
-		}
-	}
-	f.MetaBatch(mreqs, func(res []MetaRes) {
-		sts := make([]abi.Stat, len(res))
-		errs := make([]abi.Errno, len(res))
-		for i, r := range res {
-			sts[i], errs[i] = r.St, r.Err
-		}
-		cb(sts, errs)
-	})
-}
-
-// MetaKind selects the operation of one MetaBatch element.
-type MetaKind int
-
-// MetaBatch element kinds: the path-lookup calls a shell's probe storms
-// are made of.
-const (
-	MetaStat MetaKind = iota
-	MetaLstat
-	MetaAccess
-	MetaReadlink
-	MetaOpen
-)
-
-// MetaReq is one element of a MetaBatch. Flags/Mode apply to MetaOpen.
-type MetaReq struct {
-	Kind  MetaKind
-	Path  string
-	Flags int
-	Mode  uint32
-}
-
-// MetaRes is one MetaBatch result. For MetaOpen with Err == OK, a nil
-// Handle means the path is a directory (St describes it; the kernel
-// installs its directory object) — mirroring the kernel's open split.
-type MetaRes struct {
-	St     abi.Stat
-	Err    abi.Errno
-	Target string     // MetaReadlink
-	Handle FileHandle // MetaOpen (nil for directories)
-}
-
-// MetaBatch resolves a batch of path operations — stat/lstat/access
-// plus the readlink and plain read-only open calls that ride along in a
-// shell's PATH-probing storms. A multi-element batch first resolves
-// every walk it can against the dentry cache's batch lookup path (one
-// pass for the whole storm — opens included, since an open's directory
-// check is the same follow-walk); only the misses fall back to full
-// walks, and only regular-file opens touch a backend. Results carry the
-// write-back overlay: a path with buffered dirty extents reports its
-// virtual size and buffered mtime.
-func (f *FileSystem) MetaBatch(reqs []MetaReq, cb func([]MetaRes)) {
-	res := make([]MetaRes, len(reqs))
-	resolved := make([]bool, len(reqs))
-	// batchSt holds the batch pass's walk result for MetaOpen elements:
-	// the open continuation reuses it instead of re-statting.
-	batchSt := make(map[int]abi.Stat)
-	if !f.feat.NoCaches && len(reqs) > 1 {
-		f.dc.statBatches.Add(1)
-		paths := make([]string, len(reqs))
-		opts := make([]walkOpts, len(reqs))
-		for i, r := range reqs {
-			if r.Kind == MetaReadlink {
-				continue // needs the backend (or memoized target) anyway
-			}
-			o := walkOpts{follow: r.Kind != MetaLstat}
-			if hadTrailingSlash(r.Path) {
-				o.follow, o.requireDir = true, true
-			}
-			opts[i] = o
-			if !strings.Contains(r.Path, "..") {
-				// ".."-containing paths are never whole-walk cached
-				// (namei.go); an empty path skips them in the batch pass.
-				paths[i] = r.Path
-			}
-		}
-		ents, ok := f.dc.getWalkBatch(paths, opts)
-		for i := range reqs {
-			if !ok[i] {
-				continue
-			}
-			st := ents[i].st
-			f.patchDirtyStat(ents[i].path, &st)
-			switch reqs[i].Kind {
-			case MetaStat, MetaLstat, MetaAccess:
-				res[i].St = st
-				resolved[i] = true
-			case MetaOpen:
-				batchSt[i] = st
-			}
-		}
-	}
-	var step func(i int)
-	step = func(i int) {
-		if i >= len(reqs) {
-			cb(res)
-			return
-		}
-		if resolved[i] {
-			step(i + 1)
-			return
-		}
-		next := func() { step(i + 1) }
-		r := reqs[i]
-		switch r.Kind {
-		case MetaStat, MetaLstat, MetaAccess:
-			f.walk(r.Path, walkOpts{follow: r.Kind != MetaLstat}, func(e walkEnt) {
-				if e.err != abi.OK {
-					res[i].Err = e.err
-				} else {
-					res[i].St = e.st
-					f.patchDirtyStat(e.path, &res[i].St)
-				}
-				next()
-			})
-		case MetaReadlink:
-			f.Readlink(r.Path, func(target string, err abi.Errno) {
-				res[i].Target, res[i].Err = target, err
-				next()
-			})
-		case MetaOpen:
-			cont := func(st abi.Stat, serr abi.Errno) { f.metaOpen(r, st, serr, &res[i], next) }
-			if st, ok := batchSt[i]; ok {
-				cont(st, abi.OK)
-				return
-			}
-			f.Stat(r.Path, cont)
-		default:
-			res[i].Err = abi.EINVAL
-			next()
-		}
-	}
-	step(0)
-}
-
-// metaOpen finishes a MetaOpen element from its stat result, mirroring
-// the kernel's open split exactly: directories resolve without touching
-// a backend (the kernel installs its directory object over St); regular
-// files go through the ordinary Open path — page-cached handles, write
-// barriers and all.
-func (f *FileSystem) metaOpen(r MetaReq, st abi.Stat, serr abi.Errno, out *MetaRes, next func()) {
-	if serr == abi.OK && st.IsDir() {
-		if r.Flags&abi.O_ACCMODE != abi.O_RDONLY {
-			out.Err = abi.EISDIR
-			next()
-			return
-		}
-		out.St = st
-		next()
-		return
-	}
-	if r.Flags&abi.O_DIRECTORY != 0 {
-		if serr != abi.OK {
-			out.Err = serr
-		} else {
-			out.Err = abi.ENOTDIR
-		}
-		next()
-		return
-	}
-	f.Open(r.Path, r.Flags, r.Mode, func(h FileHandle, err abi.Errno) {
-		out.St, out.Err, out.Handle = st, err, h
-		next()
-	})
-}
-
-// Stat stats a path, following symlinks (a StatBatch of one).
+// Stat stats a path, following symlinks. Every transport's stat, lstat
+// and access resolve here, one path per call; a path with buffered
+// write-back state reports its virtual size and buffered mtime.
 func (f *FileSystem) Stat(p string, cb func(abi.Stat, abi.Errno)) {
-	f.StatBatch([]StatReq{{Path: p}}, func(sts []abi.Stat, errs []abi.Errno) {
-		cb(sts[0], errs[0])
+	f.statWalk(p, true, cb)
+}
+
+// statWalk walks p and returns its attributes with the write-back
+// overlay applied.
+func (f *FileSystem) statWalk(p string, follow bool, cb func(abi.Stat, abi.Errno)) {
+	f.walk(p, walkOpts{follow: follow}, func(e walkEnt) {
+		if e.err != abi.OK {
+			cb(abi.Stat{}, e.err)
+			return
+		}
+		st := e.st
+		f.patchDirtyStat(e.path, &st)
+		cb(st, abi.OK)
 	})
 }
 
@@ -592,12 +395,9 @@ func (f *FileSystem) Resolve(p string, cb func(string, abi.Stat, abi.Errno)) {
 	})
 }
 
-// Lstat stats a path without following a trailing symlink (a StatBatch
-// of one).
+// Lstat stats a path without following a trailing symlink.
 func (f *FileSystem) Lstat(p string, cb func(abi.Stat, abi.Errno)) {
-	f.StatBatch([]StatReq{{Path: p, Lstat: true}}, func(sts []abi.Stat, errs []abi.Errno) {
-		cb(sts[0], errs[0])
-	})
+	f.statWalk(p, false, cb)
 }
 
 // Open opens (and with O_CREAT possibly creates) a file. Read-only opens

@@ -15,15 +15,16 @@ import (
 // opened *lazily* — a fully cached file is re-opened and re-read without
 // a single backend call.
 //
-// Pages live in the shared page pool (pagepool.go), so a warm read can
-// be answered with pinned page *leases* instead of a payload copy — the
-// zero-copy read path. Invalidation rides the same hooks as the dentry
-// cache: any mutating operation on a path drops its pages; dropped pages
-// with outstanding leases freeze (bytes intact) until the leases return.
+// Pages live in the page pool's arena (pagepool.go). A warm vectored
+// read hands the caller views of the arena pages, which the kernel copies
+// once into the process's heap or reply. Invalidation rides the same
+// hooks as the dentry cache: any mutating operation on a path drops its
+// pages; a dropped page whose slot a snapshot clone still pins freezes
+// (bytes intact) until the pin returns.
 
-// PageSize is the page-cache granule — the ABI's grant granule, since
-// leases are handed across the kernel boundary in these units.
-const PageSize = abi.GrantPageSize
+// PageSize is the page-cache granule, and the slot size of the pool
+// arena that snapshot images share.
+const PageSize = 16 * 1024
 
 // maxPageCacheBytes bounds cached content; overflow clears the cache
 // (crude, deterministic — the workloads fit comfortably).
@@ -97,8 +98,6 @@ type pageCache struct {
 	// dedup-eligible stores and index hits among them.
 	cachedPages, dedupPages, sharedBytes atomic.Int64
 	dedupHits, dedupStores               atomic.Int64
-	// Lease counters: pages granted out as leases, leases returned.
-	grantedPages, returnedPages atomic.Int64
 	// Write-back counters: writes absorbed into dirty extents, flush
 	// operations, vectored backend writes the flusher issued,
 	// budget-overflow flushes, and age-triggered background flushes.
@@ -135,7 +134,7 @@ func (c *pageCache) file(p string) *filePages {
 }
 
 // releasePage detaches one cached page from this cache: private slots
-// release directly (free, or freeze for leaseholders); shared slots drop
+// release directly (free, or freeze for pin holders); shared slots drop
 // this cache's dedup reference, and the index frees the slot exactly
 // once, after the last reference. Maintains the resident counters.
 func (c *pageCache) releasePage(pg poolPage) {
@@ -219,7 +218,7 @@ func (c *pageCache) evictOneLRUPreferPrivate() bool {
 }
 
 // evictLRU frees budget for need more bytes by evicting whole files in
-// least-recently-used order — hot leases' neighbours stay resident under
+// least-recently-used order — hot files stay resident under
 // arena pressure, unlike the old evict-everything policy.
 func (c *pageCache) evictLRU(need int64) {
 	for c.bytes.Load()+need > maxPageCacheBytes {
@@ -267,8 +266,8 @@ func (c *pageCache) store(p string, pageIdx int64, data []byte, dedup bool) {
 	if fp := c.files[p]; fp != nil {
 		if old, ok := fp.pages[pageIdx]; ok {
 			// Replacing a cached page never rewrites its slot in place:
-			// the old slot may be leased out (or shared with other
-			// tenants). Detach it and fill a fresh one.
+			// the old slot may be pinned by a snapshot clone (or shared
+			// with other tenants). Detach it and fill a fresh one.
 			fp.bytes -= int64(old.len)
 			c.bytes.Add(-int64(old.len))
 			if !old.shared {
@@ -293,7 +292,7 @@ func (c *pageCache) store(p string, pageIdx int64, data []byte, dedup bool) {
 		// free. Eviction may drop p itself (when it is the only file);
 		// insertPage re-fetches the entry. Frozen slots free no quota, so
 		// the loop ends when the files map empties if every slot is
-		// leased.
+		// pinned.
 		var evicted bool
 		if st == allocNoArena {
 			evicted = c.evictOneLRUPreferPrivate()
@@ -301,7 +300,7 @@ func (c *pageCache) store(p string, pageIdx int64, data []byte, dedup bool) {
 			evicted = c.evictOneLRU()
 		}
 		if !evicted {
-			return // every quota slot leased out: skip caching this page
+			return // every quota slot pinned: skip caching this page
 		}
 		slot, st = c.pool.alloc2(c.att)
 	}
@@ -356,10 +355,7 @@ func (c *pageCache) storeDedup(p string, pageIdx int64, data []byte) (done, priv
 // dropPages forgets a path's clean pages without bumping its
 // generation: the write-back handle's own buffered writes change the
 // file's content but not the name→file binding, so outstanding handles
-// stay current. Leased slots freeze — the reclaim-before-coalesce
-// interlock: a dirty extent overlapping a leased page detaches the page
-// here before the new bytes are buffered, so leaseholders keep reading
-// the bytes they were granted.
+// stay current. Pinned slots freeze, as everywhere.
 func (c *pageCache) dropPages(p string) {
 	if fp, ok := c.files[p]; ok {
 		c.releaseFilePages(fp)
@@ -395,7 +391,7 @@ func (c *pageCache) dropTree(p string) {
 
 // flush drops all cached pages and advances the epoch: handles opened
 // before the flush (possibly against a backend a new Mount has since
-// shadowed) go permanently stale and bypass the cache. Leased slots
+// shadowed) go permanently stale and bypass the cache. Pinned slots
 // freeze, as everywhere.
 func (c *pageCache) flush() {
 	c.evictAll()
@@ -513,106 +509,47 @@ func (h *pagedHandle) adaptWindow(sequential bool) {
 	}
 }
 
-// cachedRange assembles [off, end) from cached pages; ok is false on any
-// missing page. A short page marks EOF: assembly stops there.
-func (h *pagedHandle) cachedRange(off, end int64) ([]byte, bool) {
+// cachedViews returns views of the cached pages covering [off, end),
+// stopping at EOF (a short page), and their total length; ok is false
+// on any missing page. The views alias the arena and stay valid only
+// until the cache next stores or drops a page.
+func (h *pagedHandle) cachedViews(off, end int64) (views [][]byte, n int64, ok bool) {
 	fp := h.fs.pc.files[h.path]
 	if fp == nil {
-		return nil, false
+		return nil, 0, false
 	}
-	h.fs.pc.touch(fp)
-	pool := h.fs.pc.pool
-	out := make([]byte, 0, end-off)
 	for pos := off; pos < end; {
 		idx := pos / PageSize
 		pg, okp := fp.pages[idx]
 		if !okp {
-			return nil, false
+			return nil, 0, false
 		}
-		page := pool.data(pg)
+		page := h.fs.pc.pool.data(pg)
 		pstart := idx * PageSize
 		lo := pos - pstart
 		if lo >= int64(len(page)) {
 			break // EOF inside this page
 		}
-		hi := end - pstart
-		if hi > int64(len(page)) {
-			hi = int64(len(page))
-		}
-		out = append(out, page[lo:hi]...)
-		if int64(len(page)) < PageSize && pstart+int64(len(page)) < end {
+		hi := min(end-pstart, int64(len(page)))
+		views = append(views, page[lo:hi:hi])
+		n += hi - lo
+		if len(page) < PageSize {
 			break // short page = end of file
 		}
 		pos = pstart + hi
 	}
-	return out, true
+	h.fs.pc.touch(fp)
+	return views, n, true
 }
 
-// PreadRef implements RefReader: the zero-copy fast path. When every
-// byte of [off, off+n) is resident and the handle is current, the pages
-// are pinned and returned as PageRefs — no bytes move. Refusals (cold
-// pages, dirty write-back state, stale generation, too many refs for
-// max) pin nothing and send the caller down the Pread copy path, which
-// produces identical bytes. An empty ref list with ok=true is a clean
-// EOF: zero bytes, zero copies.
-func (h *pagedHandle) PreadRef(off int64, n, max int) ([]PageRef, bool) {
-	if off < 0 || n <= 0 {
-		return nil, false
-	}
-	pc := h.fs.pc
-	if pc.dirty[h.path] != nil || !h.current() {
-		return nil, false
-	}
-	fp := pc.files[h.path]
-	if fp == nil {
-		return nil, false
-	}
-	end := off + int64(n)
-	var refs []PageRef
-	var granted int64
-	for pos := off; pos < end; {
-		idx := pos / PageSize
-		pg, okp := fp.pages[idx]
-		if !okp {
-			return nil, false
-		}
-		pstart := idx * PageSize
-		lo := pos - pstart
-		if lo >= int64(pg.len) {
-			break // EOF inside this page
-		}
-		hi := end - pstart
-		if hi > int64(pg.len) {
-			hi = int64(pg.len)
-		}
-		if len(refs) >= max {
-			return nil, false // grant area too small; copy path instead
-		}
-		refs = append(refs, PageRef{
-			Slot: pg.slot,
-			Gen:  h.gen,
-			Off:  int64(pg.slot)*PageSize + lo,
-			Len:  int(hi - lo),
-		})
-		granted += hi - lo
-		if pg.len < PageSize && pstart+int64(pg.len) < end {
-			break // short page = end of file
-		}
-		pos = pstart + hi
-	}
-	for _, r := range refs {
-		pc.pool.pin(r.Slot)
-	}
-	pc.touch(fp)
-	pc.hits.Add(1)
-	pc.grantedPages.Add(int64(len(refs)))
+// hit records a cache hit of n bytes at off and reports whether the
+// read continued a sequential streak (the caller then kicks readahead).
+func (h *pagedHandle) hit(off, n int64) bool {
+	h.fs.pc.hits.Add(1)
 	sequential := off == h.lastEnd
 	h.adaptWindow(sequential)
-	h.lastEnd = off + granted
-	if sequential {
-		h.readahead(end)
-	}
-	return refs, true
+	h.lastEnd = off + n
+	return sequential
 }
 
 // storeRange splits backend data read at page-aligned start into pages.
@@ -662,17 +599,18 @@ func (h *pagedHandle) preadResolved(off int64, n int, cb func([]byte, abi.Errno)
 		return
 	}
 	end := off + int64(n)
-	sequential := off == h.lastEnd
-	if data, ok := h.cachedRange(off, end); ok {
-		h.fs.pc.hits.Add(1)
-		h.adaptWindow(sequential)
-		h.lastEnd = off + int64(len(data))
-		if sequential {
+	if views, got, ok := h.cachedViews(off, end); ok {
+		data := make([]byte, 0, got)
+		for _, v := range views {
+			data = append(data, v...)
+		}
+		if h.hit(off, got) {
 			h.readahead(end)
 		}
 		cb(data, abi.OK)
 		return
 	}
+	sequential := off == h.lastEnd
 	h.fs.pc.misses.Add(1)
 	astart := (off / PageSize) * PageSize
 	aend := ((end + PageSize - 1) / PageSize) * PageSize
@@ -752,9 +690,29 @@ func (h *pagedHandle) readahead(end int64) {
 	})
 }
 
-// Preadv implements FileHandle: one cache-assembled (or backend) read,
-// returned as a single segment — callers scatter it themselves.
+// Preadv implements FileHandle. A warm hit on a current handle with no
+// buffered writes returns views of the arena pages themselves, which stay
+// valid only until cb returns: the caller copies them out inside cb (the
+// kernel copies them once into the process's heap or reply), and
+// sequential readahead, which may store and evict pages, starts only
+// after that. Everything else takes Pread's path and returns one segment
+// the caller owns.
 func (h *pagedHandle) Preadv(off int64, lens []int, cb func([][]byte, abi.Errno)) {
+	total := 0
+	for _, n := range lens {
+		total += n
+	}
+	end := off + int64(total)
+	if off >= 0 && total > 0 && h.fs.pc.dirty[h.path] == nil && h.current() {
+		if views, n, ok := h.cachedViews(off, end); ok {
+			sequential := h.hit(off, n)
+			cb(views, abi.OK)
+			if sequential {
+				h.readahead(end)
+			}
+			return
+		}
+	}
 	genericPreadv(h, off, lens, cb)
 }
 

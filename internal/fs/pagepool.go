@@ -4,32 +4,26 @@ import (
 	"crypto/sha256"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/abi"
 )
 
-// The page pool is the shared-memory arena every cached page lives in:
-// one flat region of PageSize slots the kernel exports to processes as a
-// SharedArrayBuffer (the "mapped page cache"). Storing pages in slots —
-// instead of per-page Go allocations — is what makes the zero-copy read
-// path possible: a grant names (slot, arena offset, length) and the
-// process reads the bytes through its own mapping of the arena, no
-// kernel copy.
+// The page pool is the arena every cached page lives in: one flat
+// region of PageSize slots. Snapshot images (ImageStore) keep their
+// immutable heap pages in the same arena, and the content-addressed
+// dedup tier lets a file page and an image page with identical bytes
+// share one slot.
 //
-// Leases make that safe. A granted page is *pinned*; a pinned slot's
-// bytes are never rewritten and the slot is never recycled. When an
-// invalidation, flush, or cache eviction drops a pinned page, the slot
-// detaches from the cache (no new reads or grants see it) but *freezes*
-// — the bytes stay intact for the outstanding leaseholders — and is
-// reclaimed for reuse only when the last lease is returned. This is the
-// pipe layer's owned-segment discipline applied to cache pages:
-// ownership of the bytes moves to the process until it hands them back.
+// Pins make that sharing safe. A clone booted from an image pins every
+// page it still shares; a pinned slot's bytes are never rewritten and the
+// slot is never recycled. When an invalidation, flush, or cache eviction
+// drops a pinned page, the slot detaches from its owner (no new reader
+// sees it) but *freezes* — the bytes stay intact for the pin holders —
+// and is reclaimed for reuse only when the last pin is returned.
 //
 // Concurrency. A pool may be shared by several FileSystems, each living
 // in its own deterministic Instance running on its own host thread (the
 // fleet scheduler): the arena is the ONLY structure those shards touch
-// concurrently, so the pin/lease/freeze discipline is a real concurrent
-// data structure. Each slot's lease state is one atomic word (a pin
+// concurrently, so the pin/freeze discipline is a real concurrent
+// data structure. Each slot's pin state is one atomic word (a pin
 // count plus a frozen bit) updated by CAS; the free stack and ownership
 // bookkeeping sit behind a mutex taken only on alloc and on the final
 // free. Every attached cache draws from its own slot *quota*, so one
@@ -87,7 +81,7 @@ type pagePool struct {
 	allocOnce sync.Once
 	arena     []byte // slots * PageSize bytes; allocated on first use
 
-	// state holds each slot's lease word: pin count in the low 31 bits,
+	// state holds each slot's pin word: pin count in the low 31 bits,
 	// slotFrozen in the top bit. Transitions are CAS-only, so pin and
 	// unpin from different shards never take a lock.
 	state []atomic.Uint32
@@ -118,8 +112,8 @@ type pagePool struct {
 	// use). The release/pin race that makes release() safe elsewhere
 	// holds here too: an entry's refcount reaches zero only when no
 	// attachment still maps the page, so nobody can start a new pin
-	// from a cache reference; outstanding grant leases freeze the slot
-	// as usual.
+	// from a cache reference; outstanding clone pins freeze the slot as
+	// usual.
 	dedupIdx map[[32]byte]int
 	dedupEnt map[int]*dedupEntry
 	dedupAtt int
@@ -222,7 +216,7 @@ func (pp *pagePool) takeFreeLocked(att int) int {
 
 // freeSlot returns a slot to the free stack and uncharges its owner.
 // The mutex acquire/release pairs with the next alloc, so the bytes a
-// leaseholder read before its final unpin happen-before the next
+// pin holder read before its final unpin happen-before the next
 // owner's rewrite.
 func (pp *pagePool) freeSlot(slot int) {
 	pp.mu.Lock()
@@ -239,7 +233,7 @@ func (pp *pagePool) freeSlotLocked(slot int) {
 }
 
 // release detaches a slot from its cache: free immediately when no
-// leases are outstanding, otherwise freeze it until the last unpin. Only
+// pins are outstanding, otherwise freeze it until the last unpin. Only
 // the owning cache releases a slot (it just removed the page from its
 // own maps), so release never races another release or pin on the same
 // slot — but it does race unpin, and the single-word CAS decides exactly
@@ -257,7 +251,7 @@ func (pp *pagePool) release(slot int) {
 	}
 }
 
-// pin takes one lease on a slot.
+// pin takes one pin on a slot.
 func (pp *pagePool) pin(slot int) {
 	for {
 		s := pp.state[slot].Load()
@@ -270,7 +264,7 @@ func (pp *pagePool) pin(slot int) {
 	}
 }
 
-// unpin returns one lease; a frozen slot whose last lease returns goes
+// unpin returns one pin; a frozen slot whose last pin returns goes
 // back on the free stack.
 func (pp *pagePool) unpin(slot int) bool {
 	if slot < 0 || slot >= pp.slots || pp.state == nil {
@@ -283,7 +277,7 @@ func (pp *pagePool) unpin(slot int) bool {
 		}
 		ns := s - 1
 		freeing := false
-		if ns == slotFrozen { // last lease on a frozen slot
+		if ns == slotFrozen { // last pin on a frozen slot
 			ns = 0
 			freeing = true
 		}
@@ -299,12 +293,12 @@ func (pp *pagePool) unpin(slot int) bool {
 	}
 }
 
-// pinCount returns a slot's outstanding lease count (tests/diagnostics).
+// pinCount returns a slot's outstanding pin count (tests/diagnostics).
 func (pp *pagePool) pinCount(slot int) int {
 	return int(pp.state[slot].Load() &^ slotFrozen)
 }
 
-// isFrozen reports whether a slot is detached-but-leased (tests).
+// isFrozen reports whether a slot is detached-but-pinned (tests).
 func (pp *pagePool) isFrozen(slot int) bool {
 	return pp.state[slot].Load()&slotFrozen != 0
 }
@@ -358,7 +352,7 @@ func (pp *pagePool) sharedBy(att int) int {
 //	                           slot frees and the canonical gains a ref.
 //	dedupDeref(att, slot)   -> drop one reference; the last one unpins
 //	                           the entry from the index and releases the
-//	                           slot (free, or frozen for grant leases).
+//	                           slot (free, or frozen for clone pins).
 //
 // Determinism: dedup happens AFTER the backend read (the caller hashes
 // the bytes it just fetched), so a hit and a miss cost the same virtual
@@ -446,7 +440,7 @@ func (pp *pagePool) dedupPublish(slot int, h [32]byte) int {
 // dedupDeref drops att's reference on a shared slot. The last reference
 // unpublishes the entry — no attachment maps the page any more, so no
 // new pin can start — and releases the slot: straight to the free stack,
-// or frozen while grant leases are still out.
+// or frozen while clone pins are still out.
 func (pp *pagePool) dedupDeref(att, slot int) {
 	pp.mu.Lock()
 	e := pp.dedupEnt[slot]
@@ -500,7 +494,7 @@ type poolPage struct {
 
 // PagePool is a standalone page-pool arena several FileSystems — each
 // owned by an independent deterministic Instance, possibly running on
-// its own host thread — can share. Slot lease state is managed with
+// its own host thread — can share. Slot pin state is managed with
 // atomics and the allocator with fine-grained locking, so concurrent
 // shards are race-free; per-attachment quotas keep each shard's cache
 // behaviour (and therefore its virtual clock) independent of its
@@ -518,7 +512,7 @@ func NewPagePool(slots int) *PagePool {
 // Slots returns the arena capacity in slots.
 func (p *PagePool) Slots() int { return p.pp.slots }
 
-// PinnedSlots returns the number of slots with outstanding leases.
+// PinnedSlots returns the number of slots with outstanding pins.
 func (p *PagePool) PinnedSlots() int { return int(p.pp.pinned.Load()) }
 
 // FreeSlots returns the free-stack depth (0 until first use).
@@ -561,31 +555,6 @@ func (f *FileSystem) SetPagePool(p *PagePool, quotaSlots int) {
 	f.pc.evictAll()
 	f.pc.pool = p.pp
 	f.pc.att = p.pp.attach(quotaSlots)
-}
-
-// PagePoolBytes exposes the page-cache arena for sharing with processes
-// (the kernel wraps it in a SharedArrayBuffer). Forces allocation.
-func (f *FileSystem) PagePoolBytes() []byte {
-	f.pc.pool.ensure()
-	return f.pc.pool.arena
-}
-
-// UnleasePage returns one page lease; false if the slot held none.
-func (f *FileSystem) UnleasePage(slot int) bool {
-	if !f.pc.pool.unpin(slot) {
-		return false
-	}
-	f.pc.returnedPages.Add(1)
-	return true
-}
-
-// LeasePage takes one pin accounted as a granted lease. The batched
-// read path uses it when one granted ref is split across two reply
-// frames: the extra frame's lease is taken here so pages granted and
-// pages returned stay balanced.
-func (f *FileSystem) LeasePage(slot int) {
-	f.pc.pool.pin(slot)
-	f.pc.grantedPages.Add(1)
 }
 
 // WriteStagedSlots is always zero: writes never lease pool slots. It
@@ -683,36 +652,8 @@ func (s *ImageStore) PinCount(slot int) int { return s.pp.pinCount(slot) }
 // Free releases a stored page: the store's base pin returns and the
 // image's dedup reference drops. The last reference unpublishes the
 // entry and the slot detaches, freezing until any remaining clone
-// references (or grant leases) come back.
+// references come back.
 func (s *ImageStore) Free(slot int) {
 	s.pp.unpin(slot)
 	s.pp.dedupDeref(s.att, slot)
 }
-
-// PageRef references pinned bytes in the page pool: the fs-level
-// currency of the zero-copy read path (abi.PageGrant is its wire form).
-type PageRef struct {
-	Slot int
-	Gen  uint64
-	Off  int64 // byte offset into the pool arena
-	Len  int
-}
-
-// RefReader is the optional FileHandle extension the zero-copy read
-// path drives: serve [off, off+n) as pinned page references when every
-// byte is already resident and the handle is current. ok=false sends the
-// caller down the ordinary copy path — same bytes, one copy. Refs are
-// pinned on success; callers owe one UnleasePage per ref. max bounds the
-// ref count (the caller's grant area size); a refusal never pins.
-type RefReader interface {
-	PreadRef(off int64, n, max int) ([]PageRef, bool)
-}
-
-// The fs granule and the ABI grant granule must be the same constant:
-// page grants name slot-relative byte ranges across the kernel boundary
-// in these units. Either constant drifting makes one of
-// these two uint conversions a negative-constant compile error.
-const (
-	_ = uint(PageSize - abi.GrantPageSize)
-	_ = uint(abi.GrantPageSize - PageSize)
-)

@@ -60,9 +60,8 @@ type Proc interface {
 	// StatBatch stats many paths with per-path results (lstat selects
 	// no-trailing-symlink semantics for the whole batch). On the Browsix
 	// ring transport the whole batch travels as one doorbell of stat
-	// frames and resolves against the kernel's dentry cache in a single
-	// batch pass — the stat-storm fast path `ls -l` and make-style
-	// probing ride.
+	// frames answered with one notify — the stat-storm fast path `ls -l`
+	// and make-style probing ride.
 	StatBatch(paths []string, lstat bool) ([]abi.Stat, []abi.Errno)
 	Fstat(fd int) (abi.Stat, abi.Errno)
 	Access(path string, mode int) abi.Errno

@@ -318,8 +318,8 @@ type StatBatchAmortizer interface {
 // first candidate that exists. Absolute or relative paths pass through.
 // On a batch-amortizing transport every candidate is probed in one
 // StatBatch — the whole PATH walk is a single doorbell the kernel
-// resolves in one dentry-cache pass; elsewhere the walk stops at the
-// first hit, one round trip per directory as before.
+// answers with one notify; elsewhere the walk stops at the first hit,
+// one round trip per directory as before.
 func LookPath(p Proc, name string) (string, abi.Errno) {
 	if strings.ContainsRune(name, '/') {
 		return name, abi.OK

@@ -49,13 +49,6 @@ type workerRT struct {
 	ringSeq   uint32
 	ringStash map[uint32]ringRep
 
-	// Zero-copy read path (negotiated after the ring): the mapped
-	// page-cache arena, the leases held per descriptor (oldest first),
-	// and the lease returns queued for the next doorbell (lease.go).
-	poolOK         bool
-	pool           *browser.SAB
-	heldLeases     map[int][]abi.PageGrant
-	pendingUnlease []uint32
 	// ringOutstanding counts pushed frames whose replies have not yet
 	// been popped (bounds batches to the reply ring's capacity);
 	// inflight counts parked sync/ring calls so only the outermost
@@ -80,16 +73,15 @@ type exitSentinel struct{ code int }
 // after the worker has received an init message").
 func bootWorker(sys *browser.System, w *browser.Worker, prog *posix.Program, kind Kind) {
 	r := &workerRT{
-		sys:        sys,
-		sim:        sys.Sim,
-		w:          w,
-		prog:       prog,
-		kind:       kind,
-		cost:       CostOf(kind),
-		pending:    map[int64]*sched.G{},
-		handlers:   map[int]func(int){},
-		heldLeases: map[int][]abi.PageGrant{},
-		sync:       kind == EmSyncKind || kind == WasmKind,
+		sys:      sys,
+		sim:      sys.Sim,
+		w:        w,
+		prog:     prog,
+		kind:     kind,
+		cost:     CostOf(kind),
+		pending:  map[int64]*sched.G{},
+		handlers: map[int]func(int){},
+		sync:     kind == EmSyncKind || kind == WasmKind,
 	}
 	w.Ctx.OnMessage = r.onMessage
 }
@@ -135,7 +127,6 @@ func (r *workerRT) onMessage(v browser.Value) {
 					// return/wake offsets (§3.2), via an async call.
 					r.asyncCall("personality", r.heap, int64(syncRetOff), int64(syncWaitOff))
 					r.negotiateRing()
-					r.negotiatePagePool()
 					if snapCap {
 						r.captureSnapshot()
 					}
@@ -327,8 +318,8 @@ func (r *workerRT) maxScratchPayload() int64 {
 // posix.Proc implementation. Each method fills typed arguments and calls
 // r.call, whose codec follows the runtime's transport (codec.go). The
 // only transport-specific paths left here are the sync codec's own:
-// zero-copy read leases, ring-batched writev/stat/accept,
-// and degrading requests larger than the scratch region.
+// ring-batched writev/stat/accept, one-segment readv, and degrading
+// requests larger than the scratch region.
 // ---------------------------------------------------------------------------
 
 func ints(v ...int) [3]int64 {
@@ -356,19 +347,13 @@ func (r *workerRT) Open(path string, flags int, mode uint32) (int, abi.Errno) {
 }
 
 func (r *workerRT) Close(fd int) abi.Errno {
-	// Close returns the descriptor's page leases; the reclaim frames
-	// share close's doorbell.
-	r.dropFdLeases(fd)
-	return r.callLeased(abi.SYS_close, &abi.Args{Int: ints(fd)}).Err
+	return r.call(abi.SYS_close, &abi.Args{Int: ints(fd)}).Err
 }
 
+// Read is the classic read: on the sync transport the kernel copies the
+// payload once into the scratch region; a request larger than scratch
+// degrades to a short read.
 func (r *workerRT) Read(fd int, n int) ([]byte, abi.Errno) {
-	if r.poolOK {
-		// Zero-copy path: the grant reply is not bounded by the scratch
-		// region — only the copy fallback's staging buffer is, degrading
-		// oversized cold reads to short reads.
-		return r.readLeased(fd, n, int(min(int64(n), r.maxScratchPayload())))
-	}
 	res := r.call(abi.SYS_read, &abi.Args{Int: ints(fd), Cap: int64(n)})
 	return res.Data, res.Err
 }
@@ -407,6 +392,9 @@ func (r *workerRT) Write(fd int, b []byte) (int, abi.Errno) {
 
 // Readv reads up to the sum of lens bytes in a single kernel crossing,
 // with one blocking point: it returns whatever is immediately available.
+// On the sync transport that crossing is one read of the total, returned
+// as a single segment (POSIX-legal: callers scatter the stream
+// themselves).
 func (r *workerRT) Readv(fd int, lens []int) ([][]byte, abi.Errno) {
 	if len(lens) > abi.IovMax {
 		return nil, abi.EINVAL
@@ -421,20 +409,7 @@ func (r *workerRT) Readv(fd int, lens []int) ([][]byte, abi.Errno) {
 	if total == 0 {
 		return nil, abi.OK
 	}
-	if r.poolOK {
-		// Zero-copy path: one readg covers the whole vector; the result
-		// comes back as a single segment (POSIX-legal — callers scatter
-		// the stream themselves), assembled from the pool mapping on a
-		// warm hit with no kernel payload copy.
-		b, err := r.readLeased(fd, total, int(min(int64(total), r.maxScratchPayload())))
-		if err != abi.OK || len(b) == 0 {
-			return nil, err
-		}
-		return [][]byte{b}, abi.OK
-	}
-	if r.sync && !r.scratchFits(int64(total)+int64(len(lens)+1)*(abi.IovecSize+8)) {
-		// Payload larger than the scratch region: degrade to one scalar
-		// read (still POSIX-legal readv behaviour — a short result).
+	if r.sync {
 		b, err := r.Read(fd, total)
 		if err != abi.OK || len(b) == 0 {
 			return nil, err
@@ -494,11 +469,7 @@ func (r *workerRT) Pwrite(fd int, b []byte, off int64) (int, abi.Errno) {
 }
 
 func (r *workerRT) Seek(fd int, off int64, whence int) (int64, abi.Errno) {
-	// Seeking away returns the descriptor's page leases (they were
-	// retained for the sequential window the seek abandons); the reclaim
-	// frames share the seek's doorbell.
-	r.dropFdLeases(fd)
-	res := r.callLeased(abi.SYS_llseek, &abi.Args{Int: [3]int64{int64(fd), off, int64(whence)}})
+	res := r.call(abi.SYS_llseek, &abi.Args{Int: [3]int64{int64(fd), off, int64(whence)}})
 	return res.Ret, res.Err
 }
 
@@ -511,11 +482,7 @@ func (r *workerRT) Fsync(fd int) abi.Errno {
 }
 
 func (r *workerRT) Dup2(oldfd, newfd int) abi.Errno {
-	// newfd is implicitly closed: its held leases go back.
-	if oldfd != newfd {
-		r.dropFdLeases(newfd)
-	}
-	return r.callLeased(abi.SYS_dup2, &abi.Args{Int: ints(oldfd, newfd)}).Err
+	return r.call(abi.SYS_dup2, &abi.Args{Int: ints(oldfd, newfd)}).Err
 }
 
 func (r *workerRT) Stat(path string) (abi.Stat, abi.Errno) {
@@ -533,8 +500,8 @@ func (r *workerRT) Lstat(path string) (abi.Stat, abi.Errno) {
 func (r *workerRT) StatBatchAmortized() bool { return r.ringOK }
 
 // StatBatch fans a stat storm out as ring call frames sharing one
-// doorbell: the kernel drains them as a single batch, resolves the run
-// against the dentry cache in one pass, and answers with one notify.
+// doorbell: the kernel drains them as a single batch and answers with
+// one notify.
 // Without the ring (scalar or async transport) it degrades to one stat
 // per call, preserving identical results.
 func (r *workerRT) StatBatch(paths []string, lstat bool) ([]abi.Stat, []abi.Errno) {

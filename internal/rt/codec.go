@@ -17,13 +17,7 @@ import (
 // the results back out of the heap — the inverse of the kernel's codecs.
 
 // call issues one system call on the runtime's transport.
-func (r *workerRT) call(trap int, a *abi.Args) abi.Result { return r.callOn(trap, a, false) }
-
-// callLeased is call with any pending lease returns riding the same
-// doorbell (close, dup2 and llseek, which drop a descriptor's leases).
-func (r *workerRT) callLeased(trap int, a *abi.Args) abi.Result { return r.callOn(trap, a, true) }
-
-func (r *workerRT) callOn(trap int, a *abi.Args, leased bool) abi.Result {
+func (r *workerRT) call(trap int, a *abi.Args) abi.Result {
 	row := &abi.Syscalls[trap]
 	if !r.sync {
 		f, ok := r.roundTrip(func(id int64) browser.Value { return &abi.CallFrame{ID: id, Trap: trap, Args: *a} }).(*abi.ReplyFrame)
@@ -42,13 +36,7 @@ func (r *workerRT) callOn(trap int, a *abi.Args, leased bool) abi.Result {
 	}
 	var s staged
 	r.stage(row, a, &s)
-	var ret int64
-	var err abi.Errno
-	if leased {
-		ret, err = r.syncCallLeased(trap, s.words[:s.n]...)
-	} else {
-		ret, err = r.syncCall(trap, s.words[:s.n]...)
-	}
+	ret, err := r.syncCall(trap, s.words[:s.n]...)
 	return r.unstage(row, a, &s, ret, err)
 }
 

@@ -9,9 +9,9 @@ import (
 // Process-side half of the checkpoint/fork subsystem (internal/snapshot):
 // a first boot captures its post-boot state with one "snapcap" call, and
 // a clone boot restores the captured image instead of re-running init —
-// one combined "restore" round trip replaces the personality + ring +
-// pagepool negotiation sequence, because the image already records what
-// those negotiations decided and the restored heap bytes already hold a
+// one combined "restore" round trip replaces the personality + ring
+// negotiation sequence, because the image already records what those
+// negotiations decided and the restored heap bytes already hold a
 // pristine ring layout.
 
 func b2i(v bool) int64 {
@@ -26,17 +26,16 @@ func b2i(v bool) int64 {
 // boot of a runtime, after transport negotiation and before main() — the
 // moment every later process of this runtime would reach identically.
 func (r *workerRT) captureSnapshot() {
-	// An async runtime reports zeros: no ring, no pool, no scratch.
-	r.asyncCall("snapcap", b2i(r.ringOK), b2i(r.poolOK), r.scratchTop)
+	// An async runtime reports zeros: no ring, no scratch.
+	r.asyncCall("snapcap", b2i(r.ringOK), r.scratchTop)
 }
 
 // restoreFromImage boots this worker as a copy-on-write clone of img.
 func (r *workerRT) restoreFromImage(img *snapshot.Image, tracker *snapshot.Tracker) {
 	// Host-copy the image heap into this worker's mapping. No virtual
 	// time is charged: virtually the clone still shares every page with
-	// the image — it reads them through its own mapping of the arena,
-	// the same fiction the zero-copy grant path established — and pays
-	// per page only on first write (the tracker's COW fault).
+	// the image — it reads them through its own mapping of the arena —
+	// and pays per page only on first write (the tracker's COW fault).
 	img.CopyHeap(r.heap.Bytes())
 
 	hlen := int64(r.heap.Len())
@@ -67,29 +66,21 @@ func (r *workerRT) restoreFromImage(img *snapshot.Image, tracker *snapshot.Track
 		r.repRing.Reset()
 	}
 
-	// One combined registration replaces the three-negotiation boot
-	// sequence: personality (heap + offsets), ring regions, and the
-	// page-pool mapping, accepted or refused per the kernel's flags.
+	// One combined registration replaces the two-negotiation boot
+	// sequence: personality (heap + offsets) and ring regions, the ring
+	// accepted or refused per the kernel's features.
 	ret, err := r.asyncCall("restore", r.heap, int64(syncRetOff), int64(syncWaitOff),
-		b2i(wantRing), reqOff, int64(ringRegionSize), repOff, int64(ringRegionSize),
-		b2i(img.PoolOK))
+		b2i(wantRing), reqOff, int64(ringRegionSize), repOff, int64(ringRegionSize))
 	if err != abi.OK {
 		// Restore refused: fall back to the cold negotiation sequence
 		// (the heap bytes are a superset of a fresh boot's, so this is
 		// safe — just slower).
 		r.asyncCall("personality", r.heap, int64(syncRetOff), int64(syncWaitOff))
 		r.negotiateRing()
-		r.negotiatePagePool()
 		return
 	}
 	if wantRing && len(ret) > 2 && browser.Int(ret[2]) != 0 {
 		r.ringOK = true
 		r.scratchTop = reqOff
-	}
-	if len(ret) > 4 {
-		if sab, ok := ret[4].(*browser.SAB); ok && sab != nil {
-			r.pool = sab
-			r.poolOK = true
-		}
 	}
 }

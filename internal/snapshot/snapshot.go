@@ -59,12 +59,11 @@ type Image struct {
 
 	// HeapLen is the captured heap size in bytes; 0 for runtimes with no
 	// registered heap (async transports), whose clones skip restore
-	// entirely. RingOK/PoolOK/ScratchTop record the negotiated transport
-	// state baked into the heap bytes, so a clone re-registers the same
-	// layout without re-running the negotiation round trips.
+	// entirely. RingOK/ScratchTop record the negotiated transport state
+	// baked into the heap bytes, so a clone re-registers the same layout
+	// without re-running the negotiation round trips.
 	HeapLen    int
 	RingOK     bool
-	PoolOK     bool
 	ScratchTop int64
 
 	store *fs.ImageStore
@@ -129,8 +128,8 @@ func (img *Image) Pooled() bool { return img.store != nil }
 // CopyHeap host-copies the image heap into dst (a fresh clone heap).
 // No virtual time is charged here: virtually the clone still *shares*
 // every page with the image — it reads them through its own mapping of
-// the arena, the zero-copy fiction the grant path established — and only
-// a write materializes a private copy (the tracker charges that fault).
+// the arena — and only a write materializes a private copy (the tracker
+// charges that fault).
 func (img *Image) CopyHeap(dst []byte) {
 	for p := 0; p < img.NumPages(); p++ {
 		lo := p * PageSize
