@@ -76,10 +76,19 @@ func (c *Context) SetTimeout(d int64, fn func()) {
 	c.sys.Sim.PostDelay(c.sctx, d, fn)
 }
 
-// post delivers a structured-cloned message to the destination context,
-// charging the sender for serialization and the clone and delaying
-// delivery by the message-hop latency.
-func (s *System) post(from, to *Context, v Value, deliver func(Value)) {
+// post delivers a structured-cloned message across w's channel: to the
+// worker's context when toWorker, else to its parent. It charges the
+// sender for serialization and the clone and delays delivery by the
+// message-hop latency. The receiving side's OnMessage is read when the
+// message is delivered, not when it is sent, as in JS.
+func (s *System) post(w *Worker, toWorker bool, v Value) {
+	if w.terminated {
+		return
+	}
+	to := w.parent
+	if toWorker {
+		to = w.Ctx
+	}
 	if to.sctx.Dead() {
 		return
 	}
@@ -87,39 +96,24 @@ func (s *System) post(from, to *Context, v Value, deliver func(Value)) {
 	cost := s.Profile.PostMessageSend + int64(float64(bytes)*s.Profile.CloneByteNs)
 	s.Sim.Charge(cost)
 	s.Sim.PostDelay(to.sctx, s.Profile.PostMessageLatency, func() {
-		if deliver != nil {
-			deliver(clone)
+		onMessage := w.OnMessage
+		if toWorker {
+			onMessage = w.Ctx.OnMessage
+		}
+		if onMessage != nil {
+			onMessage(clone)
 		}
 	})
-	_ = from
 }
 
 // PostMessage sends a message from the worker's parent to the worker
 // (worker.postMessage in JS).
-func (w *Worker) PostMessage(v Value) {
-	if w.terminated {
-		return
-	}
-	w.sys.post(w.parent, w.Ctx, v, func(c Value) {
-		if w.Ctx.OnMessage != nil {
-			w.Ctx.OnMessage(c)
-		}
-	})
-}
+func (w *Worker) PostMessage(v Value) { w.sys.post(w, true, v) }
 
 // PostToParent sends a message from inside the worker to its parent
 // (self.postMessage in JS). Delivery invokes the parent-side
 // Worker.OnMessage handler.
-func (w *Worker) PostToParent(v Value) {
-	if w.terminated {
-		return
-	}
-	w.sys.post(w.Ctx, w.parent, v, func(c Value) {
-		if w.OnMessage != nil {
-			w.OnMessage(c)
-		}
-	})
-}
+func (w *Worker) PostToParent(v Value) { w.sys.post(w, false, v) }
 
 // NewWorker spawns a Web Worker running the script at url (usually a Blob
 // URL). main is the script's top-level code: it runs once on the new

@@ -10,9 +10,7 @@ package httpx
 import (
 	"bytes"
 	"cmp"
-	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -59,41 +57,27 @@ func statusText(code int) string {
 	}
 }
 
-// canonical header iteration order for deterministic output.
-func sortedKeys(m map[string]string) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // WriteRequest serializes a request with a Content-Length body. No
 // Connection header is emitted unless the caller sets one — HTTP/1.1
 // connections default to keep-alive, which the event-loop server and
 // the load-generator swarm depend on; one-shot clients (Instance.Fetch)
 // set Connection: close explicitly.
 func WriteRequest(r *Request) []byte {
-	var sb strings.Builder
 	path := r.Path
 	if path == "" {
 		path = "/"
 	}
-	fmt.Fprintf(&sb, "%s %s HTTP/1.1\r\n", r.Method, path)
-	hdr := map[string]string{"Host": "localhost"}
-	for k, v := range r.Header {
-		hdr[k] = v
-	}
+	clen := -1
 	if len(r.Body) > 0 {
-		hdr["Content-Length"] = strconv.Itoa(len(r.Body))
+		clen = len(r.Body)
 	}
-	for _, k := range sortedKeys(hdr) {
-		fmt.Fprintf(&sb, "%s: %s\r\n", k, hdr[k])
-	}
-	sb.WriteString("\r\n")
-	out := append([]byte(sb.String()), r.Body...)
-	return out
+	out := make([]byte, 0, len(r.Method)+len(path)+len(" HTTP/1.1\r\n")+1+headSize(r.Header)+len(r.Body))
+	out = append(out, r.Method...)
+	out = append(out, ' ')
+	out = append(out, path...)
+	out = append(out, " HTTP/1.1\r\n"...)
+	out = appendHeaders(out, r.Header, true, clen)
+	return append(out, r.Body...)
 }
 
 // WriteResponse serializes a response. If resp.Header sets
@@ -104,40 +88,80 @@ func WriteRequest(r *Request) []byte {
 // WriteRequest, no Connection header is forced: callers that close set
 // it themselves.
 func WriteResponse(r *Response) []byte {
-	var sb strings.Builder
+	const chunkSize = 4096
 	text := r.StatusText
 	if text == "" {
 		text = statusText(r.Status)
 	}
-	fmt.Fprintf(&sb, "HTTP/1.1 %d %s\r\n", r.Status, text)
-	hdr := map[string]string{}
-	for k, v := range r.Header {
-		hdr[k] = v
+	chunked := strings.EqualFold(r.Header["Transfer-Encoding"], "chunked")
+	clen, size := len(r.Body), len(r.Body)
+	if chunked {
+		clen = -1
+		size += (len(r.Body)/chunkSize+1)*len("1000\r\n\r\n") + len("0\r\n\r\n")
 	}
-	chunked := strings.EqualFold(hdr["Transfer-Encoding"], "chunked")
+	out := make([]byte, 0, len("HTTP/1.1 000 \r\n")+len(text)+headSize(r.Header)+size)
+	out = append(out, "HTTP/1.1 "...)
+	out = strconv.AppendInt(out, int64(r.Status), 10)
+	out = append(out, ' ')
+	out = append(out, text...)
+	out = append(out, "\r\n"...)
+	out = appendHeaders(out, r.Header, false, clen)
 	if !chunked {
-		hdr["Content-Length"] = strconv.Itoa(len(r.Body))
+		return append(out, r.Body...)
 	}
-	for _, k := range sortedKeys(hdr) {
-		fmt.Fprintf(&sb, "%s: %s\r\n", k, hdr[k])
-	}
-	sb.WriteString("\r\n")
-	if !chunked {
-		return append([]byte(sb.String()), r.Body...)
-	}
-	out := []byte(sb.String())
-	const chunkSize = 4096
 	for off := 0; off < len(r.Body); off += chunkSize {
-		end := off + chunkSize
-		if end > len(r.Body) {
-			end = len(r.Body)
-		}
-		out = append(out, []byte(fmt.Sprintf("%x\r\n", end-off))...)
+		end := min(off+chunkSize, len(r.Body))
+		out = strconv.AppendInt(out, int64(end-off), 16)
+		out = append(out, "\r\n"...)
 		out = append(out, r.Body[off:end]...)
-		out = append(out, '\r', '\n')
+		out = append(out, "\r\n"...)
 	}
-	out = append(out, []byte("0\r\n\r\n")...)
-	return out
+	return append(out, "0\r\n\r\n"...)
+}
+
+// headSize bounds the bytes appendHeaders writes for h.
+func headSize(h map[string]string) int {
+	n := len("Host: localhost\r\nContent-Length: 18446744073709551615\r\n\r\n")
+	for k, v := range h {
+		n += len(k) + len(v) + len(": \r\n")
+	}
+	return n
+}
+
+// appendHeaders appends one "Name: value" line per header in sorted
+// name order, then the blank line that ends the head. withHost adds
+// Host: localhost unless h sets Host; clen >= 0 sets Content-Length,
+// overriding h's. The names are sorted in a stack array, so a head with
+// a few headers costs no allocation beyond out.
+func appendHeaders(out []byte, h map[string]string, withHost bool, clen int) []byte {
+	var buf [8]string
+	keys := buf[:0]
+	for k := range h {
+		keys = append(keys, k)
+	}
+	_, hasHost := h["Host"]
+	addHost := withHost && !hasHost
+	if addHost {
+		keys = append(keys, "Host")
+	}
+	if _, ok := h["Content-Length"]; clen >= 0 && !ok {
+		keys = append(keys, "Content-Length")
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		out = append(out, k...)
+		out = append(out, ": "...)
+		switch {
+		case clen >= 0 && k == "Content-Length":
+			out = strconv.AppendInt(out, int64(clen), 10)
+		case addHost && k == "Host":
+			out = append(out, "localhost"...)
+		default:
+			out = append(out, h[k]...)
+		}
+		out = append(out, "\r\n"...)
+	}
+	return append(out, "\r\n"...)
 }
 
 // ReadFunc supplies stream bytes: it returns up to n bytes, empty at EOF.
@@ -244,8 +268,13 @@ func (rd *reader) readHeaders() (map[string]string, abi.Errno) {
 	}
 }
 
-// textprotoCanon canonicalizes a header name (Content-Length form).
+// textprotoCanon canonicalizes a header name (Content-Length form). A
+// name already in canonical ASCII form, as every name this system
+// writes is, comes back unchanged without allocating.
 func textprotoCanon(s string) string {
+	if isCanonASCII(s) {
+		return s
+	}
 	parts := strings.Split(strings.ToLower(s), "-")
 	for i, p := range parts {
 		if p != "" {
@@ -253,6 +282,24 @@ func textprotoCanon(s string) string {
 		}
 	}
 	return strings.Join(parts, "-")
+}
+
+// isCanonASCII reports whether s is ASCII with no lower-case letter
+// opening a dash-separated part and no upper-case letter inside one:
+// exactly the ASCII names textprotoCanon maps to themselves.
+func isCanonASCII(s string) bool {
+	upper := true
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch {
+		case c >= 0x80:
+			return false
+		case upper && 'a' <= c && c <= 'z', !upper && 'A' <= c && c <= 'Z':
+			return false
+		}
+		upper = c == '-'
+	}
+	return true
 }
 
 // readBody consumes a message body per the headers.
@@ -300,15 +347,16 @@ func (rd *reader) readRequestHead() (*Request, abi.Errno) {
 	if err != abi.OK {
 		return nil, err
 	}
-	parts := strings.SplitN(line, " ", 3)
-	if len(parts) < 3 {
+	method, rest, ok := strings.Cut(line, " ")
+	path, proto, ok2 := strings.Cut(rest, " ")
+	if !ok || !ok2 {
 		return nil, abi.EINVAL
 	}
 	hdr, err := rd.readHeaders()
 	if err != abi.OK {
 		return nil, err
 	}
-	return &Request{Method: parts[0], Path: parts[1], Proto: parts[2], Header: hdr}, abi.OK
+	return &Request{Method: method, Path: path, Proto: proto, Header: hdr}, abi.OK
 }
 
 // readResponseHead parses the status line and headers.
@@ -317,17 +365,14 @@ func (rd *reader) readResponseHead() (*Response, abi.Errno) {
 	if err != abi.OK {
 		return nil, err
 	}
-	parts := strings.SplitN(line, " ", 3)
-	if len(parts) < 2 {
+	_, rest, ok := strings.Cut(line, " ")
+	if !ok {
 		return nil, abi.EINVAL
 	}
-	status, perr := strconv.Atoi(parts[1])
+	code, text, _ := strings.Cut(rest, " ")
+	status, perr := strconv.Atoi(code)
 	if perr != nil {
 		return nil, abi.EINVAL
-	}
-	text := ""
-	if len(parts) == 3 {
-		text = parts[2]
 	}
 	hdr, err := rd.readHeaders()
 	if err != abi.OK {
@@ -633,11 +678,11 @@ func srvFlush(p posix.Proc, c *srvConn) bool {
 // wantsClose reports whether the request asks to end the connection
 // after its response (explicit close, or HTTP/1.0 without keep-alive).
 func wantsClose(req *Request) bool {
-	conn := strings.ToLower(req.Header["Connection"])
+	conn := req.Header["Connection"]
 	if req.Proto == "HTTP/1.0" {
-		return conn != "keep-alive"
+		return !strings.EqualFold(conn, "keep-alive")
 	}
-	return conn == "close"
+	return strings.EqualFold(conn, "close")
 }
 
 // ServeSerial is the pre-event-loop server kept as the ablation

@@ -108,6 +108,7 @@ type swarmRun struct {
 	dial    Dialer
 	startNs int64
 
+	clients   []*lgClient
 	lat       []int64 // per (client*PerClient+seq); -1 = not completed
 	bytes     int64
 	errors    int
@@ -123,11 +124,16 @@ func (r *swarmRun) post(delay int64, fn func()) {
 }
 
 // account marks one (client, seq) as finally resolved — completed or
-// failed. The run finishes when every request is accounted for.
+// failed. The run finishes when every request is accounted for; it then
+// closes every client's connection, so a finished swarm leaves no idle
+// keep-alive connection behind on the server.
 func (r *swarmRun) account() {
 	r.accounted++
 	if r.accounted >= r.total && !r.finished {
 		r.finished = true
+		for _, c := range r.clients {
+			c.teardownConn()
+		}
 		r.done(r.report())
 	}
 }
@@ -199,6 +205,7 @@ func (s *Swarm) Start(sim *sched.Sim, dial Dialer, done func(LoadReport)) {
 		ctx:     sim.NewCtx("loadgen"),
 		dial:    dial,
 		startNs: sim.Now(),
+		clients: make([]*lgClient, 0, s.Clients),
 		lat:     make([]int64, total),
 		total:   total,
 		done:    done,
@@ -217,6 +224,7 @@ func (s *Swarm) Start(sim *sched.Sim, dial Dialer, done func(LoadReport)) {
 			rng:    lgRand{s: s.Seed ^ (uint64(i)+1)*0x9e3779b97f4a7c15},
 			sendNs: make([]int64, s.PerClient),
 		}
+		run.clients = append(run.clients, c)
 		if s.OpenLoop {
 			// Pre-generate the whole arrival schedule.
 			t := c.rng.gap(s.MeanGapNs)

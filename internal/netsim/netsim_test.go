@@ -222,3 +222,17 @@ func TestFileHostRangeRequests(t *testing.T) {
 		t.Fatalf("malformed range served: status %d", r.Status)
 	}
 }
+
+// FuzzParseByteRange: the Range parser never panics, and any range it
+// accepts lies inside the body: 0 <= lo <= hi < size.
+func FuzzParseByteRange(f *testing.F) {
+	for _, s := range []string{"bytes=0-", "bytes=5-2", "bytes=5-2x", "bytes=-1-3", "bytes=0-99999999999999999999", "bytes=3-9223372036854775807"} {
+		f.Add(s, int64(10))
+	}
+	f.Fuzz(func(t *testing.T, s string, size int64) {
+		lo, hi, ok := parseByteRange(s, size)
+		if ok && !(0 <= lo && lo <= hi && hi < size) {
+			t.Fatalf("parseByteRange(%q, %d) = %d, %d, ok", s, size, lo, hi)
+		}
+	})
+}

@@ -22,7 +22,6 @@
 package sched
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 	"time"
@@ -37,24 +36,59 @@ type event struct {
 	fn  func()
 }
 
-// eventHeap orders events by (at, seq). seq breaks ties FIFO so the
-// simulation is deterministic.
+// eventHeap is a binary min-heap of events ordered by (at, seq). seq
+// breaks ties FIFO so the simulation is deterministic; it is unique per
+// Sim, so the order events pop in does not depend on the heap's shape.
+// It is typed, so pushing and popping never box an event into an
+// interface.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
+
+func (h *eventHeap) push(e event) {
+	*h = append(*h, e)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !q.less(i, p) {
+			break
+		}
+		q[i], q[p] = q[p], q[i]
+		i = p
+	}
+}
+
+// pop removes and returns the earliest event. The vacated slot is
+// zeroed so the backing array does not keep the popped closure (and
+// whatever it captured) alive.
+func (h *eventHeap) pop() event {
+	q := *h
+	n := len(q) - 1
+	e := q[0]
+	q[0] = q[n]
+	q[n] = event{}
+	q = q[:n]
+	for i := 0; ; {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		m := l
+		if r := l + 1; r < n && q.less(r, l) {
+			m = r
+		}
+		if !q.less(m, i) {
+			break
+		}
+		q[i], q[m] = q[m], q[i]
+		i = m
+	}
+	*h = q
 	return e
 }
 
@@ -201,7 +235,7 @@ func (s *Sim) Post(ctx *Ctx, at int64, fn func()) {
 		return
 	}
 	s.seq++
-	heap.Push(&ctx.q, event{at: at, seq: s.seq, fn: fn})
+	ctx.q.push(event{at: at, seq: s.seq, fn: fn})
 }
 
 // PostDelay schedules fn on ctx after d nanoseconds of the *sender's*
@@ -425,7 +459,7 @@ func (s *Sim) Step() bool {
 		}
 		s.ResumeG(w.g, w.v)
 	} else {
-		ev := heap.Pop(&best.q).(event)
+		ev := best.q.pop()
 		if best.now < ev.at {
 			best.now = ev.at
 		}

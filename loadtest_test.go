@@ -112,6 +112,36 @@ func TestMemeServerLoadGuard(t *testing.T) {
 	}
 }
 
+// TestSwarmRoundsLeaveNoServerConns: a finished swarm closes its
+// keep-alive connections, so once the simulation settles the server
+// holds none of them. Two rounds against one server leave its
+// descriptor table the same size, with no accepted connection in it.
+func TestSwarmRoundsLeaveNoServerConns(t *testing.T) {
+	in := bootMemeLoad(t, async)
+	pid := in.StartMemeServerArgs()
+	task := in.Kernel.Task(pid)
+	var sizes []int
+	for round := 0; round < 2; round++ {
+		s := healthSwarm(32, 4, true)
+		s.OpenLoop = true
+		s.Seed += uint64(round)
+		if rep := browsix.RunSwarm(in, s, meme.Port); rep.Requests != 128 || rep.Errors != 0 {
+			t.Fatalf("round %d: %+v", round, rep)
+		}
+		in.Run()
+		fds := task.Fds()
+		for _, fd := range fds {
+			if task.FdPath(fd) == "socket:conn" {
+				t.Errorf("round %d: server still holds client connection fd %d (fds %v)", round, fd, fds)
+			}
+		}
+		sizes = append(sizes, len(fds))
+	}
+	if sizes[0] != sizes[1] {
+		t.Errorf("server descriptor count grew across rounds: %v", sizes)
+	}
+}
+
 // memeMixSwarm exercises all three routes (templates listing, healthz,
 // CPU-heavy meme generation) with keep-alive reuse, recording every
 // response body hash by (client, seq) for cross-run comparison.
