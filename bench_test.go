@@ -314,12 +314,12 @@ func BenchmarkPipeVectored(b *testing.B) {
 
 // BenchmarkRingTransport runs the paper's pipe benchmark (cat | wc -c on
 // a 1 MiB file) with the coreutils on a synchronous runtime, comparing
-// the ring transport against the scalar sync fallback and the async
-// transport. Virtual time is the quantity of interest (virtual-ms/op);
-// b.SetBytes additionally reports harness wall-clock MB/s.
+// the ring transport against the async transport. Virtual time is the
+// quantity of interest (virtual-ms/op); b.SetBytes additionally reports
+// harness wall-clock MB/s.
 func BenchmarkRingTransport(b *testing.B) {
 	const payload = 1 << 20
-	for _, v := range variants([]transport{ring, scalar, async}) {
+	for _, v := range variants([]transport{ring, async}) {
 		b.Run(v.String(), func(b *testing.B) {
 			b.SetBytes(payload)
 			reportVirtual(b, func() int64 {

@@ -85,17 +85,16 @@ type Config struct {
 	// instances share one pre-warmed, sealed registry whose image pages
 	// live in the shared arena. Implies EnableSnapshots.
 	Snapshots *snapshot.Registry
-	// Features turns optional kernel and file-system mechanisms off; the
-	// zero value runs them all. See Features.
+	// Features turns optional file-system mechanisms off; the zero
+	// value runs them all. See Features.
 	Features Features
 }
 
-// Features selects which transport and data-path mechanisms an instance
-// runs — the ring, fs batching, zero-copy reads, the VFS caches,
-// write-back and page dedup. The zero value is production: every
-// mechanism on. Each field turns one off for differentials and
-// ablations; none changes a program's output.
-type Features = core.Features
+// Features selects which data-path mechanisms an instance's file system
+// runs — the VFS caches, write-back and page dedup. The zero value is
+// production: every mechanism on. Each field turns one off for
+// differentials and ablations; none changes a program's output.
+type Features = fs.Features
 
 // DefaultSnapshotSlots is the image-store quota for captured snapshot
 // pages: room for a few sync-runtime heap images (a 1 MiB heap is 256
@@ -141,7 +140,7 @@ func Boot(cfg Config) *Instance {
 	})
 	fsys.SetFlushAge(DefaultFlushAge)
 	k := core.NewKernel(sys, fsys, rt.Loader(sys))
-	k.SetFeatures(cfg.Features)
+	fsys.SetFeatures(cfg.Features)
 	if cfg.Snapshots != nil || cfg.EnableSnapshots {
 		reg := cfg.Snapshots
 		if reg == nil {

@@ -94,18 +94,37 @@ func (r Ring) Reset() { r.setHead(0); r.setTail(0) }
 
 func (r Ring) dataLen() int { return len(r.B) - RingHdrSize }
 
-// Used returns the number of buffered bytes.
-func (r Ring) Used() int {
-	d := r.tail() - r.head()
-	if d < 0 {
-		d += r.dataLen()
+// cursors returns the head cursor and the bytes buffered behind it; ok
+// is false when the head or the tail lies outside the data area. Both
+// live in guest-writable memory, so nothing may index the ring with
+// them before this check.
+func (r Ring) cursors() (head, used int, ok bool) {
+	head, tail, n := r.head(), r.tail(), r.dataLen()
+	if head >= n || tail >= n {
+		return 0, 0, false
 	}
-	return d
+	if used = tail - head; used < 0 {
+		used += n
+	}
+	return head, used, true
+}
+
+// Used returns the number of buffered bytes (0 when the cursors are
+// corrupt).
+func (r Ring) Used() int {
+	_, used, _ := r.cursors()
+	return used
 }
 
 // Free returns the bytes that may be pushed without overwriting (one byte
-// of slack is reserved to distinguish full from empty).
-func (r Ring) Free() int { return r.dataLen() - 1 - r.Used() }
+// of slack is reserved to distinguish full from empty); 0 when the
+// cursors are corrupt, so nothing is pushed through them.
+func (r Ring) Free() int {
+	if _, used, ok := r.cursors(); ok {
+		return r.dataLen() - 1 - used
+	}
+	return 0
+}
 
 // copyIn writes b at cursor position pos (mod data size).
 func (r Ring) copyIn(pos int, b []byte) {
@@ -116,15 +135,13 @@ func (r Ring) copyIn(pos int, b []byte) {
 	}
 }
 
-// copyOut reads n bytes at cursor position pos.
-func (r Ring) copyOut(pos, n int) []byte {
+// copyOut fills dst from cursor position pos.
+func (r Ring) copyOut(dst []byte, pos int) {
 	data := r.B[RingHdrSize:]
-	out := make([]byte, n)
-	m := copy(out, data[pos:])
-	if m < n {
-		copy(out[m:], data)
+	m := copy(dst, data[pos:])
+	if m < len(dst) {
+		copy(dst[m:], data)
 	}
-	return out
 }
 
 func (r Ring) advance(pos, n int) int { return (pos + n) % r.dataLen() }
@@ -133,19 +150,22 @@ func (r Ring) advance(pos, n int) int { return (pos + n) % r.dataLen() }
 // nargs u32, then nargs little-endian u64 arguments.
 const callFrameHdr = 16
 
+// maxCallArgs bounds a call frame's arguments, and so its size.
+const maxCallArgs = 16
+
 // ReplyFrameSize is the reply-frame layout size: size u32, seq u32,
 // ret u64, errno u32. Exported so the producer can bound a batch by the
 // reply ring's capacity.
 const ReplyFrameSize = 20
 
 // PushCall appends a call frame; it reports false when the ring is full
-// (the producer should fall back to the scalar transport).
+// (the producer waits for the consumer to drain and pushes again).
 func (r Ring) PushCall(seq uint32, trap int, args []int64) bool {
 	need := callFrameHdr + 8*len(args)
-	if len(args) > 16 || need > r.Free() {
+	if len(args) > maxCallArgs || need > r.Free() {
 		return false
 	}
-	var buf [callFrameHdr + 8*16]byte
+	var buf [callFrameHdr + 8*maxCallArgs]byte
 	le := r.le()
 	le.PutUint32(buf[0:], uint32(need-4))
 	le.PutUint32(buf[4:], seq)
@@ -159,26 +179,35 @@ func (r Ring) PushCall(seq uint32, trap int, args []int64) bool {
 	return true
 }
 
-// PopCall removes and decodes the next call frame.
+// PopCall removes and decodes the next call frame. The ring lives in
+// guest-writable memory: a cursor outside the data area, a frame size no
+// call frame has, or an nargs that disagrees with the size resets the
+// ring (the two sides no longer agree on framing) and pops nothing.
 func (r Ring) PopCall() (seq uint32, trap int, args []int64, ok bool) {
-	if r.Used() < callFrameHdr {
+	head, used, ok := r.cursors()
+	if !ok {
+		r.Reset()
+		return 0, 0, nil, false
+	}
+	if used < callFrameHdr {
 		return 0, 0, nil, false
 	}
 	le := r.le()
-	hdr := r.copyOut(r.head(), callFrameHdr)
-	size := int(le.Uint32(hdr[0:])) + 4
-	if size < callFrameHdr || r.Used() < size {
+	var frame [callFrameHdr + 8*maxCallArgs]byte
+	r.copyOut(frame[:callFrameHdr], head)
+	size := int(le.Uint32(frame[0:])) + 4
+	if size < callFrameHdr || size > len(frame) {
+		r.Reset()
 		return 0, 0, nil, false
 	}
-	frame := r.copyOut(r.head(), size)
+	if used < size {
+		return 0, 0, nil, false
+	}
+	r.copyOut(frame[:size], head)
 	seq = le.Uint32(frame[4:])
 	trap = int(le.Uint32(frame[8:]))
 	nargs := int(le.Uint32(frame[12:]))
-	// The frame lives in guest-writable shared memory: a corrupt nargs
-	// must not drive an allocation or an out-of-frame read. Drop the
-	// malformed frame by resetting the ring (producer and consumer can
-	// no longer agree on framing).
-	if nargs < 0 || nargs > 16 || callFrameHdr+8*nargs != size {
+	if nargs > maxCallArgs || callFrameHdr+8*nargs != size {
 		r.Reset()
 		return 0, 0, nil, false
 	}
@@ -186,12 +215,13 @@ func (r Ring) PopCall() (seq uint32, trap int, args []int64, ok bool) {
 	for i := 0; i < nargs; i++ {
 		args[i] = int64(le.Uint64(frame[callFrameHdr+8*i:]))
 	}
-	r.setHead(r.advance(r.head(), size))
+	r.setHead(r.advance(head, size))
 	return seq, trap, args, true
 }
 
-// PushReply appends a reply frame; false when full (the producer must
-// retry after the consumer drains — the kernel defers in that case).
+// PushReply appends a reply frame; false when full or when the cursors
+// are corrupt (the kernel queues the reply and retries after the
+// consumer drains).
 func (r Ring) PushReply(seq uint32, ret int64, errno Errno) bool {
 	if ReplyFrameSize > r.Free() {
 		return false
@@ -234,14 +264,16 @@ func (r Ring) PushReplies(reps []Reply) int {
 
 // PopReply removes and decodes the next reply frame.
 func (r Ring) PopReply() (seq uint32, ret int64, errno Errno, ok bool) {
-	if r.Used() < ReplyFrameSize {
+	head, used, ok := r.cursors()
+	if !ok || used < ReplyFrameSize {
 		return 0, 0, OK, false
 	}
-	frame := r.copyOut(r.head(), ReplyFrameSize)
+	var frame [ReplyFrameSize]byte
+	r.copyOut(frame[:], head)
 	le := r.le()
 	seq = le.Uint32(frame[4:])
 	ret = int64(le.Uint64(frame[8:]))
 	errno = Errno(int32(le.Uint32(frame[16:])))
-	r.setHead(r.advance(r.head(), ReplyFrameSize))
+	r.setHead(r.advance(head, ReplyFrameSize))
 	return seq, ret, errno, true
 }

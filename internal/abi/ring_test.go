@@ -2,6 +2,7 @@ package abi
 
 import (
 	"encoding/binary"
+	"runtime"
 	"testing"
 )
 
@@ -123,4 +124,129 @@ func TestRingReplyRoundTripAndFull(t *testing.T) {
 	if ret != -1 || errno != EPIPE {
 		t.Fatalf("ret=%d errno=%v", ret, errno)
 	}
+}
+
+// hostileRegion is a 1 KiB ring region (1016 data bytes) whose cursor
+// header the guest has overwritten.
+func hostileRegion(head, tail uint32) Ring {
+	r := NewRing(make([]byte, 1024))
+	binary.LittleEndian.PutUint32(r.B[0:], head)
+	binary.LittleEndian.PutUint32(r.B[4:], tail)
+	return r
+}
+
+// allocatedBy returns the bytes allocated while fn ran. Like
+// testing.AllocsPerRun it runs on one P, so other goroutines allocate
+// less in the window.
+func allocatedBy(fn func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestRingHostileCursors: cursors live in guest-writable memory, so a
+// cursor at or past the data length is corruption. PopCall resets the
+// ring and PushReply refuses; neither panics, and no guest value drives
+// an allocation larger than one maximum-size frame.
+func TestRingHostileCursors(t *testing.T) {
+	cases := []struct {
+		name       string
+		head, tail uint32
+		frameSize  uint32 // written at the head when nonzero
+		pop        bool   // PopCall, else PushReply
+	}{
+		{"pop/both-past-data", 2000, 2100, 0, true},
+		{"push/head-past-tail", 3000, 2000, 0, false},
+		{"pop/huge-frame", 0, 0x7fffff00, 1 << 30, true},
+	}
+	// No subtests: a subtest's parent goroutine could allocate while the
+	// measurement runs.
+	for _, c := range cases {
+		r := hostileRegion(c.head, c.tail)
+		if c.frameSize != 0 {
+			binary.LittleEndian.PutUint32(r.B[RingHdrSize:], c.frameSize)
+		}
+		var ok bool
+		n := allocatedBy(func() {
+			if c.pop {
+				_, _, _, ok = r.PopCall()
+			} else {
+				ok = r.PushReply(1, 2, OK)
+			}
+		})
+		if ok {
+			t.Fatalf("%s: corrupt ring accepted the operation", c.name)
+		}
+		if n >= 1024 {
+			t.Fatalf("%s: allocated %d bytes", c.name, n)
+		}
+		if c.pop && r.Used() != 0 {
+			t.Fatalf("%s: PopCall left the corrupt ring unreset (%d bytes used)", c.name, r.Used())
+		}
+	}
+	// A frame size beyond the largest call frame is corruption even with
+	// sane cursors.
+	r := NewRing(make([]byte, 1024))
+	r.Reset()
+	r.PushCall(1, SYS_read, []int64{1, 2, 3})
+	binary.LittleEndian.PutUint32(r.B[RingHdrSize:], 1<<30)
+	if _, _, _, ok := r.PopCall(); ok || r.Used() != 0 {
+		t.Fatalf("oversized frame: ok=%v used=%d, want a reset ring", ok, r.Used())
+	}
+}
+
+// FuzzRingRegion drives every ring operation over raw region bytes,
+// cursor header included: nothing may panic, a popped frame carries at
+// most 16 arguments, and a reply pushed into an empty ring pops back.
+func FuzzRingRegion(f *testing.F) {
+	region := func(head, tail uint32, data ...byte) []byte {
+		b := make([]byte, RingHdrSize, RingHdrSize+len(data))
+		binary.LittleEndian.PutUint32(b[0:], head)
+		binary.LittleEndian.PutUint32(b[4:], tail)
+		return append(b, data...)
+	}
+	f.Add(region(0, 0))
+	f.Add(region(2000, 2100, make([]byte, 1016)...))
+	f.Add(region(3000, 2000, make([]byte, 1016)...))
+	f.Add(region(0, 0x7fffff00, 0, 0, 0, 0x40))
+	ok := NewRing(make([]byte, 256))
+	ok.Reset()
+	ok.PushCall(7, SYS_read, []int64{3, 64, 4096})
+	ok.PushCall(8, SYS_getpid, nil)
+	f.Add(append([]byte(nil), ok.B...))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if len(b) > 1<<16 {
+			return
+		}
+		if len(b) < MinRingSize {
+			b = append(b, make([]byte, MinRingSize-len(b))...)
+		}
+		r := NewRing(b)
+		for i := 0; ; i++ {
+			if i > len(b)/callFrameHdr {
+				t.Fatalf("PopCall popped more frames than the region holds")
+			}
+			_, _, args, ok := r.PopCall()
+			if !ok {
+				break
+			}
+			if len(args) > maxCallArgs {
+				t.Fatalf("popped %d args", len(args))
+			}
+		}
+		if r.Free() < 0 || r.Used() < 0 {
+			t.Fatalf("used=%d free=%d", r.Used(), r.Free())
+		}
+		empty := r.Used() == 0
+		if r.PushReply(5, -1, EPIPE) && empty {
+			if seq, ret, errno, ok := r.PopReply(); !ok || seq != 5 || ret != -1 || errno != EPIPE {
+				t.Fatalf("reply round trip: seq=%d ret=%d errno=%v ok=%v", seq, ret, errno, ok)
+			}
+		}
+		r.PushCall(1, SYS_getpid, []int64{1})
+		r.PopReply()
+	})
 }

@@ -233,13 +233,6 @@ type ReplyFrame struct {
 	Res  Result
 }
 
-// SyncFrame is the scalar heap transport's trap, modelling {type:
-// "sync", trap, args: [words...]}.
-type SyncFrame struct {
-	Trap  int
-	Words []int64
-}
-
 // RingBell is the ring transport's doorbell, modelling {type:
 // "ringbell"}; the calls wait in the request ring.
 type RingBell struct{}
@@ -396,12 +389,6 @@ func (f *ReplyFrame) CloneValue() (any, int64) {
 		n += int64(len(r.Pollfds))*(numSize+8) + 8
 	}
 	return c, prop("type", int64(len("reply"))) + prop("id", numSize) + prop("ret", n)
-}
-
-// CloneValue copies the words and sizes the object.
-func (f *SyncFrame) CloneValue() (any, int64) {
-	c := &SyncFrame{Trap: f.Trap, Words: append([]int64(nil), f.Words...)}
-	return c, prop("type", int64(len("sync"))) + prop("trap", numSize) + prop("args", int64(len(f.Words))*(numSize+8))
 }
 
 // CloneValue sizes the doorbell.

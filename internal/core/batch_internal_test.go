@@ -35,7 +35,6 @@ func newRingWorld(t testing.TB) *ringWorld {
 		Pid:     1,
 		cwd:     "/",
 		heap:    browser.NewSAB(ringWorldHeap),
-		retOff:  8,
 		waitOff: 0,
 	}
 	k.tasks[1] = task

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/abi"
-	"repro/internal/core"
 	"repro/internal/fs"
 	"repro/internal/posix"
 )
@@ -239,9 +238,9 @@ func init() {
 	}})
 }
 
-// TestCacheCoherenceAcrossTransports runs t-lease on the async, scalar
-// and ring transports, each with write-back on and off: all six outputs
-// must be byte-identical, and no page may stay pinned after the process.
+// TestCacheCoherenceAcrossTransports runs t-lease on the async and ring
+// transports, each with write-back on and off: all four outputs must be
+// byte-identical, and no page may stay pinned after the process.
 func TestCacheCoherenceAcrossTransports(t *testing.T) {
 	files := map[string][]byte{
 		"/f": zcPattern(3, 64*1024),
@@ -250,7 +249,7 @@ func TestCacheCoherenceAcrossTransports(t *testing.T) {
 		"/k": zcPattern(6, 64*1024),
 	}
 	outputs := map[string]string{}
-	for _, v := range variants(transports, core.Features{NoWriteBack: true}) {
+	for _, v := range variants(transports, fs.Features{NoWriteBack: true}) {
 		w := v.boot(t)
 		mountOverlay(t, w, files)
 		w.install(t, "/usr/bin/t-lease", "t-lease", v.tr.kind())

@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/abi"
-	"repro/internal/core"
+	"repro/internal/fs"
 	"repro/internal/posix"
 )
 
@@ -101,12 +101,12 @@ func zcwmixRun(t *testing.T, v variant) (string, int64) {
 }
 
 // TestZeroCopyWriteDifferential runs the mixed write workload t-zcwmix
-// on the async, scalar and ring transports with write-back on and off:
-// all six outputs must be byte-identical and every run must balance its
+// on the async and ring transports with write-back on and off: all
+// four outputs must be byte-identical and every run must balance its
 // pin ledger.
 func TestZeroCopyWriteDifferential(t *testing.T) {
 	var want string
-	for _, v := range variants(transports, core.Features{NoWriteBack: true}) {
+	for _, v := range variants(transports, fs.Features{NoWriteBack: true}) {
 		out, _ := zcwmixRun(t, v)
 		if want == "" {
 			want = out
@@ -120,7 +120,7 @@ func TestZeroCopyWriteDifferential(t *testing.T) {
 // same transport x write-back configuration land on the same virtual
 // clock.
 func TestZeroCopyWriteDeterministicClock(t *testing.T) {
-	for _, v := range variants(transports, core.Features{NoWriteBack: true}) {
+	for _, v := range variants(transports, fs.Features{NoWriteBack: true}) {
 		_, a := zcwmixRun(t, v)
 		_, b := zcwmixRun(t, v)
 		if a != b {

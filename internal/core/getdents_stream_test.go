@@ -67,8 +67,8 @@ func init() {
 	}})
 }
 
-// TestGetdentsStreamsLargeDirectories runs the streaming proof on all
-// three transports: identical results, chunked delivery.
+// TestGetdentsStreamsLargeDirectories runs the streaming proof on both
+// transports: identical results, chunked delivery.
 func TestGetdentsStreamsLargeDirectories(t *testing.T) {
 	want := "entries=300 chunks=3 rewind=300\n"
 	for _, v := range variants(transports) {

@@ -137,49 +137,35 @@ func worldState(t testing.TB, w *ringWorld) string {
 		len(w.task.Fds()), w.task.cwd, ls, body)
 }
 
-// TestHeapCodecBadPointerEFAULT: on both the scalar and the ring path,
-// a frame naming any guest range outside the heap fails with EFAULT,
-// changes nothing, and the kernel goes on to serve the next frame.
+// TestHeapCodecBadPointerEFAULT: a ring frame naming any guest range
+// outside the heap fails with EFAULT, changes nothing, and the kernel
+// goes on to serve the next frame of the same drain.
 func TestHeapCodecBadPointerEFAULT(t *testing.T) {
-	for _, ring := range []bool{false, true} {
-		w := newCodecWorld(t)
-		before := worldState(t, w)
-		for _, f := range badPointerFrames(ringWorldHeap) {
-			name := fmt.Sprintf("ring=%v/%s", ring, f.name)
-			var rets []int64
-			var errs []abi.Errno
-			if ring {
-				w.task.ring.req.PushCall(0, f.trap, f.words)
-				w.task.ring.req.PushCall(1, abi.SYS_getpid, nil)
-				w.drain(t)
-				rets, errs = make([]int64, 2), make([]abi.Errno, 2)
-				for n := 0; n < 3; n++ {
-					seq, ret, errno, ok := w.task.ring.rep.PopReply()
-					if !ok {
-						if n != 2 {
-							t.Fatalf("%s: %d replies, want 2", name, n)
-						}
-						break
-					}
-					rets[seq], errs[seq] = ret, errno
+	w := newCodecWorld(t)
+	before := worldState(t, w)
+	for _, f := range badPointerFrames(ringWorldHeap) {
+		w.task.ring.req.PushCall(0, f.trap, f.words)
+		w.task.ring.req.PushCall(1, abi.SYS_getpid, nil)
+		w.drain(t)
+		rets, errs := make([]int64, 2), make([]abi.Errno, 2)
+		for n := 0; n < 3; n++ {
+			seq, ret, errno, ok := w.task.ring.rep.PopReply()
+			if !ok {
+				if n != 2 {
+					t.Fatalf("%s: %d replies, want 2", f.name, n)
 				}
-			} else {
-				heap := w.task.heap.Bytes()
-				for _, c := range []pendingCall{{trap: f.trap, args: f.words}, {trap: abi.SYS_getpid}} {
-					w.run(t, func() { w.k.dispatchSync(w.task, c.trap, c.args) })
-					rets = append(rets, int64(binary.LittleEndian.Uint64(heap[8:])))
-					errs = append(errs, abi.Errno(int32(binary.LittleEndian.Uint32(heap[16:]))))
-				}
+				break
 			}
-			if rets[0] != -1 || errs[0] != abi.EFAULT {
-				t.Errorf("%s: ret=%d err=%v, want -1 EFAULT", name, rets[0], errs[0])
-			}
-			if rets[1] != int64(w.task.Pid) || errs[1] != abi.OK {
-				t.Errorf("%s: next frame ret=%d err=%v, want the pid", name, rets[1], errs[1])
-			}
-			if after := worldState(t, w); after != before {
-				t.Fatalf("%s changed the world:\n  before %s\n  after  %s", name, before, after)
-			}
+			rets[seq], errs[seq] = ret, errno
+		}
+		if rets[0] != -1 || errs[0] != abi.EFAULT {
+			t.Errorf("%s: ret=%d err=%v, want -1 EFAULT", f.name, rets[0], errs[0])
+		}
+		if rets[1] != int64(w.task.Pid) || errs[1] != abi.OK {
+			t.Errorf("%s: next frame ret=%d err=%v, want the pid", f.name, rets[1], errs[1])
+		}
+		if after := worldState(t, w); after != before {
+			t.Fatalf("%s changed the world:\n  before %s\n  after  %s", f.name, before, after)
 		}
 	}
 }

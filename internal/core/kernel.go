@@ -51,9 +51,6 @@ type Kernel struct {
 	tasks   map[int]*Task
 	nextPid int
 
-	// feat selects the optional mechanisms (SetFeatures).
-	feat Features
-
 	// Snapshots is the checkpoint/fork registry (internal/snapshot).
 	// When set, the first cold boot of each runtime captures a post-boot
 	// image and later spawns of the same executable clone it
@@ -87,12 +84,14 @@ type Kernel struct {
 	// the instance quiesces (a worker join gives the happens-before).
 	SyscallCount     map[string]int64
 	AsyncSyscalls    atomic.Int64
-	SyncSyscalls     atomic.Int64
 	SignalsDelivered atomic.Int64
-	// RingSyscalls counts sync calls that arrived via the ring transport
-	// (also included in SyncSyscalls); RingBatchedCalls counts the calls
-	// beyond the first in each multi-call doorbell drain — the dispatches
-	// the ring saved.
+	// SyncSyscalls and RingSyscalls both count the synchronous calls
+	// drained from ring doorbells. The ring is the only synchronous
+	// transport, so the two are always equal; both stay only because
+	// the benchmark reports both. RingBatchedCalls counts the calls
+	// beyond the first in each multi-call doorbell drain — the
+	// dispatches the ring saved.
+	SyncSyscalls     atomic.Int64
 	RingSyscalls     atomic.Int64
 	RingBatchedCalls atomic.Int64
 	// RingNotifies counts process wakes on the ring transport — a drained
@@ -115,26 +114,6 @@ type Kernel struct {
 	// kernel, and processes booted as copy-on-write clones.
 	SnapshotCaptures atomic.Int64
 	CloneBoots       atomic.Int64
-}
-
-// Features selects which transport and data-path mechanisms run. The
-// zero value is production: every mechanism on. Each field turns one off
-// for the differential tests and ablations; none changes what a program
-// sees, only how many crossings happen and where bytes live.
-type Features struct {
-	// NoRing refuses ring-transport registration, so sync processes use
-	// the scalar wake-cell path (one wake per call).
-	NoRing bool
-	// NoCaches, NoWriteBack and NoDedup are the file system's switches
-	// (fs.Features).
-	NoCaches, NoWriteBack, NoDedup bool
-}
-
-// SetFeatures selects the mechanisms the kernel and its file system run.
-// Set them before processes start: a registered ring stays.
-func (k *Kernel) SetFeatures(ft Features) {
-	k.feat = ft
-	k.FS.SetFeatures(fs.Features{NoCaches: ft.NoCaches, NoWriteBack: ft.NoWriteBack, NoDedup: ft.NoDedup})
 }
 
 // NewKernel boots a kernel over the given browser system and file system.
@@ -233,7 +212,7 @@ func (k *Kernel) Spawn(parent *Task, spec SpawnSpec, cb func(int, abi.Errno)) {
 			if spec.Env != nil {
 				t.Env = spec.Env
 			}
-			t.heap, t.retOff, t.waitOff, t.ring = nil, 0, 0, nil
+			t.heap, t.waitOff, t.ring = nil, 0, nil
 			k.releaseTaskSnapshot(t)
 			t.sigActions = map[int]sigAction{}
 			old := t.worker

@@ -294,21 +294,20 @@ func boot(t testing.TB) *world {
 }
 
 // transport is how a test program's calls reach the kernel: the Node
-// runtime's async messages, or the em-sync runtime's shared heap — one
-// wake per call (scalar) or batched on the ring.
+// runtime's async messages, or the em-sync runtime's shared heap and
+// its ring.
 type transport int
 
 const (
 	async transport = iota
-	scalar
 	ring
 )
 
 // transports lists every transport in the order differentials compare
 // them: the first is the reference.
-var transports = []transport{async, scalar, ring}
+var transports = []transport{async, ring}
 
-func (tr transport) String() string { return [...]string{"async", "scalar", "ring"}[tr] }
+func (tr transport) String() string { return [...]string{"async", "ring"}[tr] }
 
 // kind is the runtime a program is installed as to travel tr.
 func (tr transport) kind() rt.Kind {
@@ -322,13 +321,13 @@ func (tr transport) kind() rt.Kind {
 // mechanisms switched off.
 type variant struct {
 	tr transport
-	ft core.Features
+	ft fs.Features
 }
 
 // variants enumerates trs × every subset of axes, each axis a Features
 // value with the switches it turns off. Per transport the all-on variant
 // comes first. A new Features field becomes an axis by naming it here.
-func variants(trs []transport, axes ...core.Features) []variant {
+func variants(trs []transport, axes ...fs.Features) []variant {
 	var vs []variant
 	for _, tr := range trs {
 		for set := 0; set < 1<<len(axes); set++ {
@@ -362,13 +361,10 @@ func (v variant) String() string {
 	return name
 }
 
-// boot boots a world running v's features; the scalar transport's
-// kernel refuses the ring.
+// boot boots a world running v's features.
 func (v variant) boot(t testing.TB) *world {
 	w := boot(t)
-	ft := v.ft
-	ft.NoRing = v.tr == scalar
-	w.k.SetFeatures(ft)
+	w.fs.SetFeatures(v.ft)
 	return w
 }
 

@@ -2,21 +2,21 @@ package core
 
 import "repro/internal/abi"
 
-// Kernel side of the shared-memory ring-buffer syscall transport.
+// Kernel side of the shared-memory ring-buffer syscall transport, the
+// only synchronous transport.
 //
-// A sync-transport process may upgrade from per-call postMessages to a
-// pair of rings carved out of its registered heap: it pushes call frames
-// into the request ring, rings a doorbell (one postMessage, regardless of
-// how many frames are queued), and Atomics.waits on its wake cell. The
-// kernel drains the whole request ring in a single dispatch, pushes reply
-// frames into the reply ring as calls complete, and wakes the process once
-// per batch — so a task draining a ready pipe completes several system
-// calls per kernel dispatch instead of paying a message round trip each.
+// A sync-transport process registers a pair of rings carved out of its
+// heap: it pushes call frames into the request ring, rings a doorbell
+// (one postMessage, regardless of how many frames are queued), and
+// Atomics.waits on its wake cell. The kernel drains the whole request
+// ring in a single dispatch, pushes reply frames into the reply ring as
+// calls complete, and wakes the process once per batch — so a task
+// draining a ready pipe completes several system calls per kernel
+// dispatch instead of paying a message round trip each.
 //
 // Calls whose completion is deferred (a read against an empty pipe) reply
 // out of order; frames carry sequence numbers so the process can match
-// them. The scalar sync transport remains as the fallback for kernels or
-// processes that don't negotiate the ring (Features.NoRing).
+// them.
 
 // taskRing is the per-task transport state.
 type taskRing struct {
@@ -41,11 +41,9 @@ type ringReply struct {
 }
 
 // registerRing validates and installs a task's ring regions (the "ring"
-// registration call). Both regions must lie inside the registered heap.
+// registration call). Both regions must lie inside the registered heap
+// and hold at least abi.MinRingSize bytes.
 func (k *Kernel) registerRing(t *Task, reqOff, reqLen, repOff, repLen int64) abi.Errno {
-	if k.feat.NoRing {
-		return abi.ENOSYS
-	}
 	if t.heap == nil {
 		return abi.EINVAL
 	}

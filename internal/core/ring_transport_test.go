@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/abi"
-	"repro/internal/core"
+	"repro/internal/fs"
 	"repro/internal/posix"
 	"repro/internal/rt"
 )
@@ -95,12 +95,12 @@ func init() {
 }
 
 // TestOversizedSyncWriteChunks: a write larger than the shared heap's
-// scratch region must complete (in pieces) on both sync paths, with
-// write-back on and off, instead of overflowing the staging area — and
-// the chunks must land in order, byte for byte.
+// scratch region must complete (in pieces) on the ring, with write-back
+// on and off, instead of overflowing the staging area — and the chunks
+// must land in order, byte for byte.
 func TestOversizedSyncWriteChunks(t *testing.T) {
 	want := bigPattern()
-	for _, v := range variants([]transport{ring, scalar}, core.Features{NoWriteBack: true}) {
+	for _, v := range variants([]transport{ring}, fs.Features{NoWriteBack: true}) {
 		w := v.boot(t)
 		w.install(t, "/usr/bin/t-bigwrite", "t-bigwrite", v.tr.kind())
 		code, out, errOut := w.run(t, "/usr/bin/t-bigwrite")
@@ -113,9 +113,9 @@ func TestOversizedSyncWriteChunks(t *testing.T) {
 	}
 }
 
-// TestVectoredTransportsAgree is the differential proof that the scalar
-// sync path, the ring transport, and the async transport produce
-// byte-identical results for the same program.
+// TestVectoredTransportsAgree is the differential proof that the ring
+// transport and the async transport produce byte-identical results for
+// the same program.
 func TestVectoredTransportsAgree(t *testing.T) {
 	outputs := map[string]string{}
 	run := func(v variant, kind rt.Kind) *world {
@@ -130,21 +130,14 @@ func TestVectoredTransportsAgree(t *testing.T) {
 	}
 	for _, v := range variants(transports) {
 		w := run(v, v.tr.kind())
-		switch v.tr {
-		case ring:
-			if w.k.RingSyscalls.Load() == 0 {
-				t.Errorf("%s: ring transport negotiated but unused", v)
-			}
-			if w.k.RingBatchedCalls.Load() == 0 {
-				t.Errorf("%s: writev fan-out produced no batched dispatches", v)
-			}
-		case scalar:
-			if w.k.RingSyscalls.Load() != 0 {
-				t.Errorf("%s: NoRing kernel still saw ring calls", v)
-			}
-			if w.k.SyncSyscalls.Load() == 0 {
-				t.Errorf("%s: scalar fallback made no sync calls", v)
-			}
+		if v.tr != ring {
+			continue
+		}
+		if w.k.RingSyscalls.Load() == 0 {
+			t.Errorf("%s: ring transport negotiated but unused", v)
+		}
+		if w.k.RingBatchedCalls.Load() == 0 {
+			t.Errorf("%s: writev fan-out produced no batched dispatches", v)
 		}
 	}
 	run(variant{tr: ring}, rt.WasmKind) // the wasm runtime rides the ring too
@@ -203,19 +196,5 @@ func TestIovMaxAgreesAcrossTransports(t *testing.T) {
 		if code != 0 || out != want {
 			t.Errorf("%s: exit %d, output %q (stderr %q), want %q", v, code, out, errOut, want)
 		}
-	}
-}
-
-// TestRingFallsBackWhenRefused checks an existing sync program keeps
-// working — on the scalar path — against a kernel that refuses rings.
-func TestRingFallsBackWhenRefused(t *testing.T) {
-	w := variant{tr: scalar}.boot(t)
-	w.install(t, "/usr/bin/t-fsops-sync", "t-fsops", scalar.kind())
-	code, out, _ := w.run(t, "/usr/bin/t-fsops-sync")
-	if code != 0 {
-		t.Fatalf("exit=%d out=%q", code, out)
-	}
-	if w.k.SyncSyscalls.Load() == 0 || w.k.RingSyscalls.Load() != 0 {
-		t.Fatalf("sync=%d ring=%d, want scalar-only traffic", w.k.SyncSyscalls.Load(), w.k.RingSyscalls.Load())
 	}
 }

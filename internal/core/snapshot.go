@@ -75,7 +75,7 @@ func (k *Kernel) releaseTaskSnapshot(t *Task) {
 
 // doSnapcap handles the "snapcap" registration call: freeze the calling
 // task's post-boot state as its executable's snapshot image.
-func (k *Kernel) doSnapcap(t *Task, ringOK bool, scratchTop int64, reply func(...browser.Value)) {
+func (k *Kernel) doSnapcap(t *Task, reply func(...browser.Value)) {
 	if k.Snapshots == nil || k.Snapshots.Sealed() || !t.snapcap {
 		reply(int64(-1), errv(abi.ENOSYS))
 		return
@@ -88,7 +88,6 @@ func (k *Kernel) doSnapcap(t *Task, ringOK bool, scratchTop int64, reply func(..
 	if t.heap != nil {
 		// Freezing the heap is one kernel-side pass over it.
 		k.Sys.Sim.Charge(int64(float64(t.heap.Len()) * k.CPU.SyncByteNs))
-		img.RingOK, img.ScratchTop = ringOK, scratchTop
 		img.SetHeap(k.Snapshots.Store(), t.heap.Bytes())
 	}
 	if !k.Snapshots.Register(img) {
@@ -101,22 +100,19 @@ func (k *Kernel) doSnapcap(t *Task, ringOK bool, scratchTop int64, reply func(..
 }
 
 // doRestore handles a clone boot's combined "restore" registration:
-// personality (heap + offsets) and ring regions land in one round trip,
-// because the restored heap bytes already hold the layout the image's
-// capture negotiated. Reply layout: [ret, errno, ringAccepted].
+// personality and ring regions land in one round trip, because the
+// restored heap already holds the layout the capture registered.
+// Arguments: heap, ret offset, wake offset, ring flag, the two ring
+// regions; the ret offset and the ring flag are not read. Reply: [ret,
+// errno, 1]; the constant keeps the reply's clone size.
 func (k *Kernel) doRestore(t *Task, a []browser.Value, reply func(...browser.Value)) {
 	arg := func(i int) int64 { return browser.Int(argAt(a, i)) }
-	if t.snapImage == nil || t.setPersonality(argAt(a, 0), arg(1), arg(2)) != abi.OK {
+	if t.snapImage == nil || t.setPersonality(argAt(a, 0), arg(2)) != abi.OK ||
+		k.registerRing(t, arg(4), arg(5), arg(6), arg(7)) != abi.OK {
 		reply(int64(-1), errv(abi.EINVAL))
 		return
 	}
-	ringAccepted := int64(0)
-	if arg(3) != 0 {
-		if err := k.registerRing(t, arg(4), arg(5), arg(6), arg(7)); err == abi.OK {
-			ringAccepted = 1
-		}
-	}
-	reply(int64(0), errv(abi.OK), ringAccepted)
+	reply(int64(0), errv(abi.OK), int64(1))
 }
 
 // CheckpointLive checkpoints a running guest with bounded pause: the

@@ -13,16 +13,11 @@ import (
 // (ptr, len) pairs; output buffers as (ptr, len). For calls like pread,
 // "data is copied directly from the filesystem, pipe or socket into the
 // process's heap, avoiding a potentially large allocation and extra
-// copy". The scalar path and the ring drain both decode frames here.
+// copy". The ring drain (ring.go) decodes every call frame here.
 //
 // This file holds the kernel's only copies into and out of a guest heap.
 // Every (ptr, len) a frame names is checked against the heap before the
 // call runs: a bad one fails the call with EFAULT instead of slicing.
-//
-// Completion protocol: the kernel writes ret (int64) at the task's
-// registered retOff and errno (int32) at retOff+8, stores 1 into the wake
-// cell, and Atomics.notify's it. The process zeroes the wake cell before
-// each call and Atomics.wait's on it.
 
 // heapRange checks that n elements of size elem at ptr lie inside the
 // heap. The comparisons are arranged so no product or sum can overflow
@@ -80,33 +75,7 @@ func (t *Task) heapWritePayload(ptr int64, r abi.Result) int64 {
 	return int64(n)
 }
 
-// syncReply completes a synchronous call: results into the heap, then
-// wake the blocked worker thread.
-func (k *Kernel) syncReply(t *Task, ret int64, err abi.Errno) {
-	if t.heap == nil || t.state == taskZombie {
-		return
-	}
-	b := t.heap.Bytes()
-	le.PutUint64(b[t.retOff:], uint64(ret))
-	le.PutUint32(b[t.retOff+8:], uint32(int32(err)))
-	t.heap.Store32(t.waitOff, 1)
-	k.Sys.FutexNotify(t.heap, t.waitOff, 1)
-}
-
 var le = binary.LittleEndian
-
-// dispatchSync decodes and executes a synchronous system call, completing
-// it through the wake-cell reply protocol. It runs the frame through the
-// same heapCall the ring drain uses, so the scalar path can never diverge
-// from a drained doorbell's behaviour.
-func (k *Kernel) dispatchSync(t *Task, trap int, a []int64) {
-	if t.heap == nil {
-		return // no personality registered; nothing to wake
-	}
-	k.heapCall(t, pendingCall{trap: trap, args: a}, func(_ uint32, ret int64, err abi.Errno) {
-		k.syncReply(t, ret, err)
-	})
-}
 
 // word returns frame word i, or 0 past the end.
 func word(w []int64, i int) int64 {

@@ -25,11 +25,6 @@ func (k *Kernel) onWorkerMessage(t *Task, w *browser.Worker, v browser.Value) {
 		k.Sys.Sim.Charge(k.CPU.SyscallNs)
 		k.SyscallCount[abi.SyscallName(f.Trap)]++
 		k.frameCall(t, w, f)
-	case *abi.SyncFrame:
-		k.SyncSyscalls.Add(1)
-		k.Sys.Sim.Charge(k.CPU.SyscallNs)
-		k.SyscallCount[abi.SyscallName(f.Trap)]++
-		k.dispatchSync(t, f.Trap, f.Words)
 	case abi.RingBell:
 		// Any number of call frames may be queued behind this one
 		// message. Per-call kernel CPU is charged inside the drain; the
@@ -223,10 +218,10 @@ var asyncLocal map[string]asyncLocalOp
 
 func init() {
 	asyncLocal = map[string]asyncLocalOp{
-		// Sync-syscall registration (§3.2): heap + return-value offset +
-		// wake offset.
+		// Sync-syscall registration (§3.2): heap, return-value offset
+		// (not read: results travel in the reply ring) and wake offset.
 		"personality": func(k *Kernel, t *Task, a []browser.Value, reply func(...browser.Value)) {
-			if err := t.setPersonality(argAt(a, 0), browser.Int(argAt(a, 1)), browser.Int(argAt(a, 2))); err != abi.OK {
+			if err := t.setPersonality(argAt(a, 0), browser.Int(argAt(a, 2))); err != abi.OK {
 				reply(int64(-1), errv(err))
 				return
 			}
@@ -241,11 +236,11 @@ func init() {
 			}
 			reply(int64(0), errv(abi.OK))
 		},
-		// Post-boot snapshot capture (internal/snapshot): the process
-		// reports its negotiated transport state and the kernel freezes
-		// its heap and fd/env/cwd template as the runtime's image.
+		// Post-boot snapshot capture (internal/snapshot): the kernel
+		// freezes the process's heap and fd/env/cwd template as the
+		// runtime's image. The call's two words are not read.
 		"snapcap": func(k *Kernel, t *Task, a []browser.Value, reply func(...browser.Value)) {
-			k.doSnapcap(t, browser.Int(argAt(a, 0)) != 0, browser.Int(argAt(a, 1)), reply)
+			k.doSnapcap(t, reply)
 		},
 		// Clone-boot restore: one combined registration replacing the
 		// personality + ring negotiation round trips.
@@ -270,18 +265,17 @@ func argAt(a []browser.Value, i int) browser.Value {
 	return nil
 }
 
-// setPersonality registers a task's heap and its wake and return-value
-// cells, which must lie inside the heap.
-func (t *Task) setPersonality(v browser.Value, retOff, waitOff int64) abi.Errno {
+// setPersonality registers a task's heap and its wake cell, which must
+// lie inside the heap.
+func (t *Task) setPersonality(v browser.Value, waitOff int64) abi.Errno {
 	sab, _ := v.(*browser.SAB)
 	if sab == nil {
 		return abi.EINVAL
 	}
-	hlen := int64(sab.Len())
-	if retOff < 0 || retOff > hlen-12 || waitOff < 0 || waitOff > hlen-4 {
+	if waitOff < 0 || waitOff > int64(sab.Len())-4 {
 		return abi.EINVAL
 	}
-	t.heap, t.retOff, t.waitOff = sab, int(retOff), int(waitOff)
+	t.heap, t.waitOff = sab, int(waitOff)
 	return abi.OK
 }
 

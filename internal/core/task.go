@@ -43,14 +43,12 @@ type Task struct {
 	sigActions map[int]sigAction
 
 	// Synchronous-syscall personality (§3.2): the process's heap and the
-	// two offsets it registered — where return values go and which cell
-	// to wake.
+	// wake cell it registered.
 	heap    *browser.SAB
-	retOff  int
 	waitOff int
 
-	// ring is the task's upgraded syscall transport (nil until the
-	// process negotiates it with the "ring" registration call).
+	// ring is the task's synchronous syscall transport (nil until the
+	// process registers it with the "ring" call).
 	ring *taskRing
 
 	// onExit callbacks registered by the kernel API (kernel.system).

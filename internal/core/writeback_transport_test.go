@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/abi"
-	"repro/internal/core"
+	"repro/internal/fs"
 	"repro/internal/posix"
 )
 
@@ -76,13 +76,13 @@ func init() {
 	}})
 }
 
-// TestWriteBackIdenticalAcrossTransports runs t-writeback on the async,
-// scalar-sync, and ring transports, each with the write-back data path
-// on and off: all six outputs must be byte-identical, and the
+// TestWriteBackIdenticalAcrossTransports runs t-writeback on the async
+// and ring transports, each with the write-back data path on and off:
+// all four outputs must be byte-identical, and the
 // write-back runs must actually coalesce (buffered writes >> flushes).
 func TestWriteBackIdenticalAcrossTransports(t *testing.T) {
 	outputs := map[string]string{}
-	for _, v := range variants(transports, core.Features{NoWriteBack: true}) {
+	for _, v := range variants(transports, fs.Features{NoWriteBack: true}) {
 		w := v.boot(t)
 		w.install(t, "/usr/bin/t-writeback", "t-writeback", v.tr.kind())
 		before := w.fs.CacheStats()

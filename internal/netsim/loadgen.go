@@ -126,7 +126,8 @@ func (r *swarmRun) post(delay int64, fn func()) {
 // account marks one (client, seq) as finally resolved — completed or
 // failed. The run finishes when every request is accounted for; it then
 // closes every client's connection, so a finished swarm leaves no idle
-// keep-alive connection behind on the server.
+// keep-alive connection behind on the server, and after done kills its
+// context, so the simulator stops scanning it.
 func (r *swarmRun) account() {
 	r.accounted++
 	if r.accounted >= r.total && !r.finished {
@@ -135,6 +136,7 @@ func (r *swarmRun) account() {
 			c.teardownConn()
 		}
 		r.done(r.report())
+		r.sim.KillCtx(r.ctx)
 	}
 }
 
@@ -199,6 +201,10 @@ type lgClient struct {
 // is accounted for. The caller drives the simulation.
 func (s *Swarm) Start(sim *sched.Sim, dial Dialer, done func(LoadReport)) {
 	total := s.Clients * s.PerClient
+	if total == 0 {
+		done(LoadReport{})
+		return
+	}
 	run := &swarmRun{
 		cfg:     s,
 		sim:     sim,
@@ -212,10 +218,6 @@ func (s *Swarm) Start(sim *sched.Sim, dial Dialer, done func(LoadReport)) {
 	}
 	for i := range run.lat {
 		run.lat[i] = -1
-	}
-	if total == 0 {
-		done(LoadReport{})
-		return
 	}
 	for i := 0; i < s.Clients; i++ {
 		c := &lgClient{

@@ -31,19 +31,14 @@ type workerRT struct {
 
 	// Synchronous-syscall state (em-sync): the heap layout is
 	//   [0,4)   wake cell (Atomics.wait/notify)
-	//   [8,16)  syscall return value (int64)
-	//   [16,20) errno (int32)
 	//   [64,..) scratch for string/buffer arguments
-	//   [top-2R, top) request + reply rings (when the ring transport
-	//                 is negotiated; R = ringRegionSize)
+	//   [top-2R, top) request + reply rings (R = ringRegionSize)
 	sync       bool
 	heap       *browser.SAB
 	scratch    int64
 	scratchTop int64 // exclusive upper bound for scratch allocations
 
-	// Ring transport (negotiated with the kernel after personality
-	// registration; falls back to the scalar wake-cell path if refused).
-	ringOK    bool
+	// Ring transport, registered with the kernel after the personality.
 	reqRing   abi.Ring
 	repRing   abi.Ring
 	ringSeq   uint32
@@ -57,6 +52,8 @@ type workerRT struct {
 	inflight        int
 }
 
+// syncRetOff is the return-value cell the personality registration still
+// names; results travel in the reply ring, so nothing is written there.
 const (
 	syncWaitOff    = 0
 	syncRetOff     = 8
@@ -115,7 +112,6 @@ func (r *workerRT) onMessage(v browser.Value) {
 		}
 		if r.sync {
 			r.heap = browser.NewSAB(r.cost.HeapSize)
-			r.scratchTop = int64(r.heap.Len())
 		}
 		g := r.sim.NewG(r.w.Ctx.Sched(), r.prog.Name, func(any) {
 			defer r.recoverExit()
@@ -238,31 +234,10 @@ func (r *workerRT) asyncCall(name string, args ...browser.Value) ([]browser.Valu
 }
 
 // ---------------------------------------------------------------------------
-// Synchronous transport (§3.2): integer args via postMessage, blocking
-// Atomics.wait on the shared heap, results read back from the heap.
+// Synchronous transport (§3.2): arguments staged in the shared heap, call
+// frames pushed into the ring (ring.go), blocking Atomics.wait until the
+// reply ring answers.
 // ---------------------------------------------------------------------------
-
-func (r *workerRT) syncCall(trap int, args ...int64) (int64, abi.Errno) {
-	if r.ringOK {
-		rets, errs := r.ringCalls([]ringReq{{trap: trap, args: args}})
-		return rets[0], errs[0]
-	}
-	r.sim.Charge(r.cost.SyscallCPUNs)
-	r.heap.Store32(syncWaitOff, 0)
-	r.w.PostToParent(&abi.SyncFrame{Trap: trap, Words: args})
-	r.inflight++
-	r.sys.FutexWait(r.w.Ctx, r.heap, syncWaitOff, 0, -1)
-	r.inflight--
-	ret := int64(uint64(r.heap.Load32(syncRetOff)) | uint64(r.heap.Load32(syncRetOff+4))<<32)
-	errno := abi.Errno(int32(r.heap.Load32(syncRetOff + 8)))
-	if r.inflight == 0 {
-		// Only the outermost call recycles scratch: a signal handler's
-		// interleaved call must keep allocating above a parked call's
-		// staged buffers.
-		r.scratch = scratchBase
-	}
-	return ret, errno
-}
 
 // putStr stages a string argument in scratch, returning (ptr, len).
 func (r *workerRT) putStr(s string) (int64, int64) {
@@ -427,32 +402,16 @@ func (r *workerRT) Writev(fd int, bufs [][]byte) (int64, abi.Errno) {
 		return -1, abi.EINVAL
 	}
 	nonEmpty := make([][]byte, 0, len(bufs))
-	need := int64(0)
 	for _, b := range bufs {
 		if len(b) > 0 {
 			nonEmpty = append(nonEmpty, b)
-			need += int64(len(b)) + 8
 		}
 	}
 	if len(nonEmpty) == 0 {
 		return 0, abi.OK
 	}
-	if r.ringOK {
+	if r.sync {
 		return r.ringWritev(fd, nonEmpty)
-	}
-	if r.sync && !r.scratchFits(need+int64(len(nonEmpty)+1)*(abi.IovecSize+8)) {
-		var total int64
-		for _, b := range nonEmpty {
-			n, err := r.Write(fd, b)
-			total += int64(n)
-			if err != abi.OK {
-				if total > 0 {
-					return total, abi.OK
-				}
-				return -1, err
-			}
-		}
-		return total, abi.OK
 	}
 	res := r.call(abi.SYS_writev, &abi.Args{Int: ints(fd), Bufs: nonEmpty})
 	return res.Ret, res.Err
@@ -495,15 +454,15 @@ func (r *workerRT) Lstat(path string) (abi.Stat, abi.Errno) {
 }
 
 // StatBatchAmortized implements posix.StatBatchAmortizer: only the ring
-// transport turns a StatBatch into one doorbell; scalar and async pay
-// one round trip per path, so probe loops should early-exit there.
-func (r *workerRT) StatBatchAmortized() bool { return r.ringOK }
+// transport turns a StatBatch into one doorbell; async pays one round
+// trip per path, so probe loops should early-exit there.
+func (r *workerRT) StatBatchAmortized() bool { return r.sync }
 
 // StatBatch fans a stat storm out as ring call frames sharing one
 // doorbell: the kernel drains them as a single batch and answers with
 // one notify.
-// Without the ring (scalar or async transport) it degrades to one stat
-// per call, preserving identical results.
+// On the async transport it degrades to one stat per call, preserving
+// identical results.
 func (r *workerRT) StatBatch(paths []string, lstat bool) ([]abi.Stat, []abi.Errno) {
 	sts := make([]abi.Stat, len(paths))
 	errs := make([]abi.Errno, len(paths))
@@ -515,7 +474,7 @@ func (r *workerRT) StatBatch(paths []string, lstat bool) ([]abi.Stat, []abi.Errn
 		res := r.call(trap, &abi.Args{Str: [2]string{p}})
 		return res.Stat, res.Err
 	}
-	if !r.ringOK {
+	if !r.sync {
 		for i, p := range paths {
 			sts[i], errs[i] = one(p)
 		}
@@ -536,8 +495,8 @@ func (r *workerRT) StatBatch(paths []string, lstat bool) ([]abi.Stat, []abi.Errn
 			r.stage(row, &abi.Args{Str: [2]string{paths[j]}}, &stages[len(stages)-1])
 		}
 		if len(stages) == 0 {
-			// Scratch exhausted by a pathological name: degrade to the
-			// scalar call for this one and continue batching after.
+			// Scratch exhausted by a pathological name: send this one
+			// on its own and continue batching after.
 			sts[i], errs[i] = one(paths[i])
 			i++
 			continue
@@ -697,8 +656,8 @@ func (r *workerRT) Getsockname(fd int) (int, abi.Errno) {
 // the ring transport all max accept frames share ONE doorbell (the same
 // shape as StatBatch): the kernel drains the run in a single batch pass
 // and answers with one notify, so an accept storm costs one crossing.
-// Scalar and async transports degrade to one accept per round trip,
-// stopping at the first EAGAIN.
+// The async transport degrades to one accept per round trip, stopping
+// at the first EAGAIN.
 func (r *workerRT) AcceptBatch(fd, max int) ([]int, abi.Errno) {
 	if max <= 0 {
 		return nil, abi.OK
@@ -706,7 +665,7 @@ func (r *workerRT) AcceptBatch(fd, max int) ([]int, abi.Errno) {
 	a := abi.Args{Int: ints(fd, abi.O_NONBLOCK)}
 	var rets []int64
 	var errs []abi.Errno
-	if r.ringOK {
+	if r.sync {
 		reqs := make([]ringReq, max)
 		for i := range reqs {
 			reqs[i] = ringReq{trap: abi.SYS_accept, args: a.Int[:2]}
@@ -716,7 +675,7 @@ func (r *workerRT) AcceptBatch(fd, max int) ([]int, abi.Errno) {
 	var fds []int
 	for i := 0; len(fds) < max; i++ {
 		var res abi.Result
-		if r.ringOK {
+		if r.sync {
 			if i == len(rets) {
 				break
 			}

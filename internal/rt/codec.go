@@ -13,8 +13,10 @@ import (
 // says how each argument and the result travel. The async codec posts
 // the arguments as an abi.CallFrame and returns the abi.ReplyFrame's
 // result; the sync codec stages the arguments in the heap's scratch
-// region, issues the trap (scalar wake cell or ring frame), and reads
-// the results back out of the heap — the inverse of the kernel's codecs.
+// region, issues the trap as a ring frame, and reads the results back
+// out of the heap — the inverse of the kernel's codecs. A sync runtime
+// never sends readv or writev frames (Readv reads the total, Writev fans
+// out into write frames), so the sync codec stages no iovec tables.
 
 // call issues one system call on the runtime's transport.
 func (r *workerRT) call(trap int, a *abi.Args) abi.Result {
@@ -36,8 +38,8 @@ func (r *workerRT) call(trap int, a *abi.Args) abi.Result {
 	}
 	var s staged
 	r.stage(row, a, &s)
-	ret, err := r.syncCall(trap, s.words[:s.n]...)
-	return r.unstage(row, a, &s, ret, err)
+	rets, errs := r.ringCalls([]ringReq{{trap: trap, args: s.words[:s.n]}})
+	return r.unstage(row, a, &s, rets[0], errs[0])
 }
 
 var le = binary.LittleEndian
@@ -47,8 +49,7 @@ var le = binary.LittleEndian
 type staged struct {
 	words [8]int64
 	n     int
-	out   int64       // result buffer or record
-	iovs  []abi.Iovec // ArgLens targets
+	out   int64 // result buffer or record
 }
 
 func (s *staged) push(w ...int64) {
@@ -84,19 +85,6 @@ func (r *workerRT) stage(row *abi.Syscall, a *abi.Args, s *staged) {
 			}
 			ptr, _ := r.putBytes(buf)
 			s.push(ptr, int64(len(a.Ints)))
-		case abi.ArgBufs:
-			iovs := make([]abi.Iovec, len(a.Bufs))
-			for i, b := range a.Bufs {
-				ptr, n := r.putBytes(b)
-				iovs[i] = abi.Iovec{Ptr: ptr, Len: n}
-			}
-			s.push(r.putIovecs(iovs), int64(len(iovs)))
-		case abi.ArgLens:
-			s.iovs = make([]abi.Iovec, len(a.Lens))
-			for i, n := range a.Lens {
-				s.iovs[i] = abi.Iovec{Ptr: r.alloc(int64(n)), Len: int64(n)}
-			}
-			s.push(r.putIovecs(s.iovs), int64(len(s.iovs)))
 		case abi.ArgPollfds:
 			buf := make([]byte, len(a.Pollfds)*abi.PollfdSize)
 			abi.PackPollfds(buf, a.Pollfds)
@@ -119,14 +107,6 @@ func (r *workerRT) stage(row *abi.Syscall, a *abi.Args, s *staged) {
 	}
 }
 
-// putIovecs stages an iovec table in scratch.
-func (r *workerRT) putIovecs(iovs []abi.Iovec) int64 {
-	ptr := r.alloc(int64(len(iovs) * abi.IovecSize))
-	abi.PackIovecs(r.heap.Bytes()[ptr:], iovs)
-	r.heap.MarkDirty(int(ptr), len(iovs)*abi.IovecSize)
-	return ptr
-}
-
 // unstage reads a completed call's results back out of the heap.
 func (r *workerRT) unstage(row *abi.Syscall, a *abi.Args, s *staged, ret int64, err abi.Errno) abi.Result {
 	res := abi.Result{Ret: ret, Err: err}
@@ -138,18 +118,6 @@ func (r *workerRT) unstage(row *abi.Syscall, a *abi.Args, s *staged, ret int64, 
 	case abi.RetBytes:
 		res.Data = make([]byte, ret)
 		copy(res.Data, hb[s.out:s.out+ret])
-	case abi.RetSegs:
-		n := ret
-		for _, iov := range s.iovs {
-			if n <= 0 {
-				break
-			}
-			take := min(iov.Len, n)
-			buf := make([]byte, take)
-			copy(buf, hb[iov.Ptr:iov.Ptr+take])
-			res.Segs = append(res.Segs, buf)
-			n -= take
-		}
 	case abi.RetStat:
 		res.Stat = abi.UnpackStat(hb[s.out : s.out+abi.StatSize])
 	case abi.RetStr:

@@ -5,33 +5,38 @@ import (
 )
 
 // Process side of the shared-memory ring-buffer syscall transport (the
-// fast path §3.2/§6 point toward). After registering its personality, a
-// synchronous runtime carves a request ring and a reply ring out of the
-// top of its shared heap and offers them to the kernel. From then on a
-// system call is: push a call frame, ring the doorbell (one postMessage
-// regardless of how many frames are queued), Atomics.wait, pop the reply.
-// Batched operations — writev fanning out into per-buffer write frames —
-// share a doorbell and usually a single kernel dispatch.
+// fast path §3.2/§6 point toward), the only synchronous transport. After
+// registering its personality, a synchronous runtime carves a request
+// ring and a reply ring out of the top of its shared heap and registers
+// them with the kernel. From then on a system call is: push a call
+// frame, ring the doorbell (one postMessage regardless of how many
+// frames are queued), Atomics.wait, pop the reply. Batched operations —
+// writev fanning out into per-buffer write frames — share a doorbell and
+// usually a single kernel dispatch.
 
-// negotiateRing carves the ring regions and offers them to the kernel.
-// Refusal (an old kernel, or Features.NoRing) leaves the runtime on
-// the scalar wake-cell path.
+// negotiateRing carves the ring regions and registers them with the
+// kernel. Without its rings a synchronous runtime cannot make a system
+// call, so a refusal fails the boot with exit status 127.
 func (r *workerRT) negotiateRing() {
-	if int64(r.heap.Len()) < int64(scratchBase+4*ringRegionSize) {
-		return
+	reqOff, repOff := r.carveRings()
+	if _, err := r.asyncCall("ring", reqOff, int64(ringRegionSize), repOff, int64(ringRegionSize)); err != abi.OK {
+		r.Exit(127)
 	}
-	reqOff := int64(r.heap.Len() - 2*ringRegionSize)
-	repOff := int64(r.heap.Len() - ringRegionSize)
+}
+
+// carveRings wraps the two ring regions at the top of the heap, resets
+// their cursors, and ends the scratch region below them. It returns the
+// regions' heap offsets.
+func (r *workerRT) carveRings() (reqOff, repOff int64) {
+	hlen := int64(r.heap.Len())
+	reqOff, repOff = hlen-2*ringRegionSize, hlen-ringRegionSize
 	b := r.heap.Bytes()
 	r.reqRing = abi.NewRing(b[reqOff : reqOff+ringRegionSize])
 	r.repRing = abi.NewRing(b[repOff : repOff+ringRegionSize])
 	r.reqRing.Reset()
 	r.repRing.Reset()
-	if _, err := r.asyncCall("ring", reqOff, int64(ringRegionSize), repOff, int64(ringRegionSize)); err != abi.OK {
-		return
-	}
-	r.ringOK = true
 	r.scratchTop = reqOff
+	return reqOff, repOff
 }
 
 // ringReq is one call frame of a batch.

@@ -128,3 +128,40 @@ func TestHostRunUnknownProgram(t *testing.T) {
 		t.Fatalf("code = %d, want 127", res.Code)
 	}
 }
+
+// TestRefusedRingFailsBoot: a synchronous runtime has no transport
+// without its ring, so a kernel that refuses the ring registration sees
+// the boot exit with status 127 before main runs.
+func TestRefusedRingFailsBoot(t *testing.T) {
+	sim := sched.New()
+	sys := browser.NewSystem(sim, browser.Chrome())
+	ran := false
+	prog := &posix.Program{Name: "t-ring-refused", Main: func(posix.Proc) int { ran = true; return 0 }}
+	url := sys.CreateObjectURL([]byte("stub"))
+	exit, calls := -1, []string{}
+	sim.Post(sys.Main.Sched(), 0, func() {
+		w := sys.NewWorker(sys.Main, url, func(w *browser.Worker) { bootWorker(sys, w, prog, WasmKind) })
+		w.OnMessage = func(v browser.Value) {
+			if f, ok := v.(*abi.CallFrame); ok && f.Trap == abi.SYS_exit {
+				exit = int(f.Args.Int[0])
+				return
+			}
+			m := v.(map[string]browser.Value)
+			name := browser.GetString(m, "name")
+			calls = append(calls, name)
+			errno := abi.OK
+			if name == "ring" {
+				errno = abi.EINVAL
+			}
+			w.PostMessage(map[string]browser.Value{"type": "reply", "id": m["id"], "ret": []browser.Value{int64(0), int64(errno)}})
+		}
+		w.PostMessage(map[string]browser.Value{"type": "init", "pid": int64(2)})
+	})
+	sim.Run()
+	if exit != 127 || ran {
+		t.Fatalf("exit %d, main ran %v; want 127 without main", exit, ran)
+	}
+	if len(calls) != 2 || calls[0] != "personality" || calls[1] != "ring" {
+		t.Fatalf("registration calls %v, want [personality ring]", calls)
+	}
+}

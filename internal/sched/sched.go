@@ -23,6 +23,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 )
@@ -174,12 +175,16 @@ var ErrKilled = fmt.Errorf("sched: coroutine killed")
 
 // Sim is the discrete-event simulator.
 type Sim struct {
-	ctxs   []*Ctx
-	seq    uint64
-	steps  uint64
-	cur    *Ctx // context currently executing an event
-	curG   *G   // coroutine currently holding the token, nil if scheduler code
-	schedC chan any
+	ctxs   []*Ctx // live contexts, in creation order
+	nextID int
+	// frontier is the latest clock of any killed context, so Now does
+	// not move back when a context leaves ctxs.
+	frontier int64
+	seq      uint64
+	steps    uint64
+	cur      *Ctx // context currently executing an event
+	curG     *G   // coroutine currently holding the token, nil if scheduler code
+	schedC   chan any
 
 	// MaxSteps bounds Run to guard against runaway simulations in tests.
 	// Zero means no bound.
@@ -193,15 +198,22 @@ func New() *Sim {
 
 // NewCtx registers a new execution context.
 func (s *Sim) NewCtx(name string) *Ctx {
-	c := &Ctx{sim: s, name: name, id: len(s.ctxs)}
+	c := &Ctx{sim: s, name: name, id: s.nextID}
+	s.nextID++
 	s.ctxs = append(s.ctxs, c)
 	return c
 }
 
 // KillCtx terminates a context: queued and future events are dropped, and
 // every parked coroutine on it is unwound with ErrKilled so deferred
-// cleanup runs. Used for Worker.terminate().
+// cleanup runs. The context leaves the scan Step, Quiescent and
+// BlockedCtxs make, and its clock folds into the frontier. Used for
+// Worker.terminate().
 func (s *Sim) KillCtx(c *Ctx) {
+	if i := slices.Index(s.ctxs, c); i >= 0 {
+		s.ctxs = slices.Delete(s.ctxs, i, i+1)
+	}
+	s.frontier = max(s.frontier, c.now)
 	c.dead = true
 	c.q = nil
 	c.wake = nil
@@ -266,7 +278,7 @@ func (s *Sim) Now() int64 {
 	if s.cur != nil {
 		return s.cur.now
 	}
-	var t int64
+	t := s.frontier
 	for _, c := range s.ctxs {
 		if c.now > t {
 			t = c.now
@@ -464,6 +476,10 @@ func (s *Sim) Step() bool {
 			best.now = ev.at
 		}
 		ev.fn()
+	}
+	if best.dead {
+		// Killed during its own event: later charges still count.
+		s.frontier = max(s.frontier, best.now)
 	}
 	s.cur = nil
 	return true

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -241,6 +242,56 @@ func TestKillCtxDropsEvents(t *testing.T) {
 	}
 	if !w.Dead() {
 		t.Fatal("context not dead")
+	}
+}
+
+// TestKillCtxLeavesScan: a killed context leaves the scan list, the
+// others keep their order (and so their tie-breaks), ids stay unique,
+// and the frontier Now reports does not move back.
+func TestKillCtxLeavesScan(t *testing.T) {
+	s := New()
+	a, b, c := s.NewCtx("a"), s.NewCtx("b"), s.NewCtx("c")
+	s.Post(b, 0, func() { s.Charge(500) })
+	s.Run()
+	if s.Now() != 500 {
+		t.Fatalf("frontier %d, want 500", s.Now())
+	}
+	s.KillCtx(b)
+	s.KillCtx(b) // idempotent
+	if len(s.ctxs) != 2 || s.ctxs[0] != a || s.ctxs[1] != c {
+		t.Fatalf("live contexts %v, want [a c]", s.Dump())
+	}
+	if s.Now() != 500 {
+		t.Fatalf("frontier moved back to %d after the kill", s.Now())
+	}
+	d := s.NewCtx("d")
+	if d.id == a.id || d.id == b.id || d.id == c.id {
+		t.Fatalf("new context reused id %d", d.id)
+	}
+	// Same-instant events on a, c and d still run in posting order.
+	var order []string
+	for _, x := range []*Ctx{d, c, a} {
+		x := x
+		s.Post(x, 1000, func() { order = append(order, x.name) })
+	}
+	s.Run()
+	if fmt.Sprint(order) != "[d c a]" {
+		t.Fatalf("order %v, want [d c a]", order)
+	}
+}
+
+// TestKillCtxSelfChargeCounts: a context killed while it runs may keep
+// charging until its event returns; the frontier includes those charges.
+func TestKillCtxSelfChargeCounts(t *testing.T) {
+	s := New()
+	w := s.NewCtx("worker")
+	s.Post(w, 100, func() {
+		s.KillCtx(w)
+		s.Charge(50)
+	})
+	s.Run()
+	if len(s.ctxs) != 0 || s.Now() != 150 {
+		t.Fatalf("live=%d now=%d, want 0 and 150", len(s.ctxs), s.Now())
 	}
 }
 

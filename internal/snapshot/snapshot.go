@@ -59,12 +59,10 @@ type Image struct {
 
 	// HeapLen is the captured heap size in bytes; 0 for runtimes with no
 	// registered heap (async transports), whose clones skip restore
-	// entirely. RingOK/ScratchTop record the negotiated transport state
-	// baked into the heap bytes, so a clone re-registers the same layout
-	// without re-running the negotiation round trips.
-	HeapLen    int
-	RingOK     bool
-	ScratchTop int64
+	// entirely. The heap bytes hold the ring layout the capture
+	// registered, so a clone re-registers it without the negotiation
+	// round trips.
+	HeapLen int
 
 	store *fs.ImageStore
 	slots []int    // arena slot per page (store != nil)

@@ -30,7 +30,7 @@ import (
 // travel the synchronous path.
 func bootMemeLoad(t testing.TB, tr transport) *browsix.Instance {
 	t.Helper()
-	in := browsix.Boot(browsix.Config{Features: variant{tr: tr}.features()})
+	in := browsix.Boot(browsix.Config{})
 	browsix.InstallBase(in)
 	browsix.InstallMeme(in, 40_000_000)
 	if tr != async {
@@ -139,6 +139,27 @@ func TestSwarmRoundsLeaveNoServerConns(t *testing.T) {
 	}
 	if sizes[0] != sizes[1] {
 		t.Errorf("server descriptor count grew across rounds: %v", sizes)
+	}
+}
+
+// TestSwarmRoundsLeaveNoLoadgenCtxs: a finished swarm kills its load
+// generator's context, so five rounds against one server leave as many
+// live simulator contexts as one round.
+func TestSwarmRoundsLeaveNoLoadgenCtxs(t *testing.T) {
+	in := bootMemeLoad(t, async)
+	in.StartMemeServerArgs()
+	var live []int
+	for round := 0; round < 5; round++ {
+		s := healthSwarm(8, 4, true)
+		s.Seed += uint64(round)
+		if rep := browsix.RunSwarm(in, s, meme.Port); rep.Requests != 32 || rep.Errors != 0 {
+			t.Fatalf("round %d: %+v", round, rep)
+		}
+		in.Run()
+		live = append(live, strings.Count(in.Sim.Dump(), "\n")) // one line per live context
+	}
+	if live[4] != live[0] {
+		t.Errorf("live contexts per round %v; want the first round's count throughout", live)
 	}
 }
 
@@ -365,7 +386,7 @@ func init() {
 // plus the dial outcomes observed on the kernel (client) side.
 func runSockEdge(t *testing.T, tr transport) (string, []abi.Errno) {
 	t.Helper()
-	in := browsix.Boot(browsix.Config{Features: variant{tr: tr}.features()})
+	in := browsix.Boot(browsix.Config{})
 	browsix.InstallBase(in)
 	kind := rt.GopherJSKind
 	if tr != async {
@@ -412,9 +433,9 @@ func runSockEdge(t *testing.T, tr transport) (string, []abi.Errno) {
 	return string(stdout), dialErrs
 }
 
-// TestSocketEdgesAcrossTransports runs the probe under the async,
-// scalar-sync, and ring transports: every edge-case outcome — printed by
-// the probe and observed by the dialers — must be byte-identical.
+// TestSocketEdgesAcrossTransports runs the probe under the async and
+// ring transports: every edge-case outcome — printed by the probe and
+// observed by the dialers — must be byte-identical.
 func TestSocketEdgesAcrossTransports(t *testing.T) {
 	want := fmt.Sprintf(
 		"accept-empty=%d\nprobe-ready=0\ntimed-ready=0\n"+

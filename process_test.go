@@ -15,7 +15,7 @@ import (
 // Tests for the process-handle API: Start(Spec) → *Process, live streams,
 // env/cwd/stdin plumbing, and the typed deadlock error. The interactive
 // stdin cases double as the acceptance differential: byte-identical
-// output across the scalar and ring synchronous transports.
+// output on the async and ring transports.
 
 func TestStartEnvDirPlumbing(t *testing.T) {
 	in := bootBase(t)
@@ -198,8 +198,8 @@ func TestStartStdoutSinkStreamsLive(t *testing.T) {
 }
 
 // TestInteractiveCatAcrossTransports is the acceptance case: cat fed
-// incrementally then EOF, byte-identical across the scalar and ring
-// synchronous transports (and the async runtime).
+// incrementally then EOF, byte-identical on the ring transport and the
+// async runtime.
 func TestInteractiveCatAcrossTransports(t *testing.T) {
 	feed := []string{"first line\n", "second ", "line\n", "third\n"}
 	run := func(name string, in *browsix.Instance) string {
@@ -255,7 +255,7 @@ func countFed(feed []string, upto string) int {
 }
 
 // TestShellPipelineHostStdinAcrossTransports: a pipeline whose first
-// stage reads host stdin, across all three transports, byte-identical.
+// stage reads host stdin, on both transports, byte-identical.
 func TestShellPipelineHostStdinAcrossTransports(t *testing.T) {
 	input := "delta\nalpha\ncharlie\nbravo\nalpha\n"
 	run := func(name string, in *browsix.Instance) string {

@@ -10,11 +10,11 @@ import (
 )
 
 // Signal-delivery coverage for the process-handle API: a sleeping guest,
-// a guest blocked mid-pipe-write, and an already-exited pid, across both
-// synchronous transports (scalar wake-cell and ring).
+// a guest blocked mid-pipe-write, and an already-exited pid, on the
+// synchronous ring transport.
 
 func TestSignalSleepingGuest(t *testing.T) {
-	for _, v := range variants([]transport{scalar, ring}) {
+	for _, v := range variants([]transport{ring}) {
 		t.Run(v.String(), func(t *testing.T) {
 			in := v.boot(browsix.Config{})
 			p, err := in.Start(browsix.Spec{Argv: []string{"sleep", "5"}})
@@ -40,7 +40,7 @@ func TestSignalSleepingGuest(t *testing.T) {
 }
 
 func TestSignalMidPipeWriteGuest(t *testing.T) {
-	for _, v := range variants([]transport{scalar, ring}) {
+	for _, v := range variants([]transport{ring}) {
 		t.Run(v.String(), func(t *testing.T) {
 			in := v.boot(browsix.Config{})
 			// Stage a payload much larger than the 64 KiB pipe buffer, so
@@ -95,7 +95,7 @@ func TestSignalMidPipeWriteGuest(t *testing.T) {
 }
 
 func TestSignalExitedPidESRCH(t *testing.T) {
-	for _, v := range variants([]transport{scalar, ring}) {
+	for _, v := range variants([]transport{ring}) {
 		t.Run(v.String(), func(t *testing.T) {
 			in := v.boot(browsix.Config{})
 			p, err := in.Start(browsix.Spec{Argv: []string{"true"}})

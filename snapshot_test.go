@@ -10,11 +10,11 @@ import (
 )
 
 // Differential proof for the checkpoint/fork subsystem: snapshots change
-// nothing observable. Every transport (async Node runtimes, scalar sync,
-// ring sync) produces byte-identical stdout/stderr/exit codes with
-// snapshots on and off, repeated snapshot-on runs land on identical
-// virtual clocks, and a fleet of jobs cloned from one shared registry
-// shows zero cross-child page bleed with every COW pin returned.
+// nothing observable. Every transport (async Node runtimes, ring sync)
+// produces byte-identical stdout/stderr/exit codes with snapshots on and
+// off, repeated snapshot-on runs land on identical virtual clocks, and a
+// fleet of jobs cloned from one shared registry shows zero cross-child
+// page bleed with every COW pin returned.
 
 func snapPayload() []byte {
 	payload := make([]byte, 96*1024)

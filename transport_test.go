@@ -9,21 +9,19 @@ import (
 
 // transport is how a test program's syscalls reach the kernel: the
 // async postMessage codec of the Node runtimes, or the wasm runtime's
-// synchronous heap codec — one wake per call (scalar) or batched on the
-// ring.
+// synchronous heap codec, batched on the ring.
 type transport int
 
 const (
 	async transport = iota
-	scalar
 	ring
 )
 
 // transports lists every transport in the order differentials compare
 // them: the first is the reference.
-var transports = []transport{async, scalar, ring}
+var transports = []transport{async, ring}
 
-func (tr transport) String() string { return [...]string{"async", "scalar", "ring"}[tr] }
+func (tr transport) String() string { return [...]string{"async", "ring"}[tr] }
 
 // variant is one configuration of a differential: a transport and the
 // mechanisms switched off.
@@ -69,18 +67,11 @@ func (v variant) String() string {
 	return name
 }
 
-// features is v's Features with the scalar transport's ring refusal.
-func (v variant) features() browsix.Features {
-	ft := v.ft
-	ft.NoRing = v.tr == scalar
-	return ft
-}
-
 // boot boots cfg with v's features and the base image; on a sync
 // transport the coreutils are restaged on the wasm runtime so every
 // utility syscall travels the path under test.
 func (v variant) boot(cfg browsix.Config) *browsix.Instance {
-	cfg.Features = v.features()
+	cfg.Features = v.ft
 	in := browsix.Boot(cfg)
 	browsix.InstallBase(in)
 	if v.tr != async {
@@ -89,7 +80,7 @@ func (v variant) boot(cfg browsix.Config) *browsix.Instance {
 	return in
 }
 
-// Differential proof for the shell case studies: the three transports
+// Differential proof for the shell case studies: both transports
 // run the same pipelines to byte-identical results — and for each
 // transport, the VFS caches (dentry + page cache behind the namei
 // walker) change nothing observable: cache-on and cache-off runs are
@@ -166,9 +157,6 @@ func TestShellCaseStudiesIdenticalAcrossTransports(t *testing.T) {
 		if got.apples != ref.apples || got.out != ref.out {
 			t.Errorf("%s: apples.txt/out.txt %q/%q != %s %q/%q", v, got.apples, got.out, refName, ref.apples, ref.out)
 		}
-	}
-	if warm[scalar].ring != 0 {
-		t.Errorf("scalar instance used the ring (%d calls)", warm[scalar].ring)
 	}
 	if warm[ring].ring == 0 {
 		t.Error("ring instance never used the ring transport")
