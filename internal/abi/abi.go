@@ -335,5 +335,11 @@ const (
 	// SYS_setfl updates a descriptor's status flags (fcntl F_SETFL
 	// subset; only O_NONBLOCK is honored).
 	SYS_setfl
+	// SYS_personality registers a synchronous runtime's heap (§3.2); the
+	// kernel installs the rings HeapRings lays out in it.
+	SYS_personality
+	// SYS_snapcap asks the kernel to freeze the caller's post-boot state
+	// as its executable's snapshot image.
+	SYS_snapcap
 	SYS_max // sentinel
 )

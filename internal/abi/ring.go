@@ -67,11 +67,45 @@ func UnpackIovecs(b []byte, n int) []Iovec {
 // distinguishes full from empty, as in a classic circular buffer.
 // ---------------------------------------------------------------------------
 
+// ---------------------------------------------------------------------------
+// Heap layout.
+//
+// A synchronous process registers one SharedArrayBuffer heap with the
+// personality call; the kernel and the runtime derive everything else
+// from its length, through HeapRings:
+//
+//	[0,4)              wake cell (Atomics.wait / Atomics.notify)
+//	[4, top-2R)        the runtime's own (argument scratch)
+//	[top-2R, top-R)    request ring: call frames, process -> kernel
+//	[top-R, top)       reply ring: reply frames, kernel -> process
+//
+// with R = HeapRingSize. A snapshot image holds this layout too, so a
+// clone boot registers its restored heap exactly as a cold boot does.
+// ---------------------------------------------------------------------------
+
+const (
+	// HeapWakeOff is the wake cell the process Atomics.waits on.
+	HeapWakeOff = 0
+	// HeapRingSize is each ring's region, cursor header included.
+	HeapRingSize = 8 * 1024
+	// HeapMinSize is the smallest heap that holds the layout.
+	HeapMinSize = 4 + 2*HeapRingSize
+)
+
+// HeapRings wraps the request and reply rings of heap and returns the
+// offset where they begin (the request ring's); ok is false when heap is
+// smaller than HeapMinSize. It resets nothing: the process resets the
+// cursors before it registers the heap.
+func HeapRings(heap []byte) (req, rep Ring, off int, ok bool) {
+	if len(heap) < HeapMinSize {
+		return Ring{}, Ring{}, 0, false
+	}
+	off = len(heap) - 2*HeapRingSize
+	return NewRing(heap[off : off+HeapRingSize]), NewRing(heap[off+HeapRingSize:]), off, true
+}
+
 // RingHdrSize is the cursor header before a ring's data area.
 const RingHdrSize = 8
-
-// MinRingSize is the smallest usable ring region.
-const MinRingSize = RingHdrSize + 64
 
 // Ring is a single-producer single-consumer byte ring over shared memory.
 type Ring struct {

@@ -4,7 +4,48 @@ import (
 	"encoding/binary"
 	"runtime"
 	"testing"
+	"unsafe"
 )
+
+// minRingSize is a small ring region: the header and 64 data bytes.
+const minRingSize = RingHdrSize + 64
+
+// TestHeapRingsLayout: the rings sit at the top of the heap, one
+// HeapRingSize region each, clear of the wake cell, and a heap smaller
+// than HeapMinSize has no layout.
+func TestHeapRingsLayout(t *testing.T) {
+	for _, n := range []int{HeapMinSize, 1 << 20} {
+		heap := make([]byte, n)
+		req, rep, off, ok := HeapRings(heap)
+		if !ok {
+			t.Fatalf("%d-byte heap refused", n)
+		}
+		if off != n-2*HeapRingSize || off < HeapWakeOff+4 {
+			t.Fatalf("%d-byte heap: rings at %d", n, off)
+		}
+		if &req.B[0] != &heap[off] || len(req.B) != HeapRingSize || &rep.B[0] != &heap[off+HeapRingSize] || len(rep.B) != HeapRingSize {
+			t.Fatalf("%d-byte heap: rings do not tile the top of the heap", n)
+		}
+	}
+	for _, n := range []int{0, 4, HeapMinSize - 1} {
+		if _, _, _, ok := HeapRings(make([]byte, n)); ok {
+			t.Fatalf("%d-byte heap accepted", n)
+		}
+	}
+}
+
+// TestCallFrameSize pins CallFrame at 240 bytes on 64-bit platforms:
+// inside Go's 256-byte allocation class, which every async call pays
+// twice (the frame and its clone). One more word-sized field moves it to
+// the 288-byte class.
+func TestCallFrameSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(CallFrame{}); got != 240 {
+		t.Fatalf("unsafe.Sizeof(CallFrame{}) = %d, want 240", got)
+	}
+}
 
 func TestIovecRoundTrip(t *testing.T) {
 	iovs := []Iovec{{Ptr: 64, Len: 4096}, {Ptr: 4160, Len: 65536}, {Ptr: 1 << 40, Len: 1}}
@@ -50,7 +91,7 @@ func TestRingCallRoundTrip(t *testing.T) {
 
 func TestRingWrapAround(t *testing.T) {
 	// A small ring forces the cursors to wrap mid-frame many times.
-	r := NewRing(make([]byte, MinRingSize))
+	r := NewRing(make([]byte, minRingSize))
 	r.Reset()
 	seq := uint32(0)
 	for i := 0; i < 100; i++ {
@@ -100,7 +141,7 @@ func TestRingPopCallRejectsMalformedFrames(t *testing.T) {
 }
 
 func TestRingReplyRoundTripAndFull(t *testing.T) {
-	r := NewRing(make([]byte, MinRingSize))
+	r := NewRing(make([]byte, minRingSize))
 	r.Reset()
 	pushed := 0
 	for r.PushReply(uint32(pushed), int64(1000+pushed), EAGAIN) {
@@ -221,8 +262,8 @@ func FuzzRingRegion(f *testing.F) {
 		if len(b) > 1<<16 {
 			return
 		}
-		if len(b) < MinRingSize {
-			b = append(b, make([]byte, MinRingSize-len(b))...)
+		if len(b) < minRingSize {
+			b = append(b, make([]byte, minRingSize-len(b))...)
 		}
 		r := NewRing(b)
 		for i := 0; ; i++ {

@@ -4,12 +4,15 @@ import "fmt"
 
 // This file is the system-call table both transports share: one row per
 // trap naming the call, its Figure 3 class, and the shapes of its
-// arguments and result. The asynchronous transport carries the typed
-// Args and Result below in self-cloning frames (CallFrame, ReplyFrame);
-// the kernel and the runtimes each hold a heap codec that converts
-// between a row's shapes and the same types, so a call's semantics are
-// written once (the kernel's op for the trap) whichever transport
-// carries it.
+// arguments and result. Every call a process makes is a row here. The
+// asynchronous transport carries the typed Args and Result below in
+// self-cloning frames (CallFrame, ReplyFrame); the kernel and the
+// runtimes each hold a heap codec that converts between a row's shapes
+// and the same types, so a call's semantics are written once (the
+// kernel's op for the trap) whichever transport carries it. AsyncOnly
+// rows travel as frames on every runtime, synchronous ones included:
+// fork, and the two registrations, personality (which hands the kernel
+// the heap the ring transport lives in, see HeapRings) and snapcap.
 //
 // Adding a system call takes one row here plus one op in the kernel's op
 // table (internal/core/ops.go) and one posix.Proc method that fills Args
@@ -36,6 +39,7 @@ import "fmt"
 //	ArgOut      result capacity             ptr, cap of the result buffer
 //	ArgOutBuf   none                        ptr, cap of the result buffer
 //	ArgOutRec   none                        ptr of a result record sized by the row's Ret
+//	ArgHeap     SharedArrayBuffer (shared)  none (AsyncOnly rows only)
 type Arg uint8
 
 const (
@@ -53,6 +57,7 @@ const (
 	ArgOut
 	ArgOutBuf
 	ArgOutRec
+	ArgHeap
 )
 
 // Ret is the shape of a system call's result beyond [ret, errno]: the
@@ -90,7 +95,7 @@ type Transport uint8
 
 const (
 	Both      Transport = iota // one kernel op serves both transports
-	AsyncOnly                  // only the asynchronous transport (fork)
+	AsyncOnly                  // frames only, on every runtime (fork, the registrations)
 )
 
 // Figure 3's system-call classes.
@@ -103,8 +108,7 @@ const (
 	ClassFileMeta = "File Metadata"
 )
 
-// Syscall is one row of the table. Codec-local rows (Transport other
-// than Both) leave Args empty: their one codec decodes them itself.
+// Syscall is one row of the table.
 type Syscall struct {
 	Name      string // the asynchronous transport's call name
 	Class     string // Figure 3 class; "" for this reproduction's extensions
@@ -115,8 +119,8 @@ type Syscall struct {
 
 // Args are one call's typed arguments, filled in row order: ArgInt,
 // ArgFd and ArgOpt values go to Int, ArgStr to Str, ArgStrs to Strs,
-// ArgOut and ArgOutBuf capacities to Cap, and each list shape to its own
-// field.
+// ArgOut and ArgOutBuf capacities to Cap, ArgInts and ArgLens (no row
+// has both) to Ints, and each other shape to its own field.
 type Args struct {
 	Int     [3]int64
 	Str     [2]string
@@ -124,8 +128,10 @@ type Args struct {
 	Bytes   []byte
 	Ints    []int
 	Bufs    [][]byte
-	Lens    []int
 	Pollfds []Pollfd
+	// Heap is personality's heap, a *browser.SAB the kernel checks; it
+	// crosses by reference, as a SharedArrayBuffer does.
+	Heap any
 	// Cap is the result buffer's capacity; -1 when the transport leaves
 	// it unbounded (an asynchronous ArgOutBuf).
 	Cap int64
@@ -173,7 +179,7 @@ var Syscalls = [SYS_max]Syscall{
 	SYS_ftruncate:   {"ftruncate", ClassFileIO, Both, []Arg{ArgFd, ArgInt}, RetNone},
 	SYS_pipe2:       {"pipe2", ClassProc, Both, []Arg{ArgOutRec, ArgZero}, RetPair},
 	SYS_spawn:       {"spawn", ClassProc, Both, []Arg{ArgStr, ArgStrs, ArgStrs, ArgInts}, RetNone},
-	SYS_fork:        {"fork", ClassProc, AsyncOnly, nil, RetNone},
+	SYS_fork:        {"fork", ClassProc, AsyncOnly, []Arg{ArgBytes, ArgStr}, RetNone},
 	SYS_exec:        {"exec", ClassProc, Both, []Arg{ArgStr, ArgStrs, ArgStrs}, RetNone},
 	SYS_wait4:       {"wait4", ClassProc, Both, []Arg{ArgInt, ArgOutRec, ArgInt}, RetStatus},
 	SYS_exit:        {"exit", ClassProc, Both, []Arg{ArgInt}, RetNone},
@@ -195,6 +201,8 @@ var Syscalls = [SYS_max]Syscall{
 	SYS_fsync:       {"fsync", ClassFileIO, Both, []Arg{ArgFd}, RetNone},
 	SYS_poll:        {"poll", ClassSockets, Both, []Arg{ArgPollfds, ArgInt}, RetPollfds},
 	SYS_setfl:       {"setfl", ClassSockets, Both, []Arg{ArgFd, ArgInt}, RetNone},
+	SYS_personality: {"personality", "", AsyncOnly, []Arg{ArgHeap}, RetNone},
+	SYS_snapcap:     {"snapcap", "", AsyncOnly, nil, RetNone},
 }
 
 // ReaddirAlias is the paper's Figure 3 name for getdents.
@@ -295,12 +303,12 @@ func (f *CallFrame) CloneValue() (any, int64) {
 		case ArgBytes:
 			ca.Bytes = append(make([]byte, 0, len(a.Bytes)), a.Bytes...)
 			n += int64(len(a.Bytes)) + 8
-		case ArgInts:
+		case ArgInts, ArgLens:
 			ca.Ints = append([]int(nil), a.Ints...)
 			n += int64(len(a.Ints))*(numSize+8) + 8
-		case ArgLens:
-			ca.Lens = append([]int(nil), a.Lens...)
-			n += int64(len(a.Lens))*(numSize+8) + 8
+		case ArgHeap:
+			ca.Heap = a.Heap
+			n += 8
 		case ArgBufs:
 			var m int64
 			ca.Bufs, m = cloneBufs(a.Bufs, false)

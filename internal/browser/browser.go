@@ -263,13 +263,6 @@ func (s *SAB) Store32(off int, v uint32) {
 	}
 }
 
-// Add32 performs Atomics.add, returning the old value.
-func (s *SAB) Add32(off int, delta uint32) uint32 {
-	old := s.Load32(off)
-	s.Store32(off, old+delta)
-	return old
-}
-
 type futexKey struct {
 	sab int
 	off int

@@ -132,12 +132,6 @@ func GetArray(m map[string]Value, key string) []Value {
 	return a
 }
 
-// GetMap reads an object field from a message.
-func GetMap(m map[string]Value, key string) map[string]Value {
-	mm, _ := m[key].(map[string]Value)
-	return mm
-}
-
 // Strings converts a []Value of strings back to []string.
 func Strings(a []Value) []string {
 	out := make([]string, len(a))

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"testing"
 
@@ -39,12 +40,8 @@ func refArgs(row *abi.Syscall, a *abi.Args) []browser.Value {
 		case abi.ArgBytes:
 			vals = append(vals, a.Bytes)
 		case abi.ArgInts, abi.ArgLens:
-			list := a.Ints
-			if shape == abi.ArgLens {
-				list = a.Lens
-			}
-			arr := make([]browser.Value, len(list))
-			for i, v := range list {
+			arr := make([]browser.Value, len(a.Ints))
+			for i, v := range a.Ints {
 				arr[i] = int64(v)
 			}
 			vals = append(vals, arr)
@@ -62,6 +59,8 @@ func refArgs(row *abi.Syscall, a *abi.Args) []browser.Value {
 			vals = append(vals, raw)
 		case abi.ArgOut:
 			vals = append(vals, a.Cap)
+		case abi.ArgHeap:
+			vals = append(vals, a.Heap)
 		}
 	}
 	return vals
@@ -135,7 +134,10 @@ func refReply(f *abi.ReplyFrame) browser.Value {
 
 // Argument and result fixtures: every field populated, every field zero
 // or nil, and every list empty but non-nil. Each call builds fresh
-// slices, so a fixture can be mutated without touching another.
+// slices, so a fixture can be mutated without touching another; the
+// heap is shared, as a SharedArrayBuffer is.
+var fixtureHeap = browser.NewSAB(abi.HeapMinSize)
+
 func fullArgs() abi.Args {
 	return abi.Args{
 		Int:     [3]int64{3, 7, 1 << 40},
@@ -144,14 +146,14 @@ func fullArgs() abi.Args {
 		Bytes:   []byte("payload"),
 		Ints:    []int{0, 1, 2},
 		Bufs:    [][]byte{[]byte("ab"), {}, []byte("c")},
-		Lens:    []int{4, 0, 8},
+		Heap:    fixtureHeap,
 		Pollfds: []abi.Pollfd{{Fd: 3, Events: abi.POLLIN, Revents: abi.POLLHUP}, {Fd: 4, Events: abi.POLLOUT}},
 		Cap:     4096,
 	}
 }
 
 func emptyArgs() abi.Args {
-	return abi.Args{Strs: [2][]string{{}, {}}, Bytes: []byte{}, Ints: []int{}, Bufs: [][]byte{}, Lens: []int{}, Pollfds: []abi.Pollfd{}}
+	return abi.Args{Strs: [2][]string{{}, {}}, Bytes: []byte{}, Ints: []int{}, Bufs: [][]byte{}, Pollfds: []abi.Pollfd{}}
 }
 
 func fullResult(err abi.Errno) abi.Result {
@@ -178,7 +180,7 @@ func cloneBytes(v browser.Value) int64 {
 }
 
 // TestAsyncFrameCloneBytes checks every frame charges the bytes of the
-// object it stands for: every row both transports carry (exit among
+// object it stands for: every row (exit and the AsyncOnly rows among
 // them), every result shape, OK and error results, a refused call, an
 // ArgOpt zero and non-zero, and nil versus empty lists.
 func TestAsyncFrameCloneBytes(t *testing.T) {
@@ -194,9 +196,6 @@ func TestAsyncFrameCloneBytes(t *testing.T) {
 	}
 	rows := 0
 	for trap := 1; trap < abi.SYS_max; trap++ {
-		if abi.Syscalls[trap].Transport != abi.Both {
-			continue
-		}
 		rows++
 		name := abi.Syscalls[trap].Name
 		for an, mk := range args {
@@ -212,8 +211,8 @@ func TestAsyncFrameCloneBytes(t *testing.T) {
 			}
 		}
 	}
-	if rows == 0 || abi.Syscalls[abi.SYS_exit].Transport != abi.Both {
-		t.Fatalf("%d rows checked; exit must be among them", rows)
+	if rows != abi.SYS_max-1 {
+		t.Fatalf("%d rows checked, want %d", rows, abi.SYS_max-1)
 	}
 	for _, err := range []abi.Errno{abi.ENOSYS, abi.EBADF} {
 		f := &abi.ReplyFrame{ID: 1, Res: abi.Result{Ret: -1, Err: err}}
@@ -226,14 +225,51 @@ func TestAsyncFrameCloneBytes(t *testing.T) {
 	}
 }
 
+// TestRegistrationFrameCloneBytes compares the AsyncOnly rows' frames
+// with the plain objects the runtimes posted before these calls joined
+// the table. fork charges exactly what it did. personality and snapcap
+// charge exactly two number elements less: personality dropped its
+// unread return-value and wake offsets (the wake cell is
+// abi.HeapWakeOff), snapcap its two unread words. Replies are unchanged.
+func TestRegistrationFrameCloneBytes(t *testing.T) {
+	call := func(id int64, name string, args ...browser.Value) browser.Value {
+		return map[string]browser.Value{"type": "syscall", "id": id, "name": name, "args": args}
+	}
+	const dropped = 2 * (8 + 8) // two numbers, each in an array slot
+	heap := browser.NewSAB(1 << 20)
+	cases := []struct {
+		name  string
+		frame *abi.CallFrame
+		old   browser.Value
+		less  int64
+	}{
+		{"personality", &abi.CallFrame{ID: 0, Trap: abi.SYS_personality, Args: abi.Args{Heap: heap}},
+			call(0, "personality", heap, int64(8), int64(abi.HeapWakeOff)), dropped},
+		{"snapcap", &abi.CallFrame{ID: 1, Trap: abi.SYS_snapcap}, call(1, "snapcap", int64(0), int64(0)), dropped},
+		{"fork-empty", &abi.CallFrame{ID: 2, Trap: abi.SYS_fork, Args: abi.Args{Bytes: []byte{}}},
+			call(2, "fork", []byte{}, ""), 0},
+		{"fork", &abi.CallFrame{ID: 1 << 40, Trap: abi.SYS_fork, Args: abi.Args{Bytes: make([]byte, 1<<16), Str: [2]string{"resume-after-fork"}}},
+			call(1<<40, "fork", make([]byte, 1<<16), "resume-after-fork"), 0},
+	}
+	for _, c := range cases {
+		if got, want := cloneBytes(c.frame), cloneBytes(c.old)-c.less; got != want {
+			t.Errorf("%s call: frame charges %d bytes, want %d", c.name, got, want)
+		}
+		for _, res := range []abi.Result{{}, {Ret: 7}, {Ret: -1, Err: abi.EINVAL}} {
+			f := &abi.ReplyFrame{ID: c.frame.ID, Trap: c.frame.Trap, Res: res}
+			old := map[string]browser.Value{"type": "reply", "id": f.ID, "ret": []browser.Value{res.Ret, int64(res.Err)}}
+			if got, want := cloneBytes(f), cloneBytes(old); got != want {
+				t.Errorf("%s reply %+v: frame charges %d bytes, object %d", c.name, res, got, want)
+			}
+		}
+	}
+}
+
 // TestAsyncFrameCloneIsDeep checks a cloned frame shares no memory with
 // the original: mutating every byte, string list and record the
 // original holds leaves the copy as a clone of an untouched original.
 func TestAsyncFrameCloneIsDeep(t *testing.T) {
 	for trap := 1; trap < abi.SYS_max; trap++ {
-		if abi.Syscalls[trap].Transport != abi.Both {
-			continue
-		}
 		f := &abi.CallFrame{ID: 1, Trap: trap, Args: fullArgs()}
 		c, _ := browser.Clone(f)
 		a := &f.Args
@@ -242,7 +278,7 @@ func TestAsyncFrameCloneIsDeep(t *testing.T) {
 			scribble(b)
 		}
 		a.Strs[0][0], a.Strs[1][0] = "x", "y"
-		a.Ints[0], a.Lens[0] = 99, 99
+		a.Ints[0] = 99
 		a.Pollfds[0] = abi.Pollfd{Fd: 99, Events: 99}
 		want, _ := browser.Clone(&abi.CallFrame{ID: 1, Trap: trap, Args: fullArgs()})
 		if !reflect.DeepEqual(c, want) {
@@ -323,9 +359,9 @@ func TestAsyncFrameHostile(t *testing.T) {
 		{"trap -1", abi.CallFrame{Trap: -1}, abi.ENOSYS},
 		{"trap 0", abi.CallFrame{Trap: 0}, abi.ENOSYS},
 		{"trap SYS_max", abi.CallFrame{Trap: abi.SYS_max}, abi.ENOSYS},
-		{"fork (async only, not a frame)", abi.CallFrame{Trap: abi.SYS_fork}, abi.ENOSYS},
-		{"readv 1025 lens", abi.CallFrame{Trap: abi.SYS_readv, Args: abi.Args{Int: [3]int64{hcFd}, Lens: make([]int, abi.IovMax+1)}}, abi.EINVAL},
-		{"readv negative len", abi.CallFrame{Trap: abi.SYS_readv, Args: abi.Args{Int: [3]int64{hcFd}, Lens: neg}}, abi.EINVAL},
+		{"readv 1025 lens", abi.CallFrame{Trap: abi.SYS_readv, Args: abi.Args{Int: [3]int64{hcFd}, Ints: make([]int, abi.IovMax+1)}}, abi.EINVAL},
+		{"readv negative len", abi.CallFrame{Trap: abi.SYS_readv, Args: abi.Args{Int: [3]int64{hcFd}, Ints: neg}}, abi.EINVAL},
+		{"readv total overflows", abi.CallFrame{Trap: abi.SYS_readv, Args: abi.Args{Int: [3]int64{hcFd}, Ints: []int{math.MaxInt, 1}}}, abi.EINVAL},
 		{"writev 1025 bufs", abi.CallFrame{Trap: abi.SYS_writev, Args: abi.Args{Int: [3]int64{hcFd}, Bufs: make([][]byte, abi.IovMax+1)}}, abi.EINVAL},
 		{"poll 4097 fds", abi.CallFrame{Trap: abi.SYS_poll, Args: abi.Args{Pollfds: make([]abi.Pollfd, abi.PollfdMax+1)}}, abi.EINVAL},
 		{"read negative count", abi.CallFrame{Trap: abi.SYS_read, Args: abi.Args{Int: [3]int64{hcFd}, Cap: -13}}, abi.EINVAL},
@@ -405,6 +441,9 @@ func fuzzCallFrames(data []byte) []*abi.CallFrame {
 		a.Str = [2]string{strs[int(next())%len(strs)], strs[int(next())%len(strs)]}
 		a.Strs = [2][]string{strs[:count()%len(strs)], strs[:count()%len(strs)]}
 		a.Bytes = make([]byte, count())
+		if f.Trap == abi.SYS_fork && next()%2 == 1 {
+			a.Bytes = make([]byte, 1<<18) // a large fork image
+		}
 		for n := count(); len(a.Ints) < n; {
 			a.Ints = append(a.Ints, int(num()))
 		}
@@ -412,8 +451,13 @@ func fuzzCallFrames(data []byte) []*abi.CallFrame {
 		for i := range a.Bufs {
 			a.Bufs[i] = make([]byte, int(next())%4)
 		}
-		for n := count(); len(a.Lens) < n; {
-			a.Lens = append(a.Lens, int(num()%(1<<20)))
+		switch next() % 4 { // personality's heap
+		case 1:
+			a.Heap = a.Bytes // not a SharedArrayBuffer
+		case 2:
+			a.Heap = browser.NewSAB(int(next()) * 64) // smaller than the layout
+		case 3:
+			a.Heap = browser.NewSAB(abi.HeapMinSize)
 		}
 		a.Pollfds = make([]abi.Pollfd, count())
 		for i := range a.Pollfds {
@@ -447,6 +491,15 @@ func FuzzAsyncFrame(f *testing.F) {
 	f.Add([]byte{abi.SYS_writev, 3, 0, 0, 0, 0, 0, 0, 0, 0, 2, 1, 2})
 	f.Add([]byte{0xff, abi.SYS_max, 0, abi.SYS_fork})
 	f.Add([]byte{abi.SYS_spawn, 0, 0, 0, 0, 0, 3, 3, 0, 2, 5, 5})
+	// The AsyncOnly rows: personality with a heap that is not a
+	// SharedArrayBuffer, one under the layout, and a valid one followed
+	// by a read; fork with an empty and a large image; snapcap.
+	f.Add([]byte{abi.SYS_personality, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0})
+	f.Add([]byte{abi.SYS_personality, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 3, 0, 0})
+	f.Add([]byte{abi.SYS_personality, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, abi.SYS_read, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 32})
+	f.Add([]byte{abi.SYS_fork, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{abi.SYS_fork, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0})
+	f.Add([]byte{abi.SYS_snapcap})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		frames := fuzzCallFrames(data)
 		if len(frames) == 0 {

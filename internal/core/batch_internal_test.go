@@ -21,8 +21,9 @@ type ringWorld struct {
 	task *Task
 }
 
+// ringWorldHeap is the heap a ringWorld's task registers: the runtimes'
+// size, with the abi layout's rings at its top.
 const ringWorldHeap = 1 << 20
-const ringWorldRing = 16 * 1024
 
 func newRingWorld(t testing.TB) *ringWorld {
 	sim := sched.New()
@@ -30,18 +31,10 @@ func newRingWorld(t testing.TB) *ringWorld {
 	clock := func() int64 { return sim.Now() }
 	fsys := fs.NewFileSystem(fs.NewMemFS(clock), clock)
 	k := NewKernel(sys, fsys, nil)
-	task := &Task{
-		k:       k,
-		Pid:     1,
-		cwd:     "/",
-		heap:    browser.NewSAB(ringWorldHeap),
-		waitOff: 0,
-	}
+	task := &Task{k: k, Pid: 1, cwd: "/"}
 	k.tasks[1] = task
-	reqOff := int64(ringWorldHeap - 2*ringWorldRing)
-	repOff := int64(ringWorldHeap - ringWorldRing)
-	if err := k.registerRing(task, reqOff, ringWorldRing, repOff, ringWorldRing); err != abi.OK {
-		t.Fatalf("registerRing: %v", err)
+	if err := task.setPersonality(browser.NewSAB(ringWorldHeap)); err != abi.OK {
+		t.Fatalf("personality: %v", err)
 	}
 	task.ring.req.Reset()
 	task.ring.rep.Reset()

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/abi"
@@ -170,10 +171,14 @@ func TestHeapCodecBadPointerEFAULT(t *testing.T) {
 	}
 }
 
-// TestSyscallTableComplete: every trap below SYS_max has a row, and is
-// either served by the shared op table or local to the async codec;
-// every name the runtimes send decodes.
+// TestSyscallTableComplete: every trap below SYS_max has a row with a
+// name of its own and exactly one op in sysOps, the kernel's only
+// dispatch table (the entry outside the table is empty). Only AsyncOnly
+// rows, which the heap codec refuses, take a heap argument.
 func TestSyscallTableComplete(t *testing.T) {
+	if sysOps[0] != nil {
+		t.Error("sysOps has an op for trap 0")
+	}
 	trapOf := map[string]int{}
 	for trap := 1; trap < abi.SYS_max; trap++ {
 		row := &abi.Syscalls[trap]
@@ -181,32 +186,20 @@ func TestSyscallTableComplete(t *testing.T) {
 			t.Errorf("trap %d has no row", trap)
 			continue
 		}
-		shared, async := sysOps[trap] != nil, asyncLocal[row.Name] != nil
 		if other, dup := trapOf[row.Name]; dup {
 			t.Errorf("%s names traps %d and %d", row.Name, other, trap)
 		}
 		trapOf[row.Name] = trap
-		switch row.Transport {
-		case abi.Both:
-			if !shared || async {
-				t.Errorf("%s: shared=%v async-local=%v, want only the shared op", row.Name, shared, async)
-			}
-		case abi.AsyncOnly:
-			if shared || !async || len(row.Args) != 0 {
-				t.Errorf("%s: shared=%v async-local=%v, want only the async codec", row.Name, shared, async)
-			}
+		if sysOps[trap] == nil {
+			t.Errorf("%s has no op", row.Name)
+		}
+		if row.Transport != abi.AsyncOnly && slices.Contains(row.Args, abi.ArgHeap) {
+			t.Errorf("%s: the heap codec would carry an ArgHeap", row.Name)
 		}
 	}
-	for name := range asyncLocal {
-		if trap, ok := trapOf[name]; ok && abi.Syscalls[trap].Transport != abi.AsyncOnly {
-			t.Errorf("async-local %s shadows a shared row", name)
-		}
-	}
-	// The calls internal/rt sends by name, outside the table's frames:
-	// transport registrations, snapshots and fork.
-	for _, name := range []string{"personality", "ring", "snapcap", "restore", "fork"} {
-		if asyncLocal[name] == nil {
-			t.Errorf("runtime call %q does not decode", name)
+	for _, name := range []string{"fork", "personality", "snapcap"} {
+		if trap := trapOf[name]; abi.Syscalls[trap].Transport != abi.AsyncOnly {
+			t.Errorf("%s: want an AsyncOnly row", name)
 		}
 	}
 }

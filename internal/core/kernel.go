@@ -212,7 +212,7 @@ func (k *Kernel) Spawn(parent *Task, spec SpawnSpec, cb func(int, abi.Errno)) {
 			if spec.Env != nil {
 				t.Env = spec.Env
 			}
-			t.heap, t.waitOff, t.ring = nil, 0, nil
+			t.heap, t.ring = nil, nil
 			k.releaseTaskSnapshot(t)
 			t.sigActions = map[int]sigAction{}
 			old := t.worker
@@ -290,8 +290,8 @@ func (k *Kernel) Spawn(parent *Task, spec SpawnSpec, cb func(int, abi.Errno)) {
 			k.CloneBoots.Add(1)
 			k.Snapshots.Stats().CloneBoots.Add(1)
 		case k.Snapshots != nil && !k.Snapshots.Sealed() && spec.Fork == nil:
-			// First boot of this runtime: ask it to call back with
-			// "snapcap" once init and transport negotiation finish.
+			// First boot of this runtime: ask it to call snapcap once
+			// init and its personality registration finish.
 			t.snapcap = true
 			init["snapcap"] = int64(1)
 		}

@@ -2,10 +2,10 @@ package core
 
 import "repro/internal/abi"
 
-// The kernel's shared system-call table: one op per trap of abi.Syscalls
-// whose row is carried by both transports. An op receives the typed
-// arguments a codec decoded (syscall.go for the asynchronous transport,
-// synccall.go for the heap) and completes exactly once with a typed
+// The kernel's shared system-call table: one op per trap of abi.Syscalls.
+// An op receives the typed arguments a codec decoded (syscall.go for the
+// asynchronous transport, synccall.go for the heap, which serves only the
+// rows both transports carry) and completes exactly once with a typed
 // result the same codec encodes — except exit, and exec on success,
 // which never complete. Ops must copy what their continuations need out
 // of a into locals: a continuation capturing a itself would move every
@@ -21,6 +21,15 @@ type callArgs struct {
 type sysOp func(k *Kernel, t *Task, a callArgs, done func(abi.Result))
 
 func res(ret int64, err abi.Errno) abi.Result { return abi.Result{Ret: ret, Err: err} }
+
+// errRes is the result of a call that returns no value: 0, or -1 and
+// err.
+func errRes(err abi.Errno) abi.Result {
+	if err != abi.OK {
+		return res(-1, err)
+	}
+	return abi.Result{}
+}
 
 // errDone adapts done to the errno-only continuations of fs calls.
 func errDone(done func(abi.Result)) func(abi.Errno) {
@@ -97,7 +106,7 @@ func init() {
 		},
 		abi.SYS_readv: func(k *Kernel, t *Task, a callArgs, done func(abi.Result)) {
 			total := 0
-			for _, n := range a.Lens {
+			for _, n := range a.Ints {
 				total += n
 			}
 			if total == 0 {
@@ -185,6 +194,9 @@ func init() {
 		},
 		abi.SYS_spawn: func(k *Kernel, t *Task, a callArgs, done func(abi.Result)) {
 			k.doSpawn(t, a.Str[0], a.Strs[0], a.Strs[1], a.Ints, countDone(done))
+		},
+		abi.SYS_fork: func(k *Kernel, t *Task, a callArgs, done func(abi.Result)) {
+			k.doFork(t, &ForkImage{Mem: a.Bytes, Label: a.Str[0]}, countDone(done))
 		},
 		abi.SYS_exec: func(k *Kernel, t *Task, a callArgs, done func(abi.Result)) {
 			// Only failures complete; on success the old image is gone.
@@ -288,6 +300,12 @@ func init() {
 			// fcntl F_SETFL subset: only O_NONBLOCK is honored.
 			a.d.flags = a.d.flags&^abi.O_NONBLOCK | int(a.Int[1])&abi.O_NONBLOCK
 			done(res(0, abi.OK))
+		},
+		abi.SYS_personality: func(k *Kernel, t *Task, a callArgs, done func(abi.Result)) {
+			done(errRes(t.setPersonality(a.Heap)))
+		},
+		abi.SYS_snapcap: func(k *Kernel, t *Task, a callArgs, done func(abi.Result)) {
+			done(errRes(k.doSnapcap(t)))
 		},
 	}
 }

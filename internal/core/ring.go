@@ -1,18 +1,23 @@
 package core
 
-import "repro/internal/abi"
+import (
+	"repro/internal/abi"
+	"repro/internal/browser"
+)
 
 // Kernel side of the shared-memory ring-buffer syscall transport, the
 // only synchronous transport.
 //
-// A sync-transport process registers a pair of rings carved out of its
-// heap: it pushes call frames into the request ring, rings a doorbell
-// (one postMessage, regardless of how many frames are queued), and
-// Atomics.waits on its wake cell. The kernel drains the whole request
-// ring in a single dispatch, pushes reply frames into the reply ring as
-// calls complete, and wakes the process once per batch — so a task
-// draining a ready pipe completes several system calls per kernel
-// dispatch instead of paying a message round trip each.
+// A sync-transport process registers its heap with one personality
+// call; the kernel installs the request and reply rings abi.HeapRings
+// lays out at the top of it. The process pushes call frames into the
+// request ring, rings a doorbell (one postMessage, regardless of how
+// many frames are queued), and Atomics.waits on the wake cell. The
+// kernel drains the whole request ring in a single dispatch, pushes
+// reply frames into the reply ring as calls complete, and wakes the
+// process once per batch — so a task draining a ready pipe completes
+// several system calls per kernel dispatch instead of paying a message
+// round trip each.
 //
 // Calls whose completion is deferred (a read against an empty pipe) reply
 // out of order; frames carry sequence numbers so the process can match
@@ -23,11 +28,11 @@ type taskRing struct {
 	req abi.Ring // process -> kernel call frames
 	rep abi.Ring // kernel -> process reply frames
 
-	// Registered heap offsets of the two regions. The checkpoint path
-	// needs them: ring pages are written through retained views that
+	// off is the heap offset where the rings begin. The checkpoint path
+	// needs it: ring pages are written through retained views that
 	// bypass the heap's dirty-tracking barriers, so a final stop-copy
 	// must always re-copy them.
-	reqOff, reqLen, repOff, repLen int64
+	off int
 
 	draining bool        // inside drainRing's dispatch loop
 	dirty    bool        // replies pushed since the last wake
@@ -40,25 +45,19 @@ type ringReply struct {
 	err abi.Errno
 }
 
-// registerRing validates and installs a task's ring regions (the "ring"
-// registration call). Both regions must lie inside the registered heap
-// and hold at least abi.MinRingSize bytes.
-func (k *Kernel) registerRing(t *Task, reqOff, reqLen, repOff, repLen int64) abi.Errno {
-	if t.heap == nil {
+// setPersonality registers a task's heap (the personality call) and
+// installs the rings laid out in it. The heap must be a SharedArrayBuffer
+// that holds the abi layout.
+func (t *Task) setPersonality(v any) abi.Errno {
+	sab, _ := v.(*browser.SAB)
+	if sab == nil {
 		return abi.EINVAL
 	}
-	ok := func(off, n int64) bool {
-		return n >= abi.MinRingSize && t.heapRange(off, n, 1) == abi.OK
-	}
-	if !ok(reqOff, reqLen) || !ok(repOff, repLen) {
+	req, rep, off, ok := abi.HeapRings(sab.Bytes())
+	if !ok {
 		return abi.EINVAL
 	}
-	b := t.heap.Bytes()
-	t.ring = &taskRing{
-		req:    abi.NewRing(b[reqOff : reqOff+reqLen]),
-		rep:    abi.NewRing(b[repOff : repOff+repLen]),
-		reqOff: reqOff, reqLen: reqLen, repOff: repOff, repLen: repLen,
-	}
+	t.heap, t.ring = sab, &taskRing{req: req, rep: rep, off: off}
 	return abi.OK
 }
 
@@ -167,6 +166,6 @@ func (k *Kernel) flushRingWake(t *Task) {
 	}
 	r.dirty = false
 	k.RingNotifies.Add(1)
-	t.heap.Store32(t.waitOff, 1)
-	k.Sys.FutexNotify(t.heap, t.waitOff, 1)
+	t.heap.Store32(abi.HeapWakeOff, 1)
+	k.Sys.FutexNotify(t.heap, abi.HeapWakeOff, 1)
 }

@@ -7,52 +7,84 @@ import (
 	"repro/internal/browser"
 )
 
-// TestRegisterRingRefusesBadRegions: the "ring" registration answers
-// EINVAL, and installs no ring, for a region outside the heap, a region
-// smaller than abi.MinRingSize, and a call made before "personality".
-func TestRegisterRingRefusesBadRegions(t *testing.T) {
-	const heap, size = ringWorldHeap, ringWorldRing
-	req, rep := int64(heap-2*size), int64(heap-size)
+// TestPersonalityRefusesBadHeaps: the personality call answers EINVAL,
+// and installs neither heap nor ring, when the heap is nil, is not a
+// SharedArrayBuffer, or is smaller than the abi heap layout — on the op
+// and through a posted frame. The smallest heap that holds the layout
+// is accepted, with its rings where abi.HeapRings puts them.
+func TestPersonalityRefusesBadHeaps(t *testing.T) {
 	cases := []struct {
-		name                           string
-		reqOff, reqLen, repOff, repLen int64
-		noPersonality                  bool
+		name string
+		heap any
 	}{
-		{"req-past-end", heap, size, rep, size, false},
-		{"req-straddles-end", heap - size/2, size, rep, size, false},
-		{"rep-negative", req, size, -size, size, false},
-		{"rep-huge-offset", req, size, 1 << 62, size, false},
-		{"req-huge-len", req, 1 << 62, rep, size, false},
-		{"req-too-small", req, abi.MinRingSize - 1, rep, size, false},
-		{"rep-too-small", req, size, rep, abi.MinRingSize - 1, false},
-		{"rep-empty", req, size, rep, 0, false},
-		{"before-personality", req, size, rep, size, true},
+		{"nil", nil},
+		{"nil-sab", (*browser.SAB)(nil)},
+		{"bytes", make([]byte, ringWorldHeap)},
+		{"int", int64(ringWorldHeap)},
+		{"empty-sab", browser.NewSAB(0)},
+		{"tiny-sab", browser.NewSAB(64)},
+		{"one-short", browser.NewSAB(abi.HeapMinSize - 1)},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			w := newRingWorld(t)
-			w.task.ring = nil
-			if c.noPersonality {
-				w.task.heap = nil
+			fw := newFrameWorld(t)
+			fw.task.heap, fw.task.ring = nil, nil
+			var got abi.Result
+			sysOps[abi.SYS_personality](fw.k, fw.task, callArgs{Args: abi.Args{Heap: c.heap}}, func(r abi.Result) { got = r })
+			if got.Ret != -1 || got.Err != abi.EINVAL {
+				t.Errorf("personality op: ret %d err %v, want -1 EINVAL", got.Ret, got.Err)
 			}
-			if err := w.k.registerRing(w.task, c.reqOff, c.reqLen, c.repOff, c.repLen); err != abi.EINVAL {
-				t.Errorf("registerRing: %v, want EINVAL", err)
+			fw.send([]*abi.CallFrame{{ID: 7, Trap: abi.SYS_personality, Args: abi.Args{Heap: c.heap}}})
+			if r := fw.replies[7]; len(r) != 1 || r[0].Res.Ret != -1 || r[0].Res.Err != abi.EINVAL {
+				t.Errorf("personality frame: replies %+v, want one -1 EINVAL", r)
 			}
-			var got []browser.Value
-			args := []browser.Value{c.reqOff, c.reqLen, c.repOff, c.repLen}
-			asyncLocal["ring"](w.k, w.task, args, func(ret ...browser.Value) { got = ret })
-			if len(got) != 2 || browser.Int(got[0]) != -1 || abi.Errno(browser.Int(got[1])) != abi.EINVAL {
-				t.Errorf("ring call replied %v, want [-1 EINVAL]", got)
-			}
-			if w.task.ring != nil {
-				t.Errorf("a refused registration installed a ring")
+			if fw.task.heap != nil || fw.task.ring != nil {
+				t.Errorf("a refused personality installed a heap or ring")
 			}
 		})
 	}
-	// The well-formed registration every ring world makes is accepted.
 	w := newRingWorld(t)
-	if w.task.ring == nil {
-		t.Fatal("valid regions refused")
+	sab := browser.NewSAB(abi.HeapMinSize)
+	if err := w.task.setPersonality(sab); err != abi.OK {
+		t.Fatalf("minimal heap refused: %v", err)
+	}
+	_, _, off, _ := abi.HeapRings(sab.Bytes())
+	if w.task.heap != sab || w.task.ring.off != off || &w.task.ring.req.B[0] != &sab.Bytes()[off] {
+		t.Fatal("personality did not install the abi layout's rings")
+	}
+}
+
+// TestRingAsyncOnlyENOSYS: a ring frame naming an AsyncOnly trap is
+// answered ENOSYS without running its op; those calls travel only as
+// posted frames.
+func TestRingAsyncOnlyENOSYS(t *testing.T) {
+	w := newCodecWorld(t)
+	heap, ring := w.task.heap, w.task.ring
+	var traps []int
+	for trap := 1; trap < abi.SYS_max; trap++ {
+		if abi.Syscalls[trap].Transport == abi.AsyncOnly {
+			traps = append(traps, trap)
+		}
+	}
+	if len(traps) != 3 {
+		t.Fatalf("AsyncOnly rows %v, want fork, personality and snapcap", traps)
+	}
+	for i, trap := range traps {
+		// Words a heap-carried personality or fork could be read from.
+		if !ring.req.PushCall(uint32(i), trap, []int64{hcPath, 2, hcPath, 2}) {
+			t.Fatalf("push %s", abi.SyscallName(trap))
+		}
+	}
+	tasks := len(w.k.tasks)
+	w.drain(t)
+	for range traps {
+		seq, ret, errno, ok := ring.rep.PopReply()
+		if !ok || ret != -1 || errno != abi.ENOSYS {
+			t.Fatalf("%s frame: ret %d errno %v ok %v, want ENOSYS", abi.SyscallName(traps[seq]), ret, errno, ok)
+		}
+	}
+	if w.task.heap != heap || w.task.ring != ring || len(w.k.tasks) != tasks {
+		t.Fatal("an AsyncOnly ring frame ran its op")
 	}
 }
 
@@ -62,8 +94,8 @@ func TestRegisterRingRefusesBadRegions(t *testing.T) {
 func TestDrainRingHostileCursors(t *testing.T) {
 	w := newCodecWorld(t)
 	req := w.task.ring.req
-	le.PutUint32(req.B[0:], ringWorldRing+100)
-	le.PutUint32(req.B[4:], ringWorldRing+200)
+	le.PutUint32(req.B[0:], abi.HeapRingSize+100)
+	le.PutUint32(req.B[4:], abi.HeapRingSize+200)
 	calls := w.k.SyncSyscalls.Load()
 	w.drain(t)
 	if got := w.k.SyncSyscalls.Load(); got != calls || req.Used() != 0 {

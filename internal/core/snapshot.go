@@ -4,22 +4,22 @@ import (
 	"sort"
 
 	"repro/internal/abi"
-	"repro/internal/browser"
 	"repro/internal/snapshot"
 )
 
 // Kernel side of the checkpoint/fork subsystem (internal/snapshot).
 //
 // Capture: a first boot of a runtime whose registry is still unsealed is
-// asked (init["snapcap"]) to call "snapcap" once negotiation settles; the
-// kernel freezes the task's heap into arena pages plus its fd/env/cwd
-// template and registers the image under the executable path.
+// asked (init["snapcap"]) to call snapcap once its personality is
+// registered; the kernel freezes the task's heap into arena pages plus
+// its fd/env/cwd template and registers the image under the executable
+// path.
 //
 // Clone: a later Spawn of the same path skips the object-URL eval of the
-// full artifact (a tiny stub script boots the worker), ships the image
-// and a COW tracker by reference in the init message, and answers the
-// worker's single "restore" call in place of the two-round-trip
-// personality/ring negotiation.
+// full artifact (a tiny stub script boots the worker) and ships the image
+// and a COW tracker by reference in the init message. The restored heap
+// holds the abi heap layout, so the clone registers it with the same
+// single personality call a cold boot makes.
 //
 // Checkpoint: CheckpointLive walks the same soft-dirty bitmap in
 // iterative pre-copy rounds — bounded work per main-thread event while
@@ -73,12 +73,11 @@ func (k *Kernel) releaseTaskSnapshot(t *Task) {
 	t.snapcap = false
 }
 
-// doSnapcap handles the "snapcap" registration call: freeze the calling
-// task's post-boot state as its executable's snapshot image.
-func (k *Kernel) doSnapcap(t *Task, reply func(...browser.Value)) {
+// doSnapcap handles the snapcap call: freeze the calling task's
+// post-boot state as its executable's snapshot image.
+func (k *Kernel) doSnapcap(t *Task) abi.Errno {
 	if k.Snapshots == nil || k.Snapshots.Sealed() || !t.snapcap {
-		reply(int64(-1), errv(abi.ENOSYS))
-		return
+		return abi.ENOSYS
 	}
 	img := snapshot.NewImage(t.Path)
 	t.snapcap = false
@@ -92,27 +91,10 @@ func (k *Kernel) doSnapcap(t *Task, reply func(...browser.Value)) {
 	}
 	if !k.Snapshots.Register(img) {
 		img.Release()
-		reply(int64(-1), errv(abi.EAGAIN))
-		return
+		return abi.EAGAIN
 	}
 	k.SnapshotCaptures.Add(1)
-	reply(int64(0), errv(abi.OK))
-}
-
-// doRestore handles a clone boot's combined "restore" registration:
-// personality and ring regions land in one round trip, because the
-// restored heap already holds the layout the capture registered.
-// Arguments: heap, ret offset, wake offset, ring flag, the two ring
-// regions; the ret offset and the ring flag are not read. Reply: [ret,
-// errno, 1]; the constant keeps the reply's clone size.
-func (k *Kernel) doRestore(t *Task, a []browser.Value, reply func(...browser.Value)) {
-	arg := func(i int) int64 { return browser.Int(argAt(a, i)) }
-	if t.snapImage == nil || t.setPersonality(argAt(a, 0), arg(2)) != abi.OK ||
-		k.registerRing(t, arg(4), arg(5), arg(6), arg(7)) != abi.OK {
-		reply(int64(-1), errv(abi.EINVAL))
-		return
-	}
-	reply(int64(0), errv(abi.OK), int64(1))
+	return abi.OK
 }
 
 // CheckpointLive checkpoints a running guest with bounded pause: the
@@ -185,15 +167,9 @@ func (k *Kernel) CheckpointLive(pid int, cb func(*snapshot.Dump, abi.Errno)) {
 		// pause consistent.
 		final := map[int]bool{0: true}
 		if r := t.ring; r != nil {
-			markRange := func(off, n int64) {
-				for p := int(off / snapshot.PageSize); p <= int((off+n-1)/snapshot.PageSize); p++ {
-					if p >= 0 && p < npages {
-						final[p] = true
-					}
-				}
+			for p := r.off / snapshot.PageSize; p < npages; p++ {
+				final[p] = true
 			}
-			markRange(r.reqOff, r.reqLen)
-			markRange(r.repOff, r.repLen)
 		}
 		for _, p := range tr.DirtyPages() {
 			final[p] = true

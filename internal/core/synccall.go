@@ -214,9 +214,9 @@ func (t *Task) heapArgs(row *abi.Syscall, w []int64) (a callArgs, out heapOut, e
 			}
 			if shape == abi.ArgLens {
 				out.iovs = iovs
-				a.Lens = make([]int, len(iovs))
+				a.Ints = make([]int, len(iovs))
 				for j, iov := range iovs {
-					a.Lens[j] = int(iov.Len)
+					a.Ints[j] = int(iov.Len)
 				}
 				continue
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"slices"
 
 	"repro/internal/abi"
@@ -9,10 +10,10 @@ import (
 )
 
 // This file is the kernel's system-call entry point and its asynchronous
-// codec (§3.2 of the paper): table-driven calls arrive as typed
-// abi.CallFrames, whose arguments are checked and handed to the shared op
-// table (ops.go), and are answered with abi.ReplyFrames. The synchronous
-// transport's codec is in synccall.go.
+// codec (§3.2 of the paper): every call a process posts arrives as a
+// typed abi.CallFrame, whose arguments are checked and handed to the
+// shared op table (ops.go), and is answered with an abi.ReplyFrame. The
+// synchronous transport's codec is in synccall.go.
 
 // onWorkerMessage handles every message a process sends the kernel.
 func (k *Kernel) onWorkerMessage(t *Task, w *browser.Worker, v browser.Value) {
@@ -30,25 +31,6 @@ func (k *Kernel) onWorkerMessage(t *Task, w *browser.Worker, v browser.Value) {
 		// message. Per-call kernel CPU is charged inside the drain; the
 		// doorbell itself already paid the postMessage cost.
 		k.drainRing(t)
-	case map[string]browser.Value:
-		// The once-per-process calls outside the table still travel as
-		// plain objects.
-		if browser.GetString(f, "type") != "syscall" {
-			return
-		}
-		k.AsyncSyscalls.Add(1)
-		k.Sys.Sim.Charge(k.CPU.SyscallNs)
-		name := browser.GetString(f, "name")
-		k.SyscallCount[name]++
-		id := browser.GetInt(f, "id")
-		reply := func(ret ...browser.Value) {
-			k.postReply(t, w, map[string]browser.Value{"type": "reply", "id": id, "ret": ret})
-		}
-		if local := asyncLocal[name]; local != nil {
-			local(k, t, browser.GetArray(f, "args"), reply)
-			return
-		}
-		reply(int64(-1), errv(abi.ENOSYS))
 	}
 }
 
@@ -137,11 +119,9 @@ func (k *Kernel) doChdir(t *Task, p string, cb func(abi.Errno)) {
 // Asynchronous codec.
 // ---------------------------------------------------------------------------
 
-func errv(err abi.Errno) int64 { return int64(err) }
-
 // postReply delivers an asynchronous call's reply, unless the calling
 // image is gone.
-func (k *Kernel) postReply(t *Task, w *browser.Worker, reply browser.Value) {
+func (k *Kernel) postReply(t *Task, w *browser.Worker, reply *abi.ReplyFrame) {
 	if t.worker != w || w.Terminated() {
 		return
 	}
@@ -149,12 +129,12 @@ func (k *Kernel) postReply(t *Task, w *browser.Worker, reply browser.Value) {
 }
 
 // frameCall checks a call frame's arguments, runs the trap's op, and
-// replies with its result. A trap outside the table, carried by one
-// transport only, or without an op gets ENOSYS.
+// replies with its result. A trap outside the table or without an op
+// gets ENOSYS.
 func (k *Kernel) frameCall(t *Task, w *browser.Worker, f *abi.CallFrame) {
 	id, trap := f.ID, f.Trap
 	var op sysOp
-	if trap > 0 && trap < abi.SYS_max && abi.Syscalls[trap].Transport == abi.Both {
+	if trap > 0 && trap < abi.SYS_max {
 		op = sysOps[trap]
 	}
 	if op == nil {
@@ -196,8 +176,17 @@ func (t *Task) frameArgs(row *abi.Syscall, fa *abi.Args) (a callArgs, err abi.Er
 			}
 			a.Bufs = slices.DeleteFunc(a.Bufs, func(b []byte) bool { return len(b) == 0 })
 		case abi.ArgLens:
-			if len(a.Lens) > abi.IovMax || slices.ContainsFunc(a.Lens, func(n int) bool { return n < 0 }) {
+			// As readv(2): EINVAL past IOV_MAX, or when a length is
+			// negative or the total overflows.
+			if len(a.Ints) > abi.IovMax {
 				return a, abi.EINVAL
+			}
+			total := 0
+			for _, n := range a.Ints {
+				if n < 0 || n > math.MaxInt-total {
+					return a, abi.EINVAL
+				}
+				total += n
 			}
 		case abi.ArgPollfds:
 			if len(a.Pollfds) > abi.PollfdMax {
@@ -206,77 +195,6 @@ func (t *Task) frameArgs(row *abi.Syscall, fa *abi.Args) (a callArgs, err abi.Er
 		}
 	}
 	return a, abi.OK
-}
-
-// asyncLocalOp is a call only the asynchronous transport carries: the
-// registrations that set up the other transports, and fork.
-type asyncLocalOp func(k *Kernel, t *Task, a []browser.Value, reply func(...browser.Value))
-
-// asyncLocal is filled by init: fork reaches the spawn path, which
-// reaches the codec that indexes this table.
-var asyncLocal map[string]asyncLocalOp
-
-func init() {
-	asyncLocal = map[string]asyncLocalOp{
-		// Sync-syscall registration (§3.2): heap, return-value offset
-		// (not read: results travel in the reply ring) and wake offset.
-		"personality": func(k *Kernel, t *Task, a []browser.Value, reply func(...browser.Value)) {
-			if err := t.setPersonality(argAt(a, 0), browser.Int(argAt(a, 2))); err != abi.OK {
-				reply(int64(-1), errv(err))
-				return
-			}
-			reply(int64(0), errv(abi.OK))
-		},
-		// Ring-transport negotiation (after personality): request and
-		// reply ring regions inside the registered heap.
-		"ring": func(k *Kernel, t *Task, a []browser.Value, reply func(...browser.Value)) {
-			if err := k.registerRing(t, browser.Int(argAt(a, 0)), browser.Int(argAt(a, 1)), browser.Int(argAt(a, 2)), browser.Int(argAt(a, 3))); err != abi.OK {
-				reply(int64(-1), errv(err))
-				return
-			}
-			reply(int64(0), errv(abi.OK))
-		},
-		// Post-boot snapshot capture (internal/snapshot): the kernel
-		// freezes the process's heap and fd/env/cwd template as the
-		// runtime's image. The call's two words are not read.
-		"snapcap": func(k *Kernel, t *Task, a []browser.Value, reply func(...browser.Value)) {
-			k.doSnapcap(t, reply)
-		},
-		// Clone-boot restore: one combined registration replacing the
-		// personality + ring negotiation round trips.
-		"restore": func(k *Kernel, t *Task, a []browser.Value, reply func(...browser.Value)) {
-			k.doRestore(t, a, reply)
-		},
-		"fork": func(k *Kernel, t *Task, a []browser.Value, reply func(...browser.Value)) {
-			mem, _ := argAt(a, 0).([]byte)
-			label, _ := argAt(a, 1).(string)
-			k.doFork(t, &ForkImage{Mem: mem, Label: label}, func(pid int, err abi.Errno) {
-				reply(int64(pid), errv(err))
-			})
-		},
-	}
-}
-
-// argAt returns cloned argument i, or nil past the end.
-func argAt(a []browser.Value, i int) browser.Value {
-	if i < len(a) {
-		return a[i]
-	}
-	return nil
-}
-
-// setPersonality registers a task's heap and its wake cell, which must
-// lie inside the heap.
-func (t *Task) setPersonality(v browser.Value, waitOff int64) abi.Errno {
-	sab, _ := v.(*browser.SAB)
-	if sab == nil {
-		return abi.EINVAL
-	}
-	if waitOff < 0 || waitOff > int64(sab.Len())-4 {
-		return abi.EINVAL
-	}
-	t.heap, t.waitOff = sab, int(waitOff)
-	return abi.OK
 }
 
 // SyscallTable returns the implemented system calls grouped by Figure 3

@@ -42,13 +42,10 @@ type Task struct {
 	// sigActions: signal number -> action (default if absent).
 	sigActions map[int]sigAction
 
-	// Synchronous-syscall personality (§3.2): the process's heap and the
-	// wake cell it registered.
-	heap    *browser.SAB
-	waitOff int
-
-	// ring is the task's synchronous syscall transport (nil until the
-	// process registers it with the "ring" call).
+	// Synchronous-syscall personality (§3.2): the heap the process
+	// registered, and the ring transport laid out in it (both nil until
+	// the personality call).
+	heap *browser.SAB
 	ring *taskRing
 
 	// onExit callbacks registered by the kernel API (kernel.system).

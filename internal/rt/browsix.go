@@ -29,16 +29,16 @@ type workerRT struct {
 	pending  map[int64]*sched.G
 	handlers map[int]func(int)
 
-	// Synchronous-syscall state (em-sync): the heap layout is
-	//   [0,4)   wake cell (Atomics.wait/notify)
-	//   [64,..) scratch for string/buffer arguments
-	//   [top-2R, top) request + reply rings (R = ringRegionSize)
+	// Synchronous-syscall state (em-sync): the heap, laid out as
+	// abi.HeapRings says — the wake cell at abi.HeapWakeOff, the two
+	// rings at the top — with this runtime's scratch for string and
+	// buffer arguments in [scratchBase, scratchTop), below the rings.
 	sync       bool
 	heap       *browser.SAB
 	scratch    int64
 	scratchTop int64 // exclusive upper bound for scratch allocations
 
-	// Ring transport, registered with the kernel after the personality.
+	// Ring transport, registered with the kernel by the personality.
 	reqRing   abi.Ring
 	repRing   abi.Ring
 	ringSeq   uint32
@@ -52,14 +52,8 @@ type workerRT struct {
 	inflight        int
 }
 
-// syncRetOff is the return-value cell the personality registration still
-// names; results travel in the reply ring, so nothing is written there.
-const (
-	syncWaitOff    = 0
-	syncRetOff     = 8
-	scratchBase    = 64
-	ringRegionSize = 8 * 1024
-)
+// scratchBase is where argument scratch starts, above the wake cell.
+const scratchBase = 64
 
 // exitSentinel unwinds a program coroutine when Exit is called mid-stack.
 type exitSentinel struct{ code int }
@@ -85,9 +79,10 @@ func bootWorker(sys *browser.System, w *browser.Worker, prog *posix.Program, kin
 
 func (r *workerRT) onMessage(v browser.Value) {
 	if f, ok := v.(*abi.ReplyFrame); ok {
-		r.resume(f.ID, f)
+		r.resume(f)
 		return
 	}
+	// The kernel's control messages: init and signal.
 	m, ok := v.(map[string]browser.Value)
 	if !ok {
 		return
@@ -118,16 +113,12 @@ func (r *workerRT) onMessage(v browser.Value) {
 			if r.sync {
 				if img != nil && img.HeapLen == r.heap.Len() {
 					r.restoreFromImage(img, tracker)
-				} else {
-					// Register the sync-syscall personality: heap +
-					// return/wake offsets (§3.2), via an async call.
-					r.asyncCall("personality", r.heap, int64(syncRetOff), int64(syncWaitOff))
-					r.negotiateRing()
-					if snapCap {
-						r.captureSnapshot()
-					}
 				}
-			} else if img == nil && snapCap {
+				// Register the sync-syscall personality (§3.2): the
+				// heap, and with it the rings laid out in it.
+				r.register()
+			}
+			if snapCap { // a first boot, never a clone
 				r.captureSnapshot()
 			}
 			var code int
@@ -143,8 +134,6 @@ func (r *workerRT) onMessage(v browser.Value) {
 			r.sendExit(code)
 		})
 		r.sim.ResumeG(g, nil)
-	case "reply":
-		r.resume(browser.GetInt(m, "id"), browser.GetArray(m, "ret"))
 	case "signal":
 		sig := int(browser.GetInt(m, "sig"))
 		h := r.handlers[sig]
@@ -190,47 +179,34 @@ func (r *workerRT) sendExit(code int) {
 // Emterpreter the runtime also pays stack unwind/rewind.
 // ---------------------------------------------------------------------------
 
-// roundTrip posts the message msg builds for a fresh call id and parks
-// the calling coroutine until the reply resumes it with its payload.
-func (r *workerRT) roundTrip(msg func(id int64) browser.Value) browser.Value {
+// roundTrip posts call trap as a CallFrame under a fresh id and parks
+// the calling coroutine until the kernel's ReplyFrame resumes it.
+func (r *workerRT) roundTrip(trap int, a *abi.Args) *abi.ReplyFrame {
 	r.sim.Charge(r.cost.SyscallCPUNs)
 	if r.cost.UnwindNs > 0 {
 		r.sim.Charge(r.cost.UnwindNs)
 	}
 	id := r.nextID
 	r.nextID++
-	r.w.PostToParent(msg(id))
+	r.w.PostToParent(&abi.CallFrame{ID: id, Trap: trap, Args: *a})
 	g := r.sim.CurG()
 	if g == nil {
 		panic("rt: syscall outside program coroutine")
 	}
 	r.pending[id] = g
-	v := r.sim.Park()
+	f, _ := r.sim.Park().(*abi.ReplyFrame)
 	if r.cost.RewindNs > 0 {
 		r.sim.Charge(r.cost.RewindNs)
 	}
-	return v
+	return f
 }
 
-// resume wakes the coroutine parked on call id with its reply.
-func (r *workerRT) resume(id int64, v browser.Value) {
-	if g := r.pending[id]; g != nil {
-		delete(r.pending, id)
-		r.sim.ResumeG(g, v)
+// resume wakes the coroutine parked on the call f answers.
+func (r *workerRT) resume(f *abi.ReplyFrame) {
+	if g := r.pending[f.ID]; g != nil {
+		delete(r.pending, f.ID)
+		r.sim.ResumeG(g, f)
 	}
-}
-
-// asyncCall issues one of the calls outside the table (the transport
-// registrations and fork) as a plain object, returning the reply's
-// [ret, errno, extra...] array and its errno.
-func (r *workerRT) asyncCall(name string, args ...browser.Value) ([]browser.Value, abi.Errno) {
-	ret, _ := r.roundTrip(func(id int64) browser.Value {
-		return map[string]browser.Value{"type": "syscall", "id": id, "name": name, "args": args}
-	}).([]browser.Value)
-	if len(ret) < 2 {
-		return ret, abi.EIO
-	}
-	return ret, abi.Errno(browser.Int(ret[1]))
 }
 
 // ---------------------------------------------------------------------------
@@ -391,7 +367,7 @@ func (r *workerRT) Readv(fd int, lens []int) ([][]byte, abi.Errno) {
 		}
 		return [][]byte{b}, abi.OK
 	}
-	res := r.call(abi.SYS_readv, &abi.Args{Int: ints(fd), Lens: lens})
+	res := r.call(abi.SYS_readv, &abi.Args{Int: ints(fd), Ints: lens})
 	return res.Segs, res.Err
 }
 
@@ -584,11 +560,11 @@ func (r *workerRT) Fork(label string, mem []byte) (int, abi.Errno) {
 		// Emterpreter runtime can serialize its state.
 		return -1, abi.ENOSYS
 	}
-	ret, err := r.asyncCall("fork", mem, label)
-	if err != abi.OK {
-		return -1, err
+	res := r.call(abi.SYS_fork, &abi.Args{Bytes: mem, Str: [2]string{label}})
+	if res.Err != abi.OK {
+		return -1, res.Err
 	}
-	return int(browser.Int(ret[0])), abi.OK
+	return int(res.Ret), abi.OK
 }
 
 func (r *workerRT) Exec(path string, argv, env []string) abi.Errno {

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 
 	"repro/internal/abi"
-	"repro/internal/browser"
 	"repro/internal/posix"
 )
 
@@ -12,18 +11,20 @@ import (
 // abi.Args once and calls r.call; the row of abi.Syscalls for the trap
 // says how each argument and the result travel. The async codec posts
 // the arguments as an abi.CallFrame and returns the abi.ReplyFrame's
-// result; the sync codec stages the arguments in the heap's scratch
-// region, issues the trap as a ring frame, and reads the results back
-// out of the heap — the inverse of the kernel's codecs. A sync runtime
-// never sends readv or writev frames (Readv reads the total, Writev fans
-// out into write frames), so the sync codec stages no iovec tables.
+// result; it carries every call of an async runtime and the AsyncOnly
+// rows (fork, personality, snapcap) of a sync one. The sync codec stages
+// the arguments in the heap's scratch region, issues the trap as a ring
+// frame, and reads the results back out of the heap — the inverse of the
+// kernel's codecs. A sync runtime never sends readv or writev frames
+// (Readv reads the total, Writev fans out into write frames), so the
+// sync codec stages no iovec tables.
 
 // call issues one system call on the runtime's transport.
 func (r *workerRT) call(trap int, a *abi.Args) abi.Result {
 	row := &abi.Syscalls[trap]
-	if !r.sync {
-		f, ok := r.roundTrip(func(id int64) browser.Value { return &abi.CallFrame{ID: id, Trap: trap, Args: *a} }).(*abi.ReplyFrame)
-		if !ok {
+	if !r.sync || row.Transport == abi.AsyncOnly {
+		f := r.roundTrip(trap, a)
+		if f == nil {
 			return abi.Result{Ret: -1, Err: abi.EIO}
 		}
 		if row.Ret == abi.RetPollfds && f.Res.Err == abi.OK {

@@ -42,6 +42,7 @@ type hostFD struct {
 	flags int
 	std   int // 1 stdout, 2 stderr, 3 stdin
 	path  string
+	dups  int // other descriptors sharing this open file (dup2)
 }
 
 // HostResult is the outcome of RunHost.
@@ -169,6 +170,16 @@ func (h *HostProc) Close(fd int) abi.Errno {
 		return abi.EBADF
 	}
 	delete(h.fds, fd)
+	return f.release()
+}
+
+// release drops one descriptor's reference to f, closing the file with
+// the last one.
+func (f *hostFD) release() abi.Errno {
+	if f.dups > 0 {
+		f.dups--
+		return abi.OK
+	}
 	if f.h != nil {
 		set, get := completeErr()
 		f.h.Close(set)
@@ -181,6 +192,9 @@ func (h *HostProc) Read(fd int, n int) ([]byte, abi.Errno) {
 	f, ok := h.fds[fd]
 	if !ok {
 		return nil, abi.EBADF
+	}
+	if n < 0 {
+		return nil, abi.EINVAL
 	}
 	if f.std == 3 {
 		return nil, abi.OK // empty stdin
@@ -239,6 +253,9 @@ func (h *HostProc) Pread(fd int, n int, off int64) ([]byte, abi.Errno) {
 	if !ok || f.h == nil {
 		return nil, abi.EBADF
 	}
+	if n < 0 || off < 0 {
+		return nil, abi.EINVAL
+	}
 	var out []byte
 	var err abi.Errno
 	f.h.Pread(off, n, func(b []byte, e abi.Errno) { out, err = b, e })
@@ -250,6 +267,9 @@ func (h *HostProc) Pwrite(fd int, b []byte, off int64) (int, abi.Errno) {
 	f, ok := h.fds[fd]
 	if !ok || f.h == nil {
 		return 0, abi.EBADF
+	}
+	if off < 0 {
+		return 0, abi.EINVAL
 	}
 	var n int
 	var err abi.Errno
@@ -302,25 +322,31 @@ func (h *HostProc) Seek(fd int, off int64, whence int) (int64, abi.Errno) {
 	h.charge(0)
 	switch whence {
 	case abi.SEEK_SET:
-		f.off = off
 	case abi.SEEK_CUR:
-		f.off += off
+		off += f.off
 	case abi.SEEK_END:
 		st, err := h.Fstat(fd)
 		if err != abi.OK {
 			return 0, err
 		}
-		f.off = st.Size + off
+		off += st.Size
 	default:
 		return 0, abi.EINVAL
 	}
-	return f.off, abi.OK
+	if off < 0 {
+		return 0, abi.EINVAL
+	}
+	f.off = off
+	return off, abi.OK
 }
 
 func (h *HostProc) Ftruncate(fd int, size int64) abi.Errno {
 	f, ok := h.fds[fd]
 	if !ok || f.h == nil {
 		return abi.EBADF
+	}
+	if size < 0 {
+		return abi.EINVAL
 	}
 	set, get := completeErr()
 	f.h.Truncate(size, set)
@@ -344,11 +370,23 @@ func (h *HostProc) Fsync(fd int) abi.Errno {
 	return abi.OK
 }
 
+// Dup2 checks its arguments in the kernel's order, and closes the
+// descriptor it replaces.
 func (h *HostProc) Dup2(oldfd, newfd int) abi.Errno {
+	if newfd < 0 || newfd >= abi.FdMax {
+		return abi.EBADF
+	}
 	f, ok := h.fds[oldfd]
 	if !ok {
 		return abi.EBADF
 	}
+	if oldfd == newfd {
+		return abi.OK
+	}
+	if replaced, open := h.fds[newfd]; open {
+		replaced.release()
+	}
+	f.dups++
 	h.fds[newfd] = f
 	return abi.OK
 }

@@ -5,38 +5,30 @@ import (
 )
 
 // Process side of the shared-memory ring-buffer syscall transport (the
-// fast path §3.2/§6 point toward), the only synchronous transport. After
-// registering its personality, a synchronous runtime carves a request
-// ring and a reply ring out of the top of its shared heap and registers
-// them with the kernel. From then on a system call is: push a call
-// frame, ring the doorbell (one postMessage regardless of how many
-// frames are queued), Atomics.wait, pop the reply. Batched operations —
-// writev fanning out into per-buffer write frames — share a doorbell and
+// fast path §3.2/§6 point toward), the only synchronous transport. A
+// synchronous runtime registers its heap with one personality call; the
+// request and reply rings are the ones abi.HeapRings lays out at the top
+// of that heap. From then on a system call is: push a call frame, ring
+// the doorbell (one postMessage regardless of how many frames are
+// queued), Atomics.wait, pop the reply. Batched operations — writev
+// fanning out into per-buffer write frames — share a doorbell and
 // usually a single kernel dispatch.
 
-// negotiateRing carves the ring regions and registers them with the
-// kernel. Without its rings a synchronous runtime cannot make a system
-// call, so a refusal fails the boot with exit status 127.
-func (r *workerRT) negotiateRing() {
-	reqOff, repOff := r.carveRings()
-	if _, err := r.asyncCall("ring", reqOff, int64(ringRegionSize), repOff, int64(ringRegionSize)); err != abi.OK {
+// register resets the heap's rings, ends the scratch region below them,
+// and registers the heap with the kernel. Without its rings a
+// synchronous runtime cannot make a system call, so a refusal fails the
+// boot with exit status 127.
+func (r *workerRT) register() {
+	req, rep, off, ok := abi.HeapRings(r.heap.Bytes())
+	if !ok {
 		r.Exit(127)
 	}
-}
-
-// carveRings wraps the two ring regions at the top of the heap, resets
-// their cursors, and ends the scratch region below them. It returns the
-// regions' heap offsets.
-func (r *workerRT) carveRings() (reqOff, repOff int64) {
-	hlen := int64(r.heap.Len())
-	reqOff, repOff = hlen-2*ringRegionSize, hlen-ringRegionSize
-	b := r.heap.Bytes()
-	r.reqRing = abi.NewRing(b[reqOff : reqOff+ringRegionSize])
-	r.repRing = abi.NewRing(b[repOff : repOff+ringRegionSize])
-	r.reqRing.Reset()
-	r.repRing.Reset()
-	r.scratchTop = reqOff
-	return reqOff, repOff
+	req.Reset()
+	rep.Reset()
+	r.reqRing, r.repRing, r.scratchTop = req, rep, int64(off)
+	if r.call(abi.SYS_personality, &abi.Args{Heap: r.heap}).Err != abi.OK {
+		r.Exit(127)
+	}
 }
 
 // ringReq is one call frame of a batch.
@@ -77,20 +69,20 @@ func (r *workerRT) ringCalls(reqs []ringReq) ([]int64, []abi.Errno) {
 			// One marshalling charge and one doorbell for the whole
 			// sub-batch — the saving over per-call postMessages.
 			r.sim.Charge(r.cost.SyscallCPUNs)
-			r.heap.Store32(syncWaitOff, 0)
+			r.heap.Store32(abi.HeapWakeOff, 0)
 			r.w.PostToParent(abi.RingBell{})
 		} else if remaining == 0 && i < len(reqs) {
 			// Rings congested entirely by an interleaved batch: nudge
 			// the kernel so draining frees space, then wait.
-			r.heap.Store32(syncWaitOff, 0)
+			r.heap.Store32(abi.HeapWakeOff, 0)
 			r.w.PostToParent(abi.RingBell{})
 		}
 		remaining -= r.popReplies(idx, rets, errs)
 		if i >= len(reqs) && remaining == 0 {
 			break
 		}
-		r.sys.FutexWait(r.w.Ctx, r.heap, syncWaitOff, 0, -1)
-		r.heap.Store32(syncWaitOff, 0)
+		r.sys.FutexWait(r.w.Ctx, r.heap, abi.HeapWakeOff, 0, -1)
+		r.heap.Store32(abi.HeapWakeOff, 0)
 	}
 	r.inflight--
 	if r.inflight == 0 {
@@ -101,8 +93,8 @@ func (r *workerRT) ringCalls(reqs []ringReq) ([]int64, []abi.Errno) {
 	} else if len(r.ringStash) > 0 {
 		// We popped replies belonging to a parked batch; make sure its
 		// coroutine wakes to find them in the stash.
-		r.heap.Store32(syncWaitOff, 1)
-		r.sys.FutexNotify(r.heap, syncWaitOff, -1)
+		r.heap.Store32(abi.HeapWakeOff, 1)
+		r.sys.FutexNotify(r.heap, abi.HeapWakeOff, -1)
 	}
 	return rets, errs
 }

@@ -1,12 +1,14 @@
 package rt
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/abi"
 	"repro/internal/browser"
 	"repro/internal/posix"
 	"repro/internal/sched"
+	"repro/internal/snapshot"
 )
 
 func TestKindPredicates(t *testing.T) {
@@ -129,39 +131,84 @@ func TestHostRunUnknownProgram(t *testing.T) {
 	}
 }
 
-// TestRefusedRingFailsBoot: a synchronous runtime has no transport
-// without its ring, so a kernel that refuses the ring registration sees
-// the boot exit with status 127 before main runs.
-func TestRefusedRingFailsBoot(t *testing.T) {
+// stubBoot boots prog as a WasmKind worker against a stub kernel that
+// answers every call frame but exit with the errno reply returns for its
+// trap, and returns the exit status.
+func stubBoot(prog *posix.Program, init map[string]browser.Value, reply func(trap int) abi.Errno) (exit int) {
 	sim := sched.New()
 	sys := browser.NewSystem(sim, browser.Chrome())
-	ran := false
-	prog := &posix.Program{Name: "t-ring-refused", Main: func(posix.Proc) int { ran = true; return 0 }}
 	url := sys.CreateObjectURL([]byte("stub"))
-	exit, calls := -1, []string{}
+	exit = -1
 	sim.Post(sys.Main.Sched(), 0, func() {
 		w := sys.NewWorker(sys.Main, url, func(w *browser.Worker) { bootWorker(sys, w, prog, WasmKind) })
 		w.OnMessage = func(v browser.Value) {
-			if f, ok := v.(*abi.CallFrame); ok && f.Trap == abi.SYS_exit {
+			f := v.(*abi.CallFrame)
+			if f.Trap == abi.SYS_exit {
 				exit = int(f.Args.Int[0])
 				return
 			}
-			m := v.(map[string]browser.Value)
-			name := browser.GetString(m, "name")
-			calls = append(calls, name)
-			errno := abi.OK
-			if name == "ring" {
-				errno = abi.EINVAL
+			res := abi.Result{Err: reply(f.Trap)}
+			if res.Err != abi.OK {
+				res.Ret = -1
 			}
-			w.PostMessage(map[string]browser.Value{"type": "reply", "id": m["id"], "ret": []browser.Value{int64(0), int64(errno)}})
+			w.PostMessage(&abi.ReplyFrame{ID: f.ID, Trap: f.Trap, Res: res})
 		}
-		w.PostMessage(map[string]browser.Value{"type": "init", "pid": int64(2)})
+		w.PostMessage(init)
 	})
 	sim.Run()
+	return exit
+}
+
+// TestRefusedPersonalityFailsBoot: a synchronous runtime has no
+// transport without the rings its personality registers, so a kernel
+// that refuses the personality sees the boot exit with status 127,
+// after that one call and before main runs.
+func TestRefusedPersonalityFailsBoot(t *testing.T) {
+	ran := false
+	prog := &posix.Program{Name: "t-personality-refused", Main: func(posix.Proc) int { ran = true; return 0 }}
+	var traps []int
+	exit := stubBoot(prog, map[string]browser.Value{"type": "init", "pid": int64(2)}, func(trap int) abi.Errno {
+		traps = append(traps, trap)
+		return abi.EINVAL
+	})
 	if exit != 127 || ran {
 		t.Fatalf("exit %d, main ran %v; want 127 without main", exit, ran)
 	}
-	if len(calls) != 2 || calls[0] != "personality" || calls[1] != "ring" {
-		t.Fatalf("registration calls %v, want [personality ring]", calls)
+	if len(traps) != 1 || traps[0] != abi.SYS_personality {
+		t.Fatalf("registration calls %v, want [personality]", traps)
+	}
+}
+
+// TestSyncBootRegistersOnce: a cold sync boot and a clone boot from a
+// snapshot image each register with exactly one call, personality,
+// before main runs; a first boot asked to capture adds snapcap.
+func TestSyncBootRegistersOnce(t *testing.T) {
+	img := snapshot.NewImage("/t-image")
+	img.SetHeap(nil, make([]byte, CostOf(WasmKind).HeapSize))
+	cases := []struct {
+		name string
+		init map[string]browser.Value
+		want []int
+	}{
+		{"cold", map[string]browser.Value{}, []int{abi.SYS_personality}},
+		{"capture", map[string]browser.Value{"snapcap": int64(1)}, []int{abi.SYS_personality, abi.SYS_snapcap}},
+		{"clone", map[string]browser.Value{"snapimage": img, "snaptracker": snapshot.NewTracker(img, img.NumPages())}, []int{abi.SYS_personality}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var traps, before []int
+			prog := &posix.Program{Name: "t-register-" + c.name, Main: func(posix.Proc) int {
+				before = slices.Clone(traps)
+				return 0
+			}}
+			c.init["type"], c.init["pid"] = "init", int64(2)
+			exit := stubBoot(prog, c.init, func(trap int) abi.Errno {
+				traps = append(traps, trap)
+				return abi.OK
+			})
+			if exit != 0 || !slices.Equal(before, c.want) || !slices.Equal(traps, c.want) {
+				t.Fatalf("exit %d, calls before main %v (all %v); want exit 0 after %v", exit, before, traps, c.want)
+			}
+		})
 	}
 }

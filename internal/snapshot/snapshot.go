@@ -58,10 +58,10 @@ type Image struct {
 	Fds []FdInfo
 
 	// HeapLen is the captured heap size in bytes; 0 for runtimes with no
-	// registered heap (async transports), whose clones skip restore
-	// entirely. The heap bytes hold the ring layout the capture
-	// registered, so a clone re-registers it without the negotiation
-	// round trips.
+	// registered heap (async transports), whose clones restore no heap.
+	// The heap bytes hold the abi.HeapRings layout, so a clone registers
+	// its restored heap with the same personality call a cold boot
+	// makes.
 	HeapLen int
 
 	store *fs.ImageStore
