@@ -56,12 +56,6 @@ import (
 // Errno re-exports the kernel error type for API users.
 type Errno = abi.Errno
 
-// DefaultFlushAge is the write-back age after which a quiet dirty file
-// is flushed in the background (virtual time): long-lived files land on
-// their backends without an fsync, while bursty writers (a LaTeX build's
-// log appends) still coalesce into few backend writes.
-const DefaultFlushAge = int64(500 * 1e6) // 500 virtual ms
-
 // Config controls Boot.
 type Config struct {
 	// Browser selects the cost profile; default Chrome (the only
@@ -91,9 +85,10 @@ type Config struct {
 }
 
 // Features selects which data-path mechanisms an instance's file system
-// runs — the VFS caches, write-back and page dedup. The zero value is
-// production: every mechanism on. Each field turns one off for
-// differentials and ablations; none changes a program's output.
+// runs: the VFS caches (NoCaches) and page dedup (NoDedup). The zero
+// value is production: every mechanism on. Each field turns one off for
+// differentials and ablations; none changes a program's output. Every
+// write reaches its backend before it returns, whatever the features.
 type Features = fs.Features
 
 // DefaultSnapshotSlots is the image-store quota for captured snapshot
@@ -132,13 +127,6 @@ func Boot(cfg Config) *Instance {
 	if cfg.PagePool != nil {
 		fsys.SetPagePool(cfg.PagePool, fs.DefaultPoolSlots)
 	}
-	// Age-based background write-back: dirty extents older than the
-	// default age flush on a main-thread virtual timer, so quiet
-	// long-lived files land on their backends without an fsync.
-	fsys.SetFlushTimer(func(d int64, fn func()) {
-		sim.PostDelay(sys.Main.Sched(), d, fn)
-	})
-	fsys.SetFlushAge(DefaultFlushAge)
 	k := core.NewKernel(sys, fsys, rt.Loader(sys))
 	fsys.SetFeatures(cfg.Features)
 	if cfg.Snapshots != nil || cfg.EnableSnapshots {

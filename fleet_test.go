@@ -210,7 +210,7 @@ func TestFleetCountersReadableWhileRunning(t *testing.T) {
 			mu.Lock()
 			for _, in := range live {
 				cs := in.VFS.CacheStats()
-				if cs.DentryMisses < 0 || cs.PageBytes < 0 || cs.DirtyBytes < 0 {
+				if cs.DentryMisses < 0 || cs.PageBytes < 0 || cs.CachedPages < 0 {
 					t.Errorf("nonsense cache stats after quiesce: %+v", cs)
 				}
 			}
@@ -229,7 +229,7 @@ func TestFleetCountersReadableWhileRunning(t *testing.T) {
 		mu.Lock()
 		for _, in := range live {
 			cs := in.VFS.CacheStats()
-			_ = cs.DentryHits + cs.PageHits + cs.DirtyBytes + cs.CachedPages
+			_ = cs.DentryHits + cs.PageHits + cs.PageBytes + cs.CachedPages
 			_ = int(cs.PinnedPages) + cs.DentryEntries
 			k := in.Kernel
 			_ = k.AsyncSyscalls.Load() + k.SyncSyscalls.Load() + k.SignalsDelivered.Load()

@@ -10,8 +10,8 @@ import (
 )
 
 // Page-cache coherence across transports: reads of cached pages that
-// race unlink, truncate, rename and write-back flushes, and warm reads
-// whose bytes must be copied before the cached pages are recycled.
+// race unlink, truncate, rename and writes, and warm reads whose bytes
+// must be copied before the cached pages are recycled.
 
 // zcPattern fills n bytes deterministically, seeded by tag.
 func zcPattern(tag byte, n int) []byte {
@@ -108,8 +108,8 @@ func init() {
 
 // t-lease exercises every coherence race with warm cached pages: stale-fd
 // bypass after unlink, truncate and rename of a file being read, and a
-// write-back flush overlapping cached pages. Output must be identical on
-// every transport and write-back configuration.
+// write plus fsync overlapping cached pages. Output must be identical on
+// every transport.
 func init() {
 	posix.Register(&posix.Program{Name: "t-lease", Main: func(p posix.Proc) int {
 		report := func(tag string, b []byte, err abi.Errno) {
@@ -206,9 +206,9 @@ func init() {
 		st, serr := p.Stat("/ov/h2")
 		posix.Fprintf(p, abi.Stdout, "rename.dst size=%d err=%d\n", st.Size, int(serr))
 
-		// 4. write-back flush overlapping cached pages: warm the pages,
-		// then write+fsync through another fd (dirty extents drop the
-		// cached pages before coalescing), then read the file fresh.
+		// 4. a write overlapping cached pages: warm the pages, then
+		// write+fsync through another fd (the write drops the cached
+		// pages), then read the file fresh.
 		fdE, err := warmOpen("/ov/k", 32*1024)
 		if err != abi.OK {
 			return 12
@@ -239,8 +239,8 @@ func init() {
 }
 
 // TestCacheCoherenceAcrossTransports runs t-lease on the async and ring
-// transports, each with write-back on and off: all four outputs must be
-// byte-identical, and no page may stay pinned after the process.
+// transports: both outputs must be byte-identical, and no page may stay
+// pinned after the process.
 func TestCacheCoherenceAcrossTransports(t *testing.T) {
 	files := map[string][]byte{
 		"/f": zcPattern(3, 64*1024),
@@ -249,7 +249,7 @@ func TestCacheCoherenceAcrossTransports(t *testing.T) {
 		"/k": zcPattern(6, 64*1024),
 	}
 	outputs := map[string]string{}
-	for _, v := range variants(transports, fs.Features{NoWriteBack: true}) {
+	for _, v := range variants(transports) {
 		w := v.boot(t)
 		mountOverlay(t, w, files)
 		w.install(t, "/usr/bin/t-lease", "t-lease", v.tr.kind())

@@ -5,18 +5,17 @@ import (
 	"testing"
 
 	"repro/internal/abi"
-	"repro/internal/fs"
 	"repro/internal/posix"
 )
 
 // Data-path guards: the mixed write workload's differential across
-// transports and write-back.
+// transports.
 
 func init() {
 	// t-zcwmix: a mixed write workload — append storm, overwrite patch,
 	// fsync, dup2 over an open write descriptor, pipe loopback — ending
 	// in a self-read report. Byte-identical output is the differential's
-	// contract across transports and write-back.
+	// contract across transports.
 	posix.Register(&posix.Program{Name: "t-zcwmix", Main: func(p posix.Proc) int {
 		// 1. Append storm.
 		fd, err := p.Open("/data/f", abi.O_WRONLY|abi.O_CREAT|abi.O_TRUNC, 0o644)
@@ -101,12 +100,12 @@ func zcwmixRun(t *testing.T, v variant) (string, int64) {
 }
 
 // TestZeroCopyWriteDifferential runs the mixed write workload t-zcwmix
-// on the async and ring transports with write-back on and off: all
-// four outputs must be byte-identical and every run must balance its
-// pin ledger.
+// on the async and ring transports: both outputs must be byte-identical
+// and every run must balance its pin ledger. (The name predates the
+// deletion of the zero-copy write path; every write now copies once.)
 func TestZeroCopyWriteDifferential(t *testing.T) {
 	var want string
-	for _, v := range variants(transports, fs.Features{NoWriteBack: true}) {
+	for _, v := range variants(transports) {
 		out, _ := zcwmixRun(t, v)
 		if want == "" {
 			want = out
@@ -116,11 +115,10 @@ func TestZeroCopyWriteDifferential(t *testing.T) {
 	}
 }
 
-// TestZeroCopyWriteDeterministicClock: repeat runs of t-zcwmix in the
-// same transport x write-back configuration land on the same virtual
-// clock.
+// TestZeroCopyWriteDeterministicClock: repeat runs of t-zcwmix on the
+// same transport land on the same virtual clock.
 func TestZeroCopyWriteDeterministicClock(t *testing.T) {
-	for _, v := range variants(transports, fs.Features{NoWriteBack: true}) {
+	for _, v := range variants(transports) {
 		_, a := zcwmixRun(t, v)
 		_, b := zcwmixRun(t, v)
 		if a != b {

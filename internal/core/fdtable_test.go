@@ -78,6 +78,19 @@ func init() {
 		say("close(fd2)", 0, p.Close(fd2))
 		b, err = p.Read(fd2, 3)
 		say("read(fd2) after close", len(b), err)
+		// A directory's cursor seeks like a file offset.
+		dfd, err := p.Open("/", abi.O_RDONLY, 0)
+		if err != abi.OK {
+			return 4
+		}
+		for _, s := range []struct {
+			off    int64
+			whence int
+		}{{-8, abi.SEEK_SET}, {5, abi.SEEK_CUR}, {0, abi.SEEK_END}} {
+			off, err := p.Seek(dfd, s.off, s.whence)
+			say(fmt.Sprintf("seek(/, %d, %d)", s.off, s.whence), int(off), err)
+		}
+		p.Close(dfd)
 		return 0
 	}})
 }
@@ -86,7 +99,8 @@ func init() {
 // baselines answers bad arguments with the errnos the kernel's op table
 // gives a Browsix process on every transport: EINVAL for negative counts
 // and offsets, EBADF for dup2 outside [0, FdMax) or from a closed fd.
-// dup2 onto an open descriptor replaces it with a shared open file.
+// dup2 onto an open descriptor replaces it with a shared open file, and
+// a directory's cursor seeks like a file offset.
 func TestHostProcRejectsLikeKernel(t *testing.T) {
 	sim := sched.New()
 	sim.MaxSteps = 100_000
@@ -101,7 +115,8 @@ func TestHostProcRejectsLikeKernel(t *testing.T) {
 		"read after refused seeks = 0\n" +
 		"dup2(1, -3): EBADF\ndup2(1, FdMax): EBADF\ndup2(99, 5): EBADF\n" +
 		"dup2(fd, fd2) = 0\nseek(fd, 2) = 2\nclose(fd) = 0\n" +
-		"read(fd2) = \"234\" success\nclose(fd2) = 0\nread(fd2) after close: EBADF\n"
+		"read(fd2) = \"234\" success\nclose(fd2) = 0\nread(fd2) after close: EBADF\n" +
+		"seek(/, -8, 0): EINVAL\nseek(/, 5, 1) = 5\nseek(/, 0, 2) = 0\n"
 	if string(host.Stdout) != want {
 		t.Errorf("host:\n%s\nwant:\n%s", host.Stdout, want)
 	}

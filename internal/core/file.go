@@ -174,33 +174,33 @@ func (f *fsFile) Writev(d *Desc, bufs [][]byte, cb func(int, abi.Errno)) {
 }
 
 func (f *fsFile) Seek(d *Desc, off int64, whence int, cb func(int64, abi.Errno)) {
+	seek(d, off, whence, f.h.Stat, cb)
+}
+
+// seek moves d's offset as lseek does: SEEK_SET counts from 0, SEEK_CUR
+// from d's offset and SEEK_END from the size stat reports. An unknown
+// whence or a negative result is EINVAL and leaves the offset unchanged.
+func seek(d *Desc, off int64, whence int, stat func(func(abi.Stat, abi.Errno)), cb func(int64, abi.Errno)) {
+	from := func(base int64) {
+		if base+off < 0 {
+			cb(0, abi.EINVAL)
+			return
+		}
+		d.off = base + off
+		cb(d.off, abi.OK)
+	}
 	switch whence {
 	case abi.SEEK_SET:
-		if off < 0 {
-			cb(0, abi.EINVAL)
-			return
-		}
-		d.off = off
-		cb(d.off, abi.OK)
+		from(0)
 	case abi.SEEK_CUR:
-		if d.off+off < 0 {
-			cb(0, abi.EINVAL)
-			return
-		}
-		d.off += off
-		cb(d.off, abi.OK)
+		from(d.off)
 	case abi.SEEK_END:
-		f.h.Stat(func(st abi.Stat, err abi.Errno) {
+		stat(func(st abi.Stat, err abi.Errno) {
 			if err != abi.OK {
 				cb(0, err)
 				return
 			}
-			if st.Size+off < 0 {
-				cb(0, abi.EINVAL)
-				return
-			}
-			d.off = st.Size + off
-			cb(d.off, abi.OK)
+			from(st.Size)
 		})
 	default:
 		cb(0, abi.EINVAL)
@@ -211,32 +211,6 @@ func (f *fsFile) Stat(cb func(abi.Stat, abi.Errno))                  { f.h.Stat(
 func (f *fsFile) Getdents(d *Desc, cb func([]abi.Dirent, abi.Errno)) { cb(nil, abi.ENOTDIR) }
 func (f *fsFile) Truncate(size int64, cb func(abi.Errno))            { f.h.Truncate(size, cb) }
 func (f *fsFile) Close(cb func(abi.Errno))                           { f.h.Close(cb) }
-
-// Sync implements the optional fsync extension: the write-back barrier —
-// every buffered write for this file is on the backend before cb fires.
-func (f *fsFile) Sync(cb func(abi.Errno)) {
-	if s, ok := f.h.(fs.Syncer); ok {
-		s.Sync(cb)
-		return
-	}
-	cb(abi.OK)
-}
-
-// syncerFile is the optional File extension behind the fsync syscall.
-type syncerFile interface {
-	Sync(cb func(abi.Errno))
-}
-
-// syncFile runs an fsync barrier on any kernel object: files flush their
-// write-back state; objects with no buffered state (pipes, sockets,
-// directories) succeed immediately, as fsync on them does on Unix.
-func syncFile(f File, cb func(abi.Errno)) {
-	if s, ok := f.(syncerFile); ok {
-		s.Sync(cb)
-		return
-	}
-	cb(abi.OK)
-}
 
 // ---------------------------------------------------------------------------
 // Directories. Opening a directory yields a dirFile whose Getdents lists it
@@ -258,12 +232,10 @@ func (f *dirFile) Pwrite(off int64, b []byte, cb func(int, abi.Errno)) {
 }
 func (f *dirFile) Truncate(s int64, cb func(abi.Errno)) { cb(abi.EISDIR) }
 
-// Seek supports rewinddir: SEEK_SET repositions the getdents cursor.
-func (f *dirFile) Seek(d *Desc, off int64, w int, cb func(int64, abi.Errno)) {
-	if w == abi.SEEK_SET && off >= 0 {
-		d.off = off
-	}
-	cb(d.off, abi.OK)
+// Seek moves the getdents cursor as fsFile.Seek moves a file offset
+// (SEEK_SET 0 is rewinddir); SEEK_END counts from the directory's size.
+func (f *dirFile) Seek(d *Desc, off int64, whence int, cb func(int64, abi.Errno)) {
+	seek(d, off, whence, f.Stat, cb)
 }
 func (f *dirFile) Stat(cb func(abi.Stat, abi.Errno)) { f.fs.Stat(f.path, cb) }
 

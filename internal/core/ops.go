@@ -143,7 +143,9 @@ func init() {
 			a.d.file.Truncate(a.Int[1], errDone(done))
 		},
 		abi.SYS_fsync: func(k *Kernel, t *Task, a callArgs, done func(abi.Result)) {
-			syncFile(a.d.file, errDone(done))
+			// Every write reaches its backend before it returns, so
+			// nothing is left to flush; the table still checks the fd.
+			done(res(0, abi.OK))
 		},
 		abi.SYS_fstat: func(k *Kernel, t *Task, a callArgs, done func(abi.Result)) {
 			a.d.file.Stat(statDone(done))

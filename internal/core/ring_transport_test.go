@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/abi"
-	"repro/internal/fs"
 	"repro/internal/posix"
 	"repro/internal/rt"
 )
@@ -95,12 +94,12 @@ func init() {
 }
 
 // TestOversizedSyncWriteChunks: a write larger than the shared heap's
-// scratch region must complete (in pieces) on the ring, with write-back
-// on and off, instead of overflowing the staging area — and the chunks
-// must land in order, byte for byte.
+// scratch region must complete (in pieces) on the ring instead of
+// overflowing the staging area — and the chunks must land in order,
+// byte for byte.
 func TestOversizedSyncWriteChunks(t *testing.T) {
 	want := bigPattern()
-	for _, v := range variants([]transport{ring}, fs.Features{NoWriteBack: true}) {
+	for _, v := range variants([]transport{ring}) {
 		w := v.boot(t)
 		w.install(t, "/usr/bin/t-bigwrite", "t-bigwrite", v.tr.kind())
 		code, out, errOut := w.run(t, "/usr/bin/t-bigwrite")

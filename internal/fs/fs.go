@@ -99,18 +99,6 @@ type FileSystem struct {
 	pc             *pageCache
 	feat           Features
 	readaheadPages int
-
-	// dirtyBudget bounds the bytes the write-back data path
-	// (writeback.go) buffers before a forced flush.
-	dirtyBudget int64
-
-	// Age-based background flusher (writeback.go): dirty extents older
-	// than flushAge flush on a virtual-time timer, so quiet long-lived
-	// files land without an fsync. flushTimer is the scheduler the
-	// kernel wires in; 0/nil disables.
-	flushAge        int64
-	flushTimer      func(delayNs int64, fn func())
-	flushTimerArmed bool
 }
 
 // NewFileSystem creates a file system whose root is the given backend.
@@ -121,7 +109,6 @@ func NewFileSystem(root Backend, now func() int64) *FileSystem {
 		dc:             newDcache(),
 		pc:             newPageCache(),
 		readaheadPages: DefaultReadaheadPages,
-		dirtyBudget:    maxDirtyBytes,
 	}
 	f.mounts = []mount{{prefix: "/", backend: root}}
 	return f
@@ -130,30 +117,24 @@ func NewFileSystem(root Backend, now func() int64) *FileSystem {
 // Features selects which of the VFS's optional mechanisms run. The zero
 // value is production: every mechanism on. Each field turns one off for
 // the differential tests and ablations; none changes the bytes a reader
-// sees, only how many backend calls happen and where pages live.
+// sees, only how many backend calls happen and where pages live. Every
+// write reaches its backend before it returns, whatever the features.
 type Features struct {
-	// NoCaches turns off the dentry and page caches (and with the page
-	// cache, write-back, which buffers there).
+	// NoCaches turns off the dentry and page caches.
 	NoCaches bool
-	// NoWriteBack selects write-through: every write reaches its backend
-	// before it returns.
-	NoWriteBack bool
 	// NoDedup turns off the content-addressed sharing tier: every cached
 	// page takes a private slot. Pages already resident keep their class.
 	NoDedup bool
 }
 
-// SetFeatures selects the mechanisms that run (caching and write-back
-// are on after NewFileSystem). Toggling the caches flushes everything;
-// turning write-back off flushes what it buffered.
+// SetFeatures selects the mechanisms that run (everything is on after
+// NewFileSystem). Toggling the caches flushes them.
 func (f *FileSystem) SetFeatures(ft Features) {
 	old := f.feat
 	f.feat = ft
 	f.pc.dedupOff = ft.NoDedup
 	if ft.NoCaches != old.NoCaches {
 		f.FlushCaches()
-	} else if ft.NoWriteBack && !old.NoWriteBack {
-		f.flushAllDirtyNow()
 	}
 }
 
@@ -161,11 +142,9 @@ func (f *FileSystem) SetFeatures(ft Features) {
 // readahead; the page cache itself stays on).
 func (f *FileSystem) SetReadahead(pages int) { f.readaheadPages = pages }
 
-// FlushCaches drops every cached dentry and page (cold-cache runs).
-// Buffered write-back state is flushed to the backends first — dropping
-// it would lose data (flush-on-unmount: Mount routes through here).
+// FlushCaches drops every cached dentry and page (cold-cache runs). The
+// caches hold no unwritten data, so nothing is lost.
 func (f *FileSystem) FlushCaches() {
-	f.flushAllDirtyNow()
 	f.dc.flush()
 	f.pc.flush()
 }
@@ -186,13 +165,11 @@ type CacheStats struct {
 	DentryEntries int   // dentries currently cached
 	WalkNodes     int   // radix nodes in the whole-walk tier
 
-	// Write-back counters (writeback.go).
-	BufferedWrites  int64 // writes absorbed into dirty extents
-	Flushes         int64 // per-path flush operations
-	FlushWrites     int64 // vectored backend writes the flusher issued
-	OverflowFlushes int64 // flushes forced by the dirty budget
-	AgedFlushes     int64 // background flushes triggered by extent age
-	DirtyBytes      int64 // bytes currently buffered
+	// BufferedWrites and FlushWrites are always zero: every write
+	// reaches its backend before it returns. They stay because the
+	// benchmark's per-layer report reads them.
+	BufferedWrites int64
+	FlushWrites    int64
 
 	PinnedPages int // pool slots currently pinned (snapshot clone pins)
 
@@ -222,13 +199,6 @@ func (f *FileSystem) CacheStats() CacheStats {
 		PageBytes:     f.pc.bytes.Load(),
 		DentryEntries: int(f.dc.entryCount.Load()),
 		WalkNodes:     int(f.dc.walkNodeCount.Load()),
-
-		BufferedWrites:  f.pc.bufferedWrites.Load(),
-		Flushes:         f.pc.flushes.Load(),
-		FlushWrites:     f.pc.flushWrites.Load(),
-		OverflowFlushes: f.pc.overflowFlushes.Load(),
-		AgedFlushes:     f.pc.agedFlushes.Load(),
-		DirtyBytes:      f.pc.dirtyBytes.Load(),
 
 		PinnedPages: int(f.pc.pool.pinned.Load()),
 
@@ -327,12 +297,8 @@ func (f *FileSystem) resolveMount(p string) (Backend, string) {
 // ---------------------------------------------------------------------------
 
 // invalidatePath drops the dentry, walk, and page caches for one path
-// (content or attributes changed). Buffered write-back state flushes
-// first, through the handle that buffered it: the generation bump below
-// unbinds the name from the file, but the buffered bytes belong to the
-// file and must land in it.
+// (content or attributes changed).
 func (f *FileSystem) invalidatePath(p string) {
-	f.flushDirtyNow(p)
 	f.dc.drop(p)
 	f.pc.drop(p)
 }
@@ -340,7 +306,6 @@ func (f *FileSystem) invalidatePath(p string) {
 // invalidateEntry drops a path and its parent directory (creation or
 // removal changes the parent's mtime and the child's existence).
 func (f *FileSystem) invalidateEntry(p, parent string) {
-	f.flushDirtyNow(p)
 	f.dc.drop(p)
 	f.dc.drop(parent)
 	f.pc.drop(p)
@@ -349,7 +314,6 @@ func (f *FileSystem) invalidateEntry(p, parent string) {
 // invalidateTree drops a path, its parent, and everything below the path
 // (directory rename/removal).
 func (f *FileSystem) invalidateTree(p, parent string) {
-	f.flushDirtyTreeNow(p)
 	f.dc.dropTree(p)
 	f.dc.drop(parent)
 	f.pc.dropTree(p)
@@ -361,23 +325,19 @@ func (f *FileSystem) invalidateTree(p, parent string) {
 // ---------------------------------------------------------------------------
 
 // Stat stats a path, following symlinks. Every transport's stat, lstat
-// and access resolve here, one path per call; a path with buffered
-// write-back state reports its virtual size and buffered mtime.
+// and access resolve here, one path per call.
 func (f *FileSystem) Stat(p string, cb func(abi.Stat, abi.Errno)) {
 	f.statWalk(p, true, cb)
 }
 
-// statWalk walks p and returns its attributes with the write-back
-// overlay applied.
+// statWalk walks p and returns its attributes.
 func (f *FileSystem) statWalk(p string, follow bool, cb func(abi.Stat, abi.Errno)) {
 	f.walk(p, walkOpts{follow: follow}, func(e walkEnt) {
 		if e.err != abi.OK {
 			cb(abi.Stat{}, e.err)
 			return
 		}
-		st := e.st
-		f.patchDirtyStat(e.path, &st)
-		cb(st, abi.OK)
+		cb(e.st, abi.OK)
 	})
 }
 
@@ -407,85 +367,65 @@ func (f *FileSystem) Lstat(p string, cb func(abi.Stat, abi.Errno)) {
 func (f *FileSystem) Open(p string, flags int, mode uint32, cb func(FileHandle, abi.Errno)) {
 	wantsWrite := flags&abi.O_ACCMODE != abi.O_RDONLY || flags&(abi.O_CREAT|abi.O_TRUNC) != 0
 	f.walk(p, walkOpts{follow: true}, func(e walkEnt) {
-		// Open barrier: buffered write-back state for this path flushes
-		// before any new handle is born, so every new reader (or writer)
-		// observes the flushed bytes — cross-handle read-your-writes.
-		// The open proceeds regardless; a flush failure is recorded for
-		// the next fsync on the path.
-		if e.path != "" && f.pc.dirty[e.path] != nil {
-			f.flushPath(e.path, func(err abi.Errno) {
-				f.recordFlushErr(e.path, err)
-				f.openResolved(e, p, flags, mode, wantsWrite, cb)
-			})
-			return
-		}
-		f.openResolved(e, p, flags, mode, wantsWrite, cb)
-	})
-}
-
-// openResolved continues Open once the walk result is known and any
-// write-back barrier has run.
-func (f *FileSystem) openResolved(e walkEnt, p string, flags int, mode uint32, wantsWrite bool, cb func(FileHandle, abi.Errno)) {
-	switch {
-	case e.err == abi.OK:
-		if flags&abi.O_DIRECTORY != 0 && !e.st.IsDir() {
-			cb(nil, abi.ENOTDIR)
-			return
-		}
-		if e.st.IsRegular() && !wantsWrite && !f.feat.NoCaches && cacheableBackend(e.backend) {
-			b, rel := e.backend, e.rel
-			ph := &pagedHandle{
-				fs:    f,
-				path:  e.path,
-				st:    e.st,
-				gen:   f.pc.gen(e.path),
-				dedup: dedupableBackend(e.backend),
-				open:  func(icb func(FileHandle, abi.Errno)) { b.Open(rel, flags, mode, icb) },
-			}
-			if b.ReadOnly() {
-				// Nothing can unlink beneath a read-only backend, so
-				// the backend open is safely deferred to the first
-				// page miss — a fully cached hot file is reopened
-				// with zero backend calls.
-				cb(ph, abi.OK)
+		switch {
+		case e.err == abi.OK:
+			if flags&abi.O_DIRECTORY != 0 && !e.st.IsDir() {
+				cb(nil, abi.ENOTDIR)
 				return
 			}
-			// Mutable backend (overlay): open eagerly so the handle
-			// keeps working if the path is unlinked afterwards.
-			ph.ensureInner(func(_ FileHandle, err abi.Errno) {
-				if err != abi.OK {
-					cb(nil, err)
+			if e.st.IsRegular() && !wantsWrite && !f.feat.NoCaches && cacheableBackend(e.backend) {
+				b, rel := e.backend, e.rel
+				ph := &pagedHandle{
+					fs:    f,
+					path:  e.path,
+					st:    e.st,
+					gen:   f.pc.gen(e.path),
+					dedup: dedupableBackend(e.backend),
+					open:  func(icb func(FileHandle, abi.Errno)) { b.Open(rel, flags, mode, icb) },
+				}
+				if b.ReadOnly() {
+					// Nothing can unlink beneath a read-only backend, so
+					// the backend open is safely deferred to the first
+					// page miss — a fully cached hot file is reopened
+					// with zero backend calls.
+					cb(ph, abi.OK)
 					return
 				}
-				cb(ph, abi.OK)
-			})
-			return
+				// Mutable backend (overlay): open eagerly so the handle
+				// keeps working if the path is unlinked afterwards.
+				ph.ensureInner(func(_ FileHandle, err abi.Errno) {
+					if err != abi.OK {
+						cb(nil, err)
+						return
+					}
+					cb(ph, abi.OK)
+				})
+				return
+			}
+			if wantsWrite {
+				f.invalidatePath(e.path)
+			}
+			f.openAt(e, flags, mode, wantsWrite, cb)
+		case e.err == abi.ENOENT && e.canCreate && flags&abi.O_CREAT != 0:
+			if hadTrailingSlash(p) {
+				// open("missing/", O_CREAT): only a directory could
+				// satisfy the trailing slash; open cannot create one.
+				cb(nil, abi.EISDIR)
+				return
+			}
+			f.invalidateEntry(e.path, e.parent)
+			f.openAt(e, flags, mode, true, cb)
+		default:
+			cb(nil, e.err)
 		}
-		if wantsWrite {
-			f.invalidatePath(e.path)
-		}
-		f.openAt(e, flags, mode, wantsWrite, cb)
-	case e.err == abi.ENOENT && e.canCreate && flags&abi.O_CREAT != 0:
-		if hadTrailingSlash(p) {
-			// open("missing/", O_CREAT): only a directory could
-			// satisfy the trailing slash; open cannot create one.
-			cb(nil, abi.EISDIR)
-			return
-		}
-		f.invalidateEntry(e.path, e.parent)
-		f.openAt(e, flags, mode, true, cb)
-	default:
-		cb(nil, e.err)
-	}
+	})
 }
 
 // openAt opens e's path on its backend and wraps the handle so writes
 // keep invalidating the caches for the canonical path. Mutating opens
 // (create/truncate/write) invalidate again on completion — the open may
 // have been asynchronous, and a concurrent lookup could have re-cached
-// pre-mutation state mid-flight. With write-back enabled, write-capable
-// handles become writebackHandles: their writes buffer as dirty extents
-// and coalesce into vectored backend flushes (writeback.go).
+// pre-mutation state mid-flight.
 func (f *FileSystem) openAt(e walkEnt, flags int, mode uint32, mutates bool, cb func(FileHandle, abi.Errno)) {
 	e.backend.Open(e.rel, flags, mode, func(h FileHandle, err abi.Errno) {
 		if mutates {
@@ -493,12 +433,6 @@ func (f *FileSystem) openAt(e walkEnt, flags int, mode uint32, mutates bool, cb 
 		}
 		if err != abi.OK {
 			cb(nil, err)
-			return
-		}
-		if mutates && !f.feat.NoWriteBack && !f.feat.NoCaches && writeBackableBackend(e.backend) {
-			// The generation is captured after the invalidation above,
-			// so the fresh handle is current.
-			cb(&writebackHandle{fs: f, path: e.path, gen: f.pc.gen(e.path), inner: h}, abi.OK)
 			return
 		}
 		cb(&invalHandle{FileHandle: h, fs: f, path: e.path}, abi.OK)
@@ -776,9 +710,9 @@ func (f *FileSystem) ReadFile(p string, cb func([]byte, abi.Errno)) {
 
 // ReadFileShared is ReadFile for a reader that never mutates the bytes,
 // such as the kernel reading an executable to spawn it. It opens p exactly
-// as ReadFile does (walk, write-back barriers, Stat); then a backend that
-// can alias its file hands out the contents by reference, copying before
-// the file's next in-place write so the returned bytes never change.
+// as ReadFile does (walk, Stat); then a backend that can alias its file
+// hands out the contents by reference, copying before the file's next
+// in-place write so the returned bytes never change.
 // Other backends copy. The caller promises never to mutate the result.
 func (f *FileSystem) ReadFileShared(p string, cb func([]byte, abi.Errno)) {
 	f.readFile(p, true, cb)
@@ -815,9 +749,9 @@ func (f *FileSystem) WriteFile(p string, data []byte, mode uint32, cb func(abi.E
 
 // WriteFileShared is WriteFile for bytes shared by many files, such as one
 // executable staged into every Instance. It opens p exactly as WriteFile
-// does (walk, write-back barrier, O_TRUNC, cache invalidation); then a
-// backend that can alias data adopts it as the file's contents, copying
-// only before the file's first in-place write. Other backends copy it.
+// does (walk, O_TRUNC, cache invalidation); then a backend that can alias
+// data adopts it as the file's contents, copying only before the file's
+// first in-place write. Other backends copy it.
 // The caller promises never to mutate data.
 func (f *FileSystem) WriteFileShared(p string, data []byte, mode uint32, cb func(abi.Errno)) {
 	f.writeFile(p, data, mode, true, cb)
@@ -851,23 +785,16 @@ type sharedAdopter interface {
 // write-capable handle from openAt, and drops the path's cached state as
 // a write through h would. It reports false when the backend must copy.
 func adoptShared(h FileHandle, data []byte) bool {
-	var inner FileHandle
-	var f *FileSystem
-	var p string
-	switch w := h.(type) {
-	case *writebackHandle:
-		inner, f, p = w.inner, w.fs, w.path
-	case *invalHandle:
-		inner, f, p = w.FileHandle, w.fs, w.path
-	default:
+	w, ok := h.(*invalHandle)
+	if !ok {
 		return false
 	}
-	a, ok := inner.(sharedAdopter)
+	a, ok := w.FileHandle.(sharedAdopter)
 	if !ok {
 		return false
 	}
 	a.adoptShared(data)
-	f.invalidatePath(p)
+	w.fs.invalidatePath(w.path)
 	return true
 }
 
@@ -877,9 +804,8 @@ type sharedReader interface {
 	readShared() ([]byte, abi.Errno)
 }
 
-// readShared reads h's whole file by reference, after the same write-back
-// barrier a Pread through h runs. It reports false, calling nothing, when
-// the backend under h must copy.
+// readShared reads h's whole file by reference. It reports false,
+// calling nothing, when the backend under h must copy.
 func readShared(h FileHandle, cb func([]byte, abi.Errno)) bool {
 	w, ok := h.(*invalHandle)
 	if !ok {
@@ -889,14 +815,7 @@ func readShared(h FileHandle, cb func([]byte, abi.Errno)) bool {
 	if !ok {
 		return false
 	}
-	if w.fs.pc.dirty[w.path] == nil {
-		cb(r.readShared())
-		return true
-	}
-	w.fs.flushPath(w.path, func(err abi.Errno) {
-		w.fs.recordFlushErr(w.path, err)
-		cb(r.readShared())
-	})
+	cb(r.readShared())
 	return true
 }
 
@@ -906,36 +825,12 @@ func readShared(h FileHandle, cb func([]byte, abi.Errno)) bool {
 
 // invalHandle wraps a backend handle so every mutation drops the cached
 // dentry (attributes) and pages for the canonical path, even writes on
-// descriptors that were opened read-only. Reads barrier on buffered
-// write-back state for the path: another handle's completed writes are
-// observable (POSIX read-after-write) even while they are only in the
-// dirty extents.
+// descriptors that were opened read-only. Reads go straight to the
+// backend, which every completed write has already reached.
 type invalHandle struct {
 	FileHandle
 	fs   *FileSystem
 	path string
-}
-
-func (h *invalHandle) Pread(off int64, n int, cb func([]byte, abi.Errno)) {
-	if h.fs.pc.dirty[h.path] != nil {
-		h.fs.flushPath(h.path, func(err abi.Errno) {
-			h.fs.recordFlushErr(h.path, err)
-			h.FileHandle.Pread(off, n, cb)
-		})
-		return
-	}
-	h.FileHandle.Pread(off, n, cb)
-}
-
-func (h *invalHandle) Preadv(off int64, lens []int, cb func([][]byte, abi.Errno)) {
-	if h.fs.pc.dirty[h.path] != nil {
-		h.fs.flushPath(h.path, func(err abi.Errno) {
-			h.fs.recordFlushErr(h.path, err)
-			h.FileHandle.Preadv(off, lens, cb)
-		})
-		return
-	}
-	h.FileHandle.Preadv(off, lens, cb)
 }
 
 func (h *invalHandle) Pwrite(off int64, data []byte, cb func(int, abi.Errno)) {

@@ -4,6 +4,9 @@ import (
 	"archive/zip"
 	"bytes"
 	"fmt"
+	"math"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -92,6 +95,65 @@ func TestTruncAndAppendSemantics(t *testing.T) {
 	})
 	if got := mustRead(t, f, "/f"); got != "ab" {
 		t.Fatalf("after trunc+write: %q", got)
+	}
+}
+
+// TestMemFSAppendGrowsAmortized guards memfs file growth: appends
+// through the VFS allocate in proportion to the file, not its square; a
+// slice ReadFileShared handed out keeps its bytes when a later append
+// fits in the spare capacity; and bytes a shrinking truncate leaves in
+// the capacity read as zeros when a write re-exposes them.
+func TestMemFSAppendGrowsAmortized(t *testing.T) {
+	const appends, chunk = 1000, 256
+	const final = appends * chunk
+	line := bytes.Repeat([]byte{'a'}, chunk)
+	var mem *MemFS
+	var f *FileSystem
+	var h FileHandle
+	// Another goroutine's allocation can only add to a window, so the
+	// least of up to 5 windows is the appends' own cost.
+	best := uint64(math.MaxUint64)
+	for w := 0; w < 5 && best >= 4*final; w++ {
+		mem = NewMemFS(now)
+		f = NewFileSystem(mem, func() int64 { return clock })
+		h = openWB(t, f, "/log", abi.O_WRONLY|abi.O_CREAT)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < appends; i++ {
+			h.Pwrite(int64(i*chunk), line, func(int, abi.Errno) {})
+		}
+		runtime.ReadMemStats(&after)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	if best >= 4*final {
+		t.Fatalf("%d appends of %d B allocated %d B, want under %d (4x the file)", appends, chunk, best, 4*final)
+	}
+	if got := mustRead(t, f, "/log"); got != strings.Repeat("a", final) {
+		t.Fatalf("appended file reads %d bytes, want %d of 'a'", len(got), final)
+	}
+
+	n := mem.lookup("/log")
+	if cap(n.data)-len(n.data) < chunk {
+		t.Fatalf("no spare capacity after the appends (len %d, cap %d)", len(n.data), cap(n.data))
+	}
+	shared := mustReadShared(t, f, "/log")
+	pwrite(t, h, final, "bbbb") // fits in the spare capacity
+	if string(shared) != strings.Repeat("a", final) {
+		t.Fatalf("an append changed the ReadFileShared slice")
+	}
+	if got := mustRead(t, f, "/log"); got != strings.Repeat("a", final)+"bbbb" {
+		t.Fatalf("file after the append reads %d bytes, want %d", len(got), final+4)
+	}
+
+	var terr abi.Errno = -1
+	h.Truncate(0, func(err abi.Errno) { terr = err })
+	if terr != abi.OK {
+		t.Fatalf("truncate: %v", terr)
+	}
+	pwrite(t, h, 100, "x")
+	closeH(t, h)
+	if got := mustRead(t, f, "/log"); got != strings.Repeat("\x00", 100)+"x" {
+		t.Fatalf("after truncate to 0 and a write at 100: %q", got)
 	}
 }
 

@@ -41,10 +41,6 @@ func (l *LocalStorageFS) Used() int64 { return l.used }
 // Quota reports the configured limit.
 func (l *LocalStorageFS) Quota() int64 { return l.quota }
 
-// WriteBackable opts out of the VFS write-back path: quota enforcement
-// must observe (and reject) every write at write time, not at flush.
-func (l *LocalStorageFS) WriteBackable() bool { return false }
-
 // Open wraps handles so writes go through quota accounting. localStorage
 // stores string key/values, so the per-file overhead of the real backend
 // is ignored; only content bytes count.

@@ -15,11 +15,6 @@ type MemFS struct {
 	ro   bool
 	name string
 
-	// WriteOps counts backend write calls on handles (Pwrite/Pwritev) —
-	// the denominator of the write-coalescing experiments: N buffered
-	// VFS writes should reach a backend as few WriteOps.
-	WriteOps int64
-
 	// ino allocation is per-backend: a process-wide counter would make
 	// inode numbers depend on how concurrently-running Instances
 	// interleave, breaking the fleet's serial-vs-parallel determinism.
@@ -372,16 +367,26 @@ func (h *memHandle) readShared() ([]byte, abi.Errno) {
 	return h.n.data[:len(h.n.data):len(h.n.data)], abi.OK
 }
 
-// writable returns n's bytes ready for an in-place write ending at end:
-// grown into a fresh slice when the write extends the file, or copied
-// first while they still alias shared bytes (copy-on-write).
+// writable returns n's bytes ready for an in-place write ending at end.
+// Bytes that still alias shared bytes are copied first (copy-on-write).
+// A write that extends the file past its capacity at least doubles it,
+// so an append loop allocates under twice its final capacity in all,
+// not O(n²) bytes. Bytes an extension re-exposes inside the capacity (a
+// shrinking Truncate keeps it) are zeroed, so a hole reads as zeros.
 func (n *memNode) writable(end int64) []byte {
-	if end > int64(len(n.data)) {
-		grown := make([]byte, end)
-		copy(grown, n.data)
-		n.data, n.shared = grown, false
-	} else if n.shared {
+	if n.shared {
 		n.data, n.shared = append([]byte(nil), n.data...), false
+	}
+	size := int64(len(n.data))
+	switch {
+	case end <= size:
+	case end <= int64(cap(n.data)):
+		n.data = n.data[:end]
+		clear(n.data[size:])
+	default:
+		grown := make([]byte, end, max(end, 2*int64(cap(n.data))))
+		copy(grown, n.data)
+		n.data = grown
 	}
 	return n.data
 }
@@ -389,14 +394,12 @@ func (n *memNode) writable(end int64) []byte {
 // adoptShared implements sharedAdopter: data becomes the file's contents
 // by reference, copied only before the first in-place write.
 func (h *memHandle) adoptShared(data []byte) {
-	h.fs.WriteOps++
 	h.n.data, h.n.shared = data[:len(data):len(data)], true
 	h.n.mtime = h.fs.now()
 }
 
 // Pwrite implements FileHandle.
 func (h *memHandle) Pwrite(off int64, data []byte, cb func(int, abi.Errno)) {
-	h.fs.WriteOps++
 	if h.fs.ro {
 		cb(0, abi.EROFS)
 		return
@@ -420,7 +423,6 @@ func (h *memHandle) Preadv(off int64, lens []int, cb func([][]byte, abi.Errno)) 
 // Pwritev implements FileHandle: the file grows once, then each buffer
 // lands directly in the node's data — no coalescing copy.
 func (h *memHandle) Pwritev(off int64, bufs [][]byte, cb func(int, abi.Errno)) {
-	h.fs.WriteOps++
 	if h.fs.ro {
 		cb(0, abi.EROFS)
 		return
@@ -455,9 +457,7 @@ func (h *memHandle) Truncate(size int64, cb func(abi.Errno)) {
 	if size <= int64(len(h.n.data)) {
 		h.n.data = h.n.data[:size] // a shared alias stays shared
 	} else {
-		grown := make([]byte, size)
-		copy(grown, h.n.data)
-		h.n.data, h.n.shared = grown, false
+		h.n.writable(size)
 	}
 	h.n.mtime = h.fs.now()
 	cb(abi.OK)

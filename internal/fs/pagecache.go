@@ -56,16 +56,6 @@ type pageCache struct {
 	pool *pagePool
 	att  int
 
-	// dirty holds buffered write-back state per canonical path (see
-	// writeback.go); dirtyBytes is the running total the dirty budget
-	// bounds. flushErrs records a failed background/overflow flush per
-	// path, surfaced at the next fsync on that path; entries carry the
-	// generation at record time so a later unrelated file reusing the
-	// name can never inherit a dead file's error.
-	dirty      map[string]*dirtyFile
-	dirtyBytes atomic.Int64
-	flushErrs  map[string]flushErr
-
 	// gens tracks an invalidation generation per path. A pagedHandle
 	// captures the generation at open; once a write (or copy-up, or
 	// unlink+recreate) bumps it, the stale handle bypasses the cache
@@ -98,21 +88,15 @@ type pageCache struct {
 	// dedup-eligible stores and index hits among them.
 	cachedPages, dedupPages, sharedBytes atomic.Int64
 	dedupHits, dedupStores               atomic.Int64
-	// Write-back counters: writes absorbed into dirty extents, flush
-	// operations, vectored backend writes the flusher issued,
-	// budget-overflow flushes, and age-triggered background flushes.
-	bufferedWrites, flushes, flushWrites, overflowFlushes, agedFlushes atomic.Int64
 }
 
 func newPageCache() *pageCache {
 	pool := newPagePool(poolSlots)
 	return &pageCache{
-		files:     map[string]*filePages{},
-		gens:      map[string]uint64{},
-		dirty:     map[string]*dirtyFile{},
-		flushErrs: map[string]flushErr{},
-		pool:      pool,
-		att:       pool.attach(0),
+		files: map[string]*filePages{},
+		gens:  map[string]uint64{},
+		pool:  pool,
+		att:   pool.attach(0),
 	}
 }
 
@@ -352,20 +336,14 @@ func (c *pageCache) storeDedup(p string, pageIdx int64, data []byte) (done, priv
 	}
 }
 
-// dropPages forgets a path's clean pages without bumping its
-// generation: the write-back handle's own buffered writes change the
-// file's content but not the name→file binding, so outstanding handles
-// stay current. Pinned slots freeze, as everywhere.
-func (c *pageCache) dropPages(p string) {
+// drop forgets a path's pages and bumps its generation, staling every
+// handle opened before. Pinned slots freeze, as everywhere.
+func (c *pageCache) drop(p string) {
 	if fp, ok := c.files[p]; ok {
 		c.releaseFilePages(fp)
 		c.bytes.Add(-fp.bytes)
 		delete(c.files, p)
 	}
-}
-
-func (c *pageCache) drop(p string) {
-	c.dropPages(p)
 	if len(c.gens) >= maxDentries {
 		clear(c.gens)
 		c.epoch++ // every outstanding handle goes stale, none revive
@@ -567,22 +545,7 @@ func (h *pagedHandle) storeRange(start int64, data []byte) {
 // page-aligned backend read, then kick sequential readahead. EOF comes
 // from short backend reads (reflected as short cached pages), never from
 // the open-time size snapshot — the file may have grown since.
-//
-// A read of a path with buffered write-back state is a barrier: the
-// dirty extents flush first, so cross-handle reads observe completed
-// writes (POSIX read-after-write), whichever handle buffered them.
 func (h *pagedHandle) Pread(off int64, n int, cb func([]byte, abi.Errno)) {
-	if h.fs.pc.dirty[h.path] != nil {
-		h.fs.flushPath(h.path, func(err abi.Errno) {
-			h.fs.recordFlushErr(h.path, err)
-			h.preadResolved(off, n, cb)
-		})
-		return
-	}
-	h.preadResolved(off, n, cb)
-}
-
-func (h *pagedHandle) preadResolved(off int64, n int, cb func([]byte, abi.Errno)) {
 	if off < 0 || n <= 0 {
 		cb(nil, abi.OK)
 		return
@@ -690,20 +653,19 @@ func (h *pagedHandle) readahead(end int64) {
 	})
 }
 
-// Preadv implements FileHandle. A warm hit on a current handle with no
-// buffered writes returns views of the arena pages themselves, which stay
-// valid only until cb returns: the caller copies them out inside cb (the
-// kernel copies them once into the process's heap or reply), and
-// sequential readahead, which may store and evict pages, starts only
-// after that. Everything else takes Pread's path and returns one segment
-// the caller owns.
+// Preadv implements FileHandle. A warm hit on a current handle returns
+// views of the arena pages themselves, which stay valid only until cb
+// returns: the caller copies them out inside cb (the kernel copies them
+// once into the process's heap or reply), and sequential readahead,
+// which may store and evict pages, starts only after that. Everything
+// else takes Pread's path and returns one segment the caller owns.
 func (h *pagedHandle) Preadv(off int64, lens []int, cb func([][]byte, abi.Errno)) {
 	total := 0
 	for _, n := range lens {
 		total += n
 	}
 	end := off + int64(total)
-	if off >= 0 && total > 0 && h.fs.pc.dirty[h.path] == nil && h.current() {
+	if off >= 0 && total > 0 && h.current() {
 		if views, n, ok := h.cachedViews(off, end); ok {
 			sequential := h.hit(off, n)
 			cb(views, abi.OK)

@@ -551,7 +551,6 @@ func (p *PagePool) SetSharedBudget(slots int) {
 // only sensible for a single attachment). It must be called at setup
 // time, before any page is cached; attached state does not migrate.
 func (f *FileSystem) SetPagePool(p *PagePool, quotaSlots int) {
-	f.flushAllDirtyNow()
 	f.pc.evictAll()
 	f.pc.pool = p.pp
 	f.pc.att = p.pp.attach(quotaSlots)

@@ -31,10 +31,10 @@ func closeOK(t *testing.T, h FileHandle) {
 
 // TestWriteFileSharedCopyOnWrite adopts one slice into two memfs files
 // and checks that every in-place write path copies the file first, so
-// neither the slice nor the other file ever changes — with write-back
-// buffering, with write-through, and with the caches off.
+// neither the slice nor the other file ever changes — with the caches
+// on and off.
 func TestWriteFileSharedCopyOnWrite(t *testing.T) {
-	for _, ft := range []Features{{}, {NoWriteBack: true}, {NoCaches: true}} {
+	for _, ft := range []Features{{}, {NoCaches: true}} {
 		mem := NewMemFS(now)
 		f := NewFileSystem(mem, func() int64 { return clock })
 		f.SetFeatures(ft)
@@ -119,10 +119,11 @@ func TestWriteFileCopies(t *testing.T) {
 // WriteFileShared. On memfs, ReadFileShared returns the node's own bytes,
 // and every later in-place write path copies the file first, so a slice
 // handed out earlier never changes: for a file adopted by WriteFileShared
-// and one written by plain WriteFile, with write-back buffering, with
-// write-through, and with the caches off. Dirty write-back extents flush
-// before the bytes are handed out, and backends that cannot alias a file
-// return a fresh copy, exactly as ReadFile.
+// and one written by plain WriteFile, with the caches on and off. A
+// write through a handle still open is in the bytes handed out (the
+// "write-back" case, named for the cache that once buffered it), and
+// backends that cannot alias a file return a fresh copy, exactly as
+// ReadFile.
 func TestReadFileSharedCopyOnWrite(t *testing.T) {
 	t.Run("memfs", testReadSharedMemFS)
 	t.Run("write-back", func(t *testing.T) {
@@ -130,11 +131,8 @@ func TestReadFileSharedCopyOnWrite(t *testing.T) {
 		mustWrite(t, f, "/x", "0123456789")
 		h := openRW(t, f, "/x")
 		h.Pwrite(3, []byte("abc"), func(int, abi.Errno) {})
-		if f.pc.dirty["/x"] == nil {
-			t.Fatal("the write was not buffered as a dirty extent")
-		}
 		if got := string(mustReadShared(t, f, "/x")); got != "012abc6789" {
-			t.Fatalf("ReadFileShared = %q, want the flushed bytes", got)
+			t.Fatalf("ReadFileShared = %q, want the written bytes", got)
 		}
 		closeOK(t, h)
 	})
@@ -167,7 +165,7 @@ func TestReadFileSharedCopyOnWrite(t *testing.T) {
 
 func testReadSharedMemFS(t *testing.T) {
 	const orig = "0123456789abcdef"
-	for _, ft := range []Features{{}, {NoWriteBack: true}, {NoCaches: true}} {
+	for _, ft := range []Features{{}, {NoCaches: true}} {
 		for _, adopted := range []bool{true, false} {
 			mem := NewMemFS(now)
 			f := NewFileSystem(mem, func() int64 { return clock })

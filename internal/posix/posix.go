@@ -40,8 +40,8 @@ type Proc interface {
 	Pwrite(fd int, b []byte, off int64) (int, abi.Errno)
 	Seek(fd int, off int64, whence int) (int64, abi.Errno)
 	Ftruncate(fd int, size int64) abi.Errno
-	// Fsync is the write-back barrier: every buffered write on the fd is
-	// on the backing store when it returns (flush-before-reply).
+	// Fsync checks fd and returns: every write on it already reached the
+	// backing store before that write returned.
 	Fsync(fd int) abi.Errno
 	Dup2(oldfd, newfd int) abi.Errno
 
