@@ -64,11 +64,12 @@ type Config struct {
 	// MaxSteps bounds the simulation (0 = default guard).
 	MaxSteps uint64
 	// PagePool, when non-nil, attaches this instance's page cache to a
-	// shared arena — the fleet's one cross-shard structure — instead of
-	// a private pool. Each instance draws slots from its own quota of
-	// fs.DefaultPoolSlots, the private pool's capacity, so its cache
-	// behaviour (and therefore its virtual clock) stays bit-identical to
-	// a private-pool boot.
+	// shared page pool — the fleet's one cross-shard structure, whose
+	// dedup index lets instances share identical immutable pages —
+	// instead of a private pool. Each instance charges its pages to its
+	// own quota of fs.DefaultPoolSlots, a private cache's budget, so its
+	// cache behaviour (and therefore its virtual clock) stays
+	// bit-identical to a private-pool boot.
 	PagePool *fs.PagePool
 	// EnableSnapshots turns on the checkpoint/fork subsystem
 	// (internal/snapshot) with a private registry: the first boot of
@@ -76,8 +77,8 @@ type Config struct {
 	// the same executable boots as a copy-on-write clone of it.
 	EnableSnapshots bool
 	// Snapshots attaches an existing registry instead — the fleet path:
-	// instances share one pre-warmed, sealed registry whose image pages
-	// live in the shared arena. Implies EnableSnapshots.
+	// instances share one pre-warmed, sealed registry, so every image's
+	// pages are one copy fleet-wide. Implies EnableSnapshots.
 	Snapshots *snapshot.Registry
 	// Features turns optional file-system mechanisms off; the zero
 	// value runs them all. See Features.
@@ -135,7 +136,7 @@ func Boot(cfg Config) *Instance {
 			reg = snapshot.NewRegistry()
 		}
 		// First store wins inside the registry: a fleet's shared
-		// registry keeps the arena store its pre-warm instance attached.
+		// registry keeps the store its pre-warm instance attached.
 		reg.SetStore(fsys.ImageStore(DefaultSnapshotSlots))
 		k.Snapshots = reg
 	}

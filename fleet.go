@@ -17,21 +17,21 @@ import (
 // the one-event-at-a-time virtual clock — so the way to use the host's
 // cores is not to thread a Sim but to run N independent Sims at once.
 // Fleet does exactly that: it boots one Instance per job on a bounded
-// pool of host workers (default GOMAXPROCS), shares a single page-pool
-// arena between them (the only cross-shard structure; see
-// fs.PagePool), and collects per-instance results plus aggregate
-// statistics.
+// pool of host workers (default GOMAXPROCS), shares a single page pool
+// between them (its quota ledger and dedup index are the only
+// cross-shard structure; see fs.PagePool), and collects per-instance
+// results plus aggregate statistics.
 //
 // The contract is the differential test's: a job's output — stdout,
 // stderr, exit code, and the instance's virtual clock — is bit-identical
 // whether the fleet runs with 1 worker or GOMAXPROCS. Parallelism
 // changes wall-clock time and nothing else. That holds because the
-// instances share no mutable state except the arena, and the arena's
-// per-attachment quotas make each shard's allocation behaviour
-// independent of its neighbours.
+// instances share no mutable state except the page pool, and the pool's
+// per-attachment quotas make each shard's caching behaviour independent
+// of its neighbours.
 
 // Job describes one fleet workload: an Instance is booted with Config
-// (its page pool redirected to the fleet's shared arena), staged by
+// (its page cache attached to the fleet's shared pool), staged by
 // Setup, then driven either by launching Spec (Run nil) or by the Run
 // callback (arbitrary workloads: interactive terminals, servers,
 // multi-process builds).
@@ -78,8 +78,7 @@ type JobResult struct {
 type FleetStats struct {
 	Jobs       int
 	Workers    int
-	PoolSlots  int // shared arena capacity
-	QuotaSlots int // per-instance slot quota
+	QuotaSlots int // per-instance page quota
 
 	WallNs         int64   // host wall-clock for the whole fleet
 	VirtualNs      int64   // sum of per-instance virtual clocks
@@ -99,16 +98,16 @@ type FleetStats struct {
 	SnapshotCaptures int64
 	CloneBoots       int64
 	CowFaults        int64
-	// SnapshotLeak is the fleet-wide COW pin balance check: nil when
-	// every image page came back to exactly its base pin after the last
-	// job quiesced; otherwise it names the leaking image and page.
+	// SnapshotLeak is the fleet-wide COW ledger check: nil when every
+	// clone returned every image page it shared by the time the last
+	// job quiesced; otherwise it names the leaking image.
 	SnapshotLeak error
 
 	// Content-addressed dedup across the batch: index hits and
 	// dedup-eligible stores summed over every job, the mean resident
 	// page count per job at completion (sampled just before each job's
 	// caches flush), and the derived sharing factor — logical page
-	// fills per physical slot fill, stores/(stores-hits); 1.0 means no
+	// fills per physical page fill, stores/(stores-hits); 1.0 means no
 	// page was ever shared.
 	DedupHits      int64
 	DedupStores    int64
@@ -117,14 +116,12 @@ type FleetStats struct {
 }
 
 // Fleet runs batches of independent deterministic Instances across host
-// cores. The zero value is ready to use: GOMAXPROCS workers, a shared
-// arena sized workers x the private-pool quota.
+// cores. The zero value is ready to use: GOMAXPROCS workers, one shared
+// page pool.
 type Fleet struct {
-	// Workers bounds host parallelism; <= 0 means GOMAXPROCS(0). The
-	// shared arena holds Workers x fs.DefaultPoolSlots, so no shard's
-	// allocation ever waits on a neighbour, and each instance's quota is
-	// the private pool's capacity, which keeps it bit-identical to a
-	// serial private-pool run.
+	// Workers bounds host parallelism; <= 0 means GOMAXPROCS(0). Each
+	// instance's page quota is fs.DefaultPoolSlots, a private cache's
+	// budget, which keeps it bit-identical to a serial private-pool run.
 	Workers int
 	// OnBoot, when non-nil, is called on the worker goroutine right
 	// after each job's Instance boots (before Setup) — the observation
@@ -133,10 +130,10 @@ type Fleet struct {
 	OnBoot func(index int, in *Instance)
 	// SnapshotWarmup, when non-nil, turns on fork-style spawning for the
 	// whole fleet: before any job runs, one scratch instance boots
-	// against the shared arena, runs each warmup command once so every
+	// against the shared pool, runs each warmup command once so every
 	// runtime it touches captures its post-boot image, and the resulting
-	// registry — pages in the shared arena, one copy fleet-wide — is
-	// sealed and attached to every job's Instance. Sealing before the
+	// registry — one copy of each image fleet-wide — is sealed and
+	// attached to every job's Instance. Sealing before the
 	// jobs run keeps the differential contract: each shard's virtual
 	// clock depends only on the sealed content, never on which shard
 	// booted a runtime first.
@@ -149,7 +146,7 @@ type SnapshotWarmup struct {
 	// jobs use, e.g. InstallBase).
 	Setup func(*Instance)
 	// Cmds run once each on the scratch instance; every runtime they
-	// boot captures an image (DefaultSnapshotSlots of arena quota).
+	// boot captures an image (DefaultSnapshotSlots of page quota).
 	Cmds []string
 }
 
@@ -164,8 +161,7 @@ func (fl *Fleet) Run(jobs []Job) ([]JobResult, FleetStats) {
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
-	slots := workers * fs.DefaultPoolSlots
-	pool := fs.NewPagePool(slots)
+	pool := fs.NewPagePool()
 	var reg *snapshot.Registry
 	if fl.SnapshotWarmup != nil {
 		reg = fl.prewarmSnapshots(pool)
@@ -195,7 +191,6 @@ func (fl *Fleet) Run(jobs []Job) ([]JobResult, FleetStats) {
 	stats := FleetStats{
 		Jobs:       len(jobs),
 		Workers:    workers,
-		PoolSlots:  slots,
 		QuotaSlots: fs.DefaultPoolSlots,
 		WallNs:     wall.Nanoseconds(),
 		VirtualNs:  agg.virtualNs.Load(),
@@ -225,7 +220,7 @@ func (fl *Fleet) Run(jobs []Job) ([]JobResult, FleetStats) {
 
 // dedupFactor derives logical-fills-per-physical-fill from store/hit
 // counters: every store is a logical fill, every non-hit store filled a
-// slot. 1.0 when nothing was ever shared (or nothing stored).
+// page. 1.0 when nothing was ever shared (or nothing stored).
 func dedupFactor(stores, hits int64) float64 {
 	if fills := stores - hits; fills > 0 {
 		return float64(stores) / float64(fills)
@@ -284,16 +279,17 @@ func (fl *Fleet) prewarmSnapshots(pool *fs.PagePool) *snapshot.Registry {
 }
 
 // ---------------------------------------------------------------------------
-// Tenant-scale load harness: N RESIDENT instances on one arena.
+// Tenant-scale load harness: N RESIDENT instances on one page pool.
 // ---------------------------------------------------------------------------
 
 // TenantLoad describes a tenant-scale run: boot Tenants long-lived
-// Instances against one shared arena (sharded across the fleet's
+// Instances against one shared page pool (sharded across the fleet's
 // workers), run each tenant's workload, and keep every tenant RESIDENT —
 // unlike Run's jobs, caches are not flushed per job — so the sampled
 // statistics measure what an N-tenant fleet actually holds: aggregate
 // pages per tenant, the dedup factor of the content-addressed tier, and
-// fairness across tenants under arena pressure.
+// fairness across tenants. A resident fleet's cached pages are bounded
+// by Tenants x fs.DefaultPoolSlots.
 type TenantLoad struct {
 	// Tenants is the instance count (hundreds to thousands).
 	Tenants int
@@ -309,18 +305,16 @@ type TenantLoad struct {
 type TenantStats struct {
 	Tenants    int
 	Workers    int
-	PoolSlots  int
 	QuotaSlots int
 	WallNs     int64
 	VirtualNs  int64 // summed over tenants
 
 	// Sampled while every tenant is resident.
 	LogicalPages  int64 // sum of per-tenant resident cached pages
-	PrivatePages  int64 // resident pages in private slots
-	SharedSlots   int64 // distinct dedup-index slots resident
-	SharedRefs    int64 // outstanding references to those slots
+	PrivatePages  int64 // resident pages not shared through the index
+	SharedSlots   int64 // distinct dedup-index pages resident
+	SharedRefs    int64 // outstanding references to those pages
 	DedupHits     int64 // index hits across all tenants
-	ArenaBytes    int64 // physical arena bytes in use (all attachments)
 	PhysicalPages int64 // SharedSlots + PrivatePages
 
 	// PagesPerTenant is PHYSICAL pages divided by tenants — the
@@ -334,18 +328,19 @@ type TenantStats struct {
 	MinTenantPages int64
 	MaxTenantPages int64
 
-	// Teardown checks (after every tenant's caches flush).
-	PinnedSlots  int   // should be 0 without a warmup registry
-	SnapshotLeak error // COW pin ledger when a warmup registry was used
+	// Teardown check (after every tenant's caches flush): the COW
+	// ledger when a warmup registry was used.
+	SnapshotLeak error
 }
 
 // RunTenants boots load.Tenants resident Instances sharded over the
 // fleet's workers (tenant i runs on worker i%workers; each worker boots
 // and drives its tenants serially, so per-tenant behaviour is
 // deterministic), samples fleet-wide statistics while all tenants are
-// resident, then tears everything down and verifies the pin ledgers. SnapshotWarmup, if set, pre-warms and seals a registry
-// exactly as Run does — snapshot heap pages land in the same
-// content-addressed index as fs pages.
+// resident, then tears everything down and verifies the COW ledger.
+// SnapshotWarmup, if set, pre-warms and seals a registry exactly as Run
+// does — snapshot heap pages land in the same content-addressed index as
+// fs pages.
 func (fl *Fleet) RunTenants(load TenantLoad) TenantStats {
 	n := load.Tenants
 	if n <= 0 {
@@ -358,8 +353,7 @@ func (fl *Fleet) RunTenants(load TenantLoad) TenantStats {
 	if workers > n {
 		workers = n
 	}
-	slots := workers * fs.DefaultPoolSlots
-	pool := fs.NewPagePool(slots)
+	pool := fs.NewPagePool()
 	var reg *snapshot.Registry
 	if fl.SnapshotWarmup != nil {
 		reg = fl.prewarmSnapshots(pool)
@@ -396,7 +390,6 @@ func (fl *Fleet) RunTenants(load TenantLoad) TenantStats {
 	st := TenantStats{
 		Tenants:    n,
 		Workers:    workers,
-		PoolSlots:  slots,
 		QuotaSlots: fs.DefaultPoolSlots,
 		WallNs:     wall.Nanoseconds(),
 	}
@@ -410,7 +403,6 @@ func (fl *Fleet) RunTenants(load TenantLoad) TenantStats {
 	}
 	entries, refs, hits := pool.DedupStats()
 	st.SharedSlots, st.SharedRefs, st.DedupHits = entries, refs, hits
-	st.ArenaBytes = int64(pool.Slots()-pool.FreeSlots()) * fs.PageSize
 	st.PhysicalPages = st.SharedSlots + st.PrivatePages
 	st.PagesPerTenant = float64(st.PhysicalPages) / float64(n)
 	if entries > 0 {
@@ -428,10 +420,6 @@ func (fl *Fleet) RunTenants(load TenantLoad) TenantStats {
 	if reg != nil {
 		st.SnapshotLeak = reg.VerifyBalanced()
 	}
-	// With no warmup registry this must be 0 (no leaked pins). A live
-	// registry legitimately holds one base pin per image page — its
-	// balance is what SnapshotLeak audits.
-	st.PinnedSlots = pool.PinnedSlots()
 	return st
 }
 
@@ -462,7 +450,8 @@ func jainIndex(xs []int64) (float64, int64, int64) {
 
 // runJob boots, stages, and drives one job on the calling worker
 // goroutine. The Instance lives entirely on this goroutine; the shared
-// arena is the only structure it touches concurrently with other shards.
+// page pool is the only structure it touches concurrently with other
+// shards.
 func (fl *Fleet) runJob(i int, job *Job, pool *fs.PagePool, reg *snapshot.Registry, agg *fleetAgg) (res JobResult) {
 	res.Index, res.Name = i, job.Name
 	var in *Instance
@@ -480,10 +469,10 @@ func (fl *Fleet) runJob(i int, job *Job, pool *fs.PagePool, reg *snapshot.Regist
 		agg.cachedPages.Add(cs.CachedPages)
 		agg.dedupHits.Add(cs.DedupHits)
 		agg.dedupStores.Add(cs.DedupStores)
-		// Drop this shard's cached pages so its arena slots return for
-		// the next tenant. Slots a live clone still pins stay frozen
-		// (bytes intact) until the pin returns — jobs that start servers
-		// should stop them before returning.
+		// Drop this shard's cached pages, returning their quota charges
+		// and dedup references to the shared pool. A clone still
+		// running keeps its pages on its image's COW ledger, so jobs
+		// that start servers should stop them before returning.
 		in.VFS.FlushCaches()
 		agg.virtualNs.Add(res.VirtualNs)
 		agg.async.Add(in.Kernel.AsyncSyscalls.Load())

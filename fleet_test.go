@@ -60,8 +60,8 @@ func memeJob() browsix.Job {
 			if resp.Status == 200 {
 				code = 0
 			}
-			// Stop the server so it exits and returns its snapshot pins
-			// (frozen arena slots would otherwise stay charged).
+			// Stop the server so it exits and returns its shared
+			// snapshot pages to the image's COW ledger.
 			in.Kill(pid, 9)
 			in.Run()
 			return browsix.JobOutput{Code: code, Stdout: resp.Body}
@@ -230,7 +230,7 @@ func TestFleetCountersReadableWhileRunning(t *testing.T) {
 		for _, in := range live {
 			cs := in.VFS.CacheStats()
 			_ = cs.DentryHits + cs.PageHits + cs.PageBytes + cs.CachedPages
-			_ = int(cs.PinnedPages) + cs.DentryEntries
+			_ = cs.DentryEntries
 			k := in.Kernel
 			_ = k.AsyncSyscalls.Load() + k.SyncSyscalls.Load() + k.SignalsDelivered.Load()
 			_ = k.RingSyscalls.Load() + k.RingBatchedCalls.Load() + k.RingNotifies.Load()

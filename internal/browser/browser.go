@@ -237,13 +237,6 @@ func NewSAB(n int) *SAB {
 	return &SAB{b: make([]byte, n), id: int(sabSeq.Add(1))}
 }
 
-// WrapSAB exposes an existing byte region as a SharedArrayBuffer view —
-// how the kernel shares its page-cache arena with worker processes. The
-// region must never be reallocated while views of it are outstanding.
-func WrapSAB(b []byte) *SAB {
-	return &SAB{b: b, id: int(sabSeq.Add(1))}
-}
-
 // Len returns the buffer length.
 func (s *SAB) Len() int { return len(s.b) }
 

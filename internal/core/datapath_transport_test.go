@@ -81,9 +81,8 @@ func init() {
 	}})
 }
 
-// zcwmixRun boots v, runs the mixed write workload t-zcwmix once and
-// checks that the run balanced its pin ledger. It returns
-// the workload's stdout and the virtual time the run took.
+// zcwmixRun boots v and runs the mixed write workload t-zcwmix once. It
+// returns the workload's stdout and the virtual time the run took.
 func zcwmixRun(t *testing.T, v variant) (string, int64) {
 	w := v.boot(t)
 	w.mkdirAll(t, "/data")
@@ -92,9 +91,6 @@ func zcwmixRun(t *testing.T, v variant) (string, int64) {
 	code, out, errOut := w.run(t, "/usr/bin/t-zcwmix")
 	if code != 0 {
 		t.Fatalf("%s: exited %d (stdout %q stderr %q)", v, code, out, errOut)
-	}
-	if pins := w.fs.CacheStats().PinnedPages; pins != 0 {
-		t.Errorf("%s: %d pages still pinned", v, pins)
 	}
 	return out, w.sim.Now() - t0
 }

@@ -9,14 +9,14 @@ import (
 )
 
 // Read-path dedup: two files with identical bytes occupy ONE set of
-// arena slots, and the ring transport serves warm reads of both names
-// out of those shared slots, leaving no page pinned at process exit.
+// pages, and the ring transport serves warm reads of both names out of
+// those shared pages.
 
 func TestDedupSharedSlotsServeGrants(t *testing.T) {
 	w := boot(t)
 	content := zcPattern(9, 256<<10+100)
 	pages := int64((len(content) + fs.PageSize - 1) / fs.PageSize)
-	// rep.bin is four IDENTICAL pages: one slot, read repeatedly through
+	// rep.bin is four IDENTICAL pages: one page, read repeatedly through
 	// the same descriptor.
 	rep := bytes.Repeat(zcPattern(5, fs.PageSize), 4)
 	mountRO(t, w, map[string][]byte{
@@ -76,16 +76,13 @@ func TestDedupSharedSlotsServeGrants(t *testing.T) {
 			t.Fatalf("warm read %s diverged: %q, want %q", path, out, want)
 		}
 	}
-	if pins := w.fs.CacheStats().PinnedPages; pins != 0 {
-		t.Fatalf("%d pool pages still pinned after exit", pins)
-	}
 }
 
-// TestDedupReleaseOnInvalidate: dropping every cache that references a
-// shared slot while a transport COULD still race a read is covered by
+// TestDedupFlushReturnsSharedSlots: dropping every cache that references
+// a shared page while a transport COULD still race a read is covered by
 // the fs stress suite; here we pin the cheap end-to-end variant — a
-// full cache flush between runs returns the arena to empty (no index
-// entry outlives its last referencing cache).
+// full cache flush between runs empties the cache (no index entry
+// outlives its last referencing cache).
 func TestDedupFlushReturnsSharedSlots(t *testing.T) {
 	w := boot(t)
 	content := zcPattern(4, 64<<10)
@@ -104,7 +101,7 @@ func TestDedupFlushReturnsSharedSlots(t *testing.T) {
 	}
 	w.fs.FlushCaches()
 	cs := w.fs.CacheStats()
-	if cs.CachedPages != 0 || cs.PinnedPages != 0 {
-		t.Fatalf("after flush: cached=%d pinned=%d, want 0/0", cs.CachedPages, cs.PinnedPages)
+	if cs.CachedPages != 0 || cs.DedupPages != 0 || cs.SharedBytes != 0 {
+		t.Fatalf("after flush: cached=%d shared=%d (%d bytes), want 0/0/0", cs.CachedPages, cs.DedupPages, cs.SharedBytes)
 	}
 }

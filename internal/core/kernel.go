@@ -275,10 +275,11 @@ func (k *Kernel) Spawn(parent *Task, spec SpawnSpec, cb func(int, abi.Errno)) {
 		switch {
 		case img != nil:
 			// Clone boot: the image and its COW tracker cross by
-			// reference (browser.Shared). Pins are taken here, on the
-			// main thread, so the balance invariant holds from the
-			// moment of the spawn decision — every death path runs
-			// through releaseTaskSnapshot.
+			// reference (browser.Shared). The image's COW ledger counts
+			// the clone's shared pages here, on the main thread, so the
+			// balance invariant holds from the moment of the spawn
+			// decision — every death path runs through
+			// releaseTaskSnapshot.
 			img.PinAll()
 			if img.HeapLen > 0 {
 				t.snapTracker = snapshot.NewTracker(img, img.NumPages())

@@ -11,8 +11,8 @@ import (
 //
 // Capture: a first boot of a runtime whose registry is still unsealed is
 // asked (init["snapcap"]) to call snapcap once its personality is
-// registered; the kernel freezes the task's heap into arena pages plus
-// its fd/env/cwd template and registers the image under the executable
+// registered; the kernel freezes the task's heap into immutable image
+// pages plus its fd/env/cwd template and registers the image under the executable
 // path.
 //
 // Clone: a later Spawn of the same path skips the object-URL eval of the
@@ -61,9 +61,9 @@ func (k *Kernel) fdInfos(t *Task) []snapshot.FdInfo {
 	return out
 }
 
-// releaseTaskSnapshot returns a task's snapshot references: every image
-// pin its tracker still holds (pages it exited without writing) comes
-// back to the shared arena. Runs on exit and on exec, and is idempotent.
+// releaseTaskSnapshot returns a task's snapshot references: every page
+// its tracker still shares (pages it exited without writing) goes back
+// to the image's ledger. Runs on exit and on exec, and is idempotent.
 func (k *Kernel) releaseTaskSnapshot(t *Task) {
 	if t.snapTracker != nil {
 		t.snapTracker.ReleaseShared()

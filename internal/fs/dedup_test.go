@@ -6,13 +6,15 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/abi"
 )
 
 // Tests for the content-addressed dedup tier: N attachments faulting the
-// same immutable bytes hold ONE arena copy, quota stays logical (so
-// tenant behaviour is identical with dedup on/off), shared slots free
-// exactly once after the last reference, and eviction under arena
-// pressure prefers private pages.
+// same immutable bytes hold ONE copy, quota stays logical (so tenant
+// behaviour is identical with dedup on/off), a shared page leaves the
+// index exactly once after the last reference, and no holder of a page
+// ever sees its bytes change.
 
 // newDedupFS builds a FileSystem attached to pool with the given quota,
 // with files staged on a read-only memfs mounted at /ro — the immutable
@@ -44,7 +46,7 @@ func pageContent(seed byte, n int) string {
 }
 
 func TestDedupSharesAcrossAttachments(t *testing.T) {
-	pool := NewPagePool(64)
+	pool := NewPagePool()
 	content := pageContent(3, 2*PageSize+100) // 3 pages, short tail
 	files := map[string]string{"/tree/hot.txt": content}
 	f1 := newDedupFS(t, pool, 0, files)
@@ -59,7 +61,7 @@ func TestDedupSharesAcrossAttachments(t *testing.T) {
 	}
 
 	// Second tenant reads the same bytes: every page is an index hit,
-	// no new slot fills.
+	// no new page fills.
 	if got := mustRead(t, f2, "/ro/tree/hot.txt"); got != content {
 		t.Fatalf("tenant 2 read %d bytes, want %d", len(got), len(content))
 	}
@@ -76,12 +78,12 @@ func TestDedupSharesAcrossAttachments(t *testing.T) {
 		t.Fatalf("tenant 2 resident pages = %d, want 3", cs.CachedPages)
 	}
 
-	// Both tenants map the same physical slots.
+	// Both tenants hold the same physical pages.
 	pg1 := f1.pc.files["/ro/tree/hot.txt"].pages
 	pg2 := f2.pc.files["/ro/tree/hot.txt"].pages
 	for idx, p1 := range pg1 {
-		if p2 := pg2[idx]; p2.slot != p1.slot {
-			t.Fatalf("page %d: tenant slots differ (%d vs %d)", idx, p1.slot, p2.slot)
+		if p2 := pg2[idx]; &p2.data[0] != &p1.data[0] {
+			t.Fatalf("page %d: tenants hold distinct copies", idx)
 		}
 	}
 
@@ -94,13 +96,13 @@ func TestDedupSharesAcrossAttachments(t *testing.T) {
 	if entries, refs, _ = pool.DedupStats(); entries != 0 || refs != 0 {
 		t.Fatalf("after last flush: entries=%d refs=%d, want 0/0", entries, refs)
 	}
-	if free := pool.FreeSlots(); free != pool.Slots() {
-		t.Fatalf("free slots after teardown = %d, want %d", free, pool.Slots())
+	if n := pool.pp.sharedBy(f1.pc.att) + pool.pp.sharedBy(f2.pc.att); n != 0 {
+		t.Fatalf("%d shared references still charged after teardown", n)
 	}
 }
 
 func TestDedupQuotaChargedLogically(t *testing.T) {
-	pool := NewPagePool(64)
+	pool := NewPagePool()
 	files := map[string]string{
 		"/tree/a": pageContent(5, 2*PageSize),
 		"/tree/b": pageContent(9, PageSize),
@@ -114,7 +116,7 @@ func TestDedupQuotaChargedLogically(t *testing.T) {
 		t.Fatalf("tenant 2 charged %d shared refs, want 2", n)
 	}
 	// The third page must evict /ro/tree/a from f2's own cache first —
-	// shared references consume quota exactly like private slots, so
+	// shared references consume quota exactly like private pages, so
 	// f2's eviction sequence is identical to a dedup-off run.
 	mustRead(t, f2, "/ro/tree/b")
 	cs := f2.CacheStats()
@@ -135,212 +137,142 @@ func TestDedupQuotaChargedLogically(t *testing.T) {
 }
 
 func TestDedupPublishRaceLoserFrees(t *testing.T) {
-	pp := newPagePool(8)
-	pp.ensure()
+	pp := newPagePool()
 	a := pp.attach(0)
 	b := pp.attach(0)
 	h := sha256.Sum256([]byte("same content"))
 
-	s1, st := pp.dedupAlloc(a)
-	if st != allocOK {
-		t.Fatalf("dedupAlloc a: %d", st)
+	// Both "tenants" missed and filled a fresh page with the same
+	// content; the second publish loses the race and adopts the
+	// canonical page, its own fresh page left to the collector.
+	pa, pb := []byte("same content"), []byte("same content")
+	ea := pp.dedupPublish(a, h, pa)
+	if ea == nil || &ea.page[0] != &pa[0] {
+		t.Fatal("first publish did not index its own page")
 	}
-	s2, st := pp.dedupAlloc(b)
-	if st != allocOK || s2 == s1 {
-		t.Fatalf("dedupAlloc b: slot=%d st=%d", s2, st)
-	}
-	// Both "tenants" filled their slot with the same content; the second
-	// publish loses the race, frees its slot, and adopts the canonical.
-	if canon := pp.dedupPublish(s1, h); canon != s1 {
-		t.Fatalf("first publish: canon=%d, want %d", canon, s1)
-	}
-	if canon := pp.dedupPublish(s2, h); canon != s1 {
-		t.Fatalf("second publish: canon=%d, want %d", canon, s1)
-	}
-	if !pp.isFree(s2) {
-		t.Fatal("losing slot was not freed")
+	if eb := pp.dedupPublish(b, h, pb); eb != ea {
+		t.Fatal("second publish did not adopt the canonical page")
 	}
 	if e, r, _ := pp.dedupStats(); e != 1 || r != 2 {
 		t.Fatalf("entries=%d refs=%d, want 1/2", e, r)
 	}
 
-	pp.dedupDeref(a, s1)
-	if !pp.isDedup(s1) || pp.isFree(s1) {
-		t.Fatal("slot freed while a reference remains")
+	pp.dedupDeref(a, ea)
+	if pp.dedupIdx[h] != ea {
+		t.Fatal("page left the index while a reference remains")
 	}
-	pp.dedupDeref(b, s1)
-	if pp.isDedup(s1) || !pp.isFree(s1) {
-		t.Fatal("slot not freed after the last reference")
+	pp.dedupDeref(b, ea)
+	if _, ok := pp.dedupIdx[h]; ok {
+		t.Fatal("page still indexed after the last reference")
 	}
-	if pp.sharedBy(a) != 0 || pp.sharedBy(b) != 0 || pp.usedBy(pp.dedupAtt) != 0 {
+	if pp.sharedBy(a) != 0 || pp.sharedBy(b) != 0 {
 		t.Fatal("dedup accounting leaked after last deref")
 	}
 }
 
-func TestDedupSharedSlotFreezesUnderLease(t *testing.T) {
-	pp := newPagePool(8)
-	pp.ensure()
-	a := pp.attach(0)
-	h := sha256.Sum256([]byte("leased"))
-	slot, st := pp.dedupAlloc(a)
-	if st != allocOK {
-		t.Fatalf("dedupAlloc: %d", st)
-	}
-	copy(pp.arena[slot*PageSize:], "leased")
-	if canon := pp.dedupPublish(slot, h); canon != slot {
-		t.Fatalf("publish: %d", canon)
-	}
-	pp.pin(slot) // an outstanding clone pin
-	pp.dedupDeref(a, slot)
-	if !pp.isFrozen(slot) {
-		t.Fatal("last deref under lease did not freeze the slot")
-	}
-	if got := string(pp.arena[slot*PageSize : slot*PageSize+6]); got != "leased" {
-		t.Fatalf("frozen bytes changed: %q", got)
-	}
-	pp.unpin(slot)
-	if !pp.isFree(slot) {
-		t.Fatal("slot not freed after the last lease returned")
-	}
-}
-
 func TestDedupImageStoreSharing(t *testing.T) {
-	pool := NewPagePool(32)
+	pool := NewPagePool()
 	store := pool.ImageStore(0)
 
-	// A zeroed heap collapses to one slot, one base pin per occurrence.
+	// A zeroed heap collapses to one page, one reference per occurrence.
 	zero := make([]byte, PageSize)
-	s1, ok := store.Put(zero)
+	p1, ok := store.Put(zero)
 	if !ok {
 		t.Fatal("Put zero page 1")
 	}
-	s2, ok := store.Put(zero)
+	p2, ok := store.Put(zero)
 	if !ok {
 		t.Fatal("Put zero page 2")
 	}
-	if s1 != s2 {
-		t.Fatalf("identical image pages in distinct slots: %d vs %d", s1, s2)
+	if &p1[0] != &p2[0] {
+		t.Fatal("identical image pages stored twice")
 	}
-	if n := store.PinCount(s1); n != 2 {
-		t.Fatalf("shared image slot holds %d base pins, want 2", n)
+	if e, r, _ := pool.DedupStats(); e != 1 || r != 2 {
+		t.Fatalf("entries=%d refs=%d, want 1/2", e, r)
 	}
 	// Short pages zero-pad before hashing: "x" and "x\0..." are the same
 	// stored page.
-	s3, ok := store.Put([]byte("x"))
-	if !ok || s3 == s1 {
-		t.Fatalf("Put short page: slot=%d ok=%v", s3, ok)
+	p3, ok := store.Put([]byte("x"))
+	if !ok || &p3[0] == &p1[0] || len(p3) != PageSize {
+		t.Fatalf("Put short page: len=%d ok=%v", len(p3), ok)
 	}
-	s4, _ := store.Put(append([]byte("x"), make([]byte, 100)...))
-	if s4 != s3 {
-		t.Fatalf("zero-padded equal pages in distinct slots: %d vs %d", s3, s4)
+	p4, _ := store.Put(append([]byte("x"), make([]byte, 100)...))
+	if &p4[0] != &p3[0] {
+		t.Fatal("zero-padded equal pages stored twice")
 	}
 
-	// Frees drop one base pin + one reference each; the slot survives
-	// until the last image page referencing it is freed.
-	store.Free(s2)
-	if n := store.PinCount(s1); n != 1 {
-		t.Fatalf("after one Free: %d pins, want 1", n)
+	// Each Free drops one reference; the page stays indexed until the
+	// last image page referencing it is freed.
+	store.Free(p2)
+	if e, r, _ := pool.DedupStats(); e != 2 || r != 3 {
+		t.Fatalf("after one Free: entries=%d refs=%d, want 2/3", e, r)
 	}
-	if !pool.pp.isDedup(s1) {
-		t.Fatal("slot unpublished while an image page still references it")
-	}
-	store.Free(s1)
-	if pool.pp.isDedup(s1) || !pool.pp.isFree(s1) {
-		t.Fatal("slot not freed after the last image page")
-	}
-	store.Free(s3)
-	store.Free(s4)
+	store.Free(p1)
+	store.Free(p3)
+	store.Free(p4)
 	if e, r, _ := pool.DedupStats(); e != 0 || r != 0 {
 		t.Fatalf("entries=%d refs=%d after teardown, want 0/0", e, r)
+	}
+	if n := pool.pp.sharedBy(store.att); n != 0 {
+		t.Fatalf("store still charged %d references", n)
 	}
 }
 
 func TestDedupImageAndFilePagesShareOneSlot(t *testing.T) {
-	pool := NewPagePool(32)
+	pool := NewPagePool()
 	content := pageContent(11, PageSize) // exactly one full page
 	f := newDedupFS(t, pool, 0, map[string]string{"/tree/seg": content})
 	mustRead(t, f, "/ro/tree/seg")
-	fileSlot := f.pc.files["/ro/tree/seg"].pages[0].slot
+	filePage := f.pc.files["/ro/tree/seg"].pages[0].data
 
 	// A snapshot image whose heap page carries the same bytes resolves
-	// to the SAME arena slot: fs pages and image pages share one
+	// to the SAME page: fs pages and image pages share one
 	// content-addressed mechanism.
 	store := pool.ImageStore(0)
-	imgSlot, ok := store.Put([]byte(content))
+	imgPage, ok := store.Put([]byte(content))
 	if !ok {
 		t.Fatal("Put")
 	}
-	if imgSlot != fileSlot {
-		t.Fatalf("image page slot %d != file page slot %d", imgSlot, fileSlot)
-	}
-	if n := store.PinCount(imgSlot); n != 1 {
-		t.Fatalf("pins=%d, want 1 (cache references are not pins)", n)
+	if &imgPage[0] != &filePage[0] {
+		t.Fatal("image page and file page are distinct copies")
 	}
 	if e, r, _ := pool.DedupStats(); e != 1 || r != 2 {
 		t.Fatalf("entries=%d refs=%d, want 1/2", e, r)
 	}
 	f.FlushCaches()
-	if !pool.pp.isDedup(imgSlot) {
-		t.Fatal("image lost its page when the file cache flushed")
+	if e, r, _ := pool.DedupStats(); e != 1 || r != 1 {
+		t.Fatalf("image lost its page when the file cache flushed: entries=%d refs=%d", e, r)
 	}
-	if !bytes.Equal(store.Data(imgSlot), []byte(content)) {
+	if !bytes.Equal(imgPage, []byte(content)) {
 		t.Fatal("image bytes changed after cache flush")
 	}
-	store.Free(imgSlot)
-	if free := pool.FreeSlots(); free != pool.Slots() {
-		t.Fatalf("free slots = %d, want %d", free, pool.Slots())
+	store.Free(imgPage)
+	if e, r, _ := pool.DedupStats(); e != 0 || r != 0 {
+		t.Fatalf("entries=%d refs=%d after Free, want 0/0", e, r)
 	}
 }
 
-func TestDedupEvictionPrefersPrivateUnderArenaPressure(t *testing.T) {
-	pool := NewPagePool(4)
-	pool.SetSharedBudget(2)
-	files := map[string]string{}
-	for i := 0; i < 5; i++ {
-		files[fmt.Sprintf("/tree/f%d", i)] = pageContent(byte(20+10*i), PageSize/2)
-	}
-	fA := newDedupFS(t, pool, 0, files)
-	fB := newDedupFS(t, pool, 0, files)
-	fB.SetFeatures(Features{NoDedup: true})
-
-	// Tenant A: f0, f1 land in the shared tier (budget 2), f2 overflows
-	// the budget into a private slot. Tenant B pins one more private
-	// slot, filling the arena while A still has quota headroom.
-	for i := 0; i < 3; i++ {
-		mustRead(t, fA, fmt.Sprintf("/ro/tree/f%d", i))
-	}
-	mustRead(t, fB, "/ro/tree/f3")
-	if cs := fA.CacheStats(); cs.CachedPages != 3 || cs.DedupPages != 2 {
-		t.Fatalf("tenant A resident=%d shared=%d, want 3/2", cs.CachedPages, cs.DedupPages)
-	}
-	if free := pool.FreeSlots(); free != 0 {
-		t.Fatalf("free slots = %d, want 0 (arena full)", free)
-	}
-	// A faults f4 under arena exhaustion: eviction must pick A's PRIVATE
-	// file (f2) even though the fully shared f0/f1 are older in LRU
-	// order — dropping a shared page frees no physical slot while the
-	// dedup index still holds it.
-	mustRead(t, fA, "/ro/tree/f4")
-	for _, want := range []string{"/ro/tree/f0", "/ro/tree/f1", "/ro/tree/f4"} {
-		if fA.pc.files[want] == nil {
-			t.Errorf("%s evicted from tenant A, want resident", want)
-		}
-	}
-	if fA.pc.files["/ro/tree/f2"] != nil {
-		t.Error("/ro/tree/f2 still resident in tenant A, want evicted (only private page)")
-	}
-	if fB.pc.files["/ro/tree/f3"] == nil {
-		t.Error("tenant B lost its page to tenant A's pressure")
-	}
-}
-
-// dedupStats is a locked triple read for white-box tests.
+// dedupStats is a triple read for white-box tests.
 func (pp *pagePool) dedupStats() (int64, int64, int64) {
 	return pp.dedupEntries.Load(), pp.dedupRefsN.Load(), pp.dedupHitsN.Load()
 }
 
+// usedBy returns the private pages charged to an attachment.
+func (pp *pagePool) usedBy(att int) int {
+	pp.mu.Lock()
+	defer pp.mu.Unlock()
+	return pp.used[att]
+}
+
+// sharedBy returns the shared-page references charged to an attachment.
+func (pp *pagePool) sharedBy(att int) int {
+	pp.mu.Lock()
+	defer pp.mu.Unlock()
+	return pp.sharedRefs[att]
+}
+
 func TestDedupOffMatchesPrivatePath(t *testing.T) {
-	pool := NewPagePool(64)
+	pool := NewPagePool()
 	content := pageContent(7, PageSize+64)
 	files := map[string]string{"/tree/x": content}
 	f1 := newDedupFS(t, pool, 0, files)
@@ -364,66 +296,59 @@ func TestDedupOffMatchesPrivatePath(t *testing.T) {
 	}
 }
 
-// TestLeaseFreezesDroppedPages: a file page that a snapshot image shares
-// (one deduped slot) and a clone still pins keeps its bytes after the
-// cache drops it and the image is freed. The slot is never recycled
-// meanwhile, and it thaws onto the free stack when the clone's pin
-// returns.
-func TestLeaseFreezesDroppedPages(t *testing.T) {
-	pool := NewPagePool(64)
+// TestHeldPageKeepsItsBytes: a cached page that a snapshot image also
+// holds (one deduped page), and the views a warm read returned of it,
+// keep the bytes they had after the cache drops the page, rewrites its
+// index with other bytes, or evicts it under quota pressure. A clone
+// booted from the image copies the image's pages, so it reads these
+// same bytes. No page is ever rewritten in place, so no holder needs a
+// pin; the cache goes on serving the file's current bytes.
+func TestHeldPageKeepsItsBytes(t *testing.T) {
 	content := pageContent(3, PageSize)
-	f := newDedupFS(t, pool, 0, map[string]string{"/tree/seg": content})
-	mustRead(t, f, "/ro/tree/seg")
-	slot := f.pc.files["/ro/tree/seg"].pages[0].slot
-	store := pool.ImageStore(0)
-	if s, ok := store.Put([]byte(content)); !ok || s != slot {
-		t.Fatalf("image page: slot=%d ok=%v, want the file's slot %d", s, ok, slot)
-	}
-	store.Pin(slot) // a clone still shares the page
+	other := strings.Repeat("\xee", PageSize)
+	for _, action := range []string{"drop", "rewrite", "evict"} {
+		t.Run(action, func(t *testing.T) {
+			pool := NewPagePool()
+			files := map[string]string{"/tree/seg": content}
+			for i := 0; i < 3; i++ {
+				files[fmt.Sprintf("/tree/f%d", i)] = pageContent(byte(40+i), PageSize)
+			}
+			f := newDedupFS(t, pool, 2, files) // room for two pages
+			h := openPaged(t, f, "/ro/tree/seg")
+			warmRead(t, h, 0, PageSize) // cold: caches the page
+			var views [][]byte
+			h.Preadv(0, []int{PageSize}, func(v [][]byte, err abi.Errno) { views = v })
+			cached := f.pc.files["/ro/tree/seg"].pages[0].data
+			if len(views) != 1 || &views[0][0] != &cached[0] {
+				t.Fatal("warm Preadv did not return a view of the cached page")
+			}
+			imgPage, ok := pool.ImageStore(0).Put([]byte(content))
+			if !ok || &imgPage[0] != &cached[0] {
+				t.Fatal("image page is not the cached page")
+			}
 
-	f.invalidatePath("/ro/tree/seg")
-	store.Free(slot) // the image's last reference, the clone pin still out
-	if !pool.pp.isFrozen(slot) {
-		t.Fatalf("dropped pinned slot %d not frozen", slot)
-	}
-	if pool.pp.isFree(slot) {
-		t.Fatalf("pinned slot %d recycled", slot)
-	}
-	// Churn the cache: stores must fill other slots, never this one.
-	for i := 0; i < 32; i++ {
-		f.pc.store(fmt.Sprintf("/churn%d", i), 0, bytes.Repeat([]byte{byte(i)}, PageSize), false)
-	}
-	if !bytes.Equal(store.Data(slot), []byte(content)) {
-		t.Fatalf("frozen slot bytes changed under an outstanding pin")
-	}
-
-	if !store.Unpin(slot) {
-		t.Fatalf("unpin failed")
-	}
-	if pool.pp.isFrozen(slot) || pool.pp.pinCount(slot) != 0 || !pool.pp.isFree(slot) {
-		t.Fatalf("slot %d not returned to the free stack after the last pin", slot)
-	}
-}
-
-// TestStoreNeverRewritesLeasedSlot: re-caching a page (same path, same
-// index) fills a fresh slot when a snapshot clone pins the old one —
-// pinned bytes are immutable.
-func TestStoreNeverRewritesLeasedSlot(t *testing.T) {
-	content := patterned(PageSize)
-	f, _ := newCountedFS(t, content)
-	h := openPaged(t, f, "/mnt/a/b/file.txt")
-	warmRead(t, h, 0, len(content))
-	old := f.pc.files["/mnt/a/b/file.txt"].pages[0].slot
-	store := f.ImageStore(0)
-	store.Pin(old)
-	f.pc.store("/mnt/a/b/file.txt", 0, bytes.Repeat([]byte{0xEE}, PageSize), false)
-	if pg := f.pc.files["/mnt/a/b/file.txt"].pages[0]; pg.slot == old {
-		t.Fatalf("store reused pinned slot %d in place", old)
-	}
-	if !bytes.Equal(store.Data(old), []byte(content)) {
-		t.Fatalf("pinned bytes rewritten by store")
-	}
-	if !store.Unpin(old) || f.CacheStats().PinnedPages != 0 {
-		t.Fatalf("pin did not return")
+			switch action {
+			case "drop":
+				f.invalidatePath("/ro/tree/seg")
+			case "rewrite":
+				f.pc.store("/ro/tree/seg", 0, []byte(other), true)
+				if got := string(f.pc.files["/ro/tree/seg"].pages[0].data); got != other {
+					t.Fatal("rewritten page does not serve the new bytes")
+				}
+			case "evict":
+				for i := 0; i < 3; i++ {
+					mustRead(t, f, fmt.Sprintf("/ro/tree/f%d", i))
+				}
+				if f.pc.files["/ro/tree/seg"] != nil {
+					t.Fatal("quota pressure did not evict the page")
+				}
+			}
+			if string(imgPage) != content || string(views[0]) != content {
+				t.Fatalf("%s changed bytes a holder still reads", action)
+			}
+			if got := mustRead(t, f, "/ro/tree/seg"); action != "rewrite" && got != content {
+				t.Fatalf("after %s the file reads %d other bytes", action, len(got))
+			}
+		})
 	}
 }

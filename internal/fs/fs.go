@@ -171,8 +171,6 @@ type CacheStats struct {
 	BufferedWrites int64
 	FlushWrites    int64
 
-	PinnedPages int // pool slots currently pinned (snapshot clone pins)
-
 	// Content-addressed dedup counters (the cross-tenant sharing tier).
 	CachedPages int64 // resident cached pages (logical, shared + private)
 	DedupPages  int64 // resident pages referencing shared dedup slots
@@ -199,8 +197,6 @@ func (f *FileSystem) CacheStats() CacheStats {
 		PageBytes:     f.pc.bytes.Load(),
 		DentryEntries: int(f.dc.entryCount.Load()),
 		WalkNodes:     int(f.dc.walkNodeCount.Load()),
-
-		PinnedPages: int(f.pc.pool.pinned.Load()),
 
 		CachedPages: f.pc.cachedPages.Load(),
 		DedupPages:  f.pc.dedupPages.Load(),

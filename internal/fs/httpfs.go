@@ -253,7 +253,7 @@ func (h *httpHandle) Pread(off int64, n int, cb func([]byte, abi.Errno)) {
 
 // PreadSlice implements SliceReader: the body is fully resident, so the
 // page cache's fault path reads it through a stable subslice and copies
-// exactly once, into the destination arena slot — no per-read staging
+// exactly once, into a fresh cache page — no per-read staging
 // buffer. (zipfs handles share this type, so decompressed members get
 // the same path.) Public Pread/Preadv still copy: only the page cache,
 // which copies before the callback returns, gets the aliased view.

@@ -1,6 +1,7 @@
 package fs
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"strings"
 	"sync/atomic"
@@ -15,15 +16,16 @@ import (
 // opened *lazily* — a fully cached file is re-opened and re-read without
 // a single backend call.
 //
-// Pages live in the page pool's arena (pagepool.go). A warm vectored
-// read hands the caller views of the arena pages, which the kernel copies
-// once into the process's heap or reply. Invalidation rides the same
-// hooks as the dentry cache: any mutating operation on a path drops its
-// pages; a dropped page whose slot a snapshot clone still pins freezes
-// (bytes intact) until the pin returns.
+// Each cached page is an immutable slice on the Go heap, charged to the
+// cache's page-pool quota (pagepool.go). A warm vectored read hands the
+// caller views of the pages, which the kernel copies once into the
+// process's heap or reply. Invalidation rides the same hooks as the
+// dentry cache: any mutating operation on a path drops its pages; a
+// holder of a dropped page keeps its bytes, since no page is ever
+// rewritten.
 
-// PageSize is the page-cache granule, and the slot size of the pool
-// arena that snapshot images share.
+// PageSize is the page-cache granule, and the page size of snapshot
+// images.
 const PageSize = 16 * 1024
 
 // maxPageCacheBytes bounds cached content; overflow clears the cache
@@ -41,18 +43,17 @@ const DefaultReadaheadPages = 4
 const MaxReadaheadPages = 64
 
 type filePages struct {
-	pages   map[int64]poolPage // page index -> pooled content (short page = EOF page)
+	pages   map[int64]poolPage // page index -> content (short page = EOF page)
 	bytes   int64
 	lastUse int64 // pageCache.useClock at the last hit/store (LRU key)
-	priv    int   // resident pages in private (non-deduped) slots
 }
 
 type pageCache struct {
 	files map[string]*filePages
 	bytes atomic.Int64
-	// pool is the slot arena pages live in — private by default, or a
-	// shared cross-Instance arena after SetPagePool. att is this cache's
-	// attachment id (its quota account) in the pool.
+	// pool is the quota ledger and dedup index pages are charged to —
+	// private by default, or shared across Instances after SetPagePool.
+	// att is this cache's attachment id (its quota account) in the pool.
 	pool *pagePool
 	att  int
 
@@ -74,9 +75,8 @@ type pageCache struct {
 	useClock int64
 
 	// dedupOff disables the content-addressed sharing tier for pages
-	// this cache stores (ablations and differentials): every page goes
-	// to a private slot, exactly the pre-dedup allocator. Pages already
-	// resident keep their sharing class.
+	// this cache stores (ablations and differentials): every page is
+	// private. Pages already resident keep their sharing class.
 	dedupOff bool
 
 	// Counters are atomics: the host (a fleet aggregator, a stats
@@ -84,14 +84,14 @@ type pageCache struct {
 	// on another thread.
 	hits, misses, readaheads atomic.Int64
 	// Dedup observability: resident cached pages (logical), resident
-	// pages referencing shared slots and their bytes, and — since boot —
+	// pages referencing shared pages and their bytes, and — since boot —
 	// dedup-eligible stores and index hits among them.
 	cachedPages, dedupPages, sharedBytes atomic.Int64
 	dedupHits, dedupStores               atomic.Int64
 }
 
 func newPageCache() *pageCache {
-	pool := newPagePool(poolSlots)
+	pool := newPagePool()
 	return &pageCache{
 		files: map[string]*filePages{},
 		gens:  map[string]uint64{},
@@ -117,23 +117,22 @@ func (c *pageCache) file(p string) *filePages {
 	return fp
 }
 
-// releasePage detaches one cached page from this cache: private slots
-// release directly (free, or freeze for pin holders); shared slots drop
-// this cache's dedup reference, and the index frees the slot exactly
-// once, after the last reference. Maintains the resident counters.
+// releasePage detaches one cached page from this cache: a private page
+// returns its quota charge; a shared page drops this cache's dedup
+// reference. Maintains the resident counters.
 func (c *pageCache) releasePage(pg poolPage) {
 	c.cachedPages.Add(-1)
-	if pg.shared {
+	if pg.shared != nil {
 		c.dedupPages.Add(-1)
-		c.sharedBytes.Add(-int64(pg.len))
-		c.pool.dedupDeref(c.att, pg.slot)
+		c.sharedBytes.Add(-int64(len(pg.data)))
+		c.pool.dedupDeref(c.att, pg.shared)
 		return
 	}
-	c.pool.release(pg.slot)
+	c.pool.uncharge(c.att)
 }
 
-// releaseFilePages detaches every slot a file holds (freeing or
-// freezing each) without touching the files map.
+// releaseFilePages detaches every page a file holds without touching
+// the files map.
 func (c *pageCache) releaseFilePages(fp *filePages) {
 	for _, pg := range fp.pages {
 		c.releasePage(pg)
@@ -141,7 +140,6 @@ func (c *pageCache) releaseFilePages(fp *filePages) {
 }
 
 // evictAll drops every cached page — the deterministic overflow policy.
-// Pinned slots freeze; everything else returns to the free stack.
 // Generations are untouched: handles stay current, the content is just
 // gone (exactly the old clear-the-map semantics).
 func (c *pageCache) evictAll() {
@@ -153,8 +151,8 @@ func (c *pageCache) evictAll() {
 }
 
 // evictOneLRU releases the least-recently-used file's pages (ties broken
-// by path, so the order is deterministic). Pinned slots freeze as
-// everywhere. Returns false when nothing is cached.
+// by path, so the order is deterministic). Returns false when nothing is
+// cached.
 func (c *pageCache) evictOneLRU() bool {
 	var victim string
 	var vfp *filePages
@@ -173,37 +171,9 @@ func (c *pageCache) evictOneLRU() bool {
 	return true
 }
 
-// evictOneLRUPreferPrivate evicts the least-recently-used file holding
-// at least one PRIVATE page, falling back to plain LRU when every
-// resident file is fully shared. Used only under arena exhaustion
-// (allocNoArena): dropping a shared page frees a physical slot only when
-// its last tenant lets go, so private pages go first. Quota-driven
-// eviction stays plain LRU — that keeps a tenant's eviction sequence
-// identical with dedup on and off, which the differential suite pins.
-func (c *pageCache) evictOneLRUPreferPrivate() bool {
-	var victim string
-	var vfp *filePages
-	for p, fp := range c.files {
-		if fp.priv == 0 {
-			continue
-		}
-		if vfp == nil || fp.lastUse < vfp.lastUse ||
-			(fp.lastUse == vfp.lastUse && p < victim) {
-			victim, vfp = p, fp
-		}
-	}
-	if vfp == nil {
-		return c.evictOneLRU()
-	}
-	c.releaseFilePages(vfp)
-	c.bytes.Add(-vfp.bytes)
-	delete(c.files, victim)
-	return true
-}
-
 // evictLRU frees budget for need more bytes by evicting whole files in
 // least-recently-used order — hot files stay resident under
-// arena pressure, unlike the old evict-everything policy.
+// pressure, unlike the old evict-everything policy.
 func (c *pageCache) evictLRU(need int64) {
 	for c.bytes.Load()+need > maxPageCacheBytes {
 		if !c.evictOneLRU() {
@@ -212,33 +182,30 @@ func (c *pageCache) evictLRU(need int64) {
 	}
 }
 
-// insertPage records a just-allocated (or just-referenced) page under
+// insertPage records a just-charged (or just-referenced) page under
 // (p, pageIdx) and maintains the byte and page counters. Fetches the
 // filePages entry fresh: eviction inside store may have dropped p.
 func (c *pageCache) insertPage(p string, pageIdx int64, pg poolPage) {
 	fp := c.file(p)
 	c.touch(fp)
 	fp.pages[pageIdx] = pg
-	fp.bytes += int64(pg.len)
-	c.bytes.Add(int64(pg.len))
+	fp.bytes += int64(len(pg.data))
+	c.bytes.Add(int64(len(pg.data)))
 	c.cachedPages.Add(1)
-	if pg.shared {
+	if pg.shared != nil {
 		c.dedupPages.Add(1)
-		c.sharedBytes.Add(int64(pg.len))
-	} else {
-		fp.priv++
+		c.sharedBytes.Add(int64(len(pg.data)))
 	}
 }
 
-// store caches one page of content for (p, pageIdx). Pages from
-// immutable backends (dedup=true) route through the content-addressed
-// index: hash the bytes just read, reference the already-resident slot
-// on a hit, fill-and-publish on a miss — the hash happens AFTER the
-// backend read either way, so a hit and a miss cost identical virtual
-// time and dedup can never perturb a tenant's clock. When the pool (or
-// the byte budget) is exhausted it evicts cold files in LRU order until
-// the page fits; if every slot is pinned the page simply is not cached
-// (reads still work through the backend).
+// store caches one page of content for (p, pageIdx) in a fresh page.
+// Pages from immutable backends (dedup=true) route through the
+// content-addressed index: hash the bytes just read, reference the
+// already-resident page on a hit, fill-and-publish on a miss — the hash
+// happens AFTER the backend read either way, so a hit and a miss cost
+// identical virtual time and dedup can never perturb a tenant's clock.
+// At quota (or over the byte budget) it evicts cold files in LRU order
+// until the page fits.
 func (c *pageCache) store(p string, pageIdx int64, data []byte, dedup bool) {
 	if len(data) > PageSize || len(data) == 0 {
 		return // defensive: a page never exceeds the granule
@@ -249,95 +216,54 @@ func (c *pageCache) store(p string, pageIdx int64, data []byte, dedup bool) {
 	c.touch(c.file(p)) // newest file: evicted last under pressure
 	if fp := c.files[p]; fp != nil {
 		if old, ok := fp.pages[pageIdx]; ok {
-			// Replacing a cached page never rewrites its slot in place:
-			// the old slot may be pinned by a snapshot clone (or shared
-			// with other tenants). Detach it and fill a fresh one.
-			fp.bytes -= int64(old.len)
-			c.bytes.Add(-int64(old.len))
-			if !old.shared {
-				fp.priv--
-			}
+			fp.bytes -= int64(len(old.data))
+			c.bytes.Add(-int64(len(old.data)))
 			c.releasePage(old)
 			delete(fp.pages, pageIdx)
 		}
 	}
 	if dedup && !c.dedupOff {
-		done, private := c.storeDedup(p, pageIdx, data)
-		if done || !private {
+		c.storeDedup(p, pageIdx, data)
+		return
+	}
+	// At quota: evict cold files until the charge fits. Eviction may
+	// drop p itself (when it is the only file); insertPage re-fetches
+	// the entry.
+	for !c.pool.charge(c.att) {
+		if !c.evictOneLRU() {
 			return
 		}
-		// Shared budget exhausted: fall through to a private slot.
 	}
-	slot, st := c.pool.alloc2(c.att)
-	for st != allocOK {
-		// Exhaustion: evict cold files until a slot frees. Quota pressure
-		// (a per-attachment, deterministic condition) evicts plain LRU;
-		// arena pressure prefers private pages, whose slots actually
-		// free. Eviction may drop p itself (when it is the only file);
-		// insertPage re-fetches the entry. Frozen slots free no quota, so
-		// the loop ends when the files map empties if every slot is
-		// pinned.
-		var evicted bool
-		if st == allocNoArena {
-			evicted = c.evictOneLRUPreferPrivate()
-		} else {
-			evicted = c.evictOneLRU()
-		}
-		if !evicted {
-			return // every quota slot pinned: skip caching this page
-		}
-		slot, st = c.pool.alloc2(c.att)
-	}
-	copy(c.pool.arena[slot*PageSize:], data)
-	c.insertPage(p, pageIdx, poolPage{slot: slot, len: len(data)})
+	c.insertPage(p, pageIdx, poolPage{data: bytes.Clone(data)})
 }
 
 // storeDedup runs the content-addressed store: lookup, then
-// alloc/fill/publish on a miss. done means the page was handled (cached
-// shared, or skipped because nothing more can be evicted); private means
-// the caller should fall back to a private slot (shared budget
-// exhausted — bytes and clocks identical, only placement differs).
-func (c *pageCache) storeDedup(p string, pageIdx int64, data []byte) (done, private bool) {
+// fill/publish on a miss. At quota it evicts in plain LRU order — the
+// same deterministic condition, and the same order, as a private
+// charge miss, so a tenant evicts identically with dedup on or off.
+func (c *pageCache) storeDedup(p string, pageIdx int64, data []byte) {
 	c.dedupStores.Add(1)
 	h := sha256.Sum256(data)
 	for {
-		slot, st := c.pool.dedupLookup(c.att, h)
+		e, st := c.pool.dedupLookup(c.att, h)
 		switch st {
 		case dedupHit:
 			c.dedupHits.Add(1)
-			c.insertPage(p, pageIdx, poolPage{slot: slot, len: len(data), shared: true})
-			return true, false
-		case dedupNoQuota:
-			// The same deterministic condition as a private-alloc quota
-			// miss: plain LRU eviction, identical order dedup on or off.
-			if !c.evictOneLRU() {
-				return true, false
-			}
-			continue
+		case dedupMiss:
+			e = c.pool.dedupPublish(c.att, h, bytes.Clone(data))
 		}
-		slot, st = c.pool.dedupAlloc(c.att)
-		switch st {
-		case allocOK:
-			copy(c.pool.arena[slot*PageSize:], data)
-			canon := c.pool.dedupPublish(slot, h)
-			c.insertPage(p, pageIdx, poolPage{slot: canon, len: len(data), shared: true})
-			return true, false
-		case allocNoQuota:
-			if !c.evictOneLRU() {
-				return true, false
-			}
-		case allocNoArena:
-			if !c.evictOneLRUPreferPrivate() {
-				return true, false
-			}
-		case allocNoShared:
-			return false, true
+		if e != nil {
+			c.insertPage(p, pageIdx, poolPage{data: e.page, shared: e})
+			return
+		}
+		if !c.evictOneLRU() {
+			return
 		}
 	}
 }
 
 // drop forgets a path's pages and bumps its generation, staling every
-// handle opened before. Pinned slots freeze, as everywhere.
+// handle opened before.
 func (c *pageCache) drop(p string) {
 	if fp, ok := c.files[p]; ok {
 		c.releaseFilePages(fp)
@@ -369,8 +295,7 @@ func (c *pageCache) dropTree(p string) {
 
 // flush drops all cached pages and advances the epoch: handles opened
 // before the flush (possibly against a backend a new Mount has since
-// shadowed) go permanently stale and bypass the cache. Pinned slots
-// freeze, as everywhere.
+// shadowed) go permanently stale and bypass the cache.
 func (c *pageCache) flush() {
 	c.evictAll()
 	c.epoch++
@@ -397,7 +322,7 @@ func cacheableBackend(b Backend) bool {
 // tenant are the same page forever. OverlayFS opts in even though it is
 // writable — every mutation routes through the VFS invalidation hooks
 // (copy-up drops the lower page before upper bytes become visible), and
-// the store never rewrites a published slot in place.
+// no page is ever rewritten.
 type pageDedupable interface {
 	PageDedupable() bool
 }
@@ -420,7 +345,7 @@ type SliceReader interface {
 }
 
 // backedRead reads [off, off+n) from a backend handle, preferring the
-// zero-staging SliceReader path so the caller's copy (into an arena slot
+// zero-staging SliceReader path so the caller's copy (into a fresh page
 // or a reply buffer) is the ONLY copy of the fault. Both paths are
 // synchronous for resident backends and carry no virtual-time charge, so
 // the fast path never perturbs clocks.
@@ -489,8 +414,8 @@ func (h *pagedHandle) adaptWindow(sequential bool) {
 
 // cachedViews returns views of the cached pages covering [off, end),
 // stopping at EOF (a short page), and their total length; ok is false
-// on any missing page. The views alias the arena and stay valid only
-// until the cache next stores or drops a page.
+// on any missing page. The views alias the immutable cached pages: the
+// caller may keep them, but must never write into them.
 func (h *pagedHandle) cachedViews(off, end int64) (views [][]byte, n int64, ok bool) {
 	fp := h.fs.pc.files[h.path]
 	if fp == nil {
@@ -502,7 +427,7 @@ func (h *pagedHandle) cachedViews(off, end int64) (views [][]byte, n int64, ok b
 		if !okp {
 			return nil, 0, false
 		}
-		page := h.fs.pc.pool.data(pg)
+		page := pg.data
 		pstart := idx * PageSize
 		lo := pos - pstart
 		if lo >= int64(len(page)) {
@@ -582,7 +507,7 @@ func (h *pagedHandle) Pread(off int64, n int, cb func([]byte, abi.Errno)) {
 			cb(nil, err)
 			return
 		}
-		// backedRead's view is only copied from (into arena slots, into
+		// backedRead's view is only copied from (into fresh pages, into
 		// out) before the callback returns, so the slice never escapes.
 		backedRead(fh, astart, int(aend-astart), func(data []byte, err abi.Errno) {
 			if err != abi.OK {
@@ -654,11 +579,10 @@ func (h *pagedHandle) readahead(end int64) {
 }
 
 // Preadv implements FileHandle. A warm hit on a current handle returns
-// views of the arena pages themselves, which stay valid only until cb
-// returns: the caller copies them out inside cb (the kernel copies them
-// once into the process's heap or reply), and sequential readahead,
-// which may store and evict pages, starts only after that. Everything
-// else takes Pread's path and returns one segment the caller owns.
+// views of the immutable cached pages themselves, which the caller must
+// never write (the kernel copies them once into the process's heap or
+// reply). Everything else takes Pread's path and returns one segment
+// the caller owns.
 func (h *pagedHandle) Preadv(off int64, lens []int, cb func([][]byte, abi.Errno)) {
 	total := 0
 	for _, n := range lens {

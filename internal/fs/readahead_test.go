@@ -49,7 +49,7 @@ func patterned(n int) string {
 }
 
 // TestPreadvWarmHitViewsArena: a warm read of a current handle returns
-// one view per arena page it spans without touching the backend; a cold
+// one view per cached page it spans without touching the backend; a cold
 // range falls back to one segment the caller owns.
 func TestPreadvWarmHitViewsArena(t *testing.T) {
 	content := patterned(2*PageSize + 700) // EOF inside a short page

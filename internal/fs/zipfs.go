@@ -123,7 +123,7 @@ func (z *ZipFS) contents(p string) ([]byte, abi.Errno) {
 	// declared uncompressed size) instead of io.ReadAll's grow-and-copy
 	// staging: one allocation, zero intermediate copies. The resident
 	// buffer then serves page faults by stable subslices (PreadSlice),
-	// so a cold fault's only copy is into its destination arena slot.
+	// so a cold fault's only copy is into its fresh cache page.
 	b := make([]byte, f.UncompressedSize64)
 	if _, err := io.ReadFull(rc, b); err != nil {
 		return nil, abi.EIO // truncated or corrupt member

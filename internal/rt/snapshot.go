@@ -23,10 +23,10 @@ func (r *workerRT) captureSnapshot() {
 // restoreFromImage fills this worker's heap from img, which it boots as a
 // copy-on-write clone of.
 func (r *workerRT) restoreFromImage(img *snapshot.Image, tracker *snapshot.Tracker) {
-	// Host-copy the image heap into this worker's mapping. No virtual
-	// time is charged: virtually the clone still shares every page with
-	// the image — it reads them through its own mapping of the arena —
-	// and pays per page only on first write (the tracker's COW fault).
+	// Host-copy the image heap into this worker's heap. No virtual time
+	// is charged: virtually the clone still shares every page with the
+	// image, and pays per page only on first write (the tracker's COW
+	// fault).
 	img.CopyHeap(r.heap.Bytes())
 	if tracker == nil {
 		return

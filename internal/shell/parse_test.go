@@ -190,3 +190,38 @@ func TestIsAssignment(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParse feeds arbitrary source to the lexer and the parser: each
+// either succeeds or returns an error, never panics, and a source the
+// lexer rejects is rejected by the parser too.
+func FuzzParse(f *testing.F) {
+	for _, s := range []string{
+		`cat a.txt | grep -v 'x y' > out 2>&1 &`,
+		`echo "a | b; c"`,
+		`echo "unterminated`,
+		`echo 'open`,
+		"echo hi # everything here is ignored | > &\n",
+		"echo a \\\n b",
+		"a | b | c",
+		"a && b || c",
+		"slow & fast",
+		"cmd < in > out 2> err",
+		"A=1 B=two cmd arg",
+		"cmd key=value",
+		"if true; then echo x;",
+		"if a; then b; elif c; then d; else e; fi",
+		"while true; do echo x; done",
+		"until false; do echo x; done",
+		"for x in a b; do echo $x; done",
+		"(cd /tmp && pwd) > out",
+		"echo $((1 + 2 * (3 - 4)))",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		_, lerr := lex(s)
+		if _, perr := parse(s); lerr != nil && perr == nil {
+			t.Fatalf("lex(%q) failed with %v but parse succeeded", s, lerr)
+		}
+	})
+}

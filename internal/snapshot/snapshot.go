@@ -3,10 +3,11 @@
 // pages, fd table, cwd, env template, loader state — into an immutable
 // Image, then boot every subsequent process of that runtime as a
 // copy-on-write clone of the image instead of re-running init. A per-page
-// soft-dirty bitmap (Tracker) makes the clone pay — in page-pool quota
-// and in virtual time — only for pages it actually writes: clean pages
-// stay one copy in the shared arena across all children, each holding one
-// pin (the COW refcount) that returns on first write or at exit.
+// soft-dirty bitmap (Tracker) makes the clone pay in virtual time only
+// for pages it actually writes. The image's pages are immutable slices
+// held by reference, one copy across all children; each clone counts
+// every page it still shares on the image's ledger and returns the
+// count page by page, on first write or at exit.
 //
 // The same bitmap drives live checkpointing: iterative pre-copy rounds
 // walk the soft-dirty set while the guest keeps running, and a short
@@ -24,8 +25,8 @@ import (
 	"repro/internal/fs"
 )
 
-// PageSize is the snapshot page granule — the page-pool slot size, so an
-// image page maps 1:1 onto an arena slot.
+// PageSize is the snapshot page granule — the page-cache page size, so
+// an image page and a full file page with the same bytes dedup into one.
 const PageSize = fs.PageSize
 
 // CowFaultNs is the virtual cost of a copy-on-write fault: the trap plus
@@ -39,9 +40,9 @@ type FdInfo struct {
 	Path string
 }
 
-// Image is one immutable post-boot runtime snapshot. Heap pages live in
-// an fs.ImageStore (arena slots, one base pin each) when the registry has
-// one, or in private host memory otherwise; either way the bytes never
+// Image is one immutable post-boot runtime snapshot. Its heap pages are
+// charged to an fs.ImageStore (and dedup there) when the registry has
+// one, or are private copies otherwise; either way the bytes never
 // change after Register.
 type Image struct {
 	// Path is the resolved executable path — the registry key, so every
@@ -64,9 +65,13 @@ type Image struct {
 	// makes.
 	HeapLen int
 
-	store *fs.ImageStore
-	slots []int    // arena slot per page (store != nil)
-	priv  [][]byte // private page copies (store == nil fallback)
+	store *fs.ImageStore // nil when pages are private copies
+	pages [][]byte       // PageSize bytes each, never written
+
+	// shared counts the pages live clones still share: PinAll adds
+	// NumPages, each UnpinPage returns one. VerifyBalanced checks it is
+	// back to zero once every clone has exited.
+	shared atomic.Int64
 }
 
 // NewImage starts an image for the executable at path.
@@ -74,37 +79,36 @@ func NewImage(path string) *Image {
 	return &Image{Path: path}
 }
 
-// SetHeap captures heap into image pages. With a non-nil store the pages
-// go into arena slots (shareable fleet-wide); if the store runs out of
-// quota mid-capture — or store is nil — every page falls back to a
-// private host copy, releasing any slots already taken, so capture never
-// fails, it just loses cross-child arena sharing.
+// SetHeap captures heap into image pages. With a non-nil store the
+// pages go through it (and dedup fleet-wide); if the store runs out of
+// quota mid-capture — or store is nil — every page is a private copy
+// instead, returning any store pages already taken, so capture never
+// fails, it just loses cross-image sharing.
 func (img *Image) SetHeap(store *fs.ImageStore, heap []byte) {
 	img.HeapLen = len(heap)
 	n := img.NumPages()
+	img.pages = make([][]byte, 0, n)
 	if store != nil {
-		slots := make([]int, 0, n)
-		ok := true
-		for p := 0; p < n && ok; p++ {
-			var slot int
-			slot, ok = store.Put(pageAt(heap, p))
-			if ok {
-				slots = append(slots, slot)
+		for p := 0; p < n; p++ {
+			page, ok := store.Put(pageAt(heap, p))
+			if !ok {
+				break
 			}
+			img.pages = append(img.pages, page)
 		}
-		if ok {
-			img.store, img.slots = store, slots
+		if len(img.pages) == n {
+			img.store = store
 			return
 		}
-		for _, s := range slots {
-			store.Free(s)
+		for _, page := range img.pages {
+			store.Free(page)
 		}
+		img.pages = img.pages[:0]
 	}
-	img.priv = make([][]byte, n)
 	for p := 0; p < n; p++ {
-		cp := make([]byte, PageSize)
-		copy(cp, pageAt(heap, p))
-		img.priv[p] = cp
+		page := make([]byte, PageSize)
+		copy(page, pageAt(heap, p))
+		img.pages = append(img.pages, page)
 	}
 }
 
@@ -120,71 +124,40 @@ func pageAt(heap []byte, p int) []byte {
 // NumPages returns the image's heap page count.
 func (img *Image) NumPages() int { return (img.HeapLen + PageSize - 1) / PageSize }
 
-// Pooled reports whether the heap pages live in the shared arena.
+// Pooled reports whether the heap pages are charged to an image store.
 func (img *Image) Pooled() bool { return img.store != nil }
 
 // CopyHeap host-copies the image heap into dst (a fresh clone heap).
 // No virtual time is charged here: virtually the clone still *shares*
-// every page with the image — it reads them through its own mapping of
-// the arena — and only a write materializes a private copy (the tracker
-// charges that fault).
+// every page with the image, and only a write materializes a private
+// copy (the tracker charges that fault).
 func (img *Image) CopyHeap(dst []byte) {
-	for p := 0; p < img.NumPages(); p++ {
-		lo := p * PageSize
-		hi := lo + PageSize
-		if hi > img.HeapLen {
-			hi = img.HeapLen
-		}
-		copy(dst[lo:hi], img.pageData(p))
+	for p, page := range img.pages {
+		copy(dst[p*PageSize:img.HeapLen], page)
 	}
 }
 
-func (img *Image) pageData(p int) []byte {
-	if img.store != nil {
-		return img.store.Data(img.slots[p])
-	}
-	return img.priv[p]
-}
+// PinAll counts every image page as shared by one more clone — called
+// when a clone boots, before its tracker starts returning pages one by
+// one.
+func (img *Image) PinAll() { img.shared.Add(int64(img.NumPages())) }
 
-// PinAll takes one clone reference on every image page — called when a
-// clone boots, before its tracker starts returning pins page-by-page.
-func (img *Image) PinAll() {
-	if img.store == nil {
-		return
-	}
-	for _, s := range img.slots {
-		img.store.Pin(s)
-	}
-}
+// UnpinPage returns one shared page (a COW fault or a clone exiting).
+func (img *Image) UnpinPage() { img.shared.Add(-1) }
 
-// UnpinPage returns one clone reference on page p (COW fault or exit).
-func (img *Image) UnpinPage(p int) {
-	if img.store == nil {
-		return
-	}
-	img.store.Unpin(img.slots[p])
-}
+// SharedByClones returns how many pages live clones still share (the
+// COW ledger; 0 once every clone has exited).
+func (img *Image) SharedByClones() int64 { return img.shared.Load() }
 
-// PinCount returns page p's pin count including the store's base pin
-// (balance checks: quiesced images show exactly 1).
-func (img *Image) PinCount(p int) int {
-	if img.store == nil {
-		return 1
-	}
-	return img.store.PinCount(img.slots[p])
-}
-
-// Release frees the image's arena pages (registry teardown). Pages still
-// referenced by live clones freeze until those references return.
+// Release returns the image's store pages (registry teardown). A clone
+// holds its own copy of the heap, so nothing it reads goes away.
 func (img *Image) Release() {
-	if img.store == nil {
-		img.priv = nil
-		return
+	if img.store != nil {
+		for _, page := range img.pages {
+			img.store.Free(page)
+		}
 	}
-	for _, s := range img.slots {
-		img.store.Free(s)
-	}
-	img.slots = nil
+	img.pages = nil
 	img.store = nil
 }
 
@@ -217,10 +190,10 @@ func NewRegistry() *Registry {
 	return &Registry{images: map[string]*Image{}}
 }
 
-// SetStore attaches the arena-backed store captures put heap pages into.
-// First one wins: a fleet attaches the shared pool's store once and every
-// instance captures into (and clones out of) the same arena. With no
-// store, captured heaps fall back to private host copies.
+// SetStore attaches the store captures charge heap pages to. First one
+// wins: a fleet attaches the shared pool's store once and every
+// instance's captures dedup in the same index. With no store, captured
+// heaps are private host copies.
 func (r *Registry) SetStore(st *fs.ImageStore) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -282,40 +255,13 @@ func (r *Registry) Paths() []string {
 // Stats returns the registry's counters.
 func (r *Registry) Stats() *Stats { return &r.stats }
 
-// VerifyBalanced checks that every image page is back to exactly its
-// base pins — no clone leaked a COW reference. Call after all processes
-// spawned from the registry have exited.
-//
-// Image pages are content-addressed, so one arena slot may back many
-// image pages (a zeroed heap is mostly one slot; identical pages across
-// images collapse too) and each occurrence holds one base pin. The
-// ledger therefore counts expected occurrences PER SLOT across every
-// pooled image and compares against the slot's live pin count, instead
-// of assuming each page owns its slot with exactly one pin.
+// VerifyBalanced checks every image's COW ledger: each clone returned
+// every page it shared, so no clone leaked a reference. Call after all
+// processes spawned from the registry have exited.
 func (r *Registry) VerifyBalanced() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	type slotKey struct {
-		store *fs.ImageStore
-		slot  int
-	}
-	expected := map[slotKey]int{}
-	where := map[slotKey]string{} // first occurrence, for the error message
-	for path, img := range r.images {
-		if img.store == nil {
-			continue // private host copies hold no pins
-		}
-		for p, s := range img.slots {
-			k := slotKey{img.store, s}
-			expected[k]++
-			if _, ok := where[k]; !ok {
-				where[k] = fmt.Sprintf("%s page %d", path, p)
-			}
-		}
-	}
-	for k, want := range expected {
-		if got := k.store.PinCount(k.slot); got != want {
-			return fmt.Errorf("snapshot: arena slot %d (%s) holds %d pins (want %d base pins)", k.slot, where[k], got, want)
+	for _, path := range r.Paths() {
+		if n := r.Lookup(path).SharedByClones(); n != 0 {
+			return fmt.Errorf("snapshot: image %s: %d pages still shared by clones (want 0)", path, n)
 		}
 	}
 	return nil
@@ -376,7 +322,8 @@ func (t *Tracker) SetStats(s *Stats) { t.stats = s }
 
 // MarkDirty implements browser.DirtyTracker: a write of n bytes at off.
 // The first write to a still-shared page is the COW fault: the page
-// privatizes (its image pin returns) and the fault cost is charged.
+// privatizes (it returns to the image's ledger) and the fault cost is
+// charged.
 func (t *Tracker) MarkDirty(off, n int) {
 	if n <= 0 {
 		return
@@ -391,7 +338,7 @@ func (t *Tracker) MarkDirty(off, n int) {
 		if t.shared != nil && t.shared[p] {
 			t.shared[p] = false
 			t.nshare--
-			t.img.UnpinPage(p)
+			t.img.UnpinPage()
 			if t.charge != nil {
 				t.charge(t.faultNs)
 			}
@@ -413,7 +360,7 @@ func (t *Tracker) MarkPrivate(p int) {
 	if t.shared != nil && t.shared[p] {
 		t.shared[p] = false
 		t.nshare--
-		t.img.UnpinPage(p)
+		t.img.UnpinPage()
 	}
 }
 
@@ -453,8 +400,9 @@ func (t *Tracker) ClearDirty() {
 	}
 }
 
-// ReleaseShared returns every remaining image pin — the process exited
-// (or exec'd away) without writing those pages. Idempotent.
+// ReleaseShared returns every still-shared page to the image's ledger —
+// the process exited (or exec'd away) without writing those pages.
+// Idempotent.
 func (t *Tracker) ReleaseShared() {
 	if t.shared == nil {
 		return
@@ -463,7 +411,7 @@ func (t *Tracker) ReleaseShared() {
 		if s {
 			t.shared[p] = false
 			t.nshare--
-			t.img.UnpinPage(p)
+			t.img.UnpinPage()
 		}
 	}
 }

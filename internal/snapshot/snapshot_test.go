@@ -1,16 +1,17 @@
 package snapshot
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/fs"
 )
 
-// pooledImage captures a heap of n distinct pages (so no two share a
-// deduped arena slot) into a fresh arena.
+// pooledImage captures a heap of n distinct pages (so no two dedup into
+// one page) through a fresh pool's image store.
 func pooledImage(t *testing.T, path string, n int) (*Image, *fs.PagePool) {
 	t.Helper()
-	pool := fs.NewPagePool(64)
+	pool := fs.NewPagePool()
 	heap := make([]byte, n*PageSize)
 	for i := range heap {
 		heap[i] = byte(i/PageSize + 1)
@@ -18,18 +19,9 @@ func pooledImage(t *testing.T, path string, n int) (*Image, *fs.PagePool) {
 	img := NewImage(path)
 	img.SetHeap(pool.ImageStore(0), heap)
 	if !img.Pooled() || img.NumPages() != n {
-		t.Fatalf("pooled=%v pages=%d, want an arena-backed %d-page image", img.Pooled(), img.NumPages(), n)
+		t.Fatalf("pooled=%v pages=%d, want a store-backed %d-page image", img.Pooled(), img.NumPages(), n)
 	}
 	return img, pool
-}
-
-// pins returns every page's pin count.
-func pins(img *Image) []int {
-	out := make([]int, img.NumPages())
-	for p := range out {
-		out[p] = img.PinCount(p)
-	}
-	return out
 }
 
 func TestRegisterRefusedAfterSeal(t *testing.T) {
@@ -55,9 +47,9 @@ func TestRegisterRefusedAfterSeal(t *testing.T) {
 	}
 }
 
-// TestCowFaultUnpinsOnce: the first write to a shared page returns its
-// clone pin and charges CowFaultNs once; later writes to it cost nothing.
-// MarkPrivate privatizes without a charge.
+// TestCowFaultUnpinsOnce: the first write to a shared page returns it to
+// the image's COW ledger and charges CowFaultNs once; later writes to it
+// cost nothing. MarkPrivate privatizes without a charge.
 func TestCowFaultUnpinsOnce(t *testing.T) {
 	img, _ := pooledImage(t, "/usr/bin/a", 3)
 	img.PinAll()
@@ -66,26 +58,29 @@ func TestCowFaultUnpinsOnce(t *testing.T) {
 	tr.SetFaultCharge(func(ns int64) { charged += ns }, CowFaultNs)
 	var st Stats
 	tr.SetStats(&st)
+	if n := img.SharedByClones(); n != 3 {
+		t.Fatalf("ledger after PinAll %d, want 3", n)
+	}
 
 	tr.MarkDirty(PageSize+10, 4)
-	if got := pins(img); got[0] != 2 || got[1] != 1 || got[2] != 2 {
-		t.Fatalf("pins after one fault %v, want [2 1 2]", got)
+	if n := img.SharedByClones(); n != 2 {
+		t.Fatalf("ledger after one fault %d, want 2", n)
 	}
 	if charged != CowFaultNs || st.CowFaults.Load() != 1 || tr.SharedPages() != 2 {
 		t.Fatalf("charged %d, faults %d, shared %d; want %d, 1, 2", charged, st.CowFaults.Load(), tr.SharedPages(), CowFaultNs)
 	}
 	tr.MarkDirty(PageSize+100, 8)
-	if got := pins(img); got[1] != 1 || charged != CowFaultNs || st.CowFaults.Load() != 1 {
-		t.Fatalf("second write to the page: pins %v, charged %d, faults %d", got, charged, st.CowFaults.Load())
+	if n := img.SharedByClones(); n != 2 || charged != CowFaultNs || st.CowFaults.Load() != 1 {
+		t.Fatalf("second write to the page: ledger %d, charged %d, faults %d", n, charged, st.CowFaults.Load())
 	}
 	tr.MarkPrivate(2)
-	if got := pins(img); got[2] != 1 || charged != CowFaultNs || tr.SharedPages() != 1 {
-		t.Fatalf("MarkPrivate: pins %v, charged %d, shared %d", got, charged, tr.SharedPages())
+	if n := img.SharedByClones(); n != 1 || charged != CowFaultNs || tr.SharedPages() != 1 {
+		t.Fatalf("MarkPrivate: ledger %d, charged %d, shared %d", n, charged, tr.SharedPages())
 	}
 }
 
-// TestReleaseSharedReturnsEveryPin: a clone exiting returns the pin of
-// every page it never wrote, exactly once.
+// TestReleaseSharedReturnsEveryPin: a clone exiting returns every page it
+// never wrote to the image's ledger, exactly once.
 func TestReleaseSharedReturnsEveryPin(t *testing.T) {
 	img, _ := pooledImage(t, "/usr/bin/a", 4)
 	img.PinAll()
@@ -93,10 +88,8 @@ func TestReleaseSharedReturnsEveryPin(t *testing.T) {
 	tr.MarkDirty(0, 1)
 	tr.ReleaseShared()
 	tr.ReleaseShared() // idempotent
-	for p, n := range pins(img) {
-		if n != 1 {
-			t.Fatalf("page %d holds %d pins after ReleaseShared, want the base pin only", p, n)
-		}
+	if n := img.SharedByClones(); n != 0 {
+		t.Fatalf("ledger %d after ReleaseShared, want 0", n)
 	}
 	if tr.SharedPages() != 0 {
 		t.Fatalf("%d pages still shared", tr.SharedPages())
@@ -104,8 +97,8 @@ func TestReleaseSharedReturnsEveryPin(t *testing.T) {
 }
 
 // TestVerifyBalancedAfterRelease: VerifyBalanced flags a clone's
-// outstanding pins, passes once they return, and passes after Release
-// with the whole arena returned.
+// outstanding pages, passes once they return, and passes after Release,
+// which returns every image page to the pool.
 func TestVerifyBalancedAfterRelease(t *testing.T) {
 	img, pool := pooledImage(t, "/usr/bin/a", 3)
 	r := NewRegistry()
@@ -115,7 +108,7 @@ func TestVerifyBalancedAfterRelease(t *testing.T) {
 	img.PinAll()
 	tr := NewTracker(img, img.NumPages())
 	if r.VerifyBalanced() == nil {
-		t.Fatal("VerifyBalanced passed with a live clone's pins outstanding")
+		t.Fatal("VerifyBalanced passed with a live clone's pages outstanding")
 	}
 	tr.ReleaseShared()
 	if err := r.VerifyBalanced(); err != nil {
@@ -125,7 +118,32 @@ func TestVerifyBalancedAfterRelease(t *testing.T) {
 	if err := r.VerifyBalanced(); err != nil {
 		t.Fatalf("after Release: %v", err)
 	}
-	if len(r.Paths()) != 0 || pool.PinnedSlots() != 0 {
-		t.Fatalf("after Release: paths %v, %d arena slots pinned", r.Paths(), pool.PinnedSlots())
+	if entries, refs, _ := pool.DedupStats(); len(r.Paths()) != 0 || entries != 0 || refs != 0 {
+		t.Fatalf("after Release: paths %v, %d pages with %d references still indexed", r.Paths(), entries, refs)
+	}
+}
+
+// TestVerifyBalancedNamesLeakingImage: a clone that exits without
+// calling ReleaseShared leaves its image's ledger unbalanced, and
+// VerifyBalanced (which FleetStats.SnapshotLeak reports) names that
+// image and no other.
+func TestVerifyBalancedNamesLeakingImage(t *testing.T) {
+	good, _ := pooledImage(t, "/usr/bin/good", 2)
+	leaky, _ := pooledImage(t, "/usr/bin/leaky", 3)
+	r := NewRegistry()
+	r.Register(good)
+	r.Register(leaky)
+
+	good.PinAll()
+	NewTracker(good, good.NumPages()).ReleaseShared()
+	leaky.PinAll()
+	NewTracker(leaky, leaky.NumPages()).MarkDirty(0, 1) // exits without ReleaseShared
+
+	err := r.VerifyBalanced()
+	if err == nil {
+		t.Fatal("VerifyBalanced passed after a clone leaked its shared pages")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "/usr/bin/leaky") || strings.Contains(msg, "/usr/bin/good") {
+		t.Fatalf("error %q, want it to name /usr/bin/leaky only", msg)
 	}
 }

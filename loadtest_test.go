@@ -238,7 +238,7 @@ func TestSwarmDeterminismAcrossTransports(t *testing.T) {
 // memeImageZip packs the meme server's whole /usr subtree — executable,
 // templates, font — into one deterministic archive every tenant mounts
 // read-only, so the fleet's content-addressed tier can collapse the
-// tenants' identical base image to one arena copy.
+// tenants' identical base image to one copy.
 func memeImageZip(t testing.TB) []byte {
 	t.Helper()
 	files := meme.StageFiles()
@@ -268,7 +268,7 @@ func memeImageZip(t testing.TB) []byte {
 // TestMemeFleetTenantSwarms composes the load harness with the fleet:
 // N meme-server tenants each serve their own swarm, sharded across host
 // workers, and — the tenants being identical — every tenant's load
-// report must come out bit-equal. The shared arena still dedups the
+// report must come out bit-equal. The shared pool still dedups the
 // tenants' identical binaries and assets underneath the serving.
 func TestMemeFleetTenantSwarms(t *testing.T) {
 	const tenants = 4
@@ -306,9 +306,6 @@ func TestMemeFleetTenantSwarms(t *testing.T) {
 	}
 	if st.DedupFactor < 2 {
 		t.Errorf("identical meme tenants dedup at %.2fx, want >= 2", st.DedupFactor)
-	}
-	if st.PinnedSlots != 0 {
-		t.Errorf("%d arena slots still pinned after teardown", st.PinnedSlots)
 	}
 }
 

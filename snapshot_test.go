@@ -93,7 +93,7 @@ func TestSnapshotDifferential(t *testing.T) {
 	}
 }
 
-// run0balance reruns a snapshot-on workload and checks pin balance after
+// run0balance reruns a snapshot-on workload and checks the COW ledger after
 // every process exited.
 func run0balance(t *testing.T, v variant) error {
 	in := v.boot(browsix.Config{EnableSnapshots: true})
