@@ -296,59 +296,82 @@ func TestDedupOffMatchesPrivatePath(t *testing.T) {
 	}
 }
 
-// TestHeldPageKeepsItsBytes: a cached page that a snapshot image also
+// checkHeldPageKeepsItsBytes: a cached page that a snapshot image also
 // holds (one deduped page), and the views a warm read returned of it,
-// keep the bytes they had after the cache drops the page, rewrites its
-// index with other bytes, or evicts it under quota pressure. A clone
-// booted from the image copies the image's pages, so it reads these
-// same bytes. No page is ever rewritten in place, so no holder needs a
-// pin; the cache goes on serving the file's current bytes.
-func TestHeldPageKeepsItsBytes(t *testing.T) {
+// keep the bytes they had after the cache lets go of the page by action
+// — "drop" (invalidate), "rewrite" (re-cache its index with other bytes)
+// or "evict" (quota pressure) — and after the image frees it, the last
+// reference, which takes the page out of the dedup index. A clone booted
+// from the image copies the image's pages, so it reads these same bytes.
+// No page is ever rewritten in place, so no holder needs a pin; the
+// cache goes on serving the file's current bytes.
+func checkHeldPageKeepsItsBytes(t *testing.T, action string) {
+	t.Helper()
 	content := pageContent(3, PageSize)
 	other := strings.Repeat("\xee", PageSize)
-	for _, action := range []string{"drop", "rewrite", "evict"} {
-		t.Run(action, func(t *testing.T) {
-			pool := NewPagePool()
-			files := map[string]string{"/tree/seg": content}
-			for i := 0; i < 3; i++ {
-				files[fmt.Sprintf("/tree/f%d", i)] = pageContent(byte(40+i), PageSize)
-			}
-			f := newDedupFS(t, pool, 2, files) // room for two pages
-			h := openPaged(t, f, "/ro/tree/seg")
-			warmRead(t, h, 0, PageSize) // cold: caches the page
-			var views [][]byte
-			h.Preadv(0, []int{PageSize}, func(v [][]byte, err abi.Errno) { views = v })
-			cached := f.pc.files["/ro/tree/seg"].pages[0].data
-			if len(views) != 1 || &views[0][0] != &cached[0] {
-				t.Fatal("warm Preadv did not return a view of the cached page")
-			}
-			imgPage, ok := pool.ImageStore(0).Put([]byte(content))
-			if !ok || &imgPage[0] != &cached[0] {
-				t.Fatal("image page is not the cached page")
-			}
+	pool := NewPagePool()
+	files := map[string]string{"/tree/seg": content}
+	for i := 0; i < 3; i++ {
+		files[fmt.Sprintf("/tree/f%d", i)] = pageContent(byte(40+i), PageSize)
+	}
+	f := newDedupFS(t, pool, 2, files) // room for two pages
+	h := openPaged(t, f, "/ro/tree/seg")
+	warmRead(t, h, 0, PageSize) // cold: caches the page
+	var views [][]byte
+	h.Preadv(0, []int{PageSize}, func(v [][]byte, err abi.Errno) { views = v })
+	cached := f.pc.files["/ro/tree/seg"].pages[0].data
+	if len(views) != 1 || &views[0][0] != &cached[0] {
+		t.Fatal("warm Preadv did not return a view of the cached page")
+	}
+	store := pool.ImageStore(0)
+	imgPage, ok := store.Put([]byte(content))
+	if !ok || &imgPage[0] != &cached[0] {
+		t.Fatal("image page is not the cached page")
+	}
 
-			switch action {
-			case "drop":
-				f.invalidatePath("/ro/tree/seg")
-			case "rewrite":
-				f.pc.store("/ro/tree/seg", 0, []byte(other), true)
-				if got := string(f.pc.files["/ro/tree/seg"].pages[0].data); got != other {
-					t.Fatal("rewritten page does not serve the new bytes")
-				}
-			case "evict":
-				for i := 0; i < 3; i++ {
-					mustRead(t, f, fmt.Sprintf("/ro/tree/f%d", i))
-				}
-				if f.pc.files["/ro/tree/seg"] != nil {
-					t.Fatal("quota pressure did not evict the page")
-				}
-			}
-			if string(imgPage) != content || string(views[0]) != content {
-				t.Fatalf("%s changed bytes a holder still reads", action)
-			}
-			if got := mustRead(t, f, "/ro/tree/seg"); action != "rewrite" && got != content {
-				t.Fatalf("after %s the file reads %d other bytes", action, len(got))
-			}
-		})
+	switch action {
+	case "drop":
+		f.invalidatePath("/ro/tree/seg")
+	case "rewrite":
+		f.pc.store("/ro/tree/seg", 0, []byte(other), true)
+		if got := string(f.pc.files["/ro/tree/seg"].pages[0].data); got != other {
+			t.Fatal("rewritten page does not serve the new bytes")
+		}
+	case "evict":
+		for i := 0; i < 3; i++ {
+			mustRead(t, f, fmt.Sprintf("/ro/tree/f%d", i))
+		}
+		if f.pc.files["/ro/tree/seg"] != nil {
+			t.Fatal("quota pressure did not evict the page")
+		}
+	}
+	if string(imgPage) != content || string(views[0]) != content {
+		t.Fatalf("%s changed bytes a holder still reads", action)
+	}
+	store.Free(imgPage)
+	pool.pp.mu.Lock()
+	e := pool.pp.dedupIdx[sha256.Sum256([]byte(content))]
+	pool.pp.mu.Unlock()
+	if e != nil {
+		t.Fatalf("after %s and the image's free the page is still indexed (refs=%d)", action, e.refs)
+	}
+	if string(imgPage) != content || string(views[0]) != content {
+		t.Fatalf("%s then the last deref changed bytes a holder still reads", action)
+	}
+	if got := mustRead(t, f, "/ro/tree/seg"); action != "rewrite" && got != content {
+		t.Fatalf("after %s the file reads %d other bytes", action, len(got))
 	}
 }
+
+// TestLeaseFreezesDroppedPages: a held page keeps its bytes after the
+// cache drops it on invalidation.
+func TestLeaseFreezesDroppedPages(t *testing.T) { checkHeldPageKeepsItsBytes(t, "drop") }
+
+// TestStoreNeverRewritesLeasedSlot: re-caching a page (same path, same
+// index) fills a fresh page; the held one keeps its bytes.
+func TestStoreNeverRewritesLeasedSlot(t *testing.T) { checkHeldPageKeepsItsBytes(t, "rewrite") }
+
+// TestDedupSharedSlotFreezesUnderLease: a deduped page that quota
+// pressure evicts from the cache, and whose last reference the image
+// then drops, keeps its bytes for the views still holding it.
+func TestDedupSharedSlotFreezesUnderLease(t *testing.T) { checkHeldPageKeepsItsBytes(t, "evict") }

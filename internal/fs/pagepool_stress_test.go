@@ -8,10 +8,133 @@ import (
 	"testing"
 )
 
-// Concurrent tests for the shared page pool: the per-attachment quota
-// the fleet's determinism rests on, and a storm over the dedup index.
+// Concurrent tests for the shared page pool: a storm over private-page
+// charges, the per-attachment quota the fleet's determinism rests on,
+// and a storm over the dedup index.
 
 const stressStamp = 128 // bytes stamped/verified per page
+
+// TestPagePoolConcurrentStress: K goroutines — each standing in for one
+// fleet shard — charge and uncharge private pages on their own
+// attachments while keeping views of the pages they filled, and hand
+// some dropped pages to a neighbour (a clone reading a page its parent's
+// cache let go of). In-line invariants:
+//
+//   - a charge never takes an attachment past its quota, and fails only
+//     at quota, whatever the neighbours hold;
+//   - a page keeps its stamp while its shard holds it, after the shard
+//     uncharges it, and in the neighbour that received it — no page is
+//     ever rewritten;
+//   - at quiesce every attachment's usage is zero.
+//
+// The race detector referees: a receiver's loads of a handed-over page
+// must happen-after its filler's stores (the channel orders them).
+func TestPagePoolConcurrentStress(t *testing.T) {
+	const (
+		K     = 8
+		iters = 4000
+	)
+	pp := newPagePool()
+	atts := make([]int, K)
+	quotas := make([]int, K)
+	for g := range atts {
+		quotas[g] = 8 + g // uneven quotas
+		atts[g] = pp.attach(quotas[g])
+	}
+	type handed struct {
+		page  []byte
+		stamp byte
+	}
+	inbox := make([]chan handed, K)
+	for g := range inbox {
+		inbox[g] = make(chan handed, 16)
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < K; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)*7919 + 1)) // fixed per-shard seed
+			att := atts[g]
+			stamp := byte(g + 1)
+			var held, dropped [][]byte
+
+			check := func(page []byte, want byte, what string) {
+				for i := 0; i < stressStamp; i++ {
+					if page[i] != want {
+						t.Errorf("shard %d: page byte %d = %d, want %d (%s)", g, i, page[i], want, what)
+						return
+					}
+				}
+			}
+			dropAt := func(i int) {
+				page := held[i]
+				check(page, stamp, "held at uncharge")
+				pp.uncharge(att)
+				select {
+				case inbox[(g+1)%K] <- handed{page, stamp}:
+				default:
+				}
+				if len(dropped) < 64 {
+					dropped = append(dropped, page)
+				}
+				held[i] = held[len(held)-1]
+				held = held[:len(held)-1]
+			}
+
+			for iter := 0; iter < iters; iter++ {
+				switch op := rng.Intn(100); {
+				case op < 45: // store: charge, then fill a fresh page
+					if !pp.charge(att) {
+						if len(held) != quotas[g] {
+							t.Errorf("shard %d: charge failed holding %d of quota %d", g, len(held), quotas[g])
+						}
+						if len(held) > 0 {
+							dropAt(rng.Intn(len(held)))
+						}
+						continue
+					}
+					if len(held) >= quotas[g] {
+						t.Errorf("shard %d: charge succeeded holding %d of quota %d", g, len(held), quotas[g])
+					}
+					page := make([]byte, stressStamp)
+					for i := range page {
+						page[i] = stamp
+					}
+					held = append(held, page)
+				case op < 65 && len(held) > 0: // re-read a held page
+					check(held[rng.Intn(len(held))], stamp, "held")
+				case op < 75 && len(dropped) > 0: // re-read a dropped page
+					check(dropped[rng.Intn(len(dropped))], stamp, "after uncharge")
+				case op < 85: // read a page a neighbour handed over
+					select {
+					case h := <-inbox[g]:
+						check(h.page, h.stamp, "handed over")
+					default:
+					}
+				default: // evict/invalidate
+					if len(held) > 0 {
+						dropAt(rng.Intn(len(held)))
+					}
+				}
+				if iter%256 == 0 {
+					runtime.Gosched() // shuffle interleavings
+				}
+			}
+			for len(held) > 0 {
+				dropAt(len(held) - 1)
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	for g, att := range atts {
+		if n := pp.usedBy(att); n != 0 {
+			t.Errorf("shard %d still charged %d pages at quiesce", g, n)
+		}
+	}
+}
 
 // TestPagePoolQuotaIndependence pins the determinism property the fleet
 // rests on: one attachment's charge success depends only on its own
