@@ -135,9 +135,10 @@ func Boot(cfg Config) *Instance {
 		if reg == nil {
 			reg = snapshot.NewRegistry()
 		}
-		// First store wins inside the registry: a fleet's shared
-		// registry keeps the store its pre-warm instance attached.
-		reg.SetStore(fsys.ImageStore(DefaultSnapshotSlots))
+		// A fleet's shared registry already has the store its
+		// pre-warm attached; only a registry without one gets a new
+		// attachment on this instance's pool.
+		reg.EnsureStore(func() *fs.ImageStore { return fsys.ImageStore(DefaultSnapshotSlots) })
 		k.Snapshots = reg
 	}
 	return &Instance{

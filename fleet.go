@@ -113,6 +113,11 @@ type FleetStats struct {
 	DedupStores    int64
 	PagesPerTenant float64
 	DedupFactor    float64
+
+	// PoolAttachments is the shared pool's quota accounts once the
+	// batch is done: one per job's cache, plus the warm-up's cache and
+	// its registry's image store. The pool never detaches one.
+	PoolAttachments int
 }
 
 // Fleet runs batches of independent deterministic Instances across host
@@ -208,6 +213,7 @@ func (fl *Fleet) Run(jobs []Job) ([]JobResult, FleetStats) {
 		stats.PagesPerTenant = float64(agg.cachedPages.Load()) / float64(len(jobs))
 	}
 	stats.DedupFactor = dedupFactor(stats.DedupStores, stats.DedupHits)
+	stats.PoolAttachments = pool.Attachments()
 	if reg != nil {
 		stats.CowFaults = reg.Stats().CowFaults.Load()
 		stats.SnapshotLeak = reg.VerifyBalanced()
@@ -254,8 +260,8 @@ type fleetAgg struct {
 // and every job would silently run cold.
 func (fl *Fleet) prewarmSnapshots(pool *fs.PagePool) *snapshot.Registry {
 	w := fl.SnapshotWarmup
+	// Boot gives the registry its store, on the shared pool.
 	reg := snapshot.NewRegistry()
-	reg.SetStore(pool.ImageStore(DefaultSnapshotSlots))
 	in := Boot(Config{PagePool: pool, Snapshots: reg})
 	if w.Setup != nil {
 		w.Setup(in)

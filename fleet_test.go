@@ -341,3 +341,32 @@ func TestFleetWarmupFailurePanics(t *testing.T) {
 		}
 	}
 }
+
+// TestFleetSnapshotsAttachOncePerJob: with snapshots on, a fleet job
+// adds one quota account to the shared pool (its own cache), not a
+// second one for an image store its shared registry would discard. The
+// warm-up adds two: its cache and the registry's store.
+func TestFleetSnapshotsAttachOncePerJob(t *testing.T) {
+	for _, n := range []int{1, 4} {
+		jobs := make([]browsix.Job, n)
+		for i := range jobs {
+			jobs[i] = browsix.Job{Setup: browsix.InstallBase, Spec: browsix.Spec{Argv: []string{"cat", "/etc/motd"}}}
+		}
+		fl := &browsix.Fleet{Workers: 1, SnapshotWarmup: &browsix.SnapshotWarmup{
+			Setup: browsix.InstallBase,
+			Cmds:  []string{"cat /etc/motd"},
+		}}
+		res, st := fl.Run(jobs)
+		for _, r := range res {
+			if r.Err != nil || r.Code != 0 {
+				t.Fatalf("%d jobs: job %d: code %d, err %v", n, r.Index, r.Code, r.Err)
+			}
+		}
+		if st.CloneBoots == 0 {
+			t.Fatalf("%d jobs: no job booted a clone, so no job used the shared registry", n)
+		}
+		if want := n + 2; st.PoolAttachments != want {
+			t.Errorf("%d jobs: %d pool attachments, want %d", n, st.PoolAttachments, want)
+		}
+	}
+}

@@ -86,10 +86,11 @@ func TestDirentPackTruncation(t *testing.T) {
 	}
 }
 
-// replyRoundTrip clones a successful reply to trap carrying res.
+// replyRoundTrip moves a successful reply to trap carrying res.
 func replyRoundTrip(trap int, res Result) Result {
-	c, _ := (&ReplyFrame{ID: 1, Trap: trap, Res: res}).CloneValue()
-	return c.(*ReplyFrame).Res
+	f := &ReplyFrame{ID: 1, Trap: trap, Res: res}
+	f.CloneInPlace()
+	return f.Res
 }
 
 func TestStatMapRoundTrip(t *testing.T) {

@@ -1,0 +1,264 @@
+package abi
+
+import (
+	"reflect"
+	"testing"
+)
+
+// The reference clones: the bodies CallFrame.CloneValue and
+// ReplyFrame.CloneValue had when frames were copied whole on every
+// post, kept verbatim (as functions) so a moved frame can be checked
+// against the copy it replaces.
+
+func refCloneCall(f *CallFrame) (any, int64) {
+	row := rowOf(f.Trap)
+	c := &CallFrame{ID: f.ID, Trap: f.Trap}
+	a, ca := &f.Args, &c.Args
+	var n int64 // the args array
+	ni, ns, nl := 0, 0, 0
+	for _, shape := range row.Args {
+		switch shape {
+		case ArgInt, ArgFd, ArgOpt:
+			if shape != ArgOpt || a.Int[ni] != 0 {
+				ca.Int[ni] = a.Int[ni]
+				n += numSize + 8
+			}
+			ni++
+		case ArgZero:
+			n += numSize + 8
+		case ArgOut:
+			ca.Cap = a.Cap
+			n += numSize + 8
+		case ArgStr:
+			ca.Str[ns] = a.Str[ns]
+			n += int64(len(a.Str[ns])) + 8
+			ns++
+		case ArgStrs:
+			ca.Strs[nl] = append(make([]string, 0, len(a.Strs[nl])), a.Strs[nl]...)
+			for _, s := range a.Strs[nl] {
+				n += int64(len(s)) + 8
+			}
+			n += 8
+			nl++
+		case ArgBytes:
+			ca.Bytes = append(make([]byte, 0, len(a.Bytes)), a.Bytes...)
+			n += int64(len(a.Bytes)) + 8
+		case ArgInts, ArgLens:
+			ca.Ints = append([]int(nil), a.Ints...)
+			n += int64(len(a.Ints))*(numSize+8) + 8
+		case ArgHeap:
+			ca.Heap = a.Heap
+			n += 8
+		case ArgBufs:
+			var m int64
+			ca.Bufs, m = cloneBufs(a.Bufs, false)
+			n += m + 8
+		case ArgPollfds:
+			ca.Pollfds = make([]Pollfd, len(a.Pollfds))
+			for i, p := range a.Pollfds {
+				ca.Pollfds[i] = Pollfd{Fd: p.Fd, Events: p.Events}
+			}
+			n += int64(len(a.Pollfds))*2*(numSize+8) + 8
+		}
+	}
+	return c, prop("type", int64(len("syscall"))) + prop("id", numSize) + prop("name", int64(len(row.Name))) + prop("args", n)
+}
+
+func refCloneReply(f *ReplyFrame) (any, int64) {
+	r := &f.Res
+	c := &ReplyFrame{ID: f.ID, Trap: f.Trap, Res: Result{Ret: r.Ret, Err: r.Err}}
+	ok := r.Err == OK
+	n := int64(2 * (numSize + 8)) // the ret array
+	switch rowOf(f.Trap).Ret {
+	case RetBytes:
+		// A gathered read's segments, which may be views the sender
+		// reuses once this returns, travel as the one buffer a read
+		// replies with.
+		segs := r.Segs
+		if r.Data != nil {
+			segs = nil
+		}
+		size := len(r.Data)
+		for _, s := range segs {
+			size += len(s)
+		}
+		if ok {
+			data := append(make([]byte, 0, size), r.Data...)
+			for _, s := range segs {
+				data = append(data, s...)
+			}
+			c.Res.Data = data
+		}
+		n += int64(size) + 8
+	case RetSegs:
+		if !ok {
+			c.Res.Ret = -1
+			break
+		}
+		var m int64
+		c.Res.Segs, m = cloneBufs(r.Segs, true)
+		n += m + 8
+	case RetStat:
+		if ok {
+			c.Res.Stat = r.Stat
+		}
+		n += statObj + 8
+	case RetStr:
+		if ok {
+			c.Res.Str = r.Str
+		}
+		n += int64(len(r.Str)) + 8
+	case RetDirents:
+		if ok {
+			c.Res.Ents = append([]Dirent(nil), r.Ents...)
+		}
+		for _, e := range r.Ents {
+			n += int64(len(e.Name)) + direntObj + 8
+		}
+		n += 8
+	case RetPair:
+		if ok {
+			c.Res.Aux = r.Aux
+		}
+		n += 2 * (numSize + 8)
+	case RetStatus:
+		if ok {
+			c.Res.Aux[0] = r.Aux[0]
+		}
+		n += numSize + 8
+	case RetPollfds:
+		if ok {
+			c.Res.Pollfds = append([]Pollfd(nil), r.Pollfds...)
+		}
+		n += int64(len(r.Pollfds))*(numSize+8) + 8
+	}
+	return c, prop("type", int64(len("reply"))) + prop("id", numSize) + prop("ret", n)
+}
+
+// Fixtures build fresh slices on every call, so the sender's copy and
+// the reference's copy never share memory.
+var moveHeap = new(int)
+
+var moveArgs = map[string]func() Args{
+	"full": func() Args {
+		return Args{
+			Int:     [3]int64{3, 7, 1 << 40},
+			Str:     [2]string{"/tmp/a", "b"},
+			Strs:    [2][]string{{"sh", "-c", ""}, {"A=1"}},
+			Bytes:   []byte("payload"),
+			Ints:    []int{0, 1, 2},
+			Bufs:    [][]byte{[]byte("ab"), {}, []byte("c")},
+			Pollfds: []Pollfd{{Fd: 3, Events: POLLIN, Revents: POLLHUP}, {Fd: 4, Events: POLLOUT}},
+			Heap:    moveHeap,
+			Cap:     4096,
+		}
+	},
+	"zero": func() Args { return Args{} },
+	"empty": func() Args {
+		return Args{Strs: [2][]string{{}, {}}, Bytes: []byte{}, Ints: []int{}, Bufs: [][]byte{}, Pollfds: []Pollfd{}}
+	},
+}
+
+func fullResult(err Errno) Result {
+	return Result{
+		Ret:     5,
+		Err:     err,
+		Data:    []byte("hello"),
+		Segs:    [][]byte{[]byte("he"), {}, []byte("llo")},
+		Str:     "/home/user",
+		Ents:    []Dirent{{Name: "a", Type: DT_REG, Ino: 9}, {Name: "bb", Type: DT_DIR, Ino: 1 << 40}},
+		Pollfds: []Pollfd{{Fd: 3, Events: POLLIN, Revents: POLLIN}, {Fd: 9, Revents: POLLNVAL}},
+		Stat:    Stat{Mode: S_IFREG | 0o644, Size: 5, Mtime: 1, Atime: 2, Ctime: 3, Nlink: 1, Ino: 77},
+		Aux:     [2]int64{3, 4},
+	}
+}
+
+var moveResults = map[string]func() Result{
+	"ok":         func() Result { return fullResult(OK) },
+	"ok-nil":     func() Result { return Result{} },
+	"ok-empty":   func() Result { return Result{Data: []byte{}, Segs: [][]byte{}, Ents: []Dirent{}, Pollfds: []Pollfd{}} },
+	"ok-segs":    func() Result { return Result{Ret: 5, Segs: [][]byte{[]byte("he"), {}, []byte("llo")}} },
+	"err":        func() Result { return Result{Ret: -1, Err: EBADF} },
+	"err-filled": func() Result { return fullResult(ENOENT) },
+}
+
+// scribbleArgs overwrites every buffer, list and record a sender lent.
+func scribbleArgs(a *Args) {
+	for i := range a.Bytes {
+		a.Bytes[i] = '#'
+	}
+	for _, b := range a.Bufs {
+		for i := range b {
+			b[i] = '#'
+		}
+	}
+	for _, l := range a.Strs {
+		for i := range l {
+			l[i] = "#"
+		}
+	}
+	for i := range a.Ints {
+		a.Ints[i] = -9
+	}
+	for i := range a.Pollfds {
+		a.Pollfds[i] = Pollfd{Fd: -9, Events: 0xff, Revents: 0xff}
+	}
+}
+
+func scribbleResult(r *Result) {
+	for i := range r.Data {
+		r.Data[i] = '#'
+	}
+	for _, s := range r.Segs {
+		for i := range s {
+			s[i] = '#'
+		}
+	}
+	for i := range r.Ents {
+		r.Ents[i] = Dirent{Name: "#", Ino: 1}
+	}
+	for i := range r.Pollfds {
+		r.Pollfds[i] = Pollfd{Fd: -9, Revents: 0xff}
+	}
+}
+
+// TestFrameMoveMatchesClone checks that a moved frame is what the old
+// whole-frame clone delivered and charges the same bytes, for every
+// row's argument shapes, every result shape (OK and failed, filled, nil
+// and empty), a call refused before its op ran, and the doorbell; and
+// that buffers the sender changes after posting do not show in the
+// delivered frame.
+func TestFrameMoveMatchesClone(t *testing.T) {
+	for trap := 0; trap < SYS_max; trap++ {
+		name := SyscallName(trap)
+		for an, mk := range moveArgs {
+			want, wantN := refCloneCall(&CallFrame{ID: 9, Trap: trap, Args: mk()})
+			lent := mk()
+			f := &CallFrame{ID: 9, Trap: trap, Args: lent}
+			n := f.CloneInPlace()
+			scribbleArgs(&lent)
+			if n != wantN {
+				t.Errorf("%s call (%s args): moved frame charges %d bytes, clone %d", name, an, n, wantN)
+			}
+			if !reflect.DeepEqual(f, want) {
+				t.Errorf("%s call (%s args): moved frame\n%+v\nclone\n%+v", name, an, f, want)
+			}
+		}
+		for rn, mk := range moveResults {
+			want, wantN := refCloneReply(&ReplyFrame{ID: 9, Trap: trap, Res: mk()})
+			lent := mk()
+			f := &ReplyFrame{ID: 9, Trap: trap, Res: lent}
+			n := f.CloneInPlace()
+			scribbleResult(&lent)
+			if n != wantN {
+				t.Errorf("%s reply (%s): moved frame charges %d bytes, clone %d", name, rn, n, wantN)
+			}
+			if !reflect.DeepEqual(f, want) {
+				t.Errorf("%s reply (%s): moved frame\n%+v\nclone\n%+v", name, rn, f, want)
+			}
+		}
+	}
+	if n := (RingBell{}).CloneInPlace(); n != prop("type", int64(len("ringbell"))) {
+		t.Errorf("doorbell charges %d bytes", n)
+	}
+}

@@ -218,10 +218,13 @@ func SyscallName(n int) string {
 }
 
 // The asynchronous transport's messages. Each frame is the typed form of
-// the JS object a Browsix runtime or kernel posts, and clones itself: its
-// CloneValue returns a deep copy of what that object would carry and the
-// bytes browser.Clone charges for the object, so the virtual cost of a
-// call is that of the structured clone the paper measures (§3.2).
+// the JS object a Browsix runtime or kernel posts. No sender touches a
+// frame after posting it, so a frame moves to its receiver instead of
+// being copied whole: its CloneInPlace copies into the frame only the
+// payload it borrows from the sender (buffers, lists, records), drops
+// what the object would not carry, and returns the bytes browser.Clone
+// charges for the object, so the virtual cost of a call is that of the
+// structured clone the paper measures (§3.2).
 
 // CallFrame is one table-driven call, modelling {type: "syscall", id,
 // name, args: [...]} with the arguments its row names, in row order.
@@ -268,12 +271,13 @@ func rowOf(trap int) *Syscall {
 	return &noRow
 }
 
-// CloneValue copies the arguments f's row sends (an ArgOpt only when
-// non-zero, Pollfds without revents) and sizes the object.
-func (f *CallFrame) CloneValue() (any, int64) {
+// CloneInPlace keeps only the arguments f's row sends (an ArgOpt only
+// when non-zero, Pollfds without revents), each a copy of the sender's,
+// and sizes the object.
+func (f *CallFrame) CloneInPlace() int64 {
 	row := rowOf(f.Trap)
-	c := &CallFrame{ID: f.ID, Trap: f.Trap}
-	a, ca := &f.Args, &c.Args
+	var c Args
+	a, ca := &f.Args, &c
 	var n int64 // the args array
 	ni, ns, nl := 0, 0, 0
 	for _, shape := range row.Args {
@@ -321,16 +325,17 @@ func (f *CallFrame) CloneValue() (any, int64) {
 			n += int64(len(a.Pollfds))*2*(numSize+8) + 8
 		}
 	}
-	return c, prop("type", int64(len("syscall"))) + prop("id", numSize) + prop("name", int64(len(row.Name))) + prop("args", n)
+	f.Args = c
+	return prop("type", int64(len("syscall"))) + prop("id", numSize) + prop("name", int64(len(row.Name))) + prop("args", n)
 }
 
-// CloneValue copies ret, errno and, on success, the result field row
-// Trap's Ret names (readv's segments without empty ones, read's segments
-// as one buffer), and sizes the object. A failed readv replies [-1,
-// errno].
-func (f *ReplyFrame) CloneValue() (any, int64) {
+// CloneInPlace keeps ret, errno and, on success, a copy of the result
+// field row Trap's Ret names (readv's segments without empty ones,
+// read's segments as one buffer), and sizes the object. A failed readv
+// replies [-1, errno].
+func (f *ReplyFrame) CloneInPlace() int64 {
 	r := &f.Res
-	c := &ReplyFrame{ID: f.ID, Trap: f.Trap, Res: Result{Ret: r.Ret, Err: r.Err}}
+	c := Result{Ret: r.Ret, Err: r.Err}
 	ok := r.Err == OK
 	n := int64(2 * (numSize + 8)) // the ret array
 	switch rowOf(f.Trap).Ret {
@@ -351,30 +356,30 @@ func (f *ReplyFrame) CloneValue() (any, int64) {
 			for _, s := range segs {
 				data = append(data, s...)
 			}
-			c.Res.Data = data
+			c.Data = data
 		}
 		n += int64(size) + 8
 	case RetSegs:
 		if !ok {
-			c.Res.Ret = -1
+			c.Ret = -1
 			break
 		}
 		var m int64
-		c.Res.Segs, m = cloneBufs(r.Segs, true)
+		c.Segs, m = cloneBufs(r.Segs, true)
 		n += m + 8
 	case RetStat:
 		if ok {
-			c.Res.Stat = r.Stat
+			c.Stat = r.Stat
 		}
 		n += statObj + 8
 	case RetStr:
 		if ok {
-			c.Res.Str = r.Str
+			c.Str = r.Str
 		}
 		n += int64(len(r.Str)) + 8
 	case RetDirents:
 		if ok {
-			c.Res.Ents = append([]Dirent(nil), r.Ents...)
+			c.Ents = append([]Dirent(nil), r.Ents...)
 		}
 		for _, e := range r.Ents {
 			n += int64(len(e.Name)) + direntObj + 8
@@ -382,25 +387,26 @@ func (f *ReplyFrame) CloneValue() (any, int64) {
 		n += 8
 	case RetPair:
 		if ok {
-			c.Res.Aux = r.Aux
+			c.Aux = r.Aux
 		}
 		n += 2 * (numSize + 8)
 	case RetStatus:
 		if ok {
-			c.Res.Aux[0] = r.Aux[0]
+			c.Aux[0] = r.Aux[0]
 		}
 		n += numSize + 8
 	case RetPollfds:
 		if ok {
-			c.Res.Pollfds = append([]Pollfd(nil), r.Pollfds...)
+			c.Pollfds = append([]Pollfd(nil), r.Pollfds...)
 		}
 		n += int64(len(r.Pollfds))*(numSize+8) + 8
 	}
-	return c, prop("type", int64(len("reply"))) + prop("id", numSize) + prop("ret", n)
+	f.Res = c
+	return prop("type", int64(len("reply"))) + prop("id", numSize) + prop("ret", n)
 }
 
-// CloneValue sizes the doorbell.
-func (RingBell) CloneValue() (any, int64) { return RingBell{}, prop("type", int64(len("ringbell"))) }
+// CloneInPlace sizes the doorbell.
+func (RingBell) CloneInPlace() int64 { return prop("type", int64(len("ringbell"))) }
 
 // cloneBufs deep-copies bufs into one backing array, each copy
 // capacity-limited to its own bytes, and sizes the array of all of them.

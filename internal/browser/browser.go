@@ -38,6 +38,10 @@ type Worker struct {
 	Ctx        *Context // the worker's own execution context
 	OnMessage  func(v Value)
 	terminated bool
+
+	// toWorker and toParent deliver one message in each direction; they
+	// are bound once, so a message event carries only its clone.
+	toWorker, toParent func(Value)
 }
 
 // NewSystem creates a browser with the given cost profile.
@@ -79,15 +83,17 @@ func (c *Context) SetTimeout(d int64, fn func()) {
 // post delivers a structured-cloned message across w's channel: to the
 // worker's context when toWorker, else to its parent. It charges the
 // sender for serialization and the clone and delays delivery by the
-// message-hop latency. The receiving side's OnMessage is read when the
-// message is delivered, not when it is sent, as in JS.
+// message-hop latency. Each message is its own event, carrying the
+// clone to the channel's bound delivery function. The receiving side's
+// OnMessage is read when the message is delivered, not when it is sent,
+// as in JS.
 func (s *System) post(w *Worker, toWorker bool, v Value) {
 	if w.terminated {
 		return
 	}
-	to := w.parent
+	to, deliver := w.parent, w.toParent
 	if toWorker {
-		to = w.Ctx
+		to, deliver = w.Ctx, w.toWorker
 	}
 	if to.sctx.Dead() {
 		return
@@ -95,15 +101,21 @@ func (s *System) post(w *Worker, toWorker bool, v Value) {
 	clone, bytes := Clone(v)
 	cost := s.Profile.PostMessageSend + int64(float64(bytes)*s.Profile.CloneByteNs)
 	s.Sim.Charge(cost)
-	s.Sim.PostDelay(to.sctx, s.Profile.PostMessageLatency, func() {
-		onMessage := w.OnMessage
-		if toWorker {
-			onMessage = w.Ctx.OnMessage
-		}
-		if onMessage != nil {
-			onMessage(clone)
-		}
-	})
+	s.Sim.PostDelayArg(to.sctx, s.Profile.PostMessageLatency, deliver, clone)
+}
+
+// deliverToWorker runs the worker's onmessage on one message.
+func (w *Worker) deliverToWorker(v Value) {
+	if on := w.Ctx.OnMessage; on != nil {
+		on(v)
+	}
+}
+
+// deliverToParent runs the parent-side handler on one message.
+func (w *Worker) deliverToParent(v Value) {
+	if on := w.OnMessage; on != nil {
+		on(v)
+	}
 }
 
 // PostMessage sends a message from the worker's parent to the worker
@@ -135,6 +147,7 @@ func (s *System) NewWorker(parent *Context, url string, main func(w *Worker)) *W
 	}
 	s.Sim.Charge(s.Profile.WorkerSpawnParent)
 	w := &Worker{sys: s, parent: parent}
+	w.toWorker, w.toParent = w.deliverToWorker, w.deliverToParent
 	ctx := &Context{sys: s, sctx: s.Sim.NewCtx("worker:" + url), isWorker: true, worker: w}
 	w.Ctx = ctx
 	startup := s.Profile.WorkerSpawn + int64(float64(len(script))*s.Profile.ScriptEvalByteNs)

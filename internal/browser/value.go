@@ -16,8 +16,10 @@ import "fmt"
 // Value is a structured-clonable JavaScript value. The allowed dynamic
 // types are:
 //
-//	nil, bool, int64, float64, string, []byte, []Value,
-//	map[string]Value, *SAB (shared, never copied), and SelfCloner.
+//	nil, bool, int (read as int64), int64, float64, string, []byte,
+//	[]Value, map[string]Value, *SAB and Shared (both passed by
+//	reference, never copied), and SelfCloner (a typed message that
+//	moves, copying only the payload it borrows).
 //
 // Messages between contexts are deep-copied (structured clone), except for
 // SharedArrayBuffers which are shared by reference — exactly the browser's
@@ -35,14 +37,19 @@ type Shared interface {
 }
 
 // SelfCloner is a typed message standing for a plain JS object, such as
-// a system-call frame: CloneValue returns its deep copy and the bytes
-// Clone would charge for the object it stands for.
+// a system-call frame. Its sender never touches it after posting, so
+// the message itself moves to the receiver: CloneInPlace copies into
+// the message only the payload it borrows from its sender (buffers,
+// lists, records) and returns the bytes Clone would charge for the
+// object it stands for. A sender that reused a message would have to
+// post a fresh one instead.
 type SelfCloner interface {
-	CloneValue() (Value, int64)
+	CloneInPlace() int64
 }
 
 // Clone deep-copies a Value with structured-clone semantics and returns the
-// copy plus the number of bytes copied (used to charge clone cost).
+// copy plus the number of bytes copied (used to charge clone cost). A
+// SelfCloner is returned itself, its borrowed payload copied in place.
 // It panics on a type outside the structured-clone set, mirroring the
 // DataCloneError a browser would throw.
 func Clone(v Value) (Value, int64) {
@@ -83,7 +90,7 @@ func Clone(v Value) (Value, int64) {
 		}
 		return out, n
 	case SelfCloner:
-		return x.CloneValue()
+		return x, x.CloneInPlace()
 	case *SAB:
 		return x, 0 // shared, not cloned
 	case Shared:

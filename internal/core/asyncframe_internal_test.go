@@ -200,13 +200,15 @@ func TestAsyncFrameCloneBytes(t *testing.T) {
 		name := abi.Syscalls[trap].Name
 		for an, mk := range args {
 			f := &abi.CallFrame{ID: int64(trap), Trap: trap, Args: mk()}
-			if got, want := cloneBytes(f), cloneBytes(refCall(f)); got != want {
+			want := cloneBytes(refCall(f)) // before f moves
+			if got := cloneBytes(f); got != want {
 				t.Errorf("%s call (%s args): frame charges %d bytes, object %d", name, an, got, want)
 			}
 		}
 		for rn, mk := range results {
 			f := &abi.ReplyFrame{ID: int64(trap), Trap: trap, Res: mk()}
-			if got, want := cloneBytes(f), cloneBytes(refReply(f)); got != want {
+			want := cloneBytes(refReply(f)) // before f moves
+			if got := cloneBytes(f); got != want {
 				t.Errorf("%s reply (%s): frame charges %d bytes, object %d", name, rn, got, want)
 			}
 		}
@@ -216,7 +218,8 @@ func TestAsyncFrameCloneBytes(t *testing.T) {
 	}
 	for _, err := range []abi.Errno{abi.ENOSYS, abi.EBADF} {
 		f := &abi.ReplyFrame{ID: 1, Res: abi.Result{Ret: -1, Err: err}}
-		if got, want := cloneBytes(f), cloneBytes(refReply(f)); got != want {
+		want := cloneBytes(refReply(f))
+		if got := cloneBytes(f); got != want {
 			t.Errorf("refused reply (%v): frame charges %d bytes, object %d", err, got, want)
 		}
 	}
@@ -265,14 +268,14 @@ func TestRegistrationFrameCloneBytes(t *testing.T) {
 	}
 }
 
-// TestAsyncFrameCloneIsDeep checks a cloned frame shares no memory with
-// the original: mutating every byte, string list and record the
-// original holds leaves the copy as a clone of an untouched original.
+// TestAsyncFrameCloneIsDeep checks a moved frame shares no memory with
+// its sender: mutating every byte, string list and record the sender
+// lent the frame leaves the delivered frame as a clone of an untouched
+// original.
 func TestAsyncFrameCloneIsDeep(t *testing.T) {
 	for trap := 1; trap < abi.SYS_max; trap++ {
-		f := &abi.CallFrame{ID: 1, Trap: trap, Args: fullArgs()}
-		c, _ := browser.Clone(f)
-		a := &f.Args
+		a := fullArgs()
+		c, _ := browser.Clone(&abi.CallFrame{ID: 1, Trap: trap, Args: a})
 		scribble(a.Bytes)
 		for _, b := range a.Bufs {
 			scribble(b)
@@ -285,14 +288,14 @@ func TestAsyncFrameCloneIsDeep(t *testing.T) {
 			t.Errorf("%s call: copy changed with the original:\n%+v\nwant %+v", abi.Syscalls[trap].Name, c, want)
 		}
 
-		r := &abi.ReplyFrame{ID: 1, Trap: trap, Res: fullResult(abi.OK)}
-		rc, _ := browser.Clone(r)
-		scribble(r.Res.Data)
-		for _, s := range r.Res.Segs {
+		res := fullResult(abi.OK)
+		rc, _ := browser.Clone(&abi.ReplyFrame{ID: 1, Trap: trap, Res: res})
+		scribble(res.Data)
+		for _, s := range res.Segs {
 			scribble(s)
 		}
-		r.Res.Ents[0].Name = "zz"
-		r.Res.Pollfds[0].Revents = 0
+		res.Ents[0].Name = "zz"
+		res.Pollfds[0].Revents = 0
 		rwant, _ := browser.Clone(&abi.ReplyFrame{ID: 1, Trap: trap, Res: fullResult(abi.OK)})
 		if !reflect.DeepEqual(rc, rwant) {
 			t.Errorf("%s reply: copy changed with the original:\n%+v\nwant %+v", abi.Syscalls[trap].Name, rc, rwant)

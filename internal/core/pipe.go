@@ -19,17 +19,23 @@ const PipeCap = 64 * 1024
 // Internally the buffer is a FIFO queue of owned byte segments rather than
 // one flat slice. The scalar Read/Write API behaves exactly as before
 // (Write copies the caller's bytes in; Read returns min(n, Buffered())
-// bytes), but the owned-segment representation enables the zero-copy fast
-// path the ring transport uses: WriteOwned moves caller-owned buffers into
-// the queue without copying, and Splice moves whole segments out to the
-// reader — so a shell pipeline's payload is copied once (into the
-// destination heap) instead of at every pipe crossing.
+// bytes), but the owned-segment representation lets the kernel hand over
+// buffers it owns: a pipe end's or a socket's write (and writev) moves
+// the kernel's copy of the caller's bytes (decoded from a process heap
+// or carried by a call frame) into the queue without copying it again,
+// and Splice moves whole segments out to the reader — so a payload is
+// copied once per crossing (into the kernel, and into the destination
+// heap or reply) instead of again at every pipe.
+//
+// The segment queue and both wait queues keep their backing arrays as
+// they drain, so a pipe in a steady state of writes and reads allocates
+// only the segments scalar writes copy.
 type Pipe struct {
 	id           int
-	segs         [][]byte // owned buffers, FIFO
-	size         int      // total buffered bytes across segs
-	readWaiters  []pipeRead
-	writeWaiters []*pipeWrite
+	segs         fifo[[]byte] // owned buffers
+	size         int          // total buffered bytes across segs
+	readWaiters  fifo[pipeRead]
+	writeWaiters fifo[pipeWrite]
 	readClosed   bool
 	writeClosed  bool
 
@@ -41,6 +47,40 @@ type Pipe struct {
 	// space freed, either side closed — so parked SYS_poll waiters
 	// re-evaluate level-triggered readiness (poll.go).
 	onState func()
+}
+
+// fifo is a queue that keeps its backing array: a pop advances head,
+// and a push into a full array first slides the live elements down to
+// the start, so a queue that fills and drains in a steady state stops
+// allocating. Popped slots are zeroed so they hold nothing reachable.
+type fifo[T any] struct {
+	buf  []T
+	head int
+}
+
+func (q *fifo[T]) len() int { return len(q.buf) - q.head }
+
+func (q *fifo[T]) push(v T) {
+	if len(q.buf) == cap(q.buf) && q.head > 0 {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, v)
+}
+
+// front is the oldest element, in place; valid until the next push.
+func (q *fifo[T]) front() *T { return &q.buf[q.head] }
+
+func (q *fifo[T]) pop() T {
+	v := q.buf[q.head]
+	var zero T
+	q.buf[q.head] = zero
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+	return v
 }
 
 // stateChanged fires the poll hook; safe to call redundantly (the
@@ -59,13 +99,39 @@ type pipeRead struct {
 	spliceCB func([][]byte, abi.Errno)
 }
 
-// pipeWrite is a parked writer. segs holds the bytes still to transfer;
-// owned writers hand their buffers over without copying.
+// pipeWrite is a write still moving into the pipe: cur is what is left
+// of the buffer being moved, rest the buffers after it. Owned writes
+// hand their buffers over without copying. sigPipe, when set, runs
+// before cb when the write fails with EPIPE.
 type pipeWrite struct {
-	segs  [][]byte
-	done  int
-	owned bool
-	cb    func(int, abi.Errno)
+	cur     []byte
+	rest    [][]byte
+	done    int
+	owned   bool
+	sigPipe func()
+	cb      func(int, abi.Errno)
+}
+
+// movedWrite is an owned write of bufs.
+func movedWrite(bufs [][]byte, sigPipe func(), cb func(int, abi.Errno)) pipeWrite {
+	w := pipeWrite{rest: bufs, owned: true, sigPipe: sigPipe, cb: cb}
+	w.next()
+	return w
+}
+
+// next moves on to the next non-empty buffer, if any.
+func (w *pipeWrite) next() {
+	w.cur = nil
+	for len(w.cur) == 0 && len(w.rest) > 0 {
+		w.cur, w.rest = w.rest[0], w.rest[1:]
+	}
+}
+
+func (w *pipeWrite) finish(err abi.Errno) {
+	if err == abi.EPIPE && w.sigPipe != nil {
+		w.sigPipe()
+	}
+	w.cb(w.done, err)
 }
 
 // pipeSeq is process-wide: ids only need to be unique for diagnostics
@@ -89,27 +155,27 @@ func (p *Pipe) takeBytes(n int) []byte {
 	if n == 0 {
 		return nil
 	}
-	if s := p.segs[0]; len(s) >= n {
+	if s := *p.segs.front(); len(s) >= n {
 		// Full slice expression: the handed-out slice's capacity stops
 		// at n, so a reader growing it can never reach bytes the pipe
 		// still buffers in s[n:].
 		if len(s) == n {
-			p.segs = p.segs[1:]
+			p.segs.pop()
 		} else {
-			p.segs[0] = s[n:]
+			*p.segs.front() = s[n:]
 		}
 		p.size -= n
 		return s[:n:n]
 	}
 	out := make([]byte, 0, n)
 	for n > 0 {
-		s := p.segs[0]
+		s := *p.segs.front()
 		take := min(len(s), n)
 		out = append(out, s[:take]...)
 		if take == len(s) {
-			p.segs = p.segs[1:]
+			p.segs.pop()
 		} else {
-			p.segs[0] = s[take:]
+			*p.segs.front() = s[take:]
 		}
 		p.size -= take
 		n -= take
@@ -128,15 +194,15 @@ func (p *Pipe) takeSegs(max int) [][]byte {
 	var out [][]byte
 	n := max
 	for n > 0 {
-		s := p.segs[0]
+		s := *p.segs.front()
 		if len(s) <= n {
 			out = append(out, s)
-			p.segs = p.segs[1:]
+			p.segs.pop()
 			p.size -= len(s)
 			n -= len(s)
 		} else {
 			out = append(out, s[:n:n])
-			p.segs[0] = s[n:]
+			*p.segs.front() = s[n:]
 			p.size -= n
 			n = 0
 		}
@@ -152,7 +218,7 @@ func (p *Pipe) read(n int, cb func([]byte, abi.Errno)) {
 			cb(nil, abi.OK) // EOF
 			return
 		}
-		p.readWaiters = append(p.readWaiters, pipeRead{n: n, cb: cb})
+		p.readWaiters.push(pipeRead{n: n, cb: cb})
 		return
 	}
 	out := p.takeBytes(n)
@@ -169,7 +235,7 @@ func (p *Pipe) splice(max int, cb func([][]byte, abi.Errno)) {
 			cb(nil, abi.OK) // EOF
 			return
 		}
-		p.readWaiters = append(p.readWaiters, pipeRead{n: max, spliceCB: cb})
+		p.readWaiters.push(pipeRead{n: max, spliceCB: cb})
 		return
 	}
 	out := p.takeSegs(max)
@@ -181,80 +247,76 @@ func (p *Pipe) splice(max int, cb func([][]byte, abi.Errno)) {
 // the buffer is full. Writes complete only when every byte is buffered, so
 // pipeline stages see classic blocking-write semantics.
 func (p *Pipe) write(data []byte, cb func(int, abi.Errno)) {
-	p.enqueueWrite([][]byte{data}, false, cb)
+	p.enqueueWrite(pipeWrite{cur: data, cb: cb})
 }
 
 // writeOwned transfers ownership of bufs into the pipe — the caller must
 // not touch them afterwards. Backpressure matches write: the continuation
 // fires once every byte is buffered.
 func (p *Pipe) writeOwned(bufs [][]byte, cb func(int, abi.Errno)) {
-	p.enqueueWrite(bufs, true, cb)
+	p.enqueueWrite(movedWrite(bufs, nil, cb))
 }
 
-func (p *Pipe) enqueueWrite(bufs [][]byte, owned bool, cb func(int, abi.Errno)) {
+func (p *Pipe) enqueueWrite(w pipeWrite) {
 	if p.readClosed || p.writeClosed {
 		// readClosed: classic EPIPE. writeClosed: the write side already
 		// delivered EOF (CloseWrite); accepting more data would smuggle
 		// bytes past the EOF the reader was promised — only kernel-held
 		// ends (a Console whose stdin was closed) can reach this.
-		cb(0, abi.EPIPE)
+		w.finish(abi.EPIPE)
 		return
-	}
-	segs := make([][]byte, 0, len(bufs))
-	for _, b := range bufs {
-		if len(b) > 0 {
-			segs = append(segs, b)
-		}
 	}
 	// Writers queue FIFO, so several outstanding writes (the ring
 	// transport batches them) complete in order as space frees up.
-	p.writeWaiters = append(p.writeWaiters, &pipeWrite{segs: segs, owned: owned, cb: cb})
+	p.writeWaiters.push(w)
 	p.pumpWriter()
 }
 
+// move buffers as much of w as fits: owned bytes by reference, other
+// bytes copied once here.
+func (p *Pipe) move(w *pipeWrite) {
+	space := PipeCap - p.size
+	for space > 0 && len(w.cur) > 0 {
+		take := min(len(w.cur), space)
+		if w.owned {
+			// Capacity-capped so a reader who later receives this
+			// piece whole can't grow it into the unsent remainder.
+			p.segs.push(w.cur[:take:take])
+		} else {
+			p.segs.push(append([]byte(nil), w.cur[:take]...))
+		}
+		p.size += take
+		w.done += take
+		space -= take
+		if w.cur = w.cur[take:]; len(w.cur) == 0 {
+			w.next()
+		}
+	}
+}
+
 // pumpWriter moves pending write bytes into the segment queue as space
-// allows, completing writers in FIFO order. Owned segments move by
-// reference; scalar writes copy once here.
+// allows, completing writers in FIFO order.
 func (p *Pipe) pumpWriter() {
-	if len(p.writeWaiters) == 0 {
+	if p.writeWaiters.len() == 0 {
 		// Nothing queued; don't re-enter pumpReaders. The caller may
 		// still have drained bytes (read paths land here), so announce
 		// the possible space-freed transition to parked pollers.
 		p.stateChanged()
 		return
 	}
-	for len(p.writeWaiters) > 0 {
-		w := p.writeWaiters[0]
+	for p.writeWaiters.len() > 0 {
 		if p.readClosed {
-			p.writeWaiters = p.writeWaiters[1:]
-			w.cb(w.done, abi.EPIPE)
+			w := p.writeWaiters.pop()
+			w.finish(abi.EPIPE)
 			continue
 		}
-		space := PipeCap - p.size
-		for space > 0 && len(w.segs) > 0 {
-			s := w.segs[0]
-			take := min(len(s), space)
-			if w.owned {
-				// Capacity-capped so a reader who later receives this
-				// piece whole can't grow it into the unsent remainder.
-				p.segs = append(p.segs, s[:take:take])
-			} else {
-				p.segs = append(p.segs, append([]byte(nil), s[:take]...))
-			}
-			p.size += take
-			w.done += take
-			space -= take
-			if take == len(s) {
-				w.segs = w.segs[1:]
-			} else {
-				w.segs[0] = s[take:]
-			}
-		}
-		if len(w.segs) > 0 {
+		w := p.writeWaiters.front()
+		p.move(w)
+		if len(w.cur) > 0 {
 			break // blocked on space until a reader drains
 		}
-		p.writeWaiters = p.writeWaiters[1:]
-		w.cb(w.done, abi.OK)
+		done := p.writeWaiters.pop()
+		done.finish(abi.OK)
 	}
 	p.pumpReaders()
 	p.stateChanged()
@@ -263,13 +325,12 @@ func (p *Pipe) pumpWriter() {
 // pumpReaders satisfies queued readers (scalar and splice alike, in FIFO
 // order) from the segment queue.
 func (p *Pipe) pumpReaders() {
-	for len(p.readWaiters) > 0 {
+	for p.readWaiters.len() > 0 {
 		if p.size == 0 {
 			if p.writeClosed {
 				// Drain EOF to all waiters.
-				ws := p.readWaiters
-				p.readWaiters = nil
-				for _, r := range ws {
+				for p.readWaiters.len() > 0 {
+					r := p.readWaiters.pop()
 					if r.spliceCB != nil {
 						r.spliceCB(nil, abi.OK)
 					} else {
@@ -279,8 +340,7 @@ func (p *Pipe) pumpReaders() {
 			}
 			return
 		}
-		r := p.readWaiters[0]
-		p.readWaiters = p.readWaiters[1:]
+		r := p.readWaiters.pop()
 		if r.spliceCB != nil {
 			out := p.takeSegs(r.n)
 			p.pumpWriter()
@@ -305,35 +365,31 @@ func (p *Pipe) closeWrite() {
 // with EPIPE (the kernel also raises SIGPIPE, as Unix does).
 func (p *Pipe) closeRead() {
 	p.readClosed = true
-	p.segs = nil
+	p.segs = fifo[[]byte]{}
 	p.size = 0
-	ws := p.writeWaiters
-	p.writeWaiters = nil
-	for _, w := range ws {
-		w.cb(w.done, abi.EPIPE)
+	for p.writeWaiters.len() > 0 {
+		w := p.writeWaiters.pop()
+		w.finish(abi.EPIPE)
 	}
 	p.stateChanged()
 }
 
-// writeNB is the non-blocking write: buffer what fits right now and
-// report it, or EAGAIN when the pipe is full (or earlier blocking
+// writeNB is the non-blocking write: buffer what fits of w right now
+// and report it, or EAGAIN when the pipe is full (or earlier blocking
 // writers are still queued — jumping them would reorder the stream).
 // O_NONBLOCK socket writes land here; the bounded buffer is what gives
 // each connection backpressure under load.
-func (p *Pipe) writeNB(data []byte) (int, abi.Errno) {
+func (p *Pipe) writeNB(w pipeWrite) (int, abi.Errno) {
 	if p.readClosed || p.writeClosed {
 		return 0, abi.EPIPE
 	}
-	space := PipeCap - p.size
-	if space <= 0 || len(p.writeWaiters) > 0 {
+	if PipeCap-p.size <= 0 || p.writeWaiters.len() > 0 {
 		return 0, abi.EAGAIN
 	}
-	take := min(len(data), space)
-	p.segs = append(p.segs, append([]byte(nil), data[:take]...))
-	p.size += take
+	p.move(&w)
 	p.pumpReaders()
 	p.stateChanged()
-	return take, abi.OK
+	return w.done, abi.OK
 }
 
 // Buffered returns the bytes currently queued (diagnostics).
@@ -392,28 +448,27 @@ func (e *pipeEnd) Write(d *Desc, data []byte, cb func(int, abi.Errno)) {
 		cb(0, abi.EBADF)
 		return
 	}
-	e.p.write(data, func(n int, err abi.Errno) {
-		if err == abi.EPIPE && e.sigPipe != nil {
-			e.sigPipe()
-		}
-		cb(n, err)
-	})
+	e.p.enqueueWrite(pipeWrite{cur: data, sigPipe: e.sigPipe, cb: cb})
 }
 
-// Writev is the vectored, zero-copy write: the kernel hands over buffers
-// it owns (decoded from a process heap or a cloned message) and the pipe
-// keeps them instead of copying.
+// Writev is the vectored owned write: the kernel hands over buffers it
+// owns (decoded from a process heap or carried by a call frame) and the
+// pipe keeps them instead of copying.
 func (e *pipeEnd) Writev(d *Desc, bufs [][]byte, cb func(int, abi.Errno)) {
 	if e.reader {
 		cb(0, abi.EBADF)
 		return
 	}
-	e.p.writeOwned(bufs, func(n int, err abi.Errno) {
-		if err == abi.EPIPE && e.sigPipe != nil {
-			e.sigPipe()
-		}
-		cb(n, err)
-	})
+	e.p.enqueueWrite(movedWrite(bufs, e.sigPipe, cb))
+}
+
+// moveIn is Writev of one kernel-owned buffer.
+func (e *pipeEnd) moveIn(d *Desc, buf []byte, cb func(int, abi.Errno)) {
+	if e.reader {
+		cb(0, abi.EBADF)
+		return
+	}
+	e.p.enqueueWrite(pipeWrite{cur: buf, owned: true, sigPipe: e.sigPipe, cb: cb})
 }
 
 // Splice moves up to max buffered bytes out as owned segments (the

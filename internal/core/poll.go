@@ -43,7 +43,7 @@ func pollReadiness(d *Desc) uint32 {
 			}
 			if f.out.readClosed {
 				r |= abi.POLLERR
-			} else if f.out.size < PipeCap && len(f.out.writeWaiters) == 0 {
+			} else if f.out.size < PipeCap && f.out.writeWaiters.len() == 0 {
 				r |= abi.POLLOUT
 			}
 		case sockClosed:
@@ -60,7 +60,7 @@ func pollReadiness(d *Desc) uint32 {
 		} else {
 			if f.p.readClosed {
 				r |= abi.POLLERR
-			} else if f.p.size < PipeCap && len(f.p.writeWaiters) == 0 {
+			} else if f.p.size < PipeCap && f.p.writeWaiters.len() == 0 {
 				r |= abi.POLLOUT
 			}
 		}

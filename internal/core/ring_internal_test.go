@@ -30,7 +30,9 @@ func TestPersonalityRefusesBadHeaps(t *testing.T) {
 			fw := newFrameWorld(t)
 			fw.task.heap, fw.task.ring = nil, nil
 			var got abi.Result
-			sysOps[abi.SYS_personality](fw.k, fw.task, callArgs{Args: abi.Args{Heap: c.heap}}, func(r abi.Result) { got = r })
+			cont := fw.task.takeCont(abi.SYS_personality)
+			cont.ring = func(_ uint32, ret int64, err abi.Errno) { got = abi.Result{Ret: ret, Err: err} }
+			sysOps[abi.SYS_personality](fw.k, fw.task, callArgs{Args: abi.Args{Heap: c.heap}}, cont)
 			if got.Ret != -1 || got.Err != abi.EINVAL {
 				t.Errorf("personality op: ret %d err %v, want -1 EINVAL", got.Ret, got.Err)
 			}

@@ -60,16 +60,31 @@ func (s *Socket) Read(d *Desc, n int, cb func([]byte, abi.Errno)) {
 }
 
 func (s *Socket) Write(d *Desc, data []byte, cb func(int, abi.Errno)) {
+	s.send(d, pipeWrite{cur: data, cb: cb})
+}
+
+// Writev takes kernel-owned buffers into the send pipe, as a pipe end
+// does, so a process's write reaches the peer without a second copy.
+func (s *Socket) Writev(d *Desc, bufs [][]byte, cb func(int, abi.Errno)) {
+	s.send(d, movedWrite(bufs, nil, cb))
+}
+
+// moveIn is Writev of one kernel-owned buffer.
+func (s *Socket) moveIn(d *Desc, buf []byte, cb func(int, abi.Errno)) {
+	s.send(d, pipeWrite{cur: buf, owned: true, cb: cb})
+}
+
+func (s *Socket) send(d *Desc, w pipeWrite) {
 	if s.state != sockConnected {
-		cb(0, abi.ENOTCONN)
+		w.cb(0, abi.ENOTCONN)
 		return
 	}
 	if d != nil && d.flags&abi.O_NONBLOCK != 0 {
-		n, err := s.out.writeNB(data)
-		cb(n, err)
+		n, err := s.out.writeNB(w)
+		w.cb(n, err)
 		return
 	}
-	s.out.write(data, cb)
+	s.out.enqueueWrite(w)
 }
 
 func (s *Socket) Pread(off int64, n int, cb func([]byte, abi.Errno)) { cb(nil, abi.ESPIPE) }

@@ -92,8 +92,9 @@ type heapOut struct {
 }
 
 // heapCall runs one heap-addressed call frame: decode the frame into
-// typed arguments, run the trap's op, and encode its result into the
-// caller's heap. done receives the frame's completion.
+// typed arguments, and run the trap's op with a continuation record
+// that encodes its result into the caller's heap. done receives the
+// frame's completion.
 func (k *Kernel) heapCall(t *Task, c pendingCall, done func(seq uint32, ret int64, err abi.Errno)) {
 	seq := c.seq
 	if c.trap <= 0 || c.trap >= abi.SYS_max {
@@ -111,11 +112,9 @@ func (k *Kernel) heapCall(t *Task, c pendingCall, done func(seq uint32, ret int6
 		done(seq, -1, err)
 		return
 	}
-	shape, d := row.Ret, a.d
-	op(k, t, a, func(r abi.Result) {
-		ret, err := t.heapResult(shape, out, d, r)
-		done(seq, ret, err)
-	})
+	cont := t.takeCont(c.trap)
+	cont.ring, cont.seq, cont.out, cont.d = done, seq, out, a.d
+	op(k, t, a, cont)
 }
 
 // argWords is how many frame words an argument of the given shape takes.

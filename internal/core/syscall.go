@@ -146,7 +146,9 @@ func (k *Kernel) frameCall(t *Task, w *browser.Worker, f *abi.CallFrame) {
 		k.postReply(t, w, &abi.ReplyFrame{ID: id, Res: res(-1, err)})
 		return
 	}
-	op(k, t, a, func(r abi.Result) { k.postReply(t, w, &abi.ReplyFrame{ID: id, Trap: trap, Res: r}) })
+	c := t.takeCont(trap)
+	c.w, c.id = w, id
+	op(k, t, a, c)
 }
 
 // frameArgs checks a frame's arguments in row order: an ArgFd is looked

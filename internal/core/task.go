@@ -48,6 +48,9 @@ type Task struct {
 	heap *browser.SAB
 	ring *taskRing
 
+	// conts is the free list of call continuation records (ops.go).
+	conts []*callCont
+
 	// onExit callbacks registered by the kernel API (kernel.system).
 	onExit []func(status int)
 

@@ -7,9 +7,11 @@ import "repro/internal/abi"
 // move whole owned buffers instead of copying per call; files that don't
 // get a safe scalar fallback, so every File keeps working unchanged.
 
-// vectoredWriter is implemented by files that can take ownership of the
-// buffers handed to them (pipes). The kernel only passes buffers it owns —
-// bytes freshly decoded from a process heap or a cloned message.
+// vectoredWriter is implemented by files that take a whole buffer list
+// in one call: pipe ends and sockets keep the buffers (ownership moves
+// to them), fs files write them through. The kernel only passes buffers
+// it owns — bytes freshly decoded from a process heap or carried in by
+// a call frame.
 type vectoredWriter interface {
 	Writev(d *Desc, bufs [][]byte, cb func(int, abi.Errno))
 }
@@ -29,15 +31,26 @@ type vectoredReader interface {
 	Readv(d *Desc, total int, cb func([][]byte, abi.Errno))
 }
 
+// movingWriter is implemented by files that keep kernel-owned buffers
+// by reference (pipe ends and sockets): moveIn is their Writev of one
+// buffer, with no list to build.
+type movingWriter interface {
+	moveIn(d *Desc, buf []byte, cb func(int, abi.Errno))
+}
+
 // writeMoved writes one kernel-owned buffer to a file, transferring
-// ownership when the file supports it (the zero-copy pipe path) and
-// copying via the scalar Write otherwise.
+// ownership when the file keeps buffers (pipes and sockets), as one
+// vectored write when it takes them (fs files), and through the scalar
+// Write otherwise.
 func writeMoved(d *Desc, buf []byte, cb func(int, abi.Errno)) {
-	if vw, ok := d.file.(vectoredWriter); ok {
-		vw.Writev(d, [][]byte{buf}, cb)
-		return
+	switch f := d.file.(type) {
+	case movingWriter:
+		f.moveIn(d, buf, cb)
+	case vectoredWriter:
+		f.Writev(d, [][]byte{buf}, cb)
+	default:
+		d.file.Write(d, buf, cb)
 	}
-	d.file.Write(d, buf, cb)
 }
 
 // readGather reads up to total bytes from a file as a segment list with a

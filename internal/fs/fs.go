@@ -827,30 +827,87 @@ type invalHandle struct {
 	FileHandle
 	fs   *FileSystem
 	path string
+
+	// free lists the mutation completions not in use; first is the
+	// handle's own, so a handle never has more than one mutation in
+	// flight allocates no record.
+	free  *invalDone
+	first invalDone
+}
+
+// invalDone is one mutation's completion through an invalHandle: when
+// the backend returns it drops the path's cached state again, goes back
+// to the handle's free list, and runs the caller's continuation. Its
+// adapters are bound once, the first time each is needed, so a stream
+// of writes through one handle allocates nothing here.
+type invalDone struct {
+	h     *invalHandle
+	next  *invalDone
+	cb    func(int, abi.Errno)
+	ecb   func(abi.Errno)
+	count func(int, abi.Errno)
+	errno func(abi.Errno)
+}
+
+func (h *invalHandle) take() *invalDone {
+	d := h.free
+	switch {
+	case d != nil:
+		h.free = d.next
+	case h.first.h == nil:
+		d = &h.first
+		d.h = h
+	default:
+		d = &invalDone{h: h}
+	}
+	return d
+}
+
+// finish invalidates and recycles d, whose continuation the caller has
+// already taken out.
+func (d *invalDone) finish() {
+	h := d.h
+	d.cb, d.ecb = nil, nil
+	d.next, h.free = h.free, d
+	h.fs.invalidatePath(h.path)
+}
+
+// countDone is a completion for a write that reports to cb.
+func (h *invalHandle) countDone(cb func(int, abi.Errno)) func(int, abi.Errno) {
+	d := h.take()
+	d.cb = cb
+	if d.count == nil {
+		d.count = func(n int, err abi.Errno) {
+			cb := d.cb
+			d.finish()
+			cb(n, err)
+		}
+	}
+	return d.count
 }
 
 func (h *invalHandle) Pwrite(off int64, data []byte, cb func(int, abi.Errno)) {
 	h.fs.invalidatePath(h.path)
-	h.FileHandle.Pwrite(off, data, func(n int, err abi.Errno) {
-		h.fs.invalidatePath(h.path)
-		cb(n, err)
-	})
+	h.FileHandle.Pwrite(off, data, h.countDone(cb))
 }
 
 func (h *invalHandle) Pwritev(off int64, bufs [][]byte, cb func(int, abi.Errno)) {
 	h.fs.invalidatePath(h.path)
-	h.FileHandle.Pwritev(off, bufs, func(n int, err abi.Errno) {
-		h.fs.invalidatePath(h.path)
-		cb(n, err)
-	})
+	h.FileHandle.Pwritev(off, bufs, h.countDone(cb))
 }
 
 func (h *invalHandle) Truncate(size int64, cb func(abi.Errno)) {
 	h.fs.invalidatePath(h.path)
-	h.FileHandle.Truncate(size, func(err abi.Errno) {
-		h.fs.invalidatePath(h.path)
-		cb(err)
-	})
+	d := h.take()
+	d.ecb = cb
+	if d.errno == nil {
+		d.errno = func(err abi.Errno) {
+			cb := d.ecb
+			d.finish()
+			cb(err)
+		}
+	}
+	h.FileHandle.Truncate(size, d.errno)
 }
 
 // ---------------------------------------------------------------------------

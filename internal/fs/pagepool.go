@@ -232,6 +232,14 @@ func (p *PagePool) DedupStats() (entries, refs, hits int64) {
 	return p.pp.dedupEntries.Load(), p.pp.dedupRefsN.Load(), p.pp.dedupHitsN.Load()
 }
 
+// Attachments reports how many quota accounts (page caches and image
+// stores) the pool holds; none is ever detached.
+func (p *PagePool) Attachments() int {
+	p.pp.mu.Lock()
+	defer p.pp.mu.Unlock()
+	return len(p.pp.used)
+}
+
 // SetPagePool attaches this FileSystem's page cache to a shared pool
 // with a per-cache page quota (quotaSlots <= 0 means DefaultPoolSlots).
 // It must be called at setup time, before any page is cached; attached

@@ -372,6 +372,39 @@ func TestWriteErrorSurfacesAtWrite(t *testing.T) {
 	}
 }
 
+// TestWarmAppendAllocFree: once a memfs file's capacity covers the
+// next append, a write through the VFS allocates nothing. The write
+// handle's completion record, which re-runs the invalidation after the
+// backend returns, is reused rather than built per call.
+func TestWarmAppendAllocFree(t *testing.T) {
+	const runs = 200
+	line := []byte("pdflatex: Overfull \\hbox (badness 10000) in paragraph\n")
+	f := newFS()
+	var h FileHandle
+	f.Open("/log", abi.O_WRONLY|abi.O_CREAT|abi.O_TRUNC, 0o644, func(fh FileHandle, err abi.Errno) {
+		if err != abi.OK {
+			t.Fatalf("open: %v", err)
+		}
+		h = fh
+	})
+	// Grow the file's capacity past every measured append, then start
+	// over at offset 0.
+	pwrite(t, h, 0, string(make([]byte, (runs+2)*len(line))))
+	off := int64(0)
+	var got abi.Errno = -1
+	done := func(_ int, err abi.Errno) { got = err }
+	if n := testing.AllocsPerRun(runs, func() {
+		h.Pwrite(off, line, done)
+		off += int64(len(line))
+	}); n != 0 {
+		t.Fatalf("warm append allocated %v times per write, want 0", n)
+	}
+	if got != abi.OK {
+		t.Fatalf("append: %v", got)
+	}
+	closeH(t, h)
+}
+
 // BenchmarkAppendLog measures the pdflatex-style append workload — many
 // tiny sequential writes to one log file, then close — through the VFS
 // to memfs. Each iteration truncates the log at open, so memory stays

@@ -201,6 +201,6 @@ func TestHealthzExchangeAllocs(t *testing.T) {
 		}
 	}
 	check("WriteRequest", 1, func() { WriteRequest(req) })
-	check("ParseBufferedRequest", 5, func() { ParseBufferedRequest(raw) })
+	check("ParseBufferedRequest", 4, func() { ParseBufferedRequest(raw) })
 	check("WriteResponse", 1, func() { WriteResponse(resp) })
 }

@@ -249,21 +249,86 @@ func (rd *reader) rest() ([]byte, abi.Errno) {
 	return out, abi.OK
 }
 
-// readHeaders parses "K: V" lines until the blank line.
-func (rd *reader) readHeaders() (map[string]string, abi.Errno) {
-	hdr := map[string]string{}
+// head reads through the blank line that ends a message head and
+// returns the head as one string, the only allocation its lines cost:
+// the start line, header names and values are substrings of it. Each
+// line is checked as it completes, so a bad start line (a request line
+// without two spaces, a status line without a numeric code) or a
+// header line without a colon fails as soon as it arrives, before the
+// rest of the head does.
+func (rd *reader) head(isResponse bool) (string, abi.Errno) {
+	start := 0 // where the line being read begins in rd.buf
 	for {
-		line, err := rd.line()
-		if err != abi.OK {
-			return nil, err
+		i := bytes.IndexByte(rd.buf[rd.scan:], '\n')
+		if i < 0 {
+			rd.scan = len(rd.buf)
+			if rd.eof {
+				return "", abi.EIO
+			}
+			if err := rd.fill(); err != abi.OK {
+				return "", err
+			}
+			continue
 		}
+		i += rd.scan
+		rd.scan = i + 1
+		line := trimCR(rd.buf[start:i])
+		switch {
+		case start == 0:
+			if !startLineOK(line, isResponse) {
+				return "", abi.EINVAL
+			}
+		case len(line) == 0:
+			h := string(rd.buf[:i+1])
+			rd.buf, rd.scan = rd.buf[i+1:], 0
+			return h, abi.OK
+		case bytes.IndexByte(line, ':') < 0:
+			return "", abi.EINVAL
+		}
+		start = i + 1
+	}
+}
+
+// trimCR drops a line's trailing carriage returns.
+func trimCR[S ~string | ~[]byte](line S) S {
+	for len(line) > 0 && line[len(line)-1] == '\r' {
+		line = line[:len(line)-1]
+	}
+	return line
+}
+
+// startLineOK checks a request line ("METHOD PATH PROTO") or a status
+// line ("PROTO CODE [TEXT]").
+func startLineOK(line []byte, isResponse bool) bool {
+	_, rest, ok := bytes.Cut(line, []byte(" "))
+	if !ok {
+		return false
+	}
+	if isResponse {
+		code, _, _ := bytes.Cut(rest, []byte(" "))
+		_, err := strconv.Atoi(string(code))
+		return err == nil
+	}
+	_, _, ok = bytes.Cut(rest, []byte(" "))
+	return ok
+}
+
+// splitHead splits a head (as head returns it) into its start line and
+// its header map, nil when the head has no header line.
+func splitHead(h string) (start string, hdr map[string]string) {
+	i := strings.IndexByte(h, '\n')
+	start, h = trimCR(h[:i]), h[i+1:]
+	for {
+		i := strings.IndexByte(h, '\n')
+		line := trimCR(h[:i])
 		if line == "" {
-			return hdr, abi.OK
+			return start, hdr
 		}
-		k, v, found := strings.Cut(line, ":")
-		if !found {
-			return nil, abi.EINVAL
+		h = h[i+1:]
+		if hdr == nil {
+			hdr = map[string]string{}
 		}
+		k, v, _ := strings.Cut(line, ":")
 		hdr[textprotoCanon(strings.TrimSpace(k))] = strings.TrimSpace(v)
 	}
 }
@@ -343,41 +408,26 @@ func (rd *reader) readBody(hdr map[string]string, isResponse bool) ([]byte, abi.
 
 // readRequestHead parses the request line and headers.
 func (rd *reader) readRequestHead() (*Request, abi.Errno) {
-	line, err := rd.line()
+	h, err := rd.head(false)
 	if err != abi.OK {
 		return nil, err
 	}
-	method, rest, ok := strings.Cut(line, " ")
-	path, proto, ok2 := strings.Cut(rest, " ")
-	if !ok || !ok2 {
-		return nil, abi.EINVAL
-	}
-	hdr, err := rd.readHeaders()
-	if err != abi.OK {
-		return nil, err
-	}
+	line, hdr := splitHead(h)
+	method, rest, _ := strings.Cut(line, " ")
+	path, proto, _ := strings.Cut(rest, " ")
 	return &Request{Method: method, Path: path, Proto: proto, Header: hdr}, abi.OK
 }
 
 // readResponseHead parses the status line and headers.
 func (rd *reader) readResponseHead() (*Response, abi.Errno) {
-	line, err := rd.line()
+	h, err := rd.head(true)
 	if err != abi.OK {
 		return nil, err
 	}
-	_, rest, ok := strings.Cut(line, " ")
-	if !ok {
-		return nil, abi.EINVAL
-	}
+	line, hdr := splitHead(h)
+	_, rest, _ := strings.Cut(line, " ")
 	code, text, _ := strings.Cut(rest, " ")
-	status, perr := strconv.Atoi(code)
-	if perr != nil {
-		return nil, abi.EINVAL
-	}
-	hdr, err := rd.readHeaders()
-	if err != abi.OK {
-		return nil, err
-	}
+	status, _ := strconv.Atoi(code)
 	return &Response{Status: status, StatusText: text, Header: hdr}, abi.OK
 }
 

@@ -168,14 +168,18 @@ func TestEventQueueMatchesReference(t *testing.T) {
 	}
 }
 
-// TestPostStepAllocFree: on a warmed queue, posting a pre-built func
-// and stepping it allocates nothing.
+// TestPostStepAllocFree: on a warmed queue, posting a pre-built func,
+// or a pre-bound handler with a pointer argument, and stepping it
+// allocates nothing; and the two kinds of event share one FIFO order.
 func TestPostStepAllocFree(t *testing.T) {
 	s := New()
 	c := s.NewCtx("c")
 	fn := func() {}
+	var got []int
+	h := func(v any) { got = append(got, *v.(*int)) }
 	for i := 0; i < 64; i++ {
 		s.Post(c, int64(i), fn)
+		s.PostArg(c, int64(i), h, &i)
 	}
 	s.Run()
 	if n := testing.AllocsPerRun(1000, func() {
@@ -183,6 +187,32 @@ func TestPostStepAllocFree(t *testing.T) {
 		s.Step()
 	}); n != 0 {
 		t.Fatalf("Post+Step allocated %v times per run, want 0", n)
+	}
+	arg := new(int)
+	got = make([]int, 0, 4)
+	if n := testing.AllocsPerRun(1000, func() {
+		s.PostArg(c, c.Now(), h, arg)
+		s.Step()
+		got = got[:0]
+	}); n != 0 {
+		t.Fatalf("PostArg+Step allocated %v times per run, want 0", n)
+	}
+
+	// Same-instant events run in posting order whichever way they were
+	// posted.
+	var order []int
+	at := c.Now() + 10
+	for i := 0; i < 6; i++ {
+		i := i
+		if i%2 == 0 {
+			s.Post(c, at, func() { order = append(order, i) })
+		} else {
+			s.PostDelayArg(c, 10, func(v any) { order = append(order, v.(int)) }, i)
+		}
+	}
+	s.Run()
+	if !slices.Equal(order, []int{0, 1, 2, 3, 4, 5}) {
+		t.Fatalf("mixed events ran in order %v", order)
 	}
 }
 

@@ -30,12 +30,19 @@ import (
 
 // Event is a unit of work delivered to a context at (no earlier than) a
 // virtual time. Events model postMessage deliveries, timer callbacks, and
-// internal wake-ups.
+// internal wake-ups. An event runs h(arg): a handler bound once and its
+// per-event argument, so a message delivery needs no closure of its own
+// (a plain func is the argument of runFunc).
 type event struct {
 	at  int64 // earliest virtual time the event may run
 	seq uint64
-	fn  func()
+	h   func(any)
+	arg any
 }
+
+// runFunc is the handler of events posted as a plain func. A func value
+// is pointer-shaped, so boxing it as the argument allocates nothing.
+func runFunc(fn any) { fn.(func())() }
 
 // eventHeap is a binary min-heap of events ordered by (at, seq). seq
 // breaks ties FIFO so the simulation is deterministic; it is unique per
@@ -65,8 +72,8 @@ func (h *eventHeap) push(e event) {
 }
 
 // pop removes and returns the earliest event. The vacated slot is
-// zeroed so the backing array does not keep the popped closure (and
-// whatever it captured) alive.
+// zeroed so the backing array does not keep the popped closure or
+// argument (and whatever they reach) alive.
 func (h *eventHeap) pop() event {
 	q := *h
 	n := len(q) - 1
@@ -243,21 +250,40 @@ func (s *Sim) Cur() *Ctx { return s.cur }
 // Post schedules fn to run on ctx no earlier than virtual time at. It is
 // the primitive beneath postMessage delivery and timers.
 func (s *Sim) Post(ctx *Ctx, at int64, fn func()) {
+	s.PostArg(ctx, at, runFunc, fn)
+}
+
+// PostArg schedules h(arg) to run on ctx no earlier than virtual time
+// at. It orders exactly as Post does; h is meant to be bound once (a
+// per-channel delivery function), so posting allocates nothing beyond
+// what arg itself holds.
+func (s *Sim) PostArg(ctx *Ctx, at int64, h func(any), arg any) {
 	if ctx.dead {
 		return
 	}
 	s.seq++
-	ctx.q.push(event{at: at, seq: s.seq, fn: fn})
+	ctx.q.push(event{at: at, seq: s.seq, h: h, arg: arg})
 }
 
 // PostDelay schedules fn on ctx after d nanoseconds of the *sender's*
 // current time (or the target's, when called from outside any context).
 func (s *Sim) PostDelay(ctx *Ctx, d int64, fn func()) {
+	s.Post(ctx, s.delayed(ctx, d), fn)
+}
+
+// PostDelayArg is PostDelay for a handler-plus-argument event.
+func (s *Sim) PostDelayArg(ctx *Ctx, d int64, h func(any), arg any) {
+	s.PostArg(ctx, s.delayed(ctx, d), h, arg)
+}
+
+// delayed is d nanoseconds after the sender's time, or ctx's outside
+// any context.
+func (s *Sim) delayed(ctx *Ctx, d int64) int64 {
 	base := ctx.now
 	if s.cur != nil {
 		base = s.cur.now
 	}
-	s.Post(ctx, base+d, fn)
+	return base + d
 }
 
 // Charge advances the clock of the currently-running context by d
@@ -475,7 +501,7 @@ func (s *Sim) Step() bool {
 		if best.now < ev.at {
 			best.now = ev.at
 		}
-		ev.fn()
+		ev.h(ev.arg)
 	}
 	if best.dead {
 		// Killed during its own event: later charges still count.

@@ -190,15 +190,17 @@ func NewRegistry() *Registry {
 	return &Registry{images: map[string]*Image{}}
 }
 
-// SetStore attaches the store captures charge heap pages to. First one
-// wins: a fleet attaches the shared pool's store once and every
-// instance's captures dedup in the same index. With no store, captured
-// heaps are private host copies.
-func (r *Registry) SetStore(st *fs.ImageStore) {
+// EnsureStore attaches the store captures charge heap pages to: mk
+// makes it, under the registry's lock, only when the registry has none
+// yet. Making a store attaches a quota account to its pool for the
+// pool's life, so a registry shared by every instance of a fleet makes
+// one, and every instance's captures dedup in the same index. With no
+// store, captured heaps are private host copies.
+func (r *Registry) EnsureStore(mk func() *fs.ImageStore) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.store == nil {
-		r.store = st
+		r.store = mk()
 	}
 }
 
