@@ -342,6 +342,48 @@ func TestFleetWarmupFailurePanics(t *testing.T) {
 	}
 }
 
+// TestSyncSpawnsDoNotLeakHeaps: an exited sync process leaves nothing
+// behind that keeps its 1 MiB heap reachable (its Atomics waiters live on
+// the heap itself, not in a table on the browser), so the live heap of
+// an Instance that runs 100 more wasm processes grows by well under a
+// heap per spawn.
+func TestSyncSpawnsDoNotLeakHeaps(t *testing.T) {
+	const spawns, perSpawn = 100, 64 << 10
+	in := browsix.Boot(browsix.Config{})
+	browsix.InstallBase(in)
+	browsix.InstallWasmCoreutils(in)
+	var out bytes.Buffer
+	cat := func() {
+		out.Reset()
+		p, err := in.Start(browsix.Spec{Argv: []string{"/usr/bin/cat", "/etc/motd"}, Stdout: &out})
+		if err != nil {
+			t.Fatalf("start cat: %v", err)
+		}
+		if code, err := p.Wait(); code != 0 || err != nil || out.Len() == 0 {
+			t.Fatalf("cat: exit %d, err %v, %d bytes out", code, err, out.Len())
+		}
+	}
+	live := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	for i := 0; i < 10; i++ {
+		cat()
+	}
+	before := live()
+	for i := 0; i < spawns; i++ {
+		cat()
+	}
+	after := live()
+	if grown := int64(after) - int64(before); grown > spawns*perSpawn {
+		t.Fatalf("live heap grew %d KiB over %d sync spawns (%d KiB each), want under %d KiB each",
+			grown>>10, spawns, grown/spawns>>10, perSpawn>>10)
+	}
+	runtime.KeepAlive(in)
+}
+
 // TestFleetSnapshotsAttachOncePerJob: with snapshots on, a fleet job
 // adds one quota account to the shared pool (its own cache), not a
 // second one for an image store its shared registry would discard. The

@@ -213,11 +213,16 @@ func (r Ring) PushCall(seq uint32, trap int, args []int64) bool {
 	return true
 }
 
-// PopCall removes and decodes the next call frame. The ring lives in
-// guest-writable memory: a cursor outside the data area, a frame size no
-// call frame has, or an nargs that disagrees with the size resets the
-// ring (the two sides no longer agree on framing) and pops nothing.
-func (r Ring) PopCall() (seq uint32, trap int, args []int64, ok bool) {
+// CallWords is caller-owned storage one call frame's arguments decode
+// into, so popping a frame allocates nothing.
+type CallWords [maxCallArgs]int64
+
+// PopCallInto removes and decodes the next call frame into dst; args is
+// dst's first nargs words. The ring lives in guest-writable memory: a
+// cursor outside the data area, a frame size no call frame has, or an
+// nargs that disagrees with the size resets the ring (the two sides no
+// longer agree on framing) and pops nothing.
+func (r Ring) PopCallInto(dst *CallWords) (seq uint32, trap int, args []int64, ok bool) {
 	head, used, ok := r.cursors()
 	if !ok {
 		r.Reset()
@@ -245,8 +250,8 @@ func (r Ring) PopCall() (seq uint32, trap int, args []int64, ok bool) {
 		r.Reset()
 		return 0, 0, nil, false
 	}
-	args = make([]int64, nargs)
-	for i := 0; i < nargs; i++ {
+	args = dst[:nargs]
+	for i := range args {
 		args[i] = int64(le.Uint64(frame[callFrameHdr+8*i:]))
 	}
 	r.setHead(r.advance(head, size))

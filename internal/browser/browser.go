@@ -3,13 +3,13 @@ package browser
 import (
 	"encoding/binary"
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/sched"
 )
 
-// System is one simulated browser: a main context, a set of Web Workers,
-// a Blob URL store, and a futex table for Atomics.
+// System is one simulated browser: a main context, a set of Web Workers
+// and a Blob URL store. Atomics waiters are held on the SharedArrayBuffer
+// they wait on.
 type System struct {
 	Sim     *sched.Sim
 	Profile Profile
@@ -17,8 +17,6 @@ type System struct {
 
 	blobSeq int
 	blobs   map[string][]byte
-
-	futexes map[futexKey][]*futexWaiter
 }
 
 // Context is a single-threaded JavaScript execution context.
@@ -50,7 +48,6 @@ func NewSystem(sim *sched.Sim, p Profile) *System {
 		Sim:     sim,
 		Profile: p,
 		blobs:   map[string][]byte{},
-		futexes: map[futexKey][]*futexWaiter{},
 	}
 	s.Main = &Context{sys: s, sctx: sim.NewCtx("main")}
 	return s
@@ -216,8 +213,11 @@ func (s *System) LiveBlobs() int { return len(s.blobs) }
 // contexts.
 type SAB struct {
 	b       []byte
-	id      int
 	tracker DirtyTracker
+
+	// waiters are the coroutines blocked in Atomics.wait on this
+	// buffer's cells, in arrival order.
+	waiters []futexWaiter
 }
 
 // DirtyTracker observes writes into a SAB at page granularity. The
@@ -241,13 +241,9 @@ func (s *SAB) MarkDirty(off, n int) {
 	}
 }
 
-// sabSeq is process-wide: SAB ids key futex waits and only need to be
-// unique, and an atomic keeps concurrent Instances race-free.
-var sabSeq atomic.Int64
-
 // NewSAB allocates a SharedArrayBuffer of n bytes.
 func NewSAB(n int) *SAB {
-	return &SAB{b: make([]byte, n), id: int(sabSeq.Add(1))}
+	return &SAB{b: make([]byte, n)}
 }
 
 // Len returns the buffer length.
@@ -269,14 +265,11 @@ func (s *SAB) Store32(off int, v uint32) {
 	}
 }
 
-type futexKey struct {
-	sab int
-	off int
-}
-
+// futexWaiter is one Atomics.wait in progress: the cell and the
+// coroutine blocked on it.
 type futexWaiter struct {
+	off int
 	g   *sched.G
-	ctx *Context
 }
 
 // WaitResult is the result of Atomics.wait.
@@ -305,21 +298,19 @@ func (s *System) FutexWait(c *Context, sab *SAB, off int, expected uint32, timeo
 	if sab.Load32(off) != expected {
 		return WaitNotEqual
 	}
-	key := futexKey{sab.id, off}
 	g := s.Sim.CurG()
 	if g == nil {
 		panic("browser: FutexWait requires a program coroutine")
 	}
-	s.futexes[key] = append(s.futexes[key], &futexWaiter{g: g, ctx: c})
+	sab.waiters = append(sab.waiters, futexWaiter{off: off, g: g})
 	if timeout >= 0 {
 		s.Sim.WakeCtx(g, c.Now()+timeout, WaitTimedOut)
 	}
 	v := s.Sim.BlockCur()
 	// Remove ourselves from the wait list if still present (timeout path).
-	ws := s.futexes[key]
-	for i, w := range ws {
+	for i, w := range sab.waiters {
 		if w.g == g {
-			s.futexes[key] = append(ws[:i:i], ws[i+1:]...)
+			sab.dropWaiter(i)
 			break
 		}
 	}
@@ -334,15 +325,26 @@ func (s *System) FutexWait(c *Context, sab *SAB, off int, expected uint32, timeo
 // profile's FutexWake latency.
 func (s *System) FutexNotify(sab *SAB, off int, count int) int {
 	s.Sim.Charge(s.Profile.AtomicsOp)
-	key := futexKey{sab.id, off}
-	ws := s.futexes[key]
 	n := 0
-	for len(ws) > 0 && (count < 0 || n < count) {
-		w := ws[0]
-		ws = ws[1:]
+	for i := 0; i < len(sab.waiters) && (count < 0 || n < count); {
+		w := sab.waiters[i]
+		if w.off != off {
+			i++
+			continue
+		}
+		sab.dropWaiter(i)
 		s.Sim.WakeCtx(w.g, s.Sim.Now()+s.Profile.FutexWake, WaitOK)
 		n++
 	}
-	s.futexes[key] = ws
 	return n
+}
+
+// dropWaiter removes waiter i, keeping the rest in arrival order. The
+// vacated slot is zeroed so the list does not keep a finished
+// coroutine reachable.
+func (sab *SAB) dropWaiter(i int) {
+	n := len(sab.waiters) - 1
+	copy(sab.waiters[i:], sab.waiters[i+1:])
+	sab.waiters[n] = futexWaiter{}
+	sab.waiters = sab.waiters[:n]
 }

@@ -37,6 +37,17 @@ type taskRing struct {
 	draining bool        // inside drainRing's dispatch loop
 	dirty    bool        // replies pushed since the last wake
 	overflow []ringReply // replies that did not fit the reply ring
+
+	// The drain's working storage, reused by every doorbell: the popped
+	// calls (calls[:next] dispatched so far), their argument words, and
+	// the completions that landed inside the batch.
+	calls   []pendingCall
+	words   []abi.CallWords
+	next    int
+	batched []abi.Reply
+
+	// done is every ring call's completion, bound once in setPersonality.
+	done func(seq uint32, ret int64, err abi.Errno)
 }
 
 type ringReply struct {
@@ -57,7 +68,9 @@ func (t *Task) setPersonality(v any) abi.Errno {
 	if !ok {
 		return abi.EINVAL
 	}
-	t.heap, t.ring = sab, &taskRing{req: req, rep: rep, off: off}
+	r := &taskRing{req: req, rep: rep, off: off}
+	r.done = func(seq uint32, ret int64, err abi.Errno) { t.k.ringDone(t, r, seq, ret, err) }
+	t.heap, t.ring = sab, r
 	return abi.OK
 }
 
@@ -70,9 +83,16 @@ func (k *Kernel) drainRing(t *Task) {
 	if r == nil || t.heap == nil || t.state == taskZombie {
 		return
 	}
-	var calls []pendingCall
+	if r.draining {
+		panic("core: drainRing re-entered")
+	}
+	r.calls, r.next, r.batched = r.calls[:0], 0, r.batched[:0]
 	for {
-		seq, trap, args, ok := r.req.PopCall()
+		n := len(r.calls)
+		if n == len(r.words) {
+			r.words = append(r.words, abi.CallWords{})
+		}
+		seq, trap, args, ok := r.req.PopCallInto(&r.words[n])
 		if !ok {
 			break
 		}
@@ -80,47 +100,58 @@ func (k *Kernel) drainRing(t *Task) {
 		k.RingSyscalls.Add(1)
 		k.Sys.Sim.Charge(k.CPU.SyscallNs)
 		k.SyscallCount[abi.SyscallName(trap)]++
-		calls = append(calls, pendingCall{seq: seq, trap: trap, args: args})
+		r.calls = append(r.calls, pendingCall{seq: seq, trap: trap, args: args})
 	}
-	if len(calls) > 1 {
-		k.RingBatchedCalls.Add(int64(len(calls) - 1))
+	if len(r.calls) > 1 {
+		k.RingBatchedCalls.Add(int64(len(r.calls) - 1))
 	}
 	r.draining = true
-	var batched []abi.Reply
-	// inBatch is per-invocation, NOT the shared r.draining flag: a call
-	// from THIS drain that blocks may complete during a later drain of
-	// the same ring (a signal handler's interleaved batch unblocking a
-	// parked read); its reply must go through ringReply then, not into
-	// this drain's already-flushed batch slice.
-	inBatch := true
-	done := func(seq uint32, ret int64, err abi.Errno) {
-		if inBatch {
-			// Completed inside the batch: collect for one framing pass.
-			batched = append(batched, abi.Reply{Seq: seq, Ret: ret, Errno: err})
-			return
-		}
-		// Late completion (the call blocked): reply-and-wake immediately.
-		k.ringReply(t, seq, ret, err)
+	for r.next < len(r.calls) {
+		r.next++
+		k.heapCall(t, r.calls[r.next-1], r.done)
 	}
-	for _, c := range calls {
-		k.heapCall(t, c, done)
-	}
-	inBatch = false
 	r.draining = false
-	if len(batched) > 0 && t.ring == r && t.heap != nil && t.state != taskZombie {
+	if len(r.batched) > 0 && t.ring == r && t.heap != nil && t.state != taskZombie {
 		// Batched-reply framing: every same-dispatch completion lands in
 		// one PushReplies pass; what does not fit queues in arrival order
 		// behind any existing overflow.
 		n := 0
 		if len(r.overflow) == 0 {
-			n = r.rep.PushReplies(batched)
+			n = r.rep.PushReplies(r.batched)
 		}
-		for _, rep := range batched[n:] {
+		for _, rep := range r.batched[n:] {
 			r.overflow = append(r.overflow, ringReply{rep.Seq, rep.Ret, rep.Errno})
 		}
 		r.dirty = true
 	}
 	k.flushRingWake(t)
+}
+
+// ringDone lands one ring call's completion. A call of the drain in
+// progress joins its batch. Any other, a call that blocked in an earlier
+// drain (a signal handler's interleaved batch unblocking a parked read,
+// say), replies through ringReply, even while a later drain runs.
+func (k *Kernel) ringDone(t *Task, r *taskRing, seq uint32, ret int64, err abi.Errno) {
+	if r.draining && r.dispatched(seq) {
+		r.batched = append(r.batched, abi.Reply{Seq: seq, Ret: ret, Errno: err})
+		return
+	}
+	k.ringReply(t, seq, ret, err)
+}
+
+// dispatched reports whether the drain in progress has dispatched a call
+// numbered seq. The runtime numbers its calls uniquely, so this tells a
+// call of this drain from one parked by an earlier drain; a guest that
+// reuses a number still gets exactly one reply per frame, through one
+// path or the other. The call completing is most often the one just
+// dispatched, so the search runs backwards.
+func (r *taskRing) dispatched(seq uint32) bool {
+	for i := r.next - 1; i >= 0; i-- {
+		if r.calls[i].seq == seq {
+			return true
+		}
+	}
+	return false
 }
 
 // pendingCall is one popped, not-yet-dispatched ring call frame.
@@ -154,12 +185,15 @@ func (k *Kernel) flushRingWake(t *Task) {
 	if r == nil || t.heap == nil || t.state == taskZombie {
 		return
 	}
-	for len(r.overflow) > 0 {
-		o := r.overflow[0]
+	n := 0
+	for _, o := range r.overflow {
 		if !r.rep.PushReply(o.seq, o.ret, o.err) {
 			break
 		}
-		r.overflow = r.overflow[1:]
+		n++
+	}
+	if n > 0 {
+		r.overflow = r.overflow[:copy(r.overflow, r.overflow[n:])]
 	}
 	if !r.dirty {
 		return

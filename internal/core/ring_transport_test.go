@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/abi"
+	"repro/internal/core"
 	"repro/internal/posix"
 	"repro/internal/rt"
 )
@@ -195,5 +196,78 @@ func TestIovMaxAgreesAcrossTransports(t *testing.T) {
 		if code != 0 || out != want {
 			t.Errorf("%s: exit %d, output %q (stderr %q), want %q", v, code, out, errOut, want)
 		}
+	}
+}
+
+// t-ringloop writes 16 bytes into a pipe and reads them back until
+// ringLoopStop is set, counting each pair in ringLoopPairs.
+var (
+	ringLoopPairs int
+	ringLoopStop  bool
+)
+
+func init() {
+	posix.Register(&posix.Program{Name: "t-ringloop", Main: func(p posix.Proc) int {
+		r, w, err := p.Pipe()
+		if err != abi.OK {
+			return 1
+		}
+		buf := []byte("0123456789abcdef")
+		for !ringLoopStop {
+			if n, err := p.Write(w, buf); err != abi.OK || n != len(buf) {
+				return 2
+			}
+			if b, err := p.Read(r, 64); err != abi.OK || !bytes.Equal(b, buf) {
+				return 3
+			}
+			ringLoopPairs++
+		}
+		return 0
+	}})
+}
+
+// TestSyncRoundTripAllocs measures a warm synchronous pipe write plus
+// read through the em-sync runtime and the kernel: for each call the
+// runtime stages its arguments, pushes a frame and rings the doorbell,
+// the kernel drains the ring and pushes the reply, and the futex wake
+// resumes the runtime, which pops the reply. What is left is what the
+// two calls copy: the write buffer out of the heap and the read payload
+// out of it (two allocations; the limit leaves one more for the
+// toolchain's escape analysis).
+func TestSyncRoundTripAllocs(t *testing.T) {
+	const limit = 3
+	w := boot(t)
+	w.install(t, "/usr/bin/t-ringloop", "t-ringloop", rt.EmSyncKind)
+	ringLoopPairs, ringLoopStop = 0, false
+	code := -1
+	w.sim.Post(w.sys.Main.Sched(), w.sys.Main.Now(), func() {
+		w.k.StartProcess(core.ProcSpec{
+			Argv:   []string{"/usr/bin/t-ringloop"},
+			OnExit: func(_, c int) { code = c },
+		})
+	})
+	target := 0
+	reached := func() bool { return ringLoopPairs >= target || code != -1 }
+	pair := func() {
+		target++
+		w.sim.RunUntil(reached)
+	}
+	for i := 0; i < 16; i++ {
+		pair()
+	}
+	calls := w.k.RingSyscalls.Load()
+	n := testing.AllocsPerRun(200, pair)
+	if code != -1 || ringLoopPairs != target {
+		t.Fatalf("t-ringloop exited %d after %d of %d pairs", code, ringLoopPairs, target)
+	}
+	if got := w.k.RingSyscalls.Load() - calls; got != 2*201 {
+		t.Fatalf("%d ring calls for 201 pairs, want 2 each", got)
+	}
+	ringLoopStop = true
+	if !w.sim.RunUntil(func() bool { return code != -1 }) || code != 0 {
+		t.Fatalf("t-ringloop exit %d, want 0", code)
+	}
+	if n > limit {
+		t.Fatalf("sync pipe write+read allocated %v times per pair, want <= %d", n, limit)
 	}
 }

@@ -42,7 +42,8 @@ import (
 // BrowserFS; the kernel layers file offsets on top.
 type FileHandle interface {
 	// Pread reads up to n bytes at off. A short or empty result at EOF
-	// is not an error.
+	// is not an error. The result belongs to the caller: it is never a
+	// view of the file's or a cache's bytes.
 	Pread(off int64, n int, cb func([]byte, abi.Errno))
 	// Pwrite writes data at off, returning bytes written.
 	Pwrite(off int64, data []byte, cb func(int, abi.Errno))

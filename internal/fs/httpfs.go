@@ -341,14 +341,16 @@ func (h *httpRangeHandle) Pread(off int64, n int, cb func([]byte, abi.Errno)) {
 	h.rf.FetchRange(h.path, off, want, func(body []byte, status int) {
 		switch status {
 		case 206:
-			// Partial content: the body IS the requested range.
+			// Partial content: the body IS the requested range. It is
+			// copied like every other read: the fetcher may hand out a
+			// view of the server's bytes.
 			if int64(len(body)) > want {
 				body = body[:want]
 			}
 			h.fs.FetchCount++
 			h.fs.RangeFetches++
 			h.fs.BytesFetched += int64(len(body))
-			cb(body, abi.OK)
+			cb(sliceBody(body, 0, want), abi.OK)
 		case 200:
 			// The server ignored Range and sent the whole file (legal
 			// HTTP). Account the full transfer and cache the body like
@@ -365,7 +367,7 @@ func (h *httpRangeHandle) Pread(off int64, n int, cb func([]byte, abi.Errno)) {
 	})
 }
 
-// sliceBody copies the window [off, off+want) out of a whole body.
+// sliceBody copies the window [off, off+want) out of a body.
 func sliceBody(body []byte, off, want int64) []byte {
 	if off >= int64(len(body)) {
 		return nil

@@ -34,6 +34,8 @@ type Proc interface {
 	// Files.
 	Open(path string, flags int, mode uint32) (int, abi.Errno)
 	Close(fd int) abi.Errno
+	// Read returns up to n bytes from fd's offset. The returned slice
+	// belongs to the caller, which may keep it or write into it.
 	Read(fd int, n int) ([]byte, abi.Errno)
 	Write(fd int, b []byte) (int, abi.Errno)
 	Pread(fd int, n int, off int64) ([]byte, abi.Errno)

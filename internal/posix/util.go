@@ -1,6 +1,7 @@
 package posix
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 
@@ -35,18 +36,25 @@ func Fprintf(p Proc, fd int, format string, args ...any) abi.Errno {
 	return WriteString(p, fd, fmt.Sprintf(format, args...))
 }
 
-// ReadAll reads fd to EOF.
+// ReadAll reads fd to EOF. It keeps the chunks Read returns and joins
+// them once at the end; a file read in one chunk comes back as that
+// chunk. On an error it returns what it read before the error.
 func ReadAll(p Proc, fd int) ([]byte, abi.Errno) {
-	var out []byte
+	var small [8][]byte // most files fit; more chunks move to the heap
+	chunks := small[:0]
 	for {
 		b, err := p.Read(fd, DefaultChunk)
-		if err != abi.OK {
-			return out, err
+		if err == abi.OK && len(b) > 0 {
+			chunks = append(chunks, b)
+			continue
 		}
-		if len(b) == 0 {
-			return out, abi.OK
+		switch len(chunks) {
+		case 0:
+			return nil, err
+		case 1:
+			return chunks[0], err
 		}
-		out = append(out, b...)
+		return bytes.Join(chunks, nil), err
 	}
 }
 

@@ -43,6 +43,7 @@ type workerRT struct {
 	repRing   abi.Ring
 	ringSeq   uint32
 	ringStash map[uint32]ringRep
+	ringBatch ringBatch // the outermost ringCalls' storage
 
 	// ringOutstanding counts pushed frames whose replies have not yet
 	// been popped (bounds batches to the reply ring's capacity);

@@ -1,6 +1,8 @@
 package rt
 
 import (
+	"sort"
+
 	"repro/internal/abi"
 )
 
@@ -45,11 +47,17 @@ type ringReq struct {
 // kernel's overflow list. When an interleaved batch (a signal handler
 // issuing calls while the main flow is parked) congests the rings, this
 // batch waits for the kernel to drain rather than failing.
+//
+// The outermost batch's results live in storage the runtime reuses:
+// they hold until the next ringCalls, so a caller reads them before it
+// makes another call. An interleaved batch gets storage of its own.
 func (r *workerRT) ringCalls(reqs []ringReq) ([]int64, []abi.Errno) {
+	b := &r.ringBatch
+	if r.inflight > 0 {
+		b = &ringBatch{}
+	}
+	b.reset(len(reqs))
 	r.inflight++
-	rets := make([]int64, len(reqs))
-	errs := make([]abi.Errno, len(reqs))
-	idx := map[uint32]int{}
 	i, remaining := 0, 0
 	for {
 		// Push what the reply ring has guaranteed room for.
@@ -59,7 +67,7 @@ func (r *workerRT) ringCalls(reqs []ringReq) ([]int64, []abi.Errno) {
 			if !r.reqRing.PushCall(r.ringSeq, reqs[i].trap, reqs[i].args) {
 				break
 			}
-			idx[r.ringSeq] = i
+			b.seqs = append(b.seqs, r.ringSeq)
 			r.ringSeq++
 			pushed++
 		}
@@ -77,7 +85,7 @@ func (r *workerRT) ringCalls(reqs []ringReq) ([]int64, []abi.Errno) {
 			r.heap.Store32(abi.HeapWakeOff, 0)
 			r.w.PostToParent(abi.RingBell{})
 		}
-		remaining -= r.popReplies(idx, rets, errs)
+		remaining -= r.popReplies(b)
 		if i >= len(reqs) && remaining == 0 {
 			break
 		}
@@ -96,18 +104,52 @@ func (r *workerRT) ringCalls(reqs []ringReq) ([]int64, []abi.Errno) {
 		r.heap.Store32(abi.HeapWakeOff, 1)
 		r.sys.FutexNotify(r.heap, abi.HeapWakeOff, -1)
 	}
-	return rets, errs
+	return b.rets, b.errs
+}
+
+// ringBatch is the storage of one ringCalls: the sequence number of
+// each frame pushed so far, in push order, and the results by request
+// index.
+type ringBatch struct {
+	seqs []uint32
+	rets []int64
+	errs []abi.Errno
+}
+
+// reset readies b for a batch of n requests.
+func (b *ringBatch) reset(n int) {
+	b.seqs = b.seqs[:0]
+	if cap(b.rets) < n {
+		b.rets, b.errs = make([]int64, n), make([]abi.Errno, n)
+	}
+	b.rets, b.errs = b.rets[:n], b.errs[:n]
+}
+
+// slot returns the request index the frame numbered seq was pushed for,
+// or -1 when it is another batch's. A batch's numbers are taken in
+// increasing order, with gaps where an interleaved batch pushed, so
+// their distances from the first are sorted even across wraparound.
+func (b *ringBatch) slot(seq uint32) int {
+	if len(b.seqs) == 0 {
+		return -1
+	}
+	first := b.seqs[0]
+	d := seq - first
+	j := sort.Search(len(b.seqs), func(k int) bool { return b.seqs[k]-first >= d })
+	if j < len(b.seqs) && b.seqs[j] == seq {
+		return j
+	}
+	return -1
 }
 
 // popReplies drains the reply ring (and the stash) into this batch's
 // slots, stashing replies that belong to an interleaved batch. Returns
 // how many of this batch's frames completed.
-func (r *workerRT) popReplies(idx map[uint32]int, rets []int64, errs []abi.Errno) int {
+func (r *workerRT) popReplies(b *ringBatch) int {
 	got := 0
 	for seq, rep := range r.ringStash {
-		if j, known := idx[seq]; known {
-			rets[j], errs[j] = rep.ret, rep.err
-			delete(idx, seq)
+		if j := b.slot(seq); j >= 0 {
+			b.rets[j], b.errs[j] = rep.ret, rep.err
 			delete(r.ringStash, seq)
 			got++
 		}
@@ -118,9 +160,8 @@ func (r *workerRT) popReplies(idx map[uint32]int, rets []int64, errs []abi.Errno
 			return got
 		}
 		r.ringOutstanding--
-		if j, known := idx[seq]; known {
-			rets[j], errs[j] = ret, errno
-			delete(idx, seq)
+		if j := b.slot(seq); j >= 0 {
+			b.rets[j], b.errs[j] = ret, errno
 			got++
 		} else {
 			if r.ringStash == nil {

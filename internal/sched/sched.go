@@ -123,7 +123,8 @@ type Ctx struct {
 	// wake is a pending futex wake-up (or timeout). It takes priority
 	// over queued events at the same instant because Atomics.wait
 	// returning resumes the *current* task before the event loop runs.
-	wake *wakeup
+	// It is held inline; wake.g is nil when none is pending.
+	wake wakeup
 
 	// gs tracks coroutines created on this context so KillCtx can unwind
 	// them (their deferred cleanup runs with ErrKilled).
@@ -223,7 +224,7 @@ func (s *Sim) KillCtx(c *Ctx) {
 	s.frontier = max(s.frontier, c.now)
 	c.dead = true
 	c.q = nil
-	c.wake = nil
+	c.wake = wakeup{}
 	c.blocked = false
 	gs := c.gs
 	c.gs = nil
@@ -395,8 +396,8 @@ func (s *Sim) KillG(g *G) {
 		return
 	}
 	g.killed = true
-	if g.ctx.wake != nil && g.ctx.wake.g == g {
-		g.ctx.wake = nil
+	if g.ctx.wake.g == g {
+		g.ctx.wake = wakeup{}
 		g.ctx.blocked = false
 	}
 	s.Post(g.ctx, g.ctx.now, func() { s.ResumeG(g, nil) })
@@ -430,10 +431,10 @@ func (s *Sim) WakeCtx(g *G, at int64, v any) {
 	if c.dead {
 		return
 	}
-	if c.wake != nil && c.wake.at <= at {
+	if c.wake.g != nil && c.wake.at <= at {
 		return
 	}
-	c.wake = &wakeup{at: at, g: g, v: v}
+	c.wake = wakeup{at: at, g: g, v: v}
 }
 
 // runnable returns, for each context, the earliest thing it could run and
@@ -442,7 +443,7 @@ func (c *Ctx) next() (start int64, isWake bool, ok bool) {
 	if c.dead {
 		return 0, false, false
 	}
-	if c.wake != nil {
+	if c.wake.g != nil {
 		st := c.wake.at
 		if c.now > st {
 			st = c.now
@@ -490,7 +491,7 @@ func (s *Sim) Step() bool {
 	s.cur = best
 	if bestWake {
 		w := best.wake
-		best.wake = nil
+		best.wake = wakeup{}
 		best.blocked = false
 		if best.now < bestStart {
 			best.now = bestStart
@@ -552,7 +553,7 @@ func (s *Sim) Quiescent() bool {
 func (s *Sim) BlockedCtxs() []string {
 	var out []string
 	for _, c := range s.ctxs {
-		if !c.dead && c.blocked && c.wake == nil {
+		if !c.dead && c.blocked && c.wake.g == nil {
 			out = append(out, c.name)
 		}
 	}
@@ -565,7 +566,7 @@ func (s *Sim) Dump() string {
 	out := ""
 	for _, c := range s.ctxs {
 		out += fmt.Sprintf("ctx %q: now=%s q=%d blocked=%v dead=%v wake=%v\n",
-			c.name, time.Duration(c.now), len(c.q), c.blocked, c.dead, c.wake != nil)
+			c.name, time.Duration(c.now), len(c.q), c.blocked, c.dead, c.wake.g != nil)
 	}
 	return out
 }
