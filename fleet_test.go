@@ -384,6 +384,48 @@ func TestSyncSpawnsDoNotLeakHeaps(t *testing.T) {
 	runtime.KeepAlive(in)
 }
 
+// TestSyncHeapsRecycled: an exited sync process's heap goes back to the
+// browser and the next sync spawn takes it, so each of 100 sequential
+// wasm cat runs on one Instance allocates well under its 1 MiB heap, and
+// prints what the first run printed.
+func TestSyncHeapsRecycled(t *testing.T) {
+	const spawns, perSpawn = 100, 256 << 10
+	in := browsix.Boot(browsix.Config{})
+	browsix.InstallBase(in)
+	browsix.InstallWasmCoreutils(in)
+	var out bytes.Buffer
+	cat := func() {
+		out.Reset()
+		p, err := in.Start(browsix.Spec{Argv: []string{"/usr/bin/cat", "/etc/motd"}, Stdout: &out})
+		if err != nil {
+			t.Fatalf("start cat: %v", err)
+		}
+		if code, err := p.Wait(); code != 0 || err != nil {
+			t.Fatalf("cat: exit %d, err %v", code, err)
+		}
+	}
+	cat()
+	want := bytes.Clone(out.Bytes())
+	if len(want) == 0 {
+		t.Fatal("cat printed nothing")
+	}
+	for i := 0; i < 10; i++ {
+		cat()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < spawns; i++ {
+		cat()
+		if !bytes.Equal(out.Bytes(), want) {
+			t.Fatalf("run %d printed %q, want %q", i, out.Bytes(), want)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / spawns; per > perSpawn {
+		t.Fatalf("each sync spawn allocated %d KiB, want under %d KiB", per>>10, perSpawn>>10)
+	}
+}
+
 // TestFleetSnapshotsAttachOncePerJob: with snapshots on, a fleet job
 // adds one quota account to the shared pool (its own cache), not a
 // second one for an image store its shared registry would discard. The

@@ -3,6 +3,8 @@ package browser
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"repro/internal/sched"
 )
@@ -17,6 +19,10 @@ type System struct {
 
 	blobSeq int
 	blobs   map[string][]byte
+
+	// heaps are released SharedArrayBuffers that NewSAB hands out again:
+	// at most as many as were once live at the same time.
+	heaps []*SAB
 }
 
 // Context is a single-threaded JavaScript execution context.
@@ -215,6 +221,12 @@ type SAB struct {
 	b       []byte
 	tracker DirtyTracker
 
+	// written has a bit for every heapPage-byte page that may hold a
+	// nonzero byte: MarkDirty and Store32 set them. Reuse clears only
+	// those pages, so a page no process wrote is never touched (in a
+	// fresh allocation the OS has not even mapped it).
+	written []uint64
+
 	// waiters are the coroutines blocked in Atomics.wait on this
 	// buffer's cells, in arrival order.
 	waiters []futexWaiter
@@ -232,18 +244,83 @@ type DirtyTracker interface {
 // SetDirtyTracker installs (or clears, with nil) the write observer.
 func (s *SAB) SetDirtyTracker(t DirtyTracker) { s.tracker = t }
 
-// MarkDirty reports a write of n bytes at off to the installed tracker.
-// Callers that write through Bytes() must call it; it is free when no
-// tracker is installed.
+// MarkDirty records a write of n bytes at off and reports it to the
+// installed tracker. Callers that write through Bytes() must call it:
+// System.NewSAB clears only the pages it records when it hands the
+// buffer to another process.
 func (s *SAB) MarkDirty(off, n int) {
-	if s.tracker != nil && n > 0 {
+	if n <= 0 {
+		return
+	}
+	s.markWritten(off, n)
+	if s.tracker != nil {
 		s.tracker.MarkDirty(off, n)
 	}
 }
 
-// NewSAB allocates a SharedArrayBuffer of n bytes.
+// heapPage is the granularity at which a SAB records its writes.
+const heapPage = 4096
+
+// markWritten sets the written bits of the pages [off, off+n) touches.
+func (s *SAB) markWritten(off, n int) {
+	for p := off / heapPage; p <= (off+n-1)/heapPage && p/64 < len(s.written); p++ {
+		s.written[p/64] |= 1 << (p % 64)
+	}
+}
+
+// zero clears the pages the written bits name and resets the bits.
+func (s *SAB) zero() {
+	for i, w := range s.written {
+		for ; w != 0; w &= w - 1 {
+			lo := (i*64 + bits.TrailingZeros64(w)) * heapPage
+			clear(s.b[lo:min(lo+heapPage, len(s.b))])
+		}
+		s.written[i] = 0
+	}
+}
+
+// NewSAB allocates a SharedArrayBuffer of n bytes. Process heaps come
+// from System.NewSAB instead, which reuses the heaps of exited processes.
 func NewSAB(n int) *SAB {
-	return &SAB{b: make([]byte, n)}
+	pages := (n + heapPage - 1) / heapPage
+	return &SAB{b: make([]byte, n), written: make([]uint64, (pages+63)/64)}
+}
+
+// NewSAB returns a zeroed SharedArrayBuffer of n bytes: a released one
+// of that length when the browser holds one, else a fresh allocation.
+// Zeroing the pages written since the last reuse stands in for the
+// allocator's own zeroing, so a process cannot tell a reused heap from
+// a new one.
+func (s *System) NewSAB(n int) *SAB {
+	for i := len(s.heaps) - 1; i >= 0; i-- {
+		if sab := s.heaps[i]; len(sab.b) == n {
+			last := len(s.heaps) - 1
+			s.heaps[i] = s.heaps[last]
+			s.heaps[last] = nil
+			s.heaps = s.heaps[:last]
+			sab.zero()
+			return sab
+		}
+	}
+	return NewSAB(n)
+}
+
+// ReleaseSAB hands a heap back for NewSAB to reuse. The caller must be
+// its last user: every context that could touch it has terminated, and
+// nothing reads or writes it again. Releasing drops its dirty tracker
+// and its futex waiters, the coroutines a terminated worker left parked
+// in Atomics.wait. A nil heap is ignored.
+func (s *System) ReleaseSAB(sab *SAB) {
+	if sab == nil {
+		return
+	}
+	if slices.Contains(s.heaps, sab) {
+		panic("browser: SharedArrayBuffer released twice")
+	}
+	sab.tracker = nil
+	clear(sab.waiters)
+	sab.waiters = sab.waiters[:0]
+	s.heaps = append(s.heaps, sab)
 }
 
 // Len returns the buffer length.
@@ -260,6 +337,7 @@ func (s *SAB) Load32(off int) uint32 { return binary.LittleEndian.Uint32(s.b[off
 // Store32 performs Atomics.store.
 func (s *SAB) Store32(off int, v uint32) {
 	binary.LittleEndian.PutUint32(s.b[off:], v)
+	s.markWritten(off, 4)
 	if s.tracker != nil {
 		s.tracker.MarkDirty(off, 4)
 	}

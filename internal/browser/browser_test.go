@@ -331,3 +331,56 @@ func TestWorkerPriorityDefault(t *testing.T) {
 		t.Fatal("SetPriority not applied")
 	}
 }
+
+// TestNewSABReusesReleasedZeroed: System.NewSAB hands back a released
+// buffer of the same length with every page a write was recorded in
+// (MarkDirty, Store32) zeroed, the buffer's last partial page included,
+// and no tracker or futex waiter left over. Other lengths, and a second
+// request while the first is out, get fresh buffers. A buffer released
+// twice panics.
+func TestNewSABReusesReleasedZeroed(t *testing.T) {
+	const n = 5*heapPage + 100
+	sys := newSys()
+	sab := sys.NewSAB(n)
+	writes := [][2]int{{0, 1}, {heapPage - 2, 4}, {3*heapPage + 7, 2 * heapPage}, {n - 3, 3}}
+	for _, w := range writes {
+		for i := w[0]; i < w[0]+w[1]; i++ {
+			sab.Bytes()[i] = 0xAB
+		}
+		sab.MarkDirty(w[0], w[1])
+	}
+	sab.Store32(2*heapPage+8, 0xFFFFFFFF)
+	sab.SetDirtyTracker(nopTracker{})
+	sab.waiters = append(sab.waiters, futexWaiter{off: 0})
+	sys.ReleaseSAB(sab)
+
+	if other := sys.NewSAB(n + 1); other == sab {
+		t.Fatal("a buffer of another length was reused")
+	}
+	again := sys.NewSAB(n)
+	if again != sab {
+		t.Fatal("the released buffer was not reused")
+	}
+	for i, c := range again.Bytes() {
+		if c != 0 {
+			t.Fatalf("byte %d of the reused buffer is %#x, want 0", i, c)
+		}
+	}
+	if again.tracker != nil || len(again.waiters) != 0 {
+		t.Fatal("the reused buffer kept its tracker or waiters")
+	}
+	if fresh := sys.NewSAB(n); fresh == again {
+		t.Fatal("one buffer was handed out twice")
+	}
+	sys.ReleaseSAB(again)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a second release did not panic")
+		}
+	}()
+	sys.ReleaseSAB(again)
+}
+
+type nopTracker struct{}
+
+func (nopTracker) MarkDirty(off, n int) {}

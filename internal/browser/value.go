@@ -66,7 +66,7 @@ func Clone(v Value) (Value, int64) {
 	case float64:
 		return x, 8
 	case string:
-		return x, int64(len(x)) // strings are immutable; copy cost still paid
+		return v, int64(len(x)) // strings are immutable; copy cost still paid
 	case []byte:
 		c := make([]byte, len(x))
 		copy(c, x)

@@ -145,19 +145,12 @@ func (f *fsFile) Pwrite(off int64, data []byte, cb func(int, abi.Errno)) {
 	f.h.Pwrite(off, data, cb)
 }
 
-// Readv implements vectoredReader: the gather happens in the storage
+// Preadv implements vectoredReader: the gather happens in the storage
 // layer (page cache or backend) and comes back as segments, which the
 // kernel copies straight into the process heap or reply — no coalescing
 // buffer.
-func (f *fsFile) Readv(d *Desc, total int, cb func([][]byte, abi.Errno)) {
-	f.h.Preadv(d.off, []int{total}, func(segs [][]byte, err abi.Errno) {
-		if err == abi.OK {
-			for _, s := range segs {
-				d.off += int64(len(s))
-			}
-		}
-		cb(segs, err)
-	})
+func (f *fsFile) Preadv(off int64, lens []int, cb func([][]byte, abi.Errno)) {
+	f.h.Preadv(off, lens, cb)
 }
 
 // Writev implements vectoredWriter: the iovec segments the transport

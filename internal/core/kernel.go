@@ -212,11 +212,15 @@ func (k *Kernel) Spawn(parent *Task, spec SpawnSpec, cb func(int, abi.Errno)) {
 			if spec.Env != nil {
 				t.Env = spec.Env
 			}
+			heap := t.heap
 			t.heap, t.ring = nil, nil
 			k.releaseTaskSnapshot(t)
 			t.sigActions = map[int]sigAction{}
 			old := t.worker
-			defer old.Terminate()
+			defer func() {
+				old.Terminate()
+				k.Sys.ReleaseSAB(heap)
+			}()
 		} else {
 			t = &Task{
 				k:          k,
@@ -425,6 +429,12 @@ func (k *Kernel) finishTask(t *Task, status int) {
 	if t.worker != nil {
 		t.worker.Terminate()
 	}
+	// The worker is gone, so no one else touches the heap: it goes back
+	// to the browser for the next sync process. A call still parked in
+	// the kernel completes against a ring that is no longer t.ring and
+	// drops its result (callCont.done).
+	k.Sys.ReleaseSAB(t.heap)
+	t.heap, t.ring = nil, nil
 	// Reparent children to the kernel (pid 0); zombie orphans reap
 	// immediately.
 	for _, c := range t.children {

@@ -57,22 +57,31 @@ type callCont struct {
 	id int64
 
 	// The heap codec encodes the result at out and hands the frame's
-	// completion to ring.
+	// completion to ring. reg is the task's ring when the call was
+	// decoded: every registration and every release replaces t.ring
+	// (and t.heap with it), so a call whose reg is no longer t.ring
+	// belongs to a heap its process no longer holds.
 	ring func(seq uint32, ret int64, err abi.Errno)
+	reg  *taskRing
 	seq  uint32
 	out  heapOut
 	d    *Desc
 
+	// A file read gathers into lens and lands through fileSegs, which
+	// advances d's offset by what was read (readv).
+	lens [1]int
+
 	pollfds []abi.Pollfd // poll's records, answered with revents filled in
 
 	// Adapters, bound once in newCont.
-	count func(int, abi.Errno)      // ret n
-	ret   func(int64, abi.Errno)    // ret n (offsets, writev totals)
-	bytes func([]byte, abi.Errno)   // a payload
-	segs  func([][]byte, abi.Errno) // a gathered payload
-	errno func(abi.Errno)           // no value
-	stat  func(abi.Stat, abi.Errno) // a stat record
-	poll  func(int, abi.Errno)      // ready count, revents in pollfds
+	count    func(int, abi.Errno)      // ret n
+	ret      func(int64, abi.Errno)    // ret n (offsets, writev totals)
+	bytes    func([]byte, abi.Errno)   // a payload
+	segs     func([][]byte, abi.Errno) // a gathered payload
+	fileSegs func([][]byte, abi.Errno) // a gathered file payload at d's offset
+	errno    func(abi.Errno)           // no value
+	stat     func(abi.Stat, abi.Errno) // a stat record
+	poll     func(int, abi.Errno)      // ready count, revents in pollfds
 }
 
 func newCont(t *Task) *callCont {
@@ -92,6 +101,14 @@ func newCont(t *Task) *callCont {
 			n += int64(len(s))
 		}
 		c.done(abi.Result{Ret: n, Segs: segs})
+	}
+	c.fileSegs = func(segs [][]byte, err abi.Errno) {
+		if err == abi.OK {
+			for _, s := range segs {
+				c.d.off += int64(len(s))
+			}
+		}
+		c.segs(segs, err)
 	}
 	c.errno = func(err abi.Errno) { c.done(abi.Result{Err: err}) }
 	c.stat = func(st abi.Stat, err abi.Errno) { c.done(abi.Result{Err: err, Stat: st}) }
@@ -125,14 +142,25 @@ func (c *callCont) done(r abi.Result) {
 	}
 	c.live = false
 	t := c.t
-	if c.ring != nil {
+	switch {
+	case c.ring == nil:
+		t.k.postReply(t, c.w, &abi.ReplyFrame{ID: c.id, Trap: c.trap, Res: r})
+	case c.reg == t.ring:
 		ret, err := t.heapResult(abi.Syscalls[c.trap].Ret, c.out, c.d, r)
 		c.ring(c.seq, ret, err)
-	} else {
-		t.k.postReply(t, c.w, &abi.ReplyFrame{ID: c.id, Trap: c.trap, Res: r})
 	}
-	c.w, c.ring, c.out, c.d, c.pollfds = nil, nil, heapOut{}, nil, nil
+	// Otherwise the process exited or exec'd while the call was parked:
+	// its heap may already serve another process, so nothing is written.
+	c.w, c.ring, c.reg, c.out, c.d, c.pollfds = nil, nil, nil, heapOut{}, nil, nil
 	t.conts = append(t.conts, c)
+}
+
+// readv gathers up to total bytes from f at d's offset into the
+// record's one-element lengths list, completing through fileSegs: a
+// warm file read builds neither a list nor a closure.
+func (c *callCont) readv(f vectoredReader, d *Desc, total int) {
+	c.d, c.lens[0] = d, total
+	f.Preadv(d.off, c.lens[:], c.fileSegs)
 }
 
 // sockOf returns the socket a descriptor holds.
@@ -161,7 +189,7 @@ func init() {
 			// heap or reply before the completion returns. Pipes and sockets read
 			// one buffer.
 			if vr, ok := a.d.file.(vectoredReader); ok {
-				vr.Readv(a.d, int(a.Cap), c.segs)
+				c.readv(vr, a.d, int(a.Cap))
 				return
 			}
 			a.d.file.Read(a.d, int(a.Cap), c.bytes)
@@ -180,7 +208,7 @@ func init() {
 				c.done(abi.Result{})
 				return
 			}
-			readGather(a.d, total, c.segs)
+			readGather(a.d, total, c)
 		},
 		abi.SYS_writev: func(k *Kernel, t *Task, a callArgs, c *callCont) {
 			writevBufs(a.d, a.Bufs, c.ret)

@@ -71,6 +71,10 @@ func (t *Task) setPersonality(v any) abi.Errno {
 	r := &taskRing{req: req, rep: rep, off: off}
 	r.done = func(seq uint32, ret int64, err abi.Errno) { t.k.ringDone(t, r, seq, ret, err) }
 	t.heap, t.ring = sab, r
+	// Both sides write the rings through views that bypass the heap's
+	// write barriers: record them as written once, so the heap's next
+	// owner gets them zeroed.
+	sab.MarkDirty(off, sab.Len()-off)
 	return abi.OK
 }
 
@@ -80,7 +84,7 @@ func (t *Task) setPersonality(v any) abi.Errno {
 // and wake the process exactly once.
 func (k *Kernel) drainRing(t *Task) {
 	r := t.ring
-	if r == nil || t.heap == nil || t.state == taskZombie {
+	if r == nil {
 		return
 	}
 	if r.draining {
@@ -106,12 +110,14 @@ func (k *Kernel) drainRing(t *Task) {
 		k.RingBatchedCalls.Add(int64(len(r.calls) - 1))
 	}
 	r.draining = true
-	for r.next < len(r.calls) {
+	// A call that ends the process or its image (exit, a fatal kill,
+	// exec) releases the heap: the frames behind it are not run.
+	for r.next < len(r.calls) && t.ring == r {
 		r.next++
 		k.heapCall(t, r.calls[r.next-1], r.done)
 	}
 	r.draining = false
-	if len(r.batched) > 0 && t.ring == r && t.heap != nil && t.state != taskZombie {
+	if len(r.batched) > 0 && t.ring == r {
 		// Batched-reply framing: every same-dispatch completion lands in
 		// one PushReplies pass; what does not fit queues in arrival order
 		// behind any existing overflow.
@@ -136,7 +142,7 @@ func (k *Kernel) ringDone(t *Task, r *taskRing, seq uint32, ret int64, err abi.E
 		r.batched = append(r.batched, abi.Reply{Seq: seq, Ret: ret, Errno: err})
 		return
 	}
-	k.ringReply(t, seq, ret, err)
+	k.ringReply(t, r, seq, ret, err)
 }
 
 // dispatched reports whether the drain in progress has dispatched a call
@@ -161,12 +167,12 @@ type pendingCall struct {
 	args []int64
 }
 
-// ringReply queues one completion into the reply ring. During a drain
-// batch the wake is deferred so the whole batch costs one notify; late
-// completions (calls that blocked) wake immediately.
-func (k *Kernel) ringReply(t *Task, seq uint32, ret int64, err abi.Errno) {
-	r := t.ring
-	if r == nil || t.heap == nil || t.state == taskZombie {
+// ringReply queues one completion into the reply ring r it was decoded
+// from. During a drain batch the wake is deferred so the whole batch
+// costs one notify; late completions (calls that blocked) wake
+// immediately. A ring the task no longer holds gets nothing.
+func (k *Kernel) ringReply(t *Task, r *taskRing, seq uint32, ret int64, err abi.Errno) {
+	if r != t.ring {
 		return
 	}
 	if len(r.overflow) > 0 || !r.rep.PushReply(seq, ret, err) {
@@ -182,7 +188,7 @@ func (k *Kernel) ringReply(t *Task, seq uint32, ret int64, err abi.Errno) {
 // process if new replies are waiting.
 func (k *Kernel) flushRingWake(t *Task) {
 	r := t.ring
-	if r == nil || t.heap == nil || t.state == taskZombie {
+	if r == nil {
 		return
 	}
 	n := 0

@@ -271,3 +271,77 @@ func TestSyncRoundTripAllocs(t *testing.T) {
 		t.Fatalf("sync pipe write+read allocated %v times per pair, want <= %d", n, limit)
 	}
 }
+
+// t-fileloop warms the page cache with one pass over /ro/loop.txt, then
+// reads it again from the start in 4 KiB reads until fileLoopStop is
+// set, counting each read in fileLoopReads.
+var (
+	fileLoopReads int
+	fileLoopStop  bool
+)
+
+const fileLoopSize = 1 << 20
+
+func init() {
+	posix.Register(&posix.Program{Name: "t-fileloop", Main: func(p posix.Proc) int {
+		fd, err := p.Open("/ro/loop.txt", abi.O_RDONLY, 0)
+		if err != abi.OK {
+			return 1
+		}
+		if b, err := posix.ReadAll(p, fd); err != abi.OK || len(b) != fileLoopSize {
+			return 2
+		}
+		if _, err := p.Seek(fd, 0, abi.SEEK_SET); err != abi.OK {
+			return 3
+		}
+		for !fileLoopStop {
+			if b, err := p.Read(fd, 4096); err != abi.OK || len(b) != 4096 || b[4095] != 'x' {
+				return 4
+			}
+			fileLoopReads++
+		}
+		return 0
+	}})
+}
+
+// TestSyncFileReadAllocs measures a warm synchronous file read through
+// the em-sync runtime and the kernel: a 4 KiB read the page cache
+// answers with a view of a cached page. The kernel's read builds no
+// lengths list and no completion closure (the call's continuation
+// record carries both). What is left is the page cache's list of views
+// and the runtime's copy of the payload for its caller (two allocations;
+// the limit leaves one more for the toolchain's escape analysis).
+func TestSyncFileReadAllocs(t *testing.T) {
+	const limit = 3
+	w := boot(t)
+	w.install(t, "/usr/bin/t-fileloop", "t-fileloop", rt.EmSyncKind)
+	mountRO(t, w, map[string][]byte{"/loop.txt": bytes.Repeat([]byte("x"), fileLoopSize)})
+	fileLoopReads, fileLoopStop = 0, false
+	code := -1
+	w.sim.Post(w.sys.Main.Sched(), w.sys.Main.Now(), func() {
+		w.k.StartProcess(core.ProcSpec{
+			Argv:   []string{"/usr/bin/t-fileloop"},
+			OnExit: func(_, c int) { code = c },
+		})
+	})
+	target := 0
+	reached := func() bool { return fileLoopReads >= target || code != -1 }
+	read := func() {
+		target++
+		w.sim.RunUntil(reached)
+	}
+	for i := 0; i < 16; i++ {
+		read()
+	}
+	n := testing.AllocsPerRun(200, read)
+	if code != -1 || fileLoopReads != target {
+		t.Fatalf("t-fileloop exited %d after %d of %d reads", code, fileLoopReads, target)
+	}
+	fileLoopStop = true
+	if !w.sim.RunUntil(func() bool { return code != -1 }) || code != 0 {
+		t.Fatalf("t-fileloop exit %d, want 0", code)
+	}
+	if n > limit {
+		t.Fatalf("warm sync file read allocated %v times, want <= %d", n, limit)
+	}
+}

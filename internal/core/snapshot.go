@@ -125,7 +125,7 @@ func (k *Kernel) CheckpointLive(pid int, cb func(*snapshot.Dump, abi.Errno)) {
 		cb(d, abi.OK)
 		return
 	}
-	heap := t.heap
+	heap, ring := t.heap, t.ring
 	hlen := heap.Len()
 	d.HeapLen = hlen
 	d.Mem = make([]byte, hlen)
@@ -138,6 +138,18 @@ func (k *Kernel) CheckpointLive(pid int, cb func(*snapshot.Dump, abi.Errno)) {
 		// a later checkpoint reuses it through the heap's hook).
 		tr = snapshot.NewTracker(nil, npages)
 		heap.SetDirtyTracker(tr)
+	}
+
+	// gone reports, at the start of each later event, that the process
+	// exited or exec'd since the checkpoint began: its heap went back to
+	// the browser and may be another process's now, so the checkpoint
+	// fails with ESRCH instead of reading it.
+	gone := func() bool {
+		if t.ring == ring {
+			return false
+		}
+		cb(nil, abi.ESRCH)
+		return true
 	}
 
 	// copyPages moves pages into the dump and charges the kernel for the
@@ -166,10 +178,8 @@ func (k *Kernel) CheckpointLive(pid int, cb func(*snapshot.Dump, abi.Errno)) {
 		// always re-copy, and doing them here keeps the image of the
 		// pause consistent.
 		final := map[int]bool{0: true}
-		if r := t.ring; r != nil {
-			for p := r.off / snapshot.PageSize; p < npages; p++ {
-				final[p] = true
-			}
+		for p := ring.off / snapshot.PageSize; p < npages; p++ {
+			final[p] = true
 		}
 		for _, p := range tr.DirtyPages() {
 			final[p] = true
@@ -191,6 +201,9 @@ func (k *Kernel) CheckpointLive(pid int, cb func(*snapshot.Dump, abi.Errno)) {
 		i := 0
 		var step func()
 		step = func() {
+			if gone() {
+				return
+			}
 			chunk := work[i:]
 			if len(chunk) > precopyPagesPerEvent {
 				chunk = chunk[:precopyPagesPerEvent]

@@ -113,7 +113,7 @@ func (k *Kernel) heapCall(t *Task, c pendingCall, done func(seq uint32, ret int6
 		return
 	}
 	cont := t.takeCont(c.trap)
-	cont.ring, cont.seq, cont.out, cont.d = done, seq, out, a.d
+	cont.ring, cont.reg, cont.seq, cont.out, cont.d = done, t.ring, seq, out, a.d
 	op(k, t, a, cont)
 }
 

@@ -44,7 +44,8 @@ type Task struct {
 
 	// Synchronous-syscall personality (§3.2): the heap the process
 	// registered, and the ring transport laid out in it (both nil until
-	// the personality call).
+	// the personality call, and again once the process exits or execs
+	// and the heap goes back to the browser).
 	heap *browser.SAB
 	ring *taskRing
 

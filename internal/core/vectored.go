@@ -24,11 +24,13 @@ type splicer interface {
 
 // vectoredReader is implemented by files whose storage can gather
 // directly into segments (fs-backed files via FileHandle.Preadv), so a
-// read needs no kernel-side coalescing buffer. The segments may be views
-// of cache pages, valid only until cb returns: the codecs copy them into
-// the heap or the reply frame inside cb.
+// read needs no kernel-side coalescing buffer. Preadv is positional;
+// the call's continuation (callCont.readv) advances the descriptor's
+// offset. The segments may be views of cache pages, valid only until cb
+// returns: the codecs copy them into the heap or the reply frame inside
+// cb.
 type vectoredReader interface {
-	Readv(d *Desc, total int, cb func([][]byte, abi.Errno))
+	Preadv(off int64, lens []int, cb func([][]byte, abi.Errno))
 }
 
 // movingWriter is implemented by files that keep kernel-owned buffers
@@ -56,23 +58,24 @@ func writeMoved(d *Desc, buf []byte, cb func(int, abi.Errno)) {
 // readGather reads up to total bytes from a file as a segment list with a
 // single blocking point — POSIX readv semantics: block until some data (or
 // EOF), then return whatever is immediately available, never waiting for
-// the full count. Pipes splice owned segments out; other files fall back
-// to one scalar Read.
-func readGather(d *Desc, total int, cb func([][]byte, abi.Errno)) {
+// the full count — and completes c with it. Pipes splice owned segments
+// out, fs files gather at the offset, and other files fall back to one
+// scalar Read.
+func readGather(d *Desc, total int, c *callCont) {
 	if sp, ok := d.file.(splicer); ok {
-		sp.Splice(d, total, cb)
+		sp.Splice(d, total, c.segs)
 		return
 	}
 	if vr, ok := d.file.(vectoredReader); ok {
-		vr.Readv(d, total, cb)
+		c.readv(vr, d, total)
 		return
 	}
 	d.file.Read(d, total, func(data []byte, err abi.Errno) {
 		if err != abi.OK || len(data) == 0 {
-			cb(nil, err)
+			c.segs(nil, err)
 			return
 		}
-		cb([][]byte{data}, abi.OK)
+		c.segs([][]byte{data}, abi.OK)
 	})
 }
 

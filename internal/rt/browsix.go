@@ -107,7 +107,7 @@ func (r *workerRT) onMessage(v browser.Value) {
 			r.sim.Charge(r.cost.InitNs)
 		}
 		if r.sync {
-			r.heap = browser.NewSAB(r.cost.HeapSize)
+			r.heap = r.sys.NewSAB(r.cost.HeapSize)
 		}
 		g := r.sim.NewG(r.w.Ctx.Sched(), r.prog.Name, func(any) {
 			defer r.recoverExit()

@@ -28,6 +28,7 @@ func (r *workerRT) restoreFromImage(img *snapshot.Image, tracker *snapshot.Track
 	// image, and pays per page only on first write (the tracker's COW
 	// fault).
 	img.CopyHeap(r.heap.Bytes())
+	r.heap.MarkDirty(0, img.HeapLen)
 	if tracker == nil {
 		return
 	}
