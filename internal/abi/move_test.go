@@ -262,3 +262,53 @@ func TestFrameMoveMatchesClone(t *testing.T) {
 		t.Errorf("doorbell charges %d bytes", n)
 	}
 }
+
+// TestRecycledFrameMatchesClone checks that a frame recycled through
+// its pool, after carrying the fullest payload, comes back zeroed and
+// then clones exactly as a fresh frame does (same frame, same bytes
+// charged) for every row and every argument and result fixture; and
+// that releasing a reply twice keeps one copy in the pool.
+func TestRecycledFrameMatchesClone(t *testing.T) {
+	var calls CallPool
+	var replies ReplyPool
+	for trap := 0; trap < SYS_max; trap++ {
+		name := SyscallName(trap)
+		for an, mk := range moveArgs {
+			used := calls.Take()
+			used.ID, used.Trap, used.Args = 1, trap, moveArgs["full"]()
+			used.CloneInPlace()
+			calls.Put(used)
+			f := calls.Take()
+			if f != used || !reflect.DeepEqual(*f, CallFrame{}) {
+				t.Fatalf("%s call: pool handed back %p %+v, want the zeroed %p", name, f, *f, used)
+			}
+			want, wantN := refCloneCall(&CallFrame{ID: 9, Trap: trap, Args: mk()})
+			f.ID, f.Trap, f.Args = 9, trap, mk()
+			if n := f.CloneInPlace(); n != wantN || !reflect.DeepEqual(f, want) {
+				t.Errorf("%s call (%s args): recycled frame charges %d bytes, clone %d\n%+v\nclone\n%+v", name, an, n, wantN, f, want)
+			}
+			calls.Put(f)
+		}
+		for rn, mk := range moveResults {
+			used := replies.Take()
+			used.ID, used.Trap, used.Res = 1, trap, fullResult(OK)
+			used.CloneInPlace()
+			used.Release()
+			f := replies.Take()
+			if f != used || f.ID != 0 || f.Trap != 0 || !reflect.DeepEqual(f.Res, Result{}) {
+				t.Fatalf("%s reply: pool handed back %p %+v, want the zeroed %p", name, f, *f, used)
+			}
+			v, wantN := refCloneReply(&ReplyFrame{ID: 9, Trap: trap, Res: mk()})
+			want := v.(*ReplyFrame)
+			f.ID, f.Trap, f.Res = 9, trap, mk()
+			if n := f.CloneInPlace(); n != wantN || f.ID != want.ID || f.Trap != want.Trap || !reflect.DeepEqual(f.Res, want.Res) {
+				t.Errorf("%s reply (%s): recycled frame charges %d bytes, clone %d\n%+v\nclone\n%+v", name, rn, n, wantN, f, want)
+			}
+			f.Release()
+			f.Release()
+			if len(replies.list.free) != 1 {
+				t.Fatalf("%s reply: %d frames pooled after a double release, want 1", name, len(replies.list.free))
+			}
+		}
+	}
+}

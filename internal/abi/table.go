@@ -242,6 +242,84 @@ type ReplyFrame struct {
 	ID   int64
 	Trap int
 	Res  Result
+
+	// pool is where Release hands the frame back; host-side
+	// bookkeeping, not part of the modelled object.
+	pool *ReplyPool
+}
+
+// Frames are recycled, so a warm call allocates only the payload its
+// clones copy. A call frame goes back to the runtime that posted it
+// once the reply arrives (the kernel decodes a frame before it
+// replies), through a CallPool the runtime owns. A reply frame goes
+// back to its task's ReplyPool when the runtime that received it calls
+// Release after reading the result. A frame nobody hands back is left
+// to the garbage collector. Both are zeroed on the way back, so a
+// recycled frame carries no payload into its next use and clones
+// exactly as a fresh one does.
+
+// FreeList is a last-in first-out free list of *T. It neither makes
+// nor clears values: Take returns nil when the list is empty, and a
+// caller that needs a value cleared clears it on Put.
+type FreeList[T any] struct{ free []*T }
+
+// Take returns the value put last, or nil when there is none.
+func (l *FreeList[T]) Take() *T {
+	n := len(l.free)
+	if n == 0 {
+		return nil
+	}
+	v := l.free[n-1]
+	l.free[n-1] = nil
+	l.free = l.free[:n-1]
+	return v
+}
+
+// Put keeps v for a later Take. The caller must be v's last holder.
+func (l *FreeList[T]) Put(v *T) { l.free = append(l.free, v) }
+
+// CallPool is a free list of call frames.
+type CallPool struct{ list FreeList[CallFrame] }
+
+// Take returns a zeroed call frame.
+func (p *CallPool) Take() *CallFrame {
+	if f := p.list.Take(); f != nil {
+		return f
+	}
+	return &CallFrame{}
+}
+
+// Put zeroes f and keeps it for a later Take. The caller must be the
+// frame's last holder.
+func (p *CallPool) Put(f *CallFrame) {
+	*f = CallFrame{}
+	p.list.Put(f)
+}
+
+// ReplyPool is a free list of reply frames.
+type ReplyPool struct{ list FreeList[ReplyFrame] }
+
+// Take returns a zeroed reply frame that Release hands back to p.
+func (p *ReplyPool) Take() *ReplyFrame {
+	f := p.list.Take()
+	if f == nil {
+		f = &ReplyFrame{}
+	}
+	f.pool = p
+	return f
+}
+
+// Release zeroes f and hands it back to the pool it was taken from; a
+// frame not taken from a pool, or already released, is left alone. The
+// receiver calls it once it has read the result, and must not touch f
+// afterwards.
+func (f *ReplyFrame) Release() {
+	p := f.pool
+	if p == nil {
+		return
+	}
+	*f = ReplyFrame{}
+	p.list.Put(f)
 }
 
 // RingBell is the ring transport's doorbell, modelling {type:

@@ -174,30 +174,33 @@ func (f *fsFile) Seek(d *Desc, off int64, whence int, cb func(int64, abi.Errno))
 // from d's offset and SEEK_END from the size stat reports. An unknown
 // whence or a negative result is EINVAL and leaves the offset unchanged.
 func seek(d *Desc, off int64, whence int, stat func(func(abi.Stat, abi.Errno)), cb func(int64, abi.Errno)) {
-	from := func(base int64) {
-		if base+off < 0 {
-			cb(0, abi.EINVAL)
-			return
-		}
-		d.off = base + off
-		cb(d.off, abi.OK)
-	}
 	switch whence {
 	case abi.SEEK_SET:
-		from(0)
+		seekFrom(d, 0, off, cb)
 	case abi.SEEK_CUR:
-		from(d.off)
+		seekFrom(d, d.off, off, cb)
 	case abi.SEEK_END:
 		stat(func(st abi.Stat, err abi.Errno) {
 			if err != abi.OK {
 				cb(0, err)
 				return
 			}
-			from(st.Size)
+			seekFrom(d, st.Size, off, cb)
 		})
 	default:
 		cb(0, abi.EINVAL)
 	}
+}
+
+// seekFrom moves d's offset to base+off, or answers EINVAL when that is
+// negative.
+func seekFrom(d *Desc, base, off int64, cb func(int64, abi.Errno)) {
+	if base+off < 0 {
+		cb(0, abi.EINVAL)
+		return
+	}
+	d.off = base + off
+	cb(d.off, abi.OK)
 }
 
 func (f *fsFile) Stat(cb func(abi.Stat, abi.Errno))                  { f.h.Stat(cb) }

@@ -73,8 +73,11 @@ type Kernel struct {
 	// re-entrant kicks: a completion may move pipe state inline, which
 	// kicks again; the inner request coalesces into one more pass.
 	pollParked  []*pollWaiter
+	pollFree    abi.FreeList[pollWaiter] // completed untimed waiters, for reuse
 	pollKicking bool
 	pollAgain   bool
+	// kick is pollKick, bound once for the pipes' onState hooks.
+	kick func()
 
 	// Statistics for the evaluation harness. The scalar counters are
 	// atomics: a fleet aggregator (or a live stats poller) may read them
@@ -118,7 +121,7 @@ type Kernel struct {
 
 // NewKernel boots a kernel over the given browser system and file system.
 func NewKernel(sys *browser.System, fsys *fs.FileSystem, loader Loader) *Kernel {
-	return &Kernel{
+	k := &Kernel{
 		Sys:           sys,
 		FS:            fsys,
 		Loader:        loader,
@@ -131,6 +134,8 @@ func NewKernel(sys *browser.System, fsys *fs.FileSystem, loader Loader) *Kernel 
 		SyscallCount:  map[string]int64{},
 		stubURLs:      map[string]string{},
 	}
+	k.kick = k.pollKick
+	return k
 }
 
 // Task returns a live or zombie task by pid.

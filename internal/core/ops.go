@@ -70,6 +70,8 @@ type callCont struct {
 	// A file read gathers into lens and lands through fileSegs, which
 	// advances d's offset by what was read (readv).
 	lens [1]int
+	// A one-buffer read completing a readv lands in seg (oneSeg).
+	seg [1][]byte
 
 	pollfds []abi.Pollfd // poll's records, answered with revents filled in
 
@@ -79,6 +81,7 @@ type callCont struct {
 	bytes    func([]byte, abi.Errno)   // a payload
 	segs     func([][]byte, abi.Errno) // a gathered payload
 	fileSegs func([][]byte, abi.Errno) // a gathered file payload at d's offset
+	oneSeg   func([]byte, abi.Errno)   // a payload, as a gathered one
 	errno    func(abi.Errno)           // no value
 	stat     func(abi.Stat, abi.Errno) // a stat record
 	poll     func(int, abi.Errno)      // ready count, revents in pollfds
@@ -110,6 +113,14 @@ func newCont(t *Task) *callCont {
 		}
 		c.segs(segs, err)
 	}
+	c.oneSeg = func(data []byte, err abi.Errno) {
+		if err != abi.OK || len(data) == 0 {
+			c.segs(nil, err)
+			return
+		}
+		c.seg[0] = data
+		c.segs(c.seg[:], abi.OK)
+	}
 	c.errno = func(err abi.Errno) { c.done(abi.Result{Err: err}) }
 	c.stat = func(st abi.Stat, err abi.Errno) { c.done(abi.Result{Err: err, Stat: st}) }
 	c.poll = func(n int, err abi.Errno) {
@@ -121,12 +132,8 @@ func newCont(t *Task) *callCont {
 // takeCont takes a continuation record for a call to trap off t's free
 // list, making one when the list is empty.
 func (t *Task) takeCont(trap int) *callCont {
-	var c *callCont
-	if n := len(t.conts); n > 0 {
-		c = t.conts[n-1]
-		t.conts[n-1] = nil
-		t.conts = t.conts[:n-1]
-	} else {
+	c := t.conts.Take()
+	if c == nil {
 		c = newCont(t)
 	}
 	c.trap, c.live = trap, true
@@ -143,16 +150,28 @@ func (c *callCont) done(r abi.Result) {
 	c.live = false
 	t := c.t
 	switch {
+	case c.orphaned():
+		// The process exited or exec'd while the call was parked: its
+		// heap may already serve another process, so nothing is written
+		// or posted.
 	case c.ring == nil:
-		t.k.postReply(t, c.w, &abi.ReplyFrame{ID: c.id, Trap: c.trap, Res: r})
-	case c.reg == t.ring:
+		t.postReply(c.w, c.id, c.trap, r)
+	default:
 		ret, err := t.heapResult(abi.Syscalls[c.trap].Ret, c.out, c.d, r)
 		c.ring(c.seq, ret, err)
 	}
-	// Otherwise the process exited or exec'd while the call was parked:
-	// its heap may already serve another process, so nothing is written.
-	c.w, c.ring, c.reg, c.out, c.d, c.pollfds = nil, nil, nil, heapOut{}, nil, nil
-	t.conts = append(t.conts, c)
+	c.w, c.ring, c.reg, c.out, c.d, c.pollfds, c.seg[0] = nil, nil, nil, heapOut{}, nil, nil, nil
+	t.conts.Put(c)
+}
+
+// orphaned reports whether the process that made the call has exited or
+// exec'd since: its worker is no longer the task's, or (a heap call) the
+// ring it was decoded against is.
+func (c *callCont) orphaned() bool {
+	if c.ring == nil {
+		return c.t.worker != c.w || c.w.Terminated()
+	}
+	return c.reg != c.t.ring
 }
 
 // readv gathers up to total bytes from f at d's offset into the
@@ -188,11 +207,14 @@ func init() {
 			// the cached pages, which the codec copies once into the
 			// heap or reply before the completion returns. Pipes and sockets read
 			// one buffer.
-			if vr, ok := a.d.file.(vectoredReader); ok {
-				c.readv(vr, a.d, int(a.Cap))
-				return
+			switch f := a.d.file.(type) {
+			case vectoredReader:
+				c.readv(f, a.d, int(a.Cap))
+			case callReader:
+				f.readCall(a.d, c, int(a.Cap), c.bytes)
+			default:
+				a.d.file.Read(a.d, int(a.Cap), c.bytes)
 			}
-			a.d.file.Read(a.d, int(a.Cap), c.bytes)
 		},
 		abi.SYS_write: func(k *Kernel, t *Task, a callArgs, c *callCont) {
 			// Decoded buffers are the kernel's own copies, so ownership

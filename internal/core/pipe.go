@@ -92,11 +92,22 @@ func (p *Pipe) stateChanged() {
 }
 
 // pipeRead is a parked reader: exactly one of cb (scalar) or spliceCB
-// (vectored, owned-segment) is set.
+// (vectored, owned-segment) is set. call is the system call the read
+// completes, nil for the kernel's own readers.
 type pipeRead struct {
 	n        int
 	cb       func([]byte, abi.Errno)
 	spliceCB func([][]byte, abi.Errno)
+	call     *callCont
+}
+
+// empty completes the read with no data and err.
+func (r *pipeRead) empty(err abi.Errno) {
+	if r.spliceCB != nil {
+		r.spliceCB(nil, err)
+	} else {
+		r.cb(nil, err)
+	}
 }
 
 // pipeWrite is a write still moving into the pipe: cur is what is left
@@ -212,13 +223,14 @@ func (p *Pipe) takeSegs(max int) [][]byte {
 
 // read delivers up to n bytes, or queues the continuation when the pipe is
 // empty. At EOF (writer closed, buffer drained) it delivers an empty slice.
-func (p *Pipe) read(n int, cb func([]byte, abi.Errno)) {
+// call, when set, is the system call the read completes (see pipeRead).
+func (p *Pipe) read(call *callCont, n int, cb func([]byte, abi.Errno)) {
 	if p.size == 0 {
 		if p.writeClosed {
 			cb(nil, abi.OK) // EOF
 			return
 		}
-		p.readWaiters.push(pipeRead{n: n, cb: cb})
+		p.readWaiters.push(pipeRead{n: n, cb: cb, call: call})
 		return
 	}
 	out := p.takeBytes(n)
@@ -229,13 +241,13 @@ func (p *Pipe) read(n int, cb func([]byte, abi.Errno)) {
 // splice delivers up to max buffered bytes as owned segments without
 // copying, queuing the continuation when the pipe is empty. EOF delivers a
 // nil segment list.
-func (p *Pipe) splice(max int, cb func([][]byte, abi.Errno)) {
+func (p *Pipe) splice(call *callCont, max int, cb func([][]byte, abi.Errno)) {
 	if p.size == 0 {
 		if p.writeClosed {
 			cb(nil, abi.OK) // EOF
 			return
 		}
-		p.readWaiters.push(pipeRead{n: max, spliceCB: cb})
+		p.readWaiters.push(pipeRead{n: max, spliceCB: cb, call: call})
 		return
 	}
 	out := p.takeSegs(max)
@@ -323,7 +335,9 @@ func (p *Pipe) pumpWriter() {
 }
 
 // pumpReaders satisfies queued readers (scalar and splice alike, in FIFO
-// order) from the segment queue.
+// order) from the segment queue. A read whose process exited or exec'd
+// while it was parked is completed empty (its completion is dropped)
+// and passed over, so the bytes go to the next live reader.
 func (p *Pipe) pumpReaders() {
 	for p.readWaiters.len() > 0 {
 		if p.size == 0 {
@@ -331,16 +345,16 @@ func (p *Pipe) pumpReaders() {
 				// Drain EOF to all waiters.
 				for p.readWaiters.len() > 0 {
 					r := p.readWaiters.pop()
-					if r.spliceCB != nil {
-						r.spliceCB(nil, abi.OK)
-					} else {
-						r.cb(nil, abi.OK)
-					}
+					r.empty(abi.OK)
 				}
 			}
 			return
 		}
 		r := p.readWaiters.pop()
+		if r.call != nil && r.call.orphaned() {
+			r.empty(abi.EINTR)
+			continue
+		}
 		if r.spliceCB != nil {
 			out := p.takeSegs(r.n)
 			p.pumpWriter()
@@ -397,7 +411,7 @@ func (p *Pipe) Buffered() int { return p.size }
 
 // Read is the exported read for kernel-side consumers (StartProcess's output
 // pumps, the web app's XHR path, tests).
-func (p *Pipe) Read(n int, cb func([]byte, abi.Errno)) { p.read(n, cb) }
+func (p *Pipe) Read(n int, cb func([]byte, abi.Errno)) { p.read(nil, n, cb) }
 
 // Write is the exported write for kernel-side producers.
 func (p *Pipe) Write(data []byte, cb func(int, abi.Errno)) { p.write(data, cb) }
@@ -408,7 +422,7 @@ func (p *Pipe) WriteOwned(bufs [][]byte, cb func(int, abi.Errno)) { p.writeOwned
 
 // Splice is the exported zero-copy read: up to max bytes leave the pipe as
 // whole owned segments.
-func (p *Pipe) Splice(max int, cb func([][]byte, abi.Errno)) { p.splice(max, cb) }
+func (p *Pipe) Splice(max int, cb func([][]byte, abi.Errno)) { p.splice(nil, max, cb) }
 
 // CloseRead closes the reader side (future writes fail with EPIPE).
 func (p *Pipe) CloseRead() { p.closeRead() }
@@ -435,12 +449,15 @@ func NewPipePair() (File, File) {
 	return &pipeEnd{p: p, reader: true}, &pipeEnd{p: p, reader: false}
 }
 
-func (e *pipeEnd) Read(d *Desc, n int, cb func([]byte, abi.Errno)) {
+func (e *pipeEnd) Read(d *Desc, n int, cb func([]byte, abi.Errno)) { e.readCall(d, nil, n, cb) }
+
+// readCall is Read for system call c (callReader).
+func (e *pipeEnd) readCall(d *Desc, c *callCont, n int, cb func([]byte, abi.Errno)) {
 	if !e.reader {
 		cb(nil, abi.EBADF)
 		return
 	}
-	e.p.read(n, cb)
+	e.p.read(c, n, cb)
 }
 
 func (e *pipeEnd) Write(d *Desc, data []byte, cb func(int, abi.Errno)) {
@@ -471,14 +488,14 @@ func (e *pipeEnd) moveIn(d *Desc, buf []byte, cb func(int, abi.Errno)) {
 	e.p.enqueueWrite(pipeWrite{cur: buf, owned: true, sigPipe: e.sigPipe, cb: cb})
 }
 
-// Splice moves up to max buffered bytes out as owned segments (the
-// vectored-read fast path).
-func (e *pipeEnd) Splice(d *Desc, max int, cb func([][]byte, abi.Errno)) {
+// spliceCall moves up to max buffered bytes out as owned segments for
+// a system call (the vectored-read fast path).
+func (e *pipeEnd) spliceCall(d *Desc, max int, c *callCont) {
 	if !e.reader {
-		cb(nil, abi.EBADF)
+		c.segs(nil, abi.EBADF)
 		return
 	}
-	e.p.splice(max, cb)
+	e.p.splice(c, max, c.segs)
 }
 
 func (e *pipeEnd) Pread(off int64, n int, cb func([]byte, abi.Errno)) { cb(nil, abi.ESPIPE) }

@@ -14,12 +14,15 @@ import "repro/internal/abi"
 
 // pollWaiter is one parked SYS_poll: the querying task, its staged
 // Pollfd set (revents filled in place on completion), and the
-// continuation that writes results back and replies.
+// continuation that writes results back and replies. An untimed waiter
+// goes back to the kernel's free list once it completes or is dropped;
+// a timed one stays with its timer, which reads done after the fact.
 type pollWaiter struct {
-	t    *Task
-	fds  []abi.Pollfd
-	done bool
-	cb   func(n int, err abi.Errno)
+	t     *Task
+	fds   []abi.Pollfd
+	done  bool
+	timed bool
+	cb    func(n int, err abi.Errno)
 }
 
 // pollReadiness computes the full readiness bitmap for one descriptor.
@@ -100,7 +103,11 @@ func (k *Kernel) doPoll(t *Task, fds []abi.Pollfd, timeoutNs int64, cb func(n in
 		cb(n, abi.OK)
 		return
 	}
-	w := &pollWaiter{t: t, fds: fds, cb: cb}
+	w := k.pollFree.Take()
+	if w == nil {
+		w = &pollWaiter{}
+	}
+	*w = pollWaiter{t: t, fds: fds, cb: cb, timed: timeoutNs > 0}
 	k.pollParked = append(k.pollParked, w)
 	if timeoutNs > 0 {
 		k.Sys.Main.SetTimeout(timeoutNs, func() {
@@ -142,6 +149,7 @@ func (k *Kernel) pollKick() {
 			if n := pollScan(w.t, w.fds); n > 0 {
 				w.done = true
 				w.cb(n, abi.OK)
+				k.freePollWaiter(w)
 				continue
 			}
 			rem = append(rem, w)
@@ -181,6 +189,7 @@ func (k *Kernel) dropPollWaiters(t *Task) {
 	for _, w := range k.pollParked {
 		if w.t == t {
 			w.done = true
+			k.freePollWaiter(w)
 			continue
 		}
 		rem = append(rem, w)
@@ -190,4 +199,15 @@ func (k *Kernel) dropPollWaiters(t *Task) {
 		tail[i] = nil
 	}
 	k.pollParked = rem
+}
+
+// freePollWaiter keeps a finished untimed waiter for the next poll that
+// parks. Its parked-set slot may still point at it until the caller's
+// pass drops the slot, which it does without reading the waiter again.
+func (k *Kernel) freePollWaiter(w *pollWaiter) {
+	if w.timed {
+		return
+	}
+	*w = pollWaiter{}
+	k.pollFree.Put(w)
 }

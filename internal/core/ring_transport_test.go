@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/abi"
@@ -200,7 +201,8 @@ func TestIovMaxAgreesAcrossTransports(t *testing.T) {
 }
 
 // t-ringloop writes 16 bytes into a pipe and reads them back until
-// ringLoopStop is set, counting each pair in ringLoopPairs.
+// ringLoopStop is set, counting each pair in ringLoopPairs. It runs on
+// either transport.
 var (
 	ringLoopPairs int
 	ringLoopStop  bool
@@ -235,9 +237,28 @@ func init() {
 // out of it (two allocations; the limit leaves one more for the
 // toolchain's escape analysis).
 func TestSyncRoundTripAllocs(t *testing.T) {
-	const limit = 3
 	w := boot(t)
-	w.install(t, "/usr/bin/t-ringloop", "t-ringloop", rt.EmSyncKind)
+	pipeLoopAllocs(t, w, rt.EmSyncKind, &w.k.RingSyscalls, 3)
+}
+
+// TestAsyncRuntimeRoundTripAllocs measures a warm asynchronous pipe
+// write plus read through the Node runtime and the kernel: for each
+// call the runtime posts a call frame from its pool and parks, the
+// kernel runs the op and posts a reply frame from the task's pool, and
+// the runtime releases the reply once it has read the result. What is
+// left is what the modelled structured clones copy: the write buffer
+// into the kernel and the read payload out of it (two allocations).
+func TestAsyncRuntimeRoundTripAllocs(t *testing.T) {
+	w := boot(t)
+	pipeLoopAllocs(t, w, rt.NodeKind, &w.k.AsyncSyscalls, 2)
+}
+
+// pipeLoopAllocs runs t-ringloop in w on a runtime of kind and fails
+// unless each warm write plus read is two calls counted by calls (the
+// kernel's counter for that transport) and allocates at most limit
+// times.
+func pipeLoopAllocs(t *testing.T, w *world, kind rt.Kind, calls *atomic.Int64, limit float64) {
+	w.install(t, "/usr/bin/t-ringloop", "t-ringloop", kind)
 	ringLoopPairs, ringLoopStop = 0, false
 	code := -1
 	w.sim.Post(w.sys.Main.Sched(), w.sys.Main.Now(), func() {
@@ -255,20 +276,21 @@ func TestSyncRoundTripAllocs(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		pair()
 	}
-	calls := w.k.RingSyscalls.Load()
+	before := calls.Load()
 	n := testing.AllocsPerRun(200, pair)
 	if code != -1 || ringLoopPairs != target {
 		t.Fatalf("t-ringloop exited %d after %d of %d pairs", code, ringLoopPairs, target)
 	}
-	if got := w.k.RingSyscalls.Load() - calls; got != 2*201 {
-		t.Fatalf("%d ring calls for 201 pairs, want 2 each", got)
+	if got := calls.Load() - before; got != 2*201 {
+		t.Fatalf("%d %s calls for 201 pairs, want 2 each", got, kind)
 	}
 	ringLoopStop = true
 	if !w.sim.RunUntil(func() bool { return code != -1 }) || code != 0 {
 		t.Fatalf("t-ringloop exit %d, want 0", code)
 	}
+	t.Logf("%s pipe write+read: %v allocations per pair", kind, n)
 	if n > limit {
-		t.Fatalf("sync pipe write+read allocated %v times per pair, want <= %d", n, limit)
+		t.Fatalf("%s pipe write+read allocated %v times per pair, want <= %v", kind, n, limit)
 	}
 }
 
@@ -343,5 +365,80 @@ func TestSyncFileReadAllocs(t *testing.T) {
 	}
 	if n > limit {
 		t.Fatalf("warm sync file read allocated %v times, want <= %d", n, limit)
+	}
+}
+
+// t-seekloop writes seekLoopSize bytes to /seek.txt through an O_RDWR
+// descriptor, then seeks back to 0 and reads them until seekLoopStop is
+// set, counting each seek-and-read in seekLoopReads.
+var (
+	seekLoopReads int
+	seekLoopStop  bool
+)
+
+const seekLoopSize = 4096
+
+func init() {
+	posix.Register(&posix.Program{Name: "t-seekloop", Main: func(p posix.Proc) int {
+		fd, err := p.Open("/seek.txt", abi.O_RDWR|abi.O_CREAT|abi.O_TRUNC, 0o644)
+		if err != abi.OK {
+			return 1
+		}
+		if n, err := p.Write(fd, bytes.Repeat([]byte("y"), seekLoopSize)); err != abi.OK || n != seekLoopSize {
+			return 2
+		}
+		for !seekLoopStop {
+			if off, err := p.Seek(fd, 0, abi.SEEK_SET); err != abi.OK || off != 0 {
+				return 3
+			}
+			if b, err := p.Read(fd, seekLoopSize); err != abi.OK || len(b) != seekLoopSize || b[seekLoopSize-1] != 'y' {
+				return 4
+			}
+			seekLoopReads++
+		}
+		return 0
+	}})
+}
+
+// TestSyncSeekReadAllocs measures a warm synchronous lseek plus read of
+// a writable memfs file, which the page cache does not wrap, through
+// the em-sync runtime and the kernel: the seek builds no closure, and
+// memfs answers the read with a view of the file's bytes in its
+// handle's one-segment list, which the kernel copies once into the
+// heap. What is left is the runtime's copy of the payload for its
+// caller (one allocation; the limit leaves one more for the
+// toolchain's escape analysis).
+func TestSyncSeekReadAllocs(t *testing.T) {
+	const limit = 2
+	w := boot(t)
+	w.install(t, "/usr/bin/t-seekloop", "t-seekloop", rt.EmSyncKind)
+	seekLoopReads, seekLoopStop = 0, false
+	code := -1
+	w.sim.Post(w.sys.Main.Sched(), w.sys.Main.Now(), func() {
+		w.k.StartProcess(core.ProcSpec{
+			Argv:   []string{"/usr/bin/t-seekloop"},
+			OnExit: func(_, c int) { code = c },
+		})
+	})
+	target := 0
+	reached := func() bool { return seekLoopReads >= target || code != -1 }
+	read := func() {
+		target++
+		w.sim.RunUntil(reached)
+	}
+	for i := 0; i < 16; i++ {
+		read()
+	}
+	n := testing.AllocsPerRun(200, read)
+	if code != -1 || seekLoopReads != target {
+		t.Fatalf("t-seekloop exited %d after %d of %d reads", code, seekLoopReads, target)
+	}
+	seekLoopStop = true
+	if !w.sim.RunUntil(func() bool { return code != -1 }) || code != 0 {
+		t.Fatalf("t-seekloop exit %d, want 0", code)
+	}
+	t.Logf("warm sync seek+read: %v allocations", n)
+	if n > limit {
+		t.Fatalf("warm sync seek+read of a writable memfs file allocated %v times, want <= %d", n, limit)
 	}
 }

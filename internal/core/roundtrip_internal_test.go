@@ -11,31 +11,33 @@ import (
 
 // TestAsyncRoundTripAllocs measures a warm asynchronous pipe write plus
 // read: the worker posts both call frames, the kernel runs the ops and
-// posts both replies. What is left is what the modelled structured
-// clones copy and the frames themselves: the two call frames, the write
-// buffer's copy, the two reply frames and the read payload's copy.
-// Delivery events, continuation records and the pipe's queues allocate
-// nothing once warm.
+// posts both replies, and the worker releases each reply after reading
+// it, as the runtime does. What is left is what the modelled structured
+// clones copy: the write buffer and the read payload. The worker reuses
+// its two call frames, as the runtime's pool does; reply frames come
+// from the task's pool, and delivery events, continuation records and
+// the pipe's queues allocate nothing once warm.
 func TestAsyncRoundTripAllocs(t *testing.T) {
-	const limit = 6
+	const limit = 2
 	fw := newFrameWorld(t)
 	var rfd, wfd int
 	fw.run(t, func() { rfd, wfd = fw.k.doPipe2(fw.task) })
-	replies := 0
-	var last *abi.ReplyFrame
+	replies, lastID := 0, int64(0)
+	var lastData []byte
 	fw.wk.Ctx.OnMessage = func(v browser.Value) {
-		last = v.(*abi.ReplyFrame)
-		replies++
+		f := v.(*abi.ReplyFrame)
+		replies, lastID, lastData = replies+1, f.ID, f.Res.Data
+		f.Release()
 	}
 	payload := []byte("0123456789abcdef")
-	var wf, rf *abi.CallFrame
+	wf, rf := &abi.CallFrame{}, &abi.CallFrame{}
 	post := func() {
 		fw.wk.PostToParent(wf)
 		fw.wk.PostToParent(rf)
 	}
 	roundTrip := func() {
-		wf = &abi.CallFrame{ID: 1, Trap: abi.SYS_write, Args: abi.Args{Int: [3]int64{int64(wfd)}, Bytes: payload}}
-		rf = &abi.CallFrame{ID: 2, Trap: abi.SYS_read, Args: abi.Args{Int: [3]int64{int64(rfd)}, Cap: 64}}
+		*wf = abi.CallFrame{ID: 1, Trap: abi.SYS_write, Args: abi.Args{Int: [3]int64{int64(wfd)}, Bytes: payload}}
+		*rf = abi.CallFrame{ID: 2, Trap: abi.SYS_read, Args: abi.Args{Int: [3]int64{int64(rfd)}, Cap: 64}}
 		fw.sim.Post(fw.wk.Ctx.Sched(), fw.sim.Now(), post)
 		fw.sim.Run()
 	}
@@ -44,8 +46,8 @@ func TestAsyncRoundTripAllocs(t *testing.T) {
 	}
 	replies = 0
 	n := testing.AllocsPerRun(200, roundTrip)
-	if replies != 2*201 || last.ID != 2 || string(last.Res.Data) != string(payload) {
-		t.Fatalf("%d replies, last %+v; want every call answered and the payload read back", replies, last)
+	if replies != 2*201 || lastID != 2 || string(lastData) != string(payload) {
+		t.Fatalf("%d replies, last %d %q; want every call answered and the payload read back", replies, lastID, lastData)
 	}
 	if n > limit {
 		t.Fatalf("async pipe write+read allocated %v times per round trip, want <= %d", n, limit)

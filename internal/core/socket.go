@@ -47,7 +47,10 @@ func (s *Socket) String() string { return fmt.Sprintf("socket:[port=%d state=%d]
 // opened (or fcntl'd) with O_NONBLOCK never parks: an empty receive
 // buffer reads EAGAIN, a full send buffer writes what fits or EAGAIN —
 // the readiness edge SYS_poll reports.
-func (s *Socket) Read(d *Desc, n int, cb func([]byte, abi.Errno)) {
+func (s *Socket) Read(d *Desc, n int, cb func([]byte, abi.Errno)) { s.readCall(d, nil, n, cb) }
+
+// readCall is Read for system call c (callReader).
+func (s *Socket) readCall(d *Desc, call *callCont, n int, cb func([]byte, abi.Errno)) {
 	if s.state != sockConnected {
 		cb(nil, abi.ENOTCONN)
 		return
@@ -56,7 +59,7 @@ func (s *Socket) Read(d *Desc, n int, cb func([]byte, abi.Errno)) {
 		cb(nil, abi.EAGAIN)
 		return
 	}
-	s.in.read(n, cb)
+	s.in.read(call, n, cb)
 }
 
 func (s *Socket) Write(d *Desc, data []byte, cb func(int, abi.Errno)) {
@@ -225,7 +228,7 @@ func (k *Kernel) ConnectSocket(s *Socket, port int, cb func(abi.Errno)) {
 		return
 	}
 	a, b := NewPipe(), NewPipe()
-	a.onState, b.onState = k.pollKick, k.pollKick
+	a.onState, b.onState = k.kick, k.kick
 	s.in, s.out = a, b
 	s.state = sockConnected
 	peer := &Socket{k: k, state: sockConnected, port: port, in: b, out: a}
@@ -276,7 +279,7 @@ func (k *Kernel) Connect(port int, cb func(*KernelConn, abi.Errno)) {
 }
 
 // Read reads up to n bytes (empty slice at EOF).
-func (c *KernelConn) Read(n int, cb func([]byte, abi.Errno)) { c.sock.in.read(n, cb) }
+func (c *KernelConn) Read(n int, cb func([]byte, abi.Errno)) { c.sock.in.read(nil, n, cb) }
 
 // Write writes data.
 func (c *KernelConn) Write(data []byte, cb func(int, abi.Errno)) { c.sock.out.write(data, cb) }

@@ -75,7 +75,7 @@ func (k *Kernel) doPipe2(t *Task) (int, int) {
 	r, w := NewPipePair()
 	// SIGPIPE goes to the writing process, as on Unix.
 	w.(*pipeEnd).sigPipe = func() { k.signalTask(t, abi.SIGPIPE) }
-	r.(*pipeEnd).p.onState = k.pollKick
+	r.(*pipeEnd).p.onState = k.kick
 	rfd := t.installFd(NewDesc(r, abi.O_RDONLY, r.(*pipeEnd).String()))
 	wfd := t.installFd(NewDesc(w, abi.O_WRONLY, w.(*pipeEnd).String()))
 	return rfd, wfd
@@ -119,13 +119,12 @@ func (k *Kernel) doChdir(t *Task, p string, cb func(abi.Errno)) {
 // Asynchronous codec.
 // ---------------------------------------------------------------------------
 
-// postReply delivers an asynchronous call's reply, unless the calling
-// image is gone.
-func (k *Kernel) postReply(t *Task, w *browser.Worker, reply *abi.ReplyFrame) {
-	if t.worker != w || w.Terminated() {
-		return
-	}
-	w.PostMessage(reply)
+// postReply answers asynchronous call id from w with r, in a reply
+// frame from t's pool.
+func (t *Task) postReply(w *browser.Worker, id int64, trap int, r abi.Result) {
+	f := t.replies.Take()
+	f.ID, f.Trap, f.Res = id, trap, r
+	w.PostMessage(f)
 }
 
 // frameCall checks a call frame's arguments, runs the trap's op, and
@@ -138,12 +137,12 @@ func (k *Kernel) frameCall(t *Task, w *browser.Worker, f *abi.CallFrame) {
 		op = sysOps[trap]
 	}
 	if op == nil {
-		k.postReply(t, w, &abi.ReplyFrame{ID: id, Res: res(-1, abi.ENOSYS)})
+		t.postReply(w, id, 0, res(-1, abi.ENOSYS))
 		return
 	}
 	a, err := t.frameArgs(&abi.Syscalls[trap], &f.Args)
 	if err != abi.OK {
-		k.postReply(t, w, &abi.ReplyFrame{ID: id, Res: res(-1, err)})
+		t.postReply(w, id, 0, res(-1, err))
 		return
 	}
 	c := t.takeCont(trap)

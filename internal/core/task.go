@@ -49,8 +49,10 @@ type Task struct {
 	heap *browser.SAB
 	ring *taskRing
 
-	// conts is the free list of call continuation records (ops.go).
-	conts []*callCont
+	// conts is the free list of call continuation records (ops.go),
+	// replies that of the reply frames its runtime releases.
+	conts   abi.FreeList[callCont]
+	replies abi.ReplyPool
 
 	// onExit callbacks registered by the kernel API (kernel.system).
 	onExit []func(status int)

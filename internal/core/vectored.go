@@ -17,9 +17,18 @@ type vectoredWriter interface {
 }
 
 // splicer is implemented by files that can surrender buffered data as
-// owned segments without copying (pipes).
+// owned segments without copying (pipes), completing call c with them.
 type splicer interface {
-	Splice(d *Desc, max int, cb func([][]byte, abi.Errno))
+	spliceCall(d *Desc, max int, c *callCont)
+}
+
+// callReader is implemented by files whose reads can park (pipe ends,
+// sockets): Read for system call c, completing through cb, one of c's
+// adapters. The read carries c, so a read whose process exits or execs
+// while it is parked is passed over instead of taking the next write's
+// bytes (Pipe.pumpReaders).
+type callReader interface {
+	readCall(d *Desc, c *callCont, n int, cb func([]byte, abi.Errno))
 }
 
 // vectoredReader is implemented by files whose storage can gather
@@ -59,24 +68,19 @@ func writeMoved(d *Desc, buf []byte, cb func(int, abi.Errno)) {
 // single blocking point — POSIX readv semantics: block until some data (or
 // EOF), then return whatever is immediately available, never waiting for
 // the full count — and completes c with it. Pipes splice owned segments
-// out, fs files gather at the offset, and other files fall back to one
-// scalar Read.
+// out, fs files gather at the offset, and other files (sockets among
+// them) fall back to one scalar read, completing as one segment.
 func readGather(d *Desc, total int, c *callCont) {
-	if sp, ok := d.file.(splicer); ok {
-		sp.Splice(d, total, c.segs)
-		return
+	switch f := d.file.(type) {
+	case splicer:
+		f.spliceCall(d, total, c)
+	case vectoredReader:
+		c.readv(f, d, total)
+	case callReader:
+		f.readCall(d, c, total, c.oneSeg)
+	default:
+		d.file.Read(d, total, c.oneSeg)
 	}
-	if vr, ok := d.file.(vectoredReader); ok {
-		c.readv(vr, d, total)
-		return
-	}
-	d.file.Read(d, total, func(data []byte, err abi.Errno) {
-		if err != abi.OK || len(data) == 0 {
-			c.segs(nil, err)
-			return
-		}
-		c.segs([][]byte{data}, abi.OK)
-	})
 }
 
 // checkIovecs validates guest-supplied iovecs against the task's heap —

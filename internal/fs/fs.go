@@ -51,8 +51,9 @@ type FileHandle interface {
 	// one or more segments. Segment boundaries need not match lens —
 	// callers scatter the stream themselves — but the total never
 	// exceeds sum(lens). A nil result at EOF is not an error. The
-	// segments may be views of cache pages, valid only until cb
-	// returns: a caller that keeps the bytes copies them inside cb.
+	// segments, and the list holding them, may be views of cache pages
+	// or of a memfs file's bytes, valid only until cb returns: a caller
+	// that keeps the bytes copies them inside cb, and never writes them.
 	Preadv(off int64, lens []int, cb func([][]byte, abi.Errno))
 	// Pwritev writes the buffers back to back starting at off, without
 	// requiring the caller to coalesce them, returning bytes written.

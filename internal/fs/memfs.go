@@ -331,30 +331,35 @@ func (m *MemFS) Utimes(p string, atime, mtime int64, cb func(abi.Errno)) {
 	cb(abi.OK)
 }
 
-// memHandle is an open file on a MemFS.
+// memHandle is an open file on a MemFS. seg is the one-segment list
+// Preadv answers with.
 type memHandle struct {
-	fs *MemFS
-	n  *memNode
+	fs  *MemFS
+	n   *memNode
+	seg [1][]byte
 }
 
-// Pread implements FileHandle.
-func (h *memHandle) Pread(off int64, n int, cb func([]byte, abi.Errno)) {
+// span returns the file's bytes in [off, off+n), clamped to its end, as
+// a capacity-limited view: nil at EOF, EISDIR for a directory.
+func (h *memHandle) span(off int64, n int) ([]byte, abi.Errno) {
 	if h.n.isDir() {
-		cb(nil, abi.EISDIR)
-		return
+		return nil, abi.EISDIR
 	}
 	data := h.n.data
-	if off >= int64(len(data)) {
-		cb(nil, abi.OK) // EOF
-		return
+	if off >= int64(len(data)) || n <= 0 {
+		return nil, abi.OK
 	}
-	end := off + int64(n)
-	if end > int64(len(data)) {
-		end = int64(len(data))
+	end := min(off+int64(n), int64(len(data)))
+	return data[off:end:end], abi.OK
+}
+
+// Pread implements FileHandle with a copy of the bytes read.
+func (h *memHandle) Pread(off int64, n int, cb func([]byte, abi.Errno)) {
+	b, err := h.span(off, n)
+	if b != nil {
+		b = append([]byte(nil), b...)
 	}
-	out := make([]byte, end-off)
-	copy(out, data[off:end])
-	cb(out, abi.OK)
+	cb(b, err)
 }
 
 // readShared implements sharedReader: the file's bytes, capacity-limited
@@ -414,10 +419,22 @@ func (h *memHandle) Pwrite(off int64, data []byte, cb func(int, abi.Errno)) {
 	cb(len(data), abi.OK)
 }
 
-// Preadv implements FileHandle: one bounds check, one copy, returned as
-// a single segment (callers scatter it).
+// Preadv implements FileHandle: one bounds check, and the file's own
+// bytes as a single view in the handle's segment list, which, like a
+// cache page view, is valid only until cb returns and must never be
+// written. A read builds no list, no closure and no copy.
 func (h *memHandle) Preadv(off int64, lens []int, cb func([][]byte, abi.Errno)) {
-	genericPreadv(h, off, lens, cb)
+	total := 0
+	for _, n := range lens {
+		total += n
+	}
+	b, err := h.span(off, total)
+	if b == nil {
+		cb(nil, err)
+		return
+	}
+	h.seg[0] = b
+	cb(h.seg[:], abi.OK)
 }
 
 // Pwritev implements FileHandle: the file grows once, then each buffer

@@ -8,6 +8,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/abi"
 )
 
 // The fmt-based writers and the Split/ToLower/ToUpper/Join header
@@ -167,8 +169,33 @@ func TestWritersMatchReference(t *testing.T) {
 		}
 	}
 	for i, r := range resps {
-		if got, want := WriteResponse(r), refWriteResponse(r); !bytes.Equal(got, want) {
+		if got, want := AppendResponse(nil, r, false), refWriteResponse(r); !bytes.Equal(got, want) {
 			t.Fatalf("response %d %+v:\ngot  %q\nwant %q", i, r.Header, got, want)
+		}
+	}
+	// Appending with close is writing the message with its Connection
+	// header set to close, and leaves the message's header as it was.
+	withClose := func(h map[string]string) map[string]string {
+		c := map[string]string{"Connection": "close"}
+		for k, v := range h {
+			if k != "Connection" {
+				c[k] = v
+			}
+		}
+		return c
+	}
+	for i, r := range reqs {
+		before := fmt.Sprint(r.Header)
+		want := refWriteRequest(&Request{Method: r.Method, Path: r.Path, Header: withClose(r.Header), Body: r.Body})
+		if got := AppendRequest([]byte("prefix"), r, true); !bytes.Equal(got, append([]byte("prefix"), want...)) || fmt.Sprint(r.Header) != before {
+			t.Fatalf("request %d %+v with close:\ngot  %q\nwant %q", i, r.Header, got, want)
+		}
+	}
+	for i, r := range resps {
+		before := fmt.Sprint(r.Header)
+		want := refWriteResponse(&Response{Status: r.Status, StatusText: r.StatusText, Header: withClose(r.Header), Body: r.Body})
+		if got := AppendResponse([]byte("prefix"), r, true); !bytes.Equal(got, append([]byte("prefix"), want...)) || fmt.Sprint(r.Header) != before {
+			t.Fatalf("response %d %+v with close:\ngot  %q\nwant %q", i, r.Header, got, want)
 		}
 	}
 }
@@ -189,11 +216,16 @@ func FuzzTextprotoCanon(f *testing.F) {
 
 // TestHealthzExchangeAllocs caps the codec's allocations for the
 // swarm's common exchange: writing GET /healthz, parsing it, and
-// writing its "ok" response.
+// writing its "ok" response, and parsing that. A connection's warm
+// exchange, appending into its reused buffers and parsing into its
+// reused message, allocates nothing; so does a reused message whose
+// head alternates between two shapes, once each shape's header map
+// has grown.
 func TestHealthzExchangeAllocs(t *testing.T) {
 	req := &Request{Method: "GET", Path: "/healthz"}
 	raw := WriteRequest(req)
 	resp := &Response{Status: 200, Body: []byte("ok")}
+	rawResp := AppendResponse(nil, resp, false)
 	check := func(name string, limit float64, fn func()) {
 		t.Helper()
 		if n := testing.AllocsPerRun(200, fn); n > limit {
@@ -202,5 +234,27 @@ func TestHealthzExchangeAllocs(t *testing.T) {
 	}
 	check("WriteRequest", 1, func() { WriteRequest(req) })
 	check("ParseBufferedRequest", 4, func() { ParseBufferedRequest(raw) })
-	check("WriteResponse", 1, func() { WriteResponse(resp) })
+
+	out := make([]byte, 0, 256)
+	var in Request
+	var back Response
+	check("AppendRequest", 0, func() { out = AppendRequest(out[:0], req, false) })
+	check("AppendResponse", 0, func() { out = AppendResponse(out[:0], resp, true) })
+	check("Request.ParseBuffered", 0, func() {
+		if _, err := in.ParseBuffered(raw); err != abi.OK || in.Path != "/healthz" || in.Header["Host"] != "localhost" {
+			t.Fatalf("reused parse: %+v (%v)", in, err)
+		}
+	})
+	check("Response.ParseBuffered", 0, func() {
+		if _, err := back.ParseBuffered(rawResp, false); err != abi.OK || string(back.Body) != "ok" {
+			t.Fatalf("reused parse: %+v (%v)", back, err)
+		}
+	})
+	other := WriteRequest(&Request{Method: "GET", Path: "/api/templates", Header: map[string]string{"X-A": "1", "X-B": "2"}})
+	check("Request.ParseBuffered alternating", 2, func() {
+		in.ParseBuffered(other)
+		if _, err := in.ParseBuffered(raw); err != abi.OK || in.Path != "/healthz" || len(in.Header) != 1 {
+			t.Fatalf("reused parse after another head: %+v (%v)", in, err)
+		}
+	})
 }

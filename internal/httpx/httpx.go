@@ -25,6 +25,9 @@ type Request struct {
 	Proto  string
 	Header map[string]string
 	Body   []byte
+
+	// head is the raw head a parse last filled the fields from (setHead).
+	head string
 }
 
 // Response is an HTTP response.
@@ -33,6 +36,8 @@ type Response struct {
 	StatusText string
 	Header     map[string]string
 	Body       []byte
+
+	head string // as Request.head
 }
 
 // statusText covers the codes the system emits.
@@ -63,6 +68,14 @@ func statusText(code int) string {
 // the load-generator swarm depend on; one-shot clients (Instance.Fetch)
 // set Connection: close explicitly.
 func WriteRequest(r *Request) []byte {
+	size := len(r.Method) + len(r.Path) + len("/ HTTP/1.1\r\n") + 1 + headSize(r.Header) + len(r.Body)
+	return AppendRequest(make([]byte, 0, size), r, false)
+}
+
+// AppendRequest appends the serialization WriteRequest makes to out.
+// close adds Connection: close, overriding r's Connection header,
+// without touching r.
+func AppendRequest(out []byte, r *Request, close bool) []byte {
 	path := r.Path
 	if path == "" {
 		path = "/"
@@ -71,41 +84,40 @@ func WriteRequest(r *Request) []byte {
 	if len(r.Body) > 0 {
 		clen = len(r.Body)
 	}
-	out := make([]byte, 0, len(r.Method)+len(path)+len(" HTTP/1.1\r\n")+1+headSize(r.Header)+len(r.Body))
 	out = append(out, r.Method...)
 	out = append(out, ' ')
 	out = append(out, path...)
 	out = append(out, " HTTP/1.1\r\n"...)
-	out = appendHeaders(out, r.Header, true, clen)
+	out = appendHeaders(out, r.Header, true, clen, close)
 	return append(out, r.Body...)
 }
 
-// WriteResponse serializes a response. If resp.Header sets
-// Transfer-Encoding: chunked the body is chunk-encoded (the paper notes
-// the XHR layer handles "potentially chunked" responses); otherwise a
-// Content-Length header is emitted, so every response is self-framing
-// and keep-alive connections never need close-delimited bodies. As with
-// WriteRequest, no Connection header is forced: callers that close set
-// it themselves.
-func WriteResponse(r *Response) []byte {
-	const chunkSize = 4096
+const chunkSize = 4096
+
+// AppendResponse appends the serialization of a response to out. If
+// r.Header sets Transfer-Encoding: chunked the body is chunk-encoded
+// (the paper notes the XHR layer handles "potentially chunked"
+// responses); otherwise a Content-Length header is emitted, so every
+// response is self-framing and keep-alive connections never need
+// close-delimited bodies. close adds Connection: close, overriding r's
+// Connection header, without touching r, so one response may be served
+// to every client.
+func AppendResponse(out []byte, r *Response, close bool) []byte {
 	text := r.StatusText
 	if text == "" {
 		text = statusText(r.Status)
 	}
 	chunked := strings.EqualFold(r.Header["Transfer-Encoding"], "chunked")
-	clen, size := len(r.Body), len(r.Body)
+	clen := len(r.Body)
 	if chunked {
 		clen = -1
-		size += (len(r.Body)/chunkSize+1)*len("1000\r\n\r\n") + len("0\r\n\r\n")
 	}
-	out := make([]byte, 0, len("HTTP/1.1 000 \r\n")+len(text)+headSize(r.Header)+size)
 	out = append(out, "HTTP/1.1 "...)
 	out = strconv.AppendInt(out, int64(r.Status), 10)
 	out = append(out, ' ')
 	out = append(out, text...)
 	out = append(out, "\r\n"...)
-	out = appendHeaders(out, r.Header, false, clen)
+	out = appendHeaders(out, r.Header, false, clen, close)
 	if !chunked {
 		return append(out, r.Body...)
 	}
@@ -121,7 +133,7 @@ func WriteResponse(r *Response) []byte {
 
 // headSize bounds the bytes appendHeaders writes for h.
 func headSize(h map[string]string) int {
-	n := len("Host: localhost\r\nContent-Length: 18446744073709551615\r\n\r\n")
+	n := len("Host: localhost\r\nContent-Length: 18446744073709551615\r\nConnection: close\r\n\r\n")
 	for k, v := range h {
 		n += len(k) + len(v) + len(": \r\n")
 	}
@@ -131,9 +143,10 @@ func headSize(h map[string]string) int {
 // appendHeaders appends one "Name: value" line per header in sorted
 // name order, then the blank line that ends the head. withHost adds
 // Host: localhost unless h sets Host; clen >= 0 sets Content-Length,
-// overriding h's. The names are sorted in a stack array, so a head with
-// a few headers costs no allocation beyond out.
-func appendHeaders(out []byte, h map[string]string, withHost bool, clen int) []byte {
+// overriding h's; close sets Connection: close, overriding h's. The
+// names are sorted in a stack array, so a head with a few headers costs
+// no allocation beyond out.
+func appendHeaders(out []byte, h map[string]string, withHost bool, clen int, close bool) []byte {
 	var buf [8]string
 	keys := buf[:0]
 	for k := range h {
@@ -147,6 +160,9 @@ func appendHeaders(out []byte, h map[string]string, withHost bool, clen int) []b
 	if _, ok := h["Content-Length"]; clen >= 0 && !ok {
 		keys = append(keys, "Content-Length")
 	}
+	if _, ok := h["Connection"]; close && !ok {
+		keys = append(keys, "Connection")
+	}
 	slices.Sort(keys)
 	for _, k := range keys {
 		out = append(out, k...)
@@ -156,6 +172,8 @@ func appendHeaders(out []byte, h map[string]string, withHost bool, clen int) []b
 			out = strconv.AppendInt(out, int64(clen), 10)
 		case addHost && k == "Host":
 			out = append(out, "localhost"...)
+		case close && k == "Connection":
+			out = append(out, "close"...)
 		default:
 			out = append(out, h[k]...)
 		}
@@ -250,23 +268,21 @@ func (rd *reader) rest() ([]byte, abi.Errno) {
 }
 
 // head reads through the blank line that ends a message head and
-// returns the head as one string, the only allocation its lines cost:
-// the start line, header names and values are substrings of it. Each
-// line is checked as it completes, so a bad start line (a request line
-// without two spaces, a status line without a numeric code) or a
-// header line without a colon fails as soon as it arrives, before the
-// rest of the head does.
-func (rd *reader) head(isResponse bool) (string, abi.Errno) {
+// returns the head's bytes in the buffer. Each line is checked as it
+// completes, so a bad start line (a request line without two spaces, a
+// status line without a numeric code) or a header line without a colon
+// fails as soon as it arrives, before the rest of the head does.
+func (rd *reader) head(isResponse bool) ([]byte, abi.Errno) {
 	start := 0 // where the line being read begins in rd.buf
 	for {
 		i := bytes.IndexByte(rd.buf[rd.scan:], '\n')
 		if i < 0 {
 			rd.scan = len(rd.buf)
 			if rd.eof {
-				return "", abi.EIO
+				return nil, abi.EIO
 			}
 			if err := rd.fill(); err != abi.OK {
-				return "", err
+				return nil, err
 			}
 			continue
 		}
@@ -276,17 +292,32 @@ func (rd *reader) head(isResponse bool) (string, abi.Errno) {
 		switch {
 		case start == 0:
 			if !startLineOK(line, isResponse) {
-				return "", abi.EINVAL
+				return nil, abi.EINVAL
 			}
 		case len(line) == 0:
-			h := string(rd.buf[:i+1])
+			h := rd.buf[: i+1 : i+1]
 			rd.buf, rd.scan = rd.buf[i+1:], 0
 			return h, abi.OK
 		case bytes.IndexByte(line, ':') < 0:
-			return "", abi.EINVAL
+			return nil, abi.EINVAL
 		}
 		start = i + 1
 	}
+}
+
+// setHead makes the head bytes h the message's head, unless they repeat
+// the head *prev the message was last parsed from. A new head is one
+// string, the only allocation its lines cost: the start line (returned)
+// and the header names and values are substrings of it, refilled into
+// *hdr, which is made only for a head with header lines. A repeated head
+// costs nothing and leaves the fields as they are (fresh is false).
+func setHead(h []byte, prev *string, hdr *map[string]string) (start string, fresh bool) {
+	if string(h) == *prev {
+		return "", false
+	}
+	*prev = string(h)
+	start, *hdr = splitHead(*prev, *hdr)
+	return start, true
 }
 
 // trimCR drops a line's trailing carriage returns.
@@ -314,8 +345,10 @@ func startLineOK(line []byte, isResponse bool) bool {
 }
 
 // splitHead splits a head (as head returns it) into its start line and
-// its header map, nil when the head has no header line.
-func splitHead(h string) (start string, hdr map[string]string) {
+// its headers, refilling hdr after clearing it, or making a map when hdr
+// is nil and the head has a header line.
+func splitHead(h string, hdr map[string]string) (start string, _ map[string]string) {
+	clear(hdr)
 	i := strings.IndexByte(h, '\n')
 	start, h = trimCR(h[:i]), h[i+1:]
 	for {
@@ -406,58 +439,59 @@ func (rd *reader) readBody(hdr map[string]string, isResponse bool) ([]byte, abi.
 	return nil, abi.OK
 }
 
-// readRequestHead parses the request line and headers.
-func (rd *reader) readRequestHead() (*Request, abi.Errno) {
+// readRequest parses one request into req: its line and headers (reused
+// when the head repeats req's last one, see setHead), then its body.
+func (rd *reader) readRequest(req *Request) abi.Errno {
 	h, err := rd.head(false)
 	if err != abi.OK {
-		return nil, err
+		return err
 	}
-	line, hdr := splitHead(h)
-	method, rest, _ := strings.Cut(line, " ")
-	path, proto, _ := strings.Cut(rest, " ")
-	return &Request{Method: method, Path: path, Proto: proto, Header: hdr}, abi.OK
+	if line, fresh := setHead(h, &req.head, &req.Header); fresh {
+		var rest string
+		req.Method, rest, _ = strings.Cut(line, " ")
+		req.Path, req.Proto, _ = strings.Cut(rest, " ")
+	}
+	req.Body, err = rd.readBody(req.Header, false)
+	return err
 }
 
-// readResponseHead parses the status line and headers.
-func (rd *reader) readResponseHead() (*Response, abi.Errno) {
+// readResponse parses one response into resp as readRequest does. eof
+// says whether the stream has ended: without it, a close-delimited body
+// (no Content-Length, not chunked) is incomplete (EIO).
+func (rd *reader) readResponse(resp *Response, eof bool) abi.Errno {
 	h, err := rd.head(true)
 	if err != abi.OK {
-		return nil, err
+		return err
 	}
-	line, hdr := splitHead(h)
-	_, rest, _ := strings.Cut(line, " ")
-	code, text, _ := strings.Cut(rest, " ")
-	status, _ := strconv.Atoi(code)
-	return &Response{Status: status, StatusText: text, Header: hdr}, abi.OK
+	if line, fresh := setHead(h, &resp.head, &resp.Header); fresh {
+		_, rest, _ := strings.Cut(line, " ")
+		var code string
+		code, resp.StatusText, _ = strings.Cut(rest, " ")
+		resp.Status, _ = strconv.Atoi(code)
+	}
+	_, hasCL := resp.Header["Content-Length"]
+	if !hasCL && !eof && !strings.EqualFold(resp.Header["Transfer-Encoding"], "chunked") {
+		return abi.EIO
+	}
+	resp.Body, err = rd.readBody(resp.Header, true)
+	return err
 }
 
 // ReadRequest parses one request from a stream.
 func ReadRequest(read ReadFunc) (*Request, abi.Errno) {
-	rd := &reader{read: read}
-	req, err := rd.readRequestHead()
-	if err != abi.OK {
+	req := &Request{}
+	if err := (&reader{read: read}).readRequest(req); err != abi.OK {
 		return nil, err
 	}
-	body, err := rd.readBody(req.Header, false)
-	if err != abi.OK {
-		return nil, err
-	}
-	req.Body = body
 	return req, abi.OK
 }
 
 // ReadResponse parses one response from a stream.
 func ReadResponse(read ReadFunc) (*Response, abi.Errno) {
-	rd := &reader{read: read}
-	resp, err := rd.readResponseHead()
-	if err != abi.OK {
+	resp := &Response{}
+	if err := (&reader{read: read}).readResponse(resp, true); err != abi.OK {
 		return nil, err
 	}
-	body, err := rd.readBody(resp.Header, true)
-	if err != abi.OK {
-		return nil, err
-	}
-	resp.Body = body
 	return resp, abi.OK
 }
 
@@ -470,53 +504,76 @@ func ReadResponse(read ReadFunc) (*Response, abi.Errno) {
 // fixed buffer running dry is exactly "not enough bytes yet".
 // ---------------------------------------------------------------------------
 
-// ParseBufferedRequest parses one complete request from buf. On success
-// it returns the request and the unconsumed remainder (the start of the
-// next pipelined request). On EAGAIN the buffer held only a partial
-// message; offer a longer one next time.
+// ParseBufferedRequest parses one complete request from buf into a new
+// Request. On success it returns the request and the unconsumed
+// remainder (the start of the next pipelined request). On EAGAIN the
+// buffer held only a partial message; offer a longer one next time.
 func ParseBufferedRequest(buf []byte) (*Request, []byte, abi.Errno) {
-	rd := &reader{buf: buf, eof: true}
-	req, err := rd.readRequestHead()
-	if err == abi.OK {
-		req.Body, err = rd.readBody(req.Header, false)
+	req := &Request{}
+	rest, err := req.ParseBuffered(buf)
+	if err != abi.OK {
+		return nil, rest, err
 	}
-	switch err {
-	case abi.OK:
-		return req, rd.buf, abi.OK
-	case abi.EIO:
-		return nil, buf, abi.EAGAIN
-	default:
-		return nil, buf, err
-	}
+	return req, rest, abi.OK
 }
 
-// ParseBufferedResponse parses one complete response from buf. eof says
-// whether the connection has delivered EOF — required to finish a
-// close-delimited body (no Content-Length, not chunked), which is only
-// complete when no more bytes can arrive.
+// ParseBufferedResponse parses one complete response from buf into a
+// new Response. eof says whether the connection has delivered EOF —
+// required to finish a close-delimited body (no Content-Length, not
+// chunked), which is only complete when no more bytes can arrive.
 func ParseBufferedResponse(buf []byte, eof bool) (*Response, []byte, abi.Errno) {
-	rd := &reader{buf: buf, eof: true}
-	resp, err := rd.readResponseHead()
-	if err == abi.OK {
-		_, hasCL := resp.Header["Content-Length"]
-		chunked := strings.EqualFold(resp.Header["Transfer-Encoding"], "chunked")
-		if !hasCL && !chunked && !eof {
-			return nil, buf, abi.EAGAIN
-		}
-		resp.Body, err = rd.readBody(resp.Header, true)
+	resp := &Response{}
+	rest, err := resp.ParseBuffered(buf, eof)
+	if err != abi.OK {
+		return nil, rest, err
 	}
+	return resp, rest, abi.OK
+}
+
+// ParseBuffered is ParseBufferedRequest into req, reusing it: a head
+// byte-identical to the one req was last parsed from leaves req's line
+// and headers as they are, and a new head refills req's header map, so a
+// connection's warm parse allocates nothing. The Body is a view of buf.
+// What req held before is overwritten, and on an error req is left
+// partly filled.
+func (req *Request) ParseBuffered(buf []byte) (rest []byte, err abi.Errno) {
+	rd := reader{buf: buf, eof: true}
+	return rd.buffered(buf, rd.readRequest(req))
+}
+
+// ParseBuffered is ParseBufferedResponse into resp, reusing it as
+// Request.ParseBuffered does.
+func (resp *Response) ParseBuffered(buf []byte, eof bool) (rest []byte, err abi.Errno) {
+	rd := reader{buf: buf, eof: true}
+	return rd.buffered(buf, rd.readResponse(resp, eof))
+}
+
+// buffered maps a fixed buffer's parse result: the remainder on
+// success, and the whole buffer with EAGAIN when it ran dry (EIO).
+func (rd *reader) buffered(buf []byte, err abi.Errno) ([]byte, abi.Errno) {
 	switch err {
 	case abi.OK:
-		return resp, rd.buf, abi.OK
+		return rd.buf, abi.OK
 	case abi.EIO:
-		return nil, buf, abi.EAGAIN
+		return buf, abi.EAGAIN
 	default:
-		return nil, buf, err
+		return buf, err
 	}
 }
 
-// Handler services one request.
+// Handler services one request. req, its Header and its Body are the
+// connection's and valid only until the handler returns: the server
+// parses the connection's next request into them. A handler must not
+// keep or modify them. The server writes the returned response before
+// the next request is parsed and never modifies it, so a handler may
+// return one shared response to every request.
 type Handler func(req *Request) *Response
+
+// Responses the server makes itself, shared like a handler's.
+var (
+	badRequest    = &Response{Status: 400}
+	internalError = &Response{Status: 500}
+)
 
 const (
 	acceptChunk  = 64        // listener drain granularity (one ring doorbell)
@@ -525,11 +582,13 @@ const (
 )
 
 // srvConn is one connection's event-loop state: unparsed request bytes
-// accumulated from non-blocking reads, unflushed response bytes awaiting
-// socket space, and the teardown flags.
+// accumulated from non-blocking reads, the request they are parsed into,
+// unflushed response bytes awaiting socket space, and the teardown
+// flags.
 type srvConn struct {
 	fd      int
 	in      []byte
+	req     Request
 	out     []byte
 	closing bool // close once out drains (Connection: close / parse error)
 	eof     bool // peer half-closed its write side; drain then close
@@ -664,37 +723,30 @@ func srvRead(p posix.Proc, c *srvConn, handler Handler) bool {
 			break
 		}
 	}
-	for len(c.in) > 0 && !c.closing {
-		req, rest, perr := ParseBufferedRequest(c.in)
+	off := 0 // c.in's bytes before off are parsed requests
+	for off < len(c.in) && !c.closing {
+		rest, perr := c.req.ParseBuffered(c.in[off:])
 		if perr == abi.EAGAIN {
 			break
 		}
 		if perr != abi.OK {
-			c.out = append(c.out, WriteResponse(&Response{
-				Status: 400,
-				Header: map[string]string{"Connection": "close"},
-			})...)
+			c.out = AppendResponse(c.out, badRequest, true)
 			c.closing = true
 			c.in = nil
 			return true
 		}
-		// Compact in place: rest is a suffix of c.in's backing array, so
-		// this is a forward memmove, and the buffer never creeps.
-		n := copy(c.in, rest)
-		c.in = c.in[:n]
-		resp := handler(req)
+		off = len(c.in) - len(rest)
+		resp := handler(&c.req)
 		if resp == nil {
-			resp = &Response{Status: 500}
+			resp = internalError
 		}
-		if wantsClose(req) {
-			if resp.Header == nil {
-				resp.Header = map[string]string{}
-			}
-			resp.Header["Connection"] = "close"
-			c.closing = true
-		}
-		c.out = append(c.out, WriteResponse(resp)...)
+		c.closing = wantsClose(&c.req)
+		c.out = AppendResponse(c.out, resp, c.closing)
 	}
+	// Compact in place once the handlers are done with the bodies, which
+	// are views of c.in: a forward memmove, so the buffer never creeps.
+	n := copy(c.in, c.in[off:])
+	c.in = c.in[:n]
 	if c.eof {
 		// Half-close: nothing further can complete a partial request.
 		c.in = nil
@@ -768,12 +820,8 @@ func serveConn(p posix.Proc, conn int, handler Handler) {
 	}
 	resp := handler(req)
 	if resp == nil {
-		resp = &Response{Status: 500}
+		resp = internalError
 	}
-	if resp.Header == nil {
-		resp.Header = map[string]string{}
-	}
-	resp.Header["Connection"] = "close"
-	posix.WriteAll(p, conn, WriteResponse(resp))
+	posix.WriteAll(p, conn, AppendResponse(nil, resp, true))
 	p.Close(conn)
 }

@@ -53,7 +53,7 @@ func TestRequestRoundTrip(t *testing.T) {
 
 func TestResponseRoundTripContentLength(t *testing.T) {
 	resp := &Response{Status: 200, Body: []byte("hello body")}
-	raw := WriteResponse(resp)
+	raw := AppendResponse(nil, resp, false)
 	got, err := ReadResponse(sliceReader(raw, 4))
 	if err != abi.OK || got.Status != 200 || string(got.Body) != "hello body" {
 		t.Fatalf("got %+v err %v", got, err)
@@ -70,7 +70,7 @@ func TestResponseChunkedEncoding(t *testing.T) {
 		Header: map[string]string{"Transfer-Encoding": "chunked"},
 		Body:   []byte(body),
 	}
-	raw := WriteResponse(resp)
+	raw := AppendResponse(nil, resp, false)
 	if !strings.Contains(string(raw), "\r\n1000\r\n") {
 		t.Fatal("no chunk framing emitted")
 	}
@@ -139,11 +139,11 @@ func TestRequestRoundTripProperty(t *testing.T) {
 }
 
 func TestStatusTextDefaults(t *testing.T) {
-	raw := WriteResponse(&Response{Status: 404})
+	raw := AppendResponse(nil, &Response{Status: 404}, false)
 	if !strings.Contains(string(raw), "404 Not Found") {
 		t.Fatalf("status line: %q", raw[:32])
 	}
-	raw = WriteResponse(&Response{Status: 299})
+	raw = AppendResponse(nil, &Response{Status: 299}, false)
 	if !strings.Contains(string(raw), "299 Status 299") {
 		t.Fatalf("unknown status line: %q", raw[:32])
 	}

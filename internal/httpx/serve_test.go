@@ -500,3 +500,40 @@ func runServeScript(t *testing.T, script []byte) {
 	fn.pass(ops...)
 	fn.serve()
 }
+
+// TestServeSharedResponse: a handler may return one shared response to
+// every request. Serving it to a client that asks to close adds
+// Connection: close to that client's bytes only: the response stays
+// unmodified, and a keep-alive client served next gets it without the
+// header and keeps its connection.
+func TestServeSharedResponse(t *testing.T) {
+	shared := &Response{Status: 200, Body: []byte("shared")}
+	f := newFakeNet(t)
+	var a, b *fakeClient
+	f.pass(func(f *fakeNet) { a = f.connect(1, 0) })
+	f.pass(func(*fakeNet) { sendAll(a) })
+	f.pass(func(f *fakeNet) { b = f.connect(2, -1) })
+	f.pass(func(*fakeNet) { sendAll(b) })
+	if err := Serve(f, 80, func(*Request) *Response { return shared }); err != abi.OK {
+		t.Fatalf("Serve: %v", err)
+	}
+	if shared.Header != nil || string(shared.Body) != "shared" {
+		t.Fatalf("shared response modified: %+v", shared)
+	}
+	check := func(c *fakeClient, n int, conn string, closed bool) {
+		t.Helper()
+		buf := c.got
+		for i := 0; i < n; i++ {
+			resp, rest, err := ParseBufferedResponse(buf, false)
+			if err != abi.OK || resp.Status != 200 || string(resp.Body) != "shared" || resp.Header["Connection"] != conn {
+				t.Fatalf("client %d response %d: %+v (%v), want 200 %q with Connection %q", c.id, i, resp, err, "shared", conn)
+			}
+			buf = rest
+		}
+		if len(buf) != 0 || c.closed != closed {
+			t.Fatalf("client %d: %q left over, closed %v; want nothing and closed %v", c.id, buf, c.closed, closed)
+		}
+	}
+	check(a, 1, "close", true)
+	check(b, 2, "", false)
+}

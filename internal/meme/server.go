@@ -67,8 +67,9 @@ func serverMain(p posix.Proc) int {
 			serve = httpx.ServeSerial
 		}
 	}
+	cpu := cpuVia(p)
 	err := serve(p, Port, func(req *httpx.Request) *httpx.Response {
-		return assets.Handle(req.Method, req.Path, req.Body, cpuVia(p))
+		return assets.Handle(req.Method, req.Path, req.Body, cpu)
 	})
 	if err != abi.OK {
 		posix.Fprintf(p, abi.Stderr, "meme-server: %v\n", err)
@@ -137,6 +138,10 @@ func loadAssets(readFile func(string) ([]byte, abi.Errno)) (*Assets, abi.Errno) 
 	return &Assets{Font: font, Templates: map[string]*Image{}}, abi.OK
 }
 
+// healthz is the one GET /healthz response every request shares: servers
+// never modify a response, and neither may its receivers.
+var healthz = &httpx.Response{Status: 200, Body: []byte("ok")}
+
 // Handle services one API request; it is the shared "server source code".
 func (a *Assets) Handle(method, path string, body []byte, cpu CPUFunc) *httpx.Response {
 	switch {
@@ -170,7 +175,7 @@ func (a *Assets) Handle(method, path string, body []byte, cpu CPUFunc) *httpx.Re
 			Header: map[string]string{"Content-Type": "image/x-portable-pixmap"}, Body: out}
 
 	case method == "GET" && path == "/healthz":
-		return &httpx.Response{Status: 200, Body: []byte("ok")}
+		return healthz
 	}
 	return &httpx.Response{Status: 404, Body: []byte("not found: " + path)}
 }
@@ -257,6 +262,9 @@ func NewRemoteHost(name string, rtt int64, nsPerByte float64) *netsim.Host {
 			resp := assets.Handle(req.Method, req.Path, req.Body, func(ns int64, heavy bool) {
 				h.Charge(ns) // native server: no int64 penalty
 			})
+			// Bodies are read-only on the simulated network (as
+			// netsim.FileHost's file bytes are), so a shared response's
+			// (healthz) travels uncopied.
 			return netsim.Response{Status: resp.Status, Header: resp.Header, Body: resp.Body}
 		},
 	}

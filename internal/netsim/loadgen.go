@@ -18,7 +18,8 @@ import (
 
 // Conn is one client connection in continuation-passing style. It is
 // the shape of core.KernelConn, but kept abstract so swarms can drive
-// any byte-stream transport.
+// any byte-stream transport. Write's data stays the caller's: the
+// caller leaves it unchanged until cb runs.
 type Conn interface {
 	Read(n int, cb func([]byte, abi.Errno))
 	Write(data []byte, cb func(int, abi.Errno))
@@ -49,11 +50,14 @@ type Swarm struct {
 	// sequence. When false (closed loop only — open loop always reuses),
 	// every request rides a fresh connection with Connection: close.
 	KeepAlive bool
-	// Request builds request seq for a client. The swarm adds the
-	// Connection header when KeepAlive is off.
+	// Request builds request seq for a client. The swarm writes it
+	// before Request is called again and never modifies it, adding
+	// Connection: close when KeepAlive is off.
 	Request func(client, seq int) *httpx.Request
 	// OnResponse, when set, observes each completed response (e.g. for
-	// body checksumming in determinism tests).
+	// body checksumming in determinism tests). resp, its Header and its
+	// Body are the client's and valid only during the call: the client
+	// parses its next response into them.
 	OnResponse func(client, seq int, resp *httpx.Response)
 }
 
@@ -182,11 +186,13 @@ type lgClient struct {
 	id  int
 	rng lgRand
 
-	conn    Conn
+	conn    *lgConn
 	dialing bool
 	reading bool
 	dead    bool
 	buf     []byte
+	resp    httpx.Response // the response being parsed
+	arriveH func(seq any)  // arriveAt, bound once
 
 	sendq   []int   // arrived-but-unsent seqs (waiting on a dial)
 	sendNs  []int64 // arrival timestamp per seq (latency base)
@@ -226,20 +232,29 @@ func (s *Swarm) Start(sim *sched.Sim, dial Dialer, done func(LoadReport)) {
 			rng:    lgRand{s: s.Seed ^ (uint64(i)+1)*0x9e3779b97f4a7c15},
 			sendNs: make([]int64, s.PerClient),
 		}
+		c.arriveH = c.arriveAt
 		run.clients = append(run.clients, c)
 		if s.OpenLoop {
 			// Pre-generate the whole arrival schedule.
 			t := c.rng.gap(s.MeanGapNs)
 			for seq := 0; seq < s.PerClient; seq++ {
-				seq := seq
-				run.post(t, func() { c.arrive(seq) })
+				c.postArrival(t, seq)
 				t += c.rng.gap(s.MeanGapNs)
 			}
 		} else {
-			run.post(c.rng.gap(s.MeanGapNs), func() { c.arrive(0) })
+			c.postArrival(c.rng.gap(s.MeanGapNs), 0)
 		}
 	}
 }
+
+// postArrival schedules request seq's arrival after delay, as one
+// event with the client's bound handler (a seq below 256 boxes without
+// allocating).
+func (c *lgClient) postArrival(delay int64, seq int) {
+	c.run.sim.PostDelayArg(c.run.ctx, delay, c.arriveH, seq)
+}
+
+func (c *lgClient) arriveAt(seq any) { c.arrive(seq.(int)) }
 
 // arrive is the moment request seq is due; latency counts from here.
 func (c *lgClient) arrive(seq int) {
@@ -262,8 +277,9 @@ func (c *lgClient) flushSendq() {
 		return
 	}
 	for len(c.sendq) > 0 && !c.dead && c.conn != nil {
+		// Pop by sliding the rest down, so the queue keeps its array.
 		seq := c.sendq[0]
-		c.sendq = c.sendq[1:]
+		c.sendq = c.sendq[:copy(c.sendq, c.sendq[1:])]
 		c.send(seq)
 	}
 }
@@ -291,7 +307,7 @@ func (c *lgClient) ensureDial() {
 				return
 			}
 			c.dialing = false
-			c.conn = conn
+			c.conn = newLgConn(c, conn)
 			c.buf = nil
 			c.flushSendq()
 		})
@@ -299,23 +315,48 @@ func (c *lgClient) ensureDial() {
 	try()
 }
 
+// lgConn is one of a client's connections, with its read and write
+// completions bound once per dial: a completion from before a redial
+// finds its lgConn no longer the client's. out is the request buffer,
+// reused while no write is in flight.
+type lgConn struct {
+	c       *lgClient
+	conn    Conn
+	onRead  func([]byte, abi.Errno)
+	onWrite func(int, abi.Errno)
+	out     []byte
+	writing int // writes whose completions have not run
+}
+
+func newLgConn(c *lgClient, conn Conn) *lgConn {
+	lc := &lgConn{c: c, conn: conn}
+	lc.onRead, lc.onWrite = lc.read, lc.written
+	return lc
+}
+
 func (c *lgClient) send(seq int) {
 	req := c.run.cfg.Request(c.id, seq)
-	if !c.run.cfg.KeepAlive {
-		if req.Header == nil {
-			req.Header = map[string]string{}
-		}
-		req.Header["Connection"] = "close"
+	lc := c.conn
+	var raw []byte
+	if lc.writing == 0 {
+		raw = lc.out[:0]
 	}
-	raw := httpx.WriteRequest(req)
+	raw = httpx.AppendRequest(raw, req, !c.run.cfg.KeepAlive)
+	if lc.writing == 0 {
+		lc.out = raw
+	}
 	c.sent++
-	conn := c.conn
-	conn.Write(raw, func(_ int, err abi.Errno) {
-		if err != abi.OK && conn == c.conn {
-			c.connBroken()
-		}
-	})
+	lc.writing++
+	lc.conn.Write(raw, lc.onWrite)
 	c.ensureReading()
+}
+
+// written completes one write on lc.
+func (lc *lgConn) written(_ int, err abi.Errno) {
+	lc.writing--
+	if err != abi.OK && lc == lc.c.conn {
+		lc.c.connBroken()
+	}
 }
 
 // ensureReading runs the response pump: accumulate bytes, parse every
@@ -325,44 +366,44 @@ func (c *lgClient) ensureReading() {
 		return
 	}
 	c.reading = true
-	conn := c.conn
-	var loop func()
-	loop = func() {
-		conn.Read(lgReadChunk, func(b []byte, err abi.Errno) {
-			if conn != c.conn {
-				return // stale pump from before a redial
-			}
-			c.reading = false
-			if err != abi.OK {
-				c.connBroken()
-				return
-			}
-			if len(b) == 0 {
-				c.drainResponses(true)
-				if conn == c.conn {
-					c.onEOF()
-				}
-				return
-			}
-			c.buf = append(c.buf, b...)
-			c.drainResponses(false)
-			if conn == c.conn && c.recv < c.sent {
-				c.reading = true
-				loop()
-			}
-		})
-	}
-	loop()
+	c.conn.conn.Read(lgReadChunk, c.conn.onRead)
 }
 
-// drainResponses completes every whole response in the buffer, then
-// compacts the buffer once. A response's Body aliases the buffer, so
-// compacting before its completion would show OnResponse the next
-// pipelined response's bytes.
+// read completes one pump read on lc, and reads again while responses
+// are owed.
+func (lc *lgConn) read(b []byte, err abi.Errno) {
+	c := lc.c
+	if lc != c.conn {
+		return // stale pump from before a redial
+	}
+	c.reading = false
+	if err != abi.OK {
+		c.connBroken()
+		return
+	}
+	if len(b) == 0 {
+		c.drainResponses(true)
+		if lc == c.conn {
+			c.onEOF()
+		}
+		return
+	}
+	c.buf = append(c.buf, b...)
+	c.drainResponses(false)
+	if lc == c.conn && c.recv < c.sent {
+		c.reading = true
+		lc.conn.Read(lgReadChunk, lc.onRead)
+	}
+}
+
+// drainResponses completes every whole response in the buffer, parsed
+// into c.resp, then compacts the buffer once. A response's Body aliases
+// the buffer, so compacting before its completion would show OnResponse
+// the next pipelined response's bytes.
 func (c *lgClient) drainResponses(eof bool) {
 	conn, off := c.conn, 0
 	for c.recv < c.sent {
-		resp, rest, err := httpx.ParseBufferedResponse(c.buf[off:], eof)
+		rest, err := c.resp.ParseBuffered(c.buf[off:], eof)
 		if err == abi.EAGAIN {
 			break
 		}
@@ -371,7 +412,7 @@ func (c *lgClient) drainResponses(eof bool) {
 			return
 		}
 		off = len(c.buf) - len(rest)
-		c.complete(resp)
+		c.complete(&c.resp)
 		if c.conn != conn {
 			return // the completion tore the connection and its buffer down
 		}
@@ -398,8 +439,7 @@ func (c *lgClient) complete(resp *httpx.Response) {
 		if !c.run.cfg.KeepAlive {
 			c.teardownConn()
 		}
-		next := c.sent
-		c.run.post(c.rng.gap(c.run.cfg.MeanGapNs), func() { c.arrive(next) })
+		c.postArrival(c.rng.gap(c.run.cfg.MeanGapNs), c.sent)
 	}
 }
 
@@ -412,7 +452,7 @@ func (c *lgClient) fail() {
 
 func (c *lgClient) teardownConn() {
 	if c.conn != nil {
-		c.conn.Close()
+		c.conn.conn.Close()
 		c.conn = nil
 	}
 	c.buf = nil
@@ -443,8 +483,7 @@ func (c *lgClient) connBroken() {
 	if len(c.sendq) > 0 {
 		c.flushSendq()
 	} else if !c.run.cfg.OpenLoop && c.sent < c.run.cfg.PerClient {
-		next := c.sent
-		c.run.post(c.rng.gap(c.run.cfg.MeanGapNs), func() { c.arrive(next) })
+		c.postArrival(c.rng.gap(c.run.cfg.MeanGapNs), c.sent)
 	}
 }
 

@@ -27,6 +27,7 @@ type workerRT struct {
 
 	nextID   int64
 	pending  map[int64]*sched.G
+	calls    abi.CallPool // call frames, back once their replies arrive
 	handlers map[int]func(int)
 
 	// Synchronous-syscall state (em-sync): the heap, laid out as
@@ -181,7 +182,10 @@ func (r *workerRT) sendExit(code int) {
 // ---------------------------------------------------------------------------
 
 // roundTrip posts call trap as a CallFrame under a fresh id and parks
-// the calling coroutine until the kernel's ReplyFrame resumes it.
+// the calling coroutine until the kernel's ReplyFrame resumes it. The
+// kernel decoded the call frame before it replied, so the frame goes
+// back to the pool then; the caller releases the reply once it has
+// read the result.
 func (r *workerRT) roundTrip(trap int, a *abi.Args) *abi.ReplyFrame {
 	r.sim.Charge(r.cost.SyscallCPUNs)
 	if r.cost.UnwindNs > 0 {
@@ -189,13 +193,16 @@ func (r *workerRT) roundTrip(trap int, a *abi.Args) *abi.ReplyFrame {
 	}
 	id := r.nextID
 	r.nextID++
-	r.w.PostToParent(&abi.CallFrame{ID: id, Trap: trap, Args: *a})
+	call := r.calls.Take()
+	call.ID, call.Trap, call.Args = id, trap, *a
+	r.w.PostToParent(call)
 	g := r.sim.CurG()
 	if g == nil {
 		panic("rt: syscall outside program coroutine")
 	}
 	r.pending[id] = g
 	f, _ := r.sim.Park().(*abi.ReplyFrame)
+	r.calls.Put(call)
 	if r.cost.RewindNs > 0 {
 		r.sim.Charge(r.cost.RewindNs)
 	}
@@ -204,10 +211,13 @@ func (r *workerRT) roundTrip(trap int, a *abi.Args) *abi.ReplyFrame {
 
 // resume wakes the coroutine parked on the call f answers.
 func (r *workerRT) resume(f *abi.ReplyFrame) {
-	if g := r.pending[f.ID]; g != nil {
-		delete(r.pending, f.ID)
-		r.sim.ResumeG(g, f)
+	g := r.pending[f.ID]
+	if g == nil {
+		f.Release()
+		return
 	}
+	delete(r.pending, f.ID)
+	r.sim.ResumeG(g, f)
 }
 
 // ---------------------------------------------------------------------------

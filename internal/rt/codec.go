@@ -27,15 +27,17 @@ func (r *workerRT) call(trap int, a *abi.Args) abi.Result {
 		if f == nil {
 			return abi.Result{Ret: -1, Err: abi.EIO}
 		}
-		if row.Ret == abi.RetPollfds && f.Res.Err == abi.OK {
+		res := f.Res
+		f.Release()
+		if row.Ret == abi.RetPollfds && res.Err == abi.OK {
 			for i := range a.Pollfds {
 				a.Pollfds[i].Revents = 0
-				if i < len(f.Res.Pollfds) {
-					a.Pollfds[i].Revents = f.Res.Pollfds[i].Revents
+				if i < len(res.Pollfds) {
+					a.Pollfds[i].Revents = res.Pollfds[i].Revents
 				}
 			}
 		}
-		return f.Res
+		return res
 	}
 	var s staged
 	r.stage(row, a, &s)

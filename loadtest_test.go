@@ -6,6 +6,7 @@ import (
 	"crypto/sha1"
 	"fmt"
 	"io"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -139,6 +140,40 @@ func TestSwarmRoundsLeaveNoServerConns(t *testing.T) {
 	}
 	if sizes[0] != sizes[1] {
 		t.Errorf("server descriptor count grew across rounds: %v", sizes)
+	}
+}
+
+// TestSwarmRoundAllocsPerRequest bounds the host allocations of a warm
+// keep-alive swarm round against the meme server: 32 open-loop clients
+// with 16 GET /healthz each on one connection apiece, as a benchmark
+// round. Per request, what is left is the request the swarm's Request
+// builds and its copy into the socket, the frames' payload copies (the
+// read and the write, and the poll sets each way, shared among the
+// requests one poll pass serves) and each connection's dial, amortized
+// over its requests. The bound is per request, averaged over a round.
+func TestSwarmRoundAllocsPerRequest(t *testing.T) {
+	const bound = 10
+	in := bootMemeLoad(t, async)
+	in.StartMemeServerArgs()
+	round := func(seed uint64) netsim.LoadReport {
+		s := healthSwarm(32, 16, true)
+		s.OpenLoop, s.MeanGapNs, s.Seed = true, 128_000_000, seed
+		rep := browsix.RunSwarm(in, s, meme.Port)
+		if rep.Requests != 512 || rep.Errors != 0 {
+			t.Fatalf("round %d: %+v", seed, rep)
+		}
+		in.Run()
+		return rep
+	}
+	round(1) // warm the server's buffers and the pools
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	requests := round(2).Requests + round(3).Requests
+	runtime.ReadMemStats(&after)
+	perReq := float64(after.Mallocs-before.Mallocs) / float64(requests)
+	t.Logf("%.2f allocations per request", perReq)
+	if perReq > bound {
+		t.Fatalf("warm keep-alive swarm round: %.2f allocations per request, want <= %d", perReq, bound)
 	}
 }
 
