@@ -91,6 +91,12 @@ func init() {
 			say(fmt.Sprintf("seek(/, %d, %d)", s.off, s.whence), int(off), err)
 		}
 		p.Close(dfd)
+		// An empty path names no file, not the cwd.
+		_, err = p.Stat("")
+		say(`stat("")`, 0, err)
+		_, err = p.Open("", abi.O_RDONLY, 0)
+		say(`open("")`, 0, err)
+		say(`mkdir("")`, 0, p.Mkdir("", 0o755))
 		return 0
 	}})
 }
@@ -99,8 +105,9 @@ func init() {
 // baselines answers bad arguments with the errnos the kernel's op table
 // gives a Browsix process on every transport: EINVAL for negative counts
 // and offsets, EBADF for dup2 outside [0, FdMax) or from a closed fd.
-// dup2 onto an open descriptor replaces it with a shared open file, and
-// a directory's cursor seeks like a file offset.
+// dup2 onto an open descriptor replaces it with a shared open file, a
+// directory's cursor seeks like a file offset, and an empty path gives
+// ENOENT.
 func TestHostProcRejectsLikeKernel(t *testing.T) {
 	sim := sched.New()
 	sim.MaxSteps = 100_000
@@ -116,7 +123,8 @@ func TestHostProcRejectsLikeKernel(t *testing.T) {
 		"dup2(1, -3): EBADF\ndup2(1, FdMax): EBADF\ndup2(99, 5): EBADF\n" +
 		"dup2(fd, fd2) = 0\nseek(fd, 2) = 2\nclose(fd) = 0\n" +
 		"read(fd2) = \"234\" success\nclose(fd2) = 0\nread(fd2) after close: EBADF\n" +
-		"seek(/, -8, 0): EINVAL\nseek(/, 5, 1) = 5\nseek(/, 0, 2) = 0\n"
+		"seek(/, -8, 0): EINVAL\nseek(/, 5, 1) = 5\nseek(/, 0, 2) = 0\n" +
+		"stat(\"\"): ENOENT\nopen(\"\"): ENOENT\nmkdir(\"\"): ENOENT\n"
 	if string(host.Stdout) != want {
 		t.Errorf("host:\n%s\nwant:\n%s", host.Stdout, want)
 	}

@@ -320,10 +320,9 @@ func (k *Kernel) resolveExecutable(path string, argv []string, cwd string, depth
 		cb("", nil, nil, abi.ELOOP)
 		return
 	}
-	abspath := path
-	if !strings.HasPrefix(abspath, "/") {
-		abspath = fs.Clean(cwd + "/" + path)
-	}
+	// Like every path syscall, exec leaves ".." to the walker, which
+	// resolves it against a symlink's target, not its name.
+	abspath := fs.SyscallPath(cwd, path)
 	k.FS.ReadFileShared(abspath, func(script []byte, err abi.Errno) {
 		if err != abi.OK {
 			cb("", nil, nil, err)

@@ -35,8 +35,8 @@ func (k *Kernel) onWorkerMessage(t *Task, w *browser.Worker, v browser.Value) {
 }
 
 // abs resolves a process-relative path against the task's cwd,
-// preserving trailing-slash semantics (fs.Abs).
-func (t *Task) abs(p string) string { return fs.Abs(t.cwd, p) }
+// preserving ".." and trailing-slash semantics (fs.SyscallPath).
+func (t *Task) abs(p string) string { return fs.SyscallPath(t.cwd, p) }
 
 // ---------------------------------------------------------------------------
 // Transport-independent operations.

@@ -212,6 +212,20 @@ func (c *dcache) putDir(p string, ents []abi.Dirent) {
 
 func (c *dcache) get(p string) (*dentry, bool) {
 	d, ok := c.entries[p]
+	c.count(d, ok)
+	return d, ok
+}
+
+// getBytes is get for a path held in a byte buffer; the map lookup does
+// not copy the bytes into a string.
+func (c *dcache) getBytes(p []byte) (*dentry, bool) {
+	d, ok := c.entries[string(p)]
+	c.count(d, ok)
+	return d, ok
+}
+
+// count tallies one per-component lookup in the hit counters.
+func (c *dcache) count(d *dentry, ok bool) {
 	if ok {
 		if d.err == abi.OK {
 			c.hits.Add(1)
@@ -221,7 +235,6 @@ func (c *dcache) get(p string) (*dentry, bool) {
 	} else {
 		c.misses.Add(1)
 	}
-	return d, ok
 }
 
 func (c *dcache) put(p string, d *dentry) {

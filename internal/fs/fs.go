@@ -101,6 +101,8 @@ type FileSystem struct {
 	pc             *pageCache
 	feat           Features
 	readaheadPages int
+
+	walkers abi.FreeList[walker] // finished walks' records, for reuse
 }
 
 // NewFileSystem creates a file system whose root is the given backend.
@@ -252,37 +254,97 @@ func Clean(p string) string {
 	return path.Clean(p)
 }
 
+// canonical reports whether p is already what Clean makes of it: absolute,
+// with no empty, "." or ".." component and no trailing slash ("/" itself
+// is canonical).
+func canonical(p string) bool {
+	if p == "" || p[0] != '/' {
+		return false
+	}
+	if p == "/" {
+		return true
+	}
+	for i := 0; i < len(p); {
+		j := i + 1
+		for j < len(p) && p[j] != '/' {
+			j++
+		}
+		switch p[i+1 : j] {
+		case "", ".", "..":
+			return false
+		}
+		i = j
+	}
+	return true
+}
+
 // Abs resolves a possibly-relative path against cwd, normalizing
 // slashes and "." while preserving both ".." components (the walker
 // resolves them against symlink *targets*, which a lexical Clean cannot)
 // and a trailing slash (the walker gives it its POSIX directory
-// meaning). Kernel and host syscall layers share this so the transports
-// cannot diverge.
+// meaning). A path already in that form comes back unchanged; any other
+// is built in one pass.
 func Abs(cwd, p string) string {
-	joined := p
-	if len(p) == 0 || p[0] != '/' {
-		joined = cwd + "/" + p
+	if p != "" && p[0] == '/' && (canonical(p) || absDir(p)) {
+		return p
 	}
-	ap := "/" + strings.Join(splitPath(joined), "/")
-	if hadTrailingSlash(p) && ap != "/" {
-		ap += "/" // keep the directory requirement ("p/" and "p/.")
+	var b strings.Builder
+	b.Grow(len(cwd) + 1 + len(p))
+	if p == "" || p[0] != '/' {
+		appendComps(&b, cwd)
 	}
-	return ap
+	appendComps(&b, p)
+	if b.Len() == 0 {
+		return "/"
+	}
+	if hadTrailingSlash(p) {
+		b.WriteByte('/') // keep the directory requirement ("p/" and "p/.")
+	}
+	return b.String()
 }
 
-// resolveMount finds the backend owning p and p's path within it.
+// absDir reports whether p is a canonical path other than "/" plus one
+// trailing slash, which Abs keeps.
+func absDir(p string) bool {
+	return len(p) > 2 && p[len(p)-1] == '/' && canonical(p[:len(p)-1])
+}
+
+// appendComps writes "/c" to b for each component c of p, dropping
+// empty and "." components and keeping "..".
+func appendComps(b *strings.Builder, p string) {
+	for i, j := comp(p, 0); i < len(p); i, j = comp(p, j) {
+		b.WriteByte('/')
+		b.WriteString(p[i:j])
+	}
+}
+
+// SyscallPath is Abs for a path a process passes to a system call. Abs
+// joins an empty p to cwd, as a lexical join does, but an empty pathname
+// names no file (POSIX gives it ENOENT): here it stays "", which every
+// FileSystem operation answers with ENOENT. Kernel and host syscall
+// layers share this so the transports cannot diverge.
+func SyscallPath(cwd, p string) string {
+	if p == "" {
+		return ""
+	}
+	return Abs(cwd, p)
+}
+
+// resolveMount finds the backend owning p and p's path within it. A
+// canonical p is not cleaned again, and on the root mount it is its own
+// backend path.
 func (f *FileSystem) resolveMount(p string) (Backend, string) {
-	p = Clean(p)
+	if !canonical(p) {
+		p = Clean(p)
+	}
 	for _, m := range f.mounts {
-		if p == m.prefix {
+		switch {
+		case p == m.prefix:
 			return m.backend, "/"
-		}
-		pre := m.prefix
-		if pre != "/" {
-			pre += "/"
-		}
-		if strings.HasPrefix(p, pre) {
-			return m.backend, Clean(p[len(m.prefix):])
+		case m.prefix == "/":
+			return m.backend, p
+		case strings.HasPrefix(p, m.prefix) && p[len(m.prefix)] == '/':
+			return m.backend, p[len(m.prefix):]
 		}
 	}
 	// Unreachable: the root mount matches everything.
@@ -533,28 +595,32 @@ func (f *FileSystem) Mkdir(p string, mode uint32, cb func(abi.Errno)) {
 
 // MkdirAll creates a directory and any missing parents.
 func (f *FileSystem) MkdirAll(p string, mode uint32, cb func(abi.Errno)) {
-	p = Clean(p)
-	var step func(i int)
-	parts := strings.Split(strings.TrimPrefix(p, "/"), "/")
-	step = func(i int) {
-		if i > len(parts) {
+	mkdirChain(Clean(p), mode, f.Mkdir, cb)
+}
+
+// mkdirChain calls mkdir on every prefix p[:k] of the clean absolute
+// path p other than "/", shortest first, then cb. EEXIST counts as
+// success; any other error ends the chain.
+func mkdirChain(p string, mode uint32, mkdir func(string, uint32, func(abi.Errno)), cb func(abi.Errno)) {
+	end := 0 // p[:end] is the prefix made last
+	var next func(abi.Errno)
+	next = func(err abi.Errno) {
+		if err != abi.OK && err != abi.EEXIST {
+			cb(err)
+			return
+		}
+		if end == len(p) || p == "/" {
 			cb(abi.OK)
 			return
 		}
-		sub := "/" + strings.Join(parts[:i], "/")
-		f.Mkdir(sub, mode, func(err abi.Errno) {
-			if err != abi.OK && err != abi.EEXIST {
-				cb(err)
-				return
-			}
-			step(i + 1)
-		})
+		if k := strings.IndexByte(p[end+1:], '/'); k >= 0 {
+			end += 1 + k
+		} else {
+			end = len(p)
+		}
+		mkdir(p[:end], mode, next)
 	}
-	if p == "/" {
-		cb(abi.OK)
-		return
-	}
-	step(1)
+	next(abi.OK)
 }
 
 // Rmdir removes an empty directory.

@@ -1,7 +1,6 @@
 package fs
 
 import (
-	"path"
 	"strings"
 
 	"repro/internal/abi"
@@ -59,24 +58,20 @@ func (m *MemFS) SetReadOnly() { m.ro = true; m.name = "memfs-ro" }
 // true, returns the parent directory and the final name instead.
 func (m *MemFS) lookup(p string) *memNode {
 	p = Clean(p)
-	if p == "/" {
-		return m.root
-	}
 	n := m.root
-	for _, part := range strings.Split(strings.TrimPrefix(p, "/"), "/") {
+	for i, j := comp(p, 0); i < len(p); i, j = comp(p, j) {
 		if n == nil || n.children == nil {
 			return nil
 		}
-		n = n.children[part]
+		n = n.children[p[i:j]]
 	}
 	return n
 }
 
 func (m *MemFS) lookupParent(p string) (*memNode, string) {
 	p = Clean(p)
-	dir, base := path.Split(p)
-	parent := m.lookup(Clean(dir))
-	return parent, base
+	k := strings.LastIndexByte(p, '/')
+	return m.lookup(p[:max(k, 1)]), p[k+1:]
 }
 
 func (n *memNode) stat() abi.Stat {

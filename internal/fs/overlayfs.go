@@ -102,28 +102,7 @@ func (o *OverlayFS) Lstat(p string, cb func(abi.Stat, abi.Errno)) {
 // ensureUpperDirs creates, in the upper layer, every ancestor directory of
 // p that exists in the merged view (needed before a copy-up).
 func (o *OverlayFS) ensureUpperDirs(p string, cb func(abi.Errno)) {
-	dir := path.Dir(Clean(p))
-	if dir == "/" {
-		cb(abi.OK)
-		return
-	}
-	parts := strings.Split(strings.TrimPrefix(dir, "/"), "/")
-	var step func(i int)
-	step = func(i int) {
-		if i > len(parts) {
-			cb(abi.OK)
-			return
-		}
-		sub := "/" + strings.Join(parts[:i], "/")
-		o.upper.Mkdir(sub, 0o755, func(err abi.Errno) {
-			if err != abi.OK && err != abi.EEXIST {
-				cb(err)
-				return
-			}
-			step(i + 1)
-		})
-	}
-	step(1)
+	mkdirChain(path.Dir(Clean(p)), 0o755, o.upper.Mkdir, cb)
 }
 
 // copyUp copies a lower-layer file into the upper layer (lazily: only

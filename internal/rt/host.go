@@ -111,8 +111,8 @@ func (h *HostProc) charge(bytes int64) {
 }
 
 // abs resolves a process-relative path against the cwd, preserving
-// trailing-slash semantics (fs.Abs).
-func (h *HostProc) abs(p string) string { return fs.Abs(h.cwd, p) }
+// ".." and trailing-slash semantics (fs.SyscallPath).
+func (h *HostProc) abs(p string) string { return fs.SyscallPath(h.cwd, p) }
 
 // Host file-system operations complete synchronously (host images are
 // in-memory); completeErr guards that assumption.

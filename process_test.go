@@ -335,3 +335,48 @@ func TestStreamReadReportsDeadlock(t *testing.T) {
 	p.CloseStdin()
 	p.Wait()
 }
+
+// runScript runs script under /bin/sh in dir and returns its exit code,
+// stdout and stderr.
+func runScript(t *testing.T, in *browsix.Instance, dir, script string) (int, string, string) {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	p, err := in.Start(browsix.Spec{Argv: []string{"/bin/sh", "-c", script}, Dir: dir, Stdout: &stdout, Stderr: &stderr})
+	if err != nil {
+		t.Fatalf("start: %v", err)
+	}
+	code, werr := p.Wait()
+	if werr != nil {
+		t.Fatalf("wait: %v", werr)
+	}
+	return code, stdout.String(), stderr.String()
+}
+
+// TestExecDotDotAfterSymlink: exec resolves ".." against a symlink's
+// target, as ls (stat) does, not lexically against the link's name:
+// with /home/lnk -> /usr/bin, lnk/../bin/cat is /usr/bin/cat.
+func TestExecDotDotAfterSymlink(t *testing.T) {
+	for _, v := range variants(transports) {
+		in := v.boot(browsix.Config{})
+		code, out, errOut := runScript(t, in, "/home",
+			"ln -s /usr/bin /home/lnk; ls lnk/../bin/cat; echo through | lnk/../bin/cat")
+		if code != 0 || out != "cat\nthrough\n" {
+			t.Errorf("%s: exit %d, stdout %q, stderr %q", v, code, out, errOut)
+		}
+	}
+}
+
+// TestEmptyPathENOENT: an empty path names no file, not the cwd: ls,
+// cat and mkdir of an empty argument each fail with ENOENT on every
+// transport.
+func TestEmptyPathENOENT(t *testing.T) {
+	for _, v := range variants(transports) {
+		in := v.boot(browsix.Config{})
+		for _, cmd := range []string{"ls ''", "cat ''", "mkdir ''"} {
+			code, out, errOut := runScript(t, in, "/etc", cmd)
+			if code == 0 || out != "" || !strings.Contains(errOut, "ENOENT") {
+				t.Errorf("%s: %s: exit %d, stdout %q, stderr %q, want ENOENT", v, cmd, code, out, errOut)
+			}
+		}
+	}
+}
