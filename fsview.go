@@ -187,9 +187,10 @@ func (v *FSView) ReadFile(name string) ([]byte, error) {
 	if rerr != abi.OK {
 		return nil, pathErr("readfile", name, rerr)
 	}
-	// The VFS may hand out page-cache-backed bytes; the io/fs contract
-	// is that the caller owns the result.
-	return append([]byte(nil), data...), nil
+	// A Pread result belongs to its caller (fs.FileHandle): page-cache
+	// hits gather into fresh bytes and misses copy out of the backend,
+	// so the io/fs contract that the caller owns the result holds as is.
+	return data, nil
 }
 
 // Glob returns the names matching pattern, with path.Match semantics.

@@ -233,6 +233,62 @@ func TestFacadeGlobUsesReaddirCache(t *testing.T) {
 	}
 }
 
+// TestFSReadFileOwned: ReadFile's result belongs to its caller, so
+// scribbling over (and appending to) it leaves a second ReadFile of
+// the same file unchanged, cold, warm and cold again after the caches
+// are flushed, on memfs, overlay (a file in each layer), zip and http
+// mounts.
+func TestFSReadFileOwned(t *testing.T) {
+	in, _ := httpBackedInstance(t)
+	clock := func() int64 { return in.Sim.Now() }
+	var buf bytes.Buffer
+	zw := zip.NewWriter(&buf)
+	for p, body := range facadeTree {
+		w, _ := zw.Create(p)
+		w.Write([]byte(body))
+	}
+	zw.Close()
+	zfs, err := ifs.NewZipFS(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lower, err := ifs.NewZipFS(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.VFS.Mount("/mnt/zip", zfs)
+	in.VFS.Mount("/mnt/ov", ifs.NewOverlayFS(ifs.NewMemFS(clock), lower))
+	v := in.FS()
+	files := map[string]string{
+		"mem.txt":                "memfs contents\n",
+		"mnt/ov/upper.txt":       "overlay upper contents\n",
+		"mnt/ov/hello.txt":       facadeTree["hello.txt"],
+		"mnt/zip/sub/nested.txt": facadeTree["sub/nested.txt"],
+		"mnt/http/hello.txt":     facadeTree["hello.txt"],
+	}
+	for _, p := range []string{"mem.txt", "mnt/ov/upper.txt"} {
+		if err := v.WriteFile(p, []byte(files[p]), 0o644); err != nil {
+			t.Fatalf("write %s: %v", p, err)
+		}
+	}
+	for p, want := range files {
+		for _, pass := range []string{"cold", "warm", "warm again", "cold again"} {
+			if pass == "cold again" {
+				// The backends' own bytes, not the page cache's copies.
+				in.VFS.FlushCaches()
+			}
+			got, err := v.ReadFile(p)
+			if err != nil || string(got) != want {
+				t.Fatalf("%s %s: ReadFile %q %v, want %q", p, pass, got, err, want)
+			}
+			for i := range got {
+				got[i] = '#'
+			}
+			_ = append(got, "XXXXXXXX"...)
+		}
+	}
+}
+
 func dirOf(p string) string {
 	for i := len(p) - 1; i >= 0; i-- {
 		if p[i] == '/' {

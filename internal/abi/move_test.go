@@ -7,8 +7,9 @@ import (
 
 // The reference clones: the bodies CallFrame.CloneValue and
 // ReplyFrame.CloneValue had when frames were copied whole on every
-// post, kept verbatim (as functions) so a moved frame can be checked
-// against the copy it replaces.
+// post, kept (as functions) so a moved frame can be checked against the
+// copy it replaces. refCloneReply moves a reply's Data and Pollfds,
+// which belong to the result, and copies everything else as before.
 
 func refCloneCall(f *CallFrame) (any, int64) {
 	row := rowOf(f.Trap)
@@ -82,8 +83,10 @@ func refCloneReply(f *ReplyFrame) (any, int64) {
 		for _, s := range segs {
 			size += len(s)
 		}
-		if ok {
-			data := append(make([]byte, 0, size), r.Data...)
+		if ok && r.Data != nil {
+			c.Res.Data = r.Data
+		} else if ok {
+			data := make([]byte, 0, size)
 			for _, s := range segs {
 				data = append(data, s...)
 			}
@@ -128,7 +131,7 @@ func refCloneReply(f *ReplyFrame) (any, int64) {
 		n += numSize + 8
 	case RetPollfds:
 		if ok {
-			c.Res.Pollfds = append([]Pollfd(nil), r.Pollfds...)
+			c.Res.Pollfds = r.Pollfds
 		}
 		n += int64(len(r.Pollfds))*(numSize+8) + 8
 	}
@@ -205,10 +208,9 @@ func scribbleArgs(a *Args) {
 	}
 }
 
+// scribbleResult overwrites every buffer and record a sender lent; Data
+// and Pollfds are not lent but given up, so they are left alone.
 func scribbleResult(r *Result) {
-	for i := range r.Data {
-		r.Data[i] = '#'
-	}
 	for _, s := range r.Segs {
 		for i := range s {
 			s[i] = '#'
@@ -217,17 +219,21 @@ func scribbleResult(r *Result) {
 	for i := range r.Ents {
 		r.Ents[i] = Dirent{Name: "#", Ino: 1}
 	}
-	for i := range r.Pollfds {
-		r.Pollfds[i] = Pollfd{Fd: -9, Revents: 0xff}
-	}
+}
+
+// sameSlice reports whether a and b are one slice: same length and,
+// when not empty, the same first element.
+func sameSlice[T any](a, b []T) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // TestFrameMoveMatchesClone checks that a moved frame is what the old
 // whole-frame clone delivered and charges the same bytes, for every
 // row's argument shapes, every result shape (OK and failed, filled, nil
-// and empty), a call refused before its op ran, and the doorbell; and
-// that buffers the sender changes after posting do not show in the
-// delivered frame.
+// and empty), a call refused before its op ran, and the doorbell; that
+// buffers the sender lent and changes after posting do not show in the
+// delivered frame; and that an OK reply's Data and Pollfds arrive as
+// the sender's own slices.
 func TestFrameMoveMatchesClone(t *testing.T) {
 	for trap := 0; trap < SYS_max; trap++ {
 		name := SyscallName(trap)
@@ -255,6 +261,19 @@ func TestFrameMoveMatchesClone(t *testing.T) {
 			}
 			if !reflect.DeepEqual(f, want) {
 				t.Errorf("%s reply (%s): moved frame\n%+v\nclone\n%+v", name, rn, f, want)
+			}
+			if lent.Err != OK {
+				continue
+			}
+			switch rowOf(trap).Ret {
+			case RetBytes:
+				if lent.Data != nil && !sameSlice(f.Res.Data, lent.Data) {
+					t.Errorf("%s reply (%s): Data copied, want the sender's slice moved", name, rn)
+				}
+			case RetPollfds:
+				if !sameSlice(f.Res.Pollfds, lent.Pollfds) {
+					t.Errorf("%s reply (%s): Pollfds copied, want the sender's slice moved", name, rn)
+				}
 			}
 		}
 	}

@@ -36,9 +36,11 @@ func TestHeapRingsLayout(t *testing.T) {
 }
 
 // TestCallFrameSize pins CallFrame at 240 bytes on 64-bit platforms:
-// inside Go's 256-byte allocation class, which every async call pays
-// twice (the frame and its clone). One more word-sized field moves it to
-// the 288-byte class.
+// inside Go's 256-byte allocation class. A frame moves to the kernel
+// instead of being cloned and comes back to its runtime's CallPool, so
+// a warm call allocates no frame; the pin bounds what a pool grows by
+// and what a frame posted outside a pool (exit's) costs. One more
+// word-sized field moves it to the 288-byte class.
 func TestCallFrameSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes pinned for 64-bit platforms")

@@ -140,9 +140,12 @@ type Args struct {
 // Result is one call's typed result: ret and errno, plus the field the
 // row's Ret names. Pair and Status travel in Aux; Pollfds alias the
 // call's Args.Pollfds with revents filled in. A RetBytes payload is Data,
-// or, for a read gathered from cache pages, Segs with Data nil: the
-// segments may be views that stay valid only until the op's completion
-// returns, so each codec copies them before then.
+// or, for a read gathered from cache pages, Segs with Data nil.
+//
+// Data and Pollfds belong to the result: whoever completes a call with
+// them gives them up, so an asynchronous reply moves them to the reader
+// uncopied. Segs may be views that stay valid only until the op's
+// completion returns, so each codec copies them before then.
 type Result struct {
 	Ret     int64
 	Err     Errno
@@ -407,10 +410,11 @@ func (f *CallFrame) CloneInPlace() int64 {
 	return prop("type", int64(len("syscall"))) + prop("id", numSize) + prop("name", int64(len(row.Name))) + prop("args", n)
 }
 
-// CloneInPlace keeps ret, errno and, on success, a copy of the result
-// field row Trap's Ret names (readv's segments without empty ones,
-// read's segments as one buffer), and sizes the object. A failed readv
-// replies [-1, errno].
+// CloneInPlace keeps ret, errno and, on success, the result field row
+// Trap's Ret names, and sizes the object. Data and Pollfds, which
+// belong to the result, move; everything else is copied (readv's
+// segments without empty ones, read's segments as one buffer). A
+// failed readv replies [-1, errno].
 func (f *ReplyFrame) CloneInPlace() int64 {
 	r := &f.Res
 	c := Result{Ret: r.Ret, Err: r.Err}
@@ -418,25 +422,24 @@ func (f *ReplyFrame) CloneInPlace() int64 {
 	n := int64(2 * (numSize + 8)) // the ret array
 	switch rowOf(f.Trap).Ret {
 	case RetBytes:
-		// A gathered read's segments, which may be views the sender
-		// reuses once this returns, travel as the one buffer a read
-		// replies with.
-		segs := r.Segs
-		if r.Data != nil {
-			segs = nil
-		}
-		size := len(r.Data)
-		for _, s := range segs {
-			size += len(s)
-		}
-		if ok {
-			data := append(make([]byte, 0, size), r.Data...)
-			for _, s := range segs {
+		// Data moves. A gathered read's segments, which may be views
+		// the sender reuses once this returns, travel as the one
+		// buffer a read replies with (empty, not nil, at EOF).
+		data := r.Data
+		if data == nil {
+			size := 0
+			for _, s := range r.Segs {
+				size += len(s)
+			}
+			data = make([]byte, 0, size)
+			for _, s := range r.Segs {
 				data = append(data, s...)
 			}
+		}
+		if ok {
 			c.Data = data
 		}
-		n += int64(size) + 8
+		n += int64(len(data)) + 8
 	case RetSegs:
 		if !ok {
 			c.Ret = -1
@@ -475,7 +478,7 @@ func (f *ReplyFrame) CloneInPlace() int64 {
 		n += numSize + 8
 	case RetPollfds:
 		if ok {
-			c.Pollfds = append([]Pollfd(nil), r.Pollfds...)
+			c.Pollfds = r.Pollfds
 		}
 		n += int64(len(r.Pollfds))*(numSize+8) + 8
 	}

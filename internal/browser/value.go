@@ -41,8 +41,11 @@ type Shared interface {
 // the message itself moves to the receiver: CloneInPlace copies into
 // the message only the payload it borrows from its sender (buffers,
 // lists, records) and returns the bytes Clone would charge for the
-// object it stands for. A sender that reused a message would have to
-// post a fresh one instead.
+// object it stands for. A payload the sender gave up with the message
+// is not borrowed and moves uncopied: a system-call reply's Data and
+// Pollfds belong to the result, while its Segs may be views and are
+// copied. A sender that reused a message would have to post a fresh
+// one instead.
 type SelfCloner interface {
 	CloneInPlace() int64
 }

@@ -269,9 +269,11 @@ func TestRegistrationFrameCloneBytes(t *testing.T) {
 }
 
 // TestAsyncFrameCloneIsDeep checks a moved frame shares no memory with
-// its sender: mutating every byte, string list and record the sender
-// lent the frame leaves the delivered frame as a clone of an untouched
-// original.
+// its sender that the sender lent it: mutating every byte, string list
+// and record the sender lent the frame leaves the delivered frame as a
+// clone of an untouched original. A reply's Data (read, pread) and
+// Pollfds (poll) are not lent: they belong to the completion, and the
+// delivered frame carries the completion's own slice.
 func TestAsyncFrameCloneIsDeep(t *testing.T) {
 	for trap := 1; trap < abi.SYS_max; trap++ {
 		a := fullArgs()
@@ -290,12 +292,24 @@ func TestAsyncFrameCloneIsDeep(t *testing.T) {
 
 		res := fullResult(abi.OK)
 		rc, _ := browser.Clone(&abi.ReplyFrame{ID: 1, Trap: trap, Res: res})
-		scribble(res.Data)
-		for _, s := range res.Segs {
-			scribble(s)
+		got := rc.(*abi.ReplyFrame).Res
+		switch name := abi.Syscalls[trap].Name; abi.Syscalls[trap].Ret {
+		case abi.RetBytes:
+			if len(got.Data) == 0 || &got.Data[0] != &res.Data[0] {
+				t.Errorf("%s reply: Data %q is not the completion's own slice", name, got.Data)
+			}
+		case abi.RetPollfds:
+			if len(got.Pollfds) == 0 || &got.Pollfds[0] != &res.Pollfds[0] {
+				t.Errorf("%s reply: Pollfds %+v is not the completion's own slice", name, got.Pollfds)
+			}
+		default:
+			scribble(res.Data)
+			for _, s := range res.Segs {
+				scribble(s)
+			}
+			res.Ents[0].Name = "zz"
+			res.Pollfds[0].Revents = 0
 		}
-		res.Ents[0].Name = "zz"
-		res.Pollfds[0].Revents = 0
 		rwant, _ := browser.Clone(&abi.ReplyFrame{ID: 1, Trap: trap, Res: fullResult(abi.OK)})
 		if !reflect.DeepEqual(rc, rwant) {
 			t.Errorf("%s reply: copy changed with the original:\n%+v\nwant %+v", abi.Syscalls[trap].Name, rc, rwant)

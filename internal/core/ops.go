@@ -75,16 +75,18 @@ type callCont struct {
 
 	pollfds []abi.Pollfd // poll's records, answered with revents filled in
 
-	// Adapters, bound once in newCont.
+	// Adapters, bound once in newCont. Completing with bytes hands
+	// the payload over, and poll hands over pollfds: an asynchronous
+	// reply moves both to the reader uncopied (abi.Result).
 	count    func(int, abi.Errno)      // ret n
 	ret      func(int64, abi.Errno)    // ret n (offsets, writev totals)
-	bytes    func([]byte, abi.Errno)   // a payload
+	bytes    func([]byte, abi.Errno)   // a payload the caller gives up
 	segs     func([][]byte, abi.Errno) // a gathered payload
 	fileSegs func([][]byte, abi.Errno) // a gathered file payload at d's offset
 	oneSeg   func([]byte, abi.Errno)   // a payload, as a gathered one
 	errno    func(abi.Errno)           // no value
 	stat     func(abi.Stat, abi.Errno) // a stat record
-	poll     func(int, abi.Errno)      // ready count, revents in pollfds
+	poll     func(int, abi.Errno)      // ready count, revents in pollfds, given up
 }
 
 func newCont(t *Task) *callCont {
@@ -205,8 +207,8 @@ func init() {
 		abi.SYS_read: func(k *Kernel, t *Task, a callArgs, c *callCont) {
 			// Files gather: a warm page-cache hit comes back as views of
 			// the cached pages, which the codec copies once into the
-			// heap or reply before the completion returns. Pipes and sockets read
-			// one buffer.
+			// heap or reply before the completion returns. Pipes and
+			// sockets read one buffer they own, which a reply moves.
 			switch f := a.d.file.(type) {
 			case vectoredReader:
 				c.readv(f, a.d, int(a.Cap))

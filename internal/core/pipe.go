@@ -23,9 +23,12 @@ const PipeCap = 64 * 1024
 // buffers it owns: a pipe end's or a socket's write (and writev) moves
 // the kernel's copy of the caller's bytes (decoded from a process heap
 // or carried by a call frame) into the queue without copying it again,
-// and Splice moves whole segments out to the reader — so a payload is
-// copied once per crossing (into the kernel, and into the destination
-// heap or reply) instead of again at every pipe.
+// and a read hands out the segment it takes (Splice whole segments) —
+// so no pipe copies a payload again. On the asynchronous transport the
+// write's clone is the payload's one host copy end to end: the pipe
+// keeps it and the read's reply moves it to the reader. On the heap
+// transport the payload is copied out of the writer's heap and into the
+// reader's, once each way.
 //
 // The segment queue and both wait queues keep their backing arrays as
 // they drain, so a pipe in a steady state of writes and reads allocates

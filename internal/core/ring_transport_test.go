@@ -246,11 +246,11 @@ func TestSyncRoundTripAllocs(t *testing.T) {
 // call the runtime posts a call frame from its pool and parks, the
 // kernel runs the op and posts a reply frame from the task's pool, and
 // the runtime releases the reply once it has read the result. What is
-// left is what the modelled structured clones copy: the write buffer
-// into the kernel and the read payload out of it (two allocations).
+// left is the write's clone of its buffer into the kernel (one
+// allocation): the pipe keeps it, and the read's reply moves it out.
 func TestAsyncRuntimeRoundTripAllocs(t *testing.T) {
 	w := boot(t)
-	pipeLoopAllocs(t, w, rt.NodeKind, &w.k.AsyncSyscalls, 2)
+	pipeLoopAllocs(t, w, rt.NodeKind, &w.k.AsyncSyscalls, 1)
 }
 
 // pipeLoopAllocs runs t-ringloop in w on a runtime of kind and fails

@@ -12,13 +12,14 @@ import (
 // TestAsyncRoundTripAllocs measures a warm asynchronous pipe write plus
 // read: the worker posts both call frames, the kernel runs the ops and
 // posts both replies, and the worker releases each reply after reading
-// it, as the runtime does. What is left is what the modelled structured
-// clones copy: the write buffer and the read payload. The worker reuses
-// its two call frames, as the runtime's pool does; reply frames come
-// from the task's pool, and delivery events, continuation records and
-// the pipe's queues allocate nothing once warm.
+// it, as the runtime does. What is left is the write's clone of its
+// buffer: the pipe keeps that copy, and the read's reply moves it to
+// the reader. The worker reuses its two call frames, as the runtime's
+// pool does; reply frames come from the task's pool, and delivery
+// events, continuation records and the pipe's queues allocate nothing
+// once warm.
 func TestAsyncRoundTripAllocs(t *testing.T) {
-	const limit = 2
+	const limit = 1
 	fw := newFrameWorld(t)
 	var rfd, wfd int
 	fw.run(t, func() { rfd, wfd = fw.k.doPipe2(fw.task) })
@@ -51,6 +52,53 @@ func TestAsyncRoundTripAllocs(t *testing.T) {
 	}
 	if n > limit {
 		t.Fatalf("async pipe write+read allocated %v times per round trip, want <= %d", n, limit)
+	}
+}
+
+// TestAsyncPollRoundTripAllocs measures a warm asynchronous poll over
+// 32 descriptors (16 pipes, each read end asked for POLLIN and each
+// write end for POLLOUT, so the poll answers at once): the call frame's
+// clone of the pollfd set is the one allocation left, since the reply
+// moves that set, revents filled in, back to the worker.
+func TestAsyncPollRoundTripAllocs(t *testing.T) {
+	const limit = 1
+	fw := newFrameWorld(t)
+	var fds []abi.Pollfd
+	fw.run(t, func() {
+		for i := 0; i < 16; i++ {
+			rfd, wfd := fw.k.doPipe2(fw.task)
+			fds = append(fds, abi.Pollfd{Fd: int32(rfd), Events: abi.POLLIN}, abi.Pollfd{Fd: int32(wfd), Events: abi.POLLOUT})
+		}
+	})
+	replies, ready, writable := 0, int64(0), 0
+	fw.wk.Ctx.OnMessage = func(v browser.Value) {
+		f := v.(*abi.ReplyFrame)
+		replies, ready, writable = replies+1, f.Res.Ret, 0
+		for _, p := range f.Res.Pollfds {
+			if p.Revents == abi.POLLOUT {
+				writable++
+			}
+		}
+		f.Release()
+	}
+	pf := &abi.CallFrame{}
+	post := func() { fw.wk.PostToParent(pf) }
+	roundTrip := func() {
+		*pf = abi.CallFrame{ID: 1, Trap: abi.SYS_poll, Args: abi.Args{Pollfds: fds}}
+		fw.sim.Post(fw.wk.Ctx.Sched(), fw.sim.Now(), post)
+		fw.sim.Run()
+	}
+	for i := 0; i < 8; i++ {
+		roundTrip()
+	}
+	replies = 0
+	n := testing.AllocsPerRun(200, roundTrip)
+	if replies != 201 || ready != 16 || writable != 16 {
+		t.Fatalf("%d replies, last ready %d with %d POLLOUT revents; want every poll answered with the 16 write ends", replies, ready, writable)
+	}
+	t.Logf("async poll of %d fds: %v allocations per round trip", len(fds), n)
+	if n > limit {
+		t.Fatalf("async poll of %d fds allocated %v times per round trip, want <= %d", len(fds), n, limit)
 	}
 }
 

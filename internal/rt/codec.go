@@ -28,7 +28,6 @@ func (r *workerRT) call(trap int, a *abi.Args) abi.Result {
 			return abi.Result{Ret: -1, Err: abi.EIO}
 		}
 		res := f.Res
-		f.Release()
 		if row.Ret == abi.RetPollfds && res.Err == abi.OK {
 			for i := range a.Pollfds {
 				a.Pollfds[i].Revents = 0
@@ -37,6 +36,7 @@ func (r *workerRT) call(trap int, a *abi.Args) abi.Result {
 				}
 			}
 		}
+		f.Release()
 		return res
 	}
 	var s staged

@@ -147,12 +147,16 @@ func TestSwarmRoundsLeaveNoServerConns(t *testing.T) {
 // keep-alive swarm round against the meme server: 32 open-loop clients
 // with 16 GET /healthz each on one connection apiece, as a benchmark
 // round. Per request, what is left is the request the swarm's Request
-// builds and its copy into the socket, the frames' payload copies (the
-// read and the write, and the poll sets each way, shared among the
-// requests one poll pass serves) and each connection's dial, amortized
-// over its requests. The bound is per request, averaged over a round.
+// builds and its copy into the socket, the call frames' payload copies
+// (the response write's bytes, and the poll set the server sends,
+// shared among the requests one poll pass serves; a read's bytes and a
+// poll's revents come back in the reply uncopied) and each connection's
+// dial, amortized over its requests. The bound is per request, averaged
+// over a round: 6.69 measured on linux/amd64 (go1.24, with and without
+// -race), plus about 12% for allocator and map-growth differences
+// between Go releases.
 func TestSwarmRoundAllocsPerRequest(t *testing.T) {
-	const bound = 10
+	const bound = 7.5
 	in := bootMemeLoad(t, async)
 	in.StartMemeServerArgs()
 	round := func(seed uint64) netsim.LoadReport {
@@ -173,7 +177,7 @@ func TestSwarmRoundAllocsPerRequest(t *testing.T) {
 	perReq := float64(after.Mallocs-before.Mallocs) / float64(requests)
 	t.Logf("%.2f allocations per request", perReq)
 	if perReq > bound {
-		t.Fatalf("warm keep-alive swarm round: %.2f allocations per request, want <= %d", perReq, bound)
+		t.Fatalf("warm keep-alive swarm round: %.2f allocations per request, want <= %v", perReq, bound)
 	}
 }
 
