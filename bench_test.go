@@ -343,8 +343,8 @@ func BenchmarkMemeCompose(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	assets := &meme.Assets{Font: font, Templates: meme.Templates()}
-	tpl := assets.Templates["doge"]
+	assets := &meme.Assets{Font: font}
+	tpl := meme.Templates()["doge"]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		img, _ := assets.Compose(tpl, "MUCH UNIX", "VERY BROWSER")

@@ -11,7 +11,10 @@ import (
 // kernel-side sockets, plus the netsim remote-host twin the case studies
 // route against.
 
-// HTTPResponse is the result of Fetch/FetchSync.
+// HTTPResponse is the result of Fetch/FetchSync. A remote host's
+// response may share its Header and Body with every other request's
+// (the meme server's healthz and templates listing do), so neither may
+// be modified.
 type HTTPResponse struct {
 	Status int
 	Header map[string]string

@@ -2,14 +2,17 @@ package abi
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 )
 
 // The reference clones: the bodies CallFrame.CloneValue and
 // ReplyFrame.CloneValue had when frames were copied whole on every
 // post, kept (as functions) so a moved frame can be checked against the
-// copy it replaces. refCloneReply moves a reply's Data and Pollfds,
-// which belong to the result, and copies everything else as before.
+// copy it replaces. refCloneCall moves a poll call's Pollfds, which
+// belong to the call, zeroing their revents in place; refCloneReply
+// moves a reply's Data and Pollfds, which belong to the result. Both
+// copy everything else as before.
 
 func refCloneCall(f *CallFrame) (any, int64) {
 	row := rowOf(f.Trap)
@@ -55,10 +58,10 @@ func refCloneCall(f *CallFrame) (any, int64) {
 			ca.Bufs, m = cloneBufs(a.Bufs, false)
 			n += m + 8
 		case ArgPollfds:
-			ca.Pollfds = make([]Pollfd, len(a.Pollfds))
-			for i, p := range a.Pollfds {
-				ca.Pollfds[i] = Pollfd{Fd: p.Fd, Events: p.Events}
+			for i := range a.Pollfds {
+				a.Pollfds[i].Revents = 0
 			}
+			ca.Pollfds = a.Pollfds
 			n += int64(len(a.Pollfds))*2*(numSize+8) + 8
 		}
 	}
@@ -185,7 +188,8 @@ var moveResults = map[string]func() Result{
 	"err-filled": func() Result { return fullResult(ENOENT) },
 }
 
-// scribbleArgs overwrites every buffer, list and record a sender lent.
+// scribbleArgs overwrites every buffer, list and record a sender lent;
+// Pollfds are not lent but given up, so they are left alone.
 func scribbleArgs(a *Args) {
 	for i := range a.Bytes {
 		a.Bytes[i] = '#'
@@ -202,9 +206,6 @@ func scribbleArgs(a *Args) {
 	}
 	for i := range a.Ints {
 		a.Ints[i] = -9
-	}
-	for i := range a.Pollfds {
-		a.Pollfds[i] = Pollfd{Fd: -9, Events: 0xff, Revents: 0xff}
 	}
 }
 
@@ -232,8 +233,8 @@ func sameSlice[T any](a, b []T) bool {
 // row's argument shapes, every result shape (OK and failed, filled, nil
 // and empty), a call refused before its op ran, and the doorbell; that
 // buffers the sender lent and changes after posting do not show in the
-// delivered frame; and that an OK reply's Data and Pollfds arrive as
-// the sender's own slices.
+// delivered frame; and that a poll call's Pollfds, with revents zeroed,
+// and an OK reply's Data and Pollfds arrive as the sender's own slices.
 func TestFrameMoveMatchesClone(t *testing.T) {
 	for trap := 0; trap < SYS_max; trap++ {
 		name := SyscallName(trap)
@@ -248,6 +249,9 @@ func TestFrameMoveMatchesClone(t *testing.T) {
 			}
 			if !reflect.DeepEqual(f, want) {
 				t.Errorf("%s call (%s args): moved frame\n%+v\nclone\n%+v", name, an, f, want)
+			}
+			if slices.Contains(rowOf(trap).Args, ArgPollfds) && !sameSlice(f.Args.Pollfds, lent.Pollfds) {
+				t.Errorf("%s call (%s args): Pollfds copied, want the sender's slice moved", name, an)
 			}
 		}
 		for rn, mk := range moveResults {

@@ -43,16 +43,24 @@ func PackPollfds(b []byte, fds []Pollfd) int {
 	return len(fds) * PollfdSize
 }
 
-// UnpackPollfds decodes n Pollfd records from b.
-func UnpackPollfds(b []byte, n int) []Pollfd {
+// AppendPollfds decodes up to n Pollfd records from b onto dst.
+func AppendPollfds(dst []Pollfd, b []byte, n int) []Pollfd {
 	le := binary.LittleEndian
-	out := make([]Pollfd, 0, n)
 	for i := 0; i < n && (i+1)*PollfdSize <= len(b); i++ {
-		out = append(out, Pollfd{
+		dst = append(dst, Pollfd{
 			Fd:      int32(le.Uint32(b[i*PollfdSize:])),
 			Events:  le.Uint32(b[i*PollfdSize+4:]),
 			Revents: le.Uint32(b[i*PollfdSize+8:]),
 		})
 	}
-	return out
+	return dst
+}
+
+// UnpackRevents reads the revents of the records packed in b into fds,
+// one record per element. b must hold len(fds)*PollfdSize bytes.
+func UnpackRevents(b []byte, fds []Pollfd) {
+	le := binary.LittleEndian
+	for i := range fds {
+		fds[i].Revents = le.Uint32(b[i*PollfdSize+8:])
+	}
 }

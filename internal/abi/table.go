@@ -121,6 +121,11 @@ type Syscall struct {
 // ArgFd and ArgOpt values go to Int, ArgStr to Str, ArgStrs to Strs,
 // ArgOut and ArgOutBuf capacities to Cap, ArgInts and ArgLens (no row
 // has both) to Ints, and each other shape to its own field.
+//
+// Pollfds belong to the call: whoever issues a poll with them gives
+// them up until the reply, so an asynchronous call moves them to the
+// kernel uncopied, and the reply moves them back with revents filled
+// in. Every other buffer and list is lent and copied.
 type Args struct {
 	Int     [3]int64
 	Str     [2]string
@@ -138,9 +143,11 @@ type Args struct {
 }
 
 // Result is one call's typed result: ret and errno, plus the field the
-// row's Ret names. Pair and Status travel in Aux; Pollfds alias the
-// call's Args.Pollfds with revents filled in. A RetBytes payload is Data,
-// or, for a read gathered from cache pages, Segs with Data nil.
+// row's Ret names. Pair and Status travel in Aux; Pollfds are the
+// call's Args.Pollfds with revents filled in, on the asynchronous
+// transport the very array the call moved to the kernel. A RetBytes
+// payload is Data, or, for a read gathered from cache pages, Segs with
+// Data nil.
 //
 // Data and Pollfds belong to the result: whoever completes a call with
 // them gives them up, so an asynchronous reply moves them to the reader
@@ -353,8 +360,10 @@ func rowOf(trap int) *Syscall {
 }
 
 // CloneInPlace keeps only the arguments f's row sends (an ArgOpt only
-// when non-zero, Pollfds without revents), each a copy of the sender's,
-// and sizes the object.
+// when non-zero), each a copy of the sender's, and sizes the object.
+// Pollfds, which belong to the call, move: their revents are zeroed in
+// place, and the charge is that of the {fd, events} records the object
+// carries.
 func (f *CallFrame) CloneInPlace() int64 {
 	row := rowOf(f.Trap)
 	var c Args
@@ -399,9 +408,9 @@ func (f *CallFrame) CloneInPlace() int64 {
 			ca.Bufs, m = cloneBufs(a.Bufs, false)
 			n += m + 8
 		case ArgPollfds:
-			ca.Pollfds = make([]Pollfd, len(a.Pollfds))
-			for i, p := range a.Pollfds {
-				ca.Pollfds[i] = Pollfd{Fd: p.Fd, Events: p.Events}
+			ca.Pollfds = a.Pollfds
+			for i := range ca.Pollfds {
+				ca.Pollfds[i].Revents = 0
 			}
 			n += int64(len(a.Pollfds))*2*(numSize+8) + 8
 		}

@@ -43,9 +43,9 @@ type Shared interface {
 // lists, records) and returns the bytes Clone would charge for the
 // object it stands for. A payload the sender gave up with the message
 // is not borrowed and moves uncopied: a system-call reply's Data and
-// Pollfds belong to the result, while its Segs may be views and are
-// copied. A sender that reused a message would have to post a fresh
-// one instead.
+// Pollfds belong to the result, and a poll call's Pollfds to the call,
+// while a reply's Segs may be views and are copied. A sender that
+// reused a message would have to post a fresh one instead.
 type SelfCloner interface {
 	CloneInPlace() int64
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/abi"
@@ -271,9 +272,11 @@ func TestRegistrationFrameCloneBytes(t *testing.T) {
 // TestAsyncFrameCloneIsDeep checks a moved frame shares no memory with
 // its sender that the sender lent it: mutating every byte, string list
 // and record the sender lent the frame leaves the delivered frame as a
-// clone of an untouched original. A reply's Data (read, pread) and
-// Pollfds (poll) are not lent: they belong to the completion, and the
-// delivered frame carries the completion's own slice.
+// clone of an untouched original. A poll call's Pollfds are not lent:
+// they belong to the call, and the delivered frame carries the sender's
+// own slice. Nor are a reply's Data (read, pread) and Pollfds (poll):
+// they belong to the completion, and the delivered frame carries the
+// completion's own slice.
 func TestAsyncFrameCloneIsDeep(t *testing.T) {
 	for trap := 1; trap < abi.SYS_max; trap++ {
 		a := fullArgs()
@@ -284,7 +287,13 @@ func TestAsyncFrameCloneIsDeep(t *testing.T) {
 		}
 		a.Strs[0][0], a.Strs[1][0] = "x", "y"
 		a.Ints[0] = 99
-		a.Pollfds[0] = abi.Pollfd{Fd: 99, Events: 99}
+		if slices.Contains(abi.Syscalls[trap].Args, abi.ArgPollfds) {
+			if got := c.(*abi.CallFrame).Args.Pollfds; len(got) == 0 || &got[0] != &a.Pollfds[0] {
+				t.Errorf("%s call: Pollfds %+v is not the sender's own slice", abi.Syscalls[trap].Name, got)
+			}
+		} else {
+			a.Pollfds[0] = abi.Pollfd{Fd: 99, Events: 99}
+		}
 		want, _ := browser.Clone(&abi.CallFrame{ID: 1, Trap: trap, Args: fullArgs()})
 		if !reflect.DeepEqual(c, want) {
 			t.Errorf("%s call: copy changed with the original:\n%+v\nwant %+v", abi.Syscalls[trap].Name, c, want)

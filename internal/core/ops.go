@@ -74,6 +74,9 @@ type callCont struct {
 	seg [1][]byte
 
 	pollfds []abi.Pollfd // poll's records, answered with revents filled in
+	// heapPollfds is the array the heap codec decodes a poll's records
+	// into; it stays with the record across calls.
+	heapPollfds []abi.Pollfd
 
 	// Adapters, bound once in newCont. Completing with bytes hands
 	// the payload over, and poll hands over pollfds: an asynchronous
@@ -140,6 +143,13 @@ func (t *Task) takeCont(trap int) *callCont {
 	}
 	c.trap, c.live = trap, true
 	return c
+}
+
+// dropCont hands back a record taken for a call that failed before its
+// op ran.
+func (t *Task) dropCont(c *callCont) {
+	c.live = false
+	t.conts.Put(c)
 }
 
 // done completes the call: the heap codec encodes r into the caller's

@@ -117,7 +117,7 @@ func TestPollAcceptStormSingleNotify(t *testing.T) {
 			if errno != abi.OK || ret != 1 {
 				t.Fatalf("poll frame %d: ret=%d errno=%v", s, ret, errno)
 			}
-			got := abi.UnpackPollfds(w.task.heap.Bytes()[pollPtrs[s]:pollPtrs[s]+abi.PollfdSize], 1)
+			got := abi.AppendPollfds(nil, w.task.heap.Bytes()[pollPtrs[s]:pollPtrs[s]+abi.PollfdSize], 1)
 			if got[0].Revents&abi.POLLIN == 0 {
 				t.Fatalf("poll frame %d: revents %#x, want POLLIN", s, got[0].Revents)
 			}

@@ -57,11 +57,11 @@ func TestAsyncRoundTripAllocs(t *testing.T) {
 
 // TestAsyncPollRoundTripAllocs measures a warm asynchronous poll over
 // 32 descriptors (16 pipes, each read end asked for POLLIN and each
-// write end for POLLOUT, so the poll answers at once): the call frame's
-// clone of the pollfd set is the one allocation left, since the reply
-// moves that set, revents filled in, back to the worker.
+// write end for POLLOUT, so the poll answers at once): nothing is
+// allocated, since the call frame moves the worker's pollfd set to the
+// kernel and the reply moves it back with revents filled in.
 func TestAsyncPollRoundTripAllocs(t *testing.T) {
-	const limit = 1
+	const limit = 0
 	fw := newFrameWorld(t)
 	var fds []abi.Pollfd
 	fw.run(t, func() {

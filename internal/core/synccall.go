@@ -40,21 +40,32 @@ func (t *Task) heapStr(ptr, n int64) string {
 	return string(t.heap.Bytes()[ptr : ptr+n])
 }
 
-// heapBytes copies a checked (ptr,len) buffer out of the heap.
-func (t *Task) heapBytes(ptr, n int64) []byte {
+// heapView charges a checked (ptr,len) buffer's crossing out of the
+// heap and returns the heap's bytes there, for a decoder that copies
+// them before the guest runs again.
+func (t *Task) heapView(ptr, n int64) []byte {
 	k := t.k
 	k.Sys.Sim.Charge(int64(float64(n) * k.CPU.SyncByteNs))
+	return t.heap.Bytes()[ptr : ptr+n]
+}
+
+// heapBytes copies a checked (ptr,len) buffer out of the heap.
+func (t *Task) heapBytes(ptr, n int64) []byte {
 	out := make([]byte, n)
-	copy(out, t.heap.Bytes()[ptr:ptr+n])
+	copy(out, t.heapView(ptr, n))
 	return out
 }
 
 // heapWrite copies data into a checked heap range at ptr.
 func (t *Task) heapWrite(ptr int64, data []byte) {
-	k := t.k
-	k.Sys.Sim.Charge(int64(float64(len(data)) * k.CPU.SyncByteNs))
-	copy(t.heap.Bytes()[ptr:], data)
-	t.heap.MarkDirty(int(ptr), len(data))
+	t.heapWrote(ptr, copy(t.heap.Bytes()[ptr:], data))
+}
+
+// heapWrote charges the crossing of n bytes just written into the heap
+// at ptr and marks them dirty.
+func (t *Task) heapWrote(ptr int64, n int) {
+	t.k.Sys.Sim.Charge(int64(float64(n) * t.k.CPU.SyncByteNs))
+	t.heap.MarkDirty(int(ptr), n)
 }
 
 // heapWritePayload copies a read's payload into a checked heap range at
@@ -70,8 +81,7 @@ func (t *Task) heapWritePayload(ptr int64, r abi.Result) int64 {
 	for _, s := range r.Segs {
 		n += copy(t.heap.Bytes()[ptr+int64(n):], s)
 	}
-	t.k.Sys.Sim.Charge(int64(float64(n) * t.k.CPU.SyncByteNs))
-	t.heap.MarkDirty(int(ptr), n)
+	t.heapWrote(ptr, n)
 	return int64(n)
 }
 
@@ -107,12 +117,13 @@ func (k *Kernel) heapCall(t *Task, c pendingCall, done func(seq uint32, ret int6
 		done(seq, -1, abi.ENOSYS)
 		return
 	}
-	a, out, err := t.heapArgs(row, c.args)
+	cont := t.takeCont(c.trap)
+	a, out, err := t.heapArgs(row, c.args, &cont.heapPollfds)
 	if err != abi.OK {
+		t.dropCont(cont)
 		done(seq, -1, err)
 		return
 	}
-	cont := t.takeCont(c.trap)
 	cont.ring, cont.reg, cont.seq, cont.out, cont.d = done, t.ring, seq, out, a.d
 	op(k, t, a, cont)
 }
@@ -160,8 +171,10 @@ func heapExtent(shape abi.Arg, ret abi.Ret, w []int64, i int) (ptr, n, elem int6
 // heapArgs decodes a frame's words into typed arguments. First every
 // guest range the row names is checked, with nothing read or charged;
 // then the arguments are copied out in row order, each charged per byte
-// as it crosses, and an ArgFd is looked up where it stands.
-func (t *Task) heapArgs(row *abi.Syscall, w []int64) (a callArgs, out heapOut, err abi.Errno) {
+// as it crosses, and an ArgFd is looked up where it stands. Pollfds
+// are decoded into *pollfds, the call's record buffer, which keeps its
+// array for the record's next heap poll.
+func (t *Task) heapArgs(row *abi.Syscall, w []int64, pollfds *[]abi.Pollfd) (a callArgs, out heapOut, err abi.Errno) {
 	i := 0
 	for _, shape := range row.Args {
 		ptr, n, elem, err := heapExtent(shape, row.Ret, w, i)
@@ -227,7 +240,8 @@ func (t *Task) heapArgs(row *abi.Syscall, w []int64) (a callArgs, out heapOut, e
 				}
 			}
 		case abi.ArgPollfds:
-			a.Pollfds = abi.UnpackPollfds(t.heapBytes(ptr, n*abi.PollfdSize), int(n))
+			*pollfds = abi.AppendPollfds((*pollfds)[:0], t.heapView(ptr, n*abi.PollfdSize), int(n))
+			a.Pollfds = *pollfds
 			out.ptr = ptr
 		case abi.ArgOut, abi.ArgOutBuf:
 			out.ptr, out.cap, a.Cap = ptr, n, n
@@ -304,9 +318,8 @@ func (t *Task) heapResult(shape abi.Ret, out heapOut, d *Desc, r abi.Result) (in
 		}
 	case abi.RetPollfds:
 		if r.Err == abi.OK {
-			buf := make([]byte, len(r.Pollfds)*abi.PollfdSize)
-			abi.PackPollfds(buf, r.Pollfds)
-			t.heapWrite(out.ptr, buf)
+			// The records land where they were decoded from.
+			t.heapWrote(out.ptr, abi.PackPollfds(t.heap.Bytes()[out.ptr:], r.Pollfds))
 		}
 	}
 	return r.Ret, r.Err

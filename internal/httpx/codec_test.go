@@ -3,6 +3,7 @@ package httpx
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -219,8 +220,7 @@ func FuzzTextprotoCanon(f *testing.F) {
 // writing its "ok" response, and parsing that. A connection's warm
 // exchange, appending into its reused buffers and parsing into its
 // reused message, allocates nothing; so does a reused message whose
-// head alternates between two shapes, once each shape's header map
-// has grown.
+// head alternates between two shapes, which it remembers both of.
 func TestHealthzExchangeAllocs(t *testing.T) {
 	req := &Request{Method: "GET", Path: "/healthz"}
 	raw := WriteRequest(req)
@@ -251,10 +251,92 @@ func TestHealthzExchangeAllocs(t *testing.T) {
 		}
 	})
 	other := WriteRequest(&Request{Method: "GET", Path: "/api/templates", Header: map[string]string{"X-A": "1", "X-B": "2"}})
-	check("Request.ParseBuffered alternating", 2, func() {
+	check("Request.ParseBuffered alternating", 0, func() {
 		in.ParseBuffered(other)
 		if _, err := in.ParseBuffered(raw); err != abi.OK || in.Path != "/healthz" || len(in.Header) != 1 {
 			t.Fatalf("reused parse after another head: %+v (%v)", in, err)
 		}
 	})
+}
+
+// TestTwoHeadsAlternateWithoutAllocs: a reused request or response
+// whose heads alternate between two shapes (healthz and the templates
+// listing, as a meme-swarm connection's do) allocates nothing once it
+// has seen both, and each parse shows its own head's fields.
+func TestTwoHeadsAlternateWithoutAllocs(t *testing.T) {
+	reqs := [2][]byte{
+		WriteRequest(&Request{Method: "GET", Path: "/healthz"}),
+		WriteRequest(&Request{Method: "POST", Path: "/api/templates", Header: map[string]string{"X-A": "1"}, Body: []byte("{}")}),
+	}
+	resps := [2][]byte{
+		AppendResponse(nil, &Response{Status: 200, Body: []byte("ok")}, false),
+		AppendResponse(nil, &Response{Status: 404, Header: map[string]string{"Content-Type": "application/json"}, Body: []byte("[]")}, false),
+	}
+	var req Request
+	var resp Response
+	i := 0
+	step := func() {
+		k := i % 2
+		i++
+		if _, err := req.ParseBuffered(reqs[k]); err != abi.OK {
+			t.Fatalf("request %d: %v", k, err)
+		}
+		if _, err := resp.ParseBuffered(resps[k], false); err != abi.OK {
+			t.Fatalf("response %d: %v", k, err)
+		}
+		if k == 0 && (req.Method != "GET" || req.Path != "/healthz" || len(req.Header) != 1 || len(req.Body) != 0 ||
+			resp.Status != 200 || string(resp.Body) != "ok" || len(resp.Header) != 1) {
+			t.Fatalf("healthz shape: %+v / %+v", req, resp)
+		}
+		if k == 1 && (req.Method != "POST" || req.Path != "/api/templates" || req.Header["X-A"] != "1" || string(req.Body) != "{}" ||
+			resp.Status != 404 || resp.StatusText != "Not Found" || resp.Header["Content-Type"] != "application/json" || string(resp.Body) != "[]") {
+			t.Fatalf("templates shape: %+v / %+v", req, resp)
+		}
+	}
+	step()
+	step()
+	if n := testing.AllocsPerRun(200, step); n != 0 {
+		t.Errorf("alternating two heads: %v allocations per request and response, want 0", n)
+	}
+}
+
+// TestThirdHeadEvictsOlder: a reused request that sees a third head
+// parses it into the older head's place, and every parse of a rotation
+// through three shapes, repeats included, shows exactly that head's
+// fields and headers, with nothing left over from another shape.
+func TestThirdHeadEvictsOlder(t *testing.T) {
+	shapes := []*Request{
+		{Method: "GET", Path: "/healthz"},
+		{Method: "GET", Path: "/api/templates", Header: map[string]string{"Accept": "application/json"}},
+		{Method: "POST", Path: "/api/meme", Header: map[string]string{"X-B": "2", "X-C": "3"}, Body: []byte("{}")},
+	}
+	raws := make([][]byte, len(shapes))
+	for i, r := range shapes {
+		raws[i] = WriteRequest(r)
+	}
+	var req Request
+	for n, k := range []int{0, 1, 2, 0, 2, 1, 1, 0, 2, 0} {
+		if _, err := req.ParseBuffered(raws[k]); err != abi.OK {
+			t.Fatalf("parse %d (shape %d): %v", n, k, err)
+		}
+		want, _, err := ParseBufferedRequest(raws[k])
+		if err != abi.OK {
+			t.Fatalf("fresh parse of shape %d: %v", k, err)
+		}
+		if req.Method != want.Method || req.Path != want.Path || req.Proto != want.Proto ||
+			!maps.Equal(req.Header, want.Header) || string(req.Body) != string(want.Body) {
+			t.Errorf("parse %d (shape %d): %+v, want %+v", n, k, req, *want)
+		}
+	}
+	var resp Response
+	codes := []int{200, 404, 500}
+	for n, k := range []int{0, 1, 2, 1, 0, 2, 2, 0} {
+		raw := AppendResponse(nil, &Response{Status: codes[k], Header: map[string]string{"X-Shape": strconv.Itoa(k)}, Body: []byte("b")}, false)
+		if _, err := resp.ParseBuffered(raw, false); err != abi.OK {
+			t.Fatalf("response parse %d (shape %d): %v", n, k, err)
+		}
+		if resp.Status != codes[k] || resp.StatusText != statusText(codes[k]) || resp.Header["X-Shape"] != strconv.Itoa(k) || len(resp.Header) != 2 {
+			t.Errorf("response parse %d (shape %d): %+v", n, k, resp)
+		}
+	}
 }

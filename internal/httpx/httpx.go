@@ -26,8 +26,28 @@ type Request struct {
 	Header map[string]string
 	Body   []byte
 
-	// head is the raw head a parse last filled the fields from (setHead).
+	// head is the raw head a parse last filled the fields from, and
+	// alt the head before it, with its own fields and header map
+	// (setHead).
 	head string
+	alt  reqHead
+}
+
+// reqHead is a remembered request head and the fields it filled.
+type reqHead struct {
+	method, path, proto string
+	header              map[string]string
+	head                string
+}
+
+// swap exchanges req's head and fields with its remembered other head.
+func (req *Request) swap() {
+	a := &req.alt
+	req.Method, a.method = a.method, req.Method
+	req.Path, a.path = a.path, req.Path
+	req.Proto, a.proto = a.proto, req.Proto
+	req.Header, a.header = a.header, req.Header
+	req.head, a.head = a.head, req.head
 }
 
 // Response is an HTTP response.
@@ -37,7 +57,25 @@ type Response struct {
 	Header     map[string]string
 	Body       []byte
 
-	head string // as Request.head
+	head string   // as Request.head
+	alt  respHead // as Request.alt
+}
+
+// respHead is a remembered response head and the fields it filled.
+type respHead struct {
+	status     int
+	statusText string
+	header     map[string]string
+	head       string
+}
+
+// swap exchanges resp's head and fields with its remembered other head.
+func (resp *Response) swap() {
+	a := &resp.alt
+	resp.Status, a.status = a.status, resp.Status
+	resp.StatusText, a.statusText = a.statusText, resp.StatusText
+	resp.Header, a.header = a.header, resp.Header
+	resp.head, a.head = a.head, resp.head
 }
 
 // statusText covers the codes the system emits.
@@ -305,18 +343,27 @@ func (rd *reader) head(isResponse bool) ([]byte, abi.Errno) {
 	}
 }
 
-// setHead makes the head bytes h the message's head, unless they repeat
-// the head *prev the message was last parsed from. A new head is one
-// string, the only allocation its lines cost: the start line (returned)
-// and the header names and values are substrings of it, refilled into
-// *hdr, which is made only for a head with header lines. A repeated head
-// costs nothing and leaves the fields as they are (fresh is false).
-func setHead(h []byte, prev *string, hdr *map[string]string) (start string, fresh bool) {
-	if string(h) == *prev {
+// setHead makes the head bytes h the message's head. A message
+// remembers its last two heads, each with its own fields and header
+// map, so a connection whose messages alternate between two shapes
+// reparses neither: h repeating the current head *cur leaves the fields
+// as they are, and h repeating the other one swaps it in (swap
+// exchanges every field with the other head's). A third head evicts
+// the older one: after the swap it is refilled over that head's fields
+// (fresh is true). A new head is one string, the only allocation its
+// lines cost: the start line (returned) and the header names and
+// values are substrings of it, refilled into *hdr, which is made only
+// for a head with header lines.
+func setHead(h []byte, cur *string, hdr *map[string]string, swap func()) (start string, fresh bool) {
+	if string(h) == *cur {
 		return "", false
 	}
-	*prev = string(h)
-	start, *hdr = splitHead(*prev, *hdr)
+	swap()
+	if string(h) == *cur {
+		return "", false
+	}
+	*cur = string(h)
+	start, *hdr = splitHead(*cur, *hdr)
 	return start, true
 }
 
@@ -440,13 +487,14 @@ func (rd *reader) readBody(hdr map[string]string, isResponse bool) ([]byte, abi.
 }
 
 // readRequest parses one request into req: its line and headers (reused
-// when the head repeats req's last one, see setHead), then its body.
+// when the head repeats one of req's last two, see setHead), then its
+// body.
 func (rd *reader) readRequest(req *Request) abi.Errno {
 	h, err := rd.head(false)
 	if err != abi.OK {
 		return err
 	}
-	if line, fresh := setHead(h, &req.head, &req.Header); fresh {
+	if line, fresh := setHead(h, &req.head, &req.Header, req.swap); fresh {
 		var rest string
 		req.Method, rest, _ = strings.Cut(line, " ")
 		req.Path, req.Proto, _ = strings.Cut(rest, " ")
@@ -463,7 +511,7 @@ func (rd *reader) readResponse(resp *Response, eof bool) abi.Errno {
 	if err != abi.OK {
 		return err
 	}
-	if line, fresh := setHead(h, &resp.head, &resp.Header); fresh {
+	if line, fresh := setHead(h, &resp.head, &resp.Header, resp.swap); fresh {
 		_, rest, _ := strings.Cut(line, " ")
 		var code string
 		code, resp.StatusText, _ = strings.Cut(rest, " ")
@@ -531,9 +579,10 @@ func ParseBufferedResponse(buf []byte, eof bool) (*Response, []byte, abi.Errno) 
 }
 
 // ParseBuffered is ParseBufferedRequest into req, reusing it: a head
-// byte-identical to the one req was last parsed from leaves req's line
-// and headers as they are, and a new head refills req's header map, so a
-// connection's warm parse allocates nothing. The Body is a view of buf.
+// byte-identical to either of the last two req was parsed from brings
+// back that head's line and headers, and a new head refills the older
+// one's header map (setHead), so a connection's warm parse allocates
+// nothing. The Body is a view of buf.
 // What req held before is overwritten, and on an error req is left
 // partly filled.
 func (req *Request) ParseBuffered(buf []byte) (rest []byte, err abi.Errno) {
@@ -624,6 +673,7 @@ func Serve(p posix.Proc, port int, handler Handler) abi.Errno {
 	}
 	var conns []*srvConn // live connections, ascending fd
 	var fresh []*srvConn // accepted this pass; joins conns after service
+	var idle []*srvConn  // gone connections' records, for the next accepts
 	var fds []abi.Pollfd
 	for {
 		fds = append(fds[:0], abi.Pollfd{Fd: int32(lfd), Events: abi.POLLIN})
@@ -647,7 +697,14 @@ func Serve(p posix.Proc, port int, handler Handler) abi.Errno {
 			for {
 				batch, aerr := p.AcceptBatch(lfd, acceptChunk)
 				for _, cfd := range batch {
-					fresh = append(fresh, &srvConn{fd: cfd})
+					var c *srvConn
+					if n := len(idle); n > 0 {
+						c, idle = idle[n-1], idle[:n-1]
+					} else {
+						c = &srvConn{}
+					}
+					c.fd = cfd
+					fresh = append(fresh, c)
 				}
 				if aerr != abi.OK || len(batch) < acceptChunk {
 					break
@@ -658,6 +715,8 @@ func Serve(p posix.Proc, port int, handler Handler) abi.Errno {
 		for i, c := range conns {
 			if srvService(p, c, fds[i+1].Revents, handler) {
 				live = append(live, c)
+			} else {
+				idle = append(idle, c.recycle())
 			}
 		}
 		clear(conns[len(live):])
@@ -669,6 +728,15 @@ func Serve(p posix.Proc, port int, handler Handler) abi.Errno {
 			conns = slices.Insert(conns, i, c)
 		}
 	}
+}
+
+// recycle readies the record of a gone connection for the next one
+// accepted: its buffers keep their arrays and its request the heads it
+// remembers, so a new connection whose requests repeat an old one's
+// heads parses them without allocating.
+func (c *srvConn) recycle() *srvConn {
+	c.fd, c.in, c.out, c.closing, c.eof = -1, c.in[:0], c.out[:0], false, false
+	return c
 }
 
 // srvService handles one connection's poll result. It returns false

@@ -537,3 +537,34 @@ func TestServeSharedResponse(t *testing.T) {
 	check(a, 1, "close", true)
 	check(b, 2, "", false)
 }
+
+// TestServeRecycledConnCarriesNothing: a gone connection's record is
+// reused by the next accept, and nothing of the old connection reaches
+// the new one. The first client leaves a half-sent request buffered and
+// a response half-written behind a stalled reader when its descriptor
+// dies; the client accepted next on the same fd gets exactly the answers
+// to its own requests.
+func TestServeRecycledConnCarriesNothing(t *testing.T) {
+	f := newFakeNet(t)
+	var a, b *fakeClient
+	f.pass(func(f *fakeNet) { a = f.connect(2, -1) })
+	f.pass(func(*fakeNet) {
+		a.wcap = 10
+		a.send(a.reqs[0] + 5)
+	})
+	f.pass(func(f *fakeNet) { f.yank(a) })
+	f.pass(func(f *fakeNet) {
+		b = f.connect(3, -1)
+		sendAll(b)
+	})
+	f.serve()
+	if b.fd != a.fd {
+		t.Fatalf("second client got fd %d, want the first one's %d", b.fd, a.fd)
+	}
+	if len(a.got) != 10 {
+		t.Fatalf("first client got %q, want its reader's 10 bytes", a.got)
+	}
+	if n := b.responses(t); n != 3 || len(b.got) == 0 {
+		t.Fatalf("second client: %d responses, want 3 (got %q)", n, b.got)
+	}
+}

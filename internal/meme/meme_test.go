@@ -2,11 +2,13 @@ package meme
 
 import (
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/abi"
+	"repro/internal/httpx"
 )
 
 func TestPPMRoundTrip(t *testing.T) {
@@ -128,6 +130,40 @@ func TestHandleTemplatesAndGenerate(t *testing.T) {
 	}
 }
 
+// TestTemplateListingFollowsAdds: the templates listing is built once
+// per template set, so a template added after a listing shows in the
+// next one, which is then shared by the requests that follow, and every
+// listing is charged the listing and encoding work for the set it lists.
+func TestTemplateListingFollowsAdds(t *testing.T) {
+	assets := testAssets(t)
+	var charged []int64
+	cpu := func(ns int64, _ bool) { charged = append(charged, ns) }
+	list := func() (*httpx.Response, []string) {
+		resp := assets.Handle("GET", "/api/templates", nil, cpu)
+		var names []string
+		if err := json.Unmarshal(resp.Body, &names); resp.Status != 200 || err != nil {
+			t.Fatalf("templates: %d %q (%v)", resp.Status, resp.Body, err)
+		}
+		return resp, names
+	}
+	first, names := list()
+	if len(names) != 5 {
+		t.Fatalf("first listing %v", names)
+	}
+	assets.AddTemplate("aaa-new", NewImage(8, 8, 1, 2, 3))
+	second, names := list()
+	if len(names) != 6 || names[0] != "aaa-new" || first == second {
+		t.Fatalf("listing after an add: %v (fresh response: %v)", names, first != second)
+	}
+	if third, _ := list(); third != second {
+		t.Error("an unchanged template set built its listing again")
+	}
+	want := []int64{900_000 + 5*40_000, 900_000 + 6*40_000, 900_000 + 6*40_000}
+	if !slices.Equal(charged, want) {
+		t.Errorf("charged %v, want %v", charged, want)
+	}
+}
+
 func TestHandleErrors(t *testing.T) {
 	assets := testAssets(t)
 	cpu := func(int64, bool) {}
@@ -178,7 +214,7 @@ func testAssets(t *testing.T) *Assets {
 				t.Fatal(derr)
 			}
 			name := strings.TrimSuffix(strings.TrimPrefix(p, TemplateDir+"/"), ".ppm")
-			assets.Templates[name] = img
+			assets.AddTemplate(name, img)
 		}
 	}
 	return assets

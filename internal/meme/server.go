@@ -56,9 +56,9 @@ func serverMain(p posix.Proc) int {
 		if derr != nil {
 			continue
 		}
-		assets.Templates[strings.TrimSuffix(name, ".ppm")] = img
+		assets.AddTemplate(strings.TrimSuffix(name, ".ppm"), img)
 	}
-	posix.Fprintf(p, abi.Stderr, "meme-server: listening on :%d with %d templates\n", Port, len(assets.Templates))
+	posix.Fprintf(p, abi.Stderr, "meme-server: listening on :%d with %d templates\n", Port, len(assets.templates))
 	// "-serial" selects the pre-event-loop one-request-per-connection
 	// server — the ablation baseline the load experiments compare against.
 	serve := httpx.Serve
@@ -101,8 +101,38 @@ func listTemplates(p posix.Proc) ([]string, abi.Errno) {
 // Assets is the server's in-memory state (stateless across requests,
 // "following best practices").
 type Assets struct {
-	Font      *Font
-	Templates map[string]*Image
+	Font *Font
+
+	templates map[string]*Image // by name, filled through AddTemplate
+	// listing is the GET /api/templates response for the current
+	// template set, shared by every request and built when first asked
+	// for after a change.
+	listing *httpx.Response
+}
+
+// AddTemplate makes img the template called name.
+func (a *Assets) AddTemplate(name string, img *Image) {
+	if a.templates == nil {
+		a.templates = map[string]*Image{}
+	}
+	a.templates[name] = img
+	a.listing = nil
+}
+
+// templateListing returns the sorted JSON list of template names as the
+// shared GET /api/templates response.
+func (a *Assets) templateListing() *httpx.Response {
+	if a.listing == nil {
+		names := make([]string, 0, len(a.templates))
+		for n := range a.templates {
+			names = append(names, n)
+		}
+		sort.Strings(names)
+		out, _ := json.Marshal(names)
+		a.listing = &httpx.Response{Status: 200,
+			Header: map[string]string{"Content-Type": "application/json"}, Body: out}
+	}
+	return a.listing
 }
 
 // CPUFunc charges server CPU: regular and int64-heavy work. The Browsix
@@ -135,33 +165,30 @@ func loadAssets(readFile func(string) ([]byte, abi.Errno)) (*Assets, abi.Errno) 
 	if ferr != nil {
 		return nil, abi.EINVAL
 	}
-	return &Assets{Font: font, Templates: map[string]*Image{}}, abi.OK
+	return &Assets{Font: font}, abi.OK
 }
 
 // healthz is the one GET /healthz response every request shares: servers
-// never modify a response, and neither may its receivers.
+// never modify a response, and neither may its receivers. The templates
+// listing is shared the same way (Assets.listing).
 var healthz = &httpx.Response{Status: 200, Body: []byte("ok")}
 
 // Handle services one API request; it is the shared "server source code".
+// Every templates listing is charged as the listing and JSON encoding
+// the server source does, though the host builds it once per template
+// set.
 func (a *Assets) Handle(method, path string, body []byte, cpu CPUFunc) *httpx.Response {
 	switch {
 	case method == "GET" && path == "/api/templates":
-		names := make([]string, 0, len(a.Templates))
-		for n := range a.Templates {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		cpu(900_000+int64(len(names))*40_000, false) // listing + JSON encode
-		out, _ := json.Marshal(names)
-		return &httpx.Response{Status: 200,
-			Header: map[string]string{"Content-Type": "application/json"}, Body: out}
+		cpu(900_000+int64(len(a.templates))*40_000, false) // listing + JSON encode
+		return a.templateListing()
 
 	case method == "POST" && path == "/api/meme":
 		var req GenRequest
 		if err := json.Unmarshal(body, &req); err != nil {
 			return &httpx.Response{Status: 400, Body: []byte("bad json")}
 		}
-		tpl, ok := a.Templates[req.Template]
+		tpl, ok := a.templates[req.Template]
 		if !ok {
 			return &httpx.Response{Status: 404, Body: []byte("no such template " + req.Template)}
 		}
@@ -251,7 +278,7 @@ func NewRemoteHost(name string, rtt int64, nsPerByte float64) *netsim.Host {
 		img, derr := DecodePPM(data)
 		if derr == nil {
 			name := strings.TrimSuffix(strings.TrimPrefix(p, TemplateDir+"/"), ".ppm")
-			assets.Templates[name] = img
+			assets.AddTemplate(name, img)
 		}
 	}
 	return &netsim.Host{
@@ -264,7 +291,7 @@ func NewRemoteHost(name string, rtt int64, nsPerByte float64) *netsim.Host {
 			})
 			// Bodies are read-only on the simulated network (as
 			// netsim.FileHost's file bytes are), so a shared response's
-			// (healthz) travels uncopied.
+			// (healthz, the templates listing) travels uncopied.
 			return netsim.Response{Status: resp.Status, Header: resp.Header, Body: resp.Body}
 		},
 	}

@@ -123,10 +123,6 @@ type swarmRun struct {
 	done      func(LoadReport)
 }
 
-func (r *swarmRun) post(delay int64, fn func()) {
-	r.sim.PostDelay(r.ctx, delay, fn)
-}
-
 // account marks one (client, seq) as finally resolved — completed or
 // failed. The run finishes when every request is accounted for; it then
 // closes every client's connection, so a finished swarm leaves no idle
@@ -188,11 +184,13 @@ type lgClient struct {
 
 	conn    *lgConn
 	dialing bool
+	refused int // refused attempts of the dial in progress
 	reading bool
 	dead    bool
 	buf     []byte
-	resp    httpx.Response // the response being parsed
-	arriveH func(seq any)  // arriveAt, bound once
+	resp    httpx.Response        // the response being parsed
+	arriveH func(seq any)         // arriveAt, bound once
+	dialedH func(Conn, abi.Errno) // dialed, bound once
 
 	sendq   []int   // arrived-but-unsent seqs (waiting on a dial)
 	sendNs  []int64 // arrival timestamp per seq (latency base)
@@ -232,7 +230,7 @@ func (s *Swarm) Start(sim *sched.Sim, dial Dialer, done func(LoadReport)) {
 			rng:    lgRand{s: s.Seed ^ (uint64(i)+1)*0x9e3779b97f4a7c15},
 			sendNs: make([]int64, s.PerClient),
 		}
-		c.arriveH = c.arriveAt
+		c.arriveH, c.dialedH = c.arriveAt, c.dialed
 		run.clients = append(run.clients, c)
 		if s.OpenLoop {
 			// Pre-generate the whole arrival schedule.
@@ -284,35 +282,42 @@ func (c *lgClient) flushSendq() {
 	}
 }
 
+// ensureDial starts a dial unless one is in progress. Its attempts
+// run on the client's bound handlers, so a dial allocates nothing of
+// its own.
 func (c *lgClient) ensureDial() {
 	if c.dialing {
 		return
 	}
-	c.dialing = true
-	attempts := 0
-	var try func()
-	try = func() {
-		c.run.dial(func(conn Conn, err abi.Errno) {
-			if err != abi.OK {
-				// Refused (listener backlog full) — retry after a
-				// seeded backoff, giving the server room to drain.
-				attempts++
-				c.run.retries++
-				if attempts > lgDialRetries {
-					c.dialing = false
-					c.die()
-					return
-				}
-				c.run.post(lgRetryFloorNs+c.rng.gap(c.run.cfg.MeanGapNs/4+1), try)
-				return
-			}
+	c.dialing, c.refused = true, 0
+	c.run.dial(c.dialedH)
+}
+
+// redial is a refused dial's retry event; its argument is the client.
+func redial(c any) {
+	cl := c.(*lgClient)
+	cl.run.dial(cl.dialedH)
+}
+
+// dialed completes one dial attempt.
+func (c *lgClient) dialed(conn Conn, err abi.Errno) {
+	if err != abi.OK {
+		// Refused (listener backlog full) — retry after a seeded
+		// backoff, giving the server room to drain.
+		c.refused++
+		c.run.retries++
+		if c.refused > lgDialRetries {
 			c.dialing = false
-			c.conn = newLgConn(c, conn)
-			c.buf = nil
-			c.flushSendq()
-		})
+			c.die()
+			return
+		}
+		c.run.sim.PostDelayArg(c.run.ctx, lgRetryFloorNs+c.rng.gap(c.run.cfg.MeanGapNs/4+1), redial, c)
+		return
 	}
-	try()
+	c.dialing = false
+	c.conn = newLgConn(c, conn)
+	c.buf = nil
+	c.flushSendq()
 }
 
 // lgConn is one of a client's connections, with its read and write

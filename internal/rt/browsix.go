@@ -30,6 +30,11 @@ type workerRT struct {
 	calls    abi.CallPool // call frames, back once their replies arrive
 	handlers map[int]func(int)
 
+	// pollSpare is the pollfd array the next asynchronous poll sends:
+	// a poll call gives its array up to the kernel, and only a reply
+	// that carries it back returns it here.
+	pollSpare []abi.Pollfd
+
 	// Synchronous-syscall state (em-sync): the heap, laid out as
 	// abi.HeapRings says — the wake cell at abi.HeapWakeOff, the two
 	// rings at the top — with this runtime's scratch for string and
@@ -683,11 +688,28 @@ func (r *workerRT) AcceptBatch(fd, max int) ([]int, abi.Errno) {
 
 // Poll passes the pollfd set as typed records; revents come back
 // through the shared heap or the reply array, written into fds in place.
+// The sync codec stages fds in the heap. An asynchronous poll gives
+// its array up to the kernel until the reply, so it sends a copy of fds
+// in the spare array and keeps the array the reply carries back as the
+// next spare; a call answered without its array (refused, or no reply
+// at all) leaves the next poll to make one.
 func (r *workerRT) Poll(fds []abi.Pollfd, timeoutNs int64) (int, abi.Errno) {
 	if len(fds) == 0 {
 		return 0, abi.EINVAL
 	}
-	res := r.call(abi.SYS_poll, &abi.Args{Pollfds: fds, Int: [3]int64{timeoutNs}})
+	if r.sync {
+		res := r.call(abi.SYS_poll, &abi.Args{Pollfds: fds, Int: [3]int64{timeoutNs}})
+		return int(res.Ret), res.Err
+	}
+	sent := append(r.pollSpare[:0], fds...)
+	r.pollSpare = nil
+	res := r.call(abi.SYS_poll, &abi.Args{Pollfds: sent, Int: [3]int64{timeoutNs}})
+	r.pollSpare = res.Pollfds
+	if res.Err == abi.OK {
+		for i := range fds {
+			fds[i].Revents = sent[i].Revents
+		}
+	}
 	return int(res.Ret), res.Err
 }
 

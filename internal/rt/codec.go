@@ -29,11 +29,15 @@ func (r *workerRT) call(trap int, a *abi.Args) abi.Result {
 		}
 		res := f.Res
 		if row.Ret == abi.RetPollfds && res.Err == abi.OK {
+			// The reply's records are the call's own array when the
+			// kernel moved it back, so each revent is read before
+			// the caller's record is written.
 			for i := range a.Pollfds {
-				a.Pollfds[i].Revents = 0
+				var rev uint32
 				if i < len(res.Pollfds) {
-					a.Pollfds[i].Revents = res.Pollfds[i].Revents
+					rev = res.Pollfds[i].Revents
 				}
+				a.Pollfds[i].Revents = rev
 			}
 		}
 		f.Release()
@@ -89,9 +93,10 @@ func (r *workerRT) stage(row *abi.Syscall, a *abi.Args, s *staged) {
 			ptr, _ := r.putBytes(buf)
 			s.push(ptr, int64(len(a.Ints)))
 		case abi.ArgPollfds:
-			buf := make([]byte, len(a.Pollfds)*abi.PollfdSize)
-			abi.PackPollfds(buf, a.Pollfds)
-			ptr, _ := r.putBytes(buf)
+			n := len(a.Pollfds) * abi.PollfdSize
+			ptr := r.alloc(int64(n))
+			abi.PackPollfds(r.heap.Bytes()[ptr:], a.Pollfds)
+			r.heap.MarkDirty(int(ptr), n)
 			s.out = ptr
 			s.push(ptr, int64(len(a.Pollfds)))
 		case abi.ArgOut, abi.ArgOutBuf:
@@ -132,10 +137,7 @@ func (r *workerRT) unstage(row *abi.Syscall, a *abi.Args, s *staged, ret int64, 
 	case abi.RetStatus:
 		res.Aux[0] = int64(int32(le.Uint32(hb[s.out:])))
 	case abi.RetPollfds:
-		got := abi.UnpackPollfds(hb[s.out:], len(a.Pollfds))
-		for i := range a.Pollfds {
-			a.Pollfds[i].Revents = got[i].Revents
-		}
+		abi.UnpackRevents(hb[s.out:], a.Pollfds)
 	}
 	return res
 }
